@@ -266,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tol", type=float, default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=["json"], default="json")
 
     p = sub.add_parser("analyze", help="validation, m0, orders")
     common(p)

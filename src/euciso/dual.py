@@ -37,10 +37,6 @@ def k_shift_reps(spec: GroupSpec, m: int) -> list[FracVec]:
             for vec in product(range(m), repeat=spec.d2)]
 
 
-def k_grid(spec: GroupSpec, N: int) -> list[FracVec]:
-    return k_shift_reps(spec, N)
-
-
 # -- the representative set of dual(TF) ---------------------------------------
 
 @dataclass
@@ -214,7 +210,7 @@ def wave_orbits(spec: GroupSpec, rs: RepSet, rho_index: int, N: int) -> list[Wav
         raise InternalInconsistency("orbit level must be a multiple of m0")
     lg = little_group(spec, rs, rho_index)
     ops = lg.operations()
-    grid = k_grid(spec, N)
+    grid = k_shift_reps(spec, N)
     seen: set[FracVec] = set()
     labels = []
     for start in grid:
@@ -272,17 +268,23 @@ def enumerate_dual(spec: GroupSpec, N: int, seed: int = 0) -> DualAtlas:
     irreducibility of every label off the null set (stabilizer test agreeing
     with the character norm), exhaustion of the quotient dual by the label
     decompositions, and coverage of every irreducible as a subrepresentation.
+    Coverage is computed from restrictions to TF by Frobenius reciprocity,
+    <Ind tau, sigma> = <tau, Res sigma>, and must reproduce every
+    decomposition, which is computed from induced characters.
     """
     rs = rep_set(spec, seed=seed)
     q = build_quotient(spec, N)
     irr = quotient_irreps(q, seed=seed)
+    sub = q.tf_subgroup()
+    restricted = [Representation(sub, sigma.mats[list(sub.elements)]) for sigma in irr]
     reports: list[LabelReport] = []
+    reciprocity: list[dict[int, int]] = []
     for rho_index, rho in enumerate(rs.classes):
         lifted = lift_representation(rho, q)
         for label in wave_orbits(spec, rs, rho_index, N):
             wave = chi(spec, label.k)
             twisted = scale_by_character(wave, lifted)
-            ind = induce(q, twisted, check=False)
+            ind = induce(q, twisted)
             norm = char_norm_sq(ind)
             irreducible = mackey_irreducible(q, twisted)
             decomposition = {}
@@ -292,6 +294,8 @@ def enumerate_dual(spec: GroupSpec, N: int, seed: int = 0) -> DualAtlas:
                     decomposition[j] = m
             reports.append(LabelReport(label, ind.dim, irreducible,
                                        float(norm), decomposition))
+            reciprocity.append({j: m for j, res in enumerate(restricted)
+                                if (m := multiplicity(twisted, res))})
 
     checks = {}
     checks["pairwise_inequivalent"] = _pairwise_inequivalent(reports)
@@ -303,7 +307,9 @@ def enumerate_dual(spec: GroupSpec, N: int, seed: int = 0) -> DualAtlas:
         covered |= set(r.decomposition)
     checks["exhaustion"] = (covered == set(range(len(irr)))
                             and sum(s.dim ** 2 for s in irr) == q.order)
-    checks["subrep_cover"] = checks["exhaustion"]
+    checks["subrep_cover"] = (
+        set().union(*reciprocity) == set(range(len(irr)))
+        and all(rec == r.decomposition for rec, r in zip(reciprocity, reports)))
     checks["dimension_count"] = all(
         sum(irr[j].dim * m for j, m in r.decomposition.items()) == r.induced_dim
         for r in reports)

@@ -135,7 +135,7 @@ def transform(u: PeriodicFunction, seed: int = 0) -> FourierTable:
     entries = {}
     for ri, rho in enumerate(reps):
         d = rho.dim
-        acc = np.einsum("gab,gij->aibj", dense, rho.stack())
+        acc = np.einsum("gab,gij->aibj", dense, rho.mats)
         entries[ri] = acc.reshape(m * d, mm * d) / n
     return FourierTable(u.q, u.shape, seed, entries)
 
@@ -150,7 +150,7 @@ def inverse_transform(table: FourierTable) -> PeriodicFunction:
     for ri, rho in enumerate(reps):
         d = rho.dim
         block = table.entries[ri].reshape(m, d, n, d)
-        dense += rho.dim * np.einsum("aibj,gij->gab", block, rho.stack().conj())
+        dense += rho.dim * np.einsum("aibj,gij->gab", block, rho.mats.conj())
     u = PeriodicFunction(table.q, table.shape)
     for g in table.q.elements:
         u[g] = dense[g]
@@ -195,6 +195,10 @@ class SummableFunction:
 
     @classmethod
     def random(cls, spec: GroupSpec, shape=(1, 1), terms=5, span=5, rng=None):
+        available = (2 * span + 1) ** spec.d2 * spec.f_order * spec.rot_order
+        if terms > available:
+            raise ValueError(f"{terms} terms exceed the {available} normal forms "
+                             f"within span {span}")
         rng = rng or np.random.default_rng(0)
         u = cls(spec, shape)
         while len(u.support) < terms:

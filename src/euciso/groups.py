@@ -170,10 +170,6 @@ class GroupSpec:
         return cached
 
 
-def power_section(spec: GroupSpec, n) -> Isometry:
-    return spec.section(n)
-
-
 def reconstruct(spec: GroupSpec, nf: NormalForm) -> Isometry:
     """The isometry t(n)*f*p encoded by a normal form."""
     return iso.compose(iso.compose(spec.section(nf.n), spec.f_iso(nf.f)),
@@ -458,6 +454,7 @@ class QuotientGroup:
         self.identity = self.index[NormalForm((0,) * spec.d2, spec.f_identity,
                                               spec.p_identity)]
         self.elements = tuple(range(self.order))
+        self.local = np.arange(self.order)     # id -> row of a stack over elements
         self._isos: list[Isometry | None] = [None] * self.order
         self._mul: dict[tuple[int, int], int] = {}
         self._inv: dict[int, int] = {}
@@ -571,26 +568,31 @@ class QuotientGroup:
 
 
 class SubgroupView:
-    """A subgroup of a quotient addressed by the parent's element ids."""
+    """A subgroup of a quotient addressed by the parent's element ids.
+
+    `local[i]` is the position of parent id i in `elements`, or -1 when i
+    lies outside the subgroup.
+    """
 
     def __init__(self, parent: QuotientGroup, ids):
         self.parent = parent
         self.elements = tuple(ids)
-        self.id_set = frozenset(self.elements)
+        self.local = np.full(parent.order, -1)
+        self.local[list(self.elements)] = np.arange(len(self.elements))
         self.order = len(self.elements)
         self.identity = parent.identity
-        if self.identity not in self.id_set:
+        if self.local[self.identity] < 0:
             raise InternalInconsistency("subgroup view lacks the identity")
 
     def mul(self, i: int, j: int) -> int:
         k = self.parent.mul(i, j)
-        if k not in self.id_set:
+        if self.local[k] < 0:
             raise InternalInconsistency("subgroup view is not closed under products")
         return k
 
     def inv(self, i: int) -> int:
         k = self.parent.inv(i)
-        if k not in self.id_set:
+        if self.local[k] < 0:
             raise InternalInconsistency("subgroup view is not closed under inverses")
         return k
 

@@ -144,21 +144,6 @@ def table_from_dict(data: dict, q: QuotientGroup) -> FourierTable:
     return t
 
 
-def representation_to_dict(rep, q: QuotientGroup) -> dict:
-    from .reps import _quotient_generators
-    gens = _quotient_generators(q)
-    return {
-        "dim": rep.dim,
-        "seed": rep.seed,
-        "label": rep.label,
-        "generator_images": [{"element": list(q.nf(g).n) + [q.nf(g).f, q.nf(g).p],
-                              "matrix": complex_matrix_to_lists(rep.matrix(g))}
-                             for g in gens],
-        "character": [[i, [float(c.real), float(c.imag)]]
-                      for i, c in sorted(rep.char.items())],
-    }
-
-
 def _coerce(obj):
     if isinstance(obj, (np.bool_,)):
         return bool(obj)

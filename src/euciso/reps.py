@@ -1,5 +1,11 @@
 """Unitary representations of the finite quotients.
 
+A representation is one complex array of shape (|H|, d, d), holding the
+matrices of its domain's elements in `domain.elements` order, plus its
+character vector.  Pairings of characters, equivalence and multiplicities are
+vector operations on those arrays; twisting, conjugating, lifting and
+inducing each build the new array with one gather.
+
 Irreducible representations come out of a random-commutant solver on the
 regular representation: a random Hermitian matrix averaged over the group
 lies in the commutant, its eigenspaces are invariant, and for a generic
@@ -10,6 +16,7 @@ detected by the character norm and split recursively.
 from __future__ import annotations
 
 import cmath
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,8 +26,9 @@ from .errors import (CapExceeded, ConvergenceFailure, InternalInconsistency,
                      NotAMember)
 from .groups import GroupSpec, NormalForm, QuotientGroup, SubgroupView
 
-STRUCT_TOL = 1e-6       # character comparisons, multiplicities
-LINALG_TOL = 1e-9       # unitarity, homomorphism residuals
+STRUCT_TOL = 1e-6         # character comparisons, multiplicities
+IRREDUCIBLE_TOL = 1e-3    # |<chi, chi> - 1| below this marks a solver block irreducible
+HOMOMORPHISM_TOL = 1e-8   # largest generator-pair residual an induced rep may have
 
 DEFAULT_CAP = 4096
 MAX_RESEEDS = 8
@@ -29,97 +37,40 @@ MAX_RESEEDS = 8
 class Representation:
     """Matrix-valued homomorphism on a quotient group or a subgroup view.
 
-    Matrices are keyed by the parent quotient's element ids.  `table` may
-    be a dict (materialized) or a callable (lazy, cached on access).
+    `mats` is the (|H|, d, d) complex stack of the domain's matrices in
+    `domain.elements` order and `char` its trace vector in the same order;
+    `matrix(i)` looks up element id i of the parent quotient.
     """
 
-    def __init__(self, domain, dim, table, seed=None, label=None):
+    def __init__(self, domain, mats):
         self.domain = domain
-        self.dim = int(dim)
-        self.seed = seed
-        self.label = label
-        if callable(table):
-            self._fn = table
-            self._matrices: dict[int, np.ndarray] = {}
-        else:
-            self._fn = None
-            self._matrices = dict(table)
-        self._char: dict[int, complex] | None = None
+        self.mats = np.asarray(mats, dtype=complex)
+        self.dim = self.mats.shape[1]
+        self.char = np.einsum("gii->g", self.mats)
+
+    def rows(self, ids) -> np.ndarray:
+        """Stack rows of parent element ids; KeyError for an id outside the domain."""
+        rows = self.domain.local[ids]
+        if np.any(rows < 0):
+            raise KeyError("element id outside the representation's domain")
+        return rows
 
     def matrix(self, i: int) -> np.ndarray:
-        m = self._matrices.get(i)
-        if m is None:
-            if self._fn is None:
-                raise KeyError(f"representation has no matrix for element {i}")
-            m = np.asarray(self._fn(i), dtype=complex)
-            self._matrices[i] = m
-        return m
-
-    def stack(self) -> np.ndarray:
-        """All matrices as one (|H|, d, d) array, in element order."""
-        if getattr(self, "_stack", None) is None:
-            self._stack = np.array([self.matrix(i) for i in self.domain.elements])
-        return self._stack
-
-    @property
-    def char(self) -> dict[int, complex]:
-        if self._char is None:
-            self._char = {i: complex(np.trace(self.matrix(i)))
-                          for i in self.domain.elements}
-        return self._char
-
-    def charvec(self) -> np.ndarray:
-        ch = self.char
-        return np.array([ch[i] for i in self.domain.elements])
-
-    def unitary_defect(self) -> float:
-        worst = 0.0
-        for i in self.domain.elements:
-            m = self.matrix(i)
-            worst = max(worst, float(np.abs(m.conj().T @ m - np.eye(self.dim)).max()))
-        return worst
-
-    def homomorphism_defect(self, pairs) -> float:
-        worst = 0.0
-        for i, j in pairs:
-            lhs = self.matrix(i) @ self.matrix(j)
-            rhs = self.matrix(self.domain.mul(i, j))
-            worst = max(worst, float(np.abs(lhs - rhs).max()))
-        return worst
-
-
-@dataclass(frozen=True)
-class Character:
-    """Trace function of a representation, keyed by element id."""
-
-    values: dict
-
-    @classmethod
-    def of(cls, rep: Representation) -> "Character":
-        return cls(dict(rep.char))
+        return self.mats[self.rows(i)]
 
 
 def char_inner(r1: Representation, r2: Representation) -> complex:
     """(1/|H|) sum chi1(g) conj(chi2(g)) over the common domain."""
-    ids = r1.domain.elements
-    acc = 0j
-    c1, c2 = r1.char, r2.char
-    for i in ids:
-        acc += c1[i] * c2[i].conjugate()
-    return acc / len(ids)
+    return complex(np.vdot(r2.char, r1.char)) / len(r1.char)
 
 
 def char_norm_sq(r: Representation) -> float:
-    ids = r.domain.elements
-    return sum(abs(r.char[i]) ** 2 for i in ids) / len(ids)
+    return float(np.mean(np.abs(r.char) ** 2))
 
 
 def equivalent(r1: Representation, r2: Representation, tol: float = STRUCT_TOL) -> bool:
     """Unitary equivalence via character comparison (finite groups)."""
-    if r1.dim != r2.dim:
-        return False
-    c1, c2 = r1.char, r2.char
-    return all(abs(c1[i] - c2[i]) <= tol for i in r1.domain.elements)
+    return r1.dim == r2.dim and bool(np.abs(r1.char - r2.char).max() <= tol)
 
 
 def multiplicity(container: Representation, irr: Representation,
@@ -140,7 +91,7 @@ def _perm_arrays(domain) -> tuple[np.ndarray, np.ndarray]:
         table = domain.mult_table()
         inv_local = (table == domain.identity).argmax(axis=1)
         return table, inv_local
-    local = {gid: k for k, gid in enumerate(domain.elements)}
+    local = domain.local
     n = len(domain.elements)
     table = np.empty((n, n), dtype=np.int32)
     inv_local = np.empty(n, dtype=np.int32)
@@ -165,7 +116,7 @@ def _split_dense(mats: list[np.ndarray], rng, depth: int = 0) -> list[list[np.nd
     d = mats[0].shape[0]
     n = len(mats)
     norm_sq = sum(abs(np.trace(m)) ** 2 for m in mats) / n
-    if abs(norm_sq - 1.0) < 1e-3:
+    if abs(norm_sq - 1.0) < IRREDUCIBLE_TOL:
         return [mats]
     if depth > 8:
         raise ConvergenceFailure("irreducible split did not terminate")
@@ -214,15 +165,14 @@ def irreps(domain, seed: int = 0, cap: int = DEFAULT_CAP,
     for attempt in range(retries):
         rng = np.random.default_rng(seed + attempt)
         try:
-            return _solve(domain, table, inv_local, rng, seed + attempt)
+            return _solve(domain, table, inv_local, rng)
         except (ConvergenceFailure, InternalInconsistency) as exc:
             last_error = exc
     raise ConvergenceFailure(f"irrep solver failed after {retries} reseeds: {last_error}")
 
 
-def _solve(domain, table, inv_local, rng, seed) -> list[Representation]:
+def _solve(domain, table, inv_local, rng) -> list[Representation]:
     n = table.shape[0]
-    ids = domain.elements
     inv_perms = table[inv_local]            # row g: h -> g^-1 h
 
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -249,7 +199,7 @@ def _solve(domain, table, inv_local, rng, seed) -> list[Representation]:
         basis = v[:, sl]
         gathered = basis[inv_perms]                         # (n, n, d)
         ch = np.einsum("ak,gak->g", basis.conj(), gathered)
-        if abs(float(np.mean(np.abs(ch) ** 2)) - 1.0) < 1e-3:
+        if abs(float(np.mean(np.abs(ch) ** 2)) - 1.0) < IRREDUCIBLE_TOL:
             if any(np.abs(ch - kc).max() < STRUCT_TOL for kc in kept_chars):
                 continue
             mats = np.einsum("aj,gak->gjk", basis.conj(), gathered)
@@ -267,26 +217,16 @@ def _solve(domain, table, inv_local, rng, seed) -> list[Representation]:
     order = sorted(range(len(kept_mats)),
                    key=lambda k: (kept_mats[k].shape[1],
                                   tuple(np.round(kept_chars[k], 6).view(float))))
-    out = []
-    for rank, k in enumerate(order):
-        mats, ch = kept_mats[k], kept_chars[k]
-        rep = Representation(domain, mats.shape[1],
-                             {gid: mats[j] for j, gid in enumerate(ids)},
-                             seed=seed, label=f"irr{rank}")
-        rep._char = {gid: complex(ch[j]) for j, gid in enumerate(ids)}
-        out.append(rep)
-
-    _verify_irreps(domain, out,
-                   [kept_mats[k] for k in order], [kept_chars[k] for k in order],
-                   table, rng)
-    return out
+    stacks = [kept_mats[k] for k in order]
+    _verify_irreps(stacks, [kept_chars[k] for k in order], table, rng)
+    return [Representation(domain, mats) for mats in stacks]
 
 
-def _verify_irreps(domain, reps, stacks, chars, table, rng) -> None:
+def _verify_irreps(stacks, chars, table, rng) -> None:
     n = table.shape[0]
     cmat = np.array(chars)
     gram = cmat @ cmat.conj().T / n
-    if np.abs(gram - np.eye(len(reps))).max() > STRUCT_TOL:
+    if np.abs(gram - np.eye(len(stacks))).max() > STRUCT_TOL:
         raise InternalInconsistency("character orthogonality failed")
     for mats in stacks:
         d = mats.shape[1]
@@ -329,24 +269,31 @@ class WaveCharacter:
         """True iff the character is trivial on N-th section powers."""
         return all((a * N).denominator == 1 for a in self.k)
 
+    def phases(self, q: QuotientGroup, ids) -> np.ndarray:
+        """The character at element ids of q, evaluated once per exponent vector."""
+        grid = {n: self.value(n) for n in itertools.product(range(q.N), repeat=q.spec.d2)}
+        return np.array([grid[q.nf(i).n] for i in ids])
+
     def on(self, q: QuotientGroup) -> Representation:
         """The character as a 1-dim representation of the TF part of q."""
         if not self.kills_power(q.N):
             raise NotAMember(f"wave vector {self.k} does not kill T^{q.N}")
         sub = q.tf_subgroup()
-        table = {i: np.array([[self.value(q.nf(i).n)]]) for i in sub.elements}
-        return Representation(sub, 1, table, label=f"chi{self.k}")
+        return Representation(sub, self.phases(q, sub.elements)[:, None, None])
 
 
 def chi(spec: GroupSpec, k) -> WaveCharacter:
     return WaveCharacter(tuple(Fraction(x) for x in k))
 
 
+def _parent(domain) -> QuotientGroup:
+    return domain.parent if isinstance(domain, SubgroupView) else domain
+
+
 def scale_by_character(wave: WaveCharacter, r: Representation) -> Representation:
     """Pointwise product chi_k * rho on the same domain."""
-    q = r.domain.parent if isinstance(r.domain, SubgroupView) else r.domain
-    table = {i: wave.value(q.nf(i).n) * r.matrix(i) for i in r.domain.elements}
-    return Representation(r.domain, r.dim, table, seed=r.seed)
+    phases = wave.phases(_parent(r.domain), r.domain.elements)
+    return Representation(r.domain, phases[:, None, None] * r.mats)
 
 
 # -- the action of G on duals of TF -------------------------------------------
@@ -355,51 +302,44 @@ def dual_action(q: QuotientGroup, g: int, r: Representation) -> Representation:
     """(g . rho)(h) = rho(g^-1 h g) for rho on a normal subgroup view."""
     sub = r.domain
     g_inv = q.inv(g)
-    table = {}
-    for h in sub.elements:
-        conj = q.mul(q.mul(g_inv, h), g)
-        if conj not in sub.id_set:
-            raise InternalInconsistency("conjugation left the subgroup")
-        table[h] = r.matrix(conj)
-    return Representation(sub, r.dim, table, seed=r.seed)
+    rows = sub.local[[q.mul(q.mul(g_inv, h), g) for h in sub.elements]]
+    if (rows < 0).any():
+        raise InternalInconsistency("conjugation left the subgroup")
+    return Representation(sub, r.mats[rows])
 
 
 def p_rep_element(q: QuotientGroup, p_idx: int) -> int:
     return q.index[NormalForm((0,) * q.spec.d2, q.spec.f_identity, p_idx)]
 
 
-def induce(q: QuotientGroup, r: Representation, check: bool = True) -> Representation:
+def induce(q: QuotientGroup, r: Representation) -> Representation:
     """Induction from the TF part to the full quotient, in block form.
 
     Coset representatives are the p_reps; block (i, j) of the induced
     matrix at g is rho(h_i^-1 g h_j) when that element lies in TF and
-    zero otherwise.
+    zero otherwise.  The result is checked to be a homomorphism on all
+    pairs of quotient generators.
     """
     sub = r.domain
     if not isinstance(sub, SubgroupView) or sub.parent is not q:
         raise InternalInconsistency("induce expects a representation on a TF view of q")
+    table = q.mult_table()
     cosets = [p_rep_element(q, p) for p in range(q.spec.rot_order)]
     coset_inv = [q.inv(c) for c in cosets]
-    d = r.dim
-    nblocks = len(cosets)
+    d, k, n = r.dim, len(cosets), q.order
+    # rows[i, g, j] is the TF row of h_i^-1 g h_j, or -1 outside TF
+    rows = sub.local[table[table[coset_inv]][:, :, cosets]]
+    inside = rows >= 0
+    blocks = np.zeros((k, n, k, d, d), dtype=complex)
+    blocks[inside] = r.mats[rows[inside]]
+    mats = blocks.transpose(1, 0, 3, 2, 4).reshape(n, k * d, k * d)
 
-    def evaluate(g: int) -> np.ndarray:
-        out = np.zeros((nblocks * d, nblocks * d), dtype=complex)
-        for i in range(nblocks):
-            left = q.mul(coset_inv[i], g)
-            for j in range(nblocks):
-                x = q.mul(left, cosets[j])
-                if x in sub.id_set:
-                    out[i * d:(i + 1) * d, j * d:(j + 1) * d] = r.matrix(x)
-        return out
-
-    rep = Representation(q, nblocks * d, evaluate, seed=r.seed)
-    if check:
-        gens = _quotient_generators(q)
-        defect = rep.homomorphism_defect([(a, b) for a in gens for b in gens])
-        if defect > 1e-8:
-            raise InternalInconsistency(f"induced rep fails homomorphism: {defect}")
-    return rep
+    gens = np.array(_quotient_generators(q))
+    a, b = gens[:, None], gens[None, :]
+    defect = float(np.abs(mats[a] @ mats[b] - mats[table[a, b]]).max())
+    if defect > HOMOMORPHISM_TOL:
+        raise InternalInconsistency(f"induced rep fails homomorphism: {defect}")
+    return Representation(q, mats)
 
 
 def _quotient_generators(q: QuotientGroup) -> list[int]:
@@ -430,7 +370,7 @@ def mackey_irreducible(q: QuotientGroup, r: Representation) -> bool:
         if equivalent(dual_action(q, g, r), r):
             verdict = False
             break
-    norm = char_norm_sq(induce(q, r, check=False))
+    norm = char_norm_sq(induce(q, r))
     if abs(norm - 1.0) < STRUCT_TOL:
         by_norm = True
     elif norm > 1.0 + STRUCT_TOL:
@@ -447,17 +387,15 @@ def mackey_irreducible(q: QuotientGroup, r: Representation) -> bool:
 
 def lift_representation(r: Representation, fine: QuotientGroup) -> Representation:
     """Pull a representation of a coarse quotient back to a finer one."""
-    coarse = r.domain if isinstance(r.domain, QuotientGroup) else r.domain.parent
-    if isinstance(r.domain, SubgroupView):
-        sub = fine.tf_subgroup()
-        table = {i: r.matrix(fine.project_index(coarse, i)) for i in sub.elements}
-        return Representation(sub, r.dim, table, seed=r.seed, label=r.label)
-    table = {i: r.matrix(fine.project_index(coarse, i)) for i in fine.elements}
-    return Representation(fine, r.dim, table, seed=r.seed, label=r.label)
+    coarse = _parent(r.domain)
+    domain = fine.tf_subgroup() if isinstance(r.domain, SubgroupView) else fine
+    coarse_ids = [fine.project_index(coarse, i) for i in domain.elements]
+    return Representation(domain, r.mats[r.rows(coarse_ids)])
 
 
 def trivial_on(r: Representation, ids) -> bool:
-    return all(np.abs(r.matrix(i) - np.eye(r.dim)).max() < STRUCT_TOL for i in ids)
+    mats = r.mats[r.rows(list(ids))]
+    return bool((np.abs(mats - np.eye(r.dim)) < STRUCT_TOL).all())
 
 
 def intertwiner(r1: Representation, r2: Representation, seed: int = 0):
@@ -465,9 +403,8 @@ def intertwiner(r1: Representation, r2: Representation, seed: int = 0):
     if r1.dim != r2.dim:
         return None
     rng = np.random.default_rng(seed)
-    ids = r1.domain.elements
     x = rng.standard_normal((r1.dim, r2.dim)) + 1j * rng.standard_normal((r1.dim, r2.dim))
-    t = sum(r1.matrix(g) @ x @ r2.matrix(g).conj().T for g in ids) / len(ids)
+    t = np.einsum("gij,jk,glk->il", r1.mats, x, r2.mats.conj()) / len(r1.mats)
     if np.abs(t).max() < 1e-8:
         return None
     # scale to unitary via polar part

@@ -17,8 +17,9 @@ from . import isometry as iso
 from .errors import (BadModulus, IntegralityViolation, InternalInconsistency,
                      NotCoprime)
 from .groups import (GroupSpec, NormalForm, QuotientGroup, build_quotient,
-                     find_m0, is_member, normal_form, power_section)
+                     find_m0, is_member, normal_form)
 from .isometry import Isometry
+from .reps import _quotient_generators
 
 FracVec = tuple[Fraction, ...]
 
@@ -103,7 +104,7 @@ def complement_set(spec: GroupSpec, n: int) -> ComplementSet:
     for p in spec.p_reps:
         corr = tuple(-a * sum(table[(p.p, q.p)][i] for q in spec.p_reps)
                      for i in range(spec.d2))
-        lifted = iso.compose(power_section(spec, corr), p)
+        lifted = iso.compose(spec.section(corr), p)
         if not is_member(spec, lifted):
             raise InternalInconsistency("corrected lift left the group")
         out.append(lifted)
@@ -193,8 +194,7 @@ def split_quotient(spec: GroupSpec, m: int, n: int) -> SplitCertificate:
     # normal factor: the m-th section powers mod N
     normal = set()
     for vec in _exponent_box(spec.d2, n):
-        el = q.reduce(normal_form(spec, iso.power(
-            power_section(spec, vec), m)))
+        el = q.reduce(normal_form(spec, iso.power(spec.section(vec), m)))
         normal.add(el)
     checks.append(SplitCheck("normal-order", len(normal) == n ** spec.d2,
                              f"{len(normal)} vs n^d2 = {n ** spec.d2}"))
@@ -204,7 +204,7 @@ def split_quotient(spec: GroupSpec, m: int, n: int) -> SplitCertificate:
     checks.append(SplitCheck("normal-abelian", abelian))
     exponent = all(_pow(q, a, n) == q.identity for a in normal)
     checks.append(SplitCheck("normal-exponent", exponent, f"x^{n} = id"))
-    gens = _generator_ids(q)
+    gens = _quotient_generators(q)
     is_normal = all(q.mul(q.mul(g, a), q.inv(g)) in normal
                     for g in gens for a in normal)
     checks.append(SplitCheck("normal-invariant", is_normal))
@@ -216,8 +216,7 @@ def split_quotient(spec: GroupSpec, m: int, n: int) -> SplitCertificate:
     for i in range(spec.d2):
         e = [0] * spec.d2
         e[i] = 1
-        seeds.append(q.reduce(normal_form(spec, iso.power(
-            power_section(spec, e), n))))
+        seeds.append(q.reduce(normal_form(spec, iso.power(spec.section(e), n))))
     complement = _closure(q, seeds)
     want = (m ** spec.d2) * spec.f_order * spec.rot_order
     checks.append(SplitCheck("complement-order", len(complement) == want,
@@ -257,20 +256,6 @@ def _pow(q: QuotientGroup, a: int, k: int) -> int:
     return acc
 
 
-def _generator_ids(q: QuotientGroup) -> list[int]:
-    spec = q.spec
-    out = []
-    for i in range(spec.d2):
-        e = [0] * spec.d2
-        e[i] = 1 % q.N
-        out.append(q.index[NormalForm(tuple(e), spec.f_identity, spec.p_identity)])
-    for f in range(spec.f_order):
-        out.append(q.index[NormalForm((0,) * spec.d2, f, spec.p_identity)])
-    for p in range(spec.rot_order):
-        out.append(q.index[NormalForm((0,) * spec.d2, spec.f_identity, p)])
-    return out
-
-
 def verify_certificate(spec: GroupSpec, cert: SplitCertificate) -> bool:
     """Re-derive every certificate claim from scratch."""
     q = build_quotient(spec, cert.N)
@@ -278,7 +263,7 @@ def verify_certificate(spec: GroupSpec, cert: SplitCertificate) -> bool:
     complement = {q.index[nf] for nf in cert.complement_part}
     if len(normal) != cert.normal_order or len(complement) != cert.complement_order:
         return False
-    gens = _generator_ids(q)
+    gens = _quotient_generators(q)
     if not all(q.mul(q.mul(g, a), q.inv(g)) in normal for g in gens for a in normal):
         return False
     if not all(q.mul(a, b) in complement for a in complement for b in complement):
@@ -300,7 +285,7 @@ def find_involution(spec: GroupSpec, bound: int = 2):
     for vec in itertools.product(range(-bound, bound + 1), repeat=spec.d2):
         for f in range(spec.f_order):
             for p in range(spec.rot_order):
-                g = iso.compose(iso.compose(power_section(spec, vec),
+                g = iso.compose(iso.compose(spec.section(vec),
                                             spec.f_iso(f)), spec.p_reps[p])
                 if iso.approx_equal(g, ident, spec.tol):
                     continue

@@ -21,7 +21,7 @@ from .fourier import (PeriodicFunction, SummableFunction, convolve,
                       inner_product, inverse_transform, plancherel_pairing,
                       transform, translate)
 from .groups import (GroupSpec, build_quotient, find_m0, is_power_normal,
-                     normal_form, power_section, validate_spec)
+                     normal_form, validate_spec)
 from .reps import char_inner, quotient_irreps
 from .splitting import cocycle, split_quotient, verify_certificate
 
@@ -74,7 +74,7 @@ def run_suite(spec: GroupSpec, seed: int = 0) -> VerifyReport:
             ok_orders = False
         seen = set()
         for n in itertools.product(range(N), repeat=spec.d2):
-            nf = q.reduce(normal_form(spec, power_section(spec, n)))
+            nf = q.reduce(normal_form(spec, spec.section(n)))
             seen.add(nf)
         if len(seen) != N ** spec.d2:
             ok_section = False
@@ -91,10 +91,10 @@ def run_suite(spec: GroupSpec, seed: int = 0) -> VerifyReport:
             break
         shifted = list(n)
         shifted[j] += q.N
-        lhs = q.reduce(normal_form(spec, power_section(spec, shifted)))
-        rhs = q.mul(q.reduce(normal_form(spec, power_section(spec, n))),
+        lhs = q.reduce(normal_form(spec, spec.section(shifted)))
+        rhs = q.mul(q.reduce(normal_form(spec, spec.section(n))),
                     q.reduce(normal_form(spec, iso.power(
-                        power_section(spec, [int(i == j) for i in range(spec.d2)]), q.N))))
+                        spec.section([int(i == j) for i in range(spec.d2)]), q.N))))
         if lhs != rhs:
             ok = False
     checks.append(CheckResult("mod-N-soundness", ok))

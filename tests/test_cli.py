@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -91,6 +92,27 @@ def test_dual_deterministic_bytes(capsys):
     _, first = run(capsys, "dual", "catalog:pg", "--N", "3", "--seed", "11")
     _, second = run(capsys, "dual", "catalog:pg", "--N", "3", "--seed", "11")
     assert first == second
+
+
+# sha256 of canonical stdout, recorded before the array-native Representation;
+# these outputs carry no residual floats and depend only on characters
+PINNED_DIGESTS = {
+    ("dual", "catalog:pg", "--N", "3"):
+        "c9119aaf0b30d1589aaeeb10f5a86b926748be4eb3c51e28e0c141ee96f6e981",
+    ("dual", "catalog:twistE8"):
+        "5086628e324c1d80d4ff6f35336606a14261d94dd4729d41fc75c21a27a47fb0",
+    ("dual", "catalog:twistE8-m4", "--N", "8"):
+        "8f55bc19c06f60dc533b269c4b4b9d8bdb240bca4a6487e204a06c2eb86ae2f7",
+    ("split", "catalog:twistE8", "--m", "2", "--n", "3"):
+        "604fc7dee24bbf9c7b2e767fbfe2f644627518e276d9491a0593bf392fa18107",
+}
+
+
+def test_pinned_output_bytes(capsys):
+    for argv, digest in PINNED_DIGESTS.items():
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def test_fourier_round_trip_files(tmp_path, capsys):

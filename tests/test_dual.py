@@ -5,10 +5,11 @@ import pytest
 
 from euciso import catalog
 from euciso import isometry as iso
-from euciso.dual import (dual_point_matrix, enumerate_dual, k_grid,
+from euciso.dual import (dual_point_matrix, enumerate_dual, k_shift_reps,
                          little_group, null_set_member, rep_set, wave_orbits)
 from euciso.groups import build_quotient, find_m0
-from euciso.reps import equivalent, induce, lift_representation, scale_by_character, chi
+from euciso.reps import (chi, equivalent, induce, lift_representation, quotient_irreps,
+                         scale_by_character)
 
 from conftest import quotient, spec
 
@@ -141,7 +142,7 @@ def test_wave_orbits_pg_against_oracle():
     assert not any(l.in_null_set for l in pairs)
     # brute-force oracle over the grid
     lg = little_group(s, rs, 0)
-    oracle = brute_orbits(k_grid(s, 3), lg.operations())
+    oracle = brute_orbits(k_shift_reps(s, 3), lg.operations())
     assert sorted(len(o) for o in oracle) == sorted(l.orbit_size for l in labels)
     assert {min(o) for o in oracle} == {l.k for l in labels}
 
@@ -205,8 +206,7 @@ def test_labels_give_inequivalent_induced_reps():
     for idx, rho in enumerate(rs.classes):
         lifted = lift_representation(rho, q)
         for label in wave_orbits(s, rs, idx, 3):
-            reps.append(induce(q, scale_by_character(chi(s, label.k), lifted),
-                               check=False))
+            reps.append(induce(q, scale_by_character(chi(s, label.k), lifted)))
     for i in range(len(reps)):
         for j in range(i + 1, len(reps)):
             assert not equivalent(reps[i], reps[j])
@@ -223,8 +223,33 @@ def test_atlas_surjectivity_onto_induced_duals(rng):
     irr = quotient_irreps(q)
     for _ in range(6):
         k = tuple(Fraction(int(rng.integers(0, N)), N) for _ in range(2))
-        ind = induce(q, chi(s, k).on(q), check=False)
+        ind = induce(q, chi(s, k).on(q))
         key = tuple(sorted((j, multiplicity(ind, sigma))
                            for j, sigma in enumerate(irr)
                            if multiplicity(ind, sigma)))
         assert key in decomps
+
+
+def test_subrep_cover_matches_frobenius_reciprocity():
+    # <Ind tau, sigma> = <tau, Res sigma>, restricted element by element
+    for name, N in [("pg", 3), ("twistE8", 2)]:
+        s = spec(name)
+        atlas = enumerate_dual(s, N)
+        assert atlas.checks["subrep_cover"]
+        q = quotient(name, N)
+        irr = quotient_irreps(q)
+        tf = q.tf_indices()
+        rs = atlas.rep_set
+        labels = [(rho, label) for idx, rho in enumerate(rs.classes)
+                  for label in wave_orbits(s, rs, idx, N)]
+        assert len(labels) == len(atlas.labels)
+        for (rho, label), report in zip(labels, atlas.labels):
+            assert report.label == label
+            tau = scale_by_character(chi(s, label.k), lift_representation(rho, q))
+            recip = {}
+            for j, sigma in enumerate(irr):
+                m = sum(np.trace(tau.matrix(h)) * np.conj(np.trace(sigma.matrix(h)))
+                        for h in tf) / len(tf)
+                if round(m.real):
+                    recip[j] = round(m.real)
+            assert recip == report.decomposition

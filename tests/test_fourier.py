@@ -202,3 +202,10 @@ def test_classical_dft_limit(rng):
                   for j in range(2)]
         ks = [round(np.angle(ph) / (2 * np.pi) * 4) % 4 for ph in phases]
         assert abs(t.entries[i][0, 0] - dft[(-ks[0]) % 4, (-ks[1]) % 4]) <= 1e-10
+
+
+def test_random_summable_rejects_more_terms_than_normal_forms():
+    # p1 has a single normal form within span 0
+    assert len(SummableFunction.random(spec("p1"), terms=1, span=0).support) == 1
+    with pytest.raises(ValueError):
+        SummableFunction.random(spec("p1"), terms=2, span=0)

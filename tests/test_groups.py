@@ -10,7 +10,7 @@ from euciso import isometry as iso
 from euciso.errors import BadModulus, NotAMember
 from euciso.groups import (GroupSpec, NormalForm, automorphism_count,
                            build_quotient, find_m0, is_power_normal,
-                           normal_form, power_section, reconstruct, tf_slice,
+                           normal_form, reconstruct, tf_slice,
                            validate_spec)
 from euciso.isometry import Isometry, rotation2
 
@@ -23,7 +23,7 @@ def oracle_section_power_set(s, m, span):
     """All m-th section powers with exponents in a window, as isometries."""
     out = []
     for v in itertools.product(range(-span, span + 1), repeat=s.d2):
-        out.append(iso.power(power_section(s, v), m))
+        out.append(iso.power(s.section(v), m))
     return out
 
 
@@ -35,7 +35,7 @@ def oracle_is_power_normal(s, m, span=2):
         return any(iso.approx_equal(x, y, s.tol) for y in pool)
 
     window = list(itertools.product(range(-span, span + 1), repeat=s.d2))
-    powers = {v: iso.power(power_section(s, v), m) for v in window}
+    powers = {v: iso.power(s.section(v), m) for v in window}
     for a in window:
         for b in window:
             if not member(iso.compose(powers[a], powers[b])):
@@ -87,8 +87,8 @@ def test_normal_form_glide_squared():
 def test_normal_form_twist_commutator_witness():
     # twisted lifts t1' = g1*phi, t2' = g2 have commutator phi^2
     s = spec("twistE8")
-    t1p = iso.compose(power_section(s, (1, 0)), s.f_iso(1))
-    t2p = power_section(s, (0, 1))
+    t1p = iso.compose(s.section((1, 0)), s.f_iso(1))
+    t2p = s.section((0, 1))
     comm = iso.compose_all([t1p, t2p, iso.inverse(t1p), iso.inverse(t2p)])
     nf = normal_form(s, comm)
     assert nf == NormalForm((0, 0), 2, s.p_identity)
@@ -98,7 +98,7 @@ def test_normal_form_twist_commutator_witness():
 
 def test_normal_form_m4_commutator_witness():
     s = spec("twistE8-m4")
-    g1, g2 = power_section(s, (1, 0)), power_section(s, (0, 1))
+    g1, g2 = s.section((1, 0)), s.section((0, 1))
     comm = iso.compose_all([g1, g2, iso.inverse(g1), iso.inverse(g2)])
     assert normal_form(s, comm) == NormalForm((0, 0), 1, 0)
 
@@ -118,10 +118,10 @@ def test_normal_form_rejects_outsiders():
 
 def test_power_section_examples():
     p1 = spec("p1")
-    assert power_section(p1, (0, 0)).tau == (Fraction(0), Fraction(0))
-    assert power_section(p1, (2, 3)).tau == (Fraction(2), Fraction(3))
+    assert p1.section((0, 0)).tau == (Fraction(0), Fraction(0))
+    assert p1.section((2, 3)).tau == (Fraction(2), Fraction(3))
     helix = spec("helix-C3")
-    t5 = power_section(helix, (5,))
+    t5 = helix.section((5,))
     assert t5.tau == (Fraction(5),)
     assert np.abs(t5.q - rotation2(5.0)).max() < 1e-12
 
@@ -193,7 +193,7 @@ def test_section_bijectivity():
     for name, N in [("pg", 3), ("twistE8", 2), ("helix-C3", 4)]:
         s = spec(name)
         q = build_quotient(s, N)
-        images = {q.reduce(normal_form(s, power_section(s, v)))
+        images = {q.reduce(normal_form(s, s.section(v)))
                   for v in itertools.product(range(N), repeat=s.d2)}
         assert len(images) == N ** s.d2
 
@@ -208,10 +208,10 @@ def test_mod_reduction_soundness(rng):
             j = int(rng.integers(s.d2))
             shifted = list(n)
             shifted[j] += N
-            lhs = q.reduce(normal_form(s, power_section(s, shifted)))
+            lhs = q.reduce(normal_form(s, s.section(shifted)))
             ej = [int(i == j) for i in range(s.d2)]
-            rhs = q.mul(q.reduce(normal_form(s, power_section(s, n))),
-                        q.reduce(normal_form(s, iso.power(power_section(s, ej), N))))
+            rhs = q.mul(q.reduce(normal_form(s, s.section(n))),
+                        q.reduce(normal_form(s, iso.power(s.section(ej), N))))
             assert lhs == rhs
 
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from euciso import catalog
-from euciso.errors import CapExceeded
+from euciso.dual import rep_set, wave_orbits
+from euciso.errors import CapExceeded, InternalInconsistency
 from euciso.groups import NormalForm, build_quotient, tf_slice
-from euciso.reps import (Character, Representation, char_inner, char_norm_sq,
+from euciso.reps import (Representation, char_inner, char_norm_sq,
                          chi, dual_action, equivalent, induce, intertwiner,
                          irreps, lift_representation, mackey_irreducible,
                          multiplicity, p_rep_element, quotient_irreps,
@@ -62,7 +63,7 @@ def test_irreps_deterministic_given_seed():
     b = irreps(q, seed=5)
     for ra, rb in zip(a, b):
         assert ra.dim == rb.dim
-        assert np.abs(ra.charvec() - rb.charvec()).max() == 0.0
+        assert np.abs(ra.char - rb.char).max() == 0.0
 
 
 def test_cap_guard():
@@ -75,10 +76,11 @@ def test_equivalent_under_unitary_conjugation(rng):
     rho = next(r for r in quotient_irreps(q) if r.dim == 2)
     x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     u, _ = np.linalg.qr(x)
-    conj = Representation(q, 2, {i: u.conj().T @ rho.matrix(i) @ u
-                                 for i in q.elements})
+    conj = Representation(q, [u.conj().T @ rho.matrix(i) @ u for i in q.elements])
     assert equivalent(rho, conj)
-    assert intertwiner(rho, conj) is not None
+    t = intertwiner(rho, conj)
+    assert t is not None
+    assert max(np.abs(rho.matrix(i) @ t - t @ conj.matrix(i)).max() for i in q.elements) < 1e-9
 
 
 def test_wave_characters_exact():
@@ -97,6 +99,13 @@ def test_wave_characters_exact():
     for f in range(helix.f_order):
         i = qh.index[NormalForm((0,), f, helix.p_identity)]
         assert abs(wave.matrix(i)[0, 0] - 1) < 1e-12
+
+
+def test_matrix_lookup_outside_the_domain_raises():
+    q = quotient("pg", 3)
+    wave = chi(q.spec, (Fraction(1, 3), 0)).on(q)
+    with pytest.raises(KeyError):
+        wave.matrix(p_rep_element(q, 1))
 
 
 def test_wave_character_equivalences():
@@ -189,7 +198,7 @@ def test_induction_constant_on_orbits():
 def test_every_irrep_sits_inside_an_induced_rep():
     q = quotient("pg", 3)
     tf_irreps = irreps(q.tf_subgroup())
-    induced = [induce(q, r, check=False) for r in tf_irreps]
+    induced = [induce(q, r) for r in tf_irreps]
     for sigma in quotient_irreps(q):
         assert any(multiplicity(ind, sigma) >= 1 for ind in induced)
 
@@ -212,8 +221,7 @@ def test_lifted_irreps_are_the_periodic_ones():
 def test_character_helper():
     q = quotient("p1", 2)
     rho = quotient_irreps(q)[0]
-    ch = Character.of(rho)
-    assert ch.values[q.identity] == pytest.approx(rho.dim)
+    assert rho.char[q.identity] == pytest.approx(rho.dim)
 
 
 def test_scale_by_character_matches_pointwise():
@@ -225,3 +233,40 @@ def test_scale_by_character_matches_pointwise():
     for i in list(rho.domain.elements)[:6]:
         want = wave.value(q.nf(i).n) * rho.matrix(i)
         assert np.abs(scaled.matrix(i) - want).max() < 1e-12
+
+
+def brute_induced_character(q, tau):
+    """Oracle: chi(g) = sum_i [h_i^-1 g h_i in TF] chi_tau(h_i^-1 g h_i)."""
+    tf = set(q.tf_indices())
+    cosets = [p_rep_element(q, p) for p in range(q.spec.rot_order)]
+    out = []
+    for g in q.elements:
+        acc = 0j
+        for h in cosets:
+            x = q.mul(q.mul(q.inv(h), g), h)
+            if x in tf:
+                acc += np.trace(tau.matrix(x))
+        out.append(acc)
+    return np.array(out)
+
+
+def test_induced_character_matches_brute_force():
+    for name, N in [("pg", 3), ("twistE8", 2)]:
+        s = spec(name)
+        q = quotient(name, N)
+        rs = rep_set(s)
+        for idx, rho in enumerate(rs.classes):
+            lifted = lift_representation(rho, q)
+            for label in wave_orbits(s, rs, idx, N):
+                tau = scale_by_character(chi(s, label.k), lifted)
+                want = brute_induced_character(q, tau)
+                assert np.abs(induce(q, tau).char - want).max() < 1e-9
+
+
+def test_induce_rejects_a_non_homomorphism(rng):
+    q = quotient("pg", 3)
+    sub = q.tf_subgroup()
+    x = rng.standard_normal((sub.order, 2, 2)) + 1j * rng.standard_normal((sub.order, 2, 2))
+    unitaries, _ = np.linalg.qr(x)
+    with pytest.raises(InternalInconsistency):
+        induce(q, Representation(sub, unitaries))
