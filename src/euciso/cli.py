@@ -23,6 +23,7 @@ from .fourier import (inner_product, inverse_transform, plancherel_pairing,
                       transform)
 from .groups import GroupSpec, build_quotient, find_m0, validate_spec
 from .io import canonical_json, format_fraction
+from .reps import IDENTITY_TOL
 from .splitting import split_quotient
 from .verify import run_suite
 
@@ -118,8 +119,6 @@ def cmd_dual(args) -> int:
         atlas = enumerate_dual(spec, n, seed=args.seed)
     except BadModulus as exc:
         raise CliError(EXIT_SPEC, str(exc)) from exc
-    except CapExceeded as exc:
-        raise CliError(EXIT_CAP, str(exc)) from exc
     payload = {
         "name": spec.name,
         "N": n,
@@ -170,14 +169,12 @@ def cmd_fourier(args) -> int:
                     "norm_sq": lhs.real,
                     "table_norm_sq": rhs.real,
                     "abs_error": abs(lhs - rhs),
-                    "passed": abs(lhs - rhs) <= 1e-8,
+                    "passed": abs(lhs - rhs) <= IDENTITY_TOL,
                 }
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(EXIT_SPEC, f"malformed function file: {exc}") from exc
     except (IncompatibleShapes, IncompleteTable, BadModulus) as exc:
         raise CliError(EXIT_INCOMPATIBLE, str(exc)) from exc
-    except CapExceeded as exc:
-        raise CliError(EXIT_CAP, str(exc)) from exc
     emit(payload, args.out)
     return 0
 
@@ -309,6 +306,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except CapExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAP
     except EucisoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC

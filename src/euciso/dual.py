@@ -14,7 +14,7 @@ from itertools import product
 from . import isometry as iso
 from .errors import InternalInconsistency
 from .groups import GroupSpec, QuotientGroup, build_quotient, find_m0
-from .reps import (Representation, chi, dual_action, equivalent, induce,
+from .reps import (STRUCT_TOL, Representation, chi, dual_action, equivalent, induce,
                    lift_representation, char_norm_sq, irreps, mackey_irreducible,
                    multiplicity, p_rep_element, quotient_irreps,
                    scale_by_character)
@@ -61,10 +61,10 @@ def rep_set(spec: GroupSpec, seed: int = 0) -> RepSet:
     sub = q.tf_subgroup()
     candidates = irreps(sub, seed=seed)
     shifts = k_shift_reps(spec, m0)
-    waves = [chi(spec, k) for k in shifts]
     coset = [p_rep_element(q, p) for p in range(spec.rot_order)]
 
     classes: list[Representation] = []
+    twists: list[list[Representation]] = []     # chi_k * class for every shift k
     provenance: list[dict] = []
     for ci, rho in enumerate(candidates):
         moved = [(p, dual_action(q, coset[p], rho)) for p in range(spec.rot_order)]
@@ -73,8 +73,8 @@ def rep_set(spec: GroupSpec, seed: int = 0) -> RepSet:
             if kept.dim != rho.dim:
                 continue
             for p, rho_p in moved:
-                for si, wave in enumerate(waves):
-                    if equivalent(rho_p, scale_by_character(wave, kept)):
+                for si, twisted in enumerate(twists[ki]):
+                    if equivalent(rho_p, twisted):
                         match = {"candidate": ci, "matched_class": ki,
                                  "p_index": p, "shift": shifts[si]}
                         break
@@ -84,6 +84,7 @@ def rep_set(spec: GroupSpec, seed: int = 0) -> RepSet:
                 break
         if match is None:
             classes.append(rho)
+            twists.append([scale_by_character(chi(spec, k), rho) for k in shifts])
         else:
             provenance.append(match)
     return RepSet(spec, m0, q, classes, provenance)
@@ -123,14 +124,14 @@ def little_group(spec: GroupSpec, rs: RepSet, rho_index: int) -> LittleGroup:
     q = rs.quotient
     rho = rs.classes[rho_index]
     shifts = k_shift_reps(spec, rs.m0)
-    waves = [chi(spec, k) for k in shifts]
+    twists = [scale_by_character(chi(spec, k), rho) for k in shifts]
     pairs: dict[int, list[FracVec]] = {}
     duals: dict[int, iso.IntMatrix] = {}
     for p in range(spec.rot_order):
         g = p_rep_element(q, p)
         moved = dual_action(q, g, rho)
-        hits = [shifts[si] for si, wave in enumerate(waves)
-                if equivalent(moved, scale_by_character(wave, rho))]
+        hits = [shifts[si] for si, twisted in enumerate(twists)
+                if equivalent(moved, twisted)]
         if hits:
             pairs[p] = hits
             duals[p] = dual_point_matrix(spec.p_reps[p].p)
@@ -286,7 +287,7 @@ def enumerate_dual(spec: GroupSpec, N: int, seed: int = 0) -> DualAtlas:
             twisted = scale_by_character(wave, lifted)
             ind = induce(q, twisted)
             norm = char_norm_sq(ind)
-            irreducible = mackey_irreducible(q, twisted)
+            irreducible = mackey_irreducible(q, twisted, ind)
             decomposition = {}
             for j, sigma in enumerate(irr):
                 m = multiplicity(ind, sigma)
@@ -300,7 +301,7 @@ def enumerate_dual(spec: GroupSpec, N: int, seed: int = 0) -> DualAtlas:
     checks = {}
     checks["pairwise_inequivalent"] = _pairwise_inequivalent(reports)
     checks["off_null_irreducible"] = all(
-        r.irreducible and abs(r.char_norm - 1) < 1e-6
+        r.irreducible and abs(r.char_norm - 1) < STRUCT_TOL
         for r in reports if not r.label.in_null_set)
     covered = set()
     for r in reports:

@@ -168,12 +168,9 @@ def plancherel_pairing(t1: FourierTable, t2: FourierTable) -> complex:
 
 def translate(u: PeriodicFunction, g: int) -> PeriodicFunction:
     """(tau_g u)(h) = u(h g)."""
-    out = PeriodicFunction(u.q, u.shape)
-    for h in u.q.elements:
-        val = u.values.get(u.q.mul(h, g))
-        if val is not None:
-            out[h] = val
-    return out
+    column = u.q.mult_table()[:, g].tolist()
+    return PeriodicFunction(u.q, u.shape, {h: u.values[hg] for h, hg in enumerate(column)
+                                           if hg in u.values})
 
 
 class SummableFunction:
@@ -227,7 +224,7 @@ def convolve(u: SummableFunction, v: PeriodicFunction) -> PeriodicFunction:
     q = v.q
     out = PeriodicFunction(q, (u.shape[0], v.shape[1]))
     for nf, val in u.support.items():
-        h_inv = q.inv(u.project(q, nf))
+        row = q.mult_table()[q.inv(u.project(q, nf))]
         for g in q.elements:
-            out[g] = out[g] + val @ v[q.mul(h_inv, g)]
+            out[g] = out[g] + val @ v[int(row[g])]
     return out

@@ -6,21 +6,28 @@ section lift per lattice direction (so the section value t(n) is the
 ordered product g1^n1 ... g_d2^n_d2), and a representation set of
 G modulo its translation-kernel preimage, one element per point-group
 matrix.  Everything else in the package is computed from this data.
+
+Members are factored in stacks (`normal_forms`), with translations as
+integers over one denominator per spec; a finite quotient G mod T^N is its
+multiplication table, built from such stacks on first use.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import isometry as iso
-from .errors import BadModulus, InternalInconsistency, NotAMember
+from .errors import BadModulus, CapExceeded, InternalInconsistency, NotAMember
 from .isometry import Isometry
 
 ORDER_BOUND = 48
+DEFAULT_CAP = 4096        # largest quotient order given a multiplication table or irreps
 
 
 @dataclass(frozen=True)
@@ -74,7 +81,7 @@ class GroupSpec:
         self._quotients: dict[int, "QuotientGroup"] = {}
         self._m0_report: StructureReport | None = None
         self._f_mul: list[list[int]] | None = None
-        self._f_inv: list[int] | None = None
+        self._f_inv: list[int] | None = None     # unused; perfbench's cold check reads it
 
     # -- indices ----------------------------------------------------------
 
@@ -101,10 +108,8 @@ class GroupSpec:
         return idx
 
     def f_index(self, q: np.ndarray) -> int | None:
-        for i, f in enumerate(self.f_elements):
-            if iso.q_equal(q, f, self.tol):
-                return i
-        return None
+        idx = int(_match_f(self, np.asarray(q, dtype=float)[None])[0])
+        return idx if idx >= 0 else None
 
     def p_index(self, p) -> int | None:
         return self._p_index.get(iso.int_matrix(p))
@@ -115,27 +120,26 @@ class GroupSpec:
 
     def f_mul_table(self) -> list[list[int]]:
         if self._f_mul is None:
-            table = []
-            for a in self.f_elements:
-                row = []
-                for b in self.f_elements:
-                    k = self.f_index(a @ b)
-                    if k is None:
-                        raise InternalInconsistency("F is not closed under products")
-                    row.append(k)
-                table.append(row)
-            self._f_mul = table
+            f, k = np.array(self.f_elements), self.f_order
+            idx = _match_f(self, (f[:, None] @ f[None]).reshape(k * k, self.d1, self.d1))
+            if (idx < 0).any():
+                raise InternalInconsistency("F is not closed under products")
+            self._f_mul = idx.reshape(k, k).tolist()
         return self._f_mul
 
-    def f_inv_table(self) -> list[int]:
-        if self._f_inv is None:
-            self._f_inv = []
-            for a in self.f_elements:
-                k = self.f_index(a.T)
-                if k is None:
-                    raise InternalInconsistency("F is not closed under inverses")
-                self._f_inv.append(k)
-        return self._f_inv
+    @functools.cached_property
+    def points(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+        """(D, point matrices, D * tau, q blocks) of the p_reps as stacked arrays.
+
+        D is the lcm of the p_reps translation denominators, so every
+        member's translation is an integer vector over D.
+        """
+        d = math.lcm(*(t.denominator for p in self.p_reps for t in p.tau))
+        k, d1, d2 = len(self.p_reps), self.d1, self.d2
+        return (d, np.array([p.p for p in self.p_reps], dtype=np.int64).reshape(k, d2, d2),
+                np.array([[int(t * d) for t in p.tau] for p in self.p_reps],
+                         dtype=np.int64).reshape(k, d2),
+                np.array([p.q for p in self.p_reps]).reshape(k, d1, d1))
 
     def generators(self) -> list[Isometry]:
         return (list(self.t_lifts)
@@ -176,33 +180,52 @@ def reconstruct(spec: GroupSpec, nf: NormalForm) -> Isometry:
                        spec.p_reps[nf.p])
 
 
-def normal_form(spec: GroupSpec, g: Isometry) -> NormalForm:
-    """Factor a group member as t(n)*f*p.
+def _match_f(spec: GroupSpec, q: np.ndarray) -> np.ndarray:
+    """Index of the nearest element of F for each block of a (k, d1, d1) stack,
+    or -1 where even the nearest lies farther than spec.tol."""
+    f = np.array(spec.f_elements)
+    if not len(f):
+        return np.full(len(q), -1)
+    dev = np.abs(q[:, None] - f[None]).max(axis=(2, 3), initial=0.0)
+    idx = dev.argmin(axis=1)
+    return np.where(dev[np.arange(len(q)), idx] <= spec.tol, idx, -1)
 
-    The point part selects p, the translation block yields n, and the
-    residual q block is matched against the finite set F.
+
+def normal_forms(spec: GroupSpec, q, p, tau) -> tuple[np.ndarray, np.ndarray]:
+    """Factor a stack of group members as t(n)*f*p.
+
+    q is the (k, d1, d1) stack of O(d1) blocks, p the p_reps index of each
+    point part and tau the (k, d2) translations as integers over the
+    denominator D of `spec.points`.  The translation residue yields
+    n, and the residual q block q(t(n))^T q q(p)^T is matched against F.
+    Returns n as a (k, d2) array and the kernel indices f.
     """
+    d, _, p_tau, p_q = spec.points
+    resid = np.asarray(tau, dtype=np.int64) - p_tau[p]
+    if (resid % d).any():
+        raise NotAMember("translation residue is not a lattice vector")
+    n = resid // d
+    rows = list(map(tuple, n.tolist()))
+    uniq = {v: i for i, v in enumerate(dict.fromkeys(rows))}
+    t_q = np.array([spec.section(v).q for v in uniq])
+    q_res = t_q.swapaxes(1, 2)[[uniq[v] for v in rows]] @ (q @ p_q[p].swapaxes(1, 2))
+    f = _match_f(spec, q_res)
+    if (f < 0).any():
+        raise NotAMember("residual O(d1) block matches no element of F "
+                         f"(deviation from nearest checked against tol={spec.tol})")
+    return n, f
+
+
+def normal_form(spec: GroupSpec, g: Isometry) -> NormalForm:
+    """Factor one group member as t(n)*f*p; see `normal_forms`."""
     p_idx = spec.p_index(g.p)
     if p_idx is None:
         raise NotAMember(f"point part {g.p} not among p_reps of {spec.name}")
-    p = spec.p_reps[p_idx]
-    n = []
-    for a, b in zip(g.tau, p.tau):
-        diff = a - b
-        if diff.denominator != 1:
-            raise NotAMember(f"translation residue {diff} is not a lattice vector")
-        n.append(int(diff))
-    n = tuple(n)
-    # q(g) = q(t(n)) q(f) q(p)  =>  q(f) = q(t(n))^T q(g) q(p)^T
-    if spec.d1:
-        q_res = spec.section(n).q.T @ (g.q @ p.q.T)
-    else:
-        q_res = np.zeros((0, 0))
-    f_idx = spec.f_index(q_res)
-    if f_idx is None:
-        raise NotAMember("residual O(d1) block matches no element of F "
-                         f"(deviation from nearest checked against tol={spec.tol})")
-    return NormalForm(n, f_idx, p_idx)
+    tau = [t * spec.points[0] for t in g.tau]
+    if any(t.denominator != 1 for t in tau):
+        raise NotAMember(f"translation {g.tau} is not a lattice vector over the p_reps")
+    n, f = normal_forms(spec, g.q[None], [p_idx], [[int(t) for t in tau]])
+    return NormalForm(tuple(n[0].tolist()), int(f[0]), p_idx)
 
 
 def is_member(spec: GroupSpec, g: Isometry) -> bool:
@@ -437,7 +460,11 @@ def tf_slice(spec: GroupSpec) -> GroupSpec:
 # -- finite quotients --------------------------------------------------------
 
 class QuotientGroup:
-    """G modulo N-th section powers, materialized as normal forms."""
+    """G modulo N-th section powers: its normal forms and multiplication table.
+
+    Ids enumerate t(n)*f*p, n in [0, N)^d2, in (n, f, p) order; products
+    and inverses are lookups in the table that `mult_table` builds on first use.
+    """
 
     def __init__(self, spec: GroupSpec, N: int):
         self.spec = spec
@@ -454,22 +481,13 @@ class QuotientGroup:
         self.identity = self.index[NormalForm((0,) * spec.d2, spec.f_identity,
                                               spec.p_identity)]
         self.elements = tuple(range(self.order))
-        self.local = np.arange(self.order)     # id -> row of a stack over elements
-        self._isos: list[Isometry | None] = [None] * self.order
-        self._mul: dict[tuple[int, int], int] = {}
-        self._inv: dict[int, int] = {}
+        self.local = np.arange(self.order, dtype=np.int32)  # id -> row of a stack over elements
         self._table: np.ndarray | None = None
+        self._inverse: np.ndarray | None = None
         self._irreps_cache: dict[int, list] = {}
 
     def nf(self, i: int) -> NormalForm:
         return self.element_list[i]
-
-    def iso(self, i: int) -> Isometry:
-        cached = self._isos[i]
-        if cached is None:
-            cached = reconstruct(self.spec, self.element_list[i])
-            self._isos[i] = cached
-        return cached
 
     def reduce(self, nf: NormalForm) -> int:
         """Index of a normal form after mod-N exponent reduction."""
@@ -477,69 +495,63 @@ class QuotientGroup:
         return self.index[NormalForm(n, nf.f, nf.p)]
 
     def mul(self, i: int, j: int) -> int:
-        key = (i, j)
-        cached = self._mul.get(key)
-        if cached is None:
-            if self._table is not None:
-                cached = int(self._table[i, j])
-            else:
-                prod = iso.compose(self.iso(i), self.iso(j))
-                cached = self.reduce(normal_form(self.spec, prod))
-            self._mul[key] = cached
-        return cached
+        return int(self.mult_table()[i, j])
 
     def inv(self, i: int) -> int:
-        cached = self._inv.get(i)
-        if cached is None:
-            cached = self.reduce(normal_form(self.spec, iso.inverse(self.iso(i))))
-            self._inv[i] = cached
-        return cached
+        self.mult_table()
+        return int(self._inverse[i])
 
     def mult_table(self) -> np.ndarray:
-        """Full multiplication table; built once, then backs mul().
+        """Full multiplication table, built on first use and spot-checked.
 
         Element i factors as t(a) * x with x = f*p, so row i is the row of
         x left-translated by t(a); left translation only permutes the
         exponent block and applies the F-valued section cocycle
-        t(a) t(b) = t(a+b) z(a,b).  Only |F||P| rows need full products.
+        t(a) t(b) = t(a+b) z(a,b).  `normal_forms` factors the |F||P| rows
+        of x and the cocycle one row at a time, so each temporary holds at
+        most order * |F| q blocks.  Orders above DEFAULT_CAP are refused.
         """
         if self._table is None:
-            spec, N = self.spec, self.N
-            n = self.order
-            nf_count, np_count = spec.f_order, spec.rot_order
-            vecs = list(itertools.product(*[range(N)] * spec.d2))
-            v_index = {v: i for i, v in enumerate(vecs)}
-            nv = len(vecs)
-
-            add = np.empty((nv, nv), dtype=np.int32)
-            zeta = np.empty((nv, nv), dtype=np.int32)
-            for ia, a in enumerate(vecs):
-                ta = spec.section(a)
-                for ib, b in enumerate(vecs):
-                    nf = normal_form(spec, iso.compose(ta, spec.section(b)))
-                    add[ia, ib] = v_index[tuple(x % N for x in nf.n)]
-                    zeta[ia, ib] = nf.f
-            fmul = np.array(spec.f_mul_table(), dtype=np.int32)
-
+            spec, N, n = self.spec, self.N, self.order
+            if n > DEFAULT_CAP:
+                raise CapExceeded(f"quotient order {n} exceeds the table cap {DEFAULT_CAP}")
+            d, p_mat, p_tau, p_q = spec.points
+            vecs = np.array(list(itertools.product(range(N), repeat=spec.d2)), dtype=np.int64)
+            radix = N ** np.arange(spec.d2 - 1, -1, -1)     # exponent vector mod N -> its index
+            t_q = np.array([spec.section(v).q for v in vecs])
+            pmul = np.array([[spec.p_index(iso.pmat_mul(a.p, b.p)) for b in spec.p_reps]
+                             for a in spec.p_reps])
+            fmul = np.array(spec.f_mul_table())
+            # the elements x = f*p, then every element t(a)*x, in id order
+            nx = spec.f_order * spec.rot_order
+            x_q = (np.array(spec.f_elements)[:, None] @ p_q).reshape(nx, spec.d1, spec.d1)
+            x_p = np.tile(np.arange(spec.rot_order), spec.f_order)
+            el_q = (t_q[:, None] @ x_q).reshape(n, spec.d1, spec.d1)
+            el_p = np.tile(x_p, len(vecs))
+            el_tau = np.repeat(vecs * d, nx, axis=0) + p_tau[el_p]
+            # x*j = t(m) f' p', factored one row of x at a time
+            prod_p = pmul[x_p[:, None], el_p]
+            x_nf = [normal_forms(spec, x_q[x] @ el_q, prod_p[x],
+                                 p_tau[x_p[x]] + el_tau @ p_mat[x_p[x]].T) for x in range(nx)]
+            x_m = np.array([(m % N) @ radix for m, _ in x_nf])
+            x_f = np.array([f for _, f in x_nf])
             table = np.empty((n, n), dtype=np.int32)
-            m_part = np.empty(n, dtype=np.int32)
-            f_part = np.empty(n, dtype=np.int32)
-            p_part = np.empty(n, dtype=np.int32)
-            for f1 in range(nf_count):
-                for p1 in range(np_count):
-                    x = self.index[NormalForm((0,) * spec.d2, f1, p1)]
-                    gx = self.iso(x)
-                    for j in range(n):
-                        nf = normal_form(spec, iso.compose(gx, self.iso(j)))
-                        m_part[j] = v_index[tuple(t % N for t in nf.n)]
-                        f_part[j] = nf.f
-                        p_part[j] = nf.p
-                    for ia in range(nv):
-                        i = (ia * nf_count + f1) * np_count + p1
-                        new_f = fmul[zeta[ia, m_part], f_part]
-                        table[i, :] = (add[ia, m_part] * nf_count + new_f) \
-                            * np_count + p_part
-            self._table = table
+            for ia, a in enumerate(vecs):
+                # t(a) t(m) = t(a+m) z(a,m) for every m, so t(a)*x*j = t(a+m) z(a,m) f' p'
+                m, zeta = normal_forms(spec, t_q[ia] @ t_q, [spec.p_identity] * len(vecs),
+                                       (a + vecs) * d)
+                table[ia * nx:(ia + 1) * nx] = \
+                    (((m % N) @ radix)[x_m] * spec.f_order + fmul[zeta[x_m], x_f]) \
+                    * spec.rot_order + prod_p
+            rows, cols = np.nonzero(table == self.identity)
+            if not np.array_equal(rows, np.arange(n)):
+                raise InternalInconsistency("a row of the multiplication table lacks the identity")
+            self._table, self._inverse = table, cols
+            try:
+                self.spot_check()
+            except InternalInconsistency:
+                self._table = self._inverse = None
+                raise
         return self._table
 
     def tf_indices(self) -> tuple[int, ...]:
@@ -553,8 +565,7 @@ class QuotientGroup:
         """Image of element i under the quotient map onto G mod T^M, M | N."""
         if self.N % coarse.N != 0 or coarse.spec is not self.spec:
             raise BadModulus("projection target must be a coarser quotient of the same spec")
-        nf = self.element_list[i]
-        return coarse.index[NormalForm(tuple(x % coarse.N for x in nf.n), nf.f, nf.p)]
+        return coarse.reduce(self.element_list[i])
 
     def spot_check(self, rng=None, samples: int = 16) -> None:
         rng = rng or np.random.default_rng(0)
@@ -577,24 +588,12 @@ class SubgroupView:
     def __init__(self, parent: QuotientGroup, ids):
         self.parent = parent
         self.elements = tuple(ids)
-        self.local = np.full(parent.order, -1)
+        self.local = np.full(parent.order, -1, dtype=np.int32)
         self.local[list(self.elements)] = np.arange(len(self.elements))
         self.order = len(self.elements)
         self.identity = parent.identity
         if self.local[self.identity] < 0:
             raise InternalInconsistency("subgroup view lacks the identity")
-
-    def mul(self, i: int, j: int) -> int:
-        k = self.parent.mul(i, j)
-        if self.local[k] < 0:
-            raise InternalInconsistency("subgroup view is not closed under products")
-        return k
-
-    def inv(self, i: int) -> int:
-        k = self.parent.inv(i)
-        if self.local[k] < 0:
-            raise InternalInconsistency("subgroup view is not closed under inverses")
-        return k
 
 
 def build_quotient(spec: GroupSpec, N: int) -> QuotientGroup:
@@ -608,6 +607,5 @@ def build_quotient(spec: GroupSpec, N: int) -> QuotientGroup:
     if N % m0 != 0:
         raise BadModulus(f"N={N} is not a multiple of m0={m0} for {spec.name}")
     q = QuotientGroup(spec, N)
-    q.spot_check()
     spec._quotients[N] = q
     return q

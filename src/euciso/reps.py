@@ -24,13 +24,16 @@ import numpy as np
 
 from .errors import (CapExceeded, ConvergenceFailure, InternalInconsistency,
                      NotAMember)
-from .groups import GroupSpec, NormalForm, QuotientGroup, SubgroupView
+from .groups import DEFAULT_CAP, GroupSpec, NormalForm, QuotientGroup, SubgroupView
 
-STRUCT_TOL = 1e-6         # character comparisons, multiplicities
+STRUCT_TOL = 1e-6         # character comparisons, multiplicities, character norms
 IRREDUCIBLE_TOL = 1e-3    # |<chi, chi> - 1| below this marks a solver block irreducible
 HOMOMORPHISM_TOL = 1e-8   # largest generator-pair residual an induced rep may have
+IRREP_RESIDUAL_TOL = 1e-6  # largest unitary or homomorphism residual of a solved irrep
+CLUSTER_GAP = 1e-8        # eigenvalues closer than this times their spread share a cluster
+INTERTWINER_TOL = 1e-8    # averaged intertwiners and singular values below this count as 0
+IDENTITY_TOL = 1e-8       # largest error of the Fourier identities verify and fourier check
 
-DEFAULT_CAP = 4096
 MAX_RESEEDS = 8
 
 
@@ -87,18 +90,11 @@ def multiplicity(container: Representation, irr: Representation,
 
 def _perm_arrays(domain) -> tuple[np.ndarray, np.ndarray]:
     """Left-regular permutation table and inverse map, in local indices."""
-    if isinstance(domain, QuotientGroup):
-        table = domain.mult_table()
-        inv_local = (table == domain.identity).argmax(axis=1)
-        return table, inv_local
-    local = domain.local
-    n = len(domain.elements)
-    table = np.empty((n, n), dtype=np.int32)
-    inv_local = np.empty(n, dtype=np.int32)
-    for a, g in enumerate(domain.elements):
-        for b, h in enumerate(domain.elements):
-            table[a, b] = local[domain.mul(g, h)]
-        inv_local[a] = local[domain.inv(g)]
+    ids = list(domain.elements)
+    table = domain.local[_parent(domain).mult_table()[np.ix_(ids, ids)]]
+    if (table < 0).any():
+        raise InternalInconsistency("subgroup view is not closed under products")
+    inv_local = (table == domain.local[domain.identity]).argmax(axis=1)
     return table, inv_local
 
 
@@ -126,7 +122,7 @@ def _split_dense(mats: list[np.ndarray], rng, depth: int = 0) -> list[list[np.nd
     w, v = np.linalg.eigh(h)
     spread = max(w[-1] - w[0], 1.0)
     out = []
-    for block in _cluster(w, 1e-8 * spread):
+    for block in _cluster(w, CLUSTER_GAP * spread):
         basis = v[:, block]
         sub = [basis.conj().T @ m @ basis for m in mats]
         if sub[0].shape[0] == d:
@@ -195,7 +191,7 @@ def _solve(domain, table, inv_local, rng) -> list[Representation]:
         kept_mats.append(mats)
         kept_chars.append(ch)
 
-    for sl in _cluster(w, 1e-8 * spread):
+    for sl in _cluster(w, CLUSTER_GAP * spread):
         basis = v[:, sl]
         gathered = basis[inv_perms]                         # (n, n, d)
         ch = np.einsum("ak,gak->g", basis.conj(), gathered)
@@ -232,11 +228,11 @@ def _verify_irreps(stacks, chars, table, rng) -> None:
         d = mats.shape[1]
         defect = np.abs(np.einsum("gji,gjk->gik", mats.conj(), mats)
                         - np.eye(d)).max()
-        if defect > 1e-6:
+        if defect > IRREP_RESIDUAL_TOL:
             raise InternalInconsistency("a returned block is not unitary")
         for _ in range(8):
             a, b = int(rng.integers(n)), int(rng.integers(n))
-            if np.abs(mats[a] @ mats[b] - mats[table[a, b]]).max() > 1e-6:
+            if np.abs(mats[a] @ mats[b] - mats[table[a, b]]).max() > IRREP_RESIDUAL_TOL:
                 raise InternalInconsistency("a returned block is not a homomorphism")
 
 
@@ -301,8 +297,8 @@ def scale_by_character(wave: WaveCharacter, r: Representation) -> Representation
 def dual_action(q: QuotientGroup, g: int, r: Representation) -> Representation:
     """(g . rho)(h) = rho(g^-1 h g) for rho on a normal subgroup view."""
     sub = r.domain
-    g_inv = q.inv(g)
-    rows = sub.local[[q.mul(q.mul(g_inv, h), g) for h in sub.elements]]
+    table = q.mult_table()
+    rows = sub.local[table[table[q.inv(g), list(sub.elements)], g]]
     if (rows < 0).any():
         raise InternalInconsistency("conjugation left the subgroup")
     return Representation(sub, r.mats[rows])
@@ -356,11 +352,13 @@ def _quotient_generators(q: QuotientGroup) -> list[int]:
     return out
 
 
-def mackey_irreducible(q: QuotientGroup, r: Representation) -> bool:
+def mackey_irreducible(q: QuotientGroup, r: Representation,
+                       induced: Representation) -> bool:
     """Irreducibility test for the induced representation of r.
 
     True iff no nontrivial coset moves r to an equivalent representation;
-    cross-checked against the character norm of the induced rep.
+    cross-checked against the character norm of `induced`, which must be
+    induce(q, r).
     """
     verdict = True
     for p_idx in range(q.spec.rot_order):
@@ -370,7 +368,7 @@ def mackey_irreducible(q: QuotientGroup, r: Representation) -> bool:
         if equivalent(dual_action(q, g, r), r):
             verdict = False
             break
-    norm = char_norm_sq(induce(q, r))
+    norm = char_norm_sq(induced)
     if abs(norm - 1.0) < STRUCT_TOL:
         by_norm = True
     elif norm > 1.0 + STRUCT_TOL:
@@ -405,10 +403,10 @@ def intertwiner(r1: Representation, r2: Representation, seed: int = 0):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((r1.dim, r2.dim)) + 1j * rng.standard_normal((r1.dim, r2.dim))
     t = np.einsum("gij,jk,glk->il", r1.mats, x, r2.mats.conj()) / len(r1.mats)
-    if np.abs(t).max() < 1e-8:
+    if np.abs(t).max() < INTERTWINER_TOL:
         return None
     # scale to unitary via polar part
     u, s, vh = np.linalg.svd(t)
-    if s.min() < 1e-8:
+    if s.min() < INTERTWINER_TOL:
         return None
     return u @ vh

@@ -9,9 +9,12 @@ Certificates are verified by exhaustive enumeration.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 from . import isometry as iso
 from .errors import (BadModulus, IntegralityViolation, InternalInconsistency,
@@ -157,20 +160,28 @@ class SplitCertificate:
 
 
 def _closure(q: QuotientGroup, seeds) -> set[int]:
+    """The subgroup generated by seeds: add products of members until none is new."""
     out = set(seeds) | {q.identity}
-    frontier = list(out)
-    while frontier:
-        x = frontier.pop()
-        for y in list(out):
-            for z in (q.mul(x, y), q.mul(y, x)):
-                if z not in out:
-                    out.add(z)
-                    frontier.append(z)
-        xin = q.inv(x)
-        if xin not in out:
-            out.add(xin)
-            frontier.append(xin)
-    return out
+    while True:
+        grown = out | set(_products(q, out, out).ravel().tolist())
+        if len(grown) == len(out):
+            return out
+        out = grown
+
+
+def _products(q: QuotientGroup, left, right) -> np.ndarray:
+    """The table block of products a*b, a in left, b in right."""
+    return q.mult_table()[np.ix_(list(left), list(right))]
+
+
+def _conjugates(q: QuotientGroup, gens, ids) -> np.ndarray:
+    """g * a * g^-1 for every generator g (rows) and every a in ids (columns)."""
+    return q.mult_table()[_products(q, gens, ids), [[q.inv(g)] for g in gens]]
+
+
+def _inside(ids: np.ndarray, subset) -> bool:
+    """True iff every id in the array lies in subset."""
+    return bool(np.isin(ids, list(subset)).all())
 
 
 def split_quotient(spec: GroupSpec, m: int, n: int) -> SplitCertificate:
@@ -189,25 +200,26 @@ def split_quotient(spec: GroupSpec, m: int, n: int) -> SplitCertificate:
         raise NotCoprime(f"n={n} shares a factor with the point group order")
     N = n * m
     q = build_quotient(spec, N)
+    table = q.mult_table()
     checks: list[SplitCheck] = []
 
     # normal factor: the m-th section powers mod N
     normal = set()
-    for vec in _exponent_box(spec.d2, n):
+    for vec in itertools.product(range(n), repeat=spec.d2):
         el = q.reduce(normal_form(spec, iso.power(spec.section(vec), m)))
         normal.add(el)
     checks.append(SplitCheck("normal-order", len(normal) == n ** spec.d2,
                              f"{len(normal)} vs n^d2 = {n ** spec.d2}"))
-    closed = all(q.mul(a, b) in normal for a in normal for b in normal)
-    checks.append(SplitCheck("normal-closed", closed))
-    abelian = all(q.mul(a, b) == q.mul(b, a) for a in normal for b in normal)
-    checks.append(SplitCheck("normal-abelian", abelian))
-    exponent = all(_pow(q, a, n) == q.identity for a in normal)
-    checks.append(SplitCheck("normal-exponent", exponent, f"x^{n} = id"))
+    block = _products(q, normal, normal)
+    checks.append(SplitCheck("normal-closed", _inside(block, normal)))
+    checks.append(SplitCheck("normal-abelian", bool((block == block.T).all())))
+    power = np.full(len(normal), q.identity)
+    for _ in range(n):
+        power = table[power, list(normal)]
+    checks.append(SplitCheck("normal-exponent", bool((power == q.identity).all()), f"x^{n} = id"))
     gens = _quotient_generators(q)
-    is_normal = all(q.mul(q.mul(g, a), q.inv(g)) in normal
-                    for g in gens for a in normal)
-    checks.append(SplitCheck("normal-invariant", is_normal))
+    checks.append(SplitCheck("normal-invariant",
+                             _inside(_conjugates(q, gens, normal), normal)))
 
     comp = complement_set(spec, n)
     seeds = [q.reduce(normal_form(spec, g)) for g in comp.elements]
@@ -229,8 +241,7 @@ def split_quotient(spec: GroupSpec, m: int, n: int) -> SplitCertificate:
                              len(normal) * len(complement) == q.order,
                              f"{len(normal)} * {len(complement)} = {q.order}"))
 
-    comp_normal = all(q.mul(q.mul(g, a), q.inv(g)) in complement
-                      for g in gens for a in complement)
+    comp_normal = _inside(_conjugates(q, gens, complement), complement)
     direct = bool(comp_normal and inter == {q.identity}
                   and len(normal) * len(complement) == q.order)
 
@@ -244,18 +255,6 @@ def split_quotient(spec: GroupSpec, m: int, n: int) -> SplitCertificate:
                                key=lambda nf: (nf.n, nf.f, nf.p)))
 
 
-def _exponent_box(d2: int, n: int):
-    import itertools
-    return itertools.product(range(n), repeat=d2)
-
-
-def _pow(q: QuotientGroup, a: int, k: int) -> int:
-    acc = q.identity
-    for _ in range(k):
-        acc = q.mul(acc, a)
-    return acc
-
-
 def verify_certificate(spec: GroupSpec, cert: SplitCertificate) -> bool:
     """Re-derive every certificate claim from scratch."""
     q = build_quotient(spec, cert.N)
@@ -264,9 +263,9 @@ def verify_certificate(spec: GroupSpec, cert: SplitCertificate) -> bool:
     if len(normal) != cert.normal_order or len(complement) != cert.complement_order:
         return False
     gens = _quotient_generators(q)
-    if not all(q.mul(q.mul(g, a), q.inv(g)) in normal for g in gens for a in normal):
+    if not _inside(_conjugates(q, gens, normal), normal):
         return False
-    if not all(q.mul(a, b) in complement for a in complement for b in complement):
+    if not _inside(_products(q, complement, complement), complement):
         return False
     if normal & complement != {q.identity}:
         return False
@@ -280,7 +279,6 @@ def find_involution(spec: GroupSpec, bound: int = 2):
     order two in its point group but no such element cannot split over
     its translations.
     """
-    import itertools
     ident = iso.identity_isometry(spec.d1, spec.d2)
     for vec in itertools.product(range(-bound, bound + 1), repeat=spec.d2):
         for f in range(spec.f_order):

@@ -22,7 +22,7 @@ from .fourier import (PeriodicFunction, SummableFunction, convolve,
                       transform, translate)
 from .groups import (GroupSpec, build_quotient, find_m0, is_power_normal,
                      normal_form, validate_spec)
-from .reps import char_inner, quotient_irreps
+from .reps import IDENTITY_TOL, STRUCT_TOL, char_inner, quotient_irreps
 from .splitting import cocycle, split_quotient, verify_certificate
 
 
@@ -70,6 +70,7 @@ def run_suite(spec: GroupSpec, seed: int = 0) -> VerifyReport:
     ok_orders, ok_section = True, True
     for N in (m0, 2 * m0):
         q = build_quotient(spec, N)
+        q.spot_check()
         if q.order != N ** spec.d2 * spec.f_order * spec.rot_order:
             ok_orders = False
         seen = set()
@@ -121,7 +122,7 @@ def run_suite(spec: GroupSpec, seed: int = 0) -> VerifyReport:
     try:
         irr = quotient_irreps(q, seed=seed)
         complete = sum(r.dim ** 2 for r in irr) == q.order
-        gram_ok = all(abs(char_inner(irr[a], irr[b]) - (1 if a == b else 0)) < 1e-6
+        gram_ok = all(abs(char_inner(irr[a], irr[b]) - (1 if a == b else 0)) < STRUCT_TOL
                       for a in range(len(irr)) for b in range(len(irr)))
         checks.append(CheckResult("irrep-completeness", complete,
                                   f"sum d^2 = {sum(r.dim ** 2 for r in irr)} vs {q.order}"))
@@ -160,23 +161,25 @@ def run_suite(spec: GroupSpec, seed: int = 0) -> VerifyReport:
     ut, vt = transform(u, seed=seed), transform(v, seed=seed)
     checks.append(CheckResult(
         "plancherel",
-        abs(inner_product(u, v) - plancherel_pairing(ut, vt)) <= 1e-8))
+        abs(inner_product(u, v) - plancherel_pairing(ut, vt)) <= IDENTITY_TOL))
     checks.append(CheckResult(
-        "round-trip", u.max_abs_diff(inverse_transform(ut)) <= 1e-8))
+        "round-trip", u.max_abs_diff(inverse_transform(ut)) <= IDENTITY_TOL))
     g = int(rngf.integers(q.order))
     tut = transform(translate(u, g), seed=seed)
     reps = ut.irreps()
     worst = max(float(np.abs(tut.entries[ri] - ut.entries[ri]
                              @ np.kron(np.eye(u.shape[1]), rho.matrix(q.inv(g)))).max())
                 for ri, rho in enumerate(reps))
-    checks.append(CheckResult("translation-identity", worst <= 1e-8, f"max err {worst:.2e}"))
+    checks.append(CheckResult("translation-identity", worst <= IDENTITY_TOL,
+                              f"max err {worst:.2e}"))
     s = SummableFunction.random(spec, (2, 2), terms=4, span=3, rng=rngf)
     conv = convolve(s, v)
     convt = transform(conv, seed=seed)
     worst = max(float(np.abs(convt.entries[ri]
                              - s.transform_at(rho, q) @ vt.entries[ri]).max())
                 for ri, rho in enumerate(reps))
-    checks.append(CheckResult("convolution-identity", worst <= 1e-8, f"max err {worst:.2e}"))
+    checks.append(CheckResult("convolution-identity", worst <= IDENTITY_TOL,
+                              f"max err {worst:.2e}"))
 
     # splitting
     try:

@@ -88,6 +88,18 @@ def test_dual_cap_exit(capsys):
     assert code == 4
 
 
+def test_split_cap_exit(capsys):
+    # order 4489 is above the table cap; refused before any product is formed
+    code, _ = run(capsys, "split", "catalog:p1", "--m", "1", "--n", "67")
+    assert code == 4
+
+
+def test_analyze_large_quotient_needs_no_table(capsys):
+    code, out = run(capsys, "analyze", "catalog:twistE8", "--N", "24")
+    assert code == 0
+    assert json.loads(out)["group_orders"] == {"24": 18432}
+
+
 def test_dual_deterministic_bytes(capsys):
     _, first = run(capsys, "dual", "catalog:pg", "--N", "3", "--seed", "11")
     _, second = run(capsys, "dual", "catalog:pg", "--N", "3", "--seed", "11")

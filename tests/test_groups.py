@@ -7,7 +7,7 @@ import pytest
 
 from euciso import catalog
 from euciso import isometry as iso
-from euciso.errors import BadModulus, NotAMember
+from euciso.errors import BadModulus, CapExceeded, NotAMember
 from euciso.groups import (GroupSpec, NormalForm, automorphism_count,
                            build_quotient, find_m0, is_power_normal,
                            normal_form, reconstruct, tf_slice,
@@ -215,20 +215,45 @@ def test_mod_reduction_soundness(rng):
             assert lhs == rhs
 
 
+def rod_with_flip(k, alpha):
+    """Screw rod over a C_k rotation kernel; the flip reverses the axis."""
+    lift = Isometry(rotation2(alpha), ((1,),), (1,))
+    kernel = [rotation2(2 * math.pi * j / k) for j in range(k)]
+    flip = Isometry(np.diag([1.0, -1.0]), ((-1,),), (0,))
+    return GroupSpec(f"rod-C{k}-flip", 2, 1, kernel, [lift],
+                     [iso.identity_isometry(2, 1), flip])
+
+
 def test_quotient_multiplication_matches_isometries(rng):
-    for name, N in [("pg", 3), ("helix-C3", 2), ("twistE8", 2)]:
-        s = spec(name)
+    # (spec, N, sampled pairs); None checks every pair
+    cases = [(spec("pg"), 3, None), (spec("screw-C4"), 2, None),
+             (spec("helix-C3"), 2, None), (spec("helix-C3"), 3, None),
+             (rod_with_flip(5, 1.2345), 4, None), (spec("twistE8"), 2, 60),
+             (spec("twistE8"), 6, 200), (spec("twistE8-m4"), 12, 200)]
+    for s, N, samples in cases:
         q = build_quotient(s, N)
         table = q.mult_table()
-        for _ in range(60):
-            i, j = int(rng.integers(q.order)), int(rng.integers(q.order))
-            direct = q.reduce(normal_form(s, iso.compose(q.iso(i), q.iso(j))))
-            assert table[i, j] == direct
+        if samples is None:
+            pairs = itertools.product(range(q.order), repeat=2)
+        else:
+            pairs = [(int(rng.integers(q.order)), int(rng.integers(q.order)))
+                     for _ in range(samples)]
+        for i, j in pairs:
+            direct = q.reduce(normal_form(s, iso.compose(reconstruct(s, q.nf(i)),
+                                                         reconstruct(s, q.nf(j)))))
+            assert table[i, j] == direct, (s.name, N, i, j)
         # identity and inverses
         assert (table[q.identity] == np.arange(q.order)).all()
         for _ in range(20):
             i = int(rng.integers(q.order))
             assert q.mul(i, q.inv(i)) == q.identity
+
+
+def test_table_above_the_cap_is_refused():
+    q = build_quotient(spec("twistE8"), 24)
+    assert q.order == 18432
+    with pytest.raises(CapExceeded):
+        q.mult_table()
 
 
 def test_reconstruct_round_trip(rng):

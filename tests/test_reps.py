@@ -177,13 +177,15 @@ def test_induce_dimension_and_block_structure():
 def test_mackey_examples():
     s = spec("pg")
     q = quotient("pg", 3)
-    assert mackey_irreducible(q, chi(s, (Fraction(1, 3), Fraction(1, 3))).on(q))
-    assert not mackey_irreducible(q, chi(s, (Fraction(1, 3), 0)).on(q))
+    rho = chi(s, (Fraction(1, 3), Fraction(1, 3))).on(q)
+    assert mackey_irreducible(q, rho, induce(q, rho))
+    rho = chi(s, (Fraction(1, 3), 0)).on(q)
+    assert not mackey_irreducible(q, rho, induce(q, rho))
     # no cosets to test when the group equals its TF part
     s4 = spec("screw-C4")
     q4 = build_quotient(s4, 2)
     for rho in irreps(q4.tf_subgroup()):
-        assert mackey_irreducible(q4, rho)
+        assert mackey_irreducible(q4, rho, induce(q4, rho))
 
 
 def test_induction_constant_on_orbits():
