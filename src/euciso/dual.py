@@ -2,16 +2,21 @@
 
 Wave vectors live in dual-lattice coordinates, so the dual lattice is the
 integer lattice and the point group acts through the inverse-transpose of
-its lattice matrices.  All orbit arithmetic is exact over Fractions.
+its lattice matrices (`GroupSpec.dual_points`).  Orbit and null-set
+arithmetic is exact: a wave vector k is held as an integer vector a over
+one denominator, k = a / den, and the dual action is integer arithmetic
+modulo den.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from . import isometry as iso
+import numpy as np
+
 from .errors import InternalInconsistency
 from .groups import GroupSpec, QuotientGroup, build_quotient, find_m0
 from .reps import (STRUCT_TOL, Representation, chi, dual_action, equivalent, induce,
@@ -20,15 +25,6 @@ from .reps import (STRUCT_TOL, Representation, chi, dual_action, equivalent, ind
                    scale_by_character)
 
 FracVec = tuple[Fraction, ...]
-
-
-def dual_point_matrix(p) -> iso.IntMatrix:
-    """Action of a lattice point operation on dual coordinates: P^-T."""
-    return iso.pmat_transpose(iso.pmat_inv(iso.int_matrix(p)))
-
-
-def _mod1(k: FracVec) -> FracVec:
-    return tuple(x % 1 for x in k)
 
 
 def k_shift_reps(spec: GroupSpec, m: int) -> list[FracVec]:
@@ -98,25 +94,22 @@ class LittleGroup:
 
     `pairs` maps a p_rep index to all shift representatives s in
     (L*/m0)/L* with g_p . rho ~ chi_s rho; the orbit action on a wave
-    vector k is k -> D_p k + s modulo the dual lattice.
+    vector k is k -> D_p k + s modulo the dual lattice, with D_p the
+    p-th entry of `GroupSpec.dual_points`.
     """
 
     spec: GroupSpec
     rho_index: int
     m0: int
     pairs: dict[int, list[FracVec]]
-    duals: dict[int, iso.IntMatrix]
 
-    def operations(self) -> list[tuple[iso.IntMatrix, FracVec]]:
-        out = []
-        for p, shifts in self.pairs.items():
-            for s in shifts:
-                out.append((self.duals[p], s))
-        return out
+    def operations(self) -> list[tuple[int, tuple[int, ...]]]:
+        """Every (p_rep index, m0 * s) pair; m0 * s is an integer vector."""
+        return [(p, tuple(int(x * self.m0) for x in s))
+                for p, shifts in self.pairs.items() for s in shifts]
 
     def translation_shifts(self) -> list[FracVec]:
-        ident = iso.identity_int_matrix(self.spec.d2)
-        return [s for d, s in self.operations() if d == ident]
+        return self.pairs[self.spec.p_identity]
 
 
 def little_group(spec: GroupSpec, rs: RepSet, rho_index: int) -> LittleGroup:
@@ -126,42 +119,45 @@ def little_group(spec: GroupSpec, rs: RepSet, rho_index: int) -> LittleGroup:
     shifts = k_shift_reps(spec, rs.m0)
     twists = [scale_by_character(chi(spec, k), rho) for k in shifts]
     pairs: dict[int, list[FracVec]] = {}
-    duals: dict[int, iso.IntMatrix] = {}
     for p in range(spec.rot_order):
-        g = p_rep_element(q, p)
-        moved = dual_action(q, g, rho)
+        moved = dual_action(q, p_rep_element(q, p), rho)
         hits = [shifts[si] for si, twisted in enumerate(twists)
                 if equivalent(moved, twisted)]
         if hits:
             pairs[p] = hits
-            duals[p] = dual_point_matrix(spec.p_reps[p].p)
-    lg = LittleGroup(spec, rho_index, rs.m0, pairs, duals)
+    lg = LittleGroup(spec, rho_index, rs.m0, pairs)
     _check_little_group(lg)
     return lg
 
 
 def _check_little_group(lg: LittleGroup) -> None:
-    spec = lg.spec
-    ident = iso.identity_int_matrix(spec.d2)
+    spec, m0 = lg.spec, lg.m0
     if spec.p_identity not in lg.pairs:
         raise InternalInconsistency("little group misses the identity coset")
-    trans = {_mod1(s) for s in lg.translation_shifts()}
-    if _mod1((Fraction(0),) * spec.d2) not in trans:
+    trans = lg.translation_shifts()
+    if not any(all(x % 1 == 0 for x in s) for s in trans):
         raise InternalInconsistency("dual lattice does not embed in the little group")
-    for s in trans:
-        if any((x * lg.m0).denominator != 1 for x in s):
-            raise InternalInconsistency("little-group translations exceed L*/m0")
+    if any((x * m0).denominator != 1 for s in trans for x in s):
+        raise InternalInconsistency("little-group translations exceed L*/m0")
     ops = lg.operations()
-    keyed = {(d, _mod1(s)) for d, s in ops}
-    for d1, s1 in ops:
-        for d2, s2 in ops:
-            comp = (iso.pmat_mul(d1, d2),
-                    _mod1(tuple(a + b for a, b in zip(s1, iso.pmat_vec(d1, s2)))))
+    keyed = {(p, tuple(x % m0 for x in b)) for p, b in ops}
+    p_mul, dual = spec.p_mul_table(), spec.dual_points
+    for p1, b1 in ops:
+        for p2, b2 in ops:
+            comp = (int(p_mul[p1, p2]), tuple(((b1 + dual[p1] @ b2) % m0).tolist()))
             if comp not in keyed:
                 raise InternalInconsistency("little group is not closed")
 
 
 # -- the null set --------------------------------------------------------------
+
+def _fixed_by_a_point_part(spec: GroupSpec, a: np.ndarray, den: int) -> np.ndarray:
+    """For each row a of an (n, d2) integer stack: does some nontrivial point
+    part fix k = a / den modulo L*/m0, i.e. m0 (D_p - I) a = 0 mod den?"""
+    m0 = find_m0(spec).m0
+    moved = np.delete(spec.dual_points, spec.p_identity, axis=0) - np.eye(spec.d2, dtype=np.int64)
+    return ((m0 * np.einsum("pij,nj->npi", moved, a)) % den == 0).all(axis=2).any(axis=1)
+
 
 def null_set_member(spec: GroupSpec, k, tol: float | None = None) -> bool:
     """True iff some nontrivial point part fixes k modulo L*/m0.
@@ -169,26 +165,16 @@ def null_set_member(spec: GroupSpec, k, tol: float | None = None) -> bool:
     Rational input is tested exactly; float input within tol of the
     nearest lattice point counts as a member.
     """
+    if all(isinstance(x, (int, Fraction)) for x in k):
+        k = [Fraction(x) for x in k]
+        den = math.lcm(*(x.denominator for x in k))
+        a = np.array([[int(x * den) for x in k]], dtype=object)   # exact at any size
+        return bool(_fixed_by_a_point_part(spec, a, den)[0])
     m0 = find_m0(spec).m0
-    ident = iso.identity_int_matrix(spec.d2)
-    exact = all(isinstance(x, (int, Fraction)) for x in k)
-    if exact:
-        kf = tuple(Fraction(x) for x in k)
-    for p in spec.p_reps:
-        d = dual_point_matrix(p.p)
-        if d == ident:
-            continue
-        if exact:
-            moved = iso.pmat_vec(d, kf)
-            if all(((a - b) * m0).denominator == 1 for a, b in zip(moved, kf)):
-                return True
-        else:
-            t = tol if tol is not None else spec.tol
-            moved = [sum(d[i][j] * float(k[j]) for j in range(spec.d2)) - float(k[i])
-                     for i in range(spec.d2)]
-            if all(abs(m0 * x - round(m0 * x)) <= m0 * t for x in moved):
-                return True
-    return False
+    t = tol if tol is not None else spec.tol
+    kf = np.array(k, dtype=float)
+    x = m0 * (np.delete(spec.dual_points, spec.p_identity, axis=0) @ kf - kf)
+    return bool((np.abs(x - np.round(x)) <= m0 * t).all(axis=1).any())
 
 
 # -- orbits and labels ---------------------------------------------------------
@@ -204,40 +190,33 @@ class WaveLabel:
 def wave_orbits(spec: GroupSpec, rs: RepSet, rho_index: int, N: int) -> list[WaveLabel]:
     """Partition of the N-grid of wave vectors under one little group.
 
-    The canonical representative of an orbit is its lexicographically
-    least member inside [0,1)^d2.
+    Grid points are integer vectors a in [0, N)^d2, k = a / N, and the
+    operation (D_p, s) maps a to D_p a + N s mod N.  The little group is
+    closed, so the orbit of a point is the set of its images; the
+    canonical representative is the lexicographically least one.
     """
     if N % rs.m0 != 0:
         raise InternalInconsistency("orbit level must be a multiple of m0")
     lg = little_group(spec, rs, rho_index)
-    ops = lg.operations()
-    grid = k_shift_reps(spec, N)
-    seen: set[FracVec] = set()
-    labels = []
-    for start in grid:
-        if start in seen:
-            continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            cur = frontier.pop()
-            for d, s in ops:
-                nxt = _mod1(tuple(a + b for a, b in
-                                  zip(iso.pmat_vec(d, cur), s)))
-                if any((x * N).denominator != 1 for x in nxt):
-                    raise InternalInconsistency("orbit left the wave-vector grid")
-                if nxt not in orbit:
-                    orbit.add(nxt)
-                    frontier.append(nxt)
-        seen |= orbit
-        rep = min(orbit)
-        flags = {null_set_member(spec, k) for k in orbit}
-        if len(flags) != 1:
-            raise InternalInconsistency("null-set flag varies along an orbit")
-        labels.append(WaveLabel(rho_index, rep, len(orbit), flags.pop()))
-    if sum(l.orbit_size for l in labels) != len(grid):
+    p, b = zip(*lg.operations())
+    grid = np.array(list(product(range(N), repeat=spec.d2)), dtype=np.int64)
+    radix = N ** np.arange(spec.d2 - 1, -1, -1)     # grid vector -> its row, in lex order
+    images = (np.einsum("oij,nj->noi", spec.dual_points[list(p)], grid)
+              + (N // rs.m0) * np.array(b, dtype=np.int64)) % N
+    codes = images @ radix                          # (grid point, operation) -> image row
+    reps, orbit_of, counts = np.unique(codes.min(axis=1), return_inverse=True,
+                                       return_counts=True)
+    images_of_rep = np.sort(codes[reps], axis=1)
+    sizes = (np.diff(images_of_rep, axis=1) != 0).sum(axis=1) + 1
+    if not np.array_equal(sizes, counts):
         raise InternalInconsistency("orbit sizes do not partition the grid")
-    return sorted(labels, key=lambda l: l.k)
+    null = _fixed_by_a_point_part(spec, grid, N)
+    hits = np.bincount(orbit_of, weights=null, minlength=len(reps))
+    if ((hits != 0) & (hits != counts)).any():
+        raise InternalInconsistency("null-set flag varies along an orbit")
+    return [WaveLabel(rho_index, tuple(Fraction(int(x), N) for x in grid[r]), int(size),
+                      bool(hit))
+            for r, size, hit in zip(reps, counts, hits)]
 
 
 # -- the labeled dual of a finite quotient --------------------------------------
@@ -263,7 +242,11 @@ class DualAtlas:
 
 
 def enumerate_dual(spec: GroupSpec, N: int, seed: int = 0) -> DualAtlas:
-    """Emit one induced representation per wave label and audit the result.
+    """Induce one representation per wave label, report on each, and audit the result.
+
+    Each label's report holds its induced dimension, irreducibility,
+    character norm and decomposition into the quotient's irreducibles;
+    the induced representations themselves are not kept.
 
     Checks performed: pairwise inequivalence of the emitted representations,
     irreducibility of every label off the null set (stabilizer test agreeing

@@ -81,6 +81,7 @@ class GroupSpec:
         self._quotients: dict[int, "QuotientGroup"] = {}
         self._m0_report: StructureReport | None = None
         self._f_mul: list[list[int]] | None = None
+        self._p_mul: np.ndarray | None = None
         self._f_inv: list[int] | None = None     # unused; perfbench's cold check reads it
 
     # -- indices ----------------------------------------------------------
@@ -126,6 +127,24 @@ class GroupSpec:
                 raise InternalInconsistency("F is not closed under products")
             self._f_mul = idx.reshape(k, k).tolist()
         return self._f_mul
+
+    def p_mul_table(self) -> np.ndarray:
+        """p_reps index of every product P_a P_b of point parts, as a (|P|, |P|) array."""
+        if self._p_mul is None:
+            k, d2 = self.rot_order, self.d2
+            _, p_mat, _, _ = self.points
+            idx = [self.p_index(m) for m in (p_mat[:, None] @ p_mat[None]).reshape(k * k, d2, d2)]
+            if None in idx:
+                raise InternalInconsistency("point parts are not closed under products")
+            self._p_mul = np.array(idx, dtype=np.int64).reshape(k, k)
+        return self._p_mul
+
+    @functools.cached_property
+    def dual_points(self) -> np.ndarray:
+        """The (|P|, d2, d2) integer stack of P^-T, the point parts' action on wave vectors."""
+        k, d2 = self.rot_order, self.d2
+        return np.array([iso.pmat_inv(p.p) for p in self.p_reps],
+                        dtype=np.int64).reshape(k, d2, d2).swapaxes(1, 2)
 
     @functools.cached_property
     def points(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
@@ -519,8 +538,6 @@ class QuotientGroup:
             vecs = np.array(list(itertools.product(range(N), repeat=spec.d2)), dtype=np.int64)
             radix = N ** np.arange(spec.d2 - 1, -1, -1)     # exponent vector mod N -> its index
             t_q = np.array([spec.section(v).q for v in vecs])
-            pmul = np.array([[spec.p_index(iso.pmat_mul(a.p, b.p)) for b in spec.p_reps]
-                             for a in spec.p_reps])
             fmul = np.array(spec.f_mul_table())
             # the elements x = f*p, then every element t(a)*x, in id order
             nx = spec.f_order * spec.rot_order
@@ -530,7 +547,7 @@ class QuotientGroup:
             el_p = np.tile(x_p, len(vecs))
             el_tau = np.repeat(vecs * d, nx, axis=0) + p_tau[el_p]
             # x*j = t(m) f' p', factored one row of x at a time
-            prod_p = pmul[x_p[:, None], el_p]
+            prod_p = spec.p_mul_table()[x_p[:, None], el_p]
             x_nf = [normal_forms(spec, x_q[x] @ el_q, prod_p[x],
                                  p_tau[x_p[x]] + el_tau @ p_mat[x_p[x]].T) for x in range(nx)]
             x_m = np.array([(m % N) @ radix for m, _ in x_nf])

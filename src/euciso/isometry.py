@@ -89,11 +89,6 @@ def pmat_inv(a: IntMatrix) -> IntMatrix:
     return inv
 
 
-def pmat_transpose(a: IntMatrix) -> IntMatrix:
-    n = len(a)
-    return tuple(tuple(a[j][i] for j in range(n)) for i in range(n))
-
-
 def pmat_order(a: IntMatrix, bound: int = 48) -> int | None:
     """Multiplicative order of an integer matrix, or None past the bound."""
     ident = identity_int_matrix(len(a))

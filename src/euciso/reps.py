@@ -16,7 +16,7 @@ detected by the character norm and split recursively.
 from __future__ import annotations
 
 import cmath
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -266,9 +266,16 @@ class WaveCharacter:
         return all((a * N).denominator == 1 for a in self.k)
 
     def phases(self, q: QuotientGroup, ids) -> np.ndarray:
-        """The character at element ids of q, evaluated once per exponent vector."""
-        grid = {n: self.value(n) for n in itertools.product(range(q.N), repeat=q.spec.d2)}
-        return np.array([grid[q.nf(i).n] for i in ids])
+        """The character at element ids of q, as `value` computes it.
+
+        With k = a / den, the phase at exponent vector n is j / den for
+        j = n.a mod den; exp is evaluated once per distinct j.
+        """
+        den = math.lcm(*(x.denominator for x in self.k))
+        a = np.array([int(x * den) for x in self.k], dtype=np.int64)
+        n = np.array([q.nf(i).n for i in ids], dtype=np.int64)
+        j, at = np.unique((n @ a) % den, return_inverse=True)
+        return np.array([cmath.exp(2j * cmath.pi * (x / den)) for x in j.tolist()])[at]
 
     def on(self, q: QuotientGroup) -> Representation:
         """The character as a 1-dim representation of the TF part of q."""

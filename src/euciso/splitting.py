@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -24,48 +23,30 @@ from .groups import (GroupSpec, NormalForm, QuotientGroup, build_quotient,
 from .isometry import Isometry
 from .reps import _quotient_generators
 
-FracVec = tuple[Fraction, ...]
+
+def _coboundary(spec: GroupSpec, tau: np.ndarray) -> np.ndarray:
+    """tau_a + P_a tau_b - tau_ab for every pair of p_reps indices (a, b).
+
+    tau is a (|P|, d2) integer stack, one translation per p_rep in p_reps
+    order, each scaled by the denominator D of `spec.points`.
+    """
+    _, p_mat, _, _ = spec.points
+    return tau[:, None] + np.einsum("aij,bj->abi", p_mat, tau) - tau[spec.p_mul_table()]
 
 
-@dataclass
-class SectionTau:
-    """Translation part assigned to each point-group matrix, read off p_reps."""
+def cocycle(spec: GroupSpec) -> np.ndarray:
+    """tau(P_a) + P_a tau(P_b) - tau(P_a P_b) as a (|P|, |P|, d2) integer array.
 
-    spec: GroupSpec
-    values: dict[iso.IntMatrix, FracVec]
-
-    def __getitem__(self, p: iso.IntMatrix) -> FracVec:
-        return self.values[p]
-
-
-def section_tau(spec: GroupSpec) -> SectionTau:
-    return SectionTau(spec, {p.p: p.tau for p in spec.p_reps})
-
-
-@dataclass
-class CocycleTable:
-    """tau(P) + P tau(Q) - tau(PQ) per point-part pair; values lie in L."""
-
-    spec: GroupSpec
-    values: dict[tuple[iso.IntMatrix, iso.IntMatrix], tuple[int, ...]]
-
-    def __getitem__(self, key) -> tuple[int, ...]:
-        return self.values[key]
-
-
-def cocycle(spec: GroupSpec) -> CocycleTable:
-    tau = section_tau(spec)
-    values = {}
-    for a in spec.p_reps:
-        for b in spec.p_reps:
-            ab = iso.pmat_mul(a.p, b.p)
-            vec = tuple(x + y - z for x, y, z in
-                        zip(tau[a.p], iso.pmat_vec(a.p, tau[b.p]), tau[ab]))
-            if any(v.denominator != 1 for v in vec):
-                raise IntegralityViolation(
-                    f"cocycle value {vec} for a pair of point parts is not integral")
-            values[(a.p, b.p)] = tuple(int(v) for v in vec)
-    return CocycleTable(spec, values)
+    Indexed by p_reps indices; the values lie in the lattice L.
+    """
+    d, _, p_tau, _ = spec.points
+    z = _coboundary(spec, p_tau)
+    bad = np.argwhere((z % d).any(axis=2))
+    if len(bad):
+        a, b = bad[0].tolist()
+        raise IntegralityViolation(f"cocycle value {z[a, b].tolist()}/{d} for p_reps "
+                                   f"{a}, {b} is not integral")
+    return z // d
 
 
 def a_coeff(n: int, r: int) -> int:
@@ -102,11 +83,10 @@ def complement_set(spec: GroupSpec, n: int) -> ComplementSet:
     if math.gcd(n, r) != 1:
         raise NotCoprime(f"n={n} shares a factor with the point group order {r}")
     a = a_coeff(n, r)
-    table = cocycle(spec)
+    sums = cocycle(spec).sum(axis=1)
     out, corrections = [], {}
-    for p in spec.p_reps:
-        corr = tuple(-a * sum(table[(p.p, q.p)][i] for q in spec.p_reps)
-                     for i in range(spec.d2))
+    for p, row in zip(spec.p_reps, sums):
+        corr = tuple((-a * row).tolist())
         lifted = iso.compose(spec.section(corr), p)
         if not is_member(spec, lifted):
             raise InternalInconsistency("corrected lift left the group")
@@ -119,17 +99,12 @@ def complement_set(spec: GroupSpec, n: int) -> ComplementSet:
 
 def _check_projection_closure(spec: GroupSpec, comp: ComplementSet) -> None:
     """Projected products must stay in T_S^n * P_S^(n)."""
-    proj = {}
-    for g in comp.elements:
-        proj[g.p] = g.tau
-    for g in comp.elements:
-        for h in comp.elements:
-            p = iso.pmat_mul(g.p, h.p)
-            tau = tuple(x + y for x, y in zip(g.tau, iso.pmat_vec(g.p, h.tau)))
-            resid = tuple(x - y for x, y in zip(tau, proj[p]))
-            if any(v.denominator != 1 or int(v) % comp.n != 0 for v in resid):
-                raise InternalInconsistency(
-                    "projected complement is not closed modulo n-th translations")
+    d = spec.points[0]
+    tau = np.array([[int(t * d) for t in g.tau] for g in comp.elements],
+                   dtype=np.int64).reshape(spec.rot_order, spec.d2)
+    if (_coboundary(spec, tau) % (d * comp.n)).any():
+        raise InternalInconsistency(
+            "projected complement is not closed modulo n-th translations")
 
 
 @dataclass
@@ -191,6 +166,8 @@ def split_quotient(spec: GroupSpec, m: int, n: int) -> SplitCertificate:
     is generated by n-th section powers, the kernel, and the corrected
     point lifts.  Every property is checked by enumeration.
     """
+    if m < 1 or n < 1:
+        raise BadModulus(f"m={m} and n={n} must be positive")
     m0 = find_m0(spec).m0
     if m % m0 != 0:
         raise BadModulus(f"m={m} is not a multiple of m0={m0}")

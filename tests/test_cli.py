@@ -94,6 +94,12 @@ def test_split_cap_exit(capsys):
     assert code == 4
 
 
+def test_split_nonpositive_modulus_exit(capsys):
+    code = main(["split", "catalog:p1", "--m", "-1", "--n", "-5"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_analyze_large_quotient_needs_no_table(capsys):
     code, out = run(capsys, "analyze", "catalog:twistE8", "--N", "24")
     assert code == 0

@@ -5,13 +5,38 @@ import pytest
 
 from euciso import catalog
 from euciso import isometry as iso
-from euciso.dual import (dual_point_matrix, enumerate_dual, k_shift_reps,
-                         little_group, null_set_member, rep_set, wave_orbits)
+from euciso.dual import (enumerate_dual, k_shift_reps, little_group, null_set_member,
+                         rep_set, wave_orbits)
 from euciso.groups import build_quotient, find_m0
 from euciso.reps import (chi, equivalent, induce, lift_representation, quotient_irreps,
                          scale_by_character)
 
 from conftest import quotient, spec
+
+
+def dual_point_matrix(p):
+    """Reference: P^-T by exact Fraction elimination, then a transpose."""
+    return tuple(zip(*iso.pmat_inv(p)))
+
+
+def oracle_operations(s, lg):
+    """The little group's operations mapped back to (D_p, s) with s in Fractions."""
+    return [(dual_point_matrix(s.p_reps[p].p), tuple(Fraction(x, lg.m0) for x in b))
+            for p, b in lg.operations()]
+
+
+def null_oracle(s, k):
+    """Reference: some nontrivial point part moves k by a vector of L*/m0."""
+    m0 = find_m0(s).m0
+    ident = iso.identity_int_matrix(s.d2)
+    for p in s.p_reps:
+        d = dual_point_matrix(p.p)
+        if d == ident:
+            continue
+        moved = iso.pmat_vec(d, k)
+        if all(((a - b) * m0).denominator == 1 for a, b in zip(moved, k)):
+            return True
+    return False
 
 
 def brute_orbits(points, ops):
@@ -78,7 +103,7 @@ def test_little_group_pg_trivial_class():
     assert set(lg.pairs) == {0, 1}
     assert all(shifts == [(Fraction(0), Fraction(0))]
                for shifts in lg.pairs.values())
-    assert lg.duals[1] == ((1, 0), (0, -1))
+    assert s.dual_points[1].tolist() == [[1, 0], [0, -1]]
 
 
 def test_little_group_translation_sandwich_twist():
@@ -96,6 +121,9 @@ def test_null_set_examples():
     assert null_set_member(s, (Fraction(1, 3), Fraction(0)))
     assert not null_set_member(s, (Fraction(1, 3), Fraction(1, 3)))
     assert null_set_member(s, (0, 0))
+    # denominators past 64-bit integers stay exact
+    assert null_set_member(s, (Fraction(1, 3 * 10 ** 25), Fraction(0)))
+    assert not null_set_member(s, (Fraction(1, 3 * 10 ** 25), Fraction(1, 10 ** 25 + 1)))
     # trivial point group: the quantifier is empty
     for name in ("p1", "screw-C4", "helix-C3-tf"):
         assert not null_set_member(spec(name), (Fraction(1, 7),) * spec(name).d2)
@@ -105,11 +133,11 @@ def test_null_set_examples():
 
 
 def test_null_set_shift_relation(rng):
-    # if D k - k' lies in L*/m0 the flags agree
-    for name in ("pg", "helix-C3", "twistE8"):
+    # if D k - k' lies in L*/m0 the flags agree, and match a per-p Fraction loop
+    for name in catalog.names():
         s = spec(name)
         m0 = find_m0(s).m0
-        duals = [dual_point_matrix(p.p) for p in s.p_reps]
+        duals = [s.dual_points[i] for i in range(s.rot_order)]
         for _ in range(300):
             k = tuple(Fraction(int(rng.integers(-10, 11)), int(rng.integers(1, 9)))
                       for _ in range(s.d2))
@@ -118,6 +146,7 @@ def test_null_set_shift_relation(rng):
                           for _ in range(s.d2))
             k2 = tuple(a - b for a, b in zip(iso.pmat_vec(d, k), shift))
             assert null_set_member(s, k) == null_set_member(s, k2)
+            assert null_set_member(s, k) == null_oracle(s, k)
 
 
 def test_wave_orbits_p1():
@@ -142,9 +171,20 @@ def test_wave_orbits_pg_against_oracle():
     assert not any(l.in_null_set for l in pairs)
     # brute-force oracle over the grid
     lg = little_group(s, rs, 0)
-    oracle = brute_orbits(k_shift_reps(s, 3), lg.operations())
+    oracle = brute_orbits(k_shift_reps(s, 3), oracle_operations(s, lg))
     assert sorted(len(o) for o in oracle) == sorted(l.orbit_size for l in labels)
     assert {min(o) for o in oracle} == {l.k for l in labels}
+    # every catalog group at m0 and 2 m0, and two finer grids
+    cases = [(name, k * find_m0(spec(name)).m0) for name in catalog.names() for k in (1, 2)]
+    for name, N in cases + [("twistE8", 4), ("twistE8-m4", 8)]:
+        s = spec(name)
+        rs = rep_set(s)
+        for idx in range(len(rs.classes)):
+            labels = wave_orbits(s, rs, idx, N)
+            oracle = brute_orbits(k_shift_reps(s, N),
+                                  oracle_operations(s, little_group(s, rs, idx)))
+            assert {min(o): len(o) for o in oracle} == {l.k: l.orbit_size for l in labels}
+            assert all(l.in_null_set == null_oracle(s, l.k) for l in labels)
 
 
 def test_orbit_sizes_partition_the_grid():

@@ -7,7 +7,7 @@ import pytest
 
 from euciso import catalog
 from euciso import isometry as iso
-from euciso.errors import BadModulus, CapExceeded, NotAMember
+from euciso.errors import BadModulus, CapExceeded, InternalInconsistency, NotAMember
 from euciso.groups import (GroupSpec, NormalForm, automorphism_count,
                            build_quotient, find_m0, is_power_normal,
                            normal_form, reconstruct, tf_slice,
@@ -69,6 +69,25 @@ def test_validation_catches_bad_point_part():
                        h.p_reps + [shear])
     codes = {v.code for v in validate_spec(broken)}
     assert "p-order" in codes or "p-group" in codes
+
+
+def test_point_tables_match_the_point_parts():
+    for name in catalog.names():
+        s = spec(name)
+        p_mul = s.p_mul_table()
+        for a, pa in enumerate(s.p_reps):
+            assert s.dual_points[a].tolist() == [list(r) for r in zip(*iso.pmat_inv(pa.p))]
+            for b, pb in enumerate(s.p_reps):
+                assert s.p_reps[p_mul[a, b]].p == iso.pmat_mul(pa.p, pb.p)
+
+
+def test_point_table_refuses_unclosed_point_parts():
+    # a quarter turn without its square and cube
+    h = spec("p1")
+    quarter = Isometry(np.zeros((0, 0)), ((0, -1), (1, 0)), (0, 0))
+    broken = GroupSpec("broken", 0, 2, h.f_elements, h.t_lifts, h.p_reps + [quarter])
+    with pytest.raises(InternalInconsistency):
+        broken.p_mul_table()
 
 
 def test_normal_form_identity():

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -235,6 +236,20 @@ def test_scale_by_character_matches_pointwise():
     for i in list(rho.domain.elements)[:6]:
         want = wave.value(q.nf(i).n) * rho.matrix(i)
         assert np.abs(scaled.matrix(i) - want).max() < 1e-12
+
+
+def test_wave_phases_equal_value():
+    # every wave vector of the grid, plus some off the grid and outside [0, 1)
+    for name, N in [("pg", 3), ("helix-C3", 6), ("twistE8", 4)]:
+        s = spec(name)
+        q = quotient(name, N)
+        ks = [tuple(Fraction(x, N) for x in a)
+              for a in itertools.product(range(N), repeat=s.d2)]
+        ks += [(Fraction(-7, 5),) * s.d2, (Fraction(13, 3),) + (Fraction(1, 7),) * (s.d2 - 1)]
+        for k in ks:
+            wave = chi(s, k)
+            want = [wave.value(q.nf(i).n) for i in q.elements]
+            assert wave.phases(q, q.elements).tolist() == want
 
 
 def brute_induced_character(q, tau):

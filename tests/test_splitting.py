@@ -5,10 +5,10 @@ import pytest
 
 from euciso import catalog
 from euciso import isometry as iso
-from euciso.errors import NotCoprime
+from euciso.errors import BadModulus, NotCoprime
 from euciso.groups import build_quotient, find_m0, normal_form
 from euciso.splitting import (a_coeff, cocycle, complement_set, find_involution,
-                              section_tau, split_quotient, verify_certificate)
+                              split_quotient, verify_certificate)
 
 from conftest import quotient, spec
 
@@ -22,23 +22,30 @@ def a_coeff_scan_oracle(n, r):
 
 def test_cocycle_symmorphic_group_vanishes():
     table = cocycle(spec("pm"))
-    assert all(all(x == 0 for x in v) for v in table.values.values())
+    assert (table == 0).all()
 
 
 def test_cocycle_glide_value():
     s = spec("pg")
     table = cocycle(s)
-    g = s.p_reps[1].p
-    i = s.p_reps[0].p
-    assert table[(g, g)] == (1, 0)
+    g, i = 1, 0      # p_reps indices of the glide and the identity
+    assert tuple(table[g, g]) == (1, 0)
     for q in (i, g):
-        assert table[(i, q)] == (0, 0)
+        assert tuple(table[i, q]) == (0, 0)
 
 
 def test_cocycle_integral_for_all_catalog_groups():
     for name in catalog.names():
-        table = cocycle(spec(name))
-        assert all(isinstance(x, int) for v in table.values.values() for x in v)
+        s = spec(name)
+        table = cocycle(s)
+        assert table.dtype.kind == "i"
+        p_mul = s.p_mul_table()
+        for a, pa in enumerate(s.p_reps):
+            for b, pb in enumerate(s.p_reps):
+                # tau(P_a) + P_a tau(P_b) - tau(P_a P_b), in exact Fractions
+                want = tuple(x - y for x, y in
+                             zip(iso.compose(pa, pb).tau, s.p_reps[p_mul[a, b]].tau))
+                assert tuple(Fraction(int(x)) for x in table[a, b]) == want
 
 
 def test_a_coeff_examples_and_oracle():
@@ -69,9 +76,8 @@ def test_complement_set_n_one_keeps_plain_lifts():
     for name in ("pg", "pm", "twistE8"):
         s = spec(name)
         comp = complement_set(s, 1)
-        tau = section_tau(s)
         for g in comp.elements:
-            assert g.tau == tau[g.p]
+            assert g.tau == s.p_reps[s.p_index(g.p)].tau
 
 
 def test_complement_set_trivial_point_group():
@@ -121,6 +127,8 @@ def test_split_guards():
         split_quotient(spec("pg"), 2, 2)
     with pytest.raises(NotCoprime):
         split_quotient(spec("pg"), 1, 2)   # shares a factor with |rot|
+    with pytest.raises(BadModulus):
+        split_quotient(spec("p1"), -1, -5)  # nonpositive, though N = 5
 
 
 def test_certificate_tamper_detection():
