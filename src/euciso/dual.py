@@ -151,7 +151,7 @@ def _check_little_group(lg: LittleGroup) -> None:
 
 # -- the null set --------------------------------------------------------------
 
-def _fixed_by_a_point_part(spec: GroupSpec, a: np.ndarray, den: int) -> np.ndarray:
+def fixed_by_a_point_part(spec: GroupSpec, a: np.ndarray, den: int) -> np.ndarray:
     """For each row a of an (n, d2) integer stack: does some nontrivial point
     part fix k = a / den modulo L*/m0, i.e. m0 (D_p - I) a = 0 mod den?"""
     m0 = find_m0(spec).m0
@@ -169,7 +169,7 @@ def null_set_member(spec: GroupSpec, k, tol: float | None = None) -> bool:
         k = [Fraction(x) for x in k]
         den = math.lcm(*(x.denominator for x in k))
         a = np.array([[int(x * den) for x in k]], dtype=object)   # exact at any size
-        return bool(_fixed_by_a_point_part(spec, a, den)[0])
+        return bool(fixed_by_a_point_part(spec, a, den)[0])
     m0 = find_m0(spec).m0
     t = tol if tol is not None else spec.tol
     kf = np.array(k, dtype=float)
@@ -210,7 +210,7 @@ def wave_orbits(spec: GroupSpec, rs: RepSet, rho_index: int, N: int) -> list[Wav
     sizes = (np.diff(images_of_rep, axis=1) != 0).sum(axis=1) + 1
     if not np.array_equal(sizes, counts):
         raise InternalInconsistency("orbit sizes do not partition the grid")
-    null = _fixed_by_a_point_part(spec, grid, N)
+    null = fixed_by_a_point_part(spec, grid, N)
     hits = np.bincount(orbit_of, weights=null, minlength=len(reps))
     if ((hits != 0) & (hits != counts)).any():
         raise InternalInconsistency("null-set flag varies along an orbit")

@@ -1,6 +1,6 @@
 """Harmonic analysis of periodic matrix-valued functions on the group.
 
-A function of period N is a table over the normal forms of G mod T^N.
+A function of period N is one (|G mod T^N|, m, n) array in element id order.
 The transform pairs it with every irreducible of that quotient through
 Kronecker blocks u(g) x rho(g); inversion is the finite-group inversion
 applied blockwise and is validated by round trips.
@@ -8,38 +8,41 @@ applied blockwise and is validated by round trips.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import isometry as iso
 from .errors import IncompatibleShapes, IncompleteTable
 from .groups import GroupSpec, NormalForm, QuotientGroup, build_quotient, normal_form
 from .reps import Representation, quotient_irreps
 
 
 class PeriodicFunction:
-    """Matrix-valued function with period N, stored densely over G mod T^N."""
+    """Matrix-valued function with period N on G mod T^N.
+
+    `values` is one (q.order, m, n) complex array; row i is the value at
+    element id i.
+    """
 
     def __init__(self, q: QuotientGroup, shape, values=None):
         self.q = q
         self.shape = (int(shape[0]), int(shape[1]))
-        self.values: dict[int, np.ndarray] = {}
-        if values:
-            for i, v in values.items():
-                self[i] = v
+        full = (q.order, *self.shape)
+        values = np.zeros(full) if values is None else values
+        values = np.asarray(values, dtype=complex)
+        if values.shape != full:
+            raise IncompatibleShapes(f"values shape {values.shape} != {full}")
+        self.values = values
 
     def __getitem__(self, i: int) -> np.ndarray:
-        v = self.values.get(i)
-        if v is None:
-            return np.zeros(self.shape, dtype=complex)
-        return v
+        return self.values[i]
 
     def __setitem__(self, i: int, v) -> None:
         v = np.asarray(v, dtype=complex)
         if v.shape != self.shape:
             raise IncompatibleShapes(f"value shape {v.shape} != {self.shape}")
-        self.values[int(i)] = v
+        self.values[i] = v
 
     @property
     def N(self) -> int:
@@ -48,40 +51,31 @@ class PeriodicFunction:
     @classmethod
     def delta(cls, q: QuotientGroup, i: int | None = None, shape=(1, 1)):
         u = cls(q, shape)
-        u[q.identity if i is None else i] = np.eye(shape[0], shape[1])
+        u.values[q.identity if i is None else i] = np.eye(shape[0], shape[1])
         return u
 
     @classmethod
     def constant(cls, q: QuotientGroup, value):
         value = np.atleast_2d(np.asarray(value, dtype=complex))
-        u = cls(q, value.shape)
-        for i in q.elements:
-            u[i] = value
-        return u
+        return cls(q, value.shape, np.repeat(value[None], q.order, axis=0))
 
     @classmethod
     def random(cls, q: QuotientGroup, shape=(1, 1), rng=None):
+        """Per element in id order, a real then an imaginary standard normal block."""
         rng = rng or np.random.default_rng(0)
-        u = cls(q, shape)
-        for i in q.elements:
-            u[i] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        return u
+        draw = rng.standard_normal((q.order, 2, *shape))
+        return cls(q, shape, draw[:, 0] + 1j * draw[:, 1])
 
     def lift(self, N: int) -> "PeriodicFunction":
         """The same function viewed with a larger period (N a multiple)."""
         if N == self.N:
             return self
         fine = build_quotient(self.q.spec, N)
-        out = PeriodicFunction(fine, self.shape)
-        for i in fine.elements:
-            out[i] = self[fine.project_index(self.q, i)]
-        return out
+        return PeriodicFunction(fine, self.shape, self.values[fine.projection(self.q)])
 
     def max_abs_diff(self, other: "PeriodicFunction") -> float:
-        worst = 0.0
-        for i in self.q.elements:
-            worst = max(worst, float(np.abs(self[i] - other[i]).max()))
-        return worst
+        u, v = _common_period(self, other)
+        return float(np.abs(u.values - v.values).max())
 
 
 def _common_period(u: PeriodicFunction, v: PeriodicFunction):
@@ -89,7 +83,6 @@ def _common_period(u: PeriodicFunction, v: PeriodicFunction):
         raise IncompatibleShapes("functions live on different groups")
     if u.N == v.N:
         return u, v
-    import math
     N = math.lcm(u.N, v.N)
     return u.lift(N), v.lift(N)
 
@@ -99,10 +92,10 @@ def inner_product(u: PeriodicFunction, v: PeriodicFunction) -> complex:
     if u.shape != v.shape:
         raise IncompatibleShapes(f"shapes {u.shape} and {v.shape} differ")
     u, v = _common_period(u, v)
-    acc = 0j
-    for i in u.q.elements:
-        acc += np.sum(u[i] * v[i].conj())
-    return acc / u.q.order
+    # block sums first, then their running sum in id order: this order fixes
+    # the last digits that `fourier --check` and `verify` print
+    block_sums = (u.values * v.values.conj()).reshape(u.q.order, -1).sum(axis=1)
+    return np.cumsum(block_sums)[-1] / u.q.order
 
 
 @dataclass
@@ -118,24 +111,15 @@ class FourierTable:
         return quotient_irreps(self.q, seed=self.seed)
 
 
-def _dense_values(u: PeriodicFunction) -> np.ndarray:
-    m, n = u.shape
-    out = np.zeros((u.q.order, m, n), dtype=complex)
-    for i, v in u.values.items():
-        out[i] = v
-    return out
-
-
 def transform(u: PeriodicFunction, seed: int = 0) -> FourierTable:
     """u_hat(rho) = (1/|C_N|) sum_g u(g) (x) rho(g)."""
     reps = quotient_irreps(u.q, seed=seed)
     n = u.q.order
     m, mm = u.shape
-    dense = _dense_values(u)
     entries = {}
     for ri, rho in enumerate(reps):
         d = rho.dim
-        acc = np.einsum("gab,gij->aibj", dense, rho.mats)
+        acc = np.einsum("gab,gij->aibj", u.values, rho.mats)
         entries[ri] = acc.reshape(m * d, mm * d) / n
     return FourierTable(u.q, u.shape, seed, entries)
 
@@ -151,10 +135,7 @@ def inverse_transform(table: FourierTable) -> PeriodicFunction:
         d = rho.dim
         block = table.entries[ri].reshape(m, d, n, d)
         dense += rho.dim * np.einsum("aibj,gij->gab", block, rho.mats.conj())
-    u = PeriodicFunction(table.q, table.shape)
-    for g in table.q.elements:
-        u[g] = dense[g]
-    return u
+    return PeriodicFunction(table.q, table.shape, dense)
 
 
 def plancherel_pairing(t1: FourierTable, t2: FourierTable) -> complex:
@@ -168,9 +149,7 @@ def plancherel_pairing(t1: FourierTable, t2: FourierTable) -> complex:
 
 def translate(u: PeriodicFunction, g: int) -> PeriodicFunction:
     """(tau_g u)(h) = u(h g)."""
-    column = u.q.mult_table()[:, g].tolist()
-    return PeriodicFunction(u.q, u.shape, {h: u.values[hg] for h, hg in enumerate(column)
-                                           if hg in u.values})
+    return PeriodicFunction(u.q, u.shape, u.values[u.q.mult_table()[:, g]])
 
 
 class SummableFunction:
@@ -205,15 +184,12 @@ class SummableFunction:
             u[nf] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         return u
 
-    def project(self, q: QuotientGroup, nf: NormalForm) -> int:
-        return q.index[NormalForm(tuple(x % q.N for x in nf.n), nf.f, nf.p)]
-
     def transform_at(self, rho: Representation, q: QuotientGroup) -> np.ndarray:
         """Unnormalized series sum_g u(g) (x) rho(g) over the finite support."""
         m, n = self.shape
         acc = np.zeros((m * rho.dim, n * rho.dim), dtype=complex)
         for nf, val in self.support.items():
-            acc += np.kron(val, rho.matrix(self.project(q, nf)))
+            acc += np.kron(val, rho.matrix(q.reduce(nf)))
         return acc
 
 
@@ -222,9 +198,7 @@ def convolve(u: SummableFunction, v: PeriodicFunction) -> PeriodicFunction:
     if u.shape[1] != v.shape[0]:
         raise IncompatibleShapes(f"inner shapes {u.shape} / {v.shape} do not match")
     q = v.q
-    out = PeriodicFunction(q, (u.shape[0], v.shape[1]))
+    out = np.zeros((q.order, u.shape[0], v.shape[1]), dtype=complex)
     for nf, val in u.support.items():
-        row = q.mult_table()[q.inv(u.project(q, nf))]
-        for g in q.elements:
-            out[g] = out[g] + val @ v[int(row[g])]
-    return out
+        out += val @ v.values[q.mult_table()[q.inv(q.reduce(nf))]]
+    return PeriodicFunction(q, (u.shape[0], v.shape[1]), out)

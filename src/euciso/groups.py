@@ -378,7 +378,10 @@ def _dedup(violations: list[Violation]) -> list[Violation]:
 # -- good exponents ----------------------------------------------------------
 
 def _in_section_power(spec: GroupSpec, x: Isometry, m: int) -> bool:
-    """Membership in T^m: take the exact m-th root downstairs, lift, power."""
+    """Membership in T^m: take the exact m-th root downstairs, lift, power.
+
+    Once p and tau match exactly, t(root)^m agrees with x there, so only
+    the q blocks are compared."""
     if x.p != iso.identity_int_matrix(spec.d2):
         return False
     root = []
@@ -386,8 +389,7 @@ def _in_section_power(spec: GroupSpec, x: Isometry, m: int) -> bool:
         if t.denominator != 1 or int(t) % m != 0:
             return False
         root.append(int(t) // m)
-    lifted = iso.power(spec.section(root), m)
-    return iso.approx_equal(lifted, x, spec.tol)
+    return iso.q_equal(np.linalg.matrix_power(spec.section(root).q, m), x.q, spec.tol)
 
 
 def is_power_normal(spec: GroupSpec, m: int) -> bool:
@@ -400,7 +402,7 @@ def is_power_normal(spec: GroupSpec, m: int) -> bool:
         e[i] = 1
         basis.append(tuple(e))
         basis.append(tuple(-x for x in e))
-    powers = {b: iso.power(spec.section(b), m) for b in basis}
+    powers = {b: spec.section([m * x for x in b]) for b in basis}   # t(b)^m = t(m b)
     # closure on generator pairs
     for a in basis:
         for b in basis:
@@ -578,11 +580,11 @@ class QuotientGroup:
     def tf_subgroup(self) -> "SubgroupView":
         return SubgroupView(self, self.tf_indices())
 
-    def project_index(self, coarse: "QuotientGroup", i: int) -> int:
-        """Image of element i under the quotient map onto G mod T^M, M | N."""
+    def projection(self, coarse: "QuotientGroup") -> np.ndarray:
+        """Image ids of all elements under the quotient map onto G mod T^M, M | N."""
         if self.N % coarse.N != 0 or coarse.spec is not self.spec:
             raise BadModulus("projection target must be a coarser quotient of the same spec")
-        return coarse.reduce(self.element_list[i])
+        return np.array([coarse.reduce(nf) for nf in self.element_list])
 
     def spot_check(self, rng=None, samples: int = 16) -> None:
         rng = rng or np.random.default_rng(0)

@@ -2,7 +2,9 @@
 
 Rationals travel as "p/q" strings, complexes as [re, im] pairs, matrices
 as row-major nested lists.  Serialization is canonical (sorted keys) so
-equal inputs and seeds give byte-identical output.
+equal inputs and seeds give byte-identical output.  A function file is
+written with one entry per element, in id order; a reader takes any
+subset of the elements and sets the others to zero.
 """
 
 from __future__ import annotations
@@ -34,11 +36,16 @@ def matrix_to_lists(m: np.ndarray) -> list:
 
 
 def complex_matrix_to_lists(m: np.ndarray) -> list:
-    return [[[float(x.real), float(x.imag)] for x in row] for row in np.atleast_2d(m)]
+    """A complex matrix, or a stack of them, as nested lists of [re, im] pairs."""
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def complex_matrix_from_lists(rows) -> np.ndarray:
-    return np.array([[complex(a, b) for a, b in row] for row in rows])
+    """Rows of [re, im] pairs as a complex matrix, bit for bit (signed zeros too)."""
+    pairs = np.array(rows, dtype=float)
+    if pairs.ndim != 3 or pairs.shape[-1] != 2:
+        raise ValueError(f"expected a matrix of [re, im] pairs, got shape {pairs.shape}")
+    return pairs.view(complex)[..., 0]
 
 
 # -- group specs ---------------------------------------------------------------
@@ -96,11 +103,8 @@ def save_spec(spec: GroupSpec, path: str) -> None:
 # -- periodic functions ---------------------------------------------------------
 
 def function_to_dict(u: PeriodicFunction) -> dict:
-    entries = []
-    for i in sorted(u.values):
-        nf = u.q.nf(i)
-        entries.append({"n": list(nf.n), "f": nf.f, "p": nf.p,
-                        "value": complex_matrix_to_lists(u.values[i])})
+    entries = [{"n": list(nf.n), "f": nf.f, "p": nf.p, "value": value}
+               for nf, value in zip(u.q.element_list, complex_matrix_to_lists(u.values))]
     return {"group": u.q.spec.name, "N": u.q.N,
             "shape": [u.shape[0], u.shape[1]], "entries": entries}
 
@@ -139,8 +143,17 @@ def table_from_dict(data: dict, q: QuotientGroup) -> FourierTable:
     if int(data["N"]) != q.N:
         raise IncompatibleShapes(f"table period {data['N']} != quotient N {q.N}")
     t = FourierTable(q, tuple(data["shape"]), int(data.get("seed", 0)))
+    m, n = t.shape
+    reps = t.irreps()
     for entry in data["entries"]:
-        t.entries[int(entry["irrep"])] = complex_matrix_from_lists(entry["value"])
+        i = int(entry["irrep"])
+        if not 0 <= i < len(reps):
+            raise IncompatibleShapes(f"irrep {i} out of range: the quotient has {len(reps)}")
+        d, value = reps[i].dim, complex_matrix_from_lists(entry["value"])
+        if int(entry["dim"]) != d or value.shape != (m * d, n * d):
+            raise IncompatibleShapes(f"irrep {i} has dim {d}, but its entry gives dim "
+                                     f"{entry['dim']} and a {value.shape} value")
+        t.entries[i] = value
     return t
 
 

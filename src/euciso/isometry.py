@@ -118,6 +118,8 @@ class Isometry:
         q.setflags(write=False)
         self.q = q
         self.p = int_matrix(p)
+        if any(len(row) != len(self.p) for row in self.p):
+            raise DimensionMismatch(f"p block must be square, got rows {self.p}")
         self.tau = frac_vector(tau)
         if len(self.p) != len(self.tau):
             raise DimensionMismatch("p block and tau disagree on d2")

@@ -394,7 +394,7 @@ def lift_representation(r: Representation, fine: QuotientGroup) -> Representatio
     """Pull a representation of a coarse quotient back to a finer one."""
     coarse = _parent(r.domain)
     domain = fine.tf_subgroup() if isinstance(r.domain, SubgroupView) else fine
-    coarse_ids = [fine.project_index(coarse, i) for i in domain.elements]
+    coarse_ids = fine.projection(coarse)[list(domain.elements)]
     return Representation(domain, r.mats[r.rows(coarse_ids)])
 
 

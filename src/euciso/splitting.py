@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,7 +69,6 @@ class ComplementSet:
     n: int
     a: int
     elements: list[Isometry]
-    corrections: dict[iso.IntMatrix, tuple[int, ...]] = field(default_factory=dict)
 
 
 def complement_set(spec: GroupSpec, n: int) -> ComplementSet:
@@ -84,15 +83,14 @@ def complement_set(spec: GroupSpec, n: int) -> ComplementSet:
         raise NotCoprime(f"n={n} shares a factor with the point group order {r}")
     a = a_coeff(n, r)
     sums = cocycle(spec).sum(axis=1)
-    out, corrections = [], {}
+    out = []
     for p, row in zip(spec.p_reps, sums):
         corr = tuple((-a * row).tolist())
         lifted = iso.compose(spec.section(corr), p)
         if not is_member(spec, lifted):
             raise InternalInconsistency("corrected lift left the group")
         out.append(lifted)
-        corrections[p.p] = corr
-    comp = ComplementSet(spec, n, a, out, corrections)
+    comp = ComplementSet(spec, n, a, out)
     _check_projection_closure(spec, comp)
     return comp
 

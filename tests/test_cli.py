@@ -6,7 +6,7 @@ import pytest
 
 from euciso import catalog, io
 from euciso.cli import main
-from euciso.fourier import PeriodicFunction
+from euciso.fourier import PeriodicFunction, transform
 from euciso.groups import build_quotient
 
 from conftest import quotient, spec
@@ -46,6 +46,17 @@ def test_analyze_rejects_invalid_spec(tmp_path, capsys):
     data = json.loads(out)
     assert data["valid"] is False
     assert any(v["code"] == "f-closed" for v in data["violations"])
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+@pytest.mark.parametrize("p", [[[1, 0], [0]], [[1, 0, 0], [0, -1, 0]]])
+def test_non_square_point_block_is_a_spec_error(tmp_path, capsys, command, p):
+    raw = io.spec_to_dict(spec("pm"))
+    raw["p_reps"][1]["p"] = p
+    path = tmp_path / "pm.json"
+    path.write_text(json.dumps(raw))
+    assert main([command, str(path)]) == 2
+    assert "cannot parse spec" in capsys.readouterr().err
 
 
 def test_missing_file_is_io_error(capsys):
@@ -161,6 +172,45 @@ def test_fourier_group_mismatch(tmp_path, capsys):
     fn.write_text(json.dumps(d))
     code, _ = run(capsys, "fourier", "catalog:pg", str(fn))
     assert code == 5
+
+
+def test_fourier_entry_shape_mismatch(tmp_path, capsys):
+    q = quotient("pg", 3)
+    u = PeriodicFunction.random(q, (1, 2), np.random.default_rng(9))
+    table = io.table_to_dict(transform(u))
+    i = next(k for k, e in enumerate(table["entries"]) if e["dim"] == 2)
+    transposed = json.loads(json.dumps(table))
+    transposed["entries"][i]["value"] = \
+        np.array(table["entries"][i]["value"]).reshape(4, 2, 2).tolist()
+    wrong_dim = json.loads(json.dumps(table))
+    wrong_dim["entries"][i]["dim"] = 5
+    for bad in (transposed, wrong_dim):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(bad))
+        code, _ = run(capsys, "fourier", "catalog:pg", str(path), "--inverse")
+        assert code == 5
+    d = io.function_to_dict(u)
+    d["entries"][3]["value"] = np.array(d["entries"][3]["value"]).reshape(2, 1, 2).tolist()
+    fn = tmp_path / "fn.json"
+    fn.write_text(json.dumps(d))
+    code, _ = run(capsys, "fourier", "catalog:pg", str(fn))
+    assert code == 5
+
+
+def test_function_and_table_files_round_trip_bit_exactly():
+    q = quotient("pg", 3)
+    u = PeriodicFunction.random(q, (1, 2), np.random.default_rng(9))
+    u[0] = [[complex(-0.0, -0.0), complex(0.0, -0.0)]]
+    text = io.canonical_json(io.function_to_dict(u))
+    back = io.function_from_dict(json.loads(text), q)
+    assert back.values.tobytes() == u.values.tobytes()
+    assert io.canonical_json(io.function_to_dict(back)) == text
+    t = transform(u)
+    t.entries[0][0, 0] = complex(-0.0, 0.0)
+    text = io.canonical_json(io.table_to_dict(t))
+    back = io.table_from_dict(json.loads(text), q)
+    assert all(back.entries[i].tobytes() == t.entries[i].tobytes() for i in t.entries)
+    assert io.canonical_json(io.table_to_dict(back)) == text
 
 
 def test_fourier_malformed_file(tmp_path, capsys):

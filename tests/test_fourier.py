@@ -15,6 +15,24 @@ from euciso.reps import quotient_irreps
 from conftest import quotient, spec
 
 
+def test_random_draws_each_element_in_id_order():
+    q = quotient("pg", 3)
+    for shape in [(1, 1), (2, 3)]:
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        u = PeriodicFunction.random(q, shape, rng)
+        for i in q.elements:
+            expected = ref.standard_normal(shape) + 1j * ref.standard_normal(shape)
+            assert np.array_equal(u[i], expected)
+        assert rng.standard_normal() == ref.standard_normal()
+
+
+def test_values_must_have_the_quotient_shape():
+    q = quotient("pg", 3)
+    for values in [np.zeros((1, 2, 2)), np.zeros((2, 2)), np.zeros((q.order, 2, 1))]:
+        with pytest.raises(IncompatibleShapes):
+            PeriodicFunction(q, (2, 2), values)
+
+
 def test_inner_product_delta_and_constant():
     q = quotient("pg", 3)
     d = PeriodicFunction.delta(q)
@@ -30,6 +48,7 @@ def test_inner_product_is_period_independent(rng):
     base = inner_product(u, v)
     lifted = inner_product(u.lift(6), v)
     assert abs(base - lifted) < 1e-12
+    assert u.max_abs_diff(u.lift(6)) == 0
 
 
 def test_inner_product_shape_guard(rng):
@@ -159,7 +178,7 @@ def test_convolution_unit_and_shift():
     shift = SummableFunction(q.spec, (2, 2))
     shift[NormalForm((4, -3), 0, 1)] = np.eye(2)   # unbounded exponents allowed
     conv = convolve(shift, v)
-    h = shift.project(q, NormalForm((4, -3), 0, 1))
+    h = q.reduce(NormalForm((4, -3), 0, 1))
     for g in q.elements:
         assert np.abs(conv[g] - v[q.mul(q.inv(h), g)]).max() < 1e-14
 
