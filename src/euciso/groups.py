@@ -505,7 +505,7 @@ class QuotientGroup:
         self.local = np.arange(self.order, dtype=np.int32)  # id -> row of a stack over elements
         self._table: np.ndarray | None = None
         self._inverse: np.ndarray | None = None
-        self._irreps_cache: dict[int, list] = {}
+        self._irreps_cache: dict[int, tuple[list, str]] = {}  # seed -> (irreps, basis)
 
     def nf(self, i: int) -> NormalForm:
         return self.element_list[i]

@@ -4,7 +4,9 @@ Rationals travel as "p/q" strings, complexes as [re, im] pairs, matrices
 as row-major nested lists.  Serialization is canonical (sorted keys) so
 equal inputs and seeds give byte-identical output.  A function file is
 written with one entry per element, in id order; a reader takes any
-subset of the elements and sets the others to zero.
+subset of the elements and sets the others to zero.  A Fourier table
+records the fingerprint of the irreducible bases it was computed in and is
+read back only in those bases.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .errors import EucisoError, IncompatibleShapes
 from .groups import GroupSpec, NormalForm, QuotientGroup
 from .isometry import Isometry
 from .fourier import FourierTable, PeriodicFunction
+from .reps import basis_fingerprint
 
 
 def format_fraction(x: Fraction) -> str:
@@ -130,6 +133,7 @@ def table_to_dict(t: FourierTable) -> dict:
         "N": t.q.N,
         "shape": [t.shape[0], t.shape[1]],
         "seed": t.seed,
+        "basis": basis_fingerprint(t.q, t.seed),
         "entries": [{"irrep": i, "dim": reps[i].dim,
                      "value": complex_matrix_to_lists(t.entries[i])}
                     for i in sorted(t.entries)],
@@ -143,6 +147,9 @@ def table_from_dict(data: dict, q: QuotientGroup) -> FourierTable:
     if int(data["N"]) != q.N:
         raise IncompatibleShapes(f"table period {data['N']} != quotient N {q.N}")
     t = FourierTable(q, tuple(data["shape"]), int(data.get("seed", 0)))
+    if data.get("basis") != basis_fingerprint(q, t.seed):
+        raise IncompatibleShapes("table was computed in another irreducible basis "
+                                 "(missing or different \"basis\" fingerprint)")
     m, n = t.shape
     reps = t.irreps()
     for entry in data["entries"]:

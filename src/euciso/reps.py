@@ -7,15 +7,17 @@ vector operations on those arrays; twisting, conjugating, lifting and
 inducing each build the new array with one gather.
 
 Irreducible representations come out of a random-commutant solver on the
-regular representation: a random Hermitian matrix averaged over the group
-lies in the commutant, its eigenspaces are invariant, and for a generic
-choice each eigenspace carries a single irreducible.  Degenerate draws are
-detected by the character norm and split recursively.
+regular representation (Dixon, Math. Comp. 24, 1970): a random Hermitian
+commutant element h[a, b] = c(a^-1 b) has invariant eigenspaces, and for a
+generic draw each carries one irreducible.  A cluster's character is a class
+sum, so a known one costs O(n d); only new characters are gathered into an
+(n, d, d) stack, and one splitter separates eigenvalue collisions.
 """
 
 from __future__ import annotations
 
 import cmath
+import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,6 +35,7 @@ IRREP_RESIDUAL_TOL = 1e-6  # largest unitary or homomorphism residual of a solve
 CLUSTER_GAP = 1e-8        # eigenvalues closer than this times their spread share a cluster
 INTERTWINER_TOL = 1e-8    # averaged intertwiners and singular values below this count as 0
 IDENTITY_TOL = 1e-8       # largest error of the Fourier identities verify and fourier check
+FINGERPRINT_DECIMALS = 8  # generator images are rounded to this before the basis is hashed
 
 MAX_RESEEDS = 8
 
@@ -107,105 +110,89 @@ def _cluster(eigenvalues: np.ndarray, tol: float) -> list[slice]:
     return [slice(a, b) for a, b in zip(breaks, breaks[1:])]
 
 
-def _split_dense(mats: list[np.ndarray], rng, depth: int = 0) -> list[list[np.ndarray]]:
-    """Recursively split a dense unitary rep into irreducible blocks."""
-    d = mats[0].shape[0]
-    n = len(mats)
-    norm_sq = sum(abs(np.trace(m)) ** 2 for m in mats) / n
+def _split_dense(mats: np.ndarray, rng, depth: int = 0) -> list[np.ndarray]:
+    """Split a unitary (n, d, d) stack into irreducible stacks; an
+    irreducible one comes back unchanged."""
+    n, d = mats.shape[:2]
+    norm_sq = float(np.mean(np.abs(np.einsum("gii->g", mats)) ** 2))
     if abs(norm_sq - 1.0) < IRREDUCIBLE_TOL:
         return [mats]
     if depth > 8:
         raise ConvergenceFailure("irreducible split did not terminate")
     x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     x = x + x.conj().T
-    h = sum(m @ x @ m.conj().T for m in mats) / n
+    h = np.einsum("gij,jk,glk->il", mats, x, mats.conj()) / n
     w, v = np.linalg.eigh(h)
     spread = max(w[-1] - w[0], 1.0)
     out = []
     for block in _cluster(w, CLUSTER_GAP * spread):
         basis = v[:, block]
-        sub = [basis.conj().T @ m @ basis for m in mats]
-        if sub[0].shape[0] == d:
+        if basis.shape[1] == d:
             # eigenspace did not split; try a fresh random direction
             return _split_dense(mats, rng, depth + 1)
-        out.extend(_split_dense(sub, rng, depth + 1))
+        out.extend(_split_dense(basis.conj().T @ mats @ basis, rng, depth + 1))
     return out
 
 
-def _orthonormalize(mats: list[np.ndarray]) -> list[np.ndarray]:
-    """Symmetric orthogonalization nudge applied per matrix."""
-    out = []
-    for m in mats:
-        g = m.conj().T @ m
-        w, v = np.linalg.eigh(g)
-        fix = v @ np.diag(w ** -0.5) @ v.conj().T
-        out.append(m @ fix)
-    return out
-
-
-def irreps(domain, seed: int = 0, cap: int = DEFAULT_CAP,
-           retries: int = MAX_RESEEDS) -> list[Representation]:
+def irreps(domain, seed: int = 0) -> list[Representation]:
     """One representative per equivalence class of irreducibles.
 
-    Decomposes the regular representation through eigenspaces of an
-    averaged random Hermitian matrix; verifies sum d^2 = |H|, pairwise
-    character orthogonality and the homomorphism property before
+    Decomposes the regular representation through the eigenspaces of a
+    random Hermitian element of its commutant; verifies sum d^2 = |H|,
+    pairwise character orthogonality and the homomorphism property before
     returning.  Reseeds on bad random draws.
     """
     n = len(domain.elements)
-    if n > cap:
-        raise CapExceeded(f"group order {n} exceeds the solver cap {cap}")
+    if n > DEFAULT_CAP:
+        raise CapExceeded(f"group order {n} exceeds the solver cap {DEFAULT_CAP}")
     table, inv_local = _perm_arrays(domain)
 
     last_error = None
-    for attempt in range(retries):
+    for attempt in range(MAX_RESEEDS):
         rng = np.random.default_rng(seed + attempt)
         try:
             return _solve(domain, table, inv_local, rng)
         except (ConvergenceFailure, InternalInconsistency) as exc:
             last_error = exc
-    raise ConvergenceFailure(f"irrep solver failed after {retries} reseeds: {last_error}")
+    raise ConvergenceFailure(f"irrep solver failed after {MAX_RESEEDS} reseeds: {last_error}")
 
 
 def _solve(domain, table, inv_local, rng) -> list[Representation]:
     n = table.shape[0]
     inv_perms = table[inv_local]            # row g: h -> g^-1 h
+    identity = domain.local[domain.identity]
 
-    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    x = x + x.conj().T
-    h = np.zeros((n, n), dtype=complex)
-    for g in range(n):
-        pi = inv_perms[g]
-        h += x[np.ix_(pi, pi)]
-    h /= n
-    w, v = np.linalg.eigh(h)
+    # h[a, b] = c(a^-1 b) with c(g^-1) = conj c(g): Hermitian, and it commutes
+    # with the left-regular action, so its eigenspaces are invariant
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    w, v = np.linalg.eigh((c + c[inv_local].conj())[inv_perms])
     spread = max(w[-1] - w[0], 1.0)
+
+    # the projection P onto an invariant subspace has P[a, b] = e(a^-1 b) for
+    # its identity row e, so chi(g) = sum_a e(a^-1 g a) = n * (mean of e over
+    # the class of g); classes are labelled by their smallest element id
+    cls = table[inv_local[None, :], table].min(axis=1)
+    class_size = np.bincount(cls, minlength=n)[cls]
 
     kept_mats: list[np.ndarray] = []        # (n, d, d) stacks
     kept_chars: list[np.ndarray] = []
 
-    def consider(mats: np.ndarray, ch: np.ndarray) -> None:
-        for kc in kept_chars:
-            if np.abs(ch - kc).max() < STRUCT_TOL:
-                return
-        kept_mats.append(mats)
-        kept_chars.append(ch)
+    def known(ch: np.ndarray) -> bool:
+        return any(np.abs(ch - kc).max() < STRUCT_TOL for kc in kept_chars)
 
     for sl in _cluster(w, CLUSTER_GAP * spread):
         basis = v[:, sl]
-        gathered = basis[inv_perms]                         # (n, n, d)
-        ch = np.einsum("ak,gak->g", basis.conj(), gathered)
-        if abs(float(np.mean(np.abs(ch) ** 2)) - 1.0) < IRREDUCIBLE_TOL:
-            if any(np.abs(ch - kc).max() < STRUCT_TOL for kc in kept_chars):
-                continue
-            mats = np.einsum("aj,gak->gjk", basis.conj(), gathered)
-            consider(mats, ch)
-        else:
-            # eigenvalue collision joined several irreducibles; split densely
-            mats = np.einsum("aj,gak->gjk", basis.conj(), gathered)
-            for sub in _split_dense(list(mats), rng):
-                stack = np.array(_orthonormalize(sub))
-                consider(stack, np.einsum("gii->g", stack))
+        e = basis[identity] @ basis.conj().T
+        class_sum = (np.bincount(cls, e.real, minlength=n)
+                     + 1j * np.bincount(cls, e.imag, minlength=n))
+        if known(n * class_sum[cls] / class_size):
+            continue
+        # an eigenvalue collision joins several irreducibles; the split separates them
+        for mats in _split_dense(basis.conj().T @ basis[inv_perms], rng):
+            ch = np.einsum("gii->g", mats)
+            if not known(ch):
+                kept_mats.append(mats)
+                kept_chars.append(ch)
 
     if sum(m.shape[1] ** 2 for m in kept_mats) != n:
         raise InternalInconsistency("sum of squared dimensions misses the group order")
@@ -236,13 +223,22 @@ def _verify_irreps(stacks, chars, table, rng) -> None:
                 raise InternalInconsistency("a returned block is not a homomorphism")
 
 
-def quotient_irreps(q: QuotientGroup, seed: int = 0, cap: int = DEFAULT_CAP):
+def quotient_irreps(q: QuotientGroup, seed: int = 0) -> list[Representation]:
     """Cached irreps of the full quotient at a fixed seed."""
-    cached = q._irreps_cache.get(seed)
-    if cached is None:
-        cached = irreps(q, seed=seed, cap=cap)
-        q._irreps_cache[seed] = cached
-    return cached
+    if seed not in q._irreps_cache:
+        reps, gens = irreps(q, seed=seed), _quotient_generators(q)
+        digest = hashlib.sha256(np.array([r.dim for r in reps], dtype=np.int64).tobytes())
+        for r in reps:  # adding 0.0 turns -0.0 into 0.0
+            digest.update((np.round(r.mats[gens], FINGERPRINT_DECIMALS) + 0.0).tobytes())
+        q._irreps_cache[seed] = (reps, digest.hexdigest())
+    return q._irreps_cache[seed][0]
+
+
+def basis_fingerprint(q: QuotientGroup, seed: int = 0) -> str:
+    """sha256 of the dims and generator images of `quotient_irreps(q, seed)`,
+    rounded to FINGERPRINT_DECIMALS; a Fourier table records it."""
+    quotient_irreps(q, seed)
+    return q._irreps_cache[seed][1]
 
 
 # -- wave characters ----------------------------------------------------------

@@ -134,6 +134,8 @@ PINNED_DIGESTS = {
         "8f55bc19c06f60dc533b269c4b4b9d8bdb240bca4a6487e204a06c2eb86ae2f7",
     ("split", "catalog:twistE8", "--m", "2", "--n", "3"):
         "604fc7dee24bbf9c7b2e767fbfe2f644627518e276d9491a0593bf392fa18107",
+    ("dual", "catalog:twistE8", "--N", "4"):
+        "0e4642c54be81cffb10cee2113a2d11c6178d0f677a03d74dfb383abc83b18fd",
 }
 
 
@@ -195,6 +197,21 @@ def test_fourier_entry_shape_mismatch(tmp_path, capsys):
     fn.write_text(json.dumps(d))
     code, _ = run(capsys, "fourier", "catalog:pg", str(fn))
     assert code == 5
+
+
+def test_table_from_another_basis_is_refused(tmp_path, capsys):
+    # another seed, or a solver that picks other bases, gives other irreducible
+    # matrices; inverting in them would return a wrong function
+    q = quotient("pg", 3)
+    u = PeriodicFunction.random(q, (1, 2), np.random.default_rng(9))
+    table = io.table_to_dict(transform(u, seed=0))
+    reseeded = dict(table, seed=1)
+    unmarked = {k: v for k, v in table.items() if k != "basis"}
+    for bad in (reseeded, unmarked):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(bad))
+        code, _ = run(capsys, "fourier", "catalog:pg", str(path), "--inverse")
+        assert code == 5
 
 
 def test_function_and_table_files_round_trip_bit_exactly():

@@ -8,7 +8,7 @@ from euciso import catalog
 from euciso.dual import rep_set, wave_orbits
 from euciso.errors import CapExceeded, InternalInconsistency
 from euciso.groups import NormalForm, build_quotient, tf_slice
-from euciso.reps import (Representation, char_inner, char_norm_sq,
+from euciso.reps import (Representation, _split_dense, char_inner, char_norm_sq,
                          chi, dual_action, equivalent, induce, intertwiner,
                          irreps, lift_representation, mackey_irreducible,
                          multiplicity, p_rep_element, quotient_irreps,
@@ -49,7 +49,8 @@ def test_irrep_census_helix_kernel_quotient():
 
 
 def test_irrep_completeness_and_orthogonality():
-    for name, N in [("pm", 2), ("helix-C3", 1), ("twistE8", 2), ("screw-C4", 3)]:
+    for name, N in [("pm", 2), ("helix-C3", 1), ("twistE8", 2), ("screw-C4", 3),
+                    ("twistE8", 4)]:
         q = quotient(name, N)
         rs = quotient_irreps(q)
         assert sum(r.dim ** 2 for r in rs) == q.order
@@ -65,11 +66,39 @@ def test_irreps_deterministic_given_seed():
     for ra, rb in zip(a, b):
         assert ra.dim == rb.dim
         assert np.abs(ra.char - rb.char).max() == 0.0
+    # only the basis inside each irreducible depends on the seed: the dims and
+    # characters, in order, are what `dual` prints
+    q = quotient("twistE8", 2)
+    for domain in (q, q.tf_subgroup()):
+        first = irreps(domain, seed=0)
+        for seed in (1, 2, 3):
+            other = irreps(domain, seed=seed)
+            assert [r.dim for r in other] == [r.dim for r in first]
+            assert max(np.abs(ra.char - rb.char).max()
+                       for ra, rb in zip(first, other)) < 1e-9
+
+
+def test_split_dense_separates_a_direct_sum(rng):
+    q = quotient("pg", 3)
+    parts = [next(r for r in quotient_irreps(q) if r.dim == 1),
+             *[r for r in quotient_irreps(q) if r.dim == 2][:2]]
+    total = np.zeros((q.order, 5, 5), dtype=complex)
+    at = 0
+    for r in parts:
+        total[:, at:at + r.dim, at:at + r.dim] = r.mats
+        at += r.dim
+    u, _ = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+    blocks = _split_dense(u.conj().T @ total @ u, rng)
+    assert sorted(b.shape[1] for b in blocks) == [1, 2, 2]
+    for r in parts:
+        assert sum(np.abs(np.einsum("gii->g", b) - r.char).max() < 1e-9
+                   for b in blocks) == 1
 
 
 def test_cap_guard():
+    # order 18432 is above DEFAULT_CAP; refused before any table is built
     with pytest.raises(CapExceeded):
-        irreps(quotient("p1", 3), cap=8)
+        irreps(quotient("twistE8", 24))
 
 
 def test_equivalent_under_unitary_conjugation(rng):
