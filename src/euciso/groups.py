@@ -277,16 +277,18 @@ def validate_spec(spec: GroupSpec, order_bound: int = ORDER_BOUND) -> list[Viola
 
     if spec.f_index(np.eye(spec.d1)) is None:
         out.append(Violation("f-identity", "F does not contain the identity"))
-    for i, a in enumerate(spec.f_elements):
-        for j, b in enumerate(spec.f_elements):
-            if spec.f_index(a @ b) is None:
-                out.append(Violation("f-closed", f"F not closed: F[{i}]*F[{j}] missing"))
-        if spec.f_index(a.T) is None:
+    k, d1 = spec.f_order, spec.d1
+    f = np.array(spec.f_elements).reshape(k, d1, d1)
+    closed = _match_f(spec, (f[:, None] @ f[None]).reshape(k * k, d1, d1)).reshape(k, k) >= 0
+    inverse = _match_f(spec, f.swapaxes(1, 2)) >= 0
+    for i in range(k):
+        out += [Violation("f-closed", f"F not closed: F[{i}]*F[{j}] missing")
+                for j in np.flatnonzero(~closed[i])]
+        if not inverse[i]:
             out.append(Violation("f-inverse", f"F not closed under inverse at F[{i}]"))
-    for i, a in enumerate(spec.f_elements):
-        for j, b in enumerate(spec.f_elements):
-            if i < j and iso.q_equal(a, b, tol):
-                out.append(Violation("f-distinct", f"F[{i}] and F[{j}] coincide"))
+    coincide = np.abs(f[:, None] - f[None]).max(axis=(2, 3), initial=0.0) <= tol
+    out += [Violation("f-distinct", f"F[{i}] and F[{j}] coincide")
+            for i, j in zip(*np.nonzero(np.triu(coincide, 1)))]
 
     # section lifts: identity point part, tau = e_i, orthogonal q
     for i, g in enumerate(spec.t_lifts):
@@ -420,28 +422,66 @@ def is_power_normal(spec: GroupSpec, m: int) -> bool:
 
 
 def automorphism_count(spec: GroupSpec) -> int:
-    """|Aut(F)| by brute force over multiplication-table-preserving bijections."""
+    """|Aut(F)| by backtracking over the images of a generating set.
+
+    This is the standard search for automorphisms of a finite group (Holt,
+    Eick and O'Brien, *Handbook of Computational Group Theory*, §4.6).
+    Generators are chosen greedily, highest element order first, each one
+    outside the subgroup the earlier ones generate, so H_i = <g_0..g_i>
+    climbs to F.  A word tree writes every element as parent * generator,
+    level by level.  The images of g_0, g_1, ... are assigned in turn, each
+    among the elements of its order; the map is extended along level i of
+    the tree, and a branch is dropped once it is not injective on H_i or
+    breaks phi(x g_j) = phi(x) phi(g_j) there.  Every complete branch is an
+    injective homomorphism of F into itself, so it is counted.
+    """
+    mul, ident = spec.f_mul_table(), spec.f_identity
     n = spec.f_order
-    mul = spec.f_mul_table()
-    ident = spec.f_identity
-    orders = []
-    for i in range(n):
-        k, x = 1, i
+    order = []
+    for g in range(n):
+        k, x = 1, g
         while x != ident:
-            x = mul[x][i]
-            k += 1
-        orders.append(k)
-    count = 0
-    candidates = [[j for j in range(n) if orders[j] == orders[i]] for i in range(n)]
-    for perm in itertools.permutations(range(n)):
-        if perm[ident] != ident:
+            x, k = mul[x][g], k + 1
+        order.append(k)
+    # greedy generators and the word tree: levels[i] lists (x, parent, j),
+    # x = parent * gens[j], for the elements of H_i outside H_{i-1}
+    gens, levels, members, inside = [], [], [ident], {ident}
+    for g in sorted(range(n), key=lambda x: -order[x]):
+        if g in inside:
             continue
-        if any(perm[i] not in candidates[i] for i in range(n)):
-            continue
-        if all(perm[mul[a][b]] == mul[perm[a]][perm[b]]
-               for a in range(n) for b in range(n)):
-            count += 1
-    return count
+        gens.append(g)
+        level = []
+        for x in members:           # members grows while it is walked: a BFS
+            for j, h in enumerate(gens):
+                y = mul[x][h]
+                if y not in inside:
+                    inside.add(y)
+                    level.append((y, x, j))
+                    members.append(y)
+        levels.append(level)
+
+    def extend(i: int, phi: list[int], img: tuple[int, ...]) -> int:
+        if i == len(gens):
+            return 1
+        total = 0
+        for c in (y for y in range(n) if order[y] == order[gens[i]]):
+            ext, im = phi[:], img + (c,)
+            used = {y for y in ext if y >= 0}
+            for x, parent, j in levels[i]:
+                y = mul[ext[parent]][im[j]]
+                if y in used:
+                    break
+                ext[x] = y
+                used.add(y)
+            else:
+                if all(ext[mul[x][gens[j]]] == mul[ext[x]][im[j]]
+                       for x in range(n) if ext[x] >= 0 for j in range(i + 1)):
+                    total += extend(i + 1, ext, im)
+        return total
+
+    phi = [-1] * n
+    phi[ident] = ident
+    return extend(0, phi, ())
 
 
 def _divisors(n: int) -> list[int]:
@@ -450,7 +490,11 @@ def _divisors(n: int) -> list[int]:
 
 
 def find_m0(spec: GroupSpec, bound: int | None = None) -> StructureReport:
-    """Least exponent whose section powers form a normal subgroup."""
+    """Least exponent whose section powers form a normal subgroup.
+
+    m0 divides m0_bound = |F|^2 * |Aut(F)|, so only the divisors of that
+    bound (or of `bound`, when given) are scanned.
+    """
     if spec._m0_report is not None and bound is None:
         return spec._m0_report
     m0_bound = spec.f_order ** 2 * automorphism_count(spec)

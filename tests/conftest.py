@@ -1,8 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from euciso import catalog
-from euciso.groups import build_quotient
+from euciso import isometry as iso
+from euciso.groups import GroupSpec, build_quotient
+
+# derandomized examples keep tier-1 deterministic; no deadline, as host speed varies
+settings.register_profile("euciso", derandomize=True, deadline=None)
+settings.load_profile("euciso")
 
 
 @pytest.fixture
@@ -16,3 +24,17 @@ def spec(name):
 
 def quotient(name, N):
     return build_quotient(catalog.get(name), N)
+
+
+def cyclic(k):
+    """The rotations of the plane by multiples of 2 pi / k."""
+    return [iso.rotation2(2 * math.pi * j / k) for j in range(k)]
+
+
+def rod_spec(k, flip, alpha):
+    """Screw rod by angle alpha over a C_k kernel; the flip reverses the axis."""
+    p_reps = [iso.identity_isometry(2, 1)]
+    if flip:
+        p_reps.append(iso.Isometry(np.diag([1.0, -1.0]), ((-1,),), (0,)))
+    return GroupSpec(f"rod-C{k}", 2, 1, cyclic(k),
+                     [iso.Isometry(iso.rotation2(alpha), ((1,),), (1,))], p_reps)

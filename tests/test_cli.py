@@ -9,7 +9,7 @@ from euciso.cli import main
 from euciso.fourier import PeriodicFunction, transform
 from euciso.groups import build_quotient
 
-from conftest import quotient, spec
+from conftest import quotient, rod_spec, spec
 
 
 def run(capsys, *argv):
@@ -57,6 +57,15 @@ def test_non_square_point_block_is_a_spec_error(tmp_path, capsys, command, p):
     path.write_text(json.dumps(raw))
     assert main([command, str(path)]) == 2
     assert "cannot parse spec" in capsys.readouterr().err
+
+
+def test_analyze_c12_rod_bound(tmp_path, capsys):
+    # |F|^2 |Aut(C12)| = 144 * 4; a search over all 12! permutations of F never ends
+    path = tmp_path / "rod-C12.json"
+    path.write_text(json.dumps(io.spec_to_dict(rod_spec(12, False, 1.0))))
+    code, out = run(capsys, "analyze", str(path))
+    assert code == 0
+    assert json.loads(out)["m0_bound"] == 576
 
 
 def test_missing_file_is_io_error(capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from euciso import catalog
 from euciso import isometry as iso
@@ -14,7 +15,7 @@ from euciso.groups import (GroupSpec, NormalForm, automorphism_count,
                            validate_spec)
 from euciso.isometry import Isometry, rotation2
 
-from conftest import quotient, spec
+from conftest import cyclic, quotient, rod_spec, spec
 
 
 # -- oracle: independent membership and normality test -------------------------
@@ -60,6 +61,36 @@ def test_validation_catches_broken_kernel():
                        h.p_reps, tol=h.tol)
     codes = {v.code for v in validate_spec(broken)}
     assert "f-closed" in codes
+
+
+def oracle_kernel_violations(s):
+    """The f-closed, f-inverse and f-distinct checks, one f_index call per pair."""
+    out = []
+    for i, a in enumerate(s.f_elements):
+        for j, b in enumerate(s.f_elements):
+            if s.f_index(a @ b) is None:
+                out.append(("f-closed", f"F not closed: F[{i}]*F[{j}] missing"))
+        if s.f_index(a.T) is None:
+            out.append(("f-inverse", f"F not closed under inverse at F[{i}]"))
+    for i, a in enumerate(s.f_elements):
+        for j, b in enumerate(s.f_elements):
+            if i < j and iso.q_equal(a, b, s.tol):
+                out.append(("f-distinct", f"F[{i}] and F[{j}] coincide"))
+    return out
+
+
+def test_kernel_checks_match_pairwise_oracle():
+    for name in ("helix-C3", "screw-C4", "twistE8"):
+        h = spec(name)
+        f = h.f_elements
+        kernels = [f, f[:-1], f[1:], f + [f[-1]], f + [f[0] + 1e-12], f[:1] * 3,
+                   [x @ iso.block_diag(np.eye(h.d1 - 2), rotation2(0.3)) for x in f],
+                   f + [-np.eye(h.d1)]]
+        for kernel in kernels:
+            broken = GroupSpec("broken", h.d1, h.d2, kernel, h.t_lifts, h.p_reps, tol=h.tol)
+            got = [(v.code, v.message) for v in validate_spec(broken)
+                   if v.code in ("f-closed", "f-inverse", "f-distinct")]
+            assert got == oracle_kernel_violations(broken), (name, len(kernel))
 
 
 def test_validation_catches_bad_point_part():
@@ -192,6 +223,102 @@ def test_automorphism_counts():
     assert automorphism_count(spec("twistE8")) == 2     # Z4
 
 
+# -- oracle: |Aut(F)| over every permutation of F ------------------------------
+
+def oracle_automorphism_count(s):
+    """Count the multiplication-table-preserving bijections of F, all |F|! tried."""
+    n, mul, ident = s.f_order, s.f_mul_table(), s.f_identity
+    orders = []
+    for i in range(n):
+        k, x = 1, i
+        while x != ident:
+            x = mul[x][i]
+            k += 1
+        orders.append(k)
+    count = 0
+    for perm in itertools.permutations(range(n)):
+        if perm[ident] != ident or any(orders[perm[i]] != orders[i] for i in range(n)):
+            continue
+        if all(perm[mul[a][b]] == mul[perm[a]][perm[b]]
+               for a in range(n) for b in range(n)):
+            count += 1
+    return count
+
+
+def euler_phi(k):
+    return sum(1 for j in range(1, k + 1) if math.gcd(j, k) == 1)
+
+
+def dihedral(n):
+    return cyclic(n) + [r @ np.diag([1.0, -1.0]) for r in cyclic(n)]
+
+
+def rotations_of_cube(tetrahedral):
+    """Signed permutation matrices of determinant 1: the rotations of a cube
+    (S4), or with even permutations only those of a tetrahedron (A4)."""
+    out = []
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product((1.0, -1.0), repeat=3):
+            m = np.diag(signs)[list(perm)]
+            even = np.linalg.det(np.eye(3)[list(perm)]) > 0
+            if np.linalg.det(m) > 0 and (even or not tetrahedral):
+                out.append(m)
+    return out
+
+
+def affine_mod7():
+    """x -> 2^l x + k on Z/7 as permutation matrices: C7 x| C3, order 21."""
+    out = []
+    for l, k in itertools.product(range(3), range(7)):
+        m = np.zeros((7, 7))
+        m[[(2 ** l * x + k) % 7 for x in range(7)], range(7)] = 1.0
+        out.append(m)
+    return out
+
+
+def kernel_spec(name, blocks):
+    """A rod with an untwisted lift over the kernel `blocks`."""
+    d1 = len(blocks[0])
+    return GroupSpec(name, d1, 1, blocks, [Isometry(np.eye(d1), ((1,),), (1,))],
+                     [iso.identity_isometry(d1, 1)])
+
+
+def test_automorphism_count_matches_brute_force_oracle():
+    cases = [spec(name) for name in catalog.names()]
+    cases += [kernel_spec(f"C{k}", cyclic(k)) for k in range(1, 10)]
+    cases += [kernel_spec(f"D{n}", dihedral(n)) for n in (2, 3, 4)]
+    for s in cases:
+        assert automorphism_count(s) == oracle_automorphism_count(s), s.name
+
+
+def test_automorphism_count_of_cyclic_and_dihedral_kernels():
+    for k in range(1, 17):
+        assert automorphism_count(kernel_spec(f"C{k}", cyclic(k))) == euler_phi(k), k
+    for n in range(3, 13):
+        assert automorphism_count(kernel_spec(f"D{n}", dihedral(n))) == n * euler_phi(n), n
+
+
+def test_automorphism_count_of_larger_non_abelian_kernels():
+    # Aut(A4) = Aut(S4) = S4 and Aut(C7 x| C3) = C7 x| C6.  On C7 x| C3 the
+    # injectivity test alone would pass 84 maps: half of them are not
+    # homomorphisms.
+    assert automorphism_count(kernel_spec("A4", rotations_of_cube(True))) == 24
+    assert automorphism_count(kernel_spec("S4", rotations_of_cube(False))) == 24
+    assert automorphism_count(kernel_spec("F21", affine_mod7())) == 42
+
+
+@settings(max_examples=5)
+@given(alpha=st.floats(0.1, 3.0))
+def test_rod_specs_validate_and_bound_m0(alpha):
+    for k in range(1, 17):
+        for flip in (False, True):
+            s = rod_spec(k, flip, alpha)
+            assert validate_spec(s) == [], (k, flip)
+            report = find_m0(s)
+            assert report.m0_bound == k * k * euler_phi(k), (k, flip)
+            assert report.m0_bound % report.m0 == 0
+
+
 def test_quotient_orders_match_formula():
     for name in catalog.names():
         s = spec(name)
@@ -234,20 +361,11 @@ def test_mod_reduction_soundness(rng):
             assert lhs == rhs
 
 
-def rod_with_flip(k, alpha):
-    """Screw rod over a C_k rotation kernel; the flip reverses the axis."""
-    lift = Isometry(rotation2(alpha), ((1,),), (1,))
-    kernel = [rotation2(2 * math.pi * j / k) for j in range(k)]
-    flip = Isometry(np.diag([1.0, -1.0]), ((-1,),), (0,))
-    return GroupSpec(f"rod-C{k}-flip", 2, 1, kernel, [lift],
-                     [iso.identity_isometry(2, 1), flip])
-
-
 def test_quotient_multiplication_matches_isometries(rng):
     # (spec, N, sampled pairs); None checks every pair
     cases = [(spec("pg"), 3, None), (spec("screw-C4"), 2, None),
              (spec("helix-C3"), 2, None), (spec("helix-C3"), 3, None),
-             (rod_with_flip(5, 1.2345), 4, None), (spec("twistE8"), 2, 60),
+             (rod_spec(5, True, 1.2345), 4, None), (spec("twistE8"), 2, 60),
              (spec("twistE8"), 6, 200), (spec("twistE8-m4"), 12, 200)]
     for s, N, samples in cases:
         q = build_quotient(s, N)
