@@ -19,9 +19,9 @@ import numpy as np
 
 from .errors import InternalInconsistency
 from .groups import GroupSpec, QuotientGroup, build_quotient, find_m0
-from .reps import (STRUCT_TOL, Representation, chi, dual_action, equivalent, induce,
-                   lift_representation, char_norm_sq, irreps, mackey_irreducible,
-                   multiplicity, p_rep_element, quotient_irreps,
+from .reps import (STRUCT_TOL, Representation, chi, constituents, distinct_irreps,
+                   dual_action, equivalent, induce, lift_representation, char_norm_sq,
+                   irreps, mackey_irreducible, multiplicities, p_rep_element,
                    scale_by_character)
 
 FracVec = tuple[Fraction, ...]
@@ -237,6 +237,7 @@ class DualAtlas:
     seed: int
     rep_set: RepSet
     labels: list[LabelReport]
+    irreps: list[Representation]
     census_dims: list[int]
     checks: dict[str, bool]
 
@@ -244,61 +245,62 @@ class DualAtlas:
 def enumerate_dual(spec: GroupSpec, N: int, seed: int = 0) -> DualAtlas:
     """Induce one representation per wave label, report on each, and audit the result.
 
-    Each label's report holds its induced dimension, irreducibility,
-    character norm and decomposition into the quotient's irreducibles;
-    the induced representations themselves are not kept.
+    The quotient's irreducibles come from the labels themselves
+    (Clifford-Mackey theory; Serre, *Linear Representations of Finite
+    Groups*, sections 7-8): off the null set the induced representation is
+    irreducible, and on it `reps.constituents` splits it into blocks of
+    dimension at most |P| d_rho.  `reps.distinct_irreps` keeps one per
+    character, in the order of the regular-representation solver
+    `reps.irreps`, so irreducible indices match that solver's.  They are
+    kept as `irreps`; the induced representations are not.
 
+    Each label's report holds its induced dimension, irreducibility,
+    character norm and decomposition into the quotient's irreducibles.
     Checks performed: pairwise inequivalence of the emitted representations,
     irreducibility of every label off the null set (stabilizer test agreeing
     with the character norm), exhaustion of the quotient dual by the label
-    decompositions, and coverage of every irreducible as a subrepresentation.
-    Coverage is computed from restrictions to TF by Frobenius reciprocity,
-    <Ind tau, sigma> = <tau, Res sigma>, and must reproduce every
-    decomposition, which is computed from induced characters.
+    decompositions (sum d^2 = |G mod T^N|), and coverage of every irreducible
+    as a subrepresentation.  Coverage is computed from restrictions to TF by
+    Frobenius reciprocity, <Ind tau, sigma> = <tau, Res sigma>, and must
+    reproduce every decomposition, which is computed from induced
+    characters; both are one character Gram over all labels.
     """
     rs = rep_set(spec, seed=seed)
     q = build_quotient(spec, N)
-    irr = quotient_irreps(q, seed=seed)
-    sub = q.tf_subgroup()
-    restricted = [Representation(sub, sigma.mats[list(sub.elements)]) for sigma in irr]
-    reports: list[LabelReport] = []
-    reciprocity: list[dict[int, int]] = []
+    tf = list(q.tf_subgroup().elements)
+    rows: list[tuple[WaveLabel, int, bool, float]] = []
+    ind_chars, twisted_chars, pieces = [], [], []
     for rho_index, rho in enumerate(rs.classes):
         lifted = lift_representation(rho, q)
         for label in wave_orbits(spec, rs, rho_index, N):
-            wave = chi(spec, label.k)
-            twisted = scale_by_character(wave, lifted)
+            twisted = scale_by_character(chi(spec, label.k), lifted)
             ind = induce(q, twisted)
-            norm = char_norm_sq(ind)
-            irreducible = mackey_irreducible(q, twisted, ind)
-            decomposition = {}
-            for j, sigma in enumerate(irr):
-                m = multiplicity(ind, sigma)
-                if m:
-                    decomposition[j] = m
-            reports.append(LabelReport(label, ind.dim, irreducible,
-                                       float(norm), decomposition))
-            reciprocity.append({j: m for j, res in enumerate(restricted)
-                                if (m := multiplicity(twisted, res))})
+            rows.append((label, ind.dim, mackey_irreducible(q, twisted, ind),
+                         char_norm_sq(ind)))
+            ind_chars.append(ind.char)
+            twisted_chars.append(twisted.char)
+            pieces += constituents(ind, seed)   # ind itself off the null set
+    irr = distinct_irreps(q, pieces, seed)
+    irr_chars = np.array([s.char for s in irr])
+    decomposition = multiplicities(np.array(ind_chars), irr_chars)
+    reciprocity = multiplicities(np.array(twisted_chars), irr_chars[:, tf])
+    reports = [LabelReport(label, dim, irreducible, float(norm),
+                           {int(j): int(row[j]) for j in np.flatnonzero(row)})
+               for (label, dim, irreducible, norm), row in zip(rows, decomposition)]
 
+    dims = np.array([s.dim for s in irr])
     checks = {}
     checks["pairwise_inequivalent"] = _pairwise_inequivalent(reports)
     checks["off_null_irreducible"] = all(
         r.irreducible and abs(r.char_norm - 1) < STRUCT_TOL
         for r in reports if not r.label.in_null_set)
-    covered = set()
-    for r in reports:
-        covered |= set(r.decomposition)
-    checks["exhaustion"] = (covered == set(range(len(irr)))
-                            and sum(s.dim ** 2 for s in irr) == q.order)
-    checks["subrep_cover"] = (
-        set().union(*reciprocity) == set(range(len(irr)))
-        and all(rec == r.decomposition for rec, r in zip(reciprocity, reports)))
-    checks["dimension_count"] = all(
-        sum(irr[j].dim * m for j, m in r.decomposition.items()) == r.induced_dim
-        for r in reports)
-    census = sorted(s.dim for s in irr)
-    return DualAtlas(spec, N, seed, rs, reports, census, checks)
+    checks["exhaustion"] = bool((decomposition > 0).any(axis=0).all()
+                                and (dims ** 2).sum() == q.order)
+    checks["subrep_cover"] = bool((reciprocity > 0).any(axis=0).all()
+                                  and (reciprocity == decomposition).all())
+    checks["dimension_count"] = bool(
+        (decomposition @ dims == [r.induced_dim for r in reports]).all())
+    return DualAtlas(spec, N, seed, rs, reports, irr, sorted(dims.tolist()), checks)
 
 
 def _pairwise_inequivalent(reports: list[LabelReport]) -> bool:

@@ -237,14 +237,26 @@ def normal_forms(spec: GroupSpec, q, p, tau) -> tuple[np.ndarray, np.ndarray]:
 
 def normal_form(spec: GroupSpec, g: Isometry) -> NormalForm:
     """Factor one group member as t(n)*f*p; see `normal_forms`."""
-    p_idx = spec.p_index(g.p)
-    if p_idx is None:
-        raise NotAMember(f"point part {g.p} not among p_reps of {spec.name}")
-    tau = [t * spec.points[0] for t in g.tau]
-    if any(t.denominator != 1 for t in tau):
-        raise NotAMember(f"translation {g.tau} is not a lattice vector over the p_reps")
-    n, f = normal_forms(spec, g.q[None], [p_idx], [[int(t) for t in tau]])
-    return NormalForm(tuple(n[0].tolist()), int(f[0]), p_idx)
+    return normal_forms_of(spec, [g])[0]
+
+
+def normal_forms_of(spec: GroupSpec, gs: list[Isometry]) -> list[NormalForm]:
+    """Factor a list of group members as t(n)*f*p in one `normal_forms` call."""
+    if not gs:
+        return []
+    p_idx, tau = [], []
+    for g in gs:
+        p = spec.p_index(g.p)
+        if p is None:
+            raise NotAMember(f"point part {g.p} not among p_reps of {spec.name}")
+        t = [x * spec.points[0] for x in g.tau]
+        if any(x.denominator != 1 for x in t):
+            raise NotAMember(f"translation {g.tau} is not a lattice vector over the p_reps")
+        p_idx.append(p)
+        tau.append([int(x) for x in t])
+    n, f = normal_forms(spec, np.array([g.q for g in gs]).reshape(len(gs), spec.d1, spec.d1),
+                        p_idx, np.array(tau, dtype=np.int64).reshape(len(gs), spec.d2))
+    return [NormalForm(tuple(row), fi, p) for row, fi, p in zip(n.tolist(), f.tolist(), p_idx)]
 
 
 def is_member(spec: GroupSpec, g: Isometry) -> bool:
@@ -411,8 +423,11 @@ def is_power_normal(spec: GroupSpec, m: int) -> bool:
             prod = iso.compose(powers[a], powers[b])
             if not _in_section_power(spec, prod, m):
                 return False
-    # normality against every generator of G
-    for g in spec.generators():
+    # normality against generators of G: the t_lifts, generators of F and the
+    # p_reps.  Conjugation maps T^m onto a subgroup of the same finite index,
+    # so inclusion for each generator is equality and inverses need no check
+    _, f_gens, _ = _word_tree(spec)
+    for g in [*spec.t_lifts, *(spec.f_iso(i) for i in f_gens), *spec.p_reps]:
         g_inv = iso.inverse(g)
         for b in basis:
             conj = iso.compose(iso.compose(g, powers[b]), g_inv)
@@ -421,19 +436,14 @@ def is_power_normal(spec: GroupSpec, m: int) -> bool:
     return True
 
 
-def automorphism_count(spec: GroupSpec) -> int:
-    """|Aut(F)| by backtracking over the images of a generating set.
+def _word_tree(spec: GroupSpec) -> tuple[list[int], list[int], list[list[tuple[int, int, int]]]]:
+    """Element orders of F, a greedy generating set and its word tree.
 
-    This is the standard search for automorphisms of a finite group (Holt,
-    Eick and O'Brien, *Handbook of Computational Group Theory*, §4.6).
     Generators are chosen greedily, highest element order first, each one
     outside the subgroup the earlier ones generate, so H_i = <g_0..g_i>
-    climbs to F.  A word tree writes every element as parent * generator,
-    level by level.  The images of g_0, g_1, ... are assigned in turn, each
-    among the elements of its order; the map is extended along level i of
-    the tree, and a branch is dropped once it is not injective on H_i or
-    breaks phi(x g_j) = phi(x) phi(g_j) there.  Every complete branch is an
-    injective homomorphism of F into itself, so it is counted.
+    climbs to F.  The word tree writes every element as parent * generator:
+    levels[i] lists (x, parent, j), x = parent * gens[j], for the elements
+    of H_i outside H_{i-1}, in BFS order.
     """
     mul, ident = spec.f_mul_table(), spec.f_identity
     n = spec.f_order
@@ -443,8 +453,6 @@ def automorphism_count(spec: GroupSpec) -> int:
         while x != ident:
             x, k = mul[x][g], k + 1
         order.append(k)
-    # greedy generators and the word tree: levels[i] lists (x, parent, j),
-    # x = parent * gens[j], for the elements of H_i outside H_{i-1}
     gens, levels, members, inside = [], [], [ident], {ident}
     for g in sorted(range(n), key=lambda x: -order[x]):
         if g in inside:
@@ -459,6 +467,24 @@ def automorphism_count(spec: GroupSpec) -> int:
                     level.append((y, x, j))
                     members.append(y)
         levels.append(level)
+    return order, gens, levels
+
+
+def automorphism_count(spec: GroupSpec) -> int:
+    """|Aut(F)| by backtracking over the images of a generating set.
+
+    This is the standard search for automorphisms of a finite group (Holt,
+    Eick and O'Brien, *Handbook of Computational Group Theory*, §4.6), over
+    the generators and word tree of `_word_tree`.  The images of g_0, g_1,
+    ... are assigned in turn, each among the elements of its order; the map
+    is extended along level i of the tree, and a branch is dropped once it
+    is not injective on H_i or breaks phi(x g_j) = phi(x) phi(g_j) there.
+    Every complete branch is an injective homomorphism of F into itself, so
+    it is counted.
+    """
+    mul, ident = spec.f_mul_table(), spec.f_identity
+    n = spec.f_order
+    order, gens, levels = _word_tree(spec)
 
     def extend(i: int, phi: list[int], img: tuple[int, ...]) -> int:
         if i == len(gens):

@@ -6,12 +6,18 @@ character vector.  Pairings of characters, equivalence and multiplicities are
 vector operations on those arrays; twisting, conjugating, lifting and
 inducing each build the new array with one gather.
 
-Irreducible representations come out of a random-commutant solver on the
-regular representation (Dixon, Math. Comp. 24, 1970): a random Hermitian
-commutant element h[a, b] = c(a^-1 b) has invariant eigenspaces, and for a
-generic draw each carries one irreducible.  A cluster's character is a class
-sum, so a known one costs O(n d); only new characters are gathered into an
-(n, d, d) stack, and one splitter separates eigenvalue collisions.
+The dual of a quotient comes from its wave labels (`dual.enumerate_dual`):
+each label's induced representation is split by `constituents`, and
+`distinct_irreps` keeps one stack per character.  `irreps`, a
+random-commutant solver on the regular representation (Dixon, Math.
+Comp. 24, 1970), is kept for three uses: the rep-set candidates on the
+translation-kernel part at m0, the basis `fourier` transforms in, and the
+independent oracle that `verify` and the tests compare the atlas with.  A
+random Hermitian commutant element h[a, b] = c(a^-1 b) has invariant
+eigenspaces, and for a generic draw each carries one irreducible.  A
+cluster's character is a class sum, so a known one costs O(n d); only new
+characters are gathered into an (n, d, d) stack.  Both paths split with one
+stack splitter and order the irreducibles by (dim, character).
 """
 
 from __future__ import annotations
@@ -82,11 +88,23 @@ def equivalent(r1: Representation, r2: Representation, tol: float = STRUCT_TOL) 
 def multiplicity(container: Representation, irr: Representation,
                  tol: float = STRUCT_TOL) -> int:
     """How often `irr` occurs in `container`, from the character pairing."""
-    m = char_inner(container, irr)
-    k = round(m.real)
-    if abs(m - k) > tol:
-        raise InternalInconsistency(f"non-integral multiplicity {m}")
-    return k
+    return int(multiplicities(container.char[None], irr.char[None], tol)[0, 0])
+
+
+def multiplicities(chars: np.ndarray, irr_chars: np.ndarray,
+                   tol: float = STRUCT_TOL) -> np.ndarray:
+    """How often each irreducible occurs in each representation.
+
+    chars is an (r, |H|) stack of characters and irr_chars an (s, |H|)
+    stack of irreducible characters on the same domain; the (r, s) integer
+    result is their character Gram (1/|H|) chars @ irr_chars^H.
+    """
+    m = chars @ irr_chars.conj().T / chars.shape[1]
+    k = np.round(m.real)
+    bad = np.abs(m - k) > tol
+    if bad.any():
+        raise InternalInconsistency(f"non-integral multiplicity {m[bad][0]}")
+    return k.astype(np.int64)
 
 
 # -- irreducible decomposition ------------------------------------------------
@@ -121,7 +139,7 @@ def _split_dense(mats: np.ndarray, rng, depth: int = 0) -> list[np.ndarray]:
         raise ConvergenceFailure("irreducible split did not terminate")
     x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     x = x + x.conj().T
-    h = np.einsum("gij,jk,glk->il", mats, x, mats.conj()) / n
+    h = (mats @ x @ mats.conj().swapaxes(1, 2)).sum(0) / n
     w, v = np.linalg.eigh(h)
     spread = max(w[-1] - w[0], 1.0)
     out = []
@@ -132,6 +150,49 @@ def _split_dense(mats: np.ndarray, rng, depth: int = 0) -> list[np.ndarray]:
             return _split_dense(mats, rng, depth + 1)
         out.extend(_split_dense(basis.conj().T @ mats @ basis, rng, depth + 1))
     return out
+
+
+def constituents(r: Representation, seed: int = 0) -> list[np.ndarray]:
+    """The irreducible constituents of a unitary representation, with
+    multiplicity, as (n, d, d) stacks; an irreducible r comes back as is.
+    The splitter is reseeded (seed + attempt) on a bad random draw."""
+    last_error = None
+    for attempt in range(MAX_RESEEDS):
+        try:
+            return _split_dense(r.mats, np.random.default_rng(seed + attempt))
+        except ConvergenceFailure as exc:
+            last_error = exc
+    raise ConvergenceFailure(f"split failed after {MAX_RESEEDS} reseeds: {last_error}")
+
+
+def distinct_irreps(domain, stacks: list[np.ndarray], seed: int = 0) -> list[Representation]:
+    """One representative per character among irreducible (n, d, d) stacks
+    on `domain`, in the order `irreps` returns them, checked by
+    `_verify_irreps` (sum d^2 is left to the caller)."""
+    kept_mats: list[np.ndarray] = []
+    kept_chars: list[np.ndarray] = []
+    for mats in stacks:
+        ch = np.einsum("gii->g", mats)
+        if not _is_known(ch, kept_chars):
+            kept_mats.append(mats)
+            kept_chars.append(ch)
+    table, _ = _perm_arrays(domain)
+    return _ordered(domain, kept_mats, kept_chars, table, np.random.default_rng(seed))
+
+
+def _is_known(ch: np.ndarray, chars: list[np.ndarray]) -> bool:
+    return any(np.abs(ch - kc).max() < STRUCT_TOL for kc in chars)
+
+
+def _ordered(domain, stacks, chars, table, rng) -> list[Representation]:
+    """Irreducibles sorted by (dim, character rounded to 6 decimals), the
+    order every irreducible index refers to, after `_verify_irreps`."""
+    order = sorted(range(len(stacks)),
+                   key=lambda k: (stacks[k].shape[1],
+                                  tuple(np.round(chars[k], 6).view(float))))
+    stacks = [stacks[k] for k in order]
+    _verify_irreps(stacks, [chars[k] for k in order], table, rng)
+    return [Representation(domain, mats) for mats in stacks]
 
 
 def irreps(domain, seed: int = 0) -> list[Representation]:
@@ -176,33 +237,23 @@ def _solve(domain, table, inv_local, rng) -> list[Representation]:
 
     kept_mats: list[np.ndarray] = []        # (n, d, d) stacks
     kept_chars: list[np.ndarray] = []
-
-    def known(ch: np.ndarray) -> bool:
-        return any(np.abs(ch - kc).max() < STRUCT_TOL for kc in kept_chars)
-
     for sl in _cluster(w, CLUSTER_GAP * spread):
         basis = v[:, sl]
         e = basis[identity] @ basis.conj().T
         class_sum = (np.bincount(cls, e.real, minlength=n)
                      + 1j * np.bincount(cls, e.imag, minlength=n))
-        if known(n * class_sum[cls] / class_size):
+        if _is_known(n * class_sum[cls] / class_size, kept_chars):
             continue
         # an eigenvalue collision joins several irreducibles; the split separates them
         for mats in _split_dense(basis.conj().T @ basis[inv_perms], rng):
             ch = np.einsum("gii->g", mats)
-            if not known(ch):
+            if not _is_known(ch, kept_chars):
                 kept_mats.append(mats)
                 kept_chars.append(ch)
 
     if sum(m.shape[1] ** 2 for m in kept_mats) != n:
         raise InternalInconsistency("sum of squared dimensions misses the group order")
-
-    order = sorted(range(len(kept_mats)),
-                   key=lambda k: (kept_mats[k].shape[1],
-                                  tuple(np.round(kept_chars[k], 6).view(float))))
-    stacks = [kept_mats[k] for k in order]
-    _verify_irreps(stacks, [kept_chars[k] for k in order], table, rng)
-    return [Representation(domain, mats) for mats in stacks]
+    return _ordered(domain, kept_mats, kept_chars, table, rng)
 
 
 def _verify_irreps(stacks, chars, table, rng) -> None:
@@ -327,7 +378,7 @@ def induce(q: QuotientGroup, r: Representation) -> Representation:
     coset_inv = [q.inv(c) for c in cosets]
     d, k, n = r.dim, len(cosets), q.order
     # rows[i, g, j] is the TF row of h_i^-1 g h_j, or -1 outside TF
-    rows = sub.local[table[table[coset_inv]][:, :, cosets]]
+    rows = sub.local[table[table[coset_inv][:, :, None], cosets]]
     inside = rows >= 0
     blocks = np.zeros((k, n, k, d, d), dtype=complex)
     blocks[inside] = r.mats[rows[inside]]

@@ -2,14 +2,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from euciso import catalog
 from euciso import isometry as iso
 from euciso.dual import (enumerate_dual, k_shift_reps, little_group, null_set_member,
                          rep_set, wave_orbits)
 from euciso.groups import build_quotient, find_m0
-from euciso.reps import (chi, equivalent, induce, lift_representation, quotient_irreps,
-                         scale_by_character)
+from euciso.reps import (STRUCT_TOL, chi, equivalent, induce, lift_representation,
+                         quotient_irreps, scale_by_character)
 
 from conftest import quotient, spec
 
@@ -235,6 +236,29 @@ def test_enumerate_dual_twist():
         assert all(atlas.checks.values()), (N, atlas.checks)
         q = quotient("twistE8", N)
         assert sum(d * d for d in atlas.census_dims) == q.order
+
+
+@pytest.mark.parametrize("name,N", [(name, N) for name in catalog.names()
+                                    for m0 in [find_m0(spec(name)).m0] for N in (m0, 2 * m0)])
+def test_atlas_irreps_match_the_solver(name, N):
+    # the atlas builds the dual from its labels; the solver is the oracle.
+    # twistE8 has m0 = 2, so its 2 m0 case is N = 4 (order 512)
+    atlas = enumerate_dual(spec(name), N)
+    oracle = quotient_irreps(quotient(name, N))
+    assert [r.dim for r in atlas.irreps] == [r.dim for r in oracle]
+    assert max(np.abs(a.char - b.char).max() for a, b in zip(atlas.irreps, oracle)) <= STRUCT_TOL
+    assert atlas.census_dims == sorted(r.dim for r in oracle)
+    assert all(atlas.checks.values())
+
+
+@settings(max_examples=8)
+@given(seed=st.integers(0, 7))
+def test_atlas_values_do_not_depend_on_the_seed(seed):
+    for name, N in [("pg", 3), ("helix-C3", find_m0(spec("helix-C3")).m0)]:
+        s = catalog.CATALOG[name].build()
+        first, other = enumerate_dual(s, N, seed=0), enumerate_dual(s, N, seed=seed)
+        assert other.census_dims == first.census_dims
+        assert [r.decomposition for r in other.labels] == [r.decomposition for r in first.labels]
 
 
 def test_labels_give_inequivalent_induced_reps():

@@ -195,6 +195,22 @@ def test_is_power_normal_matches_oracle():
             assert is_power_normal(s, m) == oracle_is_power_normal(s, m), (name, m)
 
 
+def test_is_power_normal_conjugates_by_generators_of_f():
+    # the oracle conjugates by every element of F, is_power_normal by a
+    # generating set.  On the rods F commutes with the screw; the Klein four
+    # kernel of diagonal sign changes does not commute with the screw that
+    # cycles the axes, so T and T^2 are not normal and m0 = 3
+    cases = [rod_spec(k, flip, 1.3) for k, flip in [(4, False), (6, True), (8, True)]]
+    klein = [np.diag(d) for d in ([1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1])]
+    cycle = np.roll(np.eye(3), 1, axis=0)
+    screw = GroupSpec("klein-screw", 3, 1, klein, [Isometry(cycle, ((1,),), (1,))],
+                      [iso.identity_isometry(3, 1)])
+    assert validate_spec(screw) == [] and find_m0(screw).m0 == 3
+    for s in cases + [screw]:
+        for m in (1, 2, 3, s.f_order):
+            assert is_power_normal(s, m) == oracle_is_power_normal(s, m), (s.name, m)
+
+
 def test_find_m0_matches_divisor_scan_oracle():
     for name in catalog.names():
         s = spec(name)

@@ -9,10 +9,10 @@ from euciso.dual import rep_set, wave_orbits
 from euciso.errors import CapExceeded, InternalInconsistency
 from euciso.groups import NormalForm, build_quotient, tf_slice
 from euciso.reps import (Representation, _split_dense, char_inner, char_norm_sq,
-                         chi, dual_action, equivalent, induce, intertwiner,
-                         irreps, lift_representation, mackey_irreducible,
-                         multiplicity, p_rep_element, quotient_irreps,
-                         scale_by_character, trivial_on)
+                         chi, constituents, distinct_irreps, dual_action, equivalent,
+                         induce, intertwiner, irreps, lift_representation,
+                         mackey_irreducible, multiplicities, multiplicity, p_rep_element,
+                         quotient_irreps, scale_by_character, trivial_on)
 
 from conftest import quotient, spec
 
@@ -93,6 +93,44 @@ def test_split_dense_separates_a_direct_sum(rng):
     for r in parts:
         assert sum(np.abs(np.einsum("gii->g", b) - r.char).max() < 1e-9
                    for b in blocks) == 1
+
+
+def test_split_dense_separates_a_repeated_constituent(rng):
+    # rho + rho + sigma: the two copies of rho come back as two blocks
+    q = quotient("pg", 3)
+    rho, sigma = [r for r in quotient_irreps(q) if r.dim == 2][:2]
+    total = np.zeros((q.order, 6, 6), dtype=complex)
+    for at, r in [(0, rho), (2, rho), (4, sigma)]:
+        total[:, at:at + 2, at:at + 2] = r.mats
+    u, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    blocks = _split_dense(u.conj().T @ total @ u, rng)
+    chars = [np.einsum("gii->g", b) for b in blocks]
+    assert sorted(sum(np.abs(ch - r.char).max() < 1e-9 for ch in chars)
+                  for r in (rho, sigma)) == [1, 2]
+    table = q.mult_table()
+    for b in blocks:
+        assert np.abs(b[:, None] @ b[None] - b[table]).max() < 1e-9
+
+
+def test_constituents_of_a_reducible_induced_rep():
+    # a pg label on the null set induces rho + rho' with rho, rho' inequivalent
+    s, q = spec("pg"), quotient("pg", 3)
+    ind = induce(q, chi(s, (0, 0)).on(q))
+    assert not mackey_irreducible(q, chi(s, (0, 0)).on(q), ind)
+    pieces = constituents(ind, seed=3)
+    found = multiplicities(np.array([np.einsum("gii->g", m) for m in pieces]),
+                           np.array([r.char for r in quotient_irreps(q)]))
+    assert (found.sum(axis=1) == 1).all()
+    assert found.sum(axis=0) @ [r.dim for r in quotient_irreps(q)] == ind.dim
+    assert [r.dim for r in distinct_irreps(q, pieces + pieces)] == [p.shape[1] for p in pieces]
+
+
+def test_multiplicities_refuse_a_non_integral_pairing():
+    q = quotient("pg", 3)
+    irr = np.array([r.char for r in quotient_irreps(q)])
+    assert (multiplicities(irr, irr) == np.eye(len(irr))).all()
+    with pytest.raises(InternalInconsistency):
+        multiplicities(irr[:1] * 0.5, irr)
 
 
 def test_cap_guard():
