@@ -10,6 +10,14 @@ matrix.  Everything else in the package is computed from this data.
 Members are factored in stacks (`normal_forms`), with translations as
 integers over one denominator per spec; a finite quotient G mod T^N is its
 multiplication table, built from such stacks on first use.
+
+The structure checks (`validate_spec`, `is_power_normal`) work on stacks
+of q blocks alone.  The (p, tau) part of every product they form is fixed
+by integer arithmetic: a conjugate g*x*g^-1 of an x with point part 1 has
+point part 1 and tau = P_g tau(x), so g*f*g^-1 has tau = 0 and
+g*t(b)*g^-1 has tau = P_g b; once the t_lifts have point part 1 and
+tau = e_i, a commutator of two of them has tau = 0.  Each membership test
+is then one q comparison, against F or against the q block of t(r)^m.
 """
 
 from __future__ import annotations
@@ -94,14 +102,14 @@ class GroupSpec:
     def rot_order(self) -> int:
         return len(self.p_reps)
 
-    @property
+    @functools.cached_property
     def f_identity(self) -> int:
         idx = self.f_index(np.eye(self.d1))
         if idx is None:
             raise InternalInconsistency("F does not contain the identity")
         return idx
 
-    @property
+    @functools.cached_property
     def p_identity(self) -> int:
         idx = self._p_index.get(iso.identity_int_matrix(self.d2))
         if idx is None:
@@ -168,26 +176,27 @@ class GroupSpec:
     # -- section ----------------------------------------------------------
 
     def _gen_q_power(self, i: int, k: int) -> np.ndarray:
-        key = (i, k)
-        cached = self._t_gen_pow.get(key)
-        if cached is None:
+        if (i, k) not in self._t_gen_pow:
             q = self.t_lifts[i].q
-            if k >= 0:
-                cached = np.linalg.matrix_power(q, k)
-            else:
-                cached = np.linalg.matrix_power(q.T, -k)
-            self._t_gen_pow[key] = cached
-        return cached
+            self._t_gen_pow[i, k] = np.linalg.matrix_power(q if k >= 0 else q.T, abs(k))
+        return self._t_gen_pow[i, k]
+
+    def section_q(self, n) -> np.ndarray:
+        """The (k, d1, d1) q blocks of t(n) for a (k, d2) integer stack n."""
+        n = np.asarray(n, dtype=np.int64)
+        q = np.broadcast_to(np.eye(self.d1), (len(n), self.d1, self.d1))
+        for i in range(self.d2):
+            ks, at = np.unique(n[:, i], return_inverse=True)
+            powers = np.array([self._gen_q_power(i, k) for k in ks.tolist()])
+            q = q @ powers.reshape(len(ks), self.d1, self.d1)[at]
+        return q
 
     def section(self, n) -> Isometry:
         """t(n) = g1^n1 ... g_d2^n_d2; tau block is exactly n."""
         n = tuple(int(x) for x in n)
         cached = self._t_cache.get(n)
         if cached is None:
-            q = np.eye(self.d1)
-            for i, k in enumerate(n):
-                q = q @ self._gen_q_power(i, k)
-            cached = Isometry(q, iso.identity_int_matrix(self.d2),
+            cached = Isometry(self.section_q([n])[0], iso.identity_int_matrix(self.d2),
                               tuple(Fraction(x) for x in n))
             self._t_cache[n] = cached
         return cached
@@ -210,6 +219,18 @@ def _match_f(spec: GroupSpec, q: np.ndarray) -> np.ndarray:
     return np.where(dev[np.arange(len(q)), idx] <= spec.tol, idx, -1)
 
 
+def _factor(spec: GroupSpec, q, p, tau) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`normal_forms` without its checks: n, f and the mask of rows whose
+    translation residue is a lattice vector.  f is -1 on every row that is
+    not a member, so f >= 0 is the membership mask."""
+    d, _, p_tau, p_q = spec.points
+    resid = np.asarray(tau, dtype=np.int64) - p_tau[p]
+    lattice = ~(resid % d).any(axis=1)
+    n = resid // d
+    q_res = spec.section_q(n).swapaxes(1, 2) @ (q @ p_q[p].swapaxes(1, 2))
+    return n, np.where(lattice, _match_f(spec, q_res), -1), lattice
+
+
 def normal_forms(spec: GroupSpec, q, p, tau) -> tuple[np.ndarray, np.ndarray]:
     """Factor a stack of group members as t(n)*f*p.
 
@@ -219,16 +240,9 @@ def normal_forms(spec: GroupSpec, q, p, tau) -> tuple[np.ndarray, np.ndarray]:
     n, and the residual q block q(t(n))^T q q(p)^T is matched against F.
     Returns n as a (k, d2) array and the kernel indices f.
     """
-    d, _, p_tau, p_q = spec.points
-    resid = np.asarray(tau, dtype=np.int64) - p_tau[p]
-    if (resid % d).any():
+    n, f, lattice = _factor(spec, q, p, tau)
+    if not lattice.all():
         raise NotAMember("translation residue is not a lattice vector")
-    n = resid // d
-    rows = list(map(tuple, n.tolist()))
-    uniq = {v: i for i, v in enumerate(dict.fromkeys(rows))}
-    t_q = np.array([spec.section(v).q for v in uniq])
-    q_res = t_q.swapaxes(1, 2)[[uniq[v] for v in rows]] @ (q @ p_q[p].swapaxes(1, 2))
-    f = _match_f(spec, q_res)
     if (f < 0).any():
         raise NotAMember("residual O(d1) block matches no element of F "
                          f"(deviation from nearest checked against tol={spec.tol})")
@@ -289,7 +303,7 @@ def validate_spec(spec: GroupSpec, order_bound: int = ORDER_BOUND) -> list[Viola
 
     if spec.f_index(np.eye(spec.d1)) is None:
         out.append(Violation("f-identity", "F does not contain the identity"))
-    k, d1 = spec.f_order, spec.d1
+    k, d1, d2 = spec.f_order, spec.d1, spec.d2
     f = np.array(spec.f_elements).reshape(k, d1, d1)
     closed = _match_f(spec, (f[:, None] @ f[None]).reshape(k * k, d1, d1)).reshape(k, k) >= 0
     inverse = _match_f(spec, f.swapaxes(1, 2)) >= 0
@@ -343,97 +357,78 @@ def validate_spec(spec: GroupSpec, order_bound: int = ORDER_BOUND) -> list[Viola
             out.append(Violation("p-group", "point parts not closed under inverse"))
     if out:
         # skip conjugation checks when the raw data is already broken
-        return _dedup(out)
+        return list(dict.fromkeys(out))
 
-    # F normal under all generators
-    for tag, g in [("t", t) for t in spec.t_lifts] + [("p", p) for p in spec.p_reps]:
-        g_inv = iso.inverse(g)
-        for i in range(spec.f_order):
-            conj = iso.compose(iso.compose(g, spec.f_iso(i)), g_inv)
-            if spec.f_index(conj.q) is None or conj.p != iso.identity_int_matrix(spec.d2) \
-                    or any(t != 0 for t in conj.tau):
-                out.append(Violation("f-normal",
-                                     f"conjugate of F[{i}] by a {tag}-generator left F"))
+    # F normal under all generators: g*f*g^-1 has point part 1 and tau = 0
+    gens = [("t", t.q) for t in spec.t_lifts] + [("p", p.q) for p in spec.p_reps]
+    g_q = np.array([q for _, q in gens]).reshape(len(gens), d1, d1)
+    conj = g_q[:, None] @ f[None] @ g_q[:, None].swapaxes(2, 3)
+    outside = _match_f(spec, conj.reshape(len(gens) * k, d1, d1)).reshape(len(gens), k) < 0
+    out += [Violation("f-normal", f"conjugate of F[{i}] by a {tag}-generator left F")
+            for (tag, _), row in zip(gens, outside) for i in np.flatnonzero(row)]
 
-    # commutators of section generators land in F
-    for i in range(spec.d2):
-        for j in range(i + 1, spec.d2):
-            gi, gj = spec.t_lifts[i], spec.t_lifts[j]
-            comm = iso.compose_all([gi, gj, iso.inverse(gi), iso.inverse(gj)])
-            if comm.p != iso.identity_int_matrix(spec.d2) or any(t != 0 for t in comm.tau):
-                out.append(Violation("t-commutator",
-                                     f"[g{i+1}, g{j+1}] has a nontrivial (p, tau) block"))
-            elif spec.f_index(comm.q) is None:
-                out.append(Violation("t-commutator",
-                                     f"[g{i+1}, g{j+1}] q block lies outside F"))
+    # commutators of section generators land in F; by t-point and t-tau
+    # their (p, tau) block is trivial
+    pairs = list(itertools.combinations(range(d2), 2))
+    t_q = g_q[:d2]
+    qi, qj = t_q[[i for i, _ in pairs]], t_q[[j for _, j in pairs]]
+    comm = (qi @ qj @ qi.swapaxes(1, 2) @ qj.swapaxes(1, 2)).reshape(len(pairs), d1, d1)
+    out += [Violation("t-commutator", f"[g{i+1}, g{j+1}] q block lies outside F")
+            for (i, j), fi in zip(pairs, _match_f(spec, comm)) if fi < 0]
 
-    # presentation closure: p*p' and p*t*p^-1 must normal-form
-    for a in spec.p_reps:
-        for b in spec.p_reps:
-            if not is_member(spec, iso.compose(a, b)):
-                out.append(Violation("p-closure", "product of p_reps has no normal form"))
-        for t in spec.t_lifts:
-            if not is_member(spec, iso.compose(iso.compose(a, t), iso.inverse(a))):
-                out.append(Violation("p-conjugation",
-                                     "conjugate of a t_lift by a p_rep has no normal form"))
+    # presentation closure: p*p' and p*t*p^-1 must normal-form.  The point
+    # parts come from p_mul_table, which p-group makes safe; p*t_j*p^-1 has
+    # point part 1 and tau = P e_j
+    d, p_mat, p_tau, p_q = spec.points
+    r = spec.rot_order
+    _, prod_f, _ = _factor(
+        spec, (p_q[:, None] @ p_q[None]).reshape(r * r, d1, d1), spec.p_mul_table().reshape(r * r),
+        (p_tau[:, None] + p_tau[None] @ p_mat.swapaxes(1, 2)).reshape(r * r, d2))
+    conj = p_q[:, None] @ t_q[None] @ p_q[:, None].swapaxes(2, 3)
+    _, conj_f, _ = _factor(spec, conj.reshape(r * d2, d1, d1), [spec.p_identity] * (r * d2),
+                           d * p_mat.swapaxes(1, 2).reshape(r * d2, d2))
+    for prod_row, conj_row in zip(prod_f.reshape(r, r), conj_f.reshape(r, d2)):
+        if (prod_row < 0).any():
+            out.append(Violation("p-closure", "product of p_reps has no normal form"))
+        if (conj_row < 0).any():
+            out.append(Violation("p-conjugation",
+                                 "conjugate of a t_lift by a p_rep has no normal form"))
 
-    return _dedup(out)
-
-
-def _dedup(violations: list[Violation]) -> list[Violation]:
-    seen, out = set(), []
-    for v in violations:
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-    return out
+    return list(dict.fromkeys(out))
 
 
 # -- good exponents ----------------------------------------------------------
 
-def _in_section_power(spec: GroupSpec, x: Isometry, m: int) -> bool:
-    """Membership in T^m: take the exact m-th root downstairs, lift, power.
-
-    Once p and tau match exactly, t(root)^m agrees with x there, so only
-    the q blocks are compared."""
-    if x.p != iso.identity_int_matrix(spec.d2):
-        return False
-    root = []
-    for t in x.tau:
-        if t.denominator != 1 or int(t) % m != 0:
-            return False
-        root.append(int(t) // m)
-    return iso.q_equal(np.linalg.matrix_power(spec.section(root).q, m), x.q, spec.tol)
-
-
 def is_power_normal(spec: GroupSpec, m: int) -> bool:
-    """True iff the set of m-th section powers is a normal subgroup."""
+    """True iff the set of m-th section powers is a normal subgroup.
+
+    With b and b' running over the +-e_i, the test is t(m b) t(m b') and
+    g t(m b) g^-1 in T^m.  Both have point part 1 and an integer tau in
+    m Z^d2, m (b + b') and m P_g b, so their m-th root t(r) is fixed by
+    (p, tau) alone and only the q blocks of x and t(r)^m are compared.
+    The generators g of G are the t_lifts, generators of F and the p_reps.
+    Conjugation maps T^m onto a subgroup of the same finite index, so
+    inclusion for each generator is equality and inverses need no check.
+    """
     if m < 1:
         raise ValueError("m must be positive")
-    basis = []
-    for i in range(spec.d2):
-        e = [0] * spec.d2
-        e[i] = 1
-        basis.append(tuple(e))
-        basis.append(tuple(-x for x in e))
-    powers = {b: spec.section([m * x for x in b]) for b in basis}   # t(b)^m = t(m b)
-    # closure on generator pairs
-    for a in basis:
-        for b in basis:
-            prod = iso.compose(powers[a], powers[b])
-            if not _in_section_power(spec, prod, m):
-                return False
-    # normality against generators of G: the t_lifts, generators of F and the
-    # p_reps.  Conjugation maps T^m onto a subgroup of the same finite index,
-    # so inclusion for each generator is equality and inverses need no check
+    d1, d2 = spec.d1, spec.d2
+    basis = np.concatenate([np.eye(d2, dtype=np.int64), -np.eye(d2, dtype=np.int64)])
+    powers = spec.section_q(m * basis)                  # t(b)^m = t(m b)
     _, f_gens, _ = _word_tree(spec)
-    for g in [*spec.t_lifts, *(spec.f_iso(i) for i in f_gens), *spec.p_reps]:
-        g_inv = iso.inverse(g)
-        for b in basis:
-            conj = iso.compose(iso.compose(g, powers[b]), g_inv)
-            if not _in_section_power(spec, conj, m):
-                return False
-    return True
+    _, p_mat, _, p_q = spec.points
+    gens = ([(t.q, t.p) for t in spec.t_lifts]
+            + [(spec.f_elements[i], np.eye(d2)) for i in f_gens] + list(zip(p_q, p_mat)))
+    nb, ng = len(basis), len(gens)
+    g_q = np.array([q for q, _ in gens]).reshape(ng, d1, d1)
+    g_p = np.array([p for _, p in gens], dtype=np.int64).reshape(ng, d2, d2)
+    x = np.concatenate([(powers[:, None] @ powers[None]).reshape(nb * nb, d1, d1),
+                        (g_q[:, None] @ powers[None] @ g_q[:, None].swapaxes(2, 3))
+                        .reshape(ng * nb, d1, d1)])
+    roots = np.concatenate([(basis[:, None] + basis[None]).reshape(nb * nb, d2),
+                            (basis @ g_p.swapaxes(1, 2)).reshape(ng * nb, d2)])
+    y = np.linalg.matrix_power(spec.section_q(roots), m)
+    return bool(np.abs(x - y).max(initial=0.0) <= spec.tol)
 
 
 def _word_tree(spec: GroupSpec) -> tuple[list[int], list[int], list[list[tuple[int, int, int]]]]:
@@ -511,8 +506,9 @@ def automorphism_count(spec: GroupSpec) -> int:
 
 
 def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    """The divisors of n in ascending order, paired as d and n // d up to sqrt(n)."""
+    low = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return low + [n // d for d in reversed(low) if d * d != n]
 
 
 def find_m0(spec: GroupSpec, bound: int | None = None) -> StructureReport:
@@ -609,7 +605,7 @@ class QuotientGroup:
             d, p_mat, p_tau, p_q = spec.points
             vecs = np.array(list(itertools.product(range(N), repeat=spec.d2)), dtype=np.int64)
             radix = N ** np.arange(spec.d2 - 1, -1, -1)     # exponent vector mod N -> its index
-            t_q = np.array([spec.section(v).q for v in vecs])
+            t_q = spec.section_q(vecs)
             fmul = np.array(spec.f_mul_table())
             # the elements x = f*p, then every element t(a)*x, in id order
             nx = spec.f_order * spec.rot_order

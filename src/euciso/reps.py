@@ -264,8 +264,7 @@ def _verify_irreps(stacks, chars, table, rng) -> None:
         raise InternalInconsistency("character orthogonality failed")
     for mats in stacks:
         d = mats.shape[1]
-        defect = np.abs(np.einsum("gji,gjk->gik", mats.conj(), mats)
-                        - np.eye(d)).max()
+        defect = np.abs(mats.conj().swapaxes(1, 2) @ mats - np.eye(d)).max()
         if defect > IRREP_RESIDUAL_TOL:
             raise InternalInconsistency("a returned block is not unitary")
         for _ in range(8):

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from euciso import catalog
 from euciso import isometry as iso
 from euciso.errors import BadModulus, CapExceeded, InternalInconsistency, NotAMember
-from euciso.groups import (GroupSpec, NormalForm, automorphism_count,
-                           build_quotient, find_m0, is_power_normal,
+from euciso.groups import (GroupSpec, NormalForm, _divisors, automorphism_count,
+                           build_quotient, find_m0, is_member, is_power_normal,
                            normal_form, reconstruct, tf_slice,
                            validate_spec)
 from euciso.isometry import Isometry, rotation2
@@ -91,6 +91,53 @@ def test_kernel_checks_match_pairwise_oracle():
             got = [(v.code, v.message) for v in validate_spec(broken)
                    if v.code in ("f-closed", "f-inverse", "f-distinct")]
             assert got == oracle_kernel_violations(broken), (name, len(kernel))
+
+
+def oracle_conjugation_violations(s):
+    """f-normal, t-commutator, p-closure and p-conjugation, one isometry product at a time."""
+    out, ident = [], iso.identity_int_matrix(s.d2)
+    for tag, g in [("t", t) for t in s.t_lifts] + [("p", p) for p in s.p_reps]:
+        for i in range(s.f_order):
+            conj = iso.compose_all([g, s.f_iso(i), iso.inverse(g)])
+            if s.f_index(conj.q) is None or conj.p != ident or any(conj.tau):
+                out.append(("f-normal", f"conjugate of F[{i}] by a {tag}-generator left F"))
+    for i, j in itertools.combinations(range(s.d2), 2):
+        gi, gj = s.t_lifts[i], s.t_lifts[j]
+        comm = iso.compose_all([gi, gj, iso.inverse(gi), iso.inverse(gj)])
+        if comm.p != ident or any(comm.tau):
+            out.append(("t-commutator", f"[g{i+1}, g{j+1}] has a nontrivial (p, tau) block"))
+        elif s.f_index(comm.q) is None:
+            out.append(("t-commutator", f"[g{i+1}, g{j+1}] q block lies outside F"))
+    for a in s.p_reps:
+        for b in s.p_reps:
+            if not is_member(s, iso.compose(a, b)):
+                out.append(("p-closure", "product of p_reps has no normal form"))
+        for t in s.t_lifts:
+            if not is_member(s, iso.compose_all([a, t, iso.inverse(a)])):
+                out.append(("p-conjugation",
+                            "conjugate of a t_lift by a p_rep has no normal form"))
+    return list(dict.fromkeys(out))
+
+
+def test_conjugation_checks_match_scalar_oracle():
+    # a 0.3 rad turn in the plane of the first and last axes, applied to one
+    # t_lift or one p_rep q block, moves F, the commutators and the presentation
+    codes = set()
+    for name in ("twistE8", "twistE8-m4"):
+        h = spec(name)
+        turn = np.eye(h.d1)
+        turn[np.ix_([0, -1], [0, -1])] = rotation2(0.3)
+        t_tilted = [h.t_lifts[0], Isometry(h.t_lifts[1].q @ turn, h.t_lifts[1].p,
+                                           h.t_lifts[1].tau)]
+        p_tilted = h.p_reps[:-1] + [Isometry(h.p_reps[-1].q @ turn, h.p_reps[-1].p,
+                                             h.p_reps[-1].tau)]
+        for t_lifts, p_reps in [(h.t_lifts, h.p_reps), (t_tilted, h.p_reps),
+                                (h.t_lifts, p_tilted)]:
+            s = GroupSpec("tilted", h.d1, h.d2, h.f_elements, t_lifts, p_reps, tol=h.tol)
+            got = [(v.code, v.message) for v in validate_spec(s)]
+            assert got == oracle_conjugation_violations(s), name
+            codes |= {code for code, _ in got}
+    assert codes == {"f-normal", "t-commutator", "p-closure", "p-conjugation"}
 
 
 def test_validation_catches_bad_point_part():
@@ -189,10 +236,11 @@ def test_is_power_normal_matches_oracle():
     cases = [("p1", [1, 2]), ("pg", [1, 2]), ("helix-C3", [1, 2]),
              ("screw-C4", [1, 3]), ("twistE8", [1, 2, 3, 4]),
              ("twistE8-m4", [1, 2, 4])]
-    for name, ms in cases:
-        s = spec(name)
+    cases = [(spec(name), ms) for name, ms in cases]
+    cases += [(rod_spec(k, flip, 1.3), [1, 2, 3, k]) for k in range(3, 7) for flip in (False, True)]
+    for s, ms in cases:
         for m in ms:
-            assert is_power_normal(s, m) == oracle_is_power_normal(s, m), (name, m)
+            assert is_power_normal(s, m) == oracle_is_power_normal(s, m), (s.name, m)
 
 
 def test_is_power_normal_conjugates_by_generators_of_f():
@@ -222,6 +270,12 @@ def test_find_m0_matches_divisor_scan_oracle():
         assert report.m0 == catalog.CATALOG[name].expected["m0"]
         assert bound % report.m0 == 0
         assert report.m0_bound == bound
+
+
+def test_divisors_match_trial_division():
+    # 16^2 * |GL(4, 2)| is m0_bound for the 16 diagonal sign matrices in O(4)
+    for n in [*range(1, 3001), 16 ** 2 * 20160]:
+        assert _divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
 
 
 def test_good_exponents_form_a_ladder():
