@@ -3,7 +3,11 @@
 A function of period N is one (|G mod T^N|, m, n) array in element id order.
 The transform pairs it with every irreducible of that quotient through
 Kronecker blocks u(g) x rho(g); inversion is the finite-group inversion
-applied blockwise and is validated by round trips.
+applied blockwise and is validated by round trips.  The dense transform is
+a product with the group's Fourier matrix (Clausen and Baum, Fast Fourier
+Transforms, 1993): the irreducibles of one dimension d are stacked into one
+(n, k*d*d) array per call, so the transform and the inverse make one
+matrix product per irreducible dimension.
 """
 
 from __future__ import annotations
@@ -111,17 +115,28 @@ class FourierTable:
         return quotient_irreps(self.q, seed=self.seed)
 
 
+def _dim_stacks(reps: list[Representation]):
+    """Per irreducible dimension d: d, the indices of the k irreducibles of
+    that dimension and their images as one (n, k*d*d) array, built per call."""
+    by_dim: dict[int, list[int]] = {}
+    for ri, rho in enumerate(reps):
+        by_dim.setdefault(rho.dim, []).append(ri)
+    for d, idx in by_dim.items():
+        stack = np.stack([reps[ri].mats for ri in idx], axis=1)
+        yield d, idx, stack.reshape(len(stack), -1)
+
+
 def transform(u: PeriodicFunction, seed: int = 0) -> FourierTable:
     """u_hat(rho) = (1/|C_N|) sum_g u(g) (x) rho(g)."""
     reps = quotient_irreps(u.q, seed=seed)
     n = u.q.order
     m, mm = u.shape
+    flat = u.values.reshape(n, m * mm)
     entries = {}
-    for ri, rho in enumerate(reps):
-        d = rho.dim
-        acc = np.einsum("gab,gij->aibj", u.values, rho.mats)
-        entries[ri] = acc.reshape(m * d, mm * d) / n
-    return FourierTable(u.q, u.shape, seed, entries)
+    for d, idx, stack in _dim_stacks(reps):
+        acc = (flat.T @ stack / n).reshape(m, mm, len(idx), d, d).transpose(2, 0, 3, 1, 4)
+        entries.update(zip(idx, np.ascontiguousarray(acc).reshape(len(idx), m * d, mm * d)))
+    return FourierTable(u.q, u.shape, seed, dict(sorted(entries.items())))
 
 
 def inverse_transform(table: FourierTable) -> PeriodicFunction:
@@ -130,21 +145,18 @@ def inverse_transform(table: FourierTable) -> PeriodicFunction:
     if set(table.entries) != set(range(len(reps))):
         raise IncompleteTable("table does not cover every irreducible")
     m, n = table.shape
-    dense = np.zeros((table.q.order, m, n), dtype=complex)
-    for ri, rho in enumerate(reps):
-        d = rho.dim
-        block = table.entries[ri].reshape(m, d, n, d)
-        dense += rho.dim * np.einsum("aibj,gij->gab", block, rho.mats.conj())
-    return PeriodicFunction(table.q, table.shape, dense)
+    dense = np.zeros((table.q.order, m * n), dtype=complex)
+    for d, idx, stack in _dim_stacks(reps):
+        blocks = np.stack([table.entries[ri].reshape(m, d, n, d) for ri in idx])
+        blocks = blocks.transpose(0, 2, 4, 1, 3).reshape(len(idx) * d * d, m * n)
+        dense += d * (np.conj(stack, out=stack) @ blocks)
+    return PeriodicFunction(table.q, table.shape, dense.reshape(-1, m, n))
 
 
 def plancherel_pairing(t1: FourierTable, t2: FourierTable) -> complex:
     """sum_rho d_rho <u_hat(rho), v_hat(rho)> with the Frobenius pairing."""
-    reps = t1.irreps()
-    acc = 0j
-    for ri, rho in enumerate(reps):
-        acc += rho.dim * np.sum(t1.entries[ri] * t2.entries[ri].conj())
-    return acc
+    return sum(rho.dim * np.vdot(t2.entries[ri], t1.entries[ri])
+               for ri, rho in enumerate(t1.irreps()))
 
 
 def translate(u: PeriodicFunction, g: int) -> PeriodicFunction:

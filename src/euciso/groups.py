@@ -103,6 +103,13 @@ class GroupSpec:
         return len(self.p_reps)
 
     @functools.cached_property
+    def f_stack(self) -> np.ndarray:
+        """The elements of F as one read-only (|F|, d1, d1) array."""
+        stack = np.array(self.f_elements)
+        stack.setflags(write=False)
+        return stack
+
+    @functools.cached_property
     def f_identity(self) -> int:
         idx = self.f_index(np.eye(self.d1))
         if idx is None:
@@ -129,7 +136,7 @@ class GroupSpec:
 
     def f_mul_table(self) -> list[list[int]]:
         if self._f_mul is None:
-            f, k = np.array(self.f_elements), self.f_order
+            f, k = self.f_stack, self.f_order
             idx = _match_f(self, (f[:, None] @ f[None]).reshape(k * k, self.d1, self.d1))
             if (idx < 0).any():
                 raise InternalInconsistency("F is not closed under products")
@@ -211,7 +218,7 @@ def reconstruct(spec: GroupSpec, nf: NormalForm) -> Isometry:
 def _match_f(spec: GroupSpec, q: np.ndarray) -> np.ndarray:
     """Index of the nearest element of F for each block of a (k, d1, d1) stack,
     or -1 where even the nearest lies farther than spec.tol."""
-    f = np.array(spec.f_elements)
+    f = spec.f_stack
     if not len(f):
         return np.full(len(q), -1)
     dev = np.abs(q[:, None] - f[None]).max(axis=(2, 3), initial=0.0)
@@ -304,7 +311,7 @@ def validate_spec(spec: GroupSpec, order_bound: int = ORDER_BOUND) -> list[Viola
     if spec.f_index(np.eye(spec.d1)) is None:
         out.append(Violation("f-identity", "F does not contain the identity"))
     k, d1, d2 = spec.f_order, spec.d1, spec.d2
-    f = np.array(spec.f_elements).reshape(k, d1, d1)
+    f = spec.f_stack.reshape(k, d1, d1)
     closed = _match_f(spec, (f[:, None] @ f[None]).reshape(k * k, d1, d1)).reshape(k, k) >= 0
     inverse = _match_f(spec, f.swapaxes(1, 2)) >= 0
     for i in range(k):
@@ -609,7 +616,7 @@ class QuotientGroup:
             fmul = np.array(spec.f_mul_table())
             # the elements x = f*p, then every element t(a)*x, in id order
             nx = spec.f_order * spec.rot_order
-            x_q = (np.array(spec.f_elements)[:, None] @ p_q).reshape(nx, spec.d1, spec.d1)
+            x_q = (spec.f_stack[:, None] @ p_q).reshape(nx, spec.d1, spec.d1)
             x_p = np.tile(np.arange(spec.rot_order), spec.f_order)
             el_q = (t_q[:, None] @ x_q).reshape(n, spec.d1, spec.d1)
             el_p = np.tile(x_p, len(vecs))

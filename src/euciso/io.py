@@ -1,8 +1,11 @@
 """JSON formats: group specs, function files, Fourier tables, reports.
 
 Rationals travel as "p/q" strings, complexes as [re, im] pairs, matrices
-as row-major nested lists.  Serialization is canonical (sorted keys) so
-equal inputs and seeds give byte-identical output.  A function file is
+as row-major nested lists.  Serialization is canonical, so equal inputs
+and seeds give byte-identical output: the bytes are those of `json.dumps`
+with `sort_keys` and `indent=1`.  `canonical_json` writes them itself,
+because json's indented encoder is pure Python, and writes each rectangular
+block of floats, such as a table entry, in one piece.  A function file is
 written with one entry per element, in id order; a reader takes any
 subset of the elements and sets the others to zero.  A Fourier table
 records the fingerprint of the irreducible bases it was computed in and is
@@ -11,7 +14,9 @@ read back only in those bases.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +26,9 @@ from .groups import GroupSpec, NormalForm, QuotientGroup
 from .isometry import Isometry
 from .fourier import FourierTable, PeriodicFunction
 from .reps import basis_fingerprint
+
+_encode_str = json.encoder.encode_basestring_ascii
+_ARRAYS = {list, tuple}
 
 
 def format_fraction(x: Fraction) -> str:
@@ -177,5 +185,88 @@ def _coerce(obj):
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=1, separators=(",", ": "),
-                      default=_coerce) + "\n"
+    """The bytes of json.dumps(obj, sort_keys=True, indent=1,
+    separators=(",", ": "), default=_coerce) plus a newline, written by
+    json's own rules, except that a rectangular nested list of finite
+    floats is written as one block."""
+    out: list[str] = []
+    _write(obj, 0, out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(obj, level: int, out: list[str]) -> None:
+    text = _encode_str(obj) if isinstance(obj, str) else _scalar(obj)
+    if text is not None:
+        out.append(text)
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+        elif not _write_block(obj, level, out):
+            inner = "\n" + " " * (level + 1)
+            out.append("[" + inner)
+            for i, value in enumerate(obj):
+                if i:
+                    out.append("," + inner)
+                _write(value, level + 1, out)
+            out.append("\n" + " " * level + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+        else:
+            inner = "\n" + " " * (level + 1)
+            out.append("{" + inner)
+            for i, (key, value) in enumerate(sorted(obj.items())):
+                key_text = key if isinstance(key, str) else _scalar(key)
+                if key_text is None:
+                    raise TypeError(f"keys must be str, int, float, bool or None, "
+                                    f"not {key.__class__.__name__}")
+                out.append(("," + inner if i else "") + _encode_str(key_text) + ": ")
+                _write(value, level + 1, out)
+            out.append("\n" + " " * level + "}")
+    else:
+        _write(_coerce(obj), level, out)
+
+
+def _scalar(obj) -> str | None:
+    """json's text for None, a bool, an int or a float; None for other types."""
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        if obj in (math.inf, -math.inf):
+            return "Infinity" if obj > 0 else "-Infinity"
+        return float.__repr__(obj)
+    return None
+
+
+def _write_block(obj, level: int, out: list[str]) -> bool:
+    """Write obj if it is a rectangular nested list (or tuple) of finite
+    floats: one repr per float, with separators that follow from the shape."""
+    shape, rows = [], [obj]
+    while type(rows[0]) in _ARRAYS:
+        width = len(rows[0])
+        if not width or not set(map(type, rows)) <= _ARRAYS or set(map(len, rows)) != {width}:
+            return False
+        shape.append(width)
+        rows = list(itertools.chain.from_iterable(rows))
+    if set(map(type, rows)) != {float} or not math.isfinite(sum(rows)):
+        return False
+    # between two leaves, close the j innermost lists that end and open as many
+    k = len(shape)
+    pad = ["\n" + " " * (level + t) for t in range(k + 1)]
+    close = [pad[t] + "]" for t in range(k)]
+    open_ = [pad[t] + "[" for t in range(k)]
+    parts = list(map(repr, rows))
+    for j, width in enumerate(reversed(shape)):
+        sep = "".join(close[k - 1:k - 1 - j:-1]) + "," + "".join(open_[k - j:k]) + pad[k]
+        parts = list(map(sep.join, zip(*[iter(parts)] * width)))
+    out.append("[" + "".join(open_[1:k]) + pad[k] + parts[0] + "".join(close[::-1]))
+    return True

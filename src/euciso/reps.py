@@ -44,6 +44,7 @@ IDENTITY_TOL = 1e-8       # largest error of the Fourier identities verify and f
 FINGERPRINT_DECIMALS = 8  # generator images are rounded to this before the basis is hashed
 
 MAX_RESEEDS = 8
+GATHER_BYTES = 32 * 2**20  # the solver's (rows, n, d) basis gathers are built this much at a time
 
 
 class Representation:
@@ -244,8 +245,12 @@ def _solve(domain, table, inv_local, rng) -> list[Representation]:
                      + 1j * np.bincount(cls, e.imag, minlength=n))
         if _is_known(n * class_sum[cls] / class_size, kept_chars):
             continue
+        # one row g of the gather basis[inv_perms] is the size of basis
+        rows, adjoint = max(1, GATHER_BYTES // basis.nbytes), basis.conj().T
+        stack = np.concatenate([adjoint @ basis[inv_perms[r:r + rows]]
+                                for r in range(0, n, rows)])
         # an eigenvalue collision joins several irreducibles; the split separates them
-        for mats in _split_dense(basis.conj().T @ basis[inv_perms], rng):
+        for mats in _split_dense(stack, rng):
             ch = np.einsum("gii->g", mats)
             if not _is_known(ch, kept_chars):
                 kept_mats.append(mats)

@@ -1,10 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from euciso import catalog
+from euciso import catalog, io
 from euciso import isometry as iso
 from euciso.groups import GroupSpec, build_quotient
 
@@ -38,3 +39,9 @@ def rod_spec(k, flip, alpha):
         p_reps.append(iso.Isometry(np.diag([1.0, -1.0]), ((-1,),), (0,)))
     return GroupSpec(f"rod-C{k}", 2, 1, cyclic(k),
                      [iso.Isometry(iso.rotation2(alpha), ((1,),), (1,))], p_reps)
+
+
+def reference_json(obj) -> str:
+    """What `io.canonical_json` must return: json's own canonical dump."""
+    return json.dumps(obj, sort_keys=True, indent=1, separators=(",", ": "),
+                      default=io._coerce) + "\n"

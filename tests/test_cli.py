@@ -4,12 +4,22 @@ import json
 import numpy as np
 import pytest
 
-from euciso import catalog, io
+from euciso import catalog, cli, io
 from euciso.cli import main
 from euciso.fourier import PeriodicFunction, transform
 from euciso.groups import build_quotient
 
-from conftest import quotient, rod_spec, spec
+from conftest import quotient, reference_json, rod_spec, spec
+
+
+@pytest.fixture(autouse=True)
+def payloads_checked_against_json(monkeypatch):
+    """Every payload the CLI writes here is also checked against json.dumps."""
+    def checked(payload):
+        text = io.canonical_json(payload)
+        assert text == reference_json(payload)
+        return text
+    monkeypatch.setattr(cli, "canonical_json", checked)
 
 
 def run(capsys, *argv):

@@ -84,6 +84,40 @@ def test_round_trip_three_shapes(rng):
             assert u.max_abs_diff(inverse_transform(transform(u))) <= 1e-8
 
 
+def einsum_transform(u, seed=0):
+    """The per-irreducible transform the stacked one must match."""
+    m, n = u.shape
+    return {ri: np.einsum("gab,gij->aibj", u.values, rho.mats).reshape(m * rho.dim, n * rho.dim)
+            / u.q.order for ri, rho in enumerate(quotient_irreps(u.q, seed=seed))}
+
+
+def einsum_inverse(table):
+    m, n = table.shape
+    dense = np.zeros((table.q.order, m, n), dtype=complex)
+    for ri, rho in enumerate(table.irreps()):
+        block = table.entries[ri].reshape(m, rho.dim, n, rho.dim)
+        dense += rho.dim * np.einsum("aibj,gij->gab", block, rho.mats.conj())
+    return dense
+
+
+def loop_plancherel(t1, t2):
+    return sum(rho.dim * np.sum(t1.entries[ri] * t2.entries[ri].conj())
+               for ri, rho in enumerate(t1.irreps()))
+
+
+@pytest.mark.parametrize("name,N", [("pg", 3), ("helix-C3", 2), ("twistE8", 2), ("twistE8", 4)])
+def test_stacked_transform_matches_per_irreducible_oracle(name, N, rng):
+    q = quotient(name, N)
+    for shape in [(1, 1), (2, 3), (3, 3)]:
+        u, v = (PeriodicFunction.random(q, shape, rng) for _ in range(2))
+        tu, tv = transform(u), transform(v)
+        want = einsum_transform(u)
+        assert list(tu.entries) == list(want)
+        assert max(np.abs(tu.entries[i] - want[i]).max() for i in want) <= 1e-12
+        assert np.abs(inverse_transform(tu).values - einsum_inverse(tu)).max() <= 1e-12
+        assert abs(plancherel_pairing(tu, tv) - loop_plancherel(tu, tv)) <= 1e-12
+
+
 def test_incomplete_table_rejected():
     q = quotient("pg", 3)
     t = transform(PeriodicFunction.delta(q))

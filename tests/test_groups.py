@@ -11,7 +11,7 @@ from euciso import isometry as iso
 from euciso.errors import BadModulus, CapExceeded, InternalInconsistency, NotAMember
 from euciso.groups import (GroupSpec, NormalForm, _divisors, automorphism_count,
                            build_quotient, find_m0, is_member, is_power_normal,
-                           normal_form, reconstruct, tf_slice,
+                           normal_form, normal_forms_of, reconstruct, tf_slice,
                            validate_spec)
 from euciso.isometry import Isometry, rotation2
 
@@ -469,6 +469,26 @@ def test_reconstruct_round_trip(rng):
     for _ in range(25):
         i = int(rng.integers(q.order))
         assert normal_form(s, reconstruct(s, q.nf(i))) == q.nf(i)
+
+
+@settings(max_examples=40)
+@given(name=st.sampled_from(catalog.names()), data=st.data())
+def test_normal_forms_of_reconstruct_round_trip(name, data):
+    s = spec(name)
+    nf = st.builds(NormalForm, st.tuples(*[st.integers(-20, 20)] * s.d2),
+                   st.integers(0, s.f_order - 1), st.integers(0, s.rot_order - 1))
+    nfs = data.draw(st.lists(nf, min_size=1, max_size=8))
+    assert normal_forms_of(s, [reconstruct(s, x) for x in nfs]) == nfs
+
+
+@settings(max_examples=40)
+@given(name=st.sampled_from(catalog.names()), k=st.integers(1, 3), data=st.data())
+def test_mult_table_is_associative(name, k, data):
+    q = build_quotient(spec(name), k * catalog.CATALOG[name].expected["m0"])
+    ids = st.lists(st.integers(0, q.order - 1), min_size=3, max_size=3)
+    a, b, c = np.array(data.draw(st.lists(ids, min_size=1, max_size=20))).T
+    table = q.mult_table()
+    assert (table[table[a, b], c] == table[a, table[b, c]]).all()
 
 
 def test_tf_slice_drops_point_group():

@@ -1,0 +1,56 @@
+import math
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+
+from euciso import io
+from euciso.fourier import PeriodicFunction, transform
+
+from conftest import quotient, reference_json
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e300, -1e300, 1.7976931348623157e308,
+               math.nan, math.inf, -math.inf]
+floats = st.floats() | st.sampled_from(EDGE_FLOATS)
+numpy_scalars = (st.builds(np.float64, floats) | st.builds(np.float32, st.floats(width=32))
+                 | st.builds(np.int64, st.integers(-2**63, 2**63 - 1))
+                 | st.builds(np.bool_, st.booleans()))
+scalars = (st.none() | st.booleans() | st.integers() | floats | st.text()
+           | st.fractions() | numpy_scalars)
+# rectangular float lists, empty sides included, and ints or bools mixed into them
+blocks = hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4),
+                    elements=floats).map(lambda a: a.tolist())
+mixed = st.lists(floats | st.integers() | st.booleans(), min_size=1)
+keys = st.text() | st.integers() | st.booleans() | floats | st.none() | st.fractions()
+
+
+def payloads(children):
+    return (st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+            | st.dictionaries(keys, children, max_size=4)
+            | st.dictionaries(st.text(), children, max_size=4))
+
+
+def outcome(write, obj):
+    try:
+        return write(obj)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150)
+@given(st.recursive(scalars | blocks | mixed, payloads, max_leaves=20))
+@example([[[-0.0, 5e-324], [1e16, 1e300]], [[math.nan, math.inf], [-math.inf, 0.5]]])
+@example({"é☃": [(1.0, 2.0), [3.0, 4.0]], "a": [[1.0, 2], [True, 3.0]], "b": [[1.0], [2.0, 3.0]]})
+@example({1: [[]], True: [[], []], 2.5: (), False: {}})
+@example([Fraction(-3, 4), np.float32(0.1), np.int64(-7), np.bool_(False), np.float64(-0.0)])
+def test_canonical_json_is_json_dumps(obj):
+    assert outcome(io.canonical_json, obj) == outcome(reference_json, obj)
+
+
+def test_canonical_json_of_files_is_json_dumps():
+    q = quotient("twistE8", 2)
+    u = PeriodicFunction.random(q, (2, 3), np.random.default_rng(4))
+    for payload in [io.function_to_dict(u), io.table_to_dict(transform(u)),
+                    io.spec_to_dict(q.spec)]:
+        assert io.canonical_json(payload) == reference_json(payload)
