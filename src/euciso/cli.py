@@ -23,7 +23,7 @@ from .fourier import (inner_product, inverse_transform, plancherel_pairing,
                       transform)
 from .groups import GroupSpec, build_quotient, find_m0, validate_spec
 from .io import canonical_json, format_fraction
-from .reps import IDENTITY_TOL
+from .reps import IDENTITY_TOL, quotient_irreps
 from .splitting import split_quotient
 from .verify import run_suite
 
@@ -159,6 +159,8 @@ def cmd_fourier(args) -> int:
             table = io.table_from_dict(data, q)
             payload = io.function_to_dict(inverse_transform(table))
         else:
+            # solved first, so that an order past the solver cap fails before u is allocated
+            quotient_irreps(q, seed=args.seed)
             u = io.function_from_dict(data, q)
             table = transform(u, seed=args.seed)
             payload = io.table_to_dict(table)

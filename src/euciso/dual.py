@@ -267,6 +267,7 @@ def enumerate_dual(spec: GroupSpec, N: int, seed: int = 0) -> DualAtlas:
     """
     rs = rep_set(spec, seed=seed)
     q = build_quotient(spec, N)
+    q.mult_table()      # induce needs it; past the table cap nothing order-sized is built
     tf = list(q.tf_subgroup().elements)
     rows: list[tuple[WaveLabel, int, bool, float]] = []
     ind_chars, twisted_chars, pieces = [], [], []

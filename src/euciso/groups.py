@@ -8,8 +8,10 @@ G modulo its translation-kernel preimage, one element per point-group
 matrix.  Everything else in the package is computed from this data.
 
 Members are factored in stacks (`normal_forms`), with translations as
-integers over one denominator per spec; a finite quotient G mod T^N is its
-multiplication table, built from such stacks on first use.
+integers over one denominator per spec.  A finite quotient G mod T^N numbers
+its members by the mixed-radix id of their normal form, n first, then f,
+then p (`QuotientGroup`), and is its multiplication table, built from such
+stacks on first use.
 
 The structure checks (`validate_spec`, `is_power_normal`) work on stacks
 of q blocks alone.  The (p, tau) part of every product they form is fixed
@@ -207,12 +209,6 @@ class GroupSpec:
                               tuple(Fraction(x) for x in n))
             self._t_cache[n] = cached
         return cached
-
-
-def reconstruct(spec: GroupSpec, nf: NormalForm) -> Isometry:
-    """The isometry t(n)*f*p encoded by a normal form."""
-    return iso.compose(iso.compose(spec.section(nf.n), spec.f_iso(nf.f)),
-                       spec.p_reps[nf.p])
 
 
 def _match_f(spec: GroupSpec, q: np.ndarray) -> np.ndarray:
@@ -553,40 +549,82 @@ def tf_slice(spec: GroupSpec) -> GroupSpec:
 
 # -- finite quotients --------------------------------------------------------
 
-class QuotientGroup:
-    """G modulo N-th section powers: its normal forms and multiplication table.
+def _outside(x: np.ndarray, bound: int) -> bool:
+    """True iff some entry of x lies outside [0, bound)."""
+    return x.size > 0 and bool(x.min() < 0 or x.max() >= bound)
 
-    Ids enumerate t(n)*f*p, n in [0, N)^d2, in (n, f, p) order; products
-    and inverses are lookups in the table that `mult_table` builds on first use.
+
+class QuotientGroup:
+    """G modulo N-th section powers: a codec over its ids, and its multiplication table.
+
+    Every member has exactly one normal form t(n)*f*p with n in [0, N)^d2
+    (paper result 1), and its id is the mixed-radix number
+
+        id = (code(n) * |F| + f) * |P| + p,   code(n) = sum_i n_i N^(d2-1-i),
+
+    so ids run over the normal forms in (n, f, p) order.  `ids` and `parts`
+    encode and decode stacks, `reduce` and `nf` one normal form; they are
+    the only code that knows this layout.  Products and inverses are
+    lookups in the table that `mult_table` builds on first use.
     """
 
     def __init__(self, spec: GroupSpec, N: int):
         self.spec = spec
         self.N = N
-        ranges = [range(N)] * spec.d2
-        self.element_list: list[NormalForm] = [
-            NormalForm(n, f, p)
-            for n in itertools.product(*ranges)
-            for f in range(spec.f_order)
-            for p in range(spec.rot_order)
-        ]
-        self.index = {nf: i for i, nf in enumerate(self.element_list)}
-        self.order = len(self.element_list)
-        self.identity = self.index[NormalForm((0,) * spec.d2, spec.f_identity,
-                                              spec.p_identity)]
-        self.elements = tuple(range(self.order))
-        self.local = np.arange(self.order, dtype=np.int32)  # id -> row of a stack over elements
+        self.order = N ** spec.d2 * spec.f_order * spec.rot_order
+        self.elements = range(self.order)
+        self.identity = self.reduce(NormalForm((0,) * spec.d2, spec.f_identity, spec.p_identity))
+        self._place = N ** np.arange(spec.d2 - 1, -1, -1, dtype=np.int64)   # code(n) = n @ _place
         self._table: np.ndarray | None = None
         self._inverse: np.ndarray | None = None
         self._irreps_cache: dict[int, tuple[list, str]] = {}  # seed -> (irreps, basis)
 
+    @functools.cached_property
+    def local(self) -> np.ndarray:
+        """id -> row of a stack over `elements`: the identity map."""
+        return np.arange(self.order, dtype=np.int32)
+
+    # -- the codec ------------------------------------------------------------
+
+    def ids(self, n, f, p) -> np.ndarray:
+        """Ids of the normal forms t(n)*f*p: n is an (..., d2) exponent stack,
+        reduced mod N, and f and p broadcast against its leading axes."""
+        spec = self.spec
+        n, f, p = (np.asarray(x, dtype=np.int64) for x in (n, f, p))
+        if n.shape[-1:] != (spec.d2,) or _outside(f, spec.f_order) or _outside(p, spec.rot_order):
+            raise ValueError(f"not normal forms of {spec.name}: exponents of shape {n.shape}, "
+                             f"or f or p out of range")
+        return ((n % self.N @ self._place) * spec.f_order + f) * spec.rot_order + p
+
+    def parts(self, ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(n, f, p) of a stack of ids: n as an (..., d2) array, f and p in ids' shape."""
+        ids = np.asarray(ids, dtype=np.int64)
+        if _outside(ids, self.order):
+            raise ValueError(f"id outside [0, {self.order})")
+        rest, p = np.divmod(ids, self.spec.rot_order)
+        code, f = np.divmod(rest, self.spec.f_order)
+        return code[..., None] // self._place % self.N, f, p
+
     def nf(self, i: int) -> NormalForm:
-        return self.element_list[i]
+        """The normal form of one id, by integer arithmetic."""
+        if not 0 <= i < self.order:
+            raise IndexError(f"id {i} outside [0, {self.order})")
+        code, p = divmod(int(i), self.spec.rot_order)
+        code, f = divmod(code, self.spec.f_order)
+        return NormalForm(tuple(code // self.N ** k % self.N
+                                for k in range(self.spec.d2 - 1, -1, -1)), f, p)
 
     def reduce(self, nf: NormalForm) -> int:
-        """Index of a normal form after mod-N exponent reduction."""
-        n = tuple(x % self.N for x in nf.n)
-        return self.index[NormalForm(n, nf.f, nf.p)]
+        """Id of one normal form after mod-N exponent reduction."""
+        spec = self.spec
+        if not (len(nf.n) == spec.d2 and 0 <= nf.f < spec.f_order and 0 <= nf.p < spec.rot_order):
+            raise ValueError(f"{nf} is not a normal form of {spec.name}")
+        code = 0
+        for x in nf.n:
+            code = code * self.N + x % self.N
+        return (code * spec.f_order + nf.f) * spec.rot_order + nf.p
+
+    # -- products ---------------------------------------------------------------
 
     def mul(self, i: int, j: int) -> int:
         return int(self.mult_table()[i, j])
@@ -598,43 +636,41 @@ class QuotientGroup:
     def mult_table(self) -> np.ndarray:
         """Full multiplication table, built on first use and spot-checked.
 
-        Element i factors as t(a) * x with x = f*p, so row i is the row of
-        x left-translated by t(a); left translation only permutes the
-        exponent block and applies the F-valued section cocycle
-        t(a) t(b) = t(a+b) z(a,b).  `normal_forms` factors the |F||P| rows
-        of x and the cocycle one row at a time, so each temporary holds at
-        most order * |F| q blocks.  Orders above DEFAULT_CAP are refused.
+        For the elements x = f*p (the ids with n = 0), `normal_forms` factors
+        every product x*j as t(m) f' p', one x at a time.  Then t(a)*x*j =
+        t(a+m) z(a,m) f' p', with the F-valued section cocycle
+        t(a) t(b) = t(a+b) z(a,b) factored once per a over the exponent grid.
+        Each temporary holds at most order * |F| q blocks.  Orders above
+        DEFAULT_CAP are refused.
         """
         if self._table is None:
-            spec, N, n = self.spec, self.N, self.order
+            spec, n = self.spec, self.order
             if n > DEFAULT_CAP:
                 raise CapExceeded(f"quotient order {n} exceeds the table cap {DEFAULT_CAP}")
             d, p_mat, p_tau, p_q = spec.points
-            vecs = np.array(list(itertools.product(range(N), repeat=spec.d2)), dtype=np.int64)
-            radix = N ** np.arange(spec.d2 - 1, -1, -1)     # exponent vector mod N -> its index
-            t_q = spec.section_q(vecs)
+            el_n, el_f, el_p = self.parts(self.elements)
+            el_q = spec.section_q(el_n) @ (spec.f_stack[el_f] @ p_q[el_p])
+            el_tau = el_n * d + p_tau[el_p]
+            # the ids xj of x*j = t(m) f' p', factored one x at a time
+            xs = np.flatnonzero(~el_n.any(axis=1))
+            prod_p = spec.p_mul_table()[el_p[xs, None], el_p]
+            x_nf = [normal_forms(spec, el_q[x] @ el_q, pp,
+                                 p_tau[el_p[x]] + el_tau @ p_mat[el_p[x]].T)
+                    for x, pp in zip(xs, prod_p)]
+            xj = self.ids(np.array([m for m, _ in x_nf]), [f for _, f in x_nf], prod_p)
+            # z(a, m) is factored over the grid of t(b) and looked up by the id of t(m)
+            t_ids = np.flatnonzero((el_f == spec.f_identity) & (el_p == spec.p_identity))
+            grid = el_n[t_ids]
+            t_q = spec.section_q(grid)
+            t_of = self.ids(el_n, spec.f_identity, spec.p_identity)
             fmul = np.array(spec.f_mul_table())
-            # the elements x = f*p, then every element t(a)*x, in id order
-            nx = spec.f_order * spec.rot_order
-            x_q = (spec.f_stack[:, None] @ p_q).reshape(nx, spec.d1, spec.d1)
-            x_p = np.tile(np.arange(spec.rot_order), spec.f_order)
-            el_q = (t_q[:, None] @ x_q).reshape(n, spec.d1, spec.d1)
-            el_p = np.tile(x_p, len(vecs))
-            el_tau = np.repeat(vecs * d, nx, axis=0) + p_tau[el_p]
-            # x*j = t(m) f' p', factored one row of x at a time
-            prod_p = spec.p_mul_table()[x_p[:, None], el_p]
-            x_nf = [normal_forms(spec, x_q[x] @ el_q, prod_p[x],
-                                 p_tau[x_p[x]] + el_tau @ p_mat[x_p[x]].T) for x in range(nx)]
-            x_m = np.array([(m % N) @ radix for m, _ in x_nf])
-            x_f = np.array([f for _, f in x_nf])
+            zeta = np.empty(n, dtype=np.int64)
             table = np.empty((n, n), dtype=np.int32)
-            for ia, a in enumerate(vecs):
-                # t(a) t(m) = t(a+m) z(a,m) for every m, so t(a)*x*j = t(a+m) z(a,m) f' p'
-                m, zeta = normal_forms(spec, t_q[ia] @ t_q, [spec.p_identity] * len(vecs),
-                                       (a + vecs) * d)
-                table[ia * nx:(ia + 1) * nx] = \
-                    (((m % N) @ radix)[x_m] * spec.f_order + fmul[zeta[x_m], x_f]) \
-                    * spec.rot_order + prod_p
+            for a, a_q, ax in zip(grid, t_q, self.ids(grid[:, None], el_f[xs], el_p[xs])):
+                _, zeta[t_ids] = normal_forms(spec, a_q @ t_q, [spec.p_identity] * len(grid),
+                                              (a + grid) * d)
+                left = self.ids(a + el_n, fmul[zeta[t_of], el_f], el_p)    # t(a) * every id
+                table[ax] = left[xj]                                       # t(a)*x * j
             rows, cols = np.nonzero(table == self.identity)
             if not np.array_equal(rows, np.arange(n)):
                 raise InternalInconsistency("a row of the multiplication table lacks the identity")
@@ -646,9 +682,18 @@ class QuotientGroup:
                 raise
         return self._table
 
-    def tf_indices(self) -> tuple[int, ...]:
-        pid = self.spec.p_identity
-        return tuple(i for i, nf in enumerate(self.element_list) if nf.p == pid)
+    def generators(self) -> list[int]:
+        """Ids of t(e_i) for every lattice direction i, of every element of F
+        and of every p_rep: a generating set of the quotient."""
+        spec, zero = self.spec, np.zeros(self.spec.d2, dtype=np.int64)
+        units = self.ids(np.eye(spec.d2, dtype=np.int64), spec.f_identity, spec.p_identity)
+        kernel = self.ids(zero, range(spec.f_order), spec.p_identity)
+        points = self.ids(zero, spec.f_identity, range(spec.rot_order))
+        return np.concatenate([units, kernel, points]).tolist()
+
+    def tf_indices(self) -> range:
+        """Ids with point index p_identity: p is the last digit of an id."""
+        return range(self.spec.p_identity, self.order, self.spec.rot_order)
 
     def tf_subgroup(self) -> "SubgroupView":
         return SubgroupView(self, self.tf_indices())
@@ -657,7 +702,7 @@ class QuotientGroup:
         """Image ids of all elements under the quotient map onto G mod T^M, M | N."""
         if self.N % coarse.N != 0 or coarse.spec is not self.spec:
             raise BadModulus("projection target must be a coarser quotient of the same spec")
-        return np.array([coarse.reduce(nf) for nf in self.element_list])
+        return coarse.ids(*self.parts(self.elements))
 
     def spot_check(self, rng=None, samples: int = 16) -> None:
         rng = rng or np.random.default_rng(0)

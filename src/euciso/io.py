@@ -114,8 +114,9 @@ def save_spec(spec: GroupSpec, path: str) -> None:
 # -- periodic functions ---------------------------------------------------------
 
 def function_to_dict(u: PeriodicFunction) -> dict:
-    entries = [{"n": list(nf.n), "f": nf.f, "p": nf.p, "value": value}
-               for nf, value in zip(u.q.element_list, complex_matrix_to_lists(u.values))]
+    n, f, p = u.q.parts(u.q.elements)
+    entries = [{"n": ni, "f": fi, "p": pi, "value": value} for ni, fi, pi, value
+               in zip(n.tolist(), f.tolist(), p.tolist(), complex_matrix_to_lists(u.values))]
     return {"group": u.q.spec.name, "N": u.q.N,
             "shape": [u.shape[0], u.shape[1]], "entries": entries}
 
@@ -128,9 +129,8 @@ def function_from_dict(data: dict, q: QuotientGroup) -> PeriodicFunction:
         raise IncompatibleShapes(f"function period {data['N']} != quotient N {q.N}")
     u = PeriodicFunction(q, tuple(data["shape"]))
     for entry in data["entries"]:
-        nf = NormalForm(tuple(int(x) % q.N for x in entry["n"]),
-                        int(entry["f"]), int(entry["p"]))
-        u[q.index[nf]] = complex_matrix_from_lists(entry["value"])
+        nf = NormalForm(tuple(int(x) for x in entry["n"]), int(entry["f"]), int(entry["p"]))
+        u[q.reduce(nf)] = complex_matrix_from_lists(entry["value"])
     return u
 
 

@@ -141,11 +141,6 @@ def identity_isometry(d1: int, d2: int) -> Isometry:
     return Isometry(np.eye(d1), identity_int_matrix(d2), (Fraction(0),) * d2)
 
 
-def translation_isometry(d1: int, v) -> Isometry:
-    v = frac_vector(v)
-    return Isometry(np.eye(d1), identity_int_matrix(len(v)), v)
-
-
 def compose(g: Isometry, h: Isometry) -> Isometry:
     """Product g*h:  (A1,b1)(A2,b2) = (A1 A2, b1 + A1 b2), blockwise."""
     if g.d1 != h.d1 or g.d2 != h.d2:
@@ -161,14 +156,6 @@ def inverse(g: Isometry) -> Isometry:
     p_inv = pmat_inv(g.p)
     tau = tuple(-t for t in pmat_vec(p_inv, g.tau))
     return Isometry(g.q.T.copy(), p_inv, tau)
-
-
-def compose_all(factors) -> Isometry:
-    factors = list(factors)
-    acc = factors[0]
-    for f in factors[1:]:
-        acc = compose(acc, f)
-    return acc
 
 
 def power(g: Isometry, n: int) -> Isometry:
@@ -189,12 +176,6 @@ def approx_equal(g: Isometry, h: Isometry, tol: float = DEFAULT_TOL) -> bool:
     if g.d1 == 0:
         return True
     return float(np.abs(g.q - h.q).max()) <= tol
-
-
-def q_equal(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    if a.size == 0:
-        return True
-    return float(np.abs(a - b).max()) <= tol
 
 
 def rotation2(angle: float) -> np.ndarray:

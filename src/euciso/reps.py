@@ -281,7 +281,7 @@ def _verify_irreps(stacks, chars, table, rng) -> None:
 def quotient_irreps(q: QuotientGroup, seed: int = 0) -> list[Representation]:
     """Cached irreps of the full quotient at a fixed seed."""
     if seed not in q._irreps_cache:
-        reps, gens = irreps(q, seed=seed), _quotient_generators(q)
+        reps, gens = irreps(q, seed=seed), q.generators()
         digest = hashlib.sha256(np.array([r.dim for r in reps], dtype=np.int64).tobytes())
         for r in reps:  # adding 0.0 turns -0.0 into 0.0
             digest.update((np.round(r.mats[gens], FINGERPRINT_DECIMALS) + 0.0).tobytes())
@@ -324,7 +324,7 @@ class WaveCharacter:
         """
         den = math.lcm(*(x.denominator for x in self.k))
         a = np.array([int(x * den) for x in self.k], dtype=np.int64)
-        n = np.array([q.nf(i).n for i in ids], dtype=np.int64)
+        n, _, _ = q.parts(ids)
         j, at = np.unique((n @ a) % den, return_inverse=True)
         return np.array([cmath.exp(2j * cmath.pi * (x / den)) for x in j.tolist()])[at]
 
@@ -363,7 +363,7 @@ def dual_action(q: QuotientGroup, g: int, r: Representation) -> Representation:
 
 
 def p_rep_element(q: QuotientGroup, p_idx: int) -> int:
-    return q.index[NormalForm((0,) * q.spec.d2, q.spec.f_identity, p_idx)]
+    return q.reduce(NormalForm((0,) * q.spec.d2, q.spec.f_identity, p_idx))
 
 
 def induce(q: QuotientGroup, r: Representation) -> Representation:
@@ -388,26 +388,12 @@ def induce(q: QuotientGroup, r: Representation) -> Representation:
     blocks[inside] = r.mats[rows[inside]]
     mats = blocks.transpose(1, 0, 3, 2, 4).reshape(n, k * d, k * d)
 
-    gens = np.array(_quotient_generators(q))
+    gens = np.array(q.generators())
     a, b = gens[:, None], gens[None, :]
     defect = float(np.abs(mats[a] @ mats[b] - mats[table[a, b]]).max())
     if defect > HOMOMORPHISM_TOL:
         raise InternalInconsistency(f"induced rep fails homomorphism: {defect}")
     return Representation(q, mats)
-
-
-def _quotient_generators(q: QuotientGroup) -> list[int]:
-    spec = q.spec
-    out = []
-    for i in range(spec.d2):
-        e = [0] * spec.d2
-        e[i] = 1 % q.N
-        out.append(q.index[NormalForm(tuple(e), spec.f_identity, spec.p_identity)])
-    for f in range(spec.f_order):
-        out.append(q.index[NormalForm((0,) * spec.d2, f, spec.p_identity)])
-    for p in range(spec.rot_order):
-        out.append(q.index[NormalForm((0,) * spec.d2, spec.f_identity, p)])
-    return out
 
 
 def mackey_irreducible(q: QuotientGroup, r: Representation,
@@ -447,11 +433,6 @@ def lift_representation(r: Representation, fine: QuotientGroup) -> Representatio
     domain = fine.tf_subgroup() if isinstance(r.domain, SubgroupView) else fine
     coarse_ids = fine.projection(coarse)[list(domain.elements)]
     return Representation(domain, r.mats[r.rows(coarse_ids)])
-
-
-def trivial_on(r: Representation, ids) -> bool:
-    mats = r.mats[r.rows(list(ids))]
-    return bool((np.abs(mats - np.eye(r.dim)) < STRUCT_TOL).all())
 
 
 def intertwiner(r1: Representation, r2: Representation, seed: int = 0):

@@ -22,7 +22,6 @@ from .errors import (BadModulus, IntegralityViolation, InternalInconsistency,
 from .groups import (GroupSpec, NormalForm, QuotientGroup, build_quotient,  # noqa: F401
                      find_m0, is_member, normal_form, normal_forms_of)
 from .isometry import Isometry
-from .reps import _quotient_generators
 
 
 def _coboundary(spec: GroupSpec, tau: np.ndarray) -> np.ndarray:
@@ -192,7 +191,7 @@ def split_quotient(spec: GroupSpec, m: int, n: int) -> SplitCertificate:
     for _ in range(n):
         power = table[power, list(normal)]
     checks.append(SplitCheck("normal-exponent", bool((power == q.identity).all()), f"x^{n} = id"))
-    gens = _quotient_generators(q)
+    gens = q.generators()
     checks.append(SplitCheck("normal-invariant",
                              _inside(_conjugates(q, gens, normal), normal)))
 
@@ -200,8 +199,8 @@ def split_quotient(spec: GroupSpec, m: int, n: int) -> SplitCertificate:
     powers = [iso.power(spec.section([int(i == j) for j in range(spec.d2)]), n)
               for i in range(spec.d2)]
     seeds = [q.reduce(nf) for nf in normal_forms_of(spec, [*comp.elements, *powers])]
-    seeds += [q.index[NormalForm((0,) * spec.d2, i, spec.p_identity)]
-              for i in range(spec.f_order)]
+    zero = np.zeros(spec.d2, dtype=np.int64)
+    seeds += q.ids(zero, range(spec.f_order), spec.p_identity).tolist()
     complement = _closure(q, seeds)
     want = (m ** spec.d2) * spec.f_order * spec.rot_order
     checks.append(SplitCheck("complement-order", len(complement) == want,
@@ -222,20 +221,18 @@ def split_quotient(spec: GroupSpec, m: int, n: int) -> SplitCertificate:
         spec_name=spec.name, m=m, n=n, N=N, a=comp.a,
         normal_order=len(normal), complement_order=len(complement),
         group_order=q.order, direct_product=direct, checks=checks,
-        normal_part=sorted((q.nf(i) for i in normal),
-                           key=lambda nf: (nf.n, nf.f, nf.p)),
-        complement_part=sorted((q.nf(i) for i in complement),
-                               key=lambda nf: (nf.n, nf.f, nf.p)))
+        normal_part=[q.nf(i) for i in sorted(normal)],          # ids sort as (n, f, p)
+        complement_part=[q.nf(i) for i in sorted(complement)])
 
 
 def verify_certificate(spec: GroupSpec, cert: SplitCertificate) -> bool:
     """Re-derive every certificate claim from scratch."""
     q = build_quotient(spec, cert.N)
-    normal = {q.index[nf] for nf in cert.normal_part}
-    complement = {q.index[nf] for nf in cert.complement_part}
+    normal = {q.reduce(nf) for nf in cert.normal_part}
+    complement = {q.reduce(nf) for nf in cert.complement_part}
     if len(normal) != cert.normal_order or len(complement) != cert.complement_order:
         return False
-    gens = _quotient_generators(q)
+    gens = q.generators()
     if not _inside(_conjugates(q, gens, normal), normal):
         return False
     if not _inside(_products(q, complement, complement), complement):
@@ -244,22 +241,3 @@ def verify_certificate(spec: GroupSpec, cert: SplitCertificate) -> bool:
         return False
     return len(normal) * len(complement) == q.order
 
-
-def find_involution(spec: GroupSpec, bound: int = 2):
-    """Search for a non-identity element of order two with bounded exponents.
-
-    Returns a witness isometry or None; a space group with a coset of
-    order two in its point group but no such element cannot split over
-    its translations.
-    """
-    ident = iso.identity_isometry(spec.d1, spec.d2)
-    for vec in itertools.product(range(-bound, bound + 1), repeat=spec.d2):
-        for f in range(spec.f_order):
-            for p in range(spec.rot_order):
-                g = iso.compose(iso.compose(spec.section(vec),
-                                            spec.f_iso(f)), spec.p_reps[p])
-                if iso.approx_equal(g, ident, spec.tol):
-                    continue
-                if iso.approx_equal(iso.compose(g, g), ident, spec.tol):
-                    return g
-    return None

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,6 +251,56 @@ def test_function_and_table_files_round_trip_bit_exactly():
     back = io.table_from_dict(json.loads(text), q)
     assert all(back.entries[i].tobytes() == t.entries[i].tobytes() for i in t.entries)
     assert io.canonical_json(io.table_to_dict(back)) == text
+
+
+@pytest.mark.parametrize("f,p", [(2, 0), (0, -1), (0, 2)])
+def test_fourier_entry_outside_the_normal_forms(tmp_path, capsys, f, p):
+    # pg has |F| = 1 and |P| = 2; such an entry names no element and must not alias one
+    d = io.function_to_dict(PeriodicFunction.delta(quotient("pg", 3)))
+    d["entries"] = [dict(d["entries"][0], f=f, p=p)]
+    fn = tmp_path / "fn.json"
+    fn.write_text(json.dumps(d))
+    code, out = run(capsys, "fourier", "catalog:pg", str(fn))
+    assert code == 2 and out == ""
+
+
+ALLOCATION_BOUND = 8 * 2**20    # bytes; far below any order-sized array of these quotients
+
+
+def traced_peak(fn):
+    """fn's result and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_analyze_order_allocates_nothing_order_sized(capsys):
+    code, peak = traced_peak(lambda: main(["analyze", "catalog:pg", "--N", "2000"]))
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["group_orders"] == {"2000": 8000000}
+    assert peak < ALLOCATION_BOUND
+
+
+def test_dual_reaches_the_table_cap_first(capsys):
+    # order 5,120,000: the table cap refuses it before the atlas builds anything
+    code, peak = traced_peak(lambda: main(["dual", "catalog:twistE8", "--N", "400"]))
+    assert code == 4
+    assert "table cap" in capsys.readouterr().err
+    assert peak < ALLOCATION_BOUND
+
+
+def test_fourier_reaches_the_solver_cap_before_reading_values(tmp_path, capsys):
+    entry = {"n": [0, 0], "f": 0, "p": 0,
+             "value": [[[float(i == j), 0.0] for j in range(3)] for i in range(3)]}
+    fn = tmp_path / "fn.json"
+    fn.write_text(json.dumps({"group": "twistE8", "N": 400, "shape": [3, 3],
+                              "entries": [entry]}))
+    code, peak = traced_peak(lambda: main(["fourier", "catalog:twistE8", str(fn)]))
+    assert code == 4
+    assert "solver cap" in capsys.readouterr().err
+    assert peak < ALLOCATION_BOUND
 
 
 def test_fourier_malformed_file(tmp_path, capsys):

@@ -12,7 +12,7 @@ from euciso.fourier import (FourierTable, PeriodicFunction, SummableFunction,
 from euciso.groups import NormalForm, build_quotient
 from euciso.reps import quotient_irreps
 
-from conftest import quotient, spec
+from conftest import quotient, spec, trivial_on
 
 
 def test_random_draws_each_element_in_id_order():
@@ -166,7 +166,6 @@ def test_nesting_across_periods(rng):
     block = [i for i in q6.elements
              if all(x % 3 == 0 for x in q6.nf(i).n)
              and q6.nf(i).f == s.f_identity and q6.nf(i).p == s.p_identity]
-    from euciso.reps import trivial_on
     for i, rho in enumerate(t6.irreps()):
         if np.abs(t6.entries[i]).max() > 1e-8:
             assert trivial_on(rho, block)
@@ -250,8 +249,8 @@ def test_classical_dft_limit(rng):
     t = transform(u)
     for i, rho in enumerate(t.irreps()):
         # read the wave vector off the generator phases
-        phases = [rho.matrix(q.index[NormalForm(tuple(int(r == j) for r in range(2)),
-                                                0, 0)])[0, 0]
+        phases = [rho.matrix(q.reduce(NormalForm(tuple(int(r == j) for r in range(2)),
+                                                 0, 0)))[0, 0]
                   for j in range(2)]
         ks = [round(np.angle(ph) / (2 * np.pi) * 4) % 4 for ph in phases]
         assert abs(t.entries[i][0, 0] - dft[(-ks[0]) % 4, (-ks[1]) % 4]) <= 1e-10

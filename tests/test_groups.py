@@ -11,11 +11,11 @@ from euciso import isometry as iso
 from euciso.errors import BadModulus, CapExceeded, InternalInconsistency, NotAMember
 from euciso.groups import (GroupSpec, NormalForm, _divisors, automorphism_count,
                            build_quotient, find_m0, is_member, is_power_normal,
-                           normal_form, normal_forms_of, reconstruct, tf_slice,
-                           validate_spec)
+                           normal_form, normal_forms_of, tf_slice, validate_spec)
 from euciso.isometry import Isometry, rotation2
 
-from conftest import cyclic, quotient, rod_spec, spec
+from conftest import (compose_all, cyclic, q_equal, quotient, reconstruct, rod_spec, spec,
+                      translation_isometry)
 
 
 # -- oracle: independent membership and normality test -------------------------
@@ -74,7 +74,7 @@ def oracle_kernel_violations(s):
             out.append(("f-inverse", f"F not closed under inverse at F[{i}]"))
     for i, a in enumerate(s.f_elements):
         for j, b in enumerate(s.f_elements):
-            if i < j and iso.q_equal(a, b, s.tol):
+            if i < j and q_equal(a, b, s.tol):
                 out.append(("f-distinct", f"F[{i}] and F[{j}] coincide"))
     return out
 
@@ -98,12 +98,12 @@ def oracle_conjugation_violations(s):
     out, ident = [], iso.identity_int_matrix(s.d2)
     for tag, g in [("t", t) for t in s.t_lifts] + [("p", p) for p in s.p_reps]:
         for i in range(s.f_order):
-            conj = iso.compose_all([g, s.f_iso(i), iso.inverse(g)])
+            conj = compose_all([g, s.f_iso(i), iso.inverse(g)])
             if s.f_index(conj.q) is None or conj.p != ident or any(conj.tau):
                 out.append(("f-normal", f"conjugate of F[{i}] by a {tag}-generator left F"))
     for i, j in itertools.combinations(range(s.d2), 2):
         gi, gj = s.t_lifts[i], s.t_lifts[j]
-        comm = iso.compose_all([gi, gj, iso.inverse(gi), iso.inverse(gj)])
+        comm = compose_all([gi, gj, iso.inverse(gi), iso.inverse(gj)])
         if comm.p != ident or any(comm.tau):
             out.append(("t-commutator", f"[g{i+1}, g{j+1}] has a nontrivial (p, tau) block"))
         elif s.f_index(comm.q) is None:
@@ -113,7 +113,7 @@ def oracle_conjugation_violations(s):
             if not is_member(s, iso.compose(a, b)):
                 out.append(("p-closure", "product of p_reps has no normal form"))
         for t in s.t_lifts:
-            if not is_member(s, iso.compose_all([a, t, iso.inverse(a)])):
+            if not is_member(s, compose_all([a, t, iso.inverse(a)])):
                 out.append(("p-conjugation",
                             "conjugate of a t_lift by a p_rep has no normal form"))
     return list(dict.fromkeys(out))
@@ -186,7 +186,7 @@ def test_normal_form_twist_commutator_witness():
     s = spec("twistE8")
     t1p = iso.compose(s.section((1, 0)), s.f_iso(1))
     t2p = s.section((0, 1))
-    comm = iso.compose_all([t1p, t2p, iso.inverse(t1p), iso.inverse(t2p)])
+    comm = compose_all([t1p, t2p, iso.inverse(t1p), iso.inverse(t2p)])
     nf = normal_form(s, comm)
     assert nf == NormalForm((0, 0), 2, s.p_identity)
     want = iso.block_diag(np.eye(4), rotation2(math.pi))
@@ -196,14 +196,14 @@ def test_normal_form_twist_commutator_witness():
 def test_normal_form_m4_commutator_witness():
     s = spec("twistE8-m4")
     g1, g2 = s.section((1, 0)), s.section((0, 1))
-    comm = iso.compose_all([g1, g2, iso.inverse(g1), iso.inverse(g2)])
+    comm = compose_all([g1, g2, iso.inverse(g1), iso.inverse(g2)])
     assert normal_form(s, comm) == NormalForm((0, 0), 1, 0)
 
 
 def test_normal_form_rejects_outsiders():
     s = spec("pg")
     with pytest.raises(NotAMember):
-        normal_form(s, iso.translation_isometry(0, (Fraction(1, 3), 0)))
+        normal_form(s, translation_isometry(0, (Fraction(1, 3), 0)))
     rot = Isometry(np.zeros((0, 0)), ((0, -1), (1, 0)), (0, 0))
     with pytest.raises(NotAMember):
         normal_form(s, rot)
@@ -403,6 +403,80 @@ def test_quotient_rejects_bad_modulus():
         build_quotient(spec("twistE8"), 3)
     with pytest.raises(BadModulus):
         build_quotient(spec("twistE8-m4"), 2)
+
+
+
+# -- the id codec, against the listed normal forms -----------------------------
+
+def oracle_normal_forms(s, N):
+    """Every normal form t(n)*f*p of G mod T^N, listed in id order."""
+    return [NormalForm(n, f, p) for n in itertools.product(range(N), repeat=s.d2)
+            for f in range(s.f_order) for p in range(s.rot_order)]
+
+
+CODEC_CASES = ([(name, k, False) for name in catalog.names() for k in (1, 2, 3)]
+               + [("twistE8", 3, False), ("helix-C3", 2, True), ("twistE8", 1, True)])
+
+
+@pytest.mark.parametrize("name,k,reversed_lists", CODEC_CASES)
+def test_codec_matches_listed_normal_forms(name, k, reversed_lists):
+    s = spec(name)
+    if reversed_lists:      # identities of F and P away from index 0
+        s = GroupSpec(s.name, s.d1, s.d2, s.f_elements[::-1], s.t_lifts, s.p_reps[::-1])
+    m0 = catalog.CATALOG[name].expected["m0"]
+    N = k * m0
+    q = build_quotient(s, N)
+    listed = oracle_normal_forms(s, N)
+    index = {nf: i for i, nf in enumerate(listed)}
+    assert q.order == len(listed)
+    assert [q.nf(i) for i in q.elements] == listed
+    n, f, p = q.parts(q.elements)
+    assert list(map(NormalForm, map(tuple, n.tolist()), f.tolist(), p.tolist())) == listed
+    assert q.identity == index[NormalForm((0,) * s.d2, s.f_identity, s.p_identity)]
+    # exponents below 0 and at or above N reduce mod N
+    shifts = np.random.default_rng(N).integers(-3, 4, n.shape) * N
+    assert (q.ids(n + shifts, f, p) == np.arange(q.order)).all()
+    for nf, shift in list(zip(listed, shifts.tolist()))[::7]:
+        moved = NormalForm(tuple(x + y - 2 * N for x, y in zip(nf.n, shift)), nf.f, nf.p)
+        assert q.reduce(moved) == index[nf]
+    assert list(q.tf_indices()) == [i for i, nf in enumerate(listed) if nf.p == s.p_identity]
+    coarse = build_quotient(s, m0)
+    coarse_index = {nf: i for i, nf in enumerate(oracle_normal_forms(s, m0))}
+    assert q.projection(coarse).tolist() == [
+        coarse_index[NormalForm(tuple(x % m0 for x in nf.n), nf.f, nf.p)] for nf in listed]
+    unit = [tuple(int(i == j) % N for j in range(s.d2)) for i in range(s.d2)]
+    zero = (0,) * s.d2
+    assert q.generators() == (
+        [index[NormalForm(e, s.f_identity, s.p_identity)] for e in unit]
+        + [index[NormalForm(zero, k, s.p_identity)] for k in range(s.f_order)]
+        + [index[NormalForm(zero, s.f_identity, k)] for k in range(s.rot_order)])
+
+
+def test_codec_rejects_what_is_not_a_normal_form():
+    s = spec("twistE8")
+    q = build_quotient(s, 2)
+    for f, p in [(s.f_order, 0), (0, -1), (0, s.rot_order), (-1, 0)]:
+        with pytest.raises(ValueError):
+            q.reduce(NormalForm((0, 0), f, p))
+        with pytest.raises(ValueError):
+            q.ids([[0, 0]], [f], [p])
+    with pytest.raises(ValueError):
+        q.reduce(NormalForm((0,), 0, 0))
+    with pytest.raises(ValueError):
+        q.ids([[0, 0, 0]], [0], [0])
+    for i in (-1, q.order):
+        with pytest.raises(IndexError):
+            q.nf(i)
+        with pytest.raises(ValueError):
+            q.parts([0, i])
+
+
+@settings(max_examples=40)
+@given(name=st.sampled_from(catalog.names()), k=st.integers(1, 3), data=st.data())
+def test_ids_invert_parts(name, k, data):
+    q = build_quotient(spec(name), k * catalog.CATALOG[name].expected["m0"])
+    x = np.array(data.draw(st.lists(st.integers(0, q.order - 1), max_size=30)), dtype=np.int64)
+    assert (q.ids(*q.parts(x)) == x).all()
 
 
 def test_section_bijectivity():

@@ -8,11 +8,11 @@ from euciso import isometry as iso
 from euciso.errors import DimensionMismatch
 from euciso.isometry import Isometry, rotation2
 
-from conftest import spec
+from conftest import spec, translation_isometry
 
 
 def translation(v):
-    return iso.translation_isometry(0, v)
+    return translation_isometry(0, v)
 
 
 def glide():
@@ -62,7 +62,7 @@ def test_approx_equal_tolerance():
 
 def test_dimension_mismatch_raises():
     with pytest.raises(DimensionMismatch):
-        iso.compose(translation((1, 0)), iso.translation_isometry(0, (1,)))
+        iso.compose(translation((1, 0)), translation_isometry(0, (1,)))
 
 
 def test_associativity_random_triples(rng):

@@ -12,9 +12,9 @@ from euciso.reps import (Representation, _split_dense, char_inner, char_norm_sq,
                          chi, constituents, distinct_irreps, dual_action, equivalent,
                          induce, intertwiner, irreps, lift_representation,
                          mackey_irreducible, multiplicities, multiplicity, p_rep_element,
-                         quotient_irreps, scale_by_character, trivial_on)
+                         quotient_irreps, scale_by_character)
 
-from conftest import quotient, spec
+from conftest import quotient, spec, trivial_on
 
 
 def conjugacy_class_count(q):
@@ -165,7 +165,7 @@ def test_wave_characters_exact():
     qh = build_quotient(helix, 3)
     wave = chi(helix, (Fraction(1, 3),)).on(qh)
     for f in range(helix.f_order):
-        i = qh.index[NormalForm((0,), f, helix.p_identity)]
+        i = qh.reduce(NormalForm((0,), f, helix.p_identity))
         assert abs(wave.matrix(i)[0, 0] - 1) < 1e-12
 
 

@@ -7,7 +7,7 @@ from euciso import catalog
 from euciso import isometry as iso
 from euciso.errors import BadModulus, NotCoprime
 from euciso.groups import build_quotient, find_m0, normal_form
-from euciso.splitting import (a_coeff, cocycle, complement_set, find_involution,
+from euciso.splitting import (a_coeff, cocycle, complement_set,
                               split_quotient, verify_certificate)
 
 from conftest import quotient, spec
@@ -139,8 +139,5 @@ def test_certificate_tamper_detection():
 
 
 def test_nonsymmorphic_witness():
-    # the glide group has no order-two element, yet its quotient splits
-    assert find_involution(spec("pg"), 2) is None
-    w = find_involution(spec("pm"), 2)
-    assert w is not None and w.p == ((1, 0), (0, -1))
+    # the glide group is nonsymmorphic, yet its quotient at n = 3 splits
     assert split_quotient(spec("pg"), 1, 3).passed
