@@ -10,8 +10,12 @@ matrix.  Everything else in the package is computed from this data.
 Members are factored in stacks (`normal_forms`), with translations as
 integers over one denominator per spec.  A finite quotient G mod T^N numbers
 its members by the mixed-radix id of their normal form, n first, then f,
-then p (`QuotientGroup`), and is its multiplication table, built from such
-stacks on first use.
+then p (`QuotientGroup`), and is its multiplication table, built on first
+use by collection (Holt, Eick and O'Brien, *Handbook of Computational Group
+Theory*, ch. 8): only generator-level products are factored as stacks, the
+products p*p', the conjugates p*t(m)*p^-1, p*f*p^-1 and t(v)^-1*f*t(v), and
+t(c)*g_i for the section cocycle, and every entry of the table is then
+integer lookups in F's multiplication table.
 
 The structure checks (`validate_spec`, `is_power_normal`) work on stacks
 of q blocks alone.  The (p, tau) part of every product they form is fixed
@@ -246,10 +250,15 @@ def normal_forms(spec: GroupSpec, q, p, tau) -> tuple[np.ndarray, np.ndarray]:
     n, f, lattice = _factor(spec, q, p, tau)
     if not lattice.all():
         raise NotAMember("translation residue is not a lattice vector")
+    return n, _kernel(spec, f)
+
+
+def _kernel(spec: GroupSpec, f: np.ndarray) -> np.ndarray:
+    """The kernel indices f of `_match_f`, or NotAMember if a row matched none."""
     if (f < 0).any():
         raise NotAMember("residual O(d1) block matches no element of F "
                          f"(deviation from nearest checked against tol={spec.tol})")
-    return n, f
+    return f
 
 
 def normal_form(spec: GroupSpec, g: Isometry) -> NormalForm:
@@ -282,6 +291,14 @@ def is_member(spec: GroupSpec, g: Isometry) -> bool:
         return True
     except NotAMember:
         return False
+
+
+def _rep_products(spec: GroupSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (q, p, tau) stacks of every product p*p' of two p_reps, in `normal_forms`' terms."""
+    d1, d2, r = spec.d1, spec.d2, spec.rot_order
+    _, p_mat, p_tau, p_q = spec.points
+    return ((p_q[:, None] @ p_q[None]).reshape(r * r, d1, d1), spec.p_mul_table().reshape(r * r),
+            (p_tau[:, None] + p_tau[None] @ p_mat.swapaxes(1, 2)).reshape(r * r, d2))
 
 
 # -- validation -------------------------------------------------------------
@@ -365,8 +382,7 @@ def validate_spec(spec: GroupSpec, order_bound: int = ORDER_BOUND) -> list[Viola
     # F normal under all generators: g*f*g^-1 has point part 1 and tau = 0
     gens = [("t", t.q) for t in spec.t_lifts] + [("p", p.q) for p in spec.p_reps]
     g_q = np.array([q for _, q in gens]).reshape(len(gens), d1, d1)
-    conj = g_q[:, None] @ f[None] @ g_q[:, None].swapaxes(2, 3)
-    outside = _match_f(spec, conj.reshape(len(gens) * k, d1, d1)).reshape(len(gens), k) < 0
+    outside = _match_f(spec, _conjugates(g_q, f)).reshape(len(gens), k) < 0
     out += [Violation("f-normal", f"conjugate of F[{i}] by a {tag}-generator left F")
             for (tag, _), row in zip(gens, outside) for i in np.flatnonzero(row)]
 
@@ -382,13 +398,10 @@ def validate_spec(spec: GroupSpec, order_bound: int = ORDER_BOUND) -> list[Viola
     # presentation closure: p*p' and p*t*p^-1 must normal-form.  The point
     # parts come from p_mul_table, which p-group makes safe; p*t_j*p^-1 has
     # point part 1 and tau = P e_j
-    d, p_mat, p_tau, p_q = spec.points
+    d, p_mat, _, p_q = spec.points
     r = spec.rot_order
-    _, prod_f, _ = _factor(
-        spec, (p_q[:, None] @ p_q[None]).reshape(r * r, d1, d1), spec.p_mul_table().reshape(r * r),
-        (p_tau[:, None] + p_tau[None] @ p_mat.swapaxes(1, 2)).reshape(r * r, d2))
-    conj = p_q[:, None] @ t_q[None] @ p_q[:, None].swapaxes(2, 3)
-    _, conj_f, _ = _factor(spec, conj.reshape(r * d2, d1, d1), [spec.p_identity] * (r * d2),
+    _, prod_f, _ = _factor(spec, *_rep_products(spec))
+    _, conj_f, _ = _factor(spec, _conjugates(p_q, t_q), [spec.p_identity] * (r * d2),
                            d * p_mat.swapaxes(1, 2).reshape(r * d2, d2))
     for prod_row, conj_row in zip(prod_f.reshape(r, r), conj_f.reshape(r, d2)):
         if (prod_row < 0).any():
@@ -554,6 +567,46 @@ def _outside(x: np.ndarray, bound: int) -> bool:
     return x.size > 0 and bool(x.min() < 0 or x.max() >= bound)
 
 
+def _conjugates(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The (len(g) * len(x), d1, d1) stack of g x g^-1 over two stacks of q blocks."""
+    d1 = x.shape[-1]
+    return (g[:, None] @ x[None] @ g[:, None].swapaxes(2, 3)).reshape(len(g) * len(x), d1, d1)
+
+
+def _cocycle(N: int, grid: np.ndarray, fmul: np.ndarray, y: np.ndarray,
+             sigma: np.ndarray, ident: int) -> np.ndarray:
+    """The section cocycle t(a) t(b) = t(a+b) z(a,b), indexed [code(a), code(b)].
+
+    With i the last nonzero coordinate of b and b' = b - e_i, t(b) = t(b') g_i,
+    so z(a,b) = y_i(a+b') sigma_i(z(a,b')), where y_i(c) = z(c, e_i) and
+    sigma_i(f) = g_i^-1 f g_i.  One step per coordinate i and value b_i fills
+    the columns of every b with b_i > 0 = b_(>i), for all a at once.  z is
+    stored in the smallest integer dtype that holds an index of F.
+    """
+    grid_n, d2 = grid.shape
+    z = np.empty((grid_n, grid_n), dtype=np.min_scalar_type(len(fmul) - 1))
+    z[:, 0] = ident
+    for i in range(d2):
+        place = N ** (d2 - 1 - i)
+        for b_i in range(1, N):
+            cols = place * (N * np.arange(N ** i) + b_i)
+            prev = cols - place
+            z[:, cols] = fmul[y[i, _shifted_codes(N, grid[prev]).T], sigma[i][z[:, prev]]]
+    return z
+
+
+def _shifted_codes(N: int, a: np.ndarray, scale: int = 1) -> np.ndarray:
+    """scale * code(a + m) for each row a of an (A, d2) exponent stack and each
+    grid point m in code order, as an (A, N^d2) int32 array, built one
+    coordinate at a time."""
+    d2 = a.shape[1]
+    out = np.zeros((len(a), 1), dtype=np.int32)
+    for i in range(d2):
+        digit = (a[:, i, None] + np.arange(N)) % N * (scale * N ** (d2 - 1 - i))
+        out = (out[:, :, None] + digit[:, None].astype(np.int32)).reshape(len(a), -1)
+    return out
+
+
 class QuotientGroup:
     """G modulo N-th section powers: a codec over its ids, and its multiplication table.
 
@@ -634,43 +687,29 @@ class QuotientGroup:
         return int(self._inverse[i])
 
     def mult_table(self) -> np.ndarray:
-        """Full multiplication table, built on first use and spot-checked.
+        """Full multiplication table, built on first use by collection and checked.
 
-        For the elements x = f*p (the ids with n = 0), `normal_forms` factors
-        every product x*j as t(m) f' p', one x at a time.  Then t(a)*x*j =
-        t(a+m) z(a,m) f' p', with the F-valued section cocycle
-        t(a) t(b) = t(a+b) z(a,b) factored once per a over the exponent grid.
-        Each temporary holds at most order * |F| q blocks.  Orders above
-        DEFAULT_CAP are refused.
+        Only generator-level data is factored, one stack each: p*p' =
+        t(s) f'' p'' over P x P, p*t(m)*p^-1 = t(P m) c(p,m) over P x grid,
+        phi_p(f) = p f p^-1 over P x F, psi_v(f) = t(v)^-1 f t(v) over
+        grid x F, and y_i(c) = z(c, e_i), from t(c)*g_i, over the lattice
+        directions x grid.  `_cocycle` extends y to the whole section
+        cocycle t(a) t(b) = t(a+b) z(a,b).  Every product is then a lookup
+        in F's table: for x = f*p and j = t(m) f' p', with v = P m and
+        s = s(p, p') mod N,
+
+            x*j = t(v+s) z(v,s) psi_s(psi_v(f) c(p,m) phi_p(f')) f'' p'',
+
+        and if x*j = t(m') f''' p'', then t(a)*x*j = t(a+m') z(a,m') f''' p''.
+        This is sound because N is a multiple of m0: T^N and F are both
+        normal and meet only in 1, so T^N centralises F and exponents
+        reduce mod N.  Orders above DEFAULT_CAP are refused.
         """
         if self._table is None:
-            spec, n = self.spec, self.order
+            n = self.order
             if n > DEFAULT_CAP:
                 raise CapExceeded(f"quotient order {n} exceeds the table cap {DEFAULT_CAP}")
-            d, p_mat, p_tau, p_q = spec.points
-            el_n, el_f, el_p = self.parts(self.elements)
-            el_q = spec.section_q(el_n) @ (spec.f_stack[el_f] @ p_q[el_p])
-            el_tau = el_n * d + p_tau[el_p]
-            # the ids xj of x*j = t(m) f' p', factored one x at a time
-            xs = np.flatnonzero(~el_n.any(axis=1))
-            prod_p = spec.p_mul_table()[el_p[xs, None], el_p]
-            x_nf = [normal_forms(spec, el_q[x] @ el_q, pp,
-                                 p_tau[el_p[x]] + el_tau @ p_mat[el_p[x]].T)
-                    for x, pp in zip(xs, prod_p)]
-            xj = self.ids(np.array([m for m, _ in x_nf]), [f for _, f in x_nf], prod_p)
-            # z(a, m) is factored over the grid of t(b) and looked up by the id of t(m)
-            t_ids = np.flatnonzero((el_f == spec.f_identity) & (el_p == spec.p_identity))
-            grid = el_n[t_ids]
-            t_q = spec.section_q(grid)
-            t_of = self.ids(el_n, spec.f_identity, spec.p_identity)
-            fmul = np.array(spec.f_mul_table())
-            zeta = np.empty(n, dtype=np.int64)
-            table = np.empty((n, n), dtype=np.int32)
-            for a, a_q, ax in zip(grid, t_q, self.ids(grid[:, None], el_f[xs], el_p[xs])):
-                _, zeta[t_ids] = normal_forms(spec, a_q @ t_q, [spec.p_identity] * len(grid),
-                                              (a + grid) * d)
-                left = self.ids(a + el_n, fmul[zeta[t_of], el_f], el_p)    # t(a) * every id
-                table[ax] = left[xj]                                       # t(a)*x * j
+            table = self._collect()
             rows, cols = np.nonzero(table == self.identity)
             if not np.array_equal(rows, np.arange(n)):
                 raise InternalInconsistency("a row of the multiplication table lacks the identity")
@@ -681,6 +720,58 @@ class QuotientGroup:
                 self._table = self._inverse = None
                 raise
         return self._table
+
+    def _collect(self) -> np.ndarray:
+        """The multiplication table from generator-level data; see `mult_table`."""
+        spec, n, N = self.spec, self.order, self.N
+        k, r, d1, d2 = spec.f_order, spec.rot_order, spec.d1, spec.d2
+        d, p_mat, _, p_q = spec.points
+        fmul = np.array(spec.f_mul_table(), dtype=np.int64).reshape(k, k)
+        pmul, one_f, one_p = spec.p_mul_table(), spec.f_identity, spec.p_identity
+
+        def code(v):
+            return v % N @ self._place
+
+        cells = N ** d2
+        grid = np.arange(cells)[:, None] // self._place % N        # exponents in code order
+        g_q = spec.section_q(grid)
+        t_q = np.array([t.q for t in spec.t_lifts]).reshape(d2, d1, d1)
+        units = np.eye(d2, dtype=np.int64)
+        s, f2 = normal_forms(spec, *_rep_products(spec))
+        v, c = normal_forms(spec, _conjugates(p_q, g_q), np.full(r * cells, one_p),
+                            d * (grid @ p_mat.swapaxes(1, 2)).reshape(r * cells, d2))
+        phi = _kernel(spec, _match_f(spec, _conjugates(p_q, spec.f_stack))).reshape(r, k)
+        psi = _kernel(spec, _match_f(spec, _conjugates(g_q.swapaxes(1, 2), spec.f_stack)))
+        psi = psi.reshape(cells, k)
+        _, y = normal_forms(spec, (g_q[None] @ t_q[:, None]).reshape(d2 * cells, d1, d1),
+                            np.full(d2 * cells, one_p),
+                            d * (grid[None] + units[:, None]).reshape(d2 * cells, d2))
+        z = None if k == 1 else _cocycle(N, grid, fmul, y.reshape(d2, cells),
+                                         psi[code(units)], one_f)
+        table = np.empty((n, n), dtype=np.int32)
+        blocks = table.reshape(cells, k * r, n)      # blocks[code(a), x] is the row of t(a)*x
+        # x*j for x = f*p, one p at a time, on axes (f, m, f', p')
+        vc, c, v = code(v).reshape(r, cells), c.reshape(r, cells), v.reshape(r, cells, d2)
+        s, f2 = s.reshape(r, r, d2), f2.reshape(r, r)
+        sc = code(s)
+        for p in range(r):
+            w = fmul[fmul[psi[vc[p]].T, c[p]][..., None], phi[p]]
+            zvs = one_f if z is None else z[vc[p][:, None], sc[p]][:, None]
+            f_out = fmul[fmul[zvs, psi[sc[p], w[..., None]]], f2[p]]
+            vs = code(v[p][:, None] + s[p])[:, None]
+            blocks[0].reshape(k, r, n)[:, p] = ((vs * k + f_out) * r + pmul[p]).reshape(k, n)
+        # t(a)*x*j = t(a)*t(m') f''' p'' for a != 0, a block of rows at a time
+        step = max(1, 2 ** 16 // n)
+        low = np.arange(k * r, dtype=np.int32)                 # f''' |P| + p'' where z = 1
+        f_low = (fmul * r).astype(np.int32)[..., None] + np.arange(r, dtype=np.int32)
+        for a0 in range(1, cells, step):
+            a = grid[a0:a0 + step]
+            if z is not None:
+                low = f_low[z[a0:a0 + step]].reshape(len(a), cells, k * r)
+            left = (_shifted_codes(N, a, k * r)[..., None] + low).reshape(len(a), n)
+            # every index is an id; "clip" lets take write into out without a buffer
+            np.take(left, blocks[0], axis=1, out=blocks[a0:a0 + step], mode="clip")
+        return table
 
     def generators(self) -> list[int]:
         """Ids of t(e_i) for every lattice direction i, of every element of F

@@ -171,18 +171,40 @@ def distinct_irreps(domain, stacks: list[np.ndarray], seed: int = 0) -> list[Rep
     on `domain`, in the order `irreps` returns them, checked by
     `_verify_irreps` (sum d^2 is left to the caller)."""
     kept_mats: list[np.ndarray] = []
-    kept_chars: list[np.ndarray] = []
+    kept_chars = _Characters(len(stacks), len(domain.elements))
     for mats in stacks:
         ch = np.einsum("gii->g", mats)
-        if not _is_known(ch, kept_chars):
+        if not kept_chars.known(ch):
             kept_mats.append(mats)
-            kept_chars.append(ch)
+            kept_chars.add(ch)
     table, _ = _perm_arrays(domain)
-    return _ordered(domain, kept_mats, kept_chars, table, np.random.default_rng(seed))
+    return _ordered(domain, kept_mats, kept_chars.rows, table, np.random.default_rng(seed))
 
 
-def _is_known(ch: np.ndarray, chars: list[np.ndarray]) -> bool:
-    return any(np.abs(ch - kc).max() < STRUCT_TOL for kc in chars)
+class _Characters:
+    """Distinct characters, kept as the rows of one preallocated (k, n) block
+    so that a lookup compares against all of them in one array operation."""
+
+    def __init__(self, k: int, n: int):
+        self._block = np.empty((k, n), dtype=complex)
+        self._count = 0
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self._block[:self._count]
+
+    def known(self, ch: np.ndarray) -> bool:
+        """True iff some kept character is within STRUCT_TOL of ch everywhere."""
+        kept = self.rows
+        step = max(1, GATHER_BYTES // self._block[0].nbytes)
+        return any(bool((np.abs(kept[i:i + step] - ch).max(axis=1) < STRUCT_TOL).any())
+                   for i in range(0, len(kept), step))
+
+    def add(self, ch: np.ndarray) -> None:
+        if self._count == len(self._block):
+            raise InternalInconsistency("more distinct characters than the block holds")
+        self._block[self._count] = ch
+        self._count += 1
 
 
 def _ordered(domain, stacks, chars, table, rng) -> list[Representation]:
@@ -237,13 +259,13 @@ def _solve(domain, table, inv_local, rng) -> list[Representation]:
     class_size = np.bincount(cls, minlength=n)[cls]
 
     kept_mats: list[np.ndarray] = []        # (n, d, d) stacks
-    kept_chars: list[np.ndarray] = []
+    kept_chars = _Characters(np.count_nonzero(cls == np.arange(n)), n)   # one per class
     for sl in _cluster(w, CLUSTER_GAP * spread):
         basis = v[:, sl]
         e = basis[identity] @ basis.conj().T
         class_sum = (np.bincount(cls, e.real, minlength=n)
                      + 1j * np.bincount(cls, e.imag, minlength=n))
-        if _is_known(n * class_sum[cls] / class_size, kept_chars):
+        if kept_chars.known(n * class_sum[cls] / class_size):
             continue
         # one row g of the gather basis[inv_perms] is the size of basis
         rows, adjoint = max(1, GATHER_BYTES // basis.nbytes), basis.conj().T
@@ -252,13 +274,13 @@ def _solve(domain, table, inv_local, rng) -> list[Representation]:
         # an eigenvalue collision joins several irreducibles; the split separates them
         for mats in _split_dense(stack, rng):
             ch = np.einsum("gii->g", mats)
-            if not _is_known(ch, kept_chars):
+            if not kept_chars.known(ch):
                 kept_mats.append(mats)
-                kept_chars.append(ch)
+                kept_chars.add(ch)
 
     if sum(m.shape[1] ** 2 for m in kept_mats) != n:
         raise InternalInconsistency("sum of squared dimensions misses the group order")
-    return _ordered(domain, kept_mats, kept_chars, table, rng)
+    return _ordered(domain, kept_mats, kept_chars.rows, table, rng)
 
 
 def _verify_irreps(stacks, chars, table, rng) -> None:

@@ -7,7 +7,7 @@ from hypothesis import settings
 
 from euciso import catalog, io
 from euciso import isometry as iso
-from euciso.groups import GroupSpec, build_quotient
+from euciso.groups import GroupSpec, build_quotient, normal_forms
 from euciso.reps import STRUCT_TOL
 
 # derandomized examples keep tier-1 deterministic; no deadline, as host speed varies
@@ -62,6 +62,36 @@ def q_equal(a, b, tol=iso.DEFAULT_TOL):
 def reconstruct(s, nf):
     """The isometry t(n)*f*p encoded by a normal form."""
     return compose_all([s.section(nf.n), s.f_iso(nf.f), s.p_reps[nf.p]])
+
+
+def mult_table_oracle(q):
+    """The multiplication table of q, with every product factored as q blocks.
+
+    For each x = f*p, `normal_forms` factors every x*j as t(m) f' p'; for each
+    exponent-grid point a it factors t(a) t(b) = t(a+b) z(a,b) over the grid.
+    Then t(a)*x*j = t(a+m) z(a,m) f' p'.
+    """
+    s, n = q.spec, q.order
+    d, p_mat, p_tau, p_q = s.points
+    el_n, el_f, el_p = q.parts(q.elements)
+    el_q = s.section_q(el_n) @ (s.f_stack[el_f] @ p_q[el_p])
+    el_tau = el_n * d + p_tau[el_p]
+    xs = np.flatnonzero(~el_n.any(axis=1))
+    prod_p = s.p_mul_table()[el_p[xs, None], el_p]
+    x_nf = [normal_forms(s, el_q[x] @ el_q, pp, p_tau[el_p[x]] + el_tau @ p_mat[el_p[x]].T)
+            for x, pp in zip(xs, prod_p)]
+    xj = q.ids(np.array([m for m, _ in x_nf]), [f for _, f in x_nf], prod_p)
+    t_ids = np.flatnonzero((el_f == s.f_identity) & (el_p == s.p_identity))
+    grid = el_n[t_ids]
+    t_q = s.section_q(grid)
+    t_of = q.ids(el_n, s.f_identity, s.p_identity)
+    fmul = np.array(s.f_mul_table())
+    zeta = np.empty(n, dtype=np.int64)
+    table = np.empty((n, n), dtype=np.int32)
+    for a, a_q, ax in zip(grid, t_q, q.ids(grid[:, None], el_f[xs], el_p[xs])):
+        _, zeta[t_ids] = normal_forms(s, a_q @ t_q, [s.p_identity] * len(grid), (a + grid) * d)
+        table[ax] = q.ids(a + el_n, fmul[zeta[t_of], el_f], el_p)[xj]
+    return table
 
 
 def trivial_on(r, ids):

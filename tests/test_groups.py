@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from euciso import catalog
+from euciso import catalog, groups
 from euciso import isometry as iso
 from euciso.errors import BadModulus, CapExceeded, InternalInconsistency, NotAMember
 from euciso.groups import (GroupSpec, NormalForm, _divisors, automorphism_count,
@@ -14,8 +14,8 @@ from euciso.groups import (GroupSpec, NormalForm, _divisors, automorphism_count,
                            normal_form, normal_forms_of, tf_slice, validate_spec)
 from euciso.isometry import Isometry, rotation2
 
-from conftest import (compose_all, cyclic, q_equal, quotient, reconstruct, rod_spec, spec,
-                      translation_isometry)
+from conftest import (compose_all, cyclic, mult_table_oracle, q_equal, quotient, reconstruct,
+                      rod_spec, spec, translation_isometry)
 
 
 # -- oracle: independent membership and normality test -------------------------
@@ -570,3 +570,124 @@ def test_tf_slice_drops_point_group():
     assert s.rot_order == 1
     assert validate_spec(s) == []
     assert build_quotient(s, 2).order == 6
+
+
+# -- the multiplication table, against the per-element factorization ------------
+
+TABLE_CASES = ([(name, k * catalog.CATALOG[name].expected["m0"])
+                for name in catalog.names() for k in (1, 2, 3)]
+               + [("twistE8", 8), ("pg", 24)])
+
+
+@pytest.mark.parametrize("name,N", TABLE_CASES)
+def test_mult_table_matches_the_oracle(name, N):
+    q = quotient(name, N)
+    assert np.array_equal(q.mult_table(), mult_table_oracle(q))
+
+
+@pytest.mark.parametrize("k", range(3, 11))
+@pytest.mark.parametrize("flip", [False, True])
+def test_rod_mult_table_matches_the_oracle(k, flip):
+    s = rod_spec(k, flip, 1.2345)
+    q = build_quotient(s, find_m0(s).m0)
+    assert np.array_equal(q.mult_table(), mult_table_oracle(q))
+
+
+def s3_plane_spec(alpha=0.7):
+    """A plane group over the non-abelian kernel S3 whose lifts do not commute.
+
+    The lifts carry the transpositions (0 1) and (1 2) of S3, so t(a) t(b)
+    = t(a+b) z(a,b) with z nontrivial, and a glide along the diagonal swaps
+    the axes and conjugates S3 by (0 2).  The rotation blocks keep the lifts
+    out of F; m0 = 6.
+    """
+    perm = [np.eye(3)[list(p)] for p in itertools.permutations(range(3))]
+    kernel = [iso.block_diag(m, np.eye(2)) for m in perm]
+    one = iso.identity_int_matrix(2)
+    g1 = Isometry(iso.block_diag(perm[2], rotation2(alpha)), one, (1, 0))
+    g2 = Isometry(iso.block_diag(perm[1], rotation2(-alpha)), one, (0, 1))
+    glide = Isometry(iso.block_diag(perm[5], np.diag([1.0, -1.0])), ((0, 1), (1, 0)),
+                     (Fraction(1, 2), Fraction(1, 2)))
+    return GroupSpec("s3-plane", 5, 2, kernel, [g1, g2], [iso.identity_isometry(5, 2), glide])
+
+
+def s4_plane_spec():
+    """A plane group over the rotations of a cube (S4) whose lifts are the
+    quarter turns about z and x.  They generate S4, so the section cocycle
+    takes values in A4, which is not abelian; m0 = 12."""
+    one = iso.identity_int_matrix(2)
+    rz = np.array([[0.0, -1, 0], [1, 0, 0], [0, 0, 1]])
+    rx = np.array([[1.0, 0, 0], [0, 0, -1], [0, 1, 0]])
+    return GroupSpec("s4-plane", 3, 2, rotations_of_cube(False),
+                     [Isometry(rz, one, (1, 0)), Isometry(rx, one, (0, 1))],
+                     [iso.identity_isometry(3, 2)])
+
+
+@pytest.mark.parametrize("build,N", [(s3_plane_spec, 6), (s3_plane_spec, 12), (s4_plane_spec, 12)])
+def test_non_abelian_mult_table_matches_the_oracle(build, N):
+    # the catalog kernels are abelian and their cocycles trivial wherever it
+    # matters, so only these groups tell the order of products in F apart
+    s = build()
+    assert validate_spec(s) == [] and N % find_m0(s).m0 == 0
+    q = build_quotient(s, N)
+    assert np.array_equal(q.mult_table(), mult_table_oracle(q))
+
+
+def test_p1_mult_table_adds_exponents():
+    # p1 mod T^64 is (Z/64)^2 at the table cap: id i is code(n_i), and
+    # table[i, j] = code((n_i + n_j) mod 64), checked one row block at a time
+    q = quotient("p1", 64)
+    assert q.order == 4096
+    table = q.mult_table().reshape(64, 64, 64, 64)
+    x = np.arange(64)
+    low = (x[:, None, None] + x[None, None, :]) % 64      # (a2, b1, b2) -> (a2 + b2) mod 64
+    for a1 in range(64):
+        high = (a1 + x) % 64 * 64                          # b1 -> 64 * ((a1 + b1) mod 64)
+        assert np.array_equal(table[a1], high[None, :, None] + low)
+
+
+def test_mult_table_factors_only_generator_level_rows(monkeypatch):
+    s = catalog.CATALOG["twistE8"].build()
+    q = build_quotient(s, 6)
+    rows, match_f = [], groups._match_f
+    monkeypatch.setattr(groups, "_match_f",
+                        lambda spec, qs: rows.append(len(qs)) or match_f(spec, qs))
+    q.mult_table()
+    k, r, cells = s.f_order, s.rot_order, 6 ** s.d2
+    bound = 2 * (r * r + r * cells + r * k + cells * k + s.d2 * cells)
+    assert bound == 1200
+    assert 0 < sum(rows) <= bound
+
+
+def conjugated(s, R):
+    """s with every O(d1) block q replaced by R q R^T."""
+    def move(g):
+        return Isometry(R @ g.q @ R.T, g.p, g.tau)
+    return GroupSpec(s.name, s.d1, s.d2, [R @ f @ R.T for f in s.f_elements],
+                     [move(t) for t in s.t_lifts], [move(p) for p in s.p_reps], tol=s.tol)
+
+
+@settings(max_examples=8)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_conjugated_specs_keep_their_tables(seed):
+    rng = np.random.default_rng(seed)
+    for name in catalog.names():
+        s = spec(name)
+        R, _ = np.linalg.qr(rng.standard_normal((s.d1, s.d1)))
+        c = conjugated(s, R)
+        assert validate_spec(c) == [], name
+        m0 = find_m0(s).m0
+        assert find_m0(c).m0 == m0, name
+        for N, want in catalog.CATALOG[name].expected["orders"].items():
+            assert build_quotient(c, N).order == want
+        for N in (m0, 2 * m0):
+            assert np.array_equal(build_quotient(c, N).mult_table(),
+                                  build_quotient(s, N).mult_table()), (name, N)
+
+
+@settings(max_examples=10)
+@given(k=st.integers(3, 10), flip=st.booleans(), alpha=st.floats(0.1, 3.0))
+def test_drawn_rod_mult_tables_match_the_oracle(k, flip, alpha):
+    s = rod_spec(k, flip, alpha)
+    q = build_quotient(s, find_m0(s).m0)
+    assert np.array_equal(q.mult_table(), mult_table_oracle(q))

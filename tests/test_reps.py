@@ -4,12 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from euciso import catalog
+from euciso import catalog, reps
 from euciso.dual import rep_set, wave_orbits
 from euciso.errors import CapExceeded, InternalInconsistency
 from euciso.groups import NormalForm, build_quotient, tf_slice
-from euciso.reps import (Representation, _split_dense, char_inner, char_norm_sq,
-                         chi, constituents, distinct_irreps, dual_action, equivalent,
+from euciso.reps import (STRUCT_TOL, Representation, _Characters, _split_dense, char_inner,
+                         char_norm_sq, chi, constituents, distinct_irreps, dual_action, equivalent,
                          induce, intertwiner, irreps, lift_representation,
                          mackey_irreducible, multiplicities, multiplicity, p_rep_element,
                          quotient_irreps, scale_by_character)
@@ -123,6 +123,26 @@ def test_constituents_of_a_reducible_induced_rep():
     assert (found.sum(axis=1) == 1).all()
     assert found.sum(axis=0) @ [r.dim for r in quotient_irreps(q)] == ind.dim
     assert [r.dim for r in distinct_irreps(q, pieces + pieces)] == [p.shape[1] for p in pieces]
+
+
+@pytest.mark.parametrize("gather_bytes", [reps.GATHER_BYTES, 1])
+def test_character_block_matches_the_scalar_predicate(rng, monkeypatch, gather_bytes):
+    # gather_bytes = 1 compares one kept row at a time
+    monkeypatch.setattr(reps, "GATHER_BYTES", gather_bytes)
+    n, base = 12, rng.standard_normal((4, 12)) + 1j * rng.standard_normal((4, 12))
+    block, kept = _Characters(40, n), []
+    for _ in range(40):
+        ch = base[rng.integers(4)] + rng.choice([0.5, 3.0]) * STRUCT_TOL * rng.choice([-1, 1], n)
+        want = any(np.abs(ch - kc).max() < STRUCT_TOL for kc in kept)
+        assert block.known(ch) == want
+        if not want:
+            block.add(ch)
+            kept.append(ch)
+    assert np.array_equal(block.rows, np.array(kept))
+    full = _Characters(1, n)
+    full.add(base[0])
+    with pytest.raises(InternalInconsistency):
+        full.add(base[1])
 
 
 def test_multiplicities_refuse_a_non_integral_pairing():

@@ -5,7 +5,7 @@ import pytest
 
 from euciso import catalog
 from euciso import isometry as iso
-from euciso.errors import BadModulus, NotCoprime
+from euciso.errors import BadModulus, InternalInconsistency, NotCoprime
 from euciso.groups import build_quotient, find_m0, normal_form
 from euciso.splitting import (a_coeff, cocycle, complement_set,
                               split_quotient, verify_certificate)
@@ -84,6 +84,15 @@ def test_complement_set_trivial_point_group():
     comp = complement_set(spec("p1"), 5)
     assert len(comp.elements) == 1
     assert comp.elements[0].tau == (Fraction(0), Fraction(0))
+
+
+def test_complement_set_refuses_a_lift_outside_the_group(monkeypatch):
+    # a section value off the group makes every lift a non-member
+    s = catalog.CATALOG["helix-C3"].build()
+    bad = iso.Isometry(iso.rotation2(0.3), iso.identity_int_matrix(1), (0,))
+    monkeypatch.setattr(s, "section", lambda n: bad)
+    with pytest.raises(InternalInconsistency, match="corrected lift left the group"):
+        complement_set(s, 1)
 
 
 def test_complement_set_coprimality_guard():
