@@ -159,7 +159,7 @@ def cmd_fourier(args) -> int:
             table = io.table_from_dict(data, q)
             payload = io.function_to_dict(inverse_transform(table))
         else:
-            # solved first, so that an order past the solver cap fails before u is allocated
+            # the basis first, so that an order past the table cap fails before u is allocated
             quotient_irreps(q, seed=args.seed)
             u = io.function_from_dict(data, q)
             table = transform(u, seed=args.seed)

@@ -10,6 +10,8 @@ modulo den.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -19,9 +21,9 @@ import numpy as np
 
 from .errors import InternalInconsistency
 from .groups import GroupSpec, QuotientGroup, build_quotient, find_m0
-from .reps import (STRUCT_TOL, Representation, chi, constituents, distinct_irreps,
-                   dual_action, equivalent, induce, lift_representation, char_norm_sq,
-                   irreps, mackey_irreducible, multiplicities, p_rep_element,
+from .reps import (FINGERPRINT_DECIMALS, STRUCT_TOL, Representation, chi, constituents,
+                   distinct_irreps, dual_action, equivalent, induce, lift_representation,
+                   char_norm_sq, irreps, mackey_irreducible, multiplicities, p_rep_element,
                    scale_by_character)
 
 FracVec = tuple[Fraction, ...]
@@ -64,20 +66,11 @@ def rep_set(spec: GroupSpec, seed: int = 0) -> RepSet:
     provenance: list[dict] = []
     for ci, rho in enumerate(candidates):
         moved = [(p, dual_action(q, coset[p], rho)) for p in range(spec.rot_order)]
-        match = None
-        for ki, kept in enumerate(classes):
-            if kept.dim != rho.dim:
-                continue
-            for p, rho_p in moved:
-                for si, twisted in enumerate(twists[ki]):
-                    if equivalent(rho_p, twisted):
-                        match = {"candidate": ci, "matched_class": ki,
-                                 "p_index": p, "shift": shifts[si]}
-                        break
-                if match:
-                    break
-            if match:
-                break
+        match = next(({"candidate": ci, "matched_class": ki, "p_index": p, "shift": shifts[si]}
+                      for ki, kept in enumerate(classes) if kept.dim == rho.dim
+                      for p, rho_p in moved
+                      for si, twisted in enumerate(twists[ki]) if equivalent(rho_p, twisted)),
+                     None)
         if match is None:
             classes.append(rho)
             twists.append([scale_by_character(chi(spec, k), rho) for k in shifts])
@@ -241,6 +234,16 @@ class DualAtlas:
     census_dims: list[int]
     checks: dict[str, bool]
 
+    @functools.cached_property
+    def basis(self) -> str:
+        """sha256 of the irreducibles' dims and generator images, rounded to
+        FINGERPRINT_DECIMALS: the basis a Fourier table is computed in."""
+        gens = build_quotient(self.spec, self.N).generators()
+        digest = hashlib.sha256(np.array([r.dim for r in self.irreps], dtype=np.int64).tobytes())
+        for r in self.irreps:  # adding 0.0 turns -0.0 into 0.0
+            digest.update((np.round(r.mats[gens], FINGERPRINT_DECIMALS) + 0.0).tobytes())
+        return digest.hexdigest()
+
 
 def enumerate_dual(spec: GroupSpec, N: int, seed: int = 0) -> DualAtlas:
     """Induce one representation per wave label, report on each, and audit the result.
@@ -249,10 +252,10 @@ def enumerate_dual(spec: GroupSpec, N: int, seed: int = 0) -> DualAtlas:
     (Clifford-Mackey theory; Serre, *Linear Representations of Finite
     Groups*, sections 7-8): off the null set the induced representation is
     irreducible, and on it `reps.constituents` splits it into blocks of
-    dimension at most |P| d_rho.  `reps.distinct_irreps` keeps one per
-    character, in the order of the regular-representation solver
-    `reps.irreps`, so irreducible indices match that solver's.  They are
-    kept as `irreps`; the induced representations are not.
+    dimension at most |P| d_rho.  Labels share no constituent, so
+    `reps.distinct_irreps` drops duplicates within each label only and
+    orders the rest as `reps.irreps` does.  They are kept as `irreps`, the
+    basis Fourier tables use; the atlas is kept on the quotient per seed.
 
     Each label's report holds its induced dimension, irreducibility,
     character norm and decomposition into the quotient's irreducibles.
@@ -265,9 +268,11 @@ def enumerate_dual(spec: GroupSpec, N: int, seed: int = 0) -> DualAtlas:
     reproduce every decomposition, which is computed from induced
     characters; both are one character Gram over all labels.
     """
-    rs = rep_set(spec, seed=seed)
     q = build_quotient(spec, N)
+    if seed in q._atlases:
+        return q._atlases[seed]
     q.mult_table()      # induce needs it; past the table cap nothing order-sized is built
+    rs = rep_set(spec, seed=seed)
     tf = list(q.tf_subgroup().elements)
     rows: list[tuple[WaveLabel, int, bool, float]] = []
     ind_chars, twisted_chars, pieces = [], [], []
@@ -280,7 +285,7 @@ def enumerate_dual(spec: GroupSpec, N: int, seed: int = 0) -> DualAtlas:
                          char_norm_sq(ind)))
             ind_chars.append(ind.char)
             twisted_chars.append(twisted.char)
-            pieces += constituents(ind, seed)   # ind itself off the null set
+            pieces.append(constituents(ind, seed))   # [ind.mats] off the null set
     irr = distinct_irreps(q, pieces, seed)
     irr_chars = np.array([s.char for s in irr])
     decomposition = multiplicities(np.array(ind_chars), irr_chars)
@@ -291,7 +296,9 @@ def enumerate_dual(spec: GroupSpec, N: int, seed: int = 0) -> DualAtlas:
 
     dims = np.array([s.dim for s in irr])
     checks = {}
-    checks["pairwise_inequivalent"] = _pairwise_inequivalent(reports)
+    # decompositions determine characters; distinct labels must differ
+    checks["pairwise_inequivalent"] = (
+        len({tuple(sorted(r.decomposition.items())) for r in reports}) == len(reports))
     checks["off_null_irreducible"] = all(
         r.irreducible and abs(r.char_norm - 1) < STRUCT_TOL
         for r in reports if not r.label.in_null_set)
@@ -301,15 +308,5 @@ def enumerate_dual(spec: GroupSpec, N: int, seed: int = 0) -> DualAtlas:
                                   and (reciprocity == decomposition).all())
     checks["dimension_count"] = bool(
         (decomposition @ dims == [r.induced_dim for r in reports]).all())
-    return DualAtlas(spec, N, seed, rs, reports, irr, sorted(dims.tolist()), checks)
-
-
-def _pairwise_inequivalent(reports: list[LabelReport]) -> bool:
-    # decompositions determine characters; distinct labels must differ
-    seen = []
-    for r in reports:
-        key = (r.induced_dim, tuple(sorted(r.decomposition.items())))
-        if key in seen:
-            return False
-        seen.append(key)
-    return True
+    q._atlases[seed] = DualAtlas(spec, N, seed, rs, reports, irr, sorted(dims.tolist()), checks)
+    return q._atlases[seed]

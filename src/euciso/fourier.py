@@ -2,7 +2,10 @@
 
 A function of period N is one (|G mod T^N|, m, n) array in element id order.
 The transform pairs it with every irreducible of that quotient through
-Kronecker blocks u(g) x rho(g); inversion is the finite-group inversion
+Kronecker blocks u(g) x rho(g), in the one basis of the quotient's
+irreducibles: those the dual atlas builds (`reps.quotient_irreps`), not
+the regular-representation solver's, which serves only the rep-set
+candidates at m0 and the oracles.  Inversion is the finite-group inversion
 applied blockwise and is validated by round trips.  The dense transform is
 a product with the group's Fourier matrix (Clausen and Baum, Fast Fourier
 Transforms, 1993): the irreducibles of one dimension d are stacked into one
@@ -19,7 +22,7 @@ import numpy as np
 
 from .errors import IncompatibleShapes, IncompleteTable
 from .groups import GroupSpec, NormalForm, QuotientGroup, build_quotient, normal_form
-from .reps import Representation, quotient_irreps
+from .reps import Representation, basis_fingerprint, quotient_irreps
 
 
 class PeriodicFunction:
@@ -154,7 +157,11 @@ def inverse_transform(table: FourierTable) -> PeriodicFunction:
 
 
 def plancherel_pairing(t1: FourierTable, t2: FourierTable) -> complex:
-    """sum_rho d_rho <u_hat(rho), v_hat(rho)> with the Frobenius pairing."""
+    """sum_rho d_rho <u_hat(rho), v_hat(rho)> with the Frobenius pairing;
+    IncompatibleShapes unless both tables share quotient, shape and basis."""
+    if (t1.q is not t2.q or t1.shape != t2.shape
+            or basis_fingerprint(t1.q, t1.seed) != basis_fingerprint(t2.q, t2.seed)):
+        raise IncompatibleShapes("tables differ in quotient, shape or irreducible basis")
     return sum(rho.dim * np.vdot(t2.entries[ri], t1.entries[ri])
                for ri, rho in enumerate(t1.irreps()))
 

@@ -630,7 +630,7 @@ class QuotientGroup:
         self._place = N ** np.arange(spec.d2 - 1, -1, -1, dtype=np.int64)   # code(n) = n @ _place
         self._table: np.ndarray | None = None
         self._inverse: np.ndarray | None = None
-        self._irreps_cache: dict[int, tuple[list, str]] = {}  # seed -> (irreps, basis)
+        self._atlases: dict = {}    # seed -> DualAtlas, kept by dual.enumerate_dual
 
     @functools.cached_property
     def local(self) -> np.ndarray:
@@ -709,11 +709,13 @@ class QuotientGroup:
             n = self.order
             if n > DEFAULT_CAP:
                 raise CapExceeded(f"quotient order {n} exceeds the table cap {DEFAULT_CAP}")
-            table = self._collect()
-            rows, cols = np.nonzero(table == self.identity)
-            if not np.array_equal(rows, np.arange(n)):
-                raise InternalInconsistency("a row of the multiplication table lacks the identity")
-            self._table, self._inverse = table, cols
+            table, step, cols = self._collect(), max(1, 2 ** 20 // n), []
+            for r in range(0, n, step):     # the identity scan, one row block at a time
+                rows, c = np.nonzero(table[r:r + step] == self.identity)
+                if not np.array_equal(rows, np.arange(min(step, n - r))):
+                    raise InternalInconsistency("a multiplication table row lacks the identity")
+                cols.append(c)
+            self._table, self._inverse = table, np.concatenate(cols)
             try:
                 self.spot_check()
             except InternalInconsistency:

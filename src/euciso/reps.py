@@ -8,22 +8,22 @@ inducing each build the new array with one gather.
 
 The dual of a quotient comes from its wave labels (`dual.enumerate_dual`):
 each label's induced representation is split by `constituents`, and
-`distinct_irreps` keeps one stack per character.  `irreps`, a
-random-commutant solver on the regular representation (Dixon, Math.
-Comp. 24, 1970), is kept for three uses: the rep-set candidates on the
-translation-kernel part at m0, the basis `fourier` transforms in, and the
-independent oracle that `verify` and the tests compare the atlas with.  A
-random Hermitian commutant element h[a, b] = c(a^-1 b) has invariant
-eigenspaces, and for a generic draw each carries one irreducible.  A
-cluster's character is a class sum, so a known one costs O(n d); only new
-characters are gathered into an (n, d, d) stack.  Both paths split with one
-stack splitter and order the irreducibles by (dim, character).
+`distinct_irreps` keeps one stack per character within each label.  Those
+are the quotient's irreducibles, the one basis `fourier` uses
+(`quotient_irreps`).  `irreps`, a random-commutant solver on the regular
+representation (Dixon, Math. Comp. 24, 1970), has two uses: the rep-set
+candidates on the translation-kernel part at m0, and the independent oracle
+that `verify` and the tests compare the atlas with.  A random Hermitian
+commutant element h[a, b] = c(a^-1 b) has invariant eigenspaces, and for a
+generic draw each carries one irreducible.  A cluster's character is a
+class sum, so a known one costs O(n d); only new characters are gathered
+into an (n, d, d) stack.  Both paths split with one stack splitter and
+order the irreducibles by (dim, character).
 """
 
 from __future__ import annotations
 
 import cmath
-import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -111,9 +111,11 @@ def multiplicities(chars: np.ndarray, irr_chars: np.ndarray,
 # -- irreducible decomposition ------------------------------------------------
 
 def _perm_arrays(domain) -> tuple[np.ndarray, np.ndarray]:
-    """Left-regular permutation table and inverse map, in local indices."""
+    """Left-regular permutation table and inverse map in local indices; a quotient's are cached."""
+    if isinstance(domain, QuotientGroup):
+        return domain.mult_table(), domain._inverse
     ids = list(domain.elements)
-    table = domain.local[_parent(domain).mult_table()[np.ix_(ids, ids)]]
+    table = domain.local[domain.parent.mult_table()[np.ix_(ids, ids)]]
     if (table < 0).any():
         raise InternalInconsistency("subgroup view is not closed under products")
     inv_local = (table == domain.local[domain.identity]).argmax(axis=1)
@@ -121,11 +123,7 @@ def _perm_arrays(domain) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cluster(eigenvalues: np.ndarray, tol: float) -> list[slice]:
-    breaks = [0]
-    for k in range(1, len(eigenvalues)):
-        if eigenvalues[k] - eigenvalues[k - 1] > tol:
-            breaks.append(k)
-    breaks.append(len(eigenvalues))
+    breaks = [0, *(np.flatnonzero(np.diff(eigenvalues) > tol) + 1).tolist(), len(eigenvalues)]
     return [slice(a, b) for a, b in zip(breaks, breaks[1:])]
 
 
@@ -166,19 +164,21 @@ def constituents(r: Representation, seed: int = 0) -> list[np.ndarray]:
     raise ConvergenceFailure(f"split failed after {MAX_RESEEDS} reseeds: {last_error}")
 
 
-def distinct_irreps(domain, stacks: list[np.ndarray], seed: int = 0) -> list[Representation]:
-    """One representative per character among irreducible (n, d, d) stacks
-    on `domain`, in the order `irreps` returns them, checked by
-    `_verify_irreps` (sum d^2 is left to the caller)."""
-    kept_mats: list[np.ndarray] = []
-    kept_chars = _Characters(len(stacks), len(domain.elements))
-    for mats in stacks:
-        ch = np.einsum("gii->g", mats)
-        if not kept_chars.known(ch):
-            kept_mats.append(mats)
-            kept_chars.add(ch)
+def distinct_irreps(domain, labels, seed: int = 0) -> list[Representation]:
+    """One representative per character within each list of irreducible
+    (n, d, d) stacks on `domain` (one list per wave label), in the order
+    `irreps` returns them, checked by `_verify_irreps` (sum d^2 is left to
+    the caller).  Different labels share no constituent, so no character is
+    compared across lists; the orthogonality check fails if two ever do."""
+    kept_mats, kept_chars = [], []
+    for stacks in labels:
+        chars = np.array([np.einsum("gii->g", mats) for mats in stacks])
+        first = multiplicities(chars, chars).argmax(axis=1)  # Gram of irreducibles: 1 iff equal
+        for k in np.flatnonzero(first == np.arange(len(stacks))):
+            kept_mats.append(stacks[k])
+            kept_chars.append(chars[k])
     table, _ = _perm_arrays(domain)
-    return _ordered(domain, kept_mats, kept_chars.rows, table, np.random.default_rng(seed))
+    return _ordered(domain, kept_mats, kept_chars, table, np.random.default_rng(seed))
 
 
 class _Characters:
@@ -301,21 +301,16 @@ def _verify_irreps(stacks, chars, table, rng) -> None:
 
 
 def quotient_irreps(q: QuotientGroup, seed: int = 0) -> list[Representation]:
-    """Cached irreps of the full quotient at a fixed seed."""
-    if seed not in q._irreps_cache:
-        reps, gens = irreps(q, seed=seed), q.generators()
-        digest = hashlib.sha256(np.array([r.dim for r in reps], dtype=np.int64).tobytes())
-        for r in reps:  # adding 0.0 turns -0.0 into 0.0
-            digest.update((np.round(r.mats[gens], FINGERPRINT_DECIMALS) + 0.0).tobytes())
-        q._irreps_cache[seed] = (reps, digest.hexdigest())
-    return q._irreps_cache[seed][0]
+    """The irreducibles of the full quotient that `dual.enumerate_dual`
+    builds at this seed: the one basis Fourier tables are computed in."""
+    from .dual import enumerate_dual    # dual builds its atlas on this module
+    return enumerate_dual(q.spec, q.N, seed).irreps
 
 
 def basis_fingerprint(q: QuotientGroup, seed: int = 0) -> str:
-    """sha256 of the dims and generator images of `quotient_irreps(q, seed)`,
-    rounded to FINGERPRINT_DECIMALS; a Fourier table records it."""
-    quotient_irreps(q, seed)
-    return q._irreps_cache[seed][1]
+    """`DualAtlas.basis` of `quotient_irreps(q, seed)`; a Fourier table records it."""
+    from .dual import enumerate_dual
+    return enumerate_dual(q.spec, q.N, seed).basis
 
 
 # -- wave characters ----------------------------------------------------------
@@ -408,7 +403,7 @@ def induce(q: QuotientGroup, r: Representation) -> Representation:
     inside = rows >= 0
     blocks = np.zeros((k, n, k, d, d), dtype=complex)
     blocks[inside] = r.mats[rows[inside]]
-    mats = blocks.transpose(1, 0, 3, 2, 4).reshape(n, k * d, k * d)
+    mats = np.ascontiguousarray(blocks.transpose(1, 0, 3, 2, 4)).reshape(n, k * d, k * d)
 
     gens = np.array(q.generators())
     a, b = gens[:, None], gens[None, :]
@@ -426,14 +421,8 @@ def mackey_irreducible(q: QuotientGroup, r: Representation,
     cross-checked against the character norm of `induced`, which must be
     induce(q, r).
     """
-    verdict = True
-    for p_idx in range(q.spec.rot_order):
-        if p_idx == q.spec.p_identity:
-            continue
-        g = p_rep_element(q, p_idx)
-        if equivalent(dual_action(q, g, r), r):
-            verdict = False
-            break
+    verdict = not any(equivalent(dual_action(q, p_rep_element(q, p), r), r)
+                      for p in range(q.spec.rot_order) if p != q.spec.p_identity)
     norm = char_norm_sq(induced)
     if abs(norm - 1.0) < STRUCT_TOL:
         by_norm = True

@@ -22,7 +22,7 @@ from .fourier import (PeriodicFunction, SummableFunction, convolve,
 # normal_form is unused here; perfbench's tests check that its tracer wraps this copy
 from .groups import (GroupSpec, build_quotient, find_m0, is_power_normal,  # noqa: F401
                      normal_form, normal_forms_of, validate_spec)
-from .reps import IDENTITY_TOL, STRUCT_TOL, char_inner, quotient_irreps
+from .reps import IDENTITY_TOL, STRUCT_TOL, char_inner, irreps
 from .splitting import cocycle, split_quotient, verify_certificate
 
 
@@ -124,9 +124,9 @@ def run_suite(spec: GroupSpec, seed: int = 0) -> VerifyReport:
     checks.append(CheckResult("orthogonality-drift", drift <= ORTH_DRIFT_TOL,
                               _versus("max deviation", drift, ORTH_DRIFT_TOL)))
 
-    # irreducible decomposition at m0
+    # irreducible decomposition at m0, by the regular-representation solver
     try:
-        irr = quotient_irreps(q, seed=seed)
+        irr = irreps(q, seed=seed)
         complete = sum(r.dim ** 2 for r in irr) == q.order
         gram = np.array([[char_inner(a, b) for b in irr] for a in irr])
         worst = float(np.abs(gram - np.eye(len(irr))).max())
@@ -138,7 +138,8 @@ def run_suite(spec: GroupSpec, seed: int = 0) -> VerifyReport:
         checks.append(CheckResult("irrep-completeness", False, str(exc)))
         return VerifyReport(spec.name, checks)
 
-    # dual atlas at m0, and its irreducibles against the solver's
+    # dual atlas at m0, and its irreducibles against the solver's; the Fourier
+    # checks below compute in the atlas's irreducibles, so they need it
     try:
         atlas = enumerate_dual(spec, m0, seed=seed)
         for name, okc in atlas.checks.items():
@@ -154,6 +155,7 @@ def run_suite(spec: GroupSpec, seed: int = 0) -> VerifyReport:
                                       "dims differ"))
     except EucisoError as exc:
         checks.append(CheckResult("atlas", False, str(exc)))
+        return VerifyReport(spec.name, checks)
 
     # null-set shift relation: 200 pairs (k, k2) with k2 = D k - shift, as one
     # integer stack over den = lcm(1..12, m0); entries of k are at most 12, so

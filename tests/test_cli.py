@@ -1,14 +1,15 @@
 import hashlib
 import json
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from euciso import catalog, cli, io
+from euciso import catalog, cli, io, reps
 from euciso.cli import main
 from euciso.fourier import PeriodicFunction, transform
-from euciso.groups import build_quotient
+from euciso.groups import build_quotient, find_m0
 
 from conftest import quotient, reference_json, rod_spec, spec
 
@@ -224,8 +225,9 @@ def test_fourier_entry_shape_mismatch(tmp_path, capsys):
 
 def test_table_from_another_basis_is_refused(tmp_path, capsys):
     # another seed, or a solver that picks other bases, gives other irreducible
-    # matrices; inverting in them would return a wrong function
-    q = quotient("pg", 3)
+    # matrices; inverting in them would return a wrong function.  twistE8's
+    # atlas basis depends on the seed through its TF classes at m0
+    q = quotient("twistE8", 2)
     u = PeriodicFunction.random(q, (1, 2), np.random.default_rng(9))
     table = io.table_to_dict(transform(u, seed=0))
     reseeded = dict(table, seed=1)
@@ -233,8 +235,14 @@ def test_table_from_another_basis_is_refused(tmp_path, capsys):
     for bad in (reseeded, unmarked):
         path = tmp_path / "table.json"
         path.write_text(json.dumps(bad))
-        code, _ = run(capsys, "fourier", "catalog:pg", str(path), "--inverse")
+        code, _ = run(capsys, "fourier", "catalog:twistE8", str(path), "--inverse")
         assert code == 5
+    # pg's atlas basis does not depend on the seed, so a reseeded pg table inverts
+    u = PeriodicFunction.random(quotient("pg", 3), (1, 2), np.random.default_rng(9))
+    path.write_text(json.dumps(dict(io.table_to_dict(transform(u, seed=0)), seed=1)))
+    code, out = run(capsys, "fourier", "catalog:pg", str(path), "--inverse")
+    assert code == 0
+    assert u.max_abs_diff(io.function_from_dict(json.loads(out), u.q)) <= 1e-8
 
 
 def test_function_and_table_files_round_trip_bit_exactly():
@@ -299,8 +307,29 @@ def test_fourier_reaches_the_solver_cap_before_reading_values(tmp_path, capsys):
                               "entries": [entry]}))
     code, peak = traced_peak(lambda: main(["fourier", "catalog:twistE8", str(fn)]))
     assert code == 4
-    assert "solver cap" in capsys.readouterr().err
+    assert "table cap" in capsys.readouterr().err
     assert peak < ALLOCATION_BOUND
+
+
+def test_fourier_solves_nothing_larger_than_the_tf_view_at_m0(tmp_path, capsys, monkeypatch):
+    # the transform reads the atlas; the solver serves the rep-set candidates only
+    s = spec("pg")
+    limit, solve = quotient("pg", find_m0(s).m0).tf_subgroup().order, reps.irreps
+
+    def guarded(domain, seed=0):
+        assert len(domain.elements) <= limit, f"solver called at order {len(domain.elements)}"
+        return solve(domain, seed)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("euciso")]:
+        if getattr(module, "irreps", None) is solve:
+            monkeypatch.setattr(module, "irreps", guarded)
+    spec_file, fn = tmp_path / "pg.json", tmp_path / "fn.json"
+    io.save_spec(s, str(spec_file))         # a fresh spec holds no cached atlas
+    u = PeriodicFunction.random(quotient("pg", 24), (2, 2), np.random.default_rng(9))
+    fn.write_text(io.canonical_json(io.function_to_dict(u)))
+    code, out = run(capsys, "fourier", str(spec_file), str(fn), "--check")
+    assert code == 0
+    assert json.loads(out)["plancherel_check"]["passed"] is True
 
 
 def test_fourier_malformed_file(tmp_path, capsys):

@@ -8,9 +8,9 @@ from euciso import catalog
 from euciso import isometry as iso
 from euciso.dual import (enumerate_dual, k_shift_reps, little_group, null_set_member,
                          rep_set, wave_orbits)
-from euciso.groups import build_quotient, find_m0
-from euciso.reps import (STRUCT_TOL, chi, equivalent, induce, lift_representation,
-                         quotient_irreps, scale_by_character)
+from euciso.groups import build_quotient, find_m0, tf_slice, validate_spec
+from euciso.reps import (STRUCT_TOL, chi, equivalent, induce, irreps, lift_representation,
+                         scale_by_character)
 
 from conftest import quotient, spec
 
@@ -244,11 +244,26 @@ def test_atlas_irreps_match_the_solver(name, N):
     # the atlas builds the dual from its labels; the solver is the oracle.
     # twistE8 has m0 = 2, so its 2 m0 case is N = 4 (order 512)
     atlas = enumerate_dual(spec(name), N)
-    oracle = quotient_irreps(quotient(name, N))
+    oracle = irreps(quotient(name, N))
     assert [r.dim for r in atlas.irreps] == [r.dim for r in oracle]
     assert max(np.abs(a.char - b.char).max() for a, b in zip(atlas.irreps, oracle)) <= STRUCT_TOL
     assert atlas.census_dims == sorted(r.dim for r in oracle)
     assert all(atlas.checks.values())
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_tf_slices_keep_m0_orders_and_census(name):
+    # G mod T^N restricted to TF is the TF slice's own quotient
+    s = spec(name)
+    m0 = find_m0(s).m0
+    tf = tf_slice(s)
+    assert validate_spec(tf) == []
+    assert find_m0(tf).m0 == m0
+    for N in (m0, 2 * m0):
+        assert build_quotient(tf, N).order == build_quotient(s, N).order // s.rot_order
+        atlas = enumerate_dual(tf, N)
+        assert all(atlas.checks.values())
+        assert atlas.census_dims == sorted(r.dim for r in irreps(quotient(name, N).tf_subgroup()))
 
 
 @settings(max_examples=8)
@@ -283,8 +298,8 @@ def test_atlas_surjectivity_onto_induced_duals(rng):
     atlas = enumerate_dual(s, N)
     q = quotient("pg", N)
     decomps = [tuple(sorted(r.decomposition.items())) for r in atlas.labels]
-    from euciso.reps import quotient_irreps, multiplicity
-    irr = quotient_irreps(q)
+    from euciso.reps import multiplicity
+    irr = irreps(q)
     for _ in range(6):
         k = tuple(Fraction(int(rng.integers(0, N)), N) for _ in range(2))
         ind = induce(q, chi(s, k).on(q))
@@ -301,7 +316,7 @@ def test_subrep_cover_matches_frobenius_reciprocity():
         atlas = enumerate_dual(s, N)
         assert atlas.checks["subrep_cover"]
         q = quotient(name, N)
-        irr = quotient_irreps(q)
+        irr = irreps(q)
         tf = q.tf_indices()
         rs = atlas.rep_set
         labels = [(rho, label) for idx, rho in enumerate(rs.classes)

@@ -4,13 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from euciso import catalog
+from euciso import catalog, fourier
 from euciso.errors import IncompatibleShapes, IncompleteTable
 from euciso.fourier import (FourierTable, PeriodicFunction, SummableFunction,
                             convolve, inner_product, inverse_transform,
                             plancherel_pairing, transform, translate)
 from euciso.groups import NormalForm, build_quotient
-from euciso.reps import quotient_irreps
+from euciso.reps import irreps, quotient_irreps
 
 from conftest import quotient, spec, trivial_on
 
@@ -135,6 +135,44 @@ def test_plancherel_random_pairs(rng):
             lhs = inner_product(u, v)
             rhs = plancherel_pairing(transform(u), transform(v))
             assert abs(lhs - rhs) <= 1e-8
+
+
+def test_plancherel_refuses_tables_of_another_quotient_shape_or_basis(rng):
+    q = quotient("twistE8", 2)
+    u = PeriodicFunction.random(q, (1, 1), rng)
+    others = [transform(u, seed=1), transform(PeriodicFunction.random(q, (2, 2), rng)),
+              transform(PeriodicFunction.random(quotient("twistE8", 4), (1, 1), rng))]
+    for other in others:
+        with pytest.raises(IncompatibleShapes):
+            plancherel_pairing(transform(u, seed=0), other)
+    # pg's atlas basis does not depend on the seed, so its tables pair across seeds
+    u = PeriodicFunction.random(quotient("pg", 3), (1, 1), rng)
+    pairing = plancherel_pairing(transform(u, seed=0), transform(u, seed=1))
+    assert abs(pairing - inner_product(u, u)) <= 1e-12
+
+
+@pytest.mark.parametrize("name,N", [("pg", 3), ("helix-C3", 2), ("twistE8", 2), ("twistE8", 4)])
+def test_atlas_basis_transform_matches_the_solver_basis(name, N, rng, monkeypatch):
+    # the two bases differ by a unitary per irreducible; compare what it leaves alone
+    q = quotient(name, N)
+    pairs = [[PeriodicFunction.random(q, shape, rng) for _ in range(2)]
+             for shape in [(1, 1), (2, 3), (3, 3)]]
+
+    def basis_free():
+        out = []
+        for u, v in pairs:
+            ut, vt = transform(u), transform(v)
+            out.append((np.array([np.linalg.norm(e) for e in ut.entries.values()]),
+                        plancherel_pairing(ut, vt), inverse_transform(ut).values))
+        return out
+
+    atlas = basis_free()
+    solved = irreps(q)
+    monkeypatch.setattr(fourier, "quotient_irreps", lambda q, seed=0: solved)
+    for (norms, pairing, back), (norms_s, pairing_s, back_s) in zip(atlas, basis_free()):
+        assert np.abs(norms - norms_s).max() <= 1e-12
+        assert abs(pairing - pairing_s) <= 1e-12
+        assert np.abs(back - back_s).max() <= 1e-12
 
 
 def test_parseval_positivity(rng):

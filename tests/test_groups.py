@@ -537,6 +537,20 @@ def test_table_above_the_cap_is_refused():
         q.mult_table()
 
 
+@pytest.mark.parametrize("row", [0, 1151])
+def test_a_table_row_without_the_identity_is_refused(monkeypatch, row):
+    # pg N=24 (order 1152) scans its identity rows in two blocks
+    q = build_quotient(catalog.CATALOG["pg"].build(), 24)
+    table = q._collect()
+    _, cols = np.nonzero(table == q.identity)
+    assert np.array_equal(q.mult_table(), table)
+    assert q._inverse.dtype == cols.dtype and np.array_equal(q._inverse, cols)
+    table[row, cols[row]] = table[row, cols[row] - 1]
+    monkeypatch.setattr(groups.QuotientGroup, "_collect", lambda self: table)
+    with pytest.raises(InternalInconsistency):
+        build_quotient(catalog.CATALOG["pg"].build(), 24).mult_table()
+
+
 def test_reconstruct_round_trip(rng):
     s = spec("twistE8")
     q = build_quotient(s, 2)

@@ -7,7 +7,7 @@ import pytest
 from euciso import catalog, reps
 from euciso.dual import rep_set, wave_orbits
 from euciso.errors import CapExceeded, InternalInconsistency
-from euciso.groups import NormalForm, build_quotient, tf_slice
+from euciso.groups import NormalForm, SubgroupView, build_quotient, tf_slice
 from euciso.reps import (STRUCT_TOL, Representation, _Characters, _split_dense, char_inner,
                          char_norm_sq, chi, constituents, distinct_irreps, dual_action, equivalent,
                          induce, intertwiner, irreps, lift_representation,
@@ -52,7 +52,7 @@ def test_irrep_completeness_and_orthogonality():
     for name, N in [("pm", 2), ("helix-C3", 1), ("twistE8", 2), ("screw-C4", 3),
                     ("twistE8", 4)]:
         q = quotient(name, N)
-        rs = quotient_irreps(q)
+        rs = irreps(q)
         assert sum(r.dim ** 2 for r in rs) == q.order
         assert len(rs) == conjugacy_class_count(q)
         gram = np.array([[char_inner(a, b) for b in rs] for a in rs])
@@ -76,6 +76,18 @@ def test_irreps_deterministic_given_seed():
             assert [r.dim for r in other] == [r.dim for r in first]
             assert max(np.abs(ra.char - rb.char).max()
                        for ra, rb in zip(first, other)) < 1e-9
+
+
+def test_full_quotient_solves_on_its_cached_table():
+    # a view of every element takes the gather path; the quotient reads its cache
+    for name, N in [("pg", 3), ("twistE8", 2)]:
+        q = quotient(name, N)
+        view = SubgroupView(q, q.elements)
+        table, inv = reps._perm_arrays(q)
+        assert table is q.mult_table() and inv is q._inverse
+        assert all(np.array_equal(a, b) for a, b in zip((table, inv), reps._perm_arrays(view)))
+        for a, b in zip(irreps(q, seed=1), irreps(view, seed=1)):
+            assert a.mats.tobytes() == b.mats.tobytes()
 
 
 def test_split_dense_separates_a_direct_sum(rng):
@@ -119,10 +131,13 @@ def test_constituents_of_a_reducible_induced_rep():
     assert not mackey_irreducible(q, chi(s, (0, 0)).on(q), ind)
     pieces = constituents(ind, seed=3)
     found = multiplicities(np.array([np.einsum("gii->g", m) for m in pieces]),
-                           np.array([r.char for r in quotient_irreps(q)]))
+                           np.array([r.char for r in irreps(q)]))
     assert (found.sum(axis=1) == 1).all()
-    assert found.sum(axis=0) @ [r.dim for r in quotient_irreps(q)] == ind.dim
-    assert [r.dim for r in distinct_irreps(q, pieces + pieces)] == [p.shape[1] for p in pieces]
+    assert found.sum(axis=0) @ [r.dim for r in irreps(q)] == ind.dim
+    assert [r.dim for r in distinct_irreps(q, [pieces + pieces])] == [p.shape[1] for p in pieces]
+    # duplicates are removed within one label only; two labels sharing one fail loudly
+    with pytest.raises(InternalInconsistency):
+        distinct_irreps(q, [pieces, pieces[:1]])
 
 
 @pytest.mark.parametrize("gather_bytes", [reps.GATHER_BYTES, 1])
@@ -289,7 +304,7 @@ def test_every_irrep_sits_inside_an_induced_rep():
     q = quotient("pg", 3)
     tf_irreps = irreps(q.tf_subgroup())
     induced = [induce(q, r) for r in tf_irreps]
-    for sigma in quotient_irreps(q):
+    for sigma in irreps(q):
         assert any(multiplicity(ind, sigma) >= 1 for ind in induced)
 
 

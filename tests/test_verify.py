@@ -2,8 +2,8 @@ import copy
 
 import numpy as np
 
-from euciso import catalog
-from euciso.groups import QuotientGroup
+from euciso import catalog, dual
+from euciso.groups import QuotientGroup, find_m0
 from euciso.verify import run_suite
 
 
@@ -28,3 +28,12 @@ def test_spot_check_draws_its_own_triples(monkeypatch):
         assert len(by_verify) == 2
         for order, draws in by_verify:
             assert draws != by_table[order]
+
+
+def test_a_verify_pass_builds_the_m0_atlas_once(monkeypatch):
+    # the atlas checks and the Fourier checks share one atlas per (quotient, seed)
+    s, calls, induce = catalog.CATALOG["twistE8"].build(), [], dual.induce
+    monkeypatch.setattr(dual, "induce", lambda q, r: calls.append(q.N) or induce(q, r))
+    assert run_suite(s, seed=0).passed
+    labels = dual.enumerate_dual(s, find_m0(s).m0, seed=0).labels
+    assert len(calls) == len(labels)
