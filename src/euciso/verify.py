@@ -19,9 +19,8 @@ from .errors import EucisoError
 from .fourier import (PeriodicFunction, SummableFunction, convolve,
                       inner_product, inverse_transform, plancherel_pairing,
                       transform, translate)
-# normal_form is unused here; perfbench's tests check that its tracer wraps this copy
-from .groups import (GroupSpec, build_quotient, find_m0, is_power_normal,  # noqa: F401
-                     normal_form, normal_forms_of, validate_spec)
+from .groups import (GroupSpec, build_quotient, find_m0, is_power_normal, normal_form,
+                     normal_forms, validate_spec)
 from .reps import IDENTITY_TOL, STRUCT_TOL, char_inner, irreps
 from .splitting import cocycle, split_quotient, verify_certificate
 
@@ -57,6 +56,13 @@ def _versus(label: str, value: float, tol: float) -> str:
     return f"{label} {value:.2e} vs tol {tol:.3g}"
 
 
+def _section_ids(q, n: np.ndarray) -> list[int]:
+    """Quotient ids of the sections t(n) for a (k, d2) exponent stack n."""
+    spec = q.spec
+    p = [spec.p_identity] * len(n)
+    return q.ids(*normal_forms(spec, spec.section_q(n), p, spec.points[0] * n), p).tolist()
+
+
 def run_suite(spec: GroupSpec, seed: int = 0) -> VerifyReport:
     checks: list[CheckResult] = []
     rng = np.random.default_rng(seed)
@@ -74,8 +80,10 @@ def run_suite(spec: GroupSpec, seed: int = 0) -> VerifyReport:
                               is_power_normal(spec, m0) and is_power_normal(spec, 2 * m0),
                               f"m0 = {m0}"))
 
-    # order formula and section bijectivity; the spot check draws its own
-    # triples, not the ones `mult_table` checked when it built the table
+    # order formula and section bijectivity: the sections t(n), n in
+    # [0, N)^d2, factored as one stack, reach N^d2 distinct ids.  The spot
+    # check draws its own triples, not the ones `mult_table` checked when it
+    # built the table
     ok_orders, ok_section = True, True
     spot = np.random.default_rng([seed, 1])
     for N in (m0, 2 * m0):
@@ -83,31 +91,31 @@ def run_suite(spec: GroupSpec, seed: int = 0) -> VerifyReport:
         q.spot_check(spot)
         if q.order != N ** spec.d2 * spec.f_order * spec.rot_order:
             ok_orders = False
-        sections = [spec.section(n) for n in itertools.product(range(N), repeat=spec.d2)]
-        if len({q.reduce(nf) for nf in normal_forms_of(spec, sections)}) != N ** spec.d2:
+        grid = np.array(list(itertools.product(range(N), repeat=spec.d2)),
+                        dtype=np.int64).reshape(N ** spec.d2, spec.d2)
+        if len(np.unique(_section_ids(q, grid))) != N ** spec.d2:
             ok_section = False
     checks.append(CheckResult("quotient-order-formula", ok_orders))
     checks.append(CheckResult("section-bijectivity", ok_section))
 
     # mod-N reduction soundness: t(n + N e_j) = t(n) t(e_j)^N modulo T^N, for
-    # 8 draws factored as one stack
+    # 8 draws; t(e_j)^N = t(N e_j), so the 8 triples are one stack of sections
     q = build_quotient(spec, m0)
-    members = []
+    triples = []
     for _ in range(8):
         n = tuple(int(rng.integers(-2 * m0, 2 * m0 + 1)) for _ in range(spec.d2))
         j = int(rng.integers(spec.d2)) if spec.d2 else 0
         if not spec.d2:
             break
-        shifted = list(n)
-        shifted[j] += q.N
-        members += [spec.section(shifted), spec.section(n),
-                    iso.power(spec.section([int(i == j) for i in range(spec.d2)]), q.N)]
-    ids = [q.reduce(nf) for nf in normal_forms_of(spec, members)]
+        step = q.N * np.eye(spec.d2, dtype=np.int64)[j]
+        triples += [n + step, n, step]
+    ids = _section_ids(q, np.array(triples, dtype=np.int64).reshape(len(triples), spec.d2))
     ok = all(lhs == q.mul(a, b) for lhs, a, b in zip(ids[0::3], ids[1::3], ids[2::3]))
     checks.append(CheckResult("mod-N-soundness", ok))
 
-    # composition exactness and associativity
-    gens = spec.generators()
+    # composition exactness and associativity; each drawn triple of generators
+    # is also multiplied in the table, whose ids list them in the same order
+    gens, gen_ids = spec.generators(), q.generators()
     ok_assoc, drift = True, 0.0
     chain = iso.identity_isometry(spec.d1, spec.d2)
     for _ in range(30):
@@ -115,10 +123,12 @@ def run_suite(spec: GroupSpec, seed: int = 0) -> VerifyReport:
         chain = iso.compose(chain, g)
         drift = max(drift, iso.orth_deviation(chain.q))
     for _ in range(8):
-        a, b, c = (gens[int(rng.integers(len(gens)))] for _ in range(3))
-        lhs = iso.compose(iso.compose(a, b), c)
-        rhs = iso.compose(a, iso.compose(b, c))
-        if not iso.approx_equal(lhs, rhs, 10 * spec.tol):
+        a, b, c = (int(rng.integers(len(gens))) for _ in range(3))
+        lhs = iso.compose(iso.compose(gens[a], gens[b]), gens[c])
+        rhs = iso.compose(gens[a], iso.compose(gens[b], gens[c]))
+        if (not iso.approx_equal(lhs, rhs, 10 * spec.tol)
+                or q.reduce(normal_form(spec, lhs))
+                != q.mul(q.mul(gen_ids[a], gen_ids[b]), gen_ids[c])):
             ok_assoc = False
     checks.append(CheckResult("composition-associativity", ok_assoc))
     checks.append(CheckResult("orthogonality-drift", drift <= ORTH_DRIFT_TOL,

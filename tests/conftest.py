@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import settings
 
 from euciso import catalog, io
 from euciso import isometry as iso
-from euciso.groups import GroupSpec, build_quotient, normal_forms
+from euciso.errors import NotAMember
+from euciso.groups import GroupSpec, build_quotient, normal_form, normal_forms
 from euciso.reps import STRUCT_TOL
 
 # derandomized examples keep tier-1 deterministic; no deadline, as host speed varies
@@ -55,13 +57,44 @@ def compose_all(factors):
     return acc
 
 
+def inverse(g):
+    """Inverse (A^-1, -A^-1 b); the q block inverts as a transpose."""
+    p_inv = iso.pmat_inv(g.p)
+    tau = tuple(-t for t in iso.pmat_vec(p_inv, g.tau))
+    return iso.Isometry(g.q.T.copy(), p_inv, tau)
+
+
+def power(g, n):
+    if n < 0:
+        return power(inverse(g), -n)
+    acc = iso.identity_isometry(g.d1, g.d2)
+    for _ in range(n):
+        acc = iso.compose(acc, g)
+    return acc
+
+
+def section(s, n):
+    """t(n) = g1^n1 ... g_d2^n_d2 as an isometry; tau block is exactly n."""
+    n = tuple(int(x) for x in n)
+    return iso.Isometry(s.section_q([n])[0], iso.identity_int_matrix(s.d2),
+                        tuple(Fraction(x) for x in n))
+
+
+def is_member(s, g):
+    try:
+        normal_form(s, g)
+        return True
+    except NotAMember:
+        return False
+
+
 def q_equal(a, b, tol=iso.DEFAULT_TOL):
     return a.size == 0 or float(np.abs(a - b).max()) <= tol
 
 
 def reconstruct(s, nf):
     """The isometry t(n)*f*p encoded by a normal form."""
-    return compose_all([s.section(nf.n), s.f_iso(nf.f), s.p_reps[nf.p]])
+    return compose_all([section(s, nf.n), s.f_iso(nf.f), s.p_reps[nf.p]])
 
 
 def mult_table_oracle(q):

@@ -8,7 +8,7 @@ from euciso import catalog
 from euciso import isometry as iso
 from euciso.dual import (enumerate_dual, k_shift_reps, little_group, null_set_member,
                          rep_set, wave_orbits)
-from euciso.groups import build_quotient, find_m0, tf_slice, validate_spec
+from euciso.groups import GroupSpec, build_quotient, find_m0, tf_slice, validate_spec
 from euciso.reps import (STRUCT_TOL, chi, equivalent, induce, irreps, lift_representation,
                          scale_by_character)
 
@@ -264,6 +264,39 @@ def test_tf_slices_keep_m0_orders_and_census(name):
         atlas = enumerate_dual(tf, N)
         assert all(atlas.checks.values())
         assert atlas.census_dims == sorted(r.dim for r in irreps(quotient(name, N).tf_subgroup()))
+
+
+def rebased(s, U):
+    """s on the lattice basis U e_1, ..., U e_d2 for a unimodular integer U:
+    the lifts t(U e_j), with q blocks section_q(U[:, j]), and the p_reps
+    (q, U^-1 P U, U^-1 tau)."""
+    U = iso.int_matrix(U)
+    U_inv, one = iso.pmat_inv(U), iso.identity_int_matrix(s.d2)
+    lifts = [iso.Isometry(q, one, e) for q, e in zip(s.section_q(np.array(U).T), one)]
+    p_reps = [iso.Isometry(p.q, iso.pmat_mul(iso.pmat_mul(U_inv, p.p), U),
+                           iso.pmat_vec(U_inv, p.tau)) for p in s.p_reps]
+    return GroupSpec(s.name, s.d1, s.d2, s.f_elements, lifts, p_reps, tol=s.tol)
+
+
+REBASINGS = [(name, U) for name in catalog.names()
+             for U in ([[[-1]]] if spec(name).d2 == 1 else
+                       [[[1, 1], [0, 1]], [[0, 1], [1, 0]], [[2, 1], [1, 1]], [[1, -2], [0, -1]]])]
+
+
+@pytest.mark.parametrize("name,U", REBASINGS)
+def test_unimodular_rebasing_keeps_m0_orders_and_census(name, U):
+    # the same group on another lattice basis
+    s = spec(name)
+    r = rebased(s, U)
+    assert validate_spec(r) == []
+    m0 = find_m0(s).m0
+    assert find_m0(r).m0 == m0
+    for N, want in catalog.CATALOG[name].expected["orders"].items():
+        assert build_quotient(r, N).order == want
+    for N in (m0, 2 * m0):
+        atlas = enumerate_dual(r, N)
+        assert all(atlas.checks.values())
+        assert atlas.census_dims == enumerate_dual(s, N).census_dims
 
 
 @settings(max_examples=8)

@@ -10,12 +10,13 @@ from euciso import catalog, groups
 from euciso import isometry as iso
 from euciso.errors import BadModulus, CapExceeded, InternalInconsistency, NotAMember
 from euciso.groups import (GroupSpec, NormalForm, _divisors, automorphism_count,
-                           build_quotient, find_m0, is_member, is_power_normal,
+                           build_quotient, find_m0, is_power_normal,
                            normal_form, normal_forms_of, tf_slice, validate_spec)
 from euciso.isometry import Isometry, rotation2
 
-from conftest import (compose_all, cyclic, mult_table_oracle, q_equal, quotient, reconstruct,
-                      rod_spec, spec, translation_isometry)
+from conftest import (compose_all, cyclic, inverse, is_member, mult_table_oracle, power,
+                      q_equal, quotient, reconstruct, rod_spec, section, spec,
+                      translation_isometry)
 
 
 # -- oracle: independent membership and normality test -------------------------
@@ -24,7 +25,7 @@ def oracle_section_power_set(s, m, span):
     """All m-th section powers with exponents in a window, as isometries."""
     out = []
     for v in itertools.product(range(-span, span + 1), repeat=s.d2):
-        out.append(iso.power(s.section(v), m))
+        out.append(power(section(s, v), m))
     return out
 
 
@@ -36,13 +37,13 @@ def oracle_is_power_normal(s, m, span=2):
         return any(iso.approx_equal(x, y, s.tol) for y in pool)
 
     window = list(itertools.product(range(-span, span + 1), repeat=s.d2))
-    powers = {v: iso.power(s.section(v), m) for v in window}
+    powers = {v: power(section(s, v), m) for v in window}
     for a in window:
         for b in window:
             if not member(iso.compose(powers[a], powers[b])):
                 return False
     for g in s.generators():
-        gi = iso.inverse(g)
+        gi = inverse(g)
         for a in window:
             if not member(iso.compose(iso.compose(g, powers[a]), gi)):
                 return False
@@ -98,12 +99,12 @@ def oracle_conjugation_violations(s):
     out, ident = [], iso.identity_int_matrix(s.d2)
     for tag, g in [("t", t) for t in s.t_lifts] + [("p", p) for p in s.p_reps]:
         for i in range(s.f_order):
-            conj = compose_all([g, s.f_iso(i), iso.inverse(g)])
+            conj = compose_all([g, s.f_iso(i), inverse(g)])
             if s.f_index(conj.q) is None or conj.p != ident or any(conj.tau):
                 out.append(("f-normal", f"conjugate of F[{i}] by a {tag}-generator left F"))
     for i, j in itertools.combinations(range(s.d2), 2):
         gi, gj = s.t_lifts[i], s.t_lifts[j]
-        comm = compose_all([gi, gj, iso.inverse(gi), iso.inverse(gj)])
+        comm = compose_all([gi, gj, inverse(gi), inverse(gj)])
         if comm.p != ident or any(comm.tau):
             out.append(("t-commutator", f"[g{i+1}, g{j+1}] has a nontrivial (p, tau) block"))
         elif s.f_index(comm.q) is None:
@@ -113,7 +114,7 @@ def oracle_conjugation_violations(s):
             if not is_member(s, iso.compose(a, b)):
                 out.append(("p-closure", "product of p_reps has no normal form"))
         for t in s.t_lifts:
-            if not is_member(s, compose_all([a, t, iso.inverse(a)])):
+            if not is_member(s, compose_all([a, t, inverse(a)])):
                 out.append(("p-conjugation",
                             "conjugate of a t_lift by a p_rep has no normal form"))
     return list(dict.fromkeys(out))
@@ -184,9 +185,9 @@ def test_normal_form_glide_squared():
 def test_normal_form_twist_commutator_witness():
     # twisted lifts t1' = g1*phi, t2' = g2 have commutator phi^2
     s = spec("twistE8")
-    t1p = iso.compose(s.section((1, 0)), s.f_iso(1))
-    t2p = s.section((0, 1))
-    comm = compose_all([t1p, t2p, iso.inverse(t1p), iso.inverse(t2p)])
+    t1p = iso.compose(section(s, (1, 0)), s.f_iso(1))
+    t2p = section(s, (0, 1))
+    comm = compose_all([t1p, t2p, inverse(t1p), inverse(t2p)])
     nf = normal_form(s, comm)
     assert nf == NormalForm((0, 0), 2, s.p_identity)
     want = iso.block_diag(np.eye(4), rotation2(math.pi))
@@ -195,8 +196,8 @@ def test_normal_form_twist_commutator_witness():
 
 def test_normal_form_m4_commutator_witness():
     s = spec("twistE8-m4")
-    g1, g2 = s.section((1, 0)), s.section((0, 1))
-    comm = compose_all([g1, g2, iso.inverse(g1), iso.inverse(g2)])
+    g1, g2 = section(s, (1, 0)), section(s, (0, 1))
+    comm = compose_all([g1, g2, inverse(g1), inverse(g2)])
     assert normal_form(s, comm) == NormalForm((0, 0), 1, 0)
 
 
@@ -215,10 +216,10 @@ def test_normal_form_rejects_outsiders():
 
 def test_power_section_examples():
     p1 = spec("p1")
-    assert p1.section((0, 0)).tau == (Fraction(0), Fraction(0))
-    assert p1.section((2, 3)).tau == (Fraction(2), Fraction(3))
+    assert section(p1, (0, 0)).tau == (Fraction(0), Fraction(0))
+    assert section(p1, (2, 3)).tau == (Fraction(2), Fraction(3))
     helix = spec("helix-C3")
-    t5 = helix.section((5,))
+    t5 = section(helix, (5,))
     assert t5.tau == (Fraction(5),)
     assert np.abs(t5.q - rotation2(5.0)).max() < 1e-12
 
@@ -483,7 +484,7 @@ def test_section_bijectivity():
     for name, N in [("pg", 3), ("twistE8", 2), ("helix-C3", 4)]:
         s = spec(name)
         q = build_quotient(s, N)
-        images = {q.reduce(normal_form(s, s.section(v)))
+        images = {q.reduce(normal_form(s, section(s, v)))
                   for v in itertools.product(range(N), repeat=s.d2)}
         assert len(images) == N ** s.d2
 
@@ -498,10 +499,10 @@ def test_mod_reduction_soundness(rng):
             j = int(rng.integers(s.d2))
             shifted = list(n)
             shifted[j] += N
-            lhs = q.reduce(normal_form(s, s.section(shifted)))
+            lhs = q.reduce(normal_form(s, section(s, shifted)))
             ej = [int(i == j) for i in range(s.d2)]
-            rhs = q.mul(q.reduce(normal_form(s, s.section(n))),
-                        q.reduce(normal_form(s, iso.power(s.section(ej), N))))
+            rhs = q.mul(q.reduce(normal_form(s, section(s, n))),
+                        q.reduce(normal_form(s, power(section(s, ej), N))))
             assert lhs == rhs
 
 

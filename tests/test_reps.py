@@ -90,6 +90,23 @@ def test_full_quotient_solves_on_its_cached_table():
             assert a.mats.tobytes() == b.mats.tobytes()
 
 
+@pytest.mark.parametrize("name,N", [("twistE8", 4), ("pg", 6), ("helix-C3", 6),
+                                    ("twistE8-m4", 8)])
+def test_ordered_matches_the_tuple_sort(rng, name, N):
+    # the oracle sorts by Python tuples: the dim, then the 2n floats of the
+    # rounded character
+    q = quotient(name, N)
+    irr = quotient_irreps(q)
+    perm = rng.permutation(len(irr))
+    stacks, chars = [irr[k].mats for k in perm], [irr[k].char for k in perm]
+    want = sorted(range(len(perm)), key=lambda k: (stacks[k].shape[1],
+                                                   tuple(np.round(chars[k], 6).view(float))))
+    table, _ = reps._perm_arrays(q)
+    got = reps._ordered(q, stacks, chars, table, rng)
+    assert [r.mats.tobytes() for r in got] == [stacks[k].tobytes() for k in want]
+    assert [r.mats.tobytes() for r in got] == [r.mats.tobytes() for r in irr]
+
+
 def test_split_dense_separates_a_direct_sum(rng):
     q = quotient("pg", 3)
     parts = [next(r for r in quotient_irreps(q) if r.dim == 1),

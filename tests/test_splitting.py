@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -6,11 +5,11 @@ import pytest
 from euciso import catalog
 from euciso import isometry as iso
 from euciso.errors import BadModulus, InternalInconsistency, NotCoprime
-from euciso.groups import build_quotient, find_m0, normal_form
+from euciso.groups import NormalForm
 from euciso.splitting import (a_coeff, cocycle, complement_set,
                               split_quotient, verify_certificate)
 
-from conftest import quotient, spec
+from conftest import reconstruct, spec
 
 
 def a_coeff_scan_oracle(n, r):
@@ -61,13 +60,15 @@ def test_a_coeff_examples_and_oracle():
 
 
 def test_complement_set_pg():
+    # the identity lift stays, and the glide is lifted to t((1, 0)) * glide
     s = spec("pg")
     comp = complement_set(s, 3)
     assert comp.a == -1
-    taus = {g.p: g.tau for g in comp.elements}
-    assert taus[((1, 0), (0, 1))] == (Fraction(0), Fraction(0))
-    assert taus[((1, 0), (0, -1))] == (Fraction(3, 2), Fraction(0))
-    flip = next(g for g in comp.elements if g.p == ((1, 0), (0, -1)))
+    assert comp.elements == [NormalForm((0, 0), 0, 0), NormalForm((1, 0), 0, 1)]
+    lifts = {s.p_reps[nf.p].p: reconstruct(s, nf) for nf in comp.elements}
+    assert lifts[((1, 0), (0, 1))].tau == (Fraction(0), Fraction(0))
+    assert lifts[((1, 0), (0, -1))].tau == (Fraction(3, 2), Fraction(0))
+    flip = lifts[((1, 0), (0, -1))]
     sq = iso.compose(flip, flip)
     assert sq.tau == (Fraction(3), Fraction(0))   # lands in the cube of the section
 
@@ -76,23 +77,33 @@ def test_complement_set_n_one_keeps_plain_lifts():
     for name in ("pg", "pm", "twistE8"):
         s = spec(name)
         comp = complement_set(s, 1)
-        for g in comp.elements:
-            assert g.tau == s.p_reps[s.p_index(g.p)].tau
+        assert comp.elements == [NormalForm((0,) * s.d2, s.f_identity, p)
+                                 for p in range(s.rot_order)]
+        for nf in comp.elements:
+            assert reconstruct(s, nf).tau == s.p_reps[nf.p].tau
 
 
 def test_complement_set_trivial_point_group():
     comp = complement_set(spec("p1"), 5)
-    assert len(comp.elements) == 1
-    assert comp.elements[0].tau == (Fraction(0), Fraction(0))
+    assert comp.elements == [NormalForm((0, 0), 0, 0)]
+    assert reconstruct(spec("p1"), comp.elements[0]).tau == (Fraction(0), Fraction(0))
 
 
 def test_complement_set_refuses_a_lift_outside_the_group(monkeypatch):
-    # a section value off the group makes every lift a non-member
+    # a section value off the group, at the first section_q call (the lifts'
+    # q blocks), makes every lift a non-member
     s = catalog.CATALOG["helix-C3"].build()
-    bad = iso.Isometry(iso.rotation2(0.3), iso.identity_int_matrix(1), (0,))
-    monkeypatch.setattr(s, "section", lambda n: bad)
+    section_q, calls = s.section_q, []
+
+    def faulty(n):
+        calls.append(len(n))
+        q = section_q(n)
+        return q @ iso.rotation2(0.3) if len(calls) == 1 else q
+
+    monkeypatch.setattr(s, "section_q", faulty)
     with pytest.raises(InternalInconsistency, match="corrected lift left the group"):
         complement_set(s, 1)
+    assert calls[0] == s.rot_order
 
 
 def test_complement_set_coprimality_guard():

@@ -1,9 +1,14 @@
 import copy
+import itertools
+import math
 
 import numpy as np
+import pytest
 
 from euciso import catalog, dual
+from euciso import isometry as iso
 from euciso.groups import QuotientGroup, find_m0
+from euciso.splitting import split_quotient
 from euciso.verify import run_suite
 
 
@@ -37,3 +42,32 @@ def test_a_verify_pass_builds_the_m0_atlas_once(monkeypatch):
     assert run_suite(s, seed=0).passed
     labels = dual.enumerate_dual(s, find_m0(s).m0, seed=0).labels
     assert len(calls) == len(labels)
+
+
+@pytest.mark.parametrize("name", ["helix-C3", "twistE8", "twistE8-m4"])
+def test_associativity_check_catches_a_transposed_table(monkeypatch, name):
+    # the table of the opposite group is associative and has the same identity
+    # and inverses; only products of generators compared with isometry
+    # composition tell it apart, and these groups have noncommuting generators
+    collect = QuotientGroup._collect
+    monkeypatch.setattr(QuotientGroup, "_collect", lambda self: collect(self).T)
+    report = run_suite(catalog.CATALOG[name].build(), seed=0)
+    assert [c.name for c in report.checks if not c.passed] == ["composition-associativity"]
+
+
+def test_only_the_arithmetic_checks_compose_isometries(monkeypatch):
+    # orthogonality-drift composes a chain of 30 and composition-associativity
+    # 8 triples both ways, 4 products each: 62 per pass; nothing else does
+    calls, compose = [], iso.compose
+    monkeypatch.setattr(iso, "compose", lambda g, h: calls.append(1) or compose(g, h))
+    for name, entry in catalog.CATALOG.items():
+        s = entry.build()
+        calls.clear()
+        assert run_suite(s, seed=0).passed
+        assert len(calls) == 62, name
+        s = entry.build()
+        m0 = find_m0(s).m0
+        n = next(k for k in itertools.count(2) if math.gcd(k, m0 * s.rot_order) == 1)
+        calls.clear()
+        assert split_quotient(s, m0, n).passed
+        assert calls == [], name
