@@ -21,10 +21,9 @@ import numpy as np
 
 from .errors import InternalInconsistency
 from .groups import GroupSpec, QuotientGroup, build_quotient, find_m0
-from .reps import (FINGERPRINT_DECIMALS, STRUCT_TOL, Representation, chi, constituents,
-                   distinct_irreps, dual_action, equivalent, induce, lift_representation,
-                   char_norm_sq, irreps, mackey_irreducible, multiplicities, p_rep_element,
-                   scale_by_character)
+from .reps import (FINGERPRINT_DECIMALS, STRUCT_TOL, Representation, char_norm_sq, chi,
+                   constituents, coset_conjugation, distinct_irreps, induce, irreps,
+                   lift_representation, mackey_irreducible, multiplicities, scale_by_character)
 
 FracVec = tuple[Fraction, ...]
 
@@ -35,51 +34,7 @@ def k_shift_reps(spec: GroupSpec, m: int) -> list[FracVec]:
             for vec in product(range(m), repeat=spec.d2)]
 
 
-# -- the representative set of dual(TF) ---------------------------------------
-
-@dataclass
-class RepSet:
-    """Dual classes of the translation-kernel part modulo the twisted action."""
-
-    spec: GroupSpec
-    m0: int
-    quotient: QuotientGroup
-    classes: list[Representation]
-    provenance: list[dict] = field(default_factory=list)
-
-
-def rep_set(spec: GroupSpec, seed: int = 0) -> RepSet:
-    """Greedy classification of the dual of (TF)_m0 under the twisted action.
-
-    Candidates rho, rho' are identified when some coset representative g
-    and shift k satisfy g . rho ~ chi_k rho'.
-    """
-    m0 = find_m0(spec).m0
-    q = build_quotient(spec, m0)
-    sub = q.tf_subgroup()
-    candidates = irreps(sub, seed=seed)
-    shifts = k_shift_reps(spec, m0)
-    coset = [p_rep_element(q, p) for p in range(spec.rot_order)]
-
-    classes: list[Representation] = []
-    twists: list[list[Representation]] = []     # chi_k * class for every shift k
-    provenance: list[dict] = []
-    for ci, rho in enumerate(candidates):
-        moved = [(p, dual_action(q, coset[p], rho)) for p in range(spec.rot_order)]
-        match = next(({"candidate": ci, "matched_class": ki, "p_index": p, "shift": shifts[si]}
-                      for ki, kept in enumerate(classes) if kept.dim == rho.dim
-                      for p, rho_p in moved
-                      for si, twisted in enumerate(twists[ki]) if equivalent(rho_p, twisted)),
-                     None)
-        if match is None:
-            classes.append(rho)
-            twists.append([scale_by_character(chi(spec, k), rho) for k in shifts])
-        else:
-            provenance.append(match)
-    return RepSet(spec, m0, q, classes, provenance)
-
-
-# -- little space groups -------------------------------------------------------
+# -- the representative set of dual(TF) and its little groups ------------------
 
 @dataclass
 class LittleGroup:
@@ -105,22 +60,62 @@ class LittleGroup:
         return self.pairs[self.spec.p_identity]
 
 
-def little_group(spec: GroupSpec, rs: RepSet, rho_index: int) -> LittleGroup:
-    """All (point part, shift) pairs fixing the class up to a character."""
-    q = rs.quotient
-    rho = rs.classes[rho_index]
-    shifts = k_shift_reps(spec, rs.m0)
-    twists = [scale_by_character(chi(spec, k), rho) for k in shifts]
-    pairs: dict[int, list[FracVec]] = {}
-    for p in range(spec.rot_order):
-        moved = dual_action(q, p_rep_element(q, p), rho)
-        hits = [shifts[si] for si, twisted in enumerate(twists)
-                if equivalent(moved, twisted)]
-        if hits:
-            pairs[p] = hits
-    lg = LittleGroup(spec, rho_index, rs.m0, pairs)
-    _check_little_group(lg)
-    return lg
+@dataclass
+class RepSet:
+    """Dual classes of the translation-kernel part modulo the twisted action,
+    with the little group of each class (`little_groups[i]` for `classes[i]`)."""
+
+    spec: GroupSpec
+    m0: int
+    quotient: QuotientGroup
+    classes: list[Representation]
+    little_groups: list[LittleGroup]
+    provenance: list[dict] = field(default_factory=list)
+
+
+def _twist_hits(moved: np.ndarray, twists: np.ndarray) -> np.ndarray:
+    """(|P|, |shifts|) mask: character moved[p] equals twists[s] within STRUCT_TOL."""
+    return np.array([np.abs(twists - m).max(axis=1) <= STRUCT_TOL for m in moved])
+
+
+def rep_set(spec: GroupSpec, seed: int = 0) -> RepSet:
+    """Greedy classification of the dual of (TF)_m0 under the twisted action.
+
+    Candidates rho, rho' are identified when some coset representative g_p
+    and shift s satisfy g_p . rho ~ chi_s rho'.  This is the one place that
+    decides the relation, on characters: g_p . rho has the character
+    rho.char[coset_conjugation(q)[p]] and chi_s rho the shift's phases
+    times rho.char.  A candidate that matches no kept class becomes one,
+    and matching it against its own twists gives its little group.
+    """
+    m0 = find_m0(spec).m0
+    q = build_quotient(spec, m0)
+    sub = q.tf_subgroup()
+    shifts = k_shift_reps(spec, m0)
+    conj = coset_conjugation(q)
+    phases = np.array([chi(spec, k).phases(q, sub.elements) for k in shifts])
+
+    # twists[i] holds the characters chi_s * classes[i], one row per shift s
+    classes, twists, little_groups, provenance = [], [], [], []
+    for ci, rho in enumerate(irreps(sub, seed=seed)):
+        moved = rho.char[conj]
+        for ki, kept in enumerate(twists):
+            hits = np.argwhere(_twist_hits(moved, kept))    # (p, shift) pairs, p first
+            if len(hits):
+                p, si = hits[0].tolist()
+                provenance.append({"candidate": ci, "matched_class": ki, "p_index": p,
+                                   "shift": shifts[si]})
+                break
+        else:
+            twists.append(phases * rho.char)
+            hits = _twist_hits(moved, twists[-1])
+            lg = LittleGroup(spec, len(classes), m0,
+                             {p: [shifts[si] for si in np.flatnonzero(row)]
+                              for p, row in enumerate(hits) if row.any()})
+            _check_little_group(lg)
+            classes.append(rho)
+            little_groups.append(lg)
+    return RepSet(spec, m0, q, classes, little_groups, provenance)
 
 
 def _check_little_group(lg: LittleGroup) -> None:
@@ -190,8 +185,7 @@ def wave_orbits(spec: GroupSpec, rs: RepSet, rho_index: int, N: int) -> list[Wav
     """
     if N % rs.m0 != 0:
         raise InternalInconsistency("orbit level must be a multiple of m0")
-    lg = little_group(spec, rs, rho_index)
-    p, b = zip(*lg.operations())
+    p, b = zip(*rs.little_groups[rho_index].operations())
     grid = np.array(list(product(range(N), repeat=spec.d2)), dtype=np.int64)
     radix = N ** np.arange(spec.d2 - 1, -1, -1)     # grid vector -> its row, in lex order
     images = (np.einsum("oij,nj->noi", spec.dual_points[list(p)], grid)

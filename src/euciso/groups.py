@@ -286,7 +286,7 @@ def _rep_products(spec: GroupSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 # -- validation -------------------------------------------------------------
 
-def validate_spec(spec: GroupSpec, order_bound: int = ORDER_BOUND) -> list[Violation]:
+def validate_spec(spec: GroupSpec) -> list[Violation]:
     """Check every GroupSpec invariant; violations are data, not errors."""
     out: list[Violation] = []
     tol = spec.tol
@@ -349,8 +349,8 @@ def validate_spec(spec: GroupSpec, order_bound: int = ORDER_BOUND) -> list[Viola
         if det not in (1, -1):
             out.append(Violation("p-det", f"p_reps[{i}] determinant {det}"))
             return out
-        if iso.pmat_order(g.p, order_bound) is None:
-            out.append(Violation("p-order", f"p_reps[{i}] order exceeds bound {order_bound}"))
+        if iso.pmat_order(g.p, ORDER_BOUND) is None:
+            out.append(Violation("p-order", f"p_reps[{i}] order exceeds bound {ORDER_BOUND}"))
     for a in pmats:
         for b in pmats:
             if iso.pmat_mul(a, b) not in pset:
@@ -510,30 +510,22 @@ def _divisors(n: int) -> list[int]:
     return low + [n // d for d in reversed(low) if d * d != n]
 
 
-def find_m0(spec: GroupSpec, bound: int | None = None) -> StructureReport:
+def find_m0(spec: GroupSpec) -> StructureReport:
     """Least exponent whose section powers form a normal subgroup.
 
     m0 divides m0_bound = |F|^2 * |Aut(F)|, so only the divisors of that
-    bound (or of `bound`, when given) are scanned.
+    bound are scanned.  The report is kept on the spec.
     """
-    if spec._m0_report is not None and bound is None:
-        return spec._m0_report
-    m0_bound = spec.f_order ** 2 * automorphism_count(spec)
-    scan_bound = bound if bound is not None else m0_bound
-    m0 = None
-    for m in _divisors(scan_bound):
-        if is_power_normal(spec, m):
-            m0 = m
-            break
-    if m0 is None:
-        raise InternalInconsistency(
-            f"no divisor of {scan_bound} gives a normal section power for {spec.name}")
-    report = StructureReport(m0=m0, m0_bound=m0_bound,
-                             is_space_group=(spec.d1 == 0),
-                             f_order=spec.f_order, rot_order=spec.rot_order)
-    if bound is None:
-        spec._m0_report = report
-    return report
+    if spec._m0_report is None:
+        m0_bound = spec.f_order ** 2 * automorphism_count(spec)
+        m0 = next((m for m in _divisors(m0_bound) if is_power_normal(spec, m)), None)
+        if m0 is None:
+            raise InternalInconsistency(
+                f"no divisor of {m0_bound} gives a normal section power for {spec.name}")
+        spec._m0_report = StructureReport(m0=m0, m0_bound=m0_bound,
+                                          is_space_group=(spec.d1 == 0),
+                                          f_order=spec.f_order, rot_order=spec.rot_order)
+    return spec._m0_report
 
 
 def tf_slice(spec: GroupSpec) -> GroupSpec:
@@ -780,10 +772,11 @@ class QuotientGroup:
             raise BadModulus("projection target must be a coarser quotient of the same spec")
         return coarse.ids(*self.parts(self.elements))
 
-    def spot_check(self, rng=None, samples: int = 16) -> None:
+    def spot_check(self, rng=None) -> None:
+        """Associativity and inverses on 16 drawn triples; rng defaults to default_rng(0)."""
         rng = rng or np.random.default_rng(0)
         n = self.order
-        for _ in range(samples):
+        for _ in range(16):
             a, b, c = (int(rng.integers(n)) for _ in range(3))
             if self.mul(self.mul(a, b), c) != self.mul(a, self.mul(b, c)):
                 raise InternalInconsistency("associativity failed in quotient")

@@ -3,8 +3,9 @@
 A representation is one complex array of shape (|H|, d, d), holding the
 matrices of its domain's elements in `domain.elements` order, plus its
 character vector.  Pairings of characters, equivalence and multiplicities are
-vector operations on those arrays; twisting, conjugating, lifting and
-inducing each build the new array with one gather.
+vector operations on those arrays; lifting and inducing each build the new
+array with one gather.  The twisted action on the translation-kernel part's
+dual is decided on characters (`coset_conjugation`, `dual.rep_set`).
 
 The dual of a quotient comes from its wave labels (`dual.enumerate_dual`):
 each label's induced representation is split by `constituents`, and
@@ -81,19 +82,17 @@ def char_norm_sq(r: Representation) -> float:
     return float(np.mean(np.abs(r.char) ** 2))
 
 
-def equivalent(r1: Representation, r2: Representation, tol: float = STRUCT_TOL) -> bool:
+def equivalent(r1: Representation, r2: Representation) -> bool:
     """Unitary equivalence via character comparison (finite groups)."""
-    return r1.dim == r2.dim and bool(np.abs(r1.char - r2.char).max() <= tol)
+    return r1.dim == r2.dim and bool(np.abs(r1.char - r2.char).max() <= STRUCT_TOL)
 
 
-def multiplicity(container: Representation, irr: Representation,
-                 tol: float = STRUCT_TOL) -> int:
+def multiplicity(container: Representation, irr: Representation) -> int:
     """How often `irr` occurs in `container`, from the character pairing."""
-    return int(multiplicities(container.char[None], irr.char[None], tol)[0, 0])
+    return int(multiplicities(container.char[None], irr.char[None])[0, 0])
 
 
-def multiplicities(chars: np.ndarray, irr_chars: np.ndarray,
-                   tol: float = STRUCT_TOL) -> np.ndarray:
+def multiplicities(chars: np.ndarray, irr_chars: np.ndarray) -> np.ndarray:
     """How often each irreducible occurs in each representation.
 
     chars is an (r, |H|) stack of characters and irr_chars an (s, |H|)
@@ -102,7 +101,7 @@ def multiplicities(chars: np.ndarray, irr_chars: np.ndarray,
     """
     m = chars @ irr_chars.conj().T / chars.shape[1]
     k = np.round(m.real)
-    bad = np.abs(m - k) > tol
+    bad = np.abs(m - k) > STRUCT_TOL
     if bad.any():
         raise InternalInconsistency(f"non-integral multiplicity {m[bad][0]}")
     return k.astype(np.int64)
@@ -370,18 +369,19 @@ def scale_by_character(wave: WaveCharacter, r: Representation) -> Representation
 
 # -- the action of G on duals of TF -------------------------------------------
 
-def dual_action(q: QuotientGroup, g: int, r: Representation) -> Representation:
-    """(g . rho)(h) = rho(g^-1 h g) for rho on a normal subgroup view."""
-    sub = r.domain
-    table = q.mult_table()
-    rows = sub.local[table[table[q.inv(g), list(sub.elements)], g]]
-    if (rows < 0).any():
-        raise InternalInconsistency("conjugation left the subgroup")
-    return Representation(sub, r.mats[rows])
-
-
 def p_rep_element(q: QuotientGroup, p_idx: int) -> int:
     return q.reduce(NormalForm((0,) * q.spec.d2, q.spec.f_identity, p_idx))
+
+
+def coset_conjugation(q: QuotientGroup) -> np.ndarray:
+    """The (|P|, |TF|) TF rows of h_p^-1 t h_p for the p_rep cosets h_p and t in
+    `q.tf_subgroup()`: g_p . rho has the character rho.char[rows[p]]."""
+    sub, table = q.tf_subgroup(), q.mult_table()
+    cosets = np.array([p_rep_element(q, p) for p in range(q.spec.rot_order)])
+    rows = sub.local[table[table[np.ix_(q._inverse[cosets], sub.elements)], cosets[:, None]]]
+    if (rows < 0).any():
+        raise InternalInconsistency("conjugation left the subgroup")
+    return rows
 
 
 def induce(q: QuotientGroup, r: Representation) -> Representation:
@@ -418,12 +418,13 @@ def mackey_irreducible(q: QuotientGroup, r: Representation,
                        induced: Representation) -> bool:
     """Irreducibility test for the induced representation of r.
 
-    True iff no nontrivial coset moves r to an equivalent representation;
-    cross-checked against the character norm of `induced`, which must be
-    induce(q, r).
+    True iff no nontrivial coset moves r to an equivalent representation,
+    compared on characters: g_p . r has the character r.char at the rows
+    `coset_conjugation(q)[p]`.  Cross-checked against the character norm of
+    `induced`, which must be induce(q, r).
     """
-    verdict = not any(equivalent(dual_action(q, p_rep_element(q, p), r), r)
-                      for p in range(q.spec.rot_order) if p != q.spec.p_identity)
+    moved = np.delete(r.char[coset_conjugation(q)], q.spec.p_identity, axis=0)
+    verdict = not (np.abs(moved - r.char).max(axis=1) <= STRUCT_TOL).any()
     norm = char_norm_sq(induced)
     if abs(norm - 1.0) < STRUCT_TOL:
         by_norm = True

@@ -56,11 +56,20 @@ def _versus(label: str, value: float, tol: float) -> str:
     return f"{label} {value:.2e} vs tol {tol:.3g}"
 
 
-def _section_ids(q, n: np.ndarray) -> list[int]:
-    """Quotient ids of the sections t(n) for a (k, d2) exponent stack n."""
+def _section_ids(q, blocks: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Quotient ids, by `normal_forms`, of the members with q blocks `blocks`,
+    translation parts n (a (k, d2) exponent stack) and trivial point part."""
     spec = q.spec
     p = [spec.p_identity] * len(n)
-    return q.ids(*normal_forms(spec, spec.section_q(n), p, spec.points[0] * n), p).tolist()
+    return q.ids(*normal_forms(spec, blocks, p, spec.points[0] * n), p)
+
+
+def _table_products_agree(q, a: np.ndarray, b: np.ndarray) -> bool:
+    """True iff the table's t(a) t(b) is the member factored from the stack
+    section_q(a) @ section_q(b), for (k, d2) exponent stacks a and b."""
+    qa, qb = q.spec.section_q(a), q.spec.section_q(b)
+    products = q.mult_table()[_section_ids(q, qa, a), _section_ids(q, qb, b)]
+    return bool((products == _section_ids(q, qa @ qb, a + b)).all())
 
 
 def run_suite(spec: GroupSpec, seed: int = 0) -> VerifyReport:
@@ -80,38 +89,36 @@ def run_suite(spec: GroupSpec, seed: int = 0) -> VerifyReport:
                               is_power_normal(spec, m0) and is_power_normal(spec, 2 * m0),
                               f"m0 = {m0}"))
 
-    # order formula and section bijectivity: the sections t(n), n in
-    # [0, N)^d2, factored as one stack, reach N^d2 distinct ids.  The spot
-    # check draws its own triples, not the ones `mult_table` checked when it
-    # built the table
+    # order formula and section bijectivity: for every a in [0, N)^d2 and
+    # every j, the table's t(a) t(e_j) is the member factored from their q
+    # blocks.  The spot check draws its own triples, not the ones
+    # `mult_table` checked when it built the table
     ok_orders, ok_section = True, True
     spot = np.random.default_rng([seed, 1])
     for N in (m0, 2 * m0):
         q = build_quotient(spec, N)
         q.spot_check(spot)
-        if q.order != N ** spec.d2 * spec.f_order * spec.rot_order:
-            ok_orders = False
+        ok_orders &= q.order == N ** spec.d2 * spec.f_order * spec.rot_order
         grid = np.array(list(itertools.product(range(N), repeat=spec.d2)),
                         dtype=np.int64).reshape(N ** spec.d2, spec.d2)
-        if len(np.unique(_section_ids(q, grid))) != N ** spec.d2:
-            ok_section = False
+        units = np.tile(np.eye(spec.d2, dtype=np.int64), (len(grid), 1))
+        ok_section &= _table_products_agree(q, np.repeat(grid, spec.d2, axis=0), units)
     checks.append(CheckResult("quotient-order-formula", ok_orders))
     checks.append(CheckResult("section-bijectivity", ok_section))
 
-    # mod-N reduction soundness: t(n + N e_j) = t(n) t(e_j)^N modulo T^N, for
-    # 8 draws; t(e_j)^N = t(N e_j), so the 8 triples are one stack of sections
+    # mod-N reduction soundness: the table's t(n) t(N e_j) for 8 draws n in
+    # [-2N, 2N]^d2, and its t(a) t(b) for 8 pairs with exponents outside
+    # [0, N), drawn from their own rng so that the later checks keep their draws
     q = build_quotient(spec, m0)
-    triples = []
-    for _ in range(8):
-        n = tuple(int(rng.integers(-2 * m0, 2 * m0 + 1)) for _ in range(spec.d2))
-        j = int(rng.integers(spec.d2)) if spec.d2 else 0
-        if not spec.d2:
-            break
-        step = q.N * np.eye(spec.d2, dtype=np.int64)[j]
-        triples += [n + step, n, step]
-    ids = _section_ids(q, np.array(triples, dtype=np.int64).reshape(len(triples), spec.d2))
-    ok = all(lhs == q.mul(a, b) for lhs, a, b in zip(ids[0::3], ids[1::3], ids[2::3]))
-    checks.append(CheckResult("mod-N-soundness", ok))
+    n, steps = np.zeros((2, 8 if spec.d2 else 0, spec.d2), dtype=np.int64)
+    for i in range(len(n)):
+        n[i] = [rng.integers(-2 * m0, 2 * m0 + 1) for _ in range(spec.d2)]
+        steps[i, rng.integers(spec.d2)] = m0
+    wrap = np.random.default_rng([seed, 2])
+    a, b = (wrap.integers(m0, size=(8, spec.d2)) + m0 * wrap.choice([-2, -1, 1, 2], (8, spec.d2))
+            for _ in range(2))
+    checks.append(CheckResult("mod-N-soundness", _table_products_agree(
+        q, np.concatenate([n, a]), np.concatenate([steps, b]))))
 
     # composition exactness and associativity; each drawn triple of generators
     # is also multiplied in the table, whose ids list them in the same order

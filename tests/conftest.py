@@ -8,9 +8,11 @@ from hypothesis import settings
 
 from euciso import catalog, io
 from euciso import isometry as iso
-from euciso.errors import NotAMember
-from euciso.groups import GroupSpec, build_quotient, normal_form, normal_forms
-from euciso.reps import STRUCT_TOL
+from euciso.dual import k_shift_reps
+from euciso.errors import InternalInconsistency, NotAMember
+from euciso.groups import GroupSpec, build_quotient, find_m0, normal_form, normal_forms
+from euciso.reps import (STRUCT_TOL, Representation, chi, equivalent, irreps, p_rep_element,
+                         scale_by_character)
 
 # derandomized examples keep tier-1 deterministic; no deadline, as host speed varies
 settings.register_profile("euciso", derandomize=True, deadline=None)
@@ -125,6 +127,71 @@ def mult_table_oracle(q):
         _, zeta[t_ids] = normal_forms(s, a_q @ t_q, [s.p_identity] * len(grid), (a + grid) * d)
         table[ax] = q.ids(a + el_n, fmul[zeta[t_of], el_f], el_p)[xj]
     return table
+
+
+def c5_quarter_spec():
+    """A plane group over the kernel C5 < O(4), R(th) + R(2 th) with th = 2 pi / 5,
+    whose quarter turn of the lattice conjugates F by the automorphism f -> f^2
+    of order 4.  Its rep_set merges the four nontrivial kernel characters by
+    point parts of order 4, so g_p . rho and g_p^-1 . rho tell the
+    conjugation's direction apart, which no catalog group does; m0 = 1."""
+    th = 2 * math.pi / 5
+    kernel = [iso.block_diag(iso.rotation2(k * th), iso.rotation2(2 * k * th)) for k in range(5)]
+    zero, one = np.zeros((2, 2)), iso.identity_int_matrix(2)
+    quarter = np.block([[zero, np.eye(2)], [np.diag([1.0, -1.0]), zero]])
+    turn = np.array([[0, -1], [1, 0]])
+    p_reps = [iso.Isometry(np.linalg.matrix_power(quarter, j),
+                           iso.int_matrix(np.linalg.matrix_power(turn, j).tolist()), (0, 0))
+              for j in range(4)]
+    lifts = [iso.Isometry(np.eye(4), one, e) for e in one]
+    return GroupSpec("c5-quarter", 4, 2, kernel, lifts, p_reps)
+
+
+def dual_action(q, g, r):
+    """(g . rho)(h) = rho(g^-1 h g) for rho on a normal subgroup view."""
+    sub = r.domain
+    table = q.mult_table()
+    rows = sub.local[table[table[q.inv(g), list(sub.elements)], g]]
+    if (rows < 0).any():
+        raise InternalInconsistency("conjugation left the subgroup")
+    return Representation(sub, r.mats[rows])
+
+
+def rep_set_oracle(s, seed=0):
+    """`dual.rep_set` on matrix stacks: every g_p . rho by `dual_action` and
+    every chi_k rho by `scale_by_character`, compared by `equivalent`.
+    Returns the classes, the provenance and each class's little-group pairs."""
+    m0 = find_m0(s).m0
+    q = build_quotient(s, m0)
+    shifts = k_shift_reps(s, m0)
+    cosets = [p_rep_element(q, p) for p in range(s.rot_order)]
+    classes, twists, provenance = [], [], []
+    for ci, rho in enumerate(irreps(q.tf_subgroup(), seed=seed)):
+        moved = [dual_action(q, g, rho) for g in cosets]
+        match = next(({"candidate": ci, "matched_class": ki, "p_index": p, "shift": shifts[si]}
+                      for ki, kept in enumerate(classes) if kept.dim == rho.dim
+                      for p, rho_p in enumerate(moved)
+                      for si, twisted in enumerate(twists[ki]) if equivalent(rho_p, twisted)),
+                     None)
+        if match is None:
+            classes.append(rho)
+            twists.append([scale_by_character(chi(s, k), rho) for k in shifts])
+        else:
+            provenance.append(match)
+    pairs = []
+    for rho, twisted in zip(classes, twists):
+        moved = [dual_action(q, g, rho) for g in cosets]
+        hits = {p: [k for k, t in zip(shifts, twisted) if equivalent(rho_p, t)]
+                for p, rho_p in enumerate(moved)}
+        pairs.append({p: found for p, found in hits.items() if found})
+    return classes, provenance, pairs
+
+
+def stabilizer_oracle(q, r):
+    """True iff no nontrivial coset moves r to an equivalent representation,
+    compared on `dual_action` stacks."""
+    return not any(equivalent(dual_action(q, p_rep_element(q, p), r), r)
+                   for p in range(q.spec.rot_order) if p != q.spec.p_identity)
 
 
 def trivial_on(r, ids):

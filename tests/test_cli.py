@@ -153,6 +153,9 @@ PINNED_DIGESTS = {
         "5086628e324c1d80d4ff6f35336606a14261d94dd4729d41fc75c21a27a47fb0",
     ("dual", "catalog:twistE8-m4", "--N", "8"):
         "8f55bc19c06f60dc533b269c4b4b9d8bdb240bca4a6487e204a06c2eb86ae2f7",
+    # the rod group with a flip, whose rep_set merges two kernel characters
+    ("dual", "catalog:helix-C3", "--N", "3"):
+        "f43b98aaee575368b93f232658d91225fce484374d7948955f8508c12fe7ee0f",
     ("split", "catalog:twistE8", "--m", "2", "--n", "3"):
         "604fc7dee24bbf9c7b2e767fbfe2f644627518e276d9491a0593bf392fa18107",
     ("dual", "catalog:twistE8", "--N", "4"):

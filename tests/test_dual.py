@@ -6,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from euciso import catalog
 from euciso import isometry as iso
-from euciso.dual import (enumerate_dual, k_shift_reps, little_group, null_set_member,
-                         rep_set, wave_orbits)
+from euciso.dual import enumerate_dual, k_shift_reps, null_set_member, rep_set, wave_orbits
 from euciso.groups import GroupSpec, build_quotient, find_m0, tf_slice, validate_spec
 from euciso.reps import (STRUCT_TOL, chi, equivalent, induce, irreps, lift_representation,
-                         scale_by_character)
+                         mackey_irreducible, scale_by_character)
 
-from conftest import quotient, spec
+from conftest import (c5_quarter_spec, dual_action, quotient, rep_set_oracle, spec,
+                      stabilizer_oracle)
 
 
 def dual_point_matrix(p):
@@ -75,7 +75,7 @@ def test_rep_set_members_pairwise_inequivalent_under_twist():
     s = spec("twistE8")
     rs = rep_set(s)
     q = rs.quotient
-    from euciso.reps import dual_action, p_rep_element
+    from euciso.reps import p_rep_element
     shifts = [chi(s, k) for k in
               [tuple(Fraction(a, rs.m0) for a in v)
                for v in [(0, 0), (1, 0), (0, 1), (1, 1)]]]
@@ -89,10 +89,45 @@ def test_rep_set_members_pairwise_inequivalent_under_twist():
                     assert not equivalent(moved, scale_by_character(wave, b))
 
 
+TWIST_SPECS = [*(pytest.param(lambda name=name: spec(name), id=name) for name in catalog.names()),
+               *(pytest.param(lambda name=name: tf_slice(spec(name)), id=f"{name}-slice")
+                 for name in catalog.names()),
+               pytest.param(c5_quarter_spec, id="c5-quarter")]
+
+
+@pytest.mark.parametrize("build", TWIST_SPECS)
+def test_rep_set_matches_the_stack_oracle(build):
+    # rep_set decides the twisted action on characters; the oracle builds
+    # every moved and twisted (|TF|, d, d) stack and compares those
+    s = build()
+    rs = rep_set(s)
+    classes, provenance, pairs = rep_set_oracle(s)
+    assert len(rs.classes) == len(classes)
+    assert all(np.array_equal(a.char, b.char) for a, b in zip(rs.classes, classes))
+    assert rs.provenance == provenance
+    assert [lg.pairs for lg in rs.little_groups] == pairs
+    assert [lg.rho_index for lg in rs.little_groups] == list(range(len(classes)))
+
+
+@pytest.mark.parametrize("build", TWIST_SPECS)
+def test_mackey_verdict_matches_the_stack_oracle(build):
+    # the stabilizer test on characters against the stacks, on every label
+    s = build()
+    rs = rep_set(s)
+    for N in (rs.m0, 2 * rs.m0):
+        q = build_quotient(s, N)
+        for idx, rho in enumerate(rs.classes):
+            lifted = lift_representation(rho, q)
+            for label in wave_orbits(s, rs, idx, N):
+                twisted = scale_by_character(chi(s, label.k), lifted)
+                assert (mackey_irreducible(q, twisted, induce(q, twisted))
+                        == stabilizer_oracle(q, twisted)), (N, label)
+
+
 def test_little_group_p1():
     s = spec("p1")
     rs = rep_set(s)
-    lg = little_group(s, rs, 0)
+    lg = rs.little_groups[0]
     assert set(lg.pairs) == {0}
     assert lg.pairs[0] == [(Fraction(0), Fraction(0))]
 
@@ -100,7 +135,7 @@ def test_little_group_p1():
 def test_little_group_pg_trivial_class():
     s = spec("pg")
     rs = rep_set(s)
-    lg = little_group(s, rs, 0)
+    lg = rs.little_groups[0]
     assert set(lg.pairs) == {0, 1}
     assert all(shifts == [(Fraction(0), Fraction(0))]
                for shifts in lg.pairs.values())
@@ -112,7 +147,7 @@ def test_little_group_translation_sandwich_twist():
     rs = rep_set(s)
     assert rs.m0 == 2
     for idx in range(len(rs.classes)):
-        lg = little_group(s, rs, idx)
+        lg = rs.little_groups[idx]
         for shift in lg.translation_shifts():
             assert all((x * rs.m0).denominator == 1 for x in shift)
 
@@ -171,7 +206,7 @@ def test_wave_orbits_pg_against_oracle():
     assert all(l.k[1] == 0 for l in singles)
     assert not any(l.in_null_set for l in pairs)
     # brute-force oracle over the grid
-    lg = little_group(s, rs, 0)
+    lg = rs.little_groups[0]
     oracle = brute_orbits(k_shift_reps(s, 3), oracle_operations(s, lg))
     assert sorted(len(o) for o in oracle) == sorted(l.orbit_size for l in labels)
     assert {min(o) for o in oracle} == {l.k for l in labels}
@@ -183,7 +218,7 @@ def test_wave_orbits_pg_against_oracle():
         for idx in range(len(rs.classes)):
             labels = wave_orbits(s, rs, idx, N)
             oracle = brute_orbits(k_shift_reps(s, N),
-                                  oracle_operations(s, little_group(s, rs, idx)))
+                                  oracle_operations(s, rs.little_groups[idx]))
             assert {min(o): len(o) for o in oracle} == {l.k: l.orbit_size for l in labels}
             assert all(l.in_null_set == null_oracle(s, l.k) for l in labels)
 

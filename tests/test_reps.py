@@ -9,12 +9,12 @@ from euciso.dual import rep_set, wave_orbits
 from euciso.errors import CapExceeded, InternalInconsistency
 from euciso.groups import NormalForm, SubgroupView, build_quotient, tf_slice
 from euciso.reps import (STRUCT_TOL, Representation, _Characters, _split_dense, char_inner,
-                         char_norm_sq, chi, constituents, distinct_irreps, dual_action, equivalent,
+                         char_norm_sq, chi, constituents, distinct_irreps, equivalent,
                          induce, intertwiner, irreps, lift_representation,
                          mackey_irreducible, multiplicities, multiplicity, p_rep_element,
                          quotient_irreps, scale_by_character)
 
-from conftest import quotient, spec, trivial_on
+from conftest import dual_action, quotient, spec, trivial_on
 
 
 def conjugacy_class_count(q):
