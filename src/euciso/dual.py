@@ -21,9 +21,10 @@ import numpy as np
 
 from .errors import InternalInconsistency
 from .groups import GroupSpec, QuotientGroup, build_quotient, find_m0
-from .reps import (FINGERPRINT_DECIMALS, STRUCT_TOL, Representation, char_norm_sq, chi,
-                   constituents, coset_conjugation, distinct_irreps, induce, irreps,
-                   lift_representation, mackey_irreducible, multiplicities, scale_by_character)
+from .reps import (FINGERPRINT_DECIMALS, STRUCT_TOL, Representation, check_irreducibles, chi,
+                   constituents, coset_conjugation, distinct_constituents, induce,
+                   induced_character, integral, irreducible_order, irreps, lift_representation,
+                   mackey_irreducible, scale_by_character)
 
 FracVec = tuple[Fraction, ...]
 
@@ -219,14 +220,40 @@ class LabelReport:
 
 @dataclass
 class DualAtlas:
+    """The labeled dual of G mod T^N, with the quotient's irreducibles.
+
+    `sources` gives, in basis order, each irreducible's (|G|, d, d) stack
+    when it was split from a null-set label, or else the index in `labels`
+    of the label off the null set whose induced representation it is.
+    `irreps` builds the `Representation`s on first use, inducing each of the
+    latter once, and `basis` fingerprints them.
+    """
+
     spec: GroupSpec
     N: int
     seed: int
     rep_set: RepSet
     labels: list[LabelReport]
-    irreps: list[Representation]
     census_dims: list[int]
     checks: dict[str, bool]
+    sources: list[np.ndarray | int] = field(repr=False)
+
+    @functools.cached_property
+    def irreps(self) -> list[Representation]:
+        """The quotient's irreducibles in basis order, built on first use."""
+        q = build_quotient(self.spec, self.N)
+        lifted: dict[int, Representation] = {}
+        out = []
+        for src in self.sources:
+            if isinstance(src, int):
+                label = self.labels[src].label
+                if label.rho_index not in lifted:
+                    lifted[label.rho_index] = lift_representation(
+                        self.rep_set.classes[label.rho_index], q)
+                src = induce(q, scale_by_character(chi(self.spec, label.k),
+                                                   lifted[label.rho_index])).mats
+            out.append(Representation(q, src))
+        return out
 
     @functools.cached_property
     def basis(self) -> str:
@@ -239,56 +266,114 @@ class DualAtlas:
         return digest.hexdigest()
 
 
+class _Irreducibles:
+    """The characters of the quotient's irreducibles, held without a (K, |G|) block.
+
+    The first len(off) irreducibles are the representations induced from
+    the labels `off`, off the null set; their characters are those rows of
+    `induced`, the labels' (L, |TF|) block of induced characters on the TF
+    part, and vanish off it.  The others are the distinct constituents split
+    from null-set labels, whose full characters are the rows of `split`.
+    """
+
+    def __init__(self, sub, induced: np.ndarray, off: list[int], split: np.ndarray):
+        self.sub, self.induced, self.split = sub, induced, split
+        self.off = np.array(off, dtype=np.int64)
+        self.split_tf = split[:, list(sub.elements)]
+
+    def pair(self, chars: np.ndarray) -> np.ndarray:
+        """sum_t chars[r, t] conj(sigma_u(t)) over the TF part, for an (r, |TF|)
+        block of characters and every irreducible sigma_u: an (r, K) array."""
+        return np.concatenate([(chars @ self.induced.conj().T)[:, self.off],
+                               chars @ self.split_tf.conj().T], axis=1)
+
+    def gram(self, pairing: np.ndarray) -> np.ndarray:
+        """The irreducibles' character Gram, given `pair(induced) / |G|`: an
+        irreducible off the null set pairs as its label's induced character."""
+        n = self.sub.parent.order
+        split = self.pair(self.split_tf) / n
+        split[:, len(self.off):] = self.split @ self.split.conj().T / n
+        return np.concatenate([pairing[self.off], split])
+
+    def columns(self, rows: np.ndarray, ids: slice) -> np.ndarray:
+        """The characters of irreducibles `rows` at the element ids of a slice."""
+        loc = self.sub.local[ids]
+        inside, induced = loc >= 0, rows < len(self.off)
+        out = np.zeros((len(rows), len(loc)), dtype=complex)
+        out[np.ix_(induced, inside)] = self.induced[self.off[rows[induced]]][:, loc[inside]]
+        out[~induced] = self.split[rows[~induced] - len(self.off), ids]
+        return out
+
+
 def enumerate_dual(spec: GroupSpec, N: int, seed: int = 0) -> DualAtlas:
-    """Induce one representation per wave label, report on each, and audit the result.
+    """Label the dual of G mod T^N, report on each label, and audit the result.
 
     The quotient's irreducibles come from the labels themselves
     (Clifford-Mackey theory; Serre, *Linear Representations of Finite
-    Groups*, sections 7-8): off the null set the induced representation is
-    irreducible, and on it `reps.constituents` splits it into blocks of
-    dimension at most |P| d_rho.  Labels share no constituent, so
-    `reps.distinct_irreps` drops duplicates within each label only and
-    orders the rest as `reps.irreps` does.  They are kept as `irreps`, the
-    basis Fourier tables use; the atlas is kept on the quotient per seed.
+    Groups*, sections 7-8), characters first.  A label's representation is
+    induced from its twisted class tau = chi_k rho on the TF part, and
+    `induced_character` gives its character without matrices.  Off the null
+    set it is irreducible, so no stack is built here: `DualAtlas.irreps`
+    induces it on first use.  A null-set label is induced now and split by
+    `reps.constituents` into blocks of dimension at most |P| d_rho, of which
+    `reps.distinct_constituents` keeps one per character; labels share no
+    constituent.  The irreducibles are put in `reps.irreducible_order`, the
+    basis Fourier tables use, and the atlas is kept on the quotient per seed.
 
-    Each label's report holds its induced dimension, irreducibility,
-    character norm and decomposition into the quotient's irreducibles.
-    Checks performed: pairwise inequivalence of the emitted representations,
-    irreducibility of every label off the null set (stabilizer test agreeing
-    with the character norm), exhaustion of the quotient dual by the label
-    decompositions (sum d^2 = |G mod T^N|), and coverage of every irreducible
-    as a subrepresentation.  Coverage is computed from restrictions to TF by
-    Frobenius reciprocity, <Ind tau, sigma> = <tau, Res sigma>, and must
-    reproduce every decomposition, which is computed from induced
-    characters; both are one character Gram over all labels.
+    Each label's report holds its induced dimension, irreducibility (the
+    stabilizer test, cross-checked with the character norm), character norm
+    and decomposition into the quotient's irreducibles.  Every Gram runs
+    over the TF part, where induced characters live; the irreducibles' own
+    Gram must be the identity (`reps.check_irreducibles`, which also probes
+    the split stacks).  Checks performed: pairwise inequivalence of the
+    labels, irreducibility off the null set, exhaustion of the quotient dual
+    by the decompositions (sum d^2 = |G mod T^N|), and coverage of every
+    irreducible as a subrepresentation.  Coverage is computed from the
+    twisted characters by Frobenius reciprocity, <Ind tau, sigma> =
+    <tau, Res sigma>, and must reproduce every decomposition.
     """
     q = build_quotient(spec, N)
     if seed in q._atlases:
         return q._atlases[seed]
     q.mult_table()      # induce needs it; past the table cap nothing order-sized is built
     rs = rep_set(spec, seed=seed)
-    tf = list(q.tf_subgroup().elements)
+    sub, conj = q.tf_subgroup(), coset_conjugation(q)
+    tf = np.array(sub.elements)
+    orbits = [wave_orbits(spec, rs, rho_index, N) for rho_index in range(len(rs.classes))]
+    twisted = np.empty((sum(map(len, orbits)), sub.order), dtype=complex)
+    induced = np.empty_like(twisted)
     rows: list[tuple[WaveLabel, int, bool, float]] = []
-    ind_chars, twisted_chars, pieces = [], [], []
-    for rho_index, rho in enumerate(rs.classes):
+    off, split_stacks, split_chars = [], [], []
+    for rho, labels in zip(rs.classes, orbits):
         lifted = lift_representation(rho, q)
-        for label in wave_orbits(spec, rs, rho_index, N):
-            twisted = scale_by_character(chi(spec, label.k), lifted)
-            ind = induce(q, twisted)
-            rows.append((label, ind.dim, mackey_irreducible(q, twisted, ind),
-                         char_norm_sq(ind)))
-            ind_chars.append(ind.char)
-            twisted_chars.append(twisted.char)
-            pieces.append(constituents(ind, seed))   # [ind.mats] off the null set
-    irr = distinct_irreps(q, pieces, seed)
-    irr_chars = np.array([s.char for s in irr])
-    decomposition = multiplicities(np.array(ind_chars), irr_chars)
-    reciprocity = multiplicities(np.array(twisted_chars), irr_chars[:, tf])
-    reports = [LabelReport(label, dim, irreducible, float(norm),
+        for label in labels:
+            i, wave = len(rows), chi(spec, label.k)
+            twisted[i] = wave.phases(q, tf) * lifted.char
+            induced[i] = induced_character(conj, twisted[i])
+            rows.append((label, spec.rot_order * rho.dim,
+                         mackey_irreducible(q, conj, twisted[i], induced[i]),
+                         float(np.vdot(induced[i], induced[i]).real) / q.order))
+            if label.in_null_set:
+                stacks, chars = distinct_constituents(
+                    constituents(induce(q, scale_by_character(wave, lifted)), seed))
+                split_stacks += stacks
+                split_chars.append(chars)
+            else:
+                off.append(i)
+    irr = _Irreducibles(sub, induced, off,
+                        np.concatenate([np.empty((0, q.order), dtype=complex), *split_chars]))
+    pairing = irr.pair(induced) / q.order
+    check_irreducibles(irr.gram(pairing), split_stacks, q.mult_table(),
+                       np.random.default_rng(seed))
+    dims = np.array([rows[i][1] for i in off] + [m.shape[1] for m in split_stacks])
+    order = irreducible_order(dims, irr.columns, q.order)
+    decomposition = integral(pairing[:, order])
+    reciprocity = integral(irr.pair(twisted)[:, order] / sub.order)
+    reports = [LabelReport(label, dim, irreducible, norm,
                            {int(j): int(row[j]) for j in np.flatnonzero(row)})
                for (label, dim, irreducible, norm), row in zip(rows, decomposition)]
 
-    dims = np.array([s.dim for s in irr])
+    dims = dims[order]
     checks = {}
     # decompositions determine characters; distinct labels must differ
     checks["pairwise_inequivalent"] = (
@@ -302,5 +387,7 @@ def enumerate_dual(spec: GroupSpec, N: int, seed: int = 0) -> DualAtlas:
                                   and (reciprocity == decomposition).all())
     checks["dimension_count"] = bool(
         (decomposition @ dims == [r.induced_dim for r in reports]).all())
-    q._atlases[seed] = DualAtlas(spec, N, seed, rs, reports, irr, sorted(dims.tolist()), checks)
+    sources = [off[u] if u < len(off) else split_stacks[u - len(off)] for u in order.tolist()]
+    q._atlases[seed] = DualAtlas(spec, N, seed, rs, reports, sorted(dims.tolist()), checks,
+                                 sources)
     return q._atlases[seed]

@@ -188,9 +188,14 @@ class SummableFunction:
             raise IncompatibleShapes(f"value shape {v.shape} != {self.shape}")
         self.support[nf] = v
 
+    @staticmethod
+    def available(spec: GroupSpec, span: int) -> int:
+        """How many normal forms have every exponent in [-span, span]."""
+        return (2 * span + 1) ** spec.d2 * spec.f_order * spec.rot_order
+
     @classmethod
     def random(cls, spec: GroupSpec, shape=(1, 1), terms=5, span=5, rng=None):
-        available = (2 * span + 1) ** spec.d2 * spec.f_order * spec.rot_order
+        available = cls.available(spec, span)
         if terms > available:
             raise ValueError(f"{terms} terms exceed the {available} normal forms "
                              f"within span {span}")

@@ -91,7 +91,7 @@ class GroupSpec:
         self.p_reps = list(p_reps)
         self._p_index = {p.p: i for i, p in enumerate(self.p_reps)}
         self._t_cache: dict = {}                 # unused; perfbench's cold check reads it
-        self._t_gen_pow: dict[tuple[int, int], np.ndarray] = {}
+        self._t_gen_pow: dict[int, np.ndarray] = {}
         self._quotients: dict[int, "QuotientGroup"] = {}
         self._m0_report: StructureReport | None = None
         self._f_mul: list[list[int]] | None = None
@@ -188,11 +188,19 @@ class GroupSpec:
 
     # -- section ----------------------------------------------------------
 
-    def _gen_q_power(self, i: int, k: int) -> np.ndarray:
-        if (i, k) not in self._t_gen_pow:
-            q = self.t_lifts[i].q
-            self._t_gen_pow[i, k] = np.linalg.matrix_power(q if k >= 0 else q.T, abs(k))
-        return self._t_gen_pow[i, k]
+    def _gen_q_powers(self, i: int, top: int) -> np.ndarray:
+        """q^k of lift i for k = -m..m, m >= top, as a (2m + 1, d1, d1) stack
+        whose middle block is k = 0.  Each power is one product of the next
+        lower one with q, or with q^T = q^-1; the stack is kept per lift and
+        built again when a larger power is asked for."""
+        have = self._t_gen_pow.get(i)
+        if have is None or len(have) < 2 * top + 1:
+            q, up, down = self.t_lifts[i].q, [np.eye(self.d1)], [np.eye(self.d1)]
+            for _ in range(top):
+                up.append(up[-1] @ q)
+                down.append(down[-1] @ q.T)
+            have = self._t_gen_pow[i] = np.array(down[:0:-1] + up)
+        return have
 
     def section_q(self, n) -> np.ndarray:
         """The (k, d1, d1) q blocks of the sections t(n) = g1^n1 ... g_d2^n_d2
@@ -200,9 +208,8 @@ class GroupSpec:
         n = np.asarray(n, dtype=np.int64)
         q = np.broadcast_to(np.eye(self.d1), (len(n), self.d1, self.d1))
         for i in range(self.d2):
-            ks, at = np.unique(n[:, i], return_inverse=True)
-            powers = np.array([self._gen_q_power(i, k) for k in ks.tolist()])
-            q = q @ powers.reshape(len(ks), self.d1, self.d1)[at]
+            powers = self._gen_q_powers(i, int(np.abs(n[:, i]).max(initial=0)))
+            q = q @ powers[n[:, i] + len(powers) // 2]
         return q
 
 

@@ -14,6 +14,7 @@ read back only in those bases.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -48,7 +49,8 @@ def matrix_to_lists(m: np.ndarray) -> list:
 
 def complex_matrix_to_lists(m: np.ndarray) -> list:
     """A complex matrix, or a stack of them, as nested lists of [re, im] pairs."""
-    return np.stack([m.real, m.imag], -1).tolist()
+    m = np.ascontiguousarray(m, dtype=complex)
+    return m.view(float).reshape(*m.shape, 2).tolist()
 
 
 def complex_matrix_from_lists(rows) -> np.ndarray:
@@ -249,7 +251,7 @@ def _scalar(obj) -> str | None:
 
 def _write_block(obj, level: int, out: list[str]) -> bool:
     """Write obj if it is a rectangular nested list (or tuple) of finite
-    floats: one repr per float, with separators that follow from the shape."""
+    floats: one repr per float, through the template of its shape."""
     shape, rows = [], [obj]
     while type(rows[0]) in _ARRAYS:
         width = len(rows[0])
@@ -259,14 +261,21 @@ def _write_block(obj, level: int, out: list[str]) -> bool:
         rows = list(itertools.chain.from_iterable(rows))
     if set(map(type, rows)) != {float} or not math.isfinite(sum(rows)):
         return False
-    # between two leaves, close the j innermost lists that end and open as many
+    out.append(_block_template(tuple(shape), level) % tuple(rows))
+    return True
+
+
+@functools.lru_cache(maxsize=256)
+def _block_template(shape: tuple[int, ...], level: int) -> str:
+    """The text of a block of this shape at this indent level, with a %r
+    field per float: between two leaves, the j innermost lists that end are
+    closed and as many opened."""
     k = len(shape)
     pad = ["\n" + " " * (level + t) for t in range(k + 1)]
     close = [pad[t] + "]" for t in range(k)]
     open_ = [pad[t] + "[" for t in range(k)]
-    parts = list(map(repr, rows))
+    parts = ["%r"] * math.prod(shape)
     for j, width in enumerate(reversed(shape)):
         sep = "".join(close[k - 1:k - 1 - j:-1]) + "," + "".join(open_[k - j:k]) + pad[k]
         parts = list(map(sep.join, zip(*[iter(parts)] * width)))
-    out.append("[" + "".join(open_[1:k]) + pad[k] + parts[0] + "".join(close[::-1]))
-    return True
+    return "[" + "".join(open_[1:k]) + pad[k] + parts[0] + "".join(close[::-1])

@@ -7,11 +7,15 @@ vector operations on those arrays; lifting and inducing each build the new
 array with one gather.  The twisted action on the translation-kernel part's
 dual is decided on characters (`coset_conjugation`, `dual.rep_set`).
 
-The dual of a quotient comes from its wave labels (`dual.enumerate_dual`):
-each label's induced representation is split by `constituents`, and
-`distinct_irreps` keeps one stack per character within each label.  Those
-are the quotient's irreducibles, the one basis `fourier` uses
-(`quotient_irreps`).  `irreps`, a random-commutant solver on the regular
+The dual of a quotient comes from its wave labels (`dual.enumerate_dual`),
+characters first: `induced_character` gives each label's induced character
+by the Frobenius formula, without matrices.  Off the null set that
+representation is irreducible, and its stack is induced only when the
+irreducibles are read.  On the null set it is induced at once and split by
+`constituents`, and `distinct_constituents` keeps one stack per character
+within each label.  Those are the quotient's irreducibles, in
+`irreducible_order`, the one basis `fourier` uses (`quotient_irreps`).
+`irreps`, a random-commutant solver on the regular
 representation (Dixon, Math. Comp. 24, 1970), has two uses: the rep-set
 candidates on the translation-kernel part at m0, and the independent oracle
 that `verify` and the tests compare the atlas with.  A random Hermitian
@@ -46,6 +50,7 @@ FINGERPRINT_DECIMALS = 8  # generator images are rounded to this before the basi
 
 MAX_RESEEDS = 8
 GATHER_BYTES = 32 * 2**20  # the solver's (rows, n, d) basis gathers are built this much at a time
+KEY_BLOCK = 64             # character entries `irreducible_order` reads per refinement step
 
 
 class Representation:
@@ -99,7 +104,12 @@ def multiplicities(chars: np.ndarray, irr_chars: np.ndarray) -> np.ndarray:
     stack of irreducible characters on the same domain; the (r, s) integer
     result is their character Gram (1/|H|) chars @ irr_chars^H.
     """
-    m = chars @ irr_chars.conj().T / chars.shape[1]
+    return integral(chars @ irr_chars.conj().T / chars.shape[1])
+
+
+def integral(m: np.ndarray) -> np.ndarray:
+    """A character Gram as the integer multiplicities it must hold;
+    InternalInconsistency if an entry lies farther than STRUCT_TOL from one."""
     k = np.round(m.real)
     bad = np.abs(m - k) > STRUCT_TOL
     if bad.any():
@@ -163,21 +173,13 @@ def constituents(r: Representation, seed: int = 0) -> list[np.ndarray]:
     raise ConvergenceFailure(f"split failed after {MAX_RESEEDS} reseeds: {last_error}")
 
 
-def distinct_irreps(domain, labels, seed: int = 0) -> list[Representation]:
-    """One representative per character within each list of irreducible
-    (n, d, d) stacks on `domain` (one list per wave label), in the order
-    `irreps` returns them, checked by `_verify_irreps` (sum d^2 is left to
-    the caller).  Different labels share no constituent, so no character is
-    compared across lists; the orthogonality check fails if two ever do."""
-    kept_mats, kept_chars = [], []
-    for stacks in labels:
-        chars = np.array([np.einsum("gii->g", mats) for mats in stacks])
-        first = multiplicities(chars, chars).argmax(axis=1)  # Gram of irreducibles: 1 iff equal
-        for k in np.flatnonzero(first == np.arange(len(stacks))):
-            kept_mats.append(stacks[k])
-            kept_chars.append(chars[k])
-    table, _ = _perm_arrays(domain)
-    return _ordered(domain, kept_mats, kept_chars, table, np.random.default_rng(seed))
+def distinct_constituents(stacks) -> tuple[list[np.ndarray], np.ndarray]:
+    """One stack per character among irreducible (n, d, d) stacks, in their
+    order, with the kept stacks' characters as one (s, n) block."""
+    chars = np.array([np.einsum("gii->g", mats) for mats in stacks])
+    first = multiplicities(chars, chars).argmax(axis=1)  # Gram of irreducibles: 1 iff equal
+    keep = np.flatnonzero(first == np.arange(len(stacks)))
+    return [stacks[k] for k in keep], chars[keep]
 
 
 class _Characters:
@@ -207,15 +209,44 @@ class _Characters:
 
 
 def _ordered(domain, stacks, chars, table, rng) -> list[Representation]:
-    """Irreducibles sorted by (dim, character rounded to 6 decimals), the
-    order every irreducible index refers to, after `_verify_irreps`.  The
-    characters compare entry by entry, real part before imaginary part, in
-    one stable `np.lexsort` whose last, primary key is the dim."""
-    parts = np.round(np.asarray(chars), 6).view(float)       # (k, 2n): re, im of each entry
-    order = np.lexsort([*parts.T[::-1], [m.shape[1] for m in stacks]]).tolist()
-    stacks = [stacks[k] for k in order]
-    _verify_irreps(stacks, [chars[k] for k in order], table, rng)
+    """Irreducibles in `irreducible_order`, the order every irreducible index
+    refers to, after `check_irreducibles`."""
+    chars = np.asarray(chars)
+    order = irreducible_order([m.shape[1] for m in stacks],
+                              lambda rows, ids: chars[rows, ids], table.shape[0])
+    stacks, chars = [stacks[k] for k in order], chars[order]
+    check_irreducibles(chars @ chars.conj().T / table.shape[0], stacks, table, rng)
     return [Representation(domain, mats) for mats in stacks]
+
+
+def irreducible_order(dims, columns, n: int) -> np.ndarray:
+    """The order of irreducibles by (dim, character rounded to 6 decimals).
+
+    Characters compare entry by entry in element order, real part before
+    imaginary part, and full ties keep the given order: what one stable
+    `np.lexsort` over all n entries, with the dim as its last, primary key,
+    gives.  `columns(rows, ids)` returns the characters of the irreducibles
+    `rows` at the element ids of a slice.  They are read KEY_BLOCK entries at
+    a time and only for irreducibles that still tie with another on every
+    entry read, so distinct characters never need all n entries.
+    """
+    order = np.argsort(dims, kind="stable")
+    first = _run_starts(np.asarray(dims)[order][:, None])   # first position of each tie run
+    for c in range(0, n, KEY_BLOCK):
+        at = np.flatnonzero(np.bincount(first)[first] > 1)
+        if not len(at):
+            break
+        keys = np.round(columns(order[at], slice(c, c + KEY_BLOCK)), 6).view(float)
+        sub = np.lexsort([*keys.T[::-1], first[at]])
+        order[at] = order[at][sub]
+        first[at] = at[_run_starts(np.column_stack([first[at][sub], keys[sub]]))]
+    return order
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """For rows of a sorted (m, c) key block, the row where each one's run of equal rows starts."""
+    new = np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)]
+    return np.flatnonzero(new)[np.cumsum(new) - 1]
 
 
 def irreps(domain, seed: int = 0) -> list[Representation]:
@@ -283,11 +314,12 @@ def _solve(domain, table, inv_local, rng) -> list[Representation]:
     return _ordered(domain, kept_mats, kept_chars.rows, table, rng)
 
 
-def _verify_irreps(stacks, chars, table, rng) -> None:
+def check_irreducibles(gram: np.ndarray, stacks, table: np.ndarray, rng) -> None:
+    """Raise InternalInconsistency unless `gram`, the character Gram of a set
+    of irreducibles, is the identity, and each (n, d, d) stack in `stacks`
+    is unitary and a homomorphism at 8 pairs drawn from rng."""
     n = table.shape[0]
-    cmat = np.array(chars)
-    gram = cmat @ cmat.conj().T / n
-    if np.abs(gram - np.eye(len(stacks))).max() > STRUCT_TOL:
+    if np.abs(gram - np.eye(len(gram))).max() > STRUCT_TOL:
         raise InternalInconsistency("character orthogonality failed")
     for mats in stacks:
         d = mats.shape[1]
@@ -414,18 +446,27 @@ def induce(q: QuotientGroup, r: Representation) -> Representation:
     return Representation(q, mats)
 
 
-def mackey_irreducible(q: QuotientGroup, r: Representation,
-                       induced: Representation) -> bool:
-    """Irreducibility test for the induced representation of r.
+def induced_character(conj: np.ndarray, char: np.ndarray) -> np.ndarray:
+    """The character of the representation induced from the TF part, on the
+    TF part's elements (it vanishes off them), by the Frobenius formula: the
+    sum over cosets p of char[conj[p]], for char a character on
+    `q.tf_subgroup()` and conj = coset_conjugation(q)."""
+    return char[conj].sum(axis=0)
+
+
+def mackey_irreducible(q: QuotientGroup, conj: np.ndarray, char: np.ndarray,
+                       induced: np.ndarray) -> bool:
+    """Irreducibility test for the representation induced from r on the TF part.
 
     True iff no nontrivial coset moves r to an equivalent representation,
-    compared on characters: g_p . r has the character r.char at the rows
-    `coset_conjugation(q)[p]`.  Cross-checked against the character norm of
-    `induced`, which must be induce(q, r).
+    compared on characters: char is r's character and g_p . r has the
+    character char[conj[p]], conj = coset_conjugation(q).  Cross-checked
+    against the norm of `induced`, the induced character on the TF part's
+    elements, which `induced_character` gives without any matrices.
     """
-    moved = np.delete(r.char[coset_conjugation(q)], q.spec.p_identity, axis=0)
-    verdict = not (np.abs(moved - r.char).max(axis=1) <= STRUCT_TOL).any()
-    norm = char_norm_sq(induced)
+    moved = np.delete(char[conj], q.spec.p_identity, axis=0)
+    verdict = not (np.abs(moved - char).max(axis=1) <= STRUCT_TOL).any()
+    norm = float(np.vdot(induced, induced).real) / q.order
     if abs(norm - 1.0) < STRUCT_TOL:
         by_norm = True
     elif norm > 1.0 + STRUCT_TOL:

@@ -8,10 +8,11 @@ from hypothesis import settings
 
 from euciso import catalog, io
 from euciso import isometry as iso
-from euciso.dual import k_shift_reps
+from euciso.dual import k_shift_reps, rep_set, wave_orbits
 from euciso.errors import InternalInconsistency, NotAMember
 from euciso.groups import GroupSpec, build_quotient, find_m0, normal_form, normal_forms
-from euciso.reps import (STRUCT_TOL, Representation, chi, equivalent, irreps, p_rep_element,
+from euciso.reps import (STRUCT_TOL, Representation, chi, constituents, equivalent, induce,
+                         irreps, lift_representation, multiplicities, p_rep_element,
                          scale_by_character)
 
 # derandomized examples keep tier-1 deterministic; no deadline, as host speed varies
@@ -192,6 +193,28 @@ def stabilizer_oracle(q, r):
     compared on `dual_action` stacks."""
     return not any(equivalent(dual_action(q, p_rep_element(q, p), r), r)
                    for p in range(q.spec.rot_order) if p != q.spec.p_identity)
+
+
+def eager_irreps_oracle(s, N, seed=0):
+    """The quotient's irreducible stacks as the dual atlas once built them:
+    every label induced and split, one stack per character kept within each
+    label, and all sorted by one np.lexsort over the dim and the full
+    rounded characters."""
+    q = build_quotient(s, N)
+    rs = rep_set(s, seed=seed)
+    stacks, chars = [], []
+    for rho_index, rho in enumerate(rs.classes):
+        lifted = lift_representation(rho, q)
+        for label in wave_orbits(s, rs, rho_index, N):
+            pieces = constituents(induce(q, scale_by_character(chi(s, label.k), lifted)), seed)
+            ch = np.array([np.einsum("gii->g", m) for m in pieces])
+            first = multiplicities(ch, ch).argmax(axis=1)
+            for k in np.flatnonzero(first == np.arange(len(pieces))):
+                stacks.append(pieces[k])
+                chars.append(ch[k])
+    parts = np.round(np.array(chars), 6).view(float)
+    order = np.lexsort([*parts.T[::-1], [m.shape[1] for m in stacks]])
+    return [stacks[k] for k in order]
 
 
 def trivial_on(r, ids):

@@ -160,6 +160,9 @@ PINNED_DIGESTS = {
         "604fc7dee24bbf9c7b2e767fbfe2f644627518e276d9491a0593bf392fa18107",
     ("dual", "catalog:twistE8", "--N", "4"):
         "0e4642c54be81cffb10cee2113a2d11c6178d0f677a03d74dfb383abc83b18fd",
+    # labels on and off the null set, recorded while every label's stack was built eagerly
+    ("dual", "catalog:pg", "--N", "12"):
+        "2569058802802ca5d18acda4fc348aa94e49063fb01561d41ae168397bc9dc6f",
     # recorded while the dual still came from the regular-representation solver
     ("dual", "catalog:twistE8", "--N", "6"):
         "861a71f48c0d89acf3d2c66f5750da25371c99e56e4e3ca5ccb23116bf4c422b",

@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from euciso import catalog
+from euciso import catalog, dual
 from euciso import isometry as iso
 from euciso.dual import enumerate_dual, k_shift_reps, null_set_member, rep_set, wave_orbits
+from euciso.errors import InternalInconsistency
 from euciso.groups import GroupSpec, build_quotient, find_m0, tf_slice, validate_spec
-from euciso.reps import (STRUCT_TOL, chi, equivalent, induce, irreps, lift_representation,
-                         mackey_irreducible, scale_by_character)
+from euciso.reps import (STRUCT_TOL, chi, coset_conjugation, equivalent, induce,
+                         induced_character, irreps, lift_representation, mackey_irreducible,
+                         scale_by_character)
 
-from conftest import (c5_quarter_spec, dual_action, quotient, rep_set_oracle, spec,
-                      stabilizer_oracle)
+from conftest import (c5_quarter_spec, dual_action, eager_irreps_oracle, quotient,
+                      rep_set_oracle, spec, stabilizer_oracle)
 
 
 def dual_point_matrix(p):
@@ -116,11 +118,13 @@ def test_mackey_verdict_matches_the_stack_oracle(build):
     rs = rep_set(s)
     for N in (rs.m0, 2 * rs.m0):
         q = build_quotient(s, N)
+        conj = coset_conjugation(q)
         for idx, rho in enumerate(rs.classes):
             lifted = lift_representation(rho, q)
             for label in wave_orbits(s, rs, idx, N):
                 twisted = scale_by_character(chi(s, label.k), lifted)
-                assert (mackey_irreducible(q, twisted, induce(q, twisted))
+                induced = induce(q, twisted).char[list(q.tf_indices())]
+                assert (mackey_irreducible(q, conj, twisted.char, induced)
                         == stabilizer_oracle(q, twisted)), (N, label)
 
 
@@ -273,8 +277,11 @@ def test_enumerate_dual_twist():
         assert sum(d * d for d in atlas.census_dims) == q.order
 
 
-@pytest.mark.parametrize("name,N", [(name, N) for name in catalog.names()
-                                    for m0 in [find_m0(spec(name)).m0] for N in (m0, 2 * m0)])
+CATALOG_LEVELS = [(name, N) for name in catalog.names()
+                  for m0 in [find_m0(spec(name)).m0] for N in (m0, 2 * m0)]
+
+
+@pytest.mark.parametrize("name,N", CATALOG_LEVELS)
 def test_atlas_irreps_match_the_solver(name, N):
     # the atlas builds the dual from its labels; the solver is the oracle.
     # twistE8 has m0 = 2, so its 2 m0 case is N = 4 (order 512)
@@ -284,6 +291,82 @@ def test_atlas_irreps_match_the_solver(name, N):
     assert max(np.abs(a.char - b.char).max() for a, b in zip(atlas.irreps, oracle)) <= STRUCT_TOL
     assert atlas.census_dims == sorted(r.dim for r in oracle)
     assert all(atlas.checks.values())
+
+
+# DualAtlas.basis at seed 0, recorded while every label's stack was built eagerly
+BASIS_FINGERPRINTS = {
+    ("p1", 1): "aa3859d394eb3387ec4ecf6984e9a55c330d48b583dd7204e80a483e8989f5e3",
+    ("p1", 2): "d24e4777886a310d411b5fa8d307e02974e4506b4bd6c17db83078f7e68498ad",
+    ("pm", 1): "93b252ef406cfb6d9f66936f1aefa42ffa99e93336ffa53c21ba011d934bad39",
+    ("pm", 2): "e37c38545c78efb97ce865fdf16a6f6c95f255f98c9a9b651899eb32b9edd495",
+    ("pg", 1): "93b252ef406cfb6d9f66936f1aefa42ffa99e93336ffa53c21ba011d934bad39",
+    ("pg", 2): "79bd03ab9f2d826e63a62e2f442273a7ce95c81433d8e74cfa7be521212cd113",
+    ("screw-C4", 1): "7fce3c95c11b2eda0654a7e49e13cd9eef4b11b71f981f279739883b821eff55",
+    ("screw-C4", 2): "ff776569cf60a1950f58334f8e12aaf7cbce372338a5f2ca9dfa39fa15bd2c66",
+    ("helix-C3", 1): "3e844a829aed2b43f8ba08c4d3f44b94e9a97b19fe41e62113ae05de140c41be",
+    ("helix-C3", 2): "647df18136df550f048338fdabf28ceff3145b93184caf842d716ae7f8913061",
+    ("helix-C3-tf", 1): "ebfb59a512ab8b793da4cb56b76a2a6e0921e83259d313bbdd636353825d7945",
+    ("helix-C3-tf", 2): "67344b53c9d002feb42bc97659e2de053208a488e8b6d26a33c8fee5e26f24ec",
+    ("twistE8", 2): "d1a93d4444a0d9ede563637c64dbdac512d0df40dc63c2b6a254eccb096b24ed",
+    ("twistE8", 4): "a020496348f5144c83412bda5e835efaf4d84092f153aae97872229c18b15f2b",
+    ("twistE8-m4", 4): "95464456932e23414f0ef56cd3e28a9342da2c0e7625da7e58b004a35046deab",
+    ("twistE8-m4", 8): "f05d112d8c773f45d2034f59d148c23144a339c9519efbdb81e5adcbac571caa",
+}
+
+
+def test_basis_fingerprints_are_pinned():
+    assert sorted(BASIS_FINGERPRINTS) == sorted(CATALOG_LEVELS)
+    for (name, N), digest in BASIS_FINGERPRINTS.items():
+        assert enumerate_dual(catalog.CATALOG[name].build(), N).basis == digest, (name, N)
+
+
+@pytest.mark.parametrize("name,N", CATALOG_LEVELS)
+def test_lazy_irreps_are_the_eager_stacks(name, N):
+    # the same irreducibles in the same order, bit for bit
+    atlas = enumerate_dual(catalog.CATALOG[name].build(), N)
+    want = eager_irreps_oracle(spec(name), N)
+    assert [r.mats.tobytes() for r in atlas.irreps] == [m.tobytes() for m in want]
+
+
+@pytest.mark.parametrize("name,N", [("twistE8", 4), ("pg", 12), ("helix-C3", 6),
+                                    ("twistE8-m4", 8)])
+def test_frobenius_characters_are_the_induced_stacks_characters(name, N):
+    s, q = spec(name), quotient(name, N)
+    rs, conj, tf = rep_set(s), coset_conjugation(q), list(q.tf_indices())
+    for idx, rho in enumerate(rs.classes):
+        lifted = lift_representation(rho, q)
+        for label in wave_orbits(s, rs, idx, N):
+            twisted = scale_by_character(chi(s, label.k), lifted)
+            frobenius = np.zeros(q.order, dtype=complex)
+            frobenius[tf] = induced_character(conj, twisted.char)
+            assert np.abs(frobenius - induce(q, twisted).char).max() <= 1e-12, label
+
+
+def test_only_null_set_labels_are_induced_before_irreps_are_read(monkeypatch):
+    calls, induce_ = [], dual.induce
+    monkeypatch.setattr(dual, "induce", lambda q, r: calls.append(q) or induce_(q, r))
+    for name, N, null in [("twistE8-m4", 8, 0), ("pg", 12, 24)]:
+        calls.clear()
+        atlas = enumerate_dual(catalog.CATALOG[name].build(), N)
+        assert sum(r.label.in_null_set for r in atlas.labels) == len(calls) == null, name
+        assert len(atlas.basis) == 64 and len(calls) == len(atlas.labels), name
+        assert len(atlas.irreps) == len(atlas.census_dims) and len(calls) == len(atlas.labels)
+
+
+@pytest.mark.parametrize("name,N", [("pg", 3), ("twistE8-m4", 8)])
+def test_two_labels_sharing_an_irreducible_fail_loudly(monkeypatch, name, N):
+    # duplicates are dropped within one label's constituents only; the
+    # irreducibles' Gram catches one shared by two labels, on the null set
+    # (pg's first label, k = 0) or off it (every twistE8-m4 label at N = 8)
+    orbits = dual.wave_orbits
+
+    def first_label_twice(*args):
+        labels = orbits(*args)
+        return labels[:1] + labels
+
+    monkeypatch.setattr(dual, "wave_orbits", first_label_twice)
+    with pytest.raises(InternalInconsistency, match="orthogonality"):
+        enumerate_dual(catalog.CATALOG[name].build(), N)
 
 
 @pytest.mark.parametrize("name", catalog.names())

@@ -9,10 +9,10 @@ from euciso.dual import rep_set, wave_orbits
 from euciso.errors import CapExceeded, InternalInconsistency
 from euciso.groups import NormalForm, SubgroupView, build_quotient, tf_slice
 from euciso.reps import (STRUCT_TOL, Representation, _Characters, _split_dense, char_inner,
-                         char_norm_sq, chi, constituents, distinct_irreps, equivalent,
-                         induce, intertwiner, irreps, lift_representation,
-                         mackey_irreducible, multiplicities, multiplicity, p_rep_element,
-                         quotient_irreps, scale_by_character)
+                         char_norm_sq, chi, constituents, coset_conjugation,
+                         distinct_constituents, equivalent, induce, intertwiner, irreps,
+                         lift_representation, mackey_irreducible, multiplicities, multiplicity,
+                         p_rep_element, quotient_irreps, scale_by_character)
 
 from conftest import dual_action, quotient, spec, trivial_on
 
@@ -107,6 +107,19 @@ def test_ordered_matches_the_tuple_sort(rng, name, N):
     assert [r.mats.tobytes() for r in got] == [r.mats.tobytes() for r in irr]
 
 
+def test_irreducible_order_is_one_full_lexsort(rng):
+    # ties that outlast several key blocks, and full ties, which keep their order
+    n = 5 * reps.KEY_BLOCK + 7
+    chars = rng.integers(-1, 2, (60, n)) + 1j * rng.integers(-1, 2, (60, n))
+    chars[:, :3 * reps.KEY_BLOCK] = chars[0, :3 * reps.KEY_BLOCK]
+    chars[[5, 11, 40]] = chars[7]
+    chars[20:30, -1] += 4e-7    # rounds to the next 6th decimal
+    dims = rng.integers(1, 3, len(chars))
+    want = np.lexsort([*np.round(chars, 6).view(float).T[::-1], dims])
+    got = reps.irreducible_order(dims, lambda rows, ids: chars[rows, ids], n)
+    assert got.tolist() == want.tolist()
+
+
 def test_split_dense_separates_a_direct_sum(rng):
     q = quotient("pg", 3)
     parts = [next(r for r in quotient_irreps(q) if r.dim == 1),
@@ -145,16 +158,17 @@ def test_constituents_of_a_reducible_induced_rep():
     # a pg label on the null set induces rho + rho' with rho, rho' inequivalent
     s, q = spec("pg"), quotient("pg", 3)
     ind = induce(q, chi(s, (0, 0)).on(q))
-    assert not mackey_irreducible(q, chi(s, (0, 0)).on(q), ind)
+    assert not mackey_irreducible(q, coset_conjugation(q), chi(s, (0, 0)).on(q).char,
+                                  tf_character(q, ind))
     pieces = constituents(ind, seed=3)
     found = multiplicities(np.array([np.einsum("gii->g", m) for m in pieces]),
                            np.array([r.char for r in irreps(q)]))
     assert (found.sum(axis=1) == 1).all()
     assert found.sum(axis=0) @ [r.dim for r in irreps(q)] == ind.dim
-    assert [r.dim for r in distinct_irreps(q, [pieces + pieces])] == [p.shape[1] for p in pieces]
-    # duplicates are removed within one label only; two labels sharing one fail loudly
-    with pytest.raises(InternalInconsistency):
-        distinct_irreps(q, [pieces, pieces[:1]])
+    kept, chars = distinct_constituents(pieces + pieces)
+    assert [m.shape[1] for m in kept] == [p.shape[1] for p in pieces]
+    assert all(m is p for m, p in zip(kept, pieces))
+    assert np.array_equal(chars, [np.einsum("gii->g", m) for m in pieces])
 
 
 @pytest.mark.parametrize("gather_bytes", [reps.GATHER_BYTES, 1])
@@ -294,18 +308,25 @@ def test_induce_dimension_and_block_structure():
     assert abs(m[0, 0]) < 1e-12 and abs(m[1, 1]) < 1e-12
 
 
+def tf_character(q, r):
+    """The character of a representation of q on the TF part's elements."""
+    return r.char[list(q.tf_indices())]
+
+
 def test_mackey_examples():
     s = spec("pg")
     q = quotient("pg", 3)
+    conj = coset_conjugation(q)
     rho = chi(s, (Fraction(1, 3), Fraction(1, 3))).on(q)
-    assert mackey_irreducible(q, rho, induce(q, rho))
+    assert mackey_irreducible(q, conj, rho.char, tf_character(q, induce(q, rho)))
     rho = chi(s, (Fraction(1, 3), 0)).on(q)
-    assert not mackey_irreducible(q, rho, induce(q, rho))
+    assert not mackey_irreducible(q, conj, rho.char, tf_character(q, induce(q, rho)))
     # no cosets to test when the group equals its TF part
     s4 = spec("screw-C4")
     q4 = build_quotient(s4, 2)
     for rho in irreps(q4.tf_subgroup()):
-        assert mackey_irreducible(q4, rho, induce(q4, rho))
+        assert mackey_irreducible(q4, coset_conjugation(q4), rho.char,
+                                  tf_character(q4, induce(q4, rho)))
 
 
 def test_induction_constant_on_orbits():

@@ -7,9 +7,11 @@ import pytest
 
 from euciso import catalog, dual, verify
 from euciso import isometry as iso
-from euciso.groups import QuotientGroup, build_quotient, find_m0
+from euciso.groups import GroupSpec, QuotientGroup, build_quotient, find_m0
 from euciso.splitting import split_quotient
 from euciso.verify import run_suite
+
+from conftest import cyclic
 
 
 def test_spot_check_draws_its_own_triples(monkeypatch):
@@ -103,3 +105,13 @@ def test_only_the_arithmetic_checks_compose_isometries(monkeypatch):
         calls.clear()
         assert split_quotient(s, m0, n).passed
         assert calls == [], name
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_verify_reports_on_a_finite_group_of_order_below_four(k):
+    # C_k < O(2) with no lattice has k normal forms, fewer than the 4 terms
+    # the convolution check draws on larger groups; it draws all k instead
+    s = GroupSpec(f"c{k}", 2, 0, cyclic(k), [], [iso.identity_isometry(2, 0)])
+    for seed in range(3):
+        report = run_suite(s, seed=seed)
+        assert report.passed, report.first_failure()
