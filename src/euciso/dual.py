@@ -6,6 +6,13 @@ its lattice matrices (`GroupSpec.dual_points`).  Orbit and null-set
 arithmetic is exact: a wave vector k is held as an integer vector a over
 one denominator, k = a / den, and the dual action is integer arithmetic
 modulo den.
+
+`enumerate_dual` turns the labels into the quotient's irreducibles.  Each
+label's induced representation is judged by the Mackey test on characters,
+not by its null-set flag: an irreducible one is induced only when
+`DualAtlas.irreps` is read, and a reducible one is split at once on the TF
+blocks of its twisted class (`reps.split_induced`), averaging over TF and
+the coset representatives rather than over the whole quotient.
 """
 
 from __future__ import annotations
@@ -22,9 +29,9 @@ import numpy as np
 from .errors import InternalInconsistency
 from .groups import GroupSpec, QuotientGroup, build_quotient, find_m0
 from .reps import (FINGERPRINT_DECIMALS, STRUCT_TOL, Representation, check_irreducibles, chi,
-                   constituents, coset_conjugation, distinct_constituents, induce,
-                   induced_character, integral, irreducible_order, irreps, lift_representation,
-                   mackey_irreducible, scale_by_character)
+                   coset_conjugation, distinct_constituents, induce, induced_character, integral,
+                   irreducible_order, irreps, lift_representation, mackey_irreducible,
+                   scale_by_character, split_induced)
 
 FracVec = tuple[Fraction, ...]
 
@@ -94,7 +101,7 @@ def rep_set(spec: GroupSpec, seed: int = 0) -> RepSet:
     sub = q.tf_subgroup()
     shifts = k_shift_reps(spec, m0)
     conj = coset_conjugation(q)
-    phases = np.array([chi(spec, k).phases(q, sub.elements) for k in shifts])
+    phases = np.array([chi(spec, k).phases(sub) for k in shifts])
 
     # twists[i] holds the characters chi_s * classes[i], one row per shift s
     classes, twists, little_groups, provenance = [], [], [], []
@@ -223,10 +230,12 @@ class DualAtlas:
     """The labeled dual of G mod T^N, with the quotient's irreducibles.
 
     `sources` gives, in basis order, each irreducible's (|G|, d, d) stack
-    when it was split from a null-set label, or else the index in `labels`
-    of the label off the null set whose induced representation it is.
-    `irreps` builds the `Representation`s on first use, inducing each of the
-    latter once, and `basis` fingerprints them.
+    when it was split from a label whose induced representation is
+    reducible, or else the index in `labels` of the label whose induced
+    representation it is.  The Mackey verdict (`LabelReport.irreducible`)
+    decides which, not the null-set flag: a null-set label may induce
+    irreducibly.  `irreps` builds the `Representation`s on first use,
+    inducing each of the latter once, and `basis` fingerprints them.
     """
 
     spec: GroupSpec
@@ -270,10 +279,11 @@ class _Irreducibles:
     """The characters of the quotient's irreducibles, held without a (K, |G|) block.
 
     The first len(off) irreducibles are the representations induced from
-    the labels `off`, off the null set; their characters are those rows of
-    `induced`, the labels' (L, |TF|) block of induced characters on the TF
-    part, and vanish off it.  The others are the distinct constituents split
-    from null-set labels, whose full characters are the rows of `split`.
+    the labels `off`, those the Mackey test finds irreducible; their
+    characters are those rows of `induced`, the labels' (L, |TF|) block of
+    induced characters on the TF part, and vanish off it.  The others are
+    the distinct constituents split from the other labels, whose full
+    characters are the rows of `split`.
     """
 
     def __init__(self, sub, induced: np.ndarray, off: list[int], split: np.ndarray):
@@ -289,7 +299,7 @@ class _Irreducibles:
 
     def gram(self, pairing: np.ndarray) -> np.ndarray:
         """The irreducibles' character Gram, given `pair(induced) / |G|`: an
-        irreducible off the null set pairs as its label's induced character."""
+        irreducible induced from a label pairs as its label's induced character."""
         n = self.sub.parent.order
         split = self.pair(self.split_tf) / n
         split[:, len(self.off):] = self.split @ self.split.conj().T / n
@@ -312,10 +322,14 @@ def enumerate_dual(spec: GroupSpec, N: int, seed: int = 0) -> DualAtlas:
     (Clifford-Mackey theory; Serre, *Linear Representations of Finite
     Groups*, sections 7-8), characters first.  A label's representation is
     induced from its twisted class tau = chi_k rho on the TF part, and
-    `induced_character` gives its character without matrices.  Off the null
-    set it is irreducible, so no stack is built here: `DualAtlas.irreps`
-    induces it on first use.  A null-set label is induced now and split by
-    `reps.constituents` into blocks of dimension at most |P| d_rho, of which
+    `induced_character` gives its character without matrices.  The Mackey
+    test, not the null-set flag, decides what is built: an irreducible
+    induced representation gets no stack here, and `DualAtlas.irreps`
+    induces it on first use.  A reducible one is split now by
+    `reps.split_induced` straight from tau's (|TF|, d, d) stack, averaging
+    over TF and the coset representatives by a block identity, so no
+    (|G|, |P| d, |P| d) stack is built.  Its constituents have dimension at
+    most |P| d_rho, and
     `reps.distinct_constituents` keeps one per character; labels share no
     constituent.  The irreducibles are put in `reps.irreducible_order`, the
     basis Fourier tables use, and the atlas is kept on the quotient per seed.
@@ -335,37 +349,36 @@ def enumerate_dual(spec: GroupSpec, N: int, seed: int = 0) -> DualAtlas:
     q = build_quotient(spec, N)
     if seed in q._atlases:
         return q._atlases[seed]
-    q.mult_table()      # induce needs it; past the table cap nothing order-sized is built
+    q.mult_table()      # the split needs it; past the table cap nothing order-sized is built
     rs = rep_set(spec, seed=seed)
     sub, conj = q.tf_subgroup(), coset_conjugation(q)
-    tf = np.array(sub.elements)
     orbits = [wave_orbits(spec, rs, rho_index, N) for rho_index in range(len(rs.classes))]
     twisted = np.empty((sum(map(len, orbits)), sub.order), dtype=complex)
     induced = np.empty_like(twisted)
     rows: list[tuple[WaveLabel, int, bool, float]] = []
-    off, split_stacks, split_chars = [], [], []
+    lazy, split_stacks, split_chars = [], [], []
     for rho, labels in zip(rs.classes, orbits):
         lifted = lift_representation(rho, q)
         for label in labels:
             i, wave = len(rows), chi(spec, label.k)
-            twisted[i] = wave.phases(q, tf) * lifted.char
+            twisted[i] = wave.phases(sub) * lifted.char
             induced[i] = induced_character(conj, twisted[i])
-            rows.append((label, spec.rot_order * rho.dim,
-                         mackey_irreducible(q, conj, twisted[i], induced[i]),
+            irreducible = mackey_irreducible(q, conj, twisted[i], induced[i])
+            rows.append((label, spec.rot_order * rho.dim, irreducible,
                          float(np.vdot(induced[i], induced[i]).real) / q.order))
-            if label.in_null_set:
+            if irreducible:
+                lazy.append(i)
+            else:
                 stacks, chars = distinct_constituents(
-                    constituents(induce(q, scale_by_character(wave, lifted)), seed))
+                    split_induced(q, conj, scale_by_character(wave, lifted), seed))
                 split_stacks += stacks
                 split_chars.append(chars)
-            else:
-                off.append(i)
-    irr = _Irreducibles(sub, induced, off,
+    irr = _Irreducibles(sub, induced, lazy,
                         np.concatenate([np.empty((0, q.order), dtype=complex), *split_chars]))
     pairing = irr.pair(induced) / q.order
     check_irreducibles(irr.gram(pairing), split_stacks, q.mult_table(),
                        np.random.default_rng(seed))
-    dims = np.array([rows[i][1] for i in off] + [m.shape[1] for m in split_stacks])
+    dims = np.array([rows[i][1] for i in lazy] + [m.shape[1] for m in split_stacks])
     order = irreducible_order(dims, irr.columns, q.order)
     decomposition = integral(pairing[:, order])
     reciprocity = integral(irr.pair(twisted)[:, order] / sub.order)
@@ -387,7 +400,8 @@ def enumerate_dual(spec: GroupSpec, N: int, seed: int = 0) -> DualAtlas:
                                   and (reciprocity == decomposition).all())
     checks["dimension_count"] = bool(
         (decomposition @ dims == [r.induced_dim for r in reports]).all())
-    sources = [off[u] if u < len(off) else split_stacks[u - len(off)] for u in order.tolist()]
+    sources = [lazy[u] if u < len(lazy) else split_stacks[u - len(lazy)]
+               for u in order.tolist()]
     q._atlases[seed] = DualAtlas(spec, N, seed, rs, reports, sorted(dims.tolist()), checks,
                                  sources)
     return q._atlases[seed]

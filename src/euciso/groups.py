@@ -619,6 +619,11 @@ class QuotientGroup:
         """id -> row of a stack over `elements`: the identity map."""
         return np.arange(self.order, dtype=np.int32)
 
+    @functools.cached_property
+    def exponents(self) -> np.ndarray:
+        """The (|G|, d2) section exponents n of the elements t(n)*f*p, in id order."""
+        return self.parts(self.elements)[0]
+
     # -- the codec ------------------------------------------------------------
 
     def ids(self, n, f, p) -> np.ndarray:
@@ -771,7 +776,24 @@ class QuotientGroup:
         return range(self.spec.p_identity, self.order, self.spec.rot_order)
 
     def tf_subgroup(self) -> "SubgroupView":
+        """The TF part as a view, built once per quotient."""
+        return self._tf
+
+    @functools.cached_property
+    def _tf(self) -> "SubgroupView":
         return SubgroupView(self, self.tf_indices())
+
+    @functools.cached_property
+    def cosets(self) -> "Cosets":
+        """The p_rep cosets of the TF part and the generator ids, computed once
+        per quotient from its table; induction and the dual atlas read them."""
+        spec, table = self.spec, self.mult_table()
+        tf = self.tf_subgroup()
+        reps = self.ids(np.zeros(spec.d2, dtype=np.int64), spec.f_identity,
+                        np.arange(spec.rot_order))
+        rows = tf.local[table[table[self._inverse[reps]].T[..., None], reps]]
+        products = table[np.ix_(tf.elements, reps)]
+        return Cosets(reps, rows, products, np.array(self.generators()))
 
     def projection(self, coarse: "QuotientGroup") -> np.ndarray:
         """Image ids of all elements under the quotient map onto G mod T^M, M | N."""
@@ -791,6 +813,24 @@ class QuotientGroup:
                 raise InternalInconsistency("inverse failed in quotient")
 
 
+@dataclass(frozen=True)
+class Cosets:
+    """The cosets h_p TF of the TF part of a quotient, one per p_rep, in p order.
+
+    `reps[p]` is the id of h_p = t(0)*f_id*p.  `rows[g, i, j]` is the TF
+    row of h_i^-1 g h_j, or -1 when that lies outside TF: for each j exactly
+    one i has it inside, as g permutes the cosets; for t in TF, rows[t, p, p]
+    is the TF row of h_p^-1 t h_p.  `products[x, p]` is the id of x h_p
+    for x at row x of the TF view; every element is one of them.
+    `generators` holds `QuotientGroup.generators()`.
+    """
+
+    reps: np.ndarray
+    rows: np.ndarray
+    products: np.ndarray
+    generators: np.ndarray
+
+
 class SubgroupView:
     """A subgroup of a quotient addressed by the parent's element ids.
 
@@ -807,6 +847,11 @@ class SubgroupView:
         self.identity = parent.identity
         if self.local[self.identity] < 0:
             raise InternalInconsistency("subgroup view lacks the identity")
+
+    @functools.cached_property
+    def exponents(self) -> np.ndarray:
+        """The (|H|, d2) section exponents of the elements, in element order."""
+        return self.parent.parts(self.elements)[0]
 
 
 def build_quotient(spec: GroupSpec, N: int) -> QuotientGroup:

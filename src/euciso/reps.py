@@ -6,24 +6,32 @@ character vector.  Pairings of characters, equivalence and multiplicities are
 vector operations on those arrays; lifting and inducing each build the new
 array with one gather.  The twisted action on the translation-kernel part's
 dual is decided on characters (`coset_conjugation`, `dual.rep_set`).
+Induction reads the per-quotient coset data `QuotientGroup.cosets`.
 
 The dual of a quotient comes from its wave labels (`dual.enumerate_dual`),
 characters first: `induced_character` gives each label's induced character
-by the Frobenius formula, without matrices.  Off the null set that
-representation is irreducible, and its stack is induced only when the
-irreducibles are read.  On the null set it is induced at once and split by
-`constituents`, and `distinct_constituents` keeps one stack per character
-within each label.  Those are the quotient's irreducibles, in
-`irreducible_order`, the one basis `fourier` uses (`quotient_irreps`).
-`irreps`, a random-commutant solver on the regular
+by the Frobenius formula, without matrices, and the Mackey test
+(`mackey_irreducible`) decides what happens next.  An irreducible induced
+representation is induced only when the irreducibles are read.  A reducible
+one is split by `split_induced` straight from its twisted class tau on the
+TF part, through the block identity
+
+    sum_g M(g) X M(g)^H = sum_{x in TF} M(x) Y M(x)^H,  Y = sum_p M(h_p) X M(h_p)^H,
+
+for M = Ind tau, block-diagonal on TF and a block permutation at each coset
+representative h_p, so no stack of Ind tau is built; `distinct_constituents`
+keeps one stack per character within each label.  Those are the quotient's
+irreducibles, in `irreducible_order`, the one basis `fourier` uses
+(`quotient_irreps`).  `irreps`, a random-commutant solver on the regular
 representation (Dixon, Math. Comp. 24, 1970), has two uses: the rep-set
 candidates on the translation-kernel part at m0, and the independent oracle
-that `verify` and the tests compare the atlas with.  A random Hermitian
-commutant element h[a, b] = c(a^-1 b) has invariant eigenspaces, and for a
-generic draw each carries one irreducible.  A cluster's character is a
-class sum, so a known one costs O(n d); only new characters are gathered
-into an (n, d, d) stack.  Both paths split with one stack splitter and
-order the irreducibles by (dim, character).
+that `verify` and the tests compare the atlas with; it refuses orders above
+SOLVER_CAP.  A random Hermitian commutant element h[a, b] = c(a^-1 b) has
+invariant eigenspaces, and for a generic draw each carries one irreducible.
+A cluster's character is a class sum, so a known one costs O(n d); only new
+characters are gathered into an (n, d, d) stack.  Both paths split an
+eigenvalue collision with one stack splitter (`_split_dense`) and order the
+irreducibles by (dim, character).
 """
 
 from __future__ import annotations
@@ -37,11 +45,11 @@ import numpy as np
 
 from .errors import (CapExceeded, ConvergenceFailure, InternalInconsistency,
                      NotAMember)
-from .groups import DEFAULT_CAP, GroupSpec, NormalForm, QuotientGroup, SubgroupView
+from .groups import GroupSpec, QuotientGroup, SubgroupView
 
 STRUCT_TOL = 1e-6         # character comparisons, multiplicities, character norms
 IRREDUCIBLE_TOL = 1e-3    # |<chi, chi> - 1| below this marks a solver block irreducible
-HOMOMORPHISM_TOL = 1e-8   # largest generator-pair residual an induced rep may have
+HOMOMORPHISM_TOL = 1e-8   # largest generator-pair residual of an induced rep or split constituent
 IRREP_RESIDUAL_TOL = 1e-6  # largest unitary or homomorphism residual of a solved irrep
 CLUSTER_GAP = 1e-8        # eigenvalues closer than this times their spread share a cluster
 INTERTWINER_TOL = 1e-8    # averaged intertwiners and singular values below this count as 0
@@ -50,6 +58,7 @@ FINGERPRINT_DECIMALS = 8  # generator images are rounded to this before the basi
 
 MAX_RESEEDS = 8
 GATHER_BYTES = 32 * 2**20  # the solver's (rows, n, d) basis gathers are built this much at a time
+SOLVER_CAP = 1024          # largest order `irreps` solves; one solve at 1024 peaks near 120 MB
 KEY_BLOCK = 64             # character entries `irreducible_order` reads per refinement step
 
 
@@ -160,19 +169,6 @@ def _split_dense(mats: np.ndarray, rng, depth: int = 0) -> list[np.ndarray]:
     return out
 
 
-def constituents(r: Representation, seed: int = 0) -> list[np.ndarray]:
-    """The irreducible constituents of a unitary representation, with
-    multiplicity, as (n, d, d) stacks; an irreducible r comes back as is.
-    The splitter is reseeded (seed + attempt) on a bad random draw."""
-    last_error = None
-    for attempt in range(MAX_RESEEDS):
-        try:
-            return _split_dense(r.mats, np.random.default_rng(seed + attempt))
-        except ConvergenceFailure as exc:
-            last_error = exc
-    raise ConvergenceFailure(f"split failed after {MAX_RESEEDS} reseeds: {last_error}")
-
-
 def distinct_constituents(stacks) -> tuple[list[np.ndarray], np.ndarray]:
     """One stack per character among irreducible (n, d, d) stacks, in their
     order, with the kept stacks' characters as one (s, n) block."""
@@ -255,11 +251,12 @@ def irreps(domain, seed: int = 0) -> list[Representation]:
     Decomposes the regular representation through the eigenspaces of a
     random Hermitian element of its commutant; verifies sum d^2 = |H|,
     pairwise character orthogonality and the homomorphism property before
-    returning.  Reseeds on bad random draws.
+    returning.  Reseeds on bad random draws.  An order above SOLVER_CAP is
+    refused with CapExceeded before anything is allocated.
     """
     n = len(domain.elements)
-    if n > DEFAULT_CAP:
-        raise CapExceeded(f"group order {n} exceeds the solver cap {DEFAULT_CAP}")
+    if n > SOLVER_CAP:
+        raise CapExceeded(f"group order {n} exceeds the solver cap {SOLVER_CAP}")
     table, inv_local = _perm_arrays(domain)
 
     last_error = None
@@ -326,10 +323,9 @@ def check_irreducibles(gram: np.ndarray, stacks, table: np.ndarray, rng) -> None
         defect = np.abs(mats.conj().swapaxes(1, 2) @ mats - np.eye(d)).max()
         if defect > IRREP_RESIDUAL_TOL:
             raise InternalInconsistency("a returned block is not unitary")
-        for _ in range(8):
-            a, b = int(rng.integers(n)), int(rng.integers(n))
-            if np.abs(mats[a] @ mats[b] - mats[table[a, b]]).max() > IRREP_RESIDUAL_TOL:
-                raise InternalInconsistency("a returned block is not a homomorphism")
+        a, b = rng.integers(n, size=(2, 8))
+        if np.abs(mats[a] @ mats[b] - mats[table[a, b]]).max() > IRREP_RESIDUAL_TOL:
+            raise InternalInconsistency("a returned block is not a homomorphism")
 
 
 def quotient_irreps(q: QuotientGroup, seed: int = 0) -> list[Representation]:
@@ -365,16 +361,17 @@ class WaveCharacter:
         """True iff the character is trivial on N-th section powers."""
         return all((a * N).denominator == 1 for a in self.k)
 
-    def phases(self, q: QuotientGroup, ids) -> np.ndarray:
-        """The character at element ids of q, as `value` computes it.
+    def phases(self, domain) -> np.ndarray:
+        """The character at every element of a quotient or subgroup view, in
+        element order, as `value` computes it.
 
         With k = a / den, the phase at exponent vector n is j / den for
-        j = n.a mod den; exp is evaluated once per distinct j.
+        j = n.a mod den; exp is evaluated once per distinct j.  The exponents
+        are decoded once per domain (`exponents`).
         """
         den = math.lcm(*(x.denominator for x in self.k))
         a = np.array([int(x * den) for x in self.k], dtype=np.int64)
-        n, _, _ = q.parts(ids)
-        j, at = np.unique((n @ a) % den, return_inverse=True)
+        j, at = np.unique((domain.exponents @ a) % den, return_inverse=True)
         return np.array([cmath.exp(2j * cmath.pi * (x / den)) for x in j.tolist()])[at]
 
     def on(self, q: QuotientGroup) -> Representation:
@@ -382,7 +379,7 @@ class WaveCharacter:
         if not self.kills_power(q.N):
             raise NotAMember(f"wave vector {self.k} does not kill T^{q.N}")
         sub = q.tf_subgroup()
-        return Representation(sub, self.phases(q, sub.elements)[:, None, None])
+        return Representation(sub, self.phases(sub)[:, None, None])
 
 
 def chi(spec: GroupSpec, k) -> WaveCharacter:
@@ -395,25 +392,33 @@ def _parent(domain) -> QuotientGroup:
 
 def scale_by_character(wave: WaveCharacter, r: Representation) -> Representation:
     """Pointwise product chi_k * rho on the same domain."""
-    phases = wave.phases(_parent(r.domain), r.domain.elements)
-    return Representation(r.domain, phases[:, None, None] * r.mats)
+    return Representation(r.domain, wave.phases(r.domain)[:, None, None] * r.mats)
 
 
 # -- the action of G on duals of TF -------------------------------------------
 
-def p_rep_element(q: QuotientGroup, p_idx: int) -> int:
-    return q.reduce(NormalForm((0,) * q.spec.d2, q.spec.f_identity, p_idx))
-
-
 def coset_conjugation(q: QuotientGroup) -> np.ndarray:
     """The (|P|, |TF|) TF rows of h_p^-1 t h_p for the p_rep cosets h_p and t in
     `q.tf_subgroup()`: g_p . rho has the character rho.char[rows[p]]."""
-    sub, table = q.tf_subgroup(), q.mult_table()
-    cosets = np.array([p_rep_element(q, p) for p in range(q.spec.rot_order)])
-    rows = sub.local[table[table[np.ix_(q._inverse[cosets], sub.elements)], cosets[:, None]]]
+    rows = np.diagonal(q.cosets.rows[q.tf_indices()], axis1=1, axis2=2).T
     if (rows < 0).any():
         raise InternalInconsistency("conjugation left the subgroup")
     return rows
+
+
+def _check_tf(q: QuotientGroup, r: Representation) -> None:
+    if r.domain is not q.tf_subgroup():
+        raise InternalInconsistency("induction expects a representation on the TF view of q")
+
+
+def _check_homomorphism(q: QuotientGroup, mats: np.ndarray, what: str) -> None:
+    """InternalInconsistency unless the (|G|, d, d) stack mats multiplies
+    as the table on all pairs of quotient generators."""
+    gens = q.cosets.generators
+    a, b = gens[:, None], gens[None, :]
+    defect = float(np.abs(mats[a] @ mats[b] - mats[q.mult_table()[a, b]]).max())
+    if defect > HOMOMORPHISM_TOL:
+        raise InternalInconsistency(f"{what} fails homomorphism: {defect}")
 
 
 def induce(q: QuotientGroup, r: Representation) -> Representation:
@@ -424,26 +429,101 @@ def induce(q: QuotientGroup, r: Representation) -> Representation:
     zero otherwise.  The result is checked to be a homomorphism on all
     pairs of quotient generators.
     """
-    sub = r.domain
-    if not isinstance(sub, SubgroupView) or sub.parent is not q:
-        raise InternalInconsistency("induce expects a representation on a TF view of q")
-    table = q.mult_table()
-    cosets = [p_rep_element(q, p) for p in range(q.spec.rot_order)]
-    coset_inv = [q.inv(c) for c in cosets]
-    d, k, n = r.dim, len(cosets), q.order
-    # rows[i, g, j] is the TF row of h_i^-1 g h_j, or -1 outside TF
-    rows = sub.local[table[table[coset_inv][:, :, None], cosets]]
-    inside = rows >= 0
-    blocks = np.zeros((k, n, k, d, d), dtype=complex)
-    blocks[inside] = r.mats[rows[inside]]
-    mats = np.ascontiguousarray(blocks.transpose(1, 0, 3, 2, 4)).reshape(n, k * d, k * d)
-
-    gens = np.array(q.generators())
-    a, b = gens[:, None], gens[None, :]
-    defect = float(np.abs(mats[a] @ mats[b] - mats[table[a, b]]).max())
-    if defect > HOMOMORPHISM_TOL:
-        raise InternalInconsistency(f"induced rep fails homomorphism: {defect}")
+    _check_tf(q, r)
+    k, d = len(q.cosets.reps), r.dim
+    mats = _blocks(r, q.cosets.rows).reshape(q.order, k * d, k * d)
+    _check_homomorphism(q, mats, "induced rep")
     return Representation(q, mats)
+
+
+def _blocks(r: Representation, rows: np.ndarray) -> np.ndarray:
+    """The (..., k, d, k, d) blocks r(rows[..., i, j]) of an induced matrix,
+    zero where a row is -1 (`Cosets.rows`)."""
+    padded = np.concatenate([r.mats, np.zeros((1, r.dim, r.dim), dtype=complex)])
+    return padded[rows].swapaxes(-3, -2)
+
+
+def split_induced(q: QuotientGroup, conj: np.ndarray, tau: Representation,
+                  seed: int = 0) -> list[np.ndarray]:
+    """The irreducible constituents of the representation induced from tau
+    on the TF part, with multiplicity, as (|G|, m, m) stacks, for
+    conj = coset_conjugation(q).  No stack of the induced representation is built.
+
+    With the p_reps h_i as coset representatives, Ind tau = M is
+    block-monomial (Serre, *Linear Representations of Finite Groups*, 7.1):
+    at x in TF it is block-diagonal with blocks S_i(x) = tau(h_i^-1 x h_i),
+    the stack tau.mats[conj[i]], and at h_p it is a block permutation whose
+    block (i, j) is tau(h_i^-1 h_p h_j) where that lies in TF
+    (`Cosets.rows`).  Every element is x h_p, so `_split_dense`'s average
+    of a random Hermitian X over the quotient is
+
+        sum_g M(g) X M(g)^H = sum_x M(x) Y M(x)^H,  Y = sum_p M(h_p) X M(h_p)^H,
+
+    blockwise h_ij = sum_x S_i(x) Y_ij S_j(x)^H: |P|^2 times fewer flops
+    than the sum over G.  An eigenspace basis B of h gives the constituent
+    sigma(x h_p) = (B^H M(x)) (M(h_p) B) at the id of x h_p
+    (`Cosets.products`); one that still joins several irreducibles, after
+    an eigenvalue collision, is split by `_split_dense`.  The random draws
+    are those `_split_dense` makes on the induced stack, reseeded
+    (seed + attempt) on a bad one.  Each constituent is checked to be a
+    homomorphism on all pairs of quotient generators.  Ind tau must be
+    reducible (`mackey_irreducible` says which); an irreducible one never
+    splits and ends in ConvergenceFailure.
+    """
+    _check_tf(q, tau)
+    cosets, k, d = q.cosets, len(q.cosets.reps), tau.dim
+    diag = tau.mats[conj]                                                       # S_i(x)
+    at_reps = _blocks(tau, cosets.rows[cosets.reps]).reshape(k, k * d, k * d)   # M(h_p)
+    last_error = None
+    for attempt in range(MAX_RESEEDS):
+        try:
+            out = _split_blocks(diag, at_reps, cosets.products, q.order,
+                                np.random.default_rng(seed + attempt))
+        except ConvergenceFailure as exc:
+            last_error = exc
+            continue
+        for mats in out:
+            _check_homomorphism(q, mats, "split constituent")
+        return out
+    raise ConvergenceFailure(f"split failed after {MAX_RESEEDS} reseeds: {last_error}")
+
+
+def _split_blocks(diag: np.ndarray, at_reps: np.ndarray, products: np.ndarray, n: int,
+                  rng, depth: int = 0) -> list[np.ndarray]:
+    """`split_induced` from the (|P|, |TF|, d, d) blocks S_i(x) and the
+    (|P|, D, D) coset images M(h_p), drawing as `_split_dense` does."""
+    k, t, d = diag.shape[:3]
+    size = k * d
+    if depth > 8:
+        raise ConvergenceFailure("irreducible split did not terminate")
+    x = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    x = x + x.conj().T
+    y = (at_reps @ x @ at_reps.conj().swapaxes(1, 2)).sum(0)
+    # h_ij = sum_x S_i(x) Y_ij S_j(x)^H: first S_i(x) Y_ij for every i, then
+    # one product over the (x, b) pairs for every j
+    stacked = diag.reshape(k, t * d, d)                                  # S_i(x) over x
+    adjoints = diag.conj().transpose(0, 1, 3, 2).reshape(k, t * d, d)    # S_j(x)^H over x
+    u = (stacked @ y.reshape(k, d, size)).reshape(k, t, d, k, d)        # [i, x, a, j, b]
+    h = u.transpose(3, 0, 2, 1, 4).reshape(k, size, t * d) @ adjoints    # [j, (i, a), c]
+    w, v = np.linalg.eigh(h.transpose(1, 0, 2).reshape(size, size) / n)
+    # V^H M(x) for every x: V_i^H S_i(x) for every i, as one (k, size, t d) block
+    rows = diag.transpose(0, 2, 1, 3).reshape(k, d, t * d)               # [i, b, (x, e)]
+    left = v.conj().T.reshape(size, k, d).swapaxes(0, 1) @ rows
+    spread = max(w[-1] - w[0], 1.0)
+    out = []
+    for block in _cluster(w, CLUSTER_GAP * spread):
+        basis = v[:, block]
+        m = basis.shape[1]
+        if m == size:
+            # eigenspace did not split; try a fresh random direction
+            return _split_blocks(diag, at_reps, products, n, rng, depth + 1)
+        # sigma(x h_p): rows (x, a) of B^H M(x) times columns (p, b) of M(h_p) B
+        lhs = left[:, block].reshape(k, m, t, d).transpose(2, 1, 0, 3).reshape(t * m, size)
+        rhs = (at_reps @ basis).transpose(1, 0, 2).reshape(size, k * m)
+        mats = np.empty((n, m, m), dtype=complex)
+        mats[products] = (lhs @ rhs).reshape(t, m, k, m).transpose(0, 2, 1, 3)
+        out.extend(_split_dense(mats, rng, depth + 1))
+    return out
 
 
 def induced_character(conj: np.ndarray, char: np.ndarray) -> np.ndarray:

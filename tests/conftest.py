@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -9,11 +10,12 @@ from hypothesis import settings
 from euciso import catalog, io
 from euciso import isometry as iso
 from euciso.dual import k_shift_reps, rep_set, wave_orbits
-from euciso.errors import InternalInconsistency, NotAMember
-from euciso.groups import GroupSpec, build_quotient, find_m0, normal_form, normal_forms
-from euciso.reps import (STRUCT_TOL, Representation, chi, constituents, equivalent, induce,
-                         irreps, lift_representation, multiplicities, p_rep_element,
-                         scale_by_character)
+from euciso.errors import ConvergenceFailure, InternalInconsistency, NotAMember
+from euciso.groups import (GroupSpec, NormalForm, build_quotient, find_m0, normal_form,
+                           normal_forms)
+from euciso.reps import (MAX_RESEEDS, STRUCT_TOL, Representation, _split_dense, char_norm_sq,
+                         chi, coset_conjugation, equivalent, induce, irreps, lift_representation,
+                         multiplicities, scale_by_character, split_induced)
 
 # derandomized examples keep tier-1 deterministic; no deadline, as host speed varies
 settings.register_profile("euciso", derandomize=True, deadline=None)
@@ -148,6 +150,29 @@ def c5_quarter_spec():
     return GroupSpec("c5-quarter", 4, 2, kernel, lifts, p_reps)
 
 
+def s3_plane_spec(alpha=0.7):
+    """A plane group over the non-abelian kernel S3 whose lifts do not commute.
+
+    The lifts carry the transpositions (0 1) and (1 2) of S3, so t(a) t(b)
+    = t(a+b) z(a,b) with z nontrivial, and a glide along the diagonal swaps
+    the axes and conjugates S3 by (0 2).  The rotation blocks keep the lifts
+    out of F; m0 = 6.
+    """
+    perm = [np.eye(3)[list(p)] for p in itertools.permutations(range(3))]
+    kernel = [iso.block_diag(m, np.eye(2)) for m in perm]
+    one = iso.identity_int_matrix(2)
+    g1 = iso.Isometry(iso.block_diag(perm[2], iso.rotation2(alpha)), one, (1, 0))
+    g2 = iso.Isometry(iso.block_diag(perm[1], iso.rotation2(-alpha)), one, (0, 1))
+    glide = iso.Isometry(iso.block_diag(perm[5], np.diag([1.0, -1.0])), ((0, 1), (1, 0)),
+                         (Fraction(1, 2), Fraction(1, 2)))
+    return GroupSpec("s3-plane", 5, 2, kernel, [g1, g2], [iso.identity_isometry(5, 2), glide])
+
+
+def p_rep_element(q, p):
+    """The id of the p-th p_rep, t(0)*f_id*p."""
+    return q.reduce(NormalForm((0,) * q.spec.d2, q.spec.f_identity, p))
+
+
 def dual_action(q, g, r):
     """(g . rho)(h) = rho(g^-1 h g) for rho on a normal subgroup view."""
     sub = r.domain
@@ -195,18 +220,36 @@ def stabilizer_oracle(q, r):
                    for p in range(q.spec.rot_order) if p != q.spec.p_identity)
 
 
+def constituents(r, seed=0):
+    """The irreducible constituents of a unitary representation, with
+    multiplicity, as (n, d, d) stacks, split on its full stack by
+    `_split_dense`; an irreducible r comes back as is.  Reseeded
+    (seed + attempt) on a bad random draw."""
+    last_error = None
+    for attempt in range(MAX_RESEEDS):
+        try:
+            return _split_dense(r.mats, np.random.default_rng(seed + attempt))
+        except ConvergenceFailure as exc:
+            last_error = exc
+    raise ConvergenceFailure(f"split failed after {MAX_RESEEDS} reseeds: {last_error}")
+
+
 def eager_irreps_oracle(s, N, seed=0):
     """The quotient's irreducible stacks as the dual atlas once built them:
-    every label induced and split, one stack per character kept within each
-    label, and all sorted by one np.lexsort over the dim and the full
-    rounded characters."""
+    every label induced, a reducible one split by `split_induced`, one stack
+    per character kept within each label, and all sorted by one np.lexsort
+    over the dim and the full rounded characters."""
     q = build_quotient(s, N)
     rs = rep_set(s, seed=seed)
+    conj = coset_conjugation(q)
     stacks, chars = [], []
     for rho_index, rho in enumerate(rs.classes):
         lifted = lift_representation(rho, q)
         for label in wave_orbits(s, rs, rho_index, N):
-            pieces = constituents(induce(q, scale_by_character(chi(s, label.k), lifted)), seed)
+            tau = scale_by_character(chi(s, label.k), lifted)
+            ind = induce(q, tau)
+            pieces = ([ind.mats] if abs(char_norm_sq(ind) - 1) < STRUCT_TOL
+                      else split_induced(q, conj, tau, seed))
             ch = np.array([np.einsum("gii->g", m) for m in pieces])
             first = multiplicities(ch, ch).argmax(axis=1)
             for k in np.flatnonzero(first == np.arange(len(pieces))):

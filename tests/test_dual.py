@@ -9,12 +9,13 @@ from euciso import isometry as iso
 from euciso.dual import enumerate_dual, k_shift_reps, null_set_member, rep_set, wave_orbits
 from euciso.errors import InternalInconsistency
 from euciso.groups import GroupSpec, build_quotient, find_m0, tf_slice, validate_spec
-from euciso.reps import (STRUCT_TOL, chi, coset_conjugation, equivalent, induce,
+from euciso.reps import (STRUCT_TOL, char_norm_sq, chi, coset_conjugation, equivalent, induce,
                          induced_character, irreps, lift_representation, mackey_irreducible,
-                         scale_by_character)
+                         multiplicities, scale_by_character, split_induced)
 
-from conftest import (c5_quarter_spec, dual_action, eager_irreps_oracle, quotient,
-                      rep_set_oracle, spec, stabilizer_oracle)
+from conftest import (c5_quarter_spec, constituents, dual_action, eager_irreps_oracle,
+                      p_rep_element, quotient, rep_set_oracle, s3_plane_spec, spec,
+                      stabilizer_oracle)
 
 
 def dual_point_matrix(p):
@@ -77,7 +78,6 @@ def test_rep_set_members_pairwise_inequivalent_under_twist():
     s = spec("twistE8")
     rs = rep_set(s)
     q = rs.quotient
-    from euciso.reps import p_rep_element
     shifts = [chi(s, k) for k in
               [tuple(Fraction(a, rs.m0) for a in v)
                for v in [(0, 0), (1, 0), (0, 1), (1, 1)]]]
@@ -293,7 +293,10 @@ def test_atlas_irreps_match_the_solver(name, N):
     assert all(atlas.checks.values())
 
 
-# DualAtlas.basis at seed 0, recorded while every label's stack was built eagerly
+# DualAtlas.basis at seed 0, recorded while every label's stack was built eagerly;
+# twistE8's were recorded again when reducible labels came to be split on TF
+# blocks, as its constituents of dim 2 and 4 sit in eigenspaces whose bases
+# depend on rounding
 BASIS_FINGERPRINTS = {
     ("p1", 1): "aa3859d394eb3387ec4ecf6984e9a55c330d48b583dd7204e80a483e8989f5e3",
     ("p1", 2): "d24e4777886a310d411b5fa8d307e02974e4506b4bd6c17db83078f7e68498ad",
@@ -307,8 +310,8 @@ BASIS_FINGERPRINTS = {
     ("helix-C3", 2): "647df18136df550f048338fdabf28ceff3145b93184caf842d716ae7f8913061",
     ("helix-C3-tf", 1): "ebfb59a512ab8b793da4cb56b76a2a6e0921e83259d313bbdd636353825d7945",
     ("helix-C3-tf", 2): "67344b53c9d002feb42bc97659e2de053208a488e8b6d26a33c8fee5e26f24ec",
-    ("twistE8", 2): "d1a93d4444a0d9ede563637c64dbdac512d0df40dc63c2b6a254eccb096b24ed",
-    ("twistE8", 4): "a020496348f5144c83412bda5e835efaf4d84092f153aae97872229c18b15f2b",
+    ("twistE8", 2): "3f39df1a2a45b06e569d4dce8e15e1a1f89cc77d8e612c783d112207756a2871",
+    ("twistE8", 4): "32a559781b097dab51df7da251b2a1b74031a42e332b2bc90879c6b2fb6c7e90",
     ("twistE8-m4", 4): "95464456932e23414f0ef56cd3e28a9342da2c0e7625da7e58b004a35046deab",
     ("twistE8-m4", 8): "f05d112d8c773f45d2034f59d148c23144a339c9519efbdb81e5adcbac571caa",
 }
@@ -328,6 +331,44 @@ def test_lazy_irreps_are_the_eager_stacks(name, N):
     assert [r.mats.tobytes() for r in atlas.irreps] == [m.tobytes() for m in want]
 
 
+def stack_chars(stacks):
+    return np.array([np.einsum("gii->g", m) for m in stacks])
+
+
+SPLIT_CASES = ([pytest.param(catalog.CATALOG[name].build, N, id=f"{name}-{N}")
+                for name, N in CATALOG_LEVELS + [("twistE8", 6), ("pg", 12), ("helix-C3", 6)]]
+               + [pytest.param(c5_quarter_spec, N, id=f"c5-quarter-{N}") for N in (1, 2)]
+               + [pytest.param(s3_plane_spec, 6, id="s3-plane-6")])
+
+
+@pytest.mark.parametrize("build,N", SPLIT_CASES)
+def test_block_split_matches_the_dense_split(build, N):
+    # split_induced works on TF blocks; the oracle splits the whole induced stack
+    s = build()
+    q, rs = build_quotient(s, N), rep_set(s)
+    conj, table = coset_conjugation(q), q.mult_table()
+    gens = np.array(q.generators())
+    a, b = gens[:, None], gens[None, :]
+    for idx, rho in enumerate(rs.classes):
+        lifted = lift_representation(rho, q)
+        for label in wave_orbits(s, rs, idx, N):
+            tau = scale_by_character(chi(s, label.k), lifted)
+            ind = induce(q, tau)
+            if abs(char_norm_sq(ind) - 1) < STRUCT_TOL:
+                continue
+            new, old = split_induced(q, conj, tau), constituents(ind)
+            new_chars, old_chars = stack_chars(new), stack_chars(old)
+            cross = multiplicities(new_chars, old_chars)   # 1 iff equivalent
+            assert (cross.sum(axis=1) == multiplicities(new_chars, new_chars).sum(axis=1)).all()
+            assert (cross.sum(axis=0) == multiplicities(old_chars, old_chars).sum(axis=0)).all()
+            match = cross.argmax(axis=1)
+            assert [m.shape[1] for m in new] == [old[j].shape[1] for j in match], label
+            assert np.abs(new_chars - old_chars[match]).max() <= STRUCT_TOL, label
+            for m in new:
+                assert np.abs(m.conj().swapaxes(1, 2) @ m - np.eye(m.shape[1])).max() < 1e-9
+                assert np.abs(m[a] @ m[b] - m[table[a, b]]).max() < 1e-9
+
+
 @pytest.mark.parametrize("name,N", [("twistE8", 4), ("pg", 12), ("helix-C3", 6),
                                     ("twistE8-m4", 8)])
 def test_frobenius_characters_are_the_induced_stacks_characters(name, N):
@@ -343,14 +384,26 @@ def test_frobenius_characters_are_the_induced_stacks_characters(name, N):
 
 
 def test_only_null_set_labels_are_induced_before_irreps_are_read(monkeypatch):
-    calls, induce_ = [], dual.induce
-    monkeypatch.setattr(dual, "induce", lambda q, r: calls.append(q) or induce_(q, r))
-    for name, N, null in [("twistE8-m4", 8, 0), ("pg", 12, 24)]:
-        calls.clear()
+    # no label is induced before the irreducibles are read: a reducible one
+    # is split from its TF blocks, and an irreducible one is induced once
+    # when they are read.  Every twistE8 label at N = 4 is reducible, so its
+    # atlas induces nothing at all; two of helix-C3's four null-set labels at
+    # N = 6 induce irreducibly, so they are induced, not split
+    induced, split, induce_, split_ = [], [], dual.induce, dual.split_induced
+    monkeypatch.setattr(dual, "induce", lambda q, r: induced.append(q) or induce_(q, r))
+    monkeypatch.setattr(dual, "split_induced", lambda *args: split.append(args) or split_(*args))
+    for name, N, reducible in [("twistE8-m4", 8, 0), ("pg", 12, 24), ("twistE8", 4, 16),
+                               ("helix-C3", 6, 2)]:
+        induced.clear()
+        split.clear()
         atlas = enumerate_dual(catalog.CATALOG[name].build(), N)
-        assert sum(r.label.in_null_set for r in atlas.labels) == len(calls) == null, name
-        assert len(atlas.basis) == 64 and len(calls) == len(atlas.labels), name
-        assert len(atlas.irreps) == len(atlas.census_dims) and len(calls) == len(atlas.labels)
+        assert all(atlas.checks.values()), name
+        assert sum(not r.irreducible for r in atlas.labels) == len(split) == reducible, name
+        assert induced == [], name
+        lazy = len(atlas.labels) - reducible
+        assert len(atlas.basis) == 64 and len(induced) == lazy, name
+        assert len(atlas.irreps) == len(atlas.census_dims) and len(induced) == lazy, name
+        assert len(split) == reducible, name
 
 
 @pytest.mark.parametrize("name,N", [("pg", 3), ("twistE8-m4", 8)])

@@ -15,7 +15,7 @@ from euciso.groups import (GroupSpec, NormalForm, _divisors, automorphism_count,
 from euciso.isometry import Isometry, rotation2
 
 from conftest import (compose_all, cyclic, inverse, is_member, mult_table_oracle, power,
-                      q_equal, quotient, reconstruct, rod_spec, section, spec,
+                      q_equal, quotient, reconstruct, rod_spec, s3_plane_spec, section, spec,
                       translation_isometry)
 
 
@@ -606,24 +606,6 @@ def test_rod_mult_table_matches_the_oracle(k, flip):
     s = rod_spec(k, flip, 1.2345)
     q = build_quotient(s, find_m0(s).m0)
     assert np.array_equal(q.mult_table(), mult_table_oracle(q))
-
-
-def s3_plane_spec(alpha=0.7):
-    """A plane group over the non-abelian kernel S3 whose lifts do not commute.
-
-    The lifts carry the transpositions (0 1) and (1 2) of S3, so t(a) t(b)
-    = t(a+b) z(a,b) with z nontrivial, and a glide along the diagonal swaps
-    the axes and conjugates S3 by (0 2).  The rotation blocks keep the lifts
-    out of F; m0 = 6.
-    """
-    perm = [np.eye(3)[list(p)] for p in itertools.permutations(range(3))]
-    kernel = [iso.block_diag(m, np.eye(2)) for m in perm]
-    one = iso.identity_int_matrix(2)
-    g1 = Isometry(iso.block_diag(perm[2], rotation2(alpha)), one, (1, 0))
-    g2 = Isometry(iso.block_diag(perm[1], rotation2(-alpha)), one, (0, 1))
-    glide = Isometry(iso.block_diag(perm[5], np.diag([1.0, -1.0])), ((0, 1), (1, 0)),
-                     (Fraction(1, 2), Fraction(1, 2)))
-    return GroupSpec("s3-plane", 5, 2, kernel, [g1, g2], [iso.identity_isometry(5, 2), glide])
 
 
 def s4_plane_spec():

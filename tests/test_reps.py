@@ -1,4 +1,6 @@
 import itertools
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,15 +8,15 @@ import pytest
 
 from euciso import catalog, reps
 from euciso.dual import rep_set, wave_orbits
-from euciso.errors import CapExceeded, InternalInconsistency
-from euciso.groups import NormalForm, SubgroupView, build_quotient, tf_slice
+from euciso.errors import CapExceeded, ConvergenceFailure, InternalInconsistency
+from euciso.groups import DEFAULT_CAP, NormalForm, SubgroupView, build_quotient, tf_slice
 from euciso.reps import (STRUCT_TOL, Representation, _Characters, _split_dense, char_inner,
-                         char_norm_sq, chi, constituents, coset_conjugation,
+                         char_norm_sq, check_irreducibles, chi, coset_conjugation,
                          distinct_constituents, equivalent, induce, intertwiner, irreps,
                          lift_representation, mackey_irreducible, multiplicities, multiplicity,
-                         p_rep_element, quotient_irreps, scale_by_character)
+                         quotient_irreps, scale_by_character, split_induced)
 
-from conftest import dual_action, quotient, spec, trivial_on
+from conftest import constituents, dual_action, p_rep_element, quotient, spec, trivial_on
 
 
 def conjugacy_class_count(q):
@@ -199,10 +201,40 @@ def test_multiplicities_refuse_a_non_integral_pairing():
         multiplicities(irr[:1] * 0.5, irr)
 
 
+def test_check_irreducibles_probes_unitarity_and_products(rng):
+    q = quotient("pg", 3)
+    irr, table = quotient_irreps(q), q.mult_table()
+    chars = np.array([r.char for r in irr])
+    gram, stacks = chars @ chars.conj().T / q.order, [r.mats for r in irr]
+    check_irreducibles(gram, stacks, table, rng)
+    with pytest.raises(InternalInconsistency, match="orthogonality"):
+        check_irreducibles(2 * gram, stacks, table, rng)
+    with pytest.raises(InternalInconsistency, match="not unitary"):
+        check_irreducibles(gram, [2 * stacks[-1]], table, rng)
+    # unitary matrices placed at the wrong ids
+    with pytest.raises(InternalInconsistency, match="not a homomorphism"):
+        check_irreducibles(gram, [stacks[-1][rng.permutation(q.order)]], table, rng)
+
+
 def test_cap_guard():
-    # order 18432 is above DEFAULT_CAP; refused before any table is built
+    # order 18432 is above both caps; refused before any table is built
     with pytest.raises(CapExceeded):
         irreps(quotient("twistE8", 24))
+
+
+def test_solver_cap_refuses_quickly_and_allocates_nothing():
+    # twistE8 mod T^6 (order 1152) is above SOLVER_CAP but within the table cap
+    q = build_quotient(catalog.CATALOG["twistE8"].build(), 6)
+    assert reps.SOLVER_CAP < q.order <= DEFAULT_CAP
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(CapExceeded, match="solver cap"):
+            irreps(q)
+        elapsed, (_, peak) = time.perf_counter() - start, tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20 and elapsed < 1.0 and q._table is None
 
 
 def test_equivalent_under_unitary_conjugation(rng):
@@ -389,7 +421,8 @@ def test_wave_phases_equal_value():
         for k in ks:
             wave = chi(s, k)
             want = [wave.value(q.nf(i).n) for i in q.elements]
-            assert wave.phases(q, q.elements).tolist() == want
+            assert wave.phases(q).tolist() == want
+            assert wave.phases(q.tf_subgroup()).tolist() == want[s.p_identity::s.rot_order]
 
 
 def brute_induced_character(q, tau):
@@ -418,6 +451,13 @@ def test_induced_character_matches_brute_force():
                 tau = scale_by_character(chi(s, label.k), lifted)
                 want = brute_induced_character(q, tau)
                 assert np.abs(induce(q, tau).char - want).max() < 1e-9
+
+
+def test_split_induced_refuses_an_irreducible_induced_rep():
+    # pg at N = 3: k = (1/3, 1/3) lies off the null set, so Ind chi_k is irreducible
+    s, q = spec("pg"), quotient("pg", 3)
+    with pytest.raises(ConvergenceFailure, match="did not terminate"):
+        split_induced(q, coset_conjugation(q), chi(s, (Fraction(1, 3), Fraction(1, 3))).on(q))
 
 
 def test_induce_rejects_a_non_homomorphism(rng):

@@ -39,8 +39,12 @@ def test_spot_check_draws_its_own_triples(monkeypatch):
 
 def test_a_verify_pass_builds_the_m0_atlas_once(monkeypatch):
     # the atlas checks and the Fourier checks share one atlas per (quotient, seed)
-    s, calls, induce = catalog.CATALOG["twistE8"].build(), [], dual.induce
+    # and each label is induced or split once
+    s, calls = catalog.CATALOG["twistE8"].build(), []
+    induce, split = dual.induce, dual.split_induced
     monkeypatch.setattr(dual, "induce", lambda q, r: calls.append(q.N) or induce(q, r))
+    monkeypatch.setattr(dual, "split_induced",
+                        lambda q, *args: calls.append(q.N) or split(q, *args))
     assert run_suite(s, seed=0).passed
     labels = dual.enumerate_dual(s, find_m0(s).m0, seed=0).labels
     assert len(calls) == len(labels)
