@@ -8,11 +8,12 @@ one denominator, k = a / den, and the dual action is integer arithmetic
 modulo den.
 
 `enumerate_dual` turns the labels into the quotient's irreducibles.  Each
-label's induced representation is judged by the Mackey test on characters,
-not by its null-set flag: an irreducible one is induced only when
-`DualAtlas.irreps` is read, and a reducible one is split at once on the TF
-blocks of its twisted class (`reps.split_induced`), averaging over TF and
-the coset representatives rather than over the whole quotient.
+label's fate is its stabilizer order, read exactly from its wave orbit, not
+its null-set flag: an irreducible induced representation (order 1) is
+induced only when `DualAtlas.irreps` is read, and a reducible one is split
+at once on the TF blocks of its twisted class (`reps.split_induced`),
+averaging over TF and the coset representatives rather than over the whole
+quotient.
 """
 
 from __future__ import annotations
@@ -322,10 +323,12 @@ def enumerate_dual(spec: GroupSpec, N: int, seed: int = 0) -> DualAtlas:
     (Clifford-Mackey theory; Serre, *Linear Representations of Finite
     Groups*, sections 7-8), characters first.  A label's representation is
     induced from its twisted class tau = chi_k rho on the TF part, and
-    `induced_character` gives its character without matrices.  The Mackey
-    test, not the null-set flag, decides what is built: an irreducible
-    induced representation gets no stack here, and `DualAtlas.irreps`
-    induces it on first use.  A reducible one is split now by
+    `induced_character` gives its character without matrices.  The label's
+    stabilizer order, len(operations()) of its class's little group over
+    its orbit size (orbit-stabilizer), decides what is built, and
+    `reps.mackey_irreducible` checks it against the induced norm.  An
+    irreducible induced representation (order 1) gets no stack here, and
+    `DualAtlas.irreps` induces it on first use.  A reducible one is split now by
     `reps.split_induced` straight from tau's (|TF|, d, d) stack, averaging
     over TF and the coset representatives by a block identity, so no
     (|G|, |P| d, |P| d) stack is built.  Its constituents have dimension at
@@ -335,11 +338,11 @@ def enumerate_dual(spec: GroupSpec, N: int, seed: int = 0) -> DualAtlas:
     basis Fourier tables use, and the atlas is kept on the quotient per seed.
 
     Each label's report holds its induced dimension, irreducibility (the
-    stabilizer test, cross-checked with the character norm), character norm
-    and decomposition into the quotient's irreducibles.  Every Gram runs
-    over the TF part, where induced characters live; the irreducibles' own
-    Gram must be the identity (`reps.check_irreducibles`, which also probes
-    the split stacks).  Checks performed: pairwise inequivalence of the
+    stabilizer order is 1), character norm and decomposition into the
+    quotient's irreducibles.  Every Gram runs over the TF part, where
+    induced characters live; the irreducibles' own Gram must be the
+    identity (`reps.check_irreducibles`, which also probes the split
+    stacks).  Checks performed: pairwise inequivalence of the
     labels, irreducibility off the null set, exhaustion of the quotient dual
     by the decompositions (sum d^2 = |G mod T^N|), and coverage of every
     irreducible as a subrepresentation.  Coverage is computed from the
@@ -353,19 +356,20 @@ def enumerate_dual(spec: GroupSpec, N: int, seed: int = 0) -> DualAtlas:
     rs = rep_set(spec, seed=seed)
     sub, conj = q.tf_subgroup(), coset_conjugation(q)
     orbits = [wave_orbits(spec, rs, rho_index, N) for rho_index in range(len(rs.classes))]
+    little_orders = [len(lg.operations()) for lg in rs.little_groups]
     twisted = np.empty((sum(map(len, orbits)), sub.order), dtype=complex)
     induced = np.empty_like(twisted)
     rows: list[tuple[WaveLabel, int, bool, float]] = []
     lazy, split_stacks, split_chars = [], [], []
-    for rho, labels in zip(rs.classes, orbits):
+    for rho, labels, little_order in zip(rs.classes, orbits, little_orders):
         lifted = lift_representation(rho, q)
         for label in labels:
             i, wave = len(rows), chi(spec, label.k)
             twisted[i] = wave.phases(sub) * lifted.char
             induced[i] = induced_character(conj, twisted[i])
-            irreducible = mackey_irreducible(q, conj, twisted[i], induced[i])
-            rows.append((label, spec.rot_order * rho.dim, irreducible,
-                         float(np.vdot(induced[i], induced[i]).real) / q.order))
+            norm = float(np.vdot(induced[i], induced[i]).real) / q.order
+            irreducible = mackey_irreducible(norm, little_order // label.orbit_size)
+            rows.append((label, spec.rot_order * rho.dim, irreducible, norm))
             if irreducible:
                 lazy.append(i)
             else:
@@ -391,9 +395,8 @@ def enumerate_dual(spec: GroupSpec, N: int, seed: int = 0) -> DualAtlas:
     # decompositions determine characters; distinct labels must differ
     checks["pairwise_inequivalent"] = (
         len({tuple(sorted(r.decomposition.items())) for r in reports}) == len(reports))
-    checks["off_null_irreducible"] = all(
-        r.irreducible and abs(r.char_norm - 1) < STRUCT_TOL
-        for r in reports if not r.label.in_null_set)
+    checks["off_null_irreducible"] = all(r.irreducible for r in reports
+                                         if not r.label.in_null_set)
     checks["exhaustion"] = bool((decomposition > 0).any(axis=0).all()
                                 and (dims ** 2).sum() == q.order)
     checks["subrep_cover"] = bool((reciprocity > 0).any(axis=0).all()

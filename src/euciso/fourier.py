@@ -36,7 +36,7 @@ class PeriodicFunction:
         self.q = q
         self.shape = (int(shape[0]), int(shape[1]))
         full = (q.order, *self.shape)
-        values = np.zeros(full) if values is None else values
+        values = np.zeros(full, dtype=complex) if values is None else values
         values = np.asarray(values, dtype=complex)
         if values.shape != full:
             raise IncompatibleShapes(f"values shape {values.shape} != {full}")

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import EucisoError, IncompatibleShapes
 from .groups import GroupSpec, NormalForm, QuotientGroup
-from .isometry import Isometry
+from .isometry import DEFAULT_TOL, Isometry
 from .fourier import FourierTable, PeriodicFunction
 from .reps import basis_fingerprint
 
@@ -82,7 +82,7 @@ def spec_to_dict(spec: GroupSpec) -> dict:
 def spec_from_dict(data: dict) -> GroupSpec:
     try:
         d1, d2 = int(data["d1"]), int(data["d2"])
-        tol = float(data.get("tol", 1e-9))
+        tol = float(data.get("tol", DEFAULT_TOL))
         f_elements = [np.array(f, dtype=float).reshape(d1, d1)
                       for f in data["f_elements"]]
         ident_p = tuple(tuple(int(i == j) for j in range(d2)) for i in range(d2))

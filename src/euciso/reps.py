@@ -10,8 +10,9 @@ Induction reads the per-quotient coset data `QuotientGroup.cosets`.
 
 The dual of a quotient comes from its wave labels (`dual.enumerate_dual`),
 characters first: `induced_character` gives each label's induced character
-by the Frobenius formula, without matrices, and the Mackey test
-(`mackey_irreducible`) decides what happens next.  An irreducible induced
+by the Frobenius formula, without matrices.  The label's stabilizer order,
+exact from its wave orbit, decides what happens next; `mackey_irreducible`
+cross-checks it with that character's norm.  An irreducible induced
 representation is induced only when the irreducibles are read.  A reducible
 one is split by `split_induced` straight from its twisted class tau on the
 TF part, through the block identity
@@ -192,10 +193,7 @@ class _Characters:
 
     def known(self, ch: np.ndarray) -> bool:
         """True iff some kept character is within STRUCT_TOL of ch everywhere."""
-        kept = self.rows
-        step = max(1, GATHER_BYTES // self._block[0].nbytes)
-        return any(bool((np.abs(kept[i:i + step] - ch).max(axis=1) < STRUCT_TOL).any())
-                   for i in range(0, len(kept), step))
+        return bool((np.abs(self.rows - ch).max(axis=1) < STRUCT_TOL).any())
 
     def add(self, ch: np.ndarray) -> None:
         if self._count == len(self._block):
@@ -357,26 +355,22 @@ class WaveCharacter:
         phase = sum(a * Fraction(b) for a, b in zip(self.k, n))
         return cmath.exp(2j * cmath.pi * float(phase % 1))
 
-    def kills_power(self, N: int) -> bool:
-        """True iff the character is trivial on N-th section powers."""
-        return all((a * N).denominator == 1 for a in self.k)
-
     def phases(self, domain) -> np.ndarray:
         """The character at every element of a quotient or subgroup view, in
         element order, as `value` computes it.
 
         With k = a / den, the phase at exponent vector n is j / den for
-        j = n.a mod den; exp is evaluated once per distinct j.  The exponents
-        are decoded once per domain (`exponents`).
+        j = n.a mod den, read from one table of the den-th roots of unity.
+        The exponents are decoded once per domain (`exponents`).
         """
         den = math.lcm(*(x.denominator for x in self.k))
         a = np.array([int(x * den) for x in self.k], dtype=np.int64)
-        j, at = np.unique((domain.exponents @ a) % den, return_inverse=True)
-        return np.array([cmath.exp(2j * cmath.pi * (x / den)) for x in j.tolist()])[at]
+        roots = np.array([cmath.exp(2j * cmath.pi * (j / den)) for j in range(den)])
+        return roots[(domain.exponents @ a) % den]
 
     def on(self, q: QuotientGroup) -> Representation:
         """The character as a 1-dim representation of the TF part of q."""
-        if not self.kills_power(q.N):
+        if any((a * q.N).denominator != 1 for a in self.k):
             raise NotAMember(f"wave vector {self.k} does not kill T^{q.N}")
         sub = q.tf_subgroup()
         return Representation(sub, self.phases(sub)[:, None, None])
@@ -384,10 +378,6 @@ class WaveCharacter:
 
 def chi(spec: GroupSpec, k) -> WaveCharacter:
     return WaveCharacter(tuple(Fraction(x) for x in k))
-
-
-def _parent(domain) -> QuotientGroup:
-    return domain.parent if isinstance(domain, SubgroupView) else domain
 
 
 def scale_by_character(wave: WaveCharacter, r: Representation) -> Representation:
@@ -467,8 +457,9 @@ def split_induced(q: QuotientGroup, conj: np.ndarray, tau: Representation,
     are those `_split_dense` makes on the induced stack, reseeded
     (seed + attempt) on a bad one.  Each constituent is checked to be a
     homomorphism on all pairs of quotient generators.  Ind tau must be
-    reducible (`mackey_irreducible` says which); an irreducible one never
-    splits and ends in ConvergenceFailure.
+    reducible, that is tau's stabilizer order must exceed 1
+    (`mackey_irreducible`); an irreducible one never splits and ends in
+    ConvergenceFailure.
     """
     _check_tf(q, tau)
     cosets, k, d = q.cosets, len(q.cosets.reps), tau.dim
@@ -534,37 +525,28 @@ def induced_character(conj: np.ndarray, char: np.ndarray) -> np.ndarray:
     return char[conj].sum(axis=0)
 
 
-def mackey_irreducible(q: QuotientGroup, conj: np.ndarray, char: np.ndarray,
-                       induced: np.ndarray) -> bool:
-    """Irreducibility test for the representation induced from r on the TF part.
+def mackey_irreducible(norm: float, stabilizer: int) -> bool:
+    """Irreducibility of a representation induced from tau on the TF part.
 
-    True iff no nontrivial coset moves r to an equivalent representation,
-    compared on characters: char is r's character and g_p . r has the
-    character char[conj[p]], conj = coset_conjugation(q).  Cross-checked
-    against the norm of `induced`, the induced character on the TF part's
-    elements, which `induced_character` gives without any matrices.
+    stabilizer is the number of cosets g_p with g_p . tau ~ tau, read exactly
+    from tau's wave orbit (`dual.enumerate_dual`), and norm is <Ind tau,
+    Ind tau> measured on the induced character.  Mackey's formula (Serre,
+    *Linear Representations of Finite Groups*, 7.3-7.4) makes them equal:
+    InternalInconsistency unless they agree within STRUCT_TOL.  The verdict
+    is stabilizer == 1.
     """
-    moved = np.delete(char[conj], q.spec.p_identity, axis=0)
-    verdict = not (np.abs(moved - char).max(axis=1) <= STRUCT_TOL).any()
-    norm = float(np.vdot(induced, induced).real) / q.order
-    if abs(norm - 1.0) < STRUCT_TOL:
-        by_norm = True
-    elif norm > 1.0 + STRUCT_TOL:
-        by_norm = False
-    else:
-        raise InternalInconsistency(f"induced character norm {norm} below 1")
-    if by_norm != verdict:
+    if abs(norm - stabilizer) > STRUCT_TOL:
         raise InternalInconsistency(
-            f"stabilizer test ({verdict}) disagrees with character norm ({norm})")
-    return verdict
+            f"induced character norm {norm} differs from the stabilizer order {stabilizer}")
+    return stabilizer == 1
 
 
 # -- lifting along quotient maps ----------------------------------------------
 
 def lift_representation(r: Representation, fine: QuotientGroup) -> Representation:
     """Pull a representation of a coarse quotient back to a finer one."""
-    coarse = _parent(r.domain)
-    domain = fine.tf_subgroup() if isinstance(r.domain, SubgroupView) else fine
+    on_tf = isinstance(r.domain, SubgroupView)
+    coarse, domain = (r.domain.parent, fine.tf_subgroup()) if on_tf else (r.domain, fine)
     coarse_ids = fine.projection(coarse)[list(domain.elements)]
     return Representation(domain, r.mats[r.rows(coarse_ids)])
 

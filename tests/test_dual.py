@@ -113,18 +113,19 @@ def test_rep_set_matches_the_stack_oracle(build):
 
 @pytest.mark.parametrize("build", TWIST_SPECS)
 def test_mackey_verdict_matches_the_stack_oracle(build):
-    # the stabilizer test on characters against the stacks, on every label
+    # the verdict from the stabilizer order that the wave orbit gives, against
+    # the stacks, on every label; the induced stack's norm must be that order
     s = build()
     rs = rep_set(s)
     for N in (rs.m0, 2 * rs.m0):
         q = build_quotient(s, N)
-        conj = coset_conjugation(q)
         for idx, rho in enumerate(rs.classes):
             lifted = lift_representation(rho, q)
+            ops = len(rs.little_groups[idx].operations())
             for label in wave_orbits(s, rs, idx, N):
                 twisted = scale_by_character(chi(s, label.k), lifted)
-                induced = induce(q, twisted).char[list(q.tf_indices())]
-                assert (mackey_irreducible(q, conj, twisted.char, induced)
+                norm = char_norm_sq(induce(q, twisted))
+                assert (mackey_irreducible(norm, ops // label.orbit_size)
                         == stabilizer_oracle(q, twisted)), (N, label)
 
 
@@ -291,6 +292,38 @@ def test_atlas_irreps_match_the_solver(name, N):
     assert max(np.abs(a.char - b.char).max() for a, b in zip(atlas.irreps, oracle)) <= STRUCT_TOL
     assert atlas.census_dims == sorted(r.dim for r in oracle)
     assert all(atlas.checks.values())
+
+
+@pytest.mark.parametrize("name,N", CATALOG_LEVELS)
+def test_character_norms_are_the_stabilizer_orders(name, N):
+    # Mackey's formula on every label: <Ind tau, Ind tau> is the order of
+    # tau's stabilizer, read from the wave orbit by orbit-stabilizer
+    s = spec(name)
+    atlas = enumerate_dual(s, N)
+    ops = [len(lg.operations()) for lg in atlas.rep_set.little_groups]
+    for r in atlas.labels:
+        stabilizer = ops[r.label.rho_index] // r.label.orbit_size
+        assert abs(r.char_norm - stabilizer) <= STRUCT_TOL, (r.label, r.char_norm)
+        assert r.irreducible == (stabilizer == 1)
+
+
+def test_a_little_group_missing_an_operation_fails_loudly(monkeypatch):
+    # without p_rep 1's operation, class 0's little group has 7 of its 8
+    # members: its first label's orbit of 2 reads a stabilizer order of
+    # 7 // 2 = 3 where its induced character's norm is 4
+    original = dual.rep_set
+
+    def short(spec, seed=0):
+        rs = original(spec, seed=seed)
+        lg = rs.little_groups[0]
+        pairs = {p: shifts for p, shifts in lg.pairs.items() if p != 1}
+        rs.little_groups[0] = dual.LittleGroup(lg.spec, lg.rho_index, lg.m0, pairs)
+        return rs
+
+    monkeypatch.setattr(dual, "rep_set", short)
+    with pytest.raises(InternalInconsistency,
+                       match="induced character norm .* differs from the stabilizer order 3"):
+        enumerate_dual(catalog.CATALOG["twistE8"].build(), 2)
 
 
 # DualAtlas.basis at seed 0, recorded while every label's stack was built eagerly;

@@ -16,7 +16,8 @@ from euciso.reps import (STRUCT_TOL, Representation, _Characters, _split_dense, 
                          lift_representation, mackey_irreducible, multiplicities, multiplicity,
                          quotient_irreps, scale_by_character, split_induced)
 
-from conftest import constituents, dual_action, p_rep_element, quotient, spec, trivial_on
+from conftest import (constituents, dual_action, p_rep_element, quotient, spec,
+                      stabilizer_oracle, trivial_on)
 
 
 def conjugacy_class_count(q):
@@ -159,9 +160,10 @@ def test_split_dense_separates_a_repeated_constituent(rng):
 def test_constituents_of_a_reducible_induced_rep():
     # a pg label on the null set induces rho + rho' with rho, rho' inequivalent
     s, q = spec("pg"), quotient("pg", 3)
-    ind = induce(q, chi(s, (0, 0)).on(q))
-    assert not mackey_irreducible(q, coset_conjugation(q), chi(s, (0, 0)).on(q).char,
-                                  tf_character(q, ind))
+    tau = chi(s, (0, 0)).on(q)
+    ind = induce(q, tau)
+    assert not stabilizer_oracle(q, tau)
+    assert not mackey_irreducible(char_norm_sq(ind), 2)
     pieces = constituents(ind, seed=3)
     found = multiplicities(np.array([np.einsum("gii->g", m) for m in pieces]),
                            np.array([r.char for r in irreps(q)]))
@@ -173,10 +175,7 @@ def test_constituents_of_a_reducible_induced_rep():
     assert np.array_equal(chars, [np.einsum("gii->g", m) for m in pieces])
 
 
-@pytest.mark.parametrize("gather_bytes", [reps.GATHER_BYTES, 1])
-def test_character_block_matches_the_scalar_predicate(rng, monkeypatch, gather_bytes):
-    # gather_bytes = 1 compares one kept row at a time
-    monkeypatch.setattr(reps, "GATHER_BYTES", gather_bytes)
+def test_character_block_matches_the_scalar_predicate(rng):
     n, base = 12, rng.standard_normal((4, 12)) + 1j * rng.standard_normal((4, 12))
     block, kept = _Characters(40, n), []
     for _ in range(40):
@@ -340,25 +339,22 @@ def test_induce_dimension_and_block_structure():
     assert abs(m[0, 0]) < 1e-12 and abs(m[1, 1]) < 1e-12
 
 
-def tf_character(q, r):
-    """The character of a representation of q on the TF part's elements."""
-    return r.char[list(q.tf_indices())]
-
-
 def test_mackey_examples():
+    # pg's glide moves k = (1/3, 1/3) and fixes k = (1/3, 0): stabilizer
+    # orders 1 and 2, the induced norms
     s = spec("pg")
     q = quotient("pg", 3)
-    conj = coset_conjugation(q)
-    rho = chi(s, (Fraction(1, 3), Fraction(1, 3))).on(q)
-    assert mackey_irreducible(q, conj, rho.char, tf_character(q, induce(q, rho)))
-    rho = chi(s, (Fraction(1, 3), 0)).on(q)
-    assert not mackey_irreducible(q, conj, rho.char, tf_character(q, induce(q, rho)))
+    for k, stabilizer in [((Fraction(1, 3), Fraction(1, 3)), 1), ((Fraction(1, 3), 0), 2)]:
+        rho = chi(s, k).on(q)
+        norm = char_norm_sq(induce(q, rho))
+        assert mackey_irreducible(norm, stabilizer) == stabilizer_oracle(q, rho)
+        with pytest.raises(InternalInconsistency, match="stabilizer order"):
+            mackey_irreducible(norm, 3 - stabilizer)
     # no cosets to test when the group equals its TF part
     s4 = spec("screw-C4")
     q4 = build_quotient(s4, 2)
     for rho in irreps(q4.tf_subgroup()):
-        assert mackey_irreducible(q4, coset_conjugation(q4), rho.char,
-                                  tf_character(q4, induce(q4, rho)))
+        assert mackey_irreducible(char_norm_sq(induce(q4, rho)), 1)
 
 
 def test_induction_constant_on_orbits():

@@ -119,3 +119,17 @@ def test_verify_reports_on_a_finite_group_of_order_below_four(k):
     for seed in range(3):
         report = run_suite(s, seed=seed)
         assert report.passed, report.first_failure()
+
+
+def test_order_check_reads_the_generators_columns(monkeypatch):
+    # collapse the glide's column to the identity id: right products by a
+    # generator stop permuting the ids.  The spot check is switched off so
+    # that the broken table reaches the suite
+    s = catalog.CATALOG["pg"].build()
+    q = build_quotient(s, find_m0(s).m0)
+    table = q.mult_table()
+    g = q.generators()[-1]
+    table[:, g] = q.identity
+    monkeypatch.setattr(QuotientGroup, "spot_check", lambda self, rng=None: None)
+    report = run_suite(s, seed=0)
+    assert "quotient-order-formula" in [c.name for c in report.checks if not c.passed]
