@@ -10,7 +10,7 @@ modulo den.
 `enumerate_dual` turns the labels into the quotient's irreducibles.  Each
 label's fate is its stabilizer order, read exactly from its wave orbit, not
 its null-set flag: an irreducible induced representation (order 1) is
-induced only when `DualAtlas.irreps` is read, and a reducible one is split
+induced only when `DualAtlas.stacks` is read, and a reducible one is split
 at once on the TF blocks of its twisted class (`reps.split_induced`),
 averaging over TF and the coset representatives rather than over the whole
 quotient.
@@ -235,8 +235,11 @@ class DualAtlas:
     reducible, or else the index in `labels` of the label whose induced
     representation it is.  The Mackey verdict (`LabelReport.irreducible`)
     decides which, not the null-set flag: a null-set label may induce
-    irreducibly.  `irreps` builds the `Representation`s on first use,
-    inducing each of the latter once, and `basis` fingerprints them.
+    irreducibly.  `stacks` builds, on first use, one (|G|, k, d, d) array
+    per irreducible dimension d, holding its k irreducibles in basis order
+    and inducing each of the lazy ones once; the Fourier transform reads
+    them whole.  Each of `irreps` is a (|G|, d, d) view into its
+    dimension's array, and `basis` fingerprints them.
     """
 
     spec: GroupSpec
@@ -249,21 +252,42 @@ class DualAtlas:
     sources: list[np.ndarray | int] = field(repr=False)
 
     @functools.cached_property
-    def irreps(self) -> list[Representation]:
-        """The quotient's irreducibles in basis order, built on first use."""
+    def stacks(self) -> dict[int, tuple[list[int], np.ndarray]]:
+        """Per irreducible dimension d, in order of first appearance in the
+        basis: the basis indices of its k irreducibles and their images as
+        one (|G|, k, d, d) array.  A split stack is copied in and `sources`
+        then holds its view, so no irreducible is held twice."""
         q = build_quotient(self.spec, self.N)
+        dims = [self.labels[src].induced_dim if isinstance(src, int) else src.shape[1]
+                for src in self.sources]
+        by_dim: dict[int, list[int]] = {}
+        for i, d in enumerate(dims):
+            by_dim.setdefault(d, []).append(i)
+        stacks = {d: (idx, np.empty((q.order, len(idx), d, d), dtype=complex))
+                  for d, idx in by_dim.items()}
         lifted: dict[int, Representation] = {}
-        out = []
-        for src in self.sources:
-            if isinstance(src, int):
-                label = self.labels[src].label
-                if label.rho_index not in lifted:
-                    lifted[label.rho_index] = lift_representation(
-                        self.rep_set.classes[label.rho_index], q)
-                src = induce(q, scale_by_character(chi(self.spec, label.k),
-                                                   lifted[label.rho_index])).mats
-            out.append(Representation(q, src))
-        return out
+        for d, (idx, stack) in stacks.items():
+            for j, i in enumerate(idx):
+                src = self.sources[i]
+                if isinstance(src, int):
+                    label = self.labels[src].label
+                    if label.rho_index not in lifted:
+                        lifted[label.rho_index] = lift_representation(
+                            self.rep_set.classes[label.rho_index], q)
+                    src = induce(q, scale_by_character(chi(self.spec, label.k),
+                                                       lifted[label.rho_index])).mats
+                else:
+                    self.sources[i] = stack[:, j]
+                stack[:, j] = src
+        return stacks
+
+    @functools.cached_property
+    def irreps(self) -> list[Representation]:
+        """The quotient's irreducibles in basis order, views into `stacks`."""
+        q = build_quotient(self.spec, self.N)
+        views = {i: stack[:, j] for idx, stack in self.stacks.values()
+                 for j, i in enumerate(idx)}
+        return [Representation(q, views[i]) for i in range(len(self.sources))]
 
     @functools.cached_property
     def basis(self) -> str:
@@ -328,7 +352,7 @@ def enumerate_dual(spec: GroupSpec, N: int, seed: int = 0) -> DualAtlas:
     its orbit size (orbit-stabilizer), decides what is built, and
     `reps.mackey_irreducible` checks it against the induced norm.  An
     irreducible induced representation (order 1) gets no stack here, and
-    `DualAtlas.irreps` induces it on first use.  A reducible one is split now by
+    `DualAtlas.stacks` induces it on first use.  A reducible one is split now by
     `reps.split_induced` straight from tau's (|TF|, d, d) stack, averaging
     over TF and the coset representatives by a block identity, so no
     (|G|, |P| d, |P| d) stack is built.  Its constituents have dimension at

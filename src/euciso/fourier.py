@@ -8,9 +8,10 @@ the regular-representation solver's, which serves only the rep-set
 candidates at m0 and the oracles.  Inversion is the finite-group inversion
 applied blockwise and is validated by round trips.  The dense transform is
 a product with the group's Fourier matrix (Clausen and Baum, Fast Fourier
-Transforms, 1993): the irreducibles of one dimension d are stacked into one
-(n, k*d*d) array per call, so the transform and the inverse make one
-matrix product per irreducible dimension.
+Transforms, 1993): the atlas holds the k irreducibles of each dimension d
+as one (n, k, d, d) array (`DualAtlas.stacks`), built once per quotient
+and seed, so the transform and the inverse make one matrix product per
+irreducible dimension on it as it is, and copy no stack.
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dual import enumerate_dual
 from .errors import IncompatibleShapes, IncompleteTable
 from .groups import GroupSpec, NormalForm, QuotientGroup, build_quotient, normal_form
-from .reps import Representation, basis_fingerprint, quotient_irreps
+from .reps import Representation, basis_fingerprint
 
 
 class PeriodicFunction:
@@ -115,44 +117,34 @@ class FourierTable:
     entries: dict[int, np.ndarray] = field(default_factory=dict)
 
     def irreps(self) -> list[Representation]:
-        return quotient_irreps(self.q, seed=self.seed)
-
-
-def _dim_stacks(reps: list[Representation]):
-    """Per irreducible dimension d: d, the indices of the k irreducibles of
-    that dimension and their images as one (n, k*d*d) array, built per call."""
-    by_dim: dict[int, list[int]] = {}
-    for ri, rho in enumerate(reps):
-        by_dim.setdefault(rho.dim, []).append(ri)
-    for d, idx in by_dim.items():
-        stack = np.stack([reps[ri].mats for ri in idx], axis=1)
-        yield d, idx, stack.reshape(len(stack), -1)
+        return enumerate_dual(self.q.spec, self.q.N, self.seed).irreps
 
 
 def transform(u: PeriodicFunction, seed: int = 0) -> FourierTable:
     """u_hat(rho) = (1/|C_N|) sum_g u(g) (x) rho(g)."""
-    reps = quotient_irreps(u.q, seed=seed)
     n = u.q.order
     m, mm = u.shape
     flat = u.values.reshape(n, m * mm)
     entries = {}
-    for d, idx, stack in _dim_stacks(reps):
-        acc = (flat.T @ stack / n).reshape(m, mm, len(idx), d, d).transpose(2, 0, 3, 1, 4)
+    for d, (idx, stack) in enumerate_dual(u.q.spec, u.q.N, seed).stacks.items():
+        acc = (flat.T @ stack.reshape(n, -1) / n).reshape(m, mm, len(idx), d, d)
+        acc = acc.transpose(2, 0, 3, 1, 4)
         entries.update(zip(idx, np.ascontiguousarray(acc).reshape(len(idx), m * d, mm * d)))
     return FourierTable(u.q, u.shape, seed, dict(sorted(entries.items())))
 
 
 def inverse_transform(table: FourierTable) -> PeriodicFunction:
     """Blockwise finite-group inversion: u(g) = sum_rho d_rho tr(u_hat_ab rho(g)^H)."""
-    reps = table.irreps()
-    if set(table.entries) != set(range(len(reps))):
+    if set(table.entries) != set(range(len(table.irreps()))):
         raise IncompleteTable("table does not cover every irreducible")
     m, n = table.shape
-    dense = np.zeros((table.q.order, m * n), dtype=complex)
-    for d, idx, stack in _dim_stacks(reps):
+    order = table.q.order
+    dense = np.zeros((order, m * n), dtype=complex)
+    for d, (idx, stack) in enumerate_dual(table.q.spec, table.q.N, table.seed).stacks.items():
         blocks = np.stack([table.entries[ri].reshape(m, d, n, d) for ri in idx])
         blocks = blocks.transpose(0, 2, 4, 1, 3).reshape(len(idx) * d * d, m * n)
-        dense += d * (np.conj(stack, out=stack) @ blocks)
+        # conj(rho) @ b as conj(rho @ conj(b)): the shared stack stays as it is
+        dense += d * np.conj(stack.reshape(order, -1) @ np.conj(blocks))
     return PeriodicFunction(table.q, table.shape, dense.reshape(-1, m, n))
 
 

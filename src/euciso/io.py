@@ -5,7 +5,10 @@ as row-major nested lists.  Serialization is canonical, so equal inputs
 and seeds give byte-identical output: the bytes are those of `json.dumps`
 with `sort_keys` and `indent=1`.  `canonical_json` writes them itself,
 because json's indented encoder is pure Python, and writes each rectangular
-block of floats, such as a table entry, in one piece.  A function file is
+block of floats in one piece.  It also takes numpy arrays, as json.dumps
+does through `_coerce` (their `tolist()`); a table entry reaches it as a
+float64 array of [re, im] pairs and is written from the array, with no
+nested lists in between.  A function file is
 written with one entry per element, in id order; a reader takes any
 subset of the elements and sets the others to zero.  A Fourier table
 records the fingerprint of the irreducible bases it was computed in and is
@@ -47,10 +50,10 @@ def matrix_to_lists(m: np.ndarray) -> list:
     return [[float(x) for x in row] for row in np.atleast_2d(m)]
 
 
-def complex_matrix_to_lists(m: np.ndarray) -> list:
-    """A complex matrix, or a stack of them, as nested lists of [re, im] pairs."""
+def complex_pairs(m: np.ndarray) -> np.ndarray:
+    """A complex matrix, or a stack of them, as a float array of [re, im] pairs."""
     m = np.ascontiguousarray(m, dtype=complex)
-    return m.view(float).reshape(*m.shape, 2).tolist()
+    return m.view(float).reshape(*m.shape, 2)
 
 
 def complex_matrix_from_lists(rows) -> np.ndarray:
@@ -118,7 +121,7 @@ def save_spec(spec: GroupSpec, path: str) -> None:
 def function_to_dict(u: PeriodicFunction) -> dict:
     n, f, p = u.q.parts(u.q.elements)
     entries = [{"n": ni, "f": fi, "p": pi, "value": value} for ni, fi, pi, value
-               in zip(n.tolist(), f.tolist(), p.tolist(), complex_matrix_to_lists(u.values))]
+               in zip(n.tolist(), f.tolist(), p.tolist(), complex_pairs(u.values).tolist())]
     return {"group": u.q.spec.name, "N": u.q.N,
             "shape": [u.shape[0], u.shape[1]], "entries": entries}
 
@@ -145,7 +148,7 @@ def table_to_dict(t: FourierTable) -> dict:
         "seed": t.seed,
         "basis": basis_fingerprint(t.q, t.seed),
         "entries": [{"irrep": i, "dim": reps[i].dim,
-                     "value": complex_matrix_to_lists(t.entries[i])}
+                     "value": complex_pairs(t.entries[i])}
                     for i in sorted(t.entries)],
     }
 
@@ -183,14 +186,16 @@ def _coerce(obj):
         return float(obj)
     if isinstance(obj, Fraction):
         return format_fraction(obj)
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 def canonical_json(obj) -> str:
     """The bytes of json.dumps(obj, sort_keys=True, indent=1,
     separators=(",", ": "), default=_coerce) plus a newline, written by
-    json's own rules, except that a rectangular nested list of finite
-    floats is written as one block."""
+    json's own rules, except that a rectangular nested list, or a float64
+    array, of finite floats is written as one block."""
     out: list[str] = []
     _write(obj, 0, out)
     out.append("\n")
@@ -212,6 +217,11 @@ def _write(obj, level: int, out: list[str]) -> None:
                     out.append("," + inner)
                 _write(value, level + 1, out)
             out.append("\n" + " " * level + "]")
+    elif isinstance(obj, np.ndarray):
+        if obj.dtype == np.float64 and obj.ndim and obj.size and np.isfinite(obj).all():
+            out.append(_block_template(obj.shape, level) % tuple(obj.ravel().tolist()))
+        else:
+            _write(obj.tolist(), level, out)
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")

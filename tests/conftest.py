@@ -11,11 +11,13 @@ from euciso import catalog, io
 from euciso import isometry as iso
 from euciso.dual import k_shift_reps, rep_set, wave_orbits
 from euciso.errors import ConvergenceFailure, InternalInconsistency, NotAMember
+from euciso.fourier import FourierTable, PeriodicFunction
 from euciso.groups import (GroupSpec, NormalForm, build_quotient, find_m0, normal_form,
                            normal_forms)
 from euciso.reps import (MAX_RESEEDS, STRUCT_TOL, Representation, _split_dense, char_norm_sq,
                          chi, coset_conjugation, equivalent, induce, irreps, lift_representation,
-                         multiplicities, scale_by_character, split_induced)
+                         multiplicities, quotient_irreps, scale_by_character,
+                         split_induced)
 
 # derandomized examples keep tier-1 deterministic; no deadline, as host speed varies
 settings.register_profile("euciso", derandomize=True, deadline=None)
@@ -270,3 +272,39 @@ def reference_json(obj) -> str:
     """What `io.canonical_json` must return: json's own canonical dump."""
     return json.dumps(obj, sort_keys=True, indent=1, separators=(",", ": "),
                       default=io._coerce) + "\n"
+
+
+def dim_stacks(reps):
+    """`DualAtlas.stacks` built anew from a list of irreducibles: per dimension
+    d, in order of first appearance, the indices of its k irreducibles and
+    their images as one (n, k, d, d) array."""
+    by_dim = {}
+    for ri, rho in enumerate(reps):
+        by_dim.setdefault(rho.dim, []).append(ri)
+    return {d: (idx, np.stack([reps[ri].mats for ri in idx], axis=1))
+            for d, idx in by_dim.items()}
+
+
+def transform_oracle(u, seed=0):
+    """`fourier.transform` as it stacked the irreducibles on every call."""
+    n = u.q.order
+    m, mm = u.shape
+    flat = u.values.reshape(n, m * mm)
+    entries = {}
+    for d, (idx, stack) in dim_stacks(quotient_irreps(u.q, seed=seed)).items():
+        acc = (flat.T @ stack.reshape(n, -1) / n).reshape(m, mm, len(idx), d, d)
+        acc = acc.transpose(2, 0, 3, 1, 4)
+        entries.update(zip(idx, np.ascontiguousarray(acc).reshape(len(idx), m * d, mm * d)))
+    return FourierTable(u.q, u.shape, seed, dict(sorted(entries.items())))
+
+
+def inverse_oracle(table):
+    """`fourier.inverse_transform` as it stacked and conjugated in place on every call."""
+    m, n = table.shape
+    dense = np.zeros((table.q.order, m * n), dtype=complex)
+    for d, (idx, stack) in dim_stacks(table.irreps()).items():
+        blocks = np.stack([table.entries[ri].reshape(m, d, n, d) for ri in idx])
+        blocks = blocks.transpose(0, 2, 4, 1, 3).reshape(len(idx) * d * d, m * n)
+        stack = stack.reshape(len(stack), -1)
+        dense += d * (np.conj(stack, out=stack) @ blocks)
+    return PeriodicFunction(table.q, table.shape, dense.reshape(-1, m, n))

@@ -176,6 +176,33 @@ def test_pinned_output_bytes(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
+# sha256 of `fourier --check` and of `fourier --inverse` on its table, for a
+# function drawn from default_rng(0); recorded while each transform still
+# stacked the irreducibles per call and tables went out as nested lists
+PINNED_FOURIER_DIGESTS = {
+    ("twistE8", 2, (2, 2)):
+        ("ac4881a0ecadb51a2f51fe35a868df03d6babbab8e90c0a798a1d5fab336320b",
+         "eadc3af76cc00e497abb56834799be3afb0948c2a025397b0f461a4541abe99d"),
+    ("pg", 3, (1, 2)):
+        ("7512f90e40cfd9aec59daf54a79549ca450a69ddbe83fd0b2d401355a3f32ca7",
+         "860988295bd348080e7cbeb5ca46d40783a5ae84e028f63ec2b8737eaa3ffd10"),
+}
+
+
+@pytest.mark.parametrize("group, N, shape", list(PINNED_FOURIER_DIGESTS))
+def test_pinned_fourier_bytes(tmp_path, capsys, group, N, shape):
+    u = PeriodicFunction.random(quotient(group, N), shape, np.random.default_rng(0))
+    fn, table = tmp_path / "fn.json", tmp_path / "table.json"
+    fn.write_text(io.canonical_json(io.function_to_dict(u)))
+    code, forward = run(capsys, "fourier", f"catalog:{group}", str(fn), "--check")
+    assert code == 0
+    table.write_text(forward)
+    code, back = run(capsys, "fourier", f"catalog:{group}", str(table), "--inverse")
+    assert code == 0
+    assert (hashlib.sha256(forward.encode()).hexdigest(),
+            hashlib.sha256(back.encode()).hexdigest()) == PINNED_FOURIER_DIGESTS[group, N, shape]
+
+
 def test_fourier_round_trip_files(tmp_path, capsys):
     q = quotient("pg", 3)
     u = PeriodicFunction.random(q, (1, 2), np.random.default_rng(9))
@@ -211,10 +238,10 @@ def test_fourier_entry_shape_mismatch(tmp_path, capsys):
     u = PeriodicFunction.random(q, (1, 2), np.random.default_rng(9))
     table = io.table_to_dict(transform(u))
     i = next(k for k, e in enumerate(table["entries"]) if e["dim"] == 2)
-    transposed = json.loads(json.dumps(table))
+    transposed = json.loads(io.canonical_json(table))
     transposed["entries"][i]["value"] = \
         np.array(table["entries"][i]["value"]).reshape(4, 2, 2).tolist()
-    wrong_dim = json.loads(json.dumps(table))
+    wrong_dim = json.loads(io.canonical_json(table))
     wrong_dim["entries"][i]["dim"] = 5
     for bad in (transposed, wrong_dim):
         path = tmp_path / "table.json"
@@ -240,12 +267,12 @@ def test_table_from_another_basis_is_refused(tmp_path, capsys):
     unmarked = {k: v for k, v in table.items() if k != "basis"}
     for bad in (reseeded, unmarked):
         path = tmp_path / "table.json"
-        path.write_text(json.dumps(bad))
+        path.write_text(io.canonical_json(bad))
         code, _ = run(capsys, "fourier", "catalog:twistE8", str(path), "--inverse")
         assert code == 5
     # pg's atlas basis does not depend on the seed, so a reseeded pg table inverts
     u = PeriodicFunction.random(quotient("pg", 3), (1, 2), np.random.default_rng(9))
-    path.write_text(json.dumps(dict(io.table_to_dict(transform(u, seed=0)), seed=1)))
+    path.write_text(io.canonical_json(dict(io.table_to_dict(transform(u, seed=0)), seed=1)))
     code, out = run(capsys, "fourier", "catalog:pg", str(path), "--inverse")
     assert code == 0
     assert u.max_abs_diff(io.function_from_dict(json.loads(out), u.q)) <= 1e-8

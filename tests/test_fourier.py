@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from euciso import catalog, fourier
+from euciso.dual import enumerate_dual
 from euciso.errors import IncompatibleShapes, IncompleteTable
 from euciso.fourier import (FourierTable, PeriodicFunction, SummableFunction,
                             convolve, inner_product, inverse_transform,
@@ -12,7 +15,8 @@ from euciso.fourier import (FourierTable, PeriodicFunction, SummableFunction,
 from euciso.groups import NormalForm, build_quotient
 from euciso.reps import irreps, quotient_irreps
 
-from conftest import quotient, spec, trivial_on
+from conftest import (dim_stacks, inverse_oracle, quotient, spec, transform_oracle,
+                      trivial_on)
 
 
 def test_random_draws_each_element_in_id_order():
@@ -118,6 +122,43 @@ def test_stacked_transform_matches_per_irreducible_oracle(name, N, rng):
         assert abs(plancherel_pairing(tu, tv) - loop_plancherel(tu, tv)) <= 1e-12
 
 
+@pytest.mark.parametrize("name,N", [("twistE8", 2), ("twistE8", 4), ("pg", 3), ("pg", 6),
+                                    ("helix-C3", 2)])
+def test_atlas_stacks_transform_matches_the_restacking_oracle_bit_for_bit(name, N, rng):
+    # the inverse conjugates no shared stack: the atlas's bytes do not move
+    q = quotient(name, N)
+    stacks = enumerate_dual(q.spec, N).stacks
+    before = [stack.tobytes() for _, stack in stacks.values()]
+    for shape in [(1, 1), (2, 3)]:
+        u = PeriodicFunction.random(q, shape, rng)
+        got, want = transform(u), transform_oracle(u)
+        assert list(got.entries) == list(want.entries)
+        assert all(got.entries[i].tobytes() == want.entries[i].tobytes() for i in want.entries)
+        assert inverse_transform(got).values.tobytes() == inverse_oracle(want).values.tobytes()
+    assert [stack.tobytes() for _, stack in stacks.values()] == before
+
+
+def test_transform_reads_the_atlas_stacks_in_place(rng):
+    # each irreducible is a view into its dimension's stack, and a second
+    # transform and its inverse allocate less than the largest of them, so
+    # less than one (n, sum d^2) = (n, n) complex array: no stack is copied
+    q = quotient("pg", 12)
+    atlas = enumerate_dual(q.spec, q.N)
+    for d, (idx, stack) in atlas.stacks.items():
+        assert stack.shape == (q.order, len(idx), d, d)
+        assert all(np.shares_memory(atlas.irreps[i].mats, stack) for i in idx)
+    u = PeriodicFunction.random(q, (2, 3), rng)
+    transform(u)
+    tracemalloc.start()
+    try:
+        table = transform(u)
+        inverse_transform(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < max(stack.nbytes for _, stack in atlas.stacks.values()) < q.order ** 2 * 16
+
+
 def test_incomplete_table_rejected():
     q = quotient("pg", 3)
     t = transform(PeriodicFunction.delta(q))
@@ -163,13 +204,18 @@ def test_atlas_basis_transform_matches_the_solver_basis(name, N, rng, monkeypatc
         for u, v in pairs:
             ut, vt = transform(u), transform(v)
             out.append((np.array([np.linalg.norm(e) for e in ut.entries.values()]),
-                        plancherel_pairing(ut, vt), inverse_transform(ut).values))
+                        plancherel_pairing(ut, vt), inverse_transform(ut).values, ut))
         return out
 
     atlas = basis_free()
     solved = irreps(q)
-    monkeypatch.setattr(fourier, "quotient_irreps", lambda q, seed=0: solved)
-    for (norms, pairing, back), (norms_s, pairing_s, back_s) in zip(atlas, basis_free()):
+    stand_in = SimpleNamespace(irreps=solved, stacks=dim_stacks(solved))
+    monkeypatch.setattr(fourier, "enumerate_dual", lambda spec, N, seed=0: stand_in)
+    solver = basis_free()
+    # the stand-in reaches the transform: some entry changes with the basis
+    assert any(not np.allclose(a, b) for a, b in zip(atlas[-1][3].entries.values(),
+                                                     solver[-1][3].entries.values()))
+    for (norms, pairing, back, _), (norms_s, pairing_s, back_s, _) in zip(atlas, solver):
         assert np.abs(norms - norms_s).max() <= 1e-12
         assert abs(pairing - pairing_s) <= 1e-12
         assert np.abs(back - back_s).max() <= 1e-12

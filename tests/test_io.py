@@ -22,6 +22,11 @@ scalars = (st.none() | st.booleans() | st.integers() | floats | st.text()
 blocks = hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4),
                     elements=floats).map(lambda a: a.tolist())
 mixed = st.lists(floats | st.integers() | st.booleans(), min_size=1)
+# ndarrays as table entries reach the writer: float64 ones, 0-d and empty
+# sides included, and others that json meets through their tolist()
+shapes = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)
+arrays = (hnp.arrays(np.float64, shapes, elements=floats)
+          | hnp.arrays(st.sampled_from([np.int64, np.bool_, np.float32, np.complex128]), shapes))
 keys = st.text() | st.integers() | st.booleans() | floats | st.none() | st.fractions()
 
 
@@ -39,11 +44,15 @@ def outcome(write, obj):
 
 
 @settings(max_examples=150)
-@given(st.recursive(scalars | blocks | mixed, payloads, max_leaves=20))
+@given(st.recursive(scalars | blocks | mixed | arrays, payloads, max_leaves=20))
 @example([[[-0.0, 5e-324], [1e16, 1e300]], [[math.nan, math.inf], [-math.inf, 0.5]]])
 @example({"é☃": [(1.0, 2.0), [3.0, 4.0]], "a": [[1.0, 2], [True, 3.0]], "b": [[1.0], [2.0, 3.0]]})
 @example({1: [[]], True: [[], []], 2.5: (), False: {}})
 @example([Fraction(-3, 4), np.float32(0.1), np.int64(-7), np.bool_(False), np.float64(-0.0)])
+@example({"value": np.array([[[-0.0, 5e-324], [1e16, 1e300]]]), "n": [np.array(0.5)],
+          "bad": [np.array([[math.nan, 1.0]]), np.array([math.inf, -math.inf]), np.array(-0.0)]})
+@example([np.zeros((0, 3)), np.zeros((2, 0)), np.zeros(0), {"a": np.ones((1, 1, 1))}])
+@example([np.arange(6).reshape(2, 3), np.array([1 + 2j]), np.array([], dtype=complex)])
 def test_canonical_json_is_json_dumps(obj):
     assert outcome(io.canonical_json, obj) == outcome(reference_json, obj)
 

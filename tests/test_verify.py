@@ -133,3 +133,26 @@ def test_order_check_reads_the_generators_columns(monkeypatch):
     monkeypatch.setattr(QuotientGroup, "spot_check", lambda self, rng=None: None)
     report = run_suite(s, seed=0)
     assert "quotient-order-formula" in [c.name for c in report.checks if not c.passed]
+
+
+# (group, seed) pairs whose verify spot check draws a triple through the
+# collapsed column below
+SPOT_CHECK_HITS = {("pg", 0), ("pg", 1), ("pg", 2), ("twistE8", 2)}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", ["pg", "twistE8"])
+def test_a_table_the_spot_check_breaks_is_a_failed_check(name, seed):
+    # the same collapsed column with the spot check on: its error is reported
+    # as a failed check, with the error's text, and ends the suite
+    s = catalog.CATALOG[name].build()
+    q = build_quotient(s, find_m0(s).m0)
+    q.mult_table()[:, q.generators()[-1]] = q.identity
+    report = run_suite(s, seed=seed)
+    failed = {c.name: c.detail for c in report.checks if not c.passed}
+    assert "quotient-order-formula" in failed
+    if (name, seed) in SPOT_CHECK_HITS:
+        assert report.checks[-1].name == "quotient-spot-check"
+        assert failed["quotient-spot-check"] == "associativity failed in quotient"
+    else:
+        assert "quotient-spot-check" not in failed
