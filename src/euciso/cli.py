@@ -23,7 +23,7 @@ from .fourier import (inner_product, inverse_transform, plancherel_pairing,
                       transform)
 from .groups import GroupSpec, build_quotient, find_m0, validate_spec
 from .io import canonical_json, format_fraction
-from .reps import IDENTITY_TOL, quotient_irreps
+from .reps import IDENTITY_TOL
 from .splitting import split_quotient
 from .verify import run_suite
 
@@ -153,14 +153,13 @@ def cmd_fourier(args) -> int:
     except json.JSONDecodeError as exc:
         raise CliError(EXIT_SPEC, f"malformed function file: {exc}") from exc
     try:
-        n = int(data["N"])
-        q = build_quotient(spec, n)
+        q = build_quotient(spec, io.json_int(data["N"], "N", 1))
         if args.inverse:
             table = io.table_from_dict(data, q)
             payload = io.function_to_dict(inverse_transform(table))
         else:
-            # the basis first, so that an order past the table cap fails before u is allocated
-            quotient_irreps(q, seed=args.seed)
+            # the atlas first, so that an order past the table cap fails before u is allocated
+            enumerate_dual(spec, q.N, seed=args.seed)
             u = io.function_from_dict(data, q)
             table = transform(u, seed=args.seed)
             payload = io.table_to_dict(table)
@@ -253,6 +252,13 @@ def _single_n(text, spec: GroupSpec) -> int:
         raise CliError(EXIT_SPEC, f"bad N value {text!r}") from exc
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, not {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="euciso",
@@ -262,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("spec", help="spec JSON path or catalog:<name>")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=non_negative_int, default=0)
         p.add_argument("--tol", type=float, default=None)
         p.add_argument("--out", default=None)
 

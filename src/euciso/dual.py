@@ -228,28 +228,31 @@ class LabelReport:
 
 @dataclass
 class DualAtlas:
-    """The labeled dual of G mod T^N, with the quotient's irreducibles.
+    """The labeled dual of G mod T^N: the one handle on q's irreducible basis,
+    which every Fourier table holds.
 
-    `sources` gives, in basis order, each irreducible's (|G|, d, d) stack
-    when it was split from a label whose induced representation is
-    reducible, or else the index in `labels` of the label whose induced
-    representation it is.  The Mackey verdict (`LabelReport.irreducible`)
-    decides which, not the null-set flag: a null-set label may induce
-    irreducibly.  `stacks` builds, on first use, one (|G|, k, d, d) array
-    per irreducible dimension d, holding its k irreducibles in basis order
-    and inducing each of the lazy ones once; the Fourier transform reads
-    them whole.  Each of `irreps` is a (|G|, d, d) view into its
-    dimension's array, and `basis` fingerprints them.
+    In basis order, `dims` gives each irreducible's dimension and `sources`
+    its (|G|, d, d) stack when it was split from a label whose induced
+    representation is reducible, or else the index in `labels` of the label
+    whose induced representation it is.  The Mackey verdict
+    (`LabelReport.irreducible`) decides which, not the null-set flag.
+    `stacks` builds, on first use, one (|G|, k, d, d) array per dimension d,
+    holding its k irreducibles in basis order and inducing each lazy one
+    once; the Fourier transform reads them whole.  Each of `irreps` is a
+    (|G|, d, d) view into its dimension's array, and `basis` fingerprints them.
     """
 
-    spec: GroupSpec
-    N: int
+    q: QuotientGroup
     seed: int
     rep_set: RepSet
     labels: list[LabelReport]
-    census_dims: list[int]
+    dims: list[int]
     checks: dict[str, bool]
     sources: list[np.ndarray | int] = field(repr=False)
+
+    @property
+    def census_dims(self) -> list[int]:
+        return sorted(self.dims)
 
     @functools.cached_property
     def stacks(self) -> dict[int, tuple[list[int], np.ndarray]]:
@@ -257,11 +260,9 @@ class DualAtlas:
         basis: the basis indices of its k irreducibles and their images as
         one (|G|, k, d, d) array.  A split stack is copied in and `sources`
         then holds its view, so no irreducible is held twice."""
-        q = build_quotient(self.spec, self.N)
-        dims = [self.labels[src].induced_dim if isinstance(src, int) else src.shape[1]
-                for src in self.sources]
+        q = self.q
         by_dim: dict[int, list[int]] = {}
-        for i, d in enumerate(dims):
+        for i, d in enumerate(self.dims):
             by_dim.setdefault(d, []).append(i)
         stacks = {d: (idx, np.empty((q.order, len(idx), d, d), dtype=complex))
                   for d, idx in by_dim.items()}
@@ -274,7 +275,7 @@ class DualAtlas:
                     if label.rho_index not in lifted:
                         lifted[label.rho_index] = lift_representation(
                             self.rep_set.classes[label.rho_index], q)
-                    src = induce(q, scale_by_character(chi(self.spec, label.k),
+                    src = induce(q, scale_by_character(chi(q.spec, label.k),
                                                        lifted[label.rho_index])).mats
                 else:
                     self.sources[i] = stack[:, j]
@@ -284,17 +285,16 @@ class DualAtlas:
     @functools.cached_property
     def irreps(self) -> list[Representation]:
         """The quotient's irreducibles in basis order, views into `stacks`."""
-        q = build_quotient(self.spec, self.N)
         views = {i: stack[:, j] for idx, stack in self.stacks.values()
                  for j, i in enumerate(idx)}
-        return [Representation(q, views[i]) for i in range(len(self.sources))]
+        return [Representation(self.q, views[i]) for i in range(len(self.dims))]
 
     @functools.cached_property
     def basis(self) -> str:
         """sha256 of the irreducibles' dims and generator images, rounded to
         FINGERPRINT_DECIMALS: the basis a Fourier table is computed in."""
-        gens = build_quotient(self.spec, self.N).generators()
-        digest = hashlib.sha256(np.array([r.dim for r in self.irreps], dtype=np.int64).tobytes())
+        gens = self.q.generators()
+        digest = hashlib.sha256(np.array(self.dims, dtype=np.int64).tobytes())
         for r in self.irreps:  # adding 0.0 turns -0.0 into 0.0
             digest.update((np.round(r.mats[gens], FINGERPRINT_DECIMALS) + 0.0).tobytes())
         return digest.hexdigest()
@@ -429,6 +429,5 @@ def enumerate_dual(spec: GroupSpec, N: int, seed: int = 0) -> DualAtlas:
         (decomposition @ dims == [r.induced_dim for r in reports]).all())
     sources = [lazy[u] if u < len(lazy) else split_stacks[u - len(lazy)]
                for u in order.tolist()]
-    q._atlases[seed] = DualAtlas(spec, N, seed, rs, reports, sorted(dims.tolist()), checks,
-                                 sources)
+    q._atlases[seed] = DualAtlas(q, seed, rs, reports, dims.tolist(), checks, sources)
     return q._atlases[seed]

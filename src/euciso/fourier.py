@@ -3,15 +3,15 @@
 A function of period N is one (|G mod T^N|, m, n) array in element id order.
 The transform pairs it with every irreducible of that quotient through
 Kronecker blocks u(g) x rho(g), in the one basis of the quotient's
-irreducibles: those the dual atlas builds (`reps.quotient_irreps`), not
-the regular-representation solver's, which serves only the rep-set
-candidates at m0 and the oracles.  Inversion is the finite-group inversion
-applied blockwise and is validated by round trips.  The dense transform is
-a product with the group's Fourier matrix (Clausen and Baum, Fast Fourier
-Transforms, 1993): the atlas holds the k irreducibles of each dimension d
-as one (n, k, d, d) array (`DualAtlas.stacks`), built once per quotient
-and seed, so the transform and the inverse make one matrix product per
-irreducible dimension on it as it is, and copy no stack.
+irreducibles: the dual atlas's (`dual.enumerate_dual`), which each table
+holds, not the regular-representation solver's, which serves only the
+rep-set candidates at m0 and the oracles.  Inversion is the finite-group
+inversion applied blockwise and is validated by round trips.  The dense
+transform is a product with the group's Fourier matrix (Clausen and Baum,
+Fast Fourier Transforms, 1993): the atlas holds the k irreducibles of each
+dimension d as one (n, k, d, d) array (`DualAtlas.stacks`), built once per
+quotient and seed, so the transform and the inverse make one matrix
+product per irreducible dimension on it as it is, and copy no stack.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dual import enumerate_dual
+from .dual import DualAtlas, enumerate_dual
 from .errors import IncompatibleShapes, IncompleteTable
 from .groups import GroupSpec, NormalForm, QuotientGroup, build_quotient, normal_form
-from .reps import Representation, basis_fingerprint
+from .reps import Representation
 
 
 class PeriodicFunction:
@@ -109,38 +109,39 @@ def inner_product(u: PeriodicFunction, v: PeriodicFunction) -> complex:
 
 @dataclass
 class FourierTable:
-    """Transform values per irreducible of G mod T^N."""
+    """Transform values per irreducible of G mod T^N, keyed by its index in the atlas."""
 
-    q: QuotientGroup
+    atlas: DualAtlas
     shape: tuple[int, int]
-    seed: int
     entries: dict[int, np.ndarray] = field(default_factory=dict)
 
-    def irreps(self) -> list[Representation]:
-        return enumerate_dual(self.q.spec, self.q.N, self.seed).irreps
+    @property
+    def q(self) -> QuotientGroup:
+        return self.atlas.q
 
 
 def transform(u: PeriodicFunction, seed: int = 0) -> FourierTable:
     """u_hat(rho) = (1/|C_N|) sum_g u(g) (x) rho(g)."""
+    atlas = enumerate_dual(u.q.spec, u.q.N, seed)
     n = u.q.order
     m, mm = u.shape
     flat = u.values.reshape(n, m * mm)
     entries = {}
-    for d, (idx, stack) in enumerate_dual(u.q.spec, u.q.N, seed).stacks.items():
+    for d, (idx, stack) in atlas.stacks.items():
         acc = (flat.T @ stack.reshape(n, -1) / n).reshape(m, mm, len(idx), d, d)
         acc = acc.transpose(2, 0, 3, 1, 4)
         entries.update(zip(idx, np.ascontiguousarray(acc).reshape(len(idx), m * d, mm * d)))
-    return FourierTable(u.q, u.shape, seed, dict(sorted(entries.items())))
+    return FourierTable(atlas, u.shape, dict(sorted(entries.items())))
 
 
 def inverse_transform(table: FourierTable) -> PeriodicFunction:
     """Blockwise finite-group inversion: u(g) = sum_rho d_rho tr(u_hat_ab rho(g)^H)."""
-    if set(table.entries) != set(range(len(table.irreps()))):
+    if set(table.entries) != set(range(len(table.atlas.dims))):
         raise IncompleteTable("table does not cover every irreducible")
     m, n = table.shape
     order = table.q.order
     dense = np.zeros((order, m * n), dtype=complex)
-    for d, (idx, stack) in enumerate_dual(table.q.spec, table.q.N, table.seed).stacks.items():
+    for d, (idx, stack) in table.atlas.stacks.items():
         blocks = np.stack([table.entries[ri].reshape(m, d, n, d) for ri in idx])
         blocks = blocks.transpose(0, 2, 4, 1, 3).reshape(len(idx) * d * d, m * n)
         # conj(rho) @ b as conj(rho @ conj(b)): the shared stack stays as it is
@@ -151,11 +152,10 @@ def inverse_transform(table: FourierTable) -> PeriodicFunction:
 def plancherel_pairing(t1: FourierTable, t2: FourierTable) -> complex:
     """sum_rho d_rho <u_hat(rho), v_hat(rho)> with the Frobenius pairing;
     IncompatibleShapes unless both tables share quotient, shape and basis."""
-    if (t1.q is not t2.q or t1.shape != t2.shape
-            or basis_fingerprint(t1.q, t1.seed) != basis_fingerprint(t2.q, t2.seed)):
+    if t1.q is not t2.q or t1.shape != t2.shape or t1.atlas.basis != t2.atlas.basis:
         raise IncompatibleShapes("tables differ in quotient, shape or irreducible basis")
-    return sum(rho.dim * np.vdot(t2.entries[ri], t1.entries[ri])
-               for ri, rho in enumerate(t1.irreps()))
+    return sum(d * np.vdot(t2.entries[ri], t1.entries[ri])
+               for ri, d in enumerate(t1.atlas.dims))
 
 
 def translate(u: PeriodicFunction, g: int) -> PeriodicFunction:

@@ -4,35 +4,34 @@ Rationals travel as "p/q" strings, complexes as [re, im] pairs, matrices
 as row-major nested lists.  Serialization is canonical, so equal inputs
 and seeds give byte-identical output: the bytes are those of `json.dumps`
 with `sort_keys` and `indent=1`.  `canonical_json` writes them itself,
-because json's indented encoder is pure Python, and writes each rectangular
-block of floats in one piece.  It also takes numpy arrays, as json.dumps
-does through `_coerce` (their `tolist()`); a table entry reaches it as a
-float64 array of [re, im] pairs and is written from the array, with no
-nested lists in between.  A function file is
-written with one entry per element, in id order; a reader takes any
-subset of the elements and sets the others to zero.  A Fourier table
-records the fingerprint of the irreducible bases it was computed in and is
-read back only in those bases.
+because json's indented encoder is pure Python.  It also takes numpy
+arrays, as json.dumps does through `_coerce` (their `tolist()`): every
+float block the writers produce (a spec's q blocks, a function value, a
+table entry as [re, im] pairs) reaches it as a float64 array and is written
+from the array in one piece, with no nested lists in between.  A function
+file is written with one entry per element, in id order; a reader takes
+any subset of the elements, each at most once, and sets the others to
+zero.  A Fourier table records the seed and the fingerprint of the atlas
+basis it was computed in and is read back only in that basis.  Both
+readers refuse a count, index or size that is not an integer.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 from fractions import Fraction
 
 import numpy as np
 
+from .dual import enumerate_dual
 from .errors import EucisoError, IncompatibleShapes
 from .groups import GroupSpec, NormalForm, QuotientGroup
 from .isometry import DEFAULT_TOL, Isometry
 from .fourier import FourierTable, PeriodicFunction
-from .reps import basis_fingerprint
 
 _encode_str = json.encoder.encode_basestring_ascii
-_ARRAYS = {list, tuple}
 
 
 def format_fraction(x: Fraction) -> str:
@@ -44,10 +43,6 @@ def parse_fraction(s) -> Fraction:
     if isinstance(s, int):
         return Fraction(s)
     return Fraction(str(s))
-
-
-def matrix_to_lists(m: np.ndarray) -> list:
-    return [[float(x) for x in row] for row in np.atleast_2d(m)]
 
 
 def complex_pairs(m: np.ndarray) -> np.ndarray:
@@ -72,10 +67,10 @@ def spec_to_dict(spec: GroupSpec) -> dict:
         "d1": spec.d1,
         "d2": spec.d2,
         "tol": spec.tol,
-        "f_elements": [matrix_to_lists(f) for f in spec.f_elements],
-        "t_lifts": [{"q": matrix_to_lists(g.q)} for g in spec.t_lifts],
+        "f_elements": list(spec.f_elements),
+        "t_lifts": [{"q": g.q} for g in spec.t_lifts],
         "p_reps": [{
-            "q": matrix_to_lists(g.q),
+            "q": g.q,
             "p": [list(row) for row in g.p],
             "tau": [format_fraction(t) for t in g.tau],
         } for g in spec.p_reps],
@@ -118,59 +113,80 @@ def save_spec(spec: GroupSpec, path: str) -> None:
 
 # -- periodic functions ---------------------------------------------------------
 
+def json_int(value, what: str, least: int | None = None) -> int:
+    """An integer field of a function or table file; ValueError for a float,
+    a bool, a string or anything else, or for a value below `least`."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or (least is not None and value < least)):
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{what} must be an integer{bound}, not {value!r}")
+    return int(value)
+
+
+def _header(data: dict, q: QuotientGroup, kind: str) -> tuple[int, int]:
+    """The (m, n) shape of a function or table file, once its group and
+    period are checked against q."""
+    if data.get("group") not in (None, q.spec.name):
+        raise IncompatibleShapes(
+            f"{kind} file is for group {data.get('group')!r}, not {q.spec.name!r}")
+    if json_int(data["N"], "N", 1) != q.N:
+        raise IncompatibleShapes(f"{kind} period {data['N']} != quotient N {q.N}")
+    shape = data["shape"]
+    if not isinstance(shape, (list, tuple)) or len(shape) != 2:
+        raise ValueError(f"shape must be two positive integers, not {shape!r}")
+    return json_int(shape[0], "shape", 1), json_int(shape[1], "shape", 1)
+
+
 def function_to_dict(u: PeriodicFunction) -> dict:
     n, f, p = u.q.parts(u.q.elements)
     entries = [{"n": ni, "f": fi, "p": pi, "value": value} for ni, fi, pi, value
-               in zip(n.tolist(), f.tolist(), p.tolist(), complex_pairs(u.values).tolist())]
+               in zip(n.tolist(), f.tolist(), p.tolist(), complex_pairs(u.values))]
     return {"group": u.q.spec.name, "N": u.q.N,
             "shape": [u.shape[0], u.shape[1]], "entries": entries}
 
 
 def function_from_dict(data: dict, q: QuotientGroup) -> PeriodicFunction:
-    if data.get("group") not in (None, q.spec.name):
-        raise IncompatibleShapes(
-            f"function file is for group {data.get('group')!r}, not {q.spec.name!r}")
-    if int(data["N"]) != q.N:
-        raise IncompatibleShapes(f"function period {data['N']} != quotient N {q.N}")
-    u = PeriodicFunction(q, tuple(data["shape"]))
+    u = PeriodicFunction(q, _header(data, q, "function"))
+    seen = set()
     for entry in data["entries"]:
-        nf = NormalForm(tuple(int(x) for x in entry["n"]), int(entry["f"]), int(entry["p"]))
-        u[q.reduce(nf)] = complex_matrix_from_lists(entry["value"])
+        i = q.reduce(NormalForm(tuple(json_int(x, "n") for x in entry["n"]),
+                                json_int(entry["f"], "f"), json_int(entry["p"], "p")))
+        if i in seen:
+            raise ValueError(f"two entries name element {i} (n, f, p = {q.nf(i)})")
+        seen.add(i)
+        u[i] = complex_matrix_from_lists(entry["value"])
     return u
 
 
 def table_to_dict(t: FourierTable) -> dict:
-    reps = t.irreps()
     return {
         "group": t.q.spec.name,
         "N": t.q.N,
         "shape": [t.shape[0], t.shape[1]],
-        "seed": t.seed,
-        "basis": basis_fingerprint(t.q, t.seed),
-        "entries": [{"irrep": i, "dim": reps[i].dim,
+        "seed": t.atlas.seed,
+        "basis": t.atlas.basis,
+        "entries": [{"irrep": i, "dim": t.atlas.dims[i],
                      "value": complex_pairs(t.entries[i])}
                     for i in sorted(t.entries)],
     }
 
 
 def table_from_dict(data: dict, q: QuotientGroup) -> FourierTable:
-    if data.get("group") not in (None, q.spec.name):
-        raise IncompatibleShapes(
-            f"table file is for group {data.get('group')!r}, not {q.spec.name!r}")
-    if int(data["N"]) != q.N:
-        raise IncompatibleShapes(f"table period {data['N']} != quotient N {q.N}")
-    t = FourierTable(q, tuple(data["shape"]), int(data.get("seed", 0)))
-    if data.get("basis") != basis_fingerprint(q, t.seed):
+    shape = _header(data, q, "table")
+    atlas = enumerate_dual(q.spec, q.N, json_int(data.get("seed", 0), "seed", 0))
+    if data.get("basis") != atlas.basis:
         raise IncompatibleShapes("table was computed in another irreducible basis "
                                  "(missing or different \"basis\" fingerprint)")
-    m, n = t.shape
-    reps = t.irreps()
+    t = FourierTable(atlas, shape)
+    m, n = shape
     for entry in data["entries"]:
-        i = int(entry["irrep"])
-        if not 0 <= i < len(reps):
-            raise IncompatibleShapes(f"irrep {i} out of range: the quotient has {len(reps)}")
-        d, value = reps[i].dim, complex_matrix_from_lists(entry["value"])
-        if int(entry["dim"]) != d or value.shape != (m * d, n * d):
+        i = json_int(entry["irrep"], "irrep")
+        if not 0 <= i < len(atlas.dims):
+            raise IncompatibleShapes(f"irrep {i} out of range: the quotient has {len(atlas.dims)}")
+        if i in t.entries:
+            raise IncompatibleShapes(f"irrep {i} has two entries")
+        d, value = atlas.dims[i], complex_matrix_from_lists(entry["value"])
+        if json_int(entry["dim"], "dim") != d or value.shape != (m * d, n * d):
             raise IncompatibleShapes(f"irrep {i} has dim {d}, but its entry gives dim "
                                      f"{entry['dim']} and a {value.shape} value")
         t.entries[i] = value
@@ -194,8 +210,8 @@ def _coerce(obj):
 def canonical_json(obj) -> str:
     """The bytes of json.dumps(obj, sort_keys=True, indent=1,
     separators=(",", ": "), default=_coerce) plus a newline, written by
-    json's own rules, except that a rectangular nested list, or a float64
-    array, of finite floats is written as one block."""
+    json's own rules, except that a non-empty float64 array of finite floats
+    is written as one block."""
     out: list[str] = []
     _write(obj, 0, out)
     out.append("\n")
@@ -209,7 +225,7 @@ def _write(obj, level: int, out: list[str]) -> None:
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
-        elif not _write_block(obj, level, out):
+        else:
             inner = "\n" + " " * (level + 1)
             out.append("[" + inner)
             for i, value in enumerate(obj):
@@ -257,22 +273,6 @@ def _scalar(obj) -> str | None:
             return "Infinity" if obj > 0 else "-Infinity"
         return float.__repr__(obj)
     return None
-
-
-def _write_block(obj, level: int, out: list[str]) -> bool:
-    """Write obj if it is a rectangular nested list (or tuple) of finite
-    floats: one repr per float, through the template of its shape."""
-    shape, rows = [], [obj]
-    while type(rows[0]) in _ARRAYS:
-        width = len(rows[0])
-        if not width or not set(map(type, rows)) <= _ARRAYS or set(map(len, rows)) != {width}:
-            return False
-        shape.append(width)
-        rows = list(itertools.chain.from_iterable(rows))
-    if set(map(type, rows)) != {float} or not math.isfinite(sum(rows)):
-        return False
-    out.append(_block_template(tuple(shape), level) % tuple(rows))
-    return True
 
 
 @functools.lru_cache(maxsize=256)

@@ -22,12 +22,12 @@ TF part, through the block identity
 for M = Ind tau, block-diagonal on TF and a block permutation at each coset
 representative h_p, so no stack of Ind tau is built; `distinct_constituents`
 keeps one stack per character within each label.  Those are the quotient's
-irreducibles, in `irreducible_order`, the one basis `fourier` uses
-(`quotient_irreps`).  `irreps`, a random-commutant solver on the regular
-representation (Dixon, Math. Comp. 24, 1970), has two uses: the rep-set
-candidates on the translation-kernel part at m0, and the independent oracle
-that `verify` and the tests compare the atlas with; it refuses orders above
-SOLVER_CAP.  A random Hermitian commutant element h[a, b] = c(a^-1 b) has
+irreducibles, in `irreducible_order`: the one basis `fourier` uses, held by
+the atlas (`dual.DualAtlas`) that each Fourier table carries.  `irreps`, a
+random-commutant solver on the regular representation (Dixon, Math. Comp.
+24, 1970), has two uses: the rep-set candidates on the translation-kernel
+part at m0, and the independent oracle that `verify` and the tests compare
+the atlas with; it refuses orders above SOLVER_CAP.  A random Hermitian commutant element h[a, b] = c(a^-1 b) has
 invariant eigenspaces, and for a generic draw each carries one irreducible.
 A cluster's character is a class sum, so a known one costs O(n d); only new
 characters are gathered into an (n, d, d) stack.  Both paths split an
@@ -327,16 +327,10 @@ def check_irreducibles(gram: np.ndarray, stacks, table: np.ndarray, rng) -> None
 
 
 def quotient_irreps(q: QuotientGroup, seed: int = 0) -> list[Representation]:
-    """The irreducibles of the full quotient that `dual.enumerate_dual`
-    builds at this seed: the one basis Fourier tables are computed in."""
+    """`DualAtlas.irreps` of q at this seed, for callers that hold a
+    quotient rather than an atlas (the tests and the benchmark's set-up)."""
     from .dual import enumerate_dual    # dual builds its atlas on this module
     return enumerate_dual(q.spec, q.N, seed).irreps
-
-
-def basis_fingerprint(q: QuotientGroup, seed: int = 0) -> str:
-    """`DualAtlas.basis` of `quotient_irreps(q, seed)`; a Fourier table records it."""
-    from .dual import enumerate_dual
-    return enumerate_dual(q.spec, q.N, seed).basis
 
 
 # -- wave characters ----------------------------------------------------------

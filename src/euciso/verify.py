@@ -220,7 +220,7 @@ def run_suite(spec: GroupSpec, seed: int = 0) -> VerifyReport:
                               _versus("max err", err, IDENTITY_TOL)))
     g = int(rngf.integers(q.order))
     tut = transform(translate(u, g), seed=seed)
-    reps = ut.irreps()
+    reps = ut.atlas.irreps
     worst = max(float(np.abs(tut.entries[ri] - ut.entries[ri]
                              @ np.kron(np.eye(u.shape[1]), rho.matrix(q.inv(g)))).max())
                 for ri, rho in enumerate(reps))

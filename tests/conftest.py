@@ -9,14 +9,14 @@ from hypothesis import settings
 
 from euciso import catalog, io
 from euciso import isometry as iso
-from euciso.dual import k_shift_reps, rep_set, wave_orbits
+from euciso.dual import enumerate_dual, k_shift_reps, rep_set, wave_orbits
 from euciso.errors import ConvergenceFailure, InternalInconsistency, NotAMember
 from euciso.fourier import FourierTable, PeriodicFunction
 from euciso.groups import (GroupSpec, NormalForm, build_quotient, find_m0, normal_form,
                            normal_forms)
 from euciso.reps import (MAX_RESEEDS, STRUCT_TOL, Representation, _split_dense, char_norm_sq,
                          chi, coset_conjugation, equivalent, induce, irreps, lift_representation,
-                         multiplicities, quotient_irreps, scale_by_character,
+                         multiplicities, scale_by_character,
                          split_induced)
 
 # derandomized examples keep tier-1 deterministic; no deadline, as host speed varies
@@ -291,18 +291,19 @@ def transform_oracle(u, seed=0):
     m, mm = u.shape
     flat = u.values.reshape(n, m * mm)
     entries = {}
-    for d, (idx, stack) in dim_stacks(quotient_irreps(u.q, seed=seed)).items():
+    atlas = enumerate_dual(u.q.spec, u.q.N, seed)
+    for d, (idx, stack) in dim_stacks(atlas.irreps).items():
         acc = (flat.T @ stack.reshape(n, -1) / n).reshape(m, mm, len(idx), d, d)
         acc = acc.transpose(2, 0, 3, 1, 4)
         entries.update(zip(idx, np.ascontiguousarray(acc).reshape(len(idx), m * d, mm * d)))
-    return FourierTable(u.q, u.shape, seed, dict(sorted(entries.items())))
+    return FourierTable(atlas, u.shape, dict(sorted(entries.items())))
 
 
 def inverse_oracle(table):
     """`fourier.inverse_transform` as it stacked and conjugated in place on every call."""
     m, n = table.shape
     dense = np.zeros((table.q.order, m * n), dtype=complex)
-    for d, (idx, stack) in dim_stacks(table.irreps()).items():
+    for d, (idx, stack) in dim_stacks(table.atlas.irreps).items():
         blocks = np.stack([table.entries[ri].reshape(m, d, n, d) for ri in idx])
         blocks = blocks.transpose(0, 2, 4, 1, 3).reshape(len(idx) * d * d, m * n)
         stack = stack.reshape(len(stack), -1)

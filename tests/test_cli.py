@@ -52,7 +52,7 @@ def test_analyze_rejects_invalid_spec(tmp_path, capsys):
     raw = io.spec_to_dict(s)
     raw["f_elements"] = raw["f_elements"][:2]      # break kernel closure
     path = tmp_path / "broken.json"
-    path.write_text(json.dumps(raw))
+    path.write_text(json.dumps(raw, default=io._coerce))
     code, out = run(capsys, "analyze", str(path))
     assert code == 2
     data = json.loads(out)
@@ -66,7 +66,7 @@ def test_non_square_point_block_is_a_spec_error(tmp_path, capsys, command, p):
     raw = io.spec_to_dict(spec("pm"))
     raw["p_reps"][1]["p"] = p
     path = tmp_path / "pm.json"
-    path.write_text(json.dumps(raw))
+    path.write_text(json.dumps(raw, default=io._coerce))
     assert main([command, str(path)]) == 2
     assert "cannot parse spec" in capsys.readouterr().err
 
@@ -74,7 +74,7 @@ def test_non_square_point_block_is_a_spec_error(tmp_path, capsys, command, p):
 def test_analyze_c12_rod_bound(tmp_path, capsys):
     # |F|^2 |Aut(C12)| = 144 * 4; a search over all 12! permutations of F never ends
     path = tmp_path / "rod-C12.json"
-    path.write_text(json.dumps(io.spec_to_dict(rod_spec(12, False, 1.0))))
+    path.write_text(io.canonical_json(io.spec_to_dict(rod_spec(12, False, 1.0))))
     code, out = run(capsys, "analyze", str(path))
     assert code == 0
     assert json.loads(out)["m0_bound"] == 576
@@ -228,7 +228,7 @@ def test_fourier_group_mismatch(tmp_path, capsys):
     d = io.function_to_dict(u)
     d["group"] = "pm"
     fn = tmp_path / "fn.json"
-    fn.write_text(json.dumps(d))
+    fn.write_text(json.dumps(d, default=io._coerce))
     code, _ = run(capsys, "fourier", "catalog:pg", str(fn))
     assert code == 5
 
@@ -251,7 +251,7 @@ def test_fourier_entry_shape_mismatch(tmp_path, capsys):
     d = io.function_to_dict(u)
     d["entries"][3]["value"] = np.array(d["entries"][3]["value"]).reshape(2, 1, 2).tolist()
     fn = tmp_path / "fn.json"
-    fn.write_text(json.dumps(d))
+    fn.write_text(json.dumps(d, default=io._coerce))
     code, _ = run(capsys, "fourier", "catalog:pg", str(fn))
     assert code == 5
 
@@ -300,9 +300,70 @@ def test_fourier_entry_outside_the_normal_forms(tmp_path, capsys, f, p):
     d = io.function_to_dict(PeriodicFunction.delta(quotient("pg", 3)))
     d["entries"] = [dict(d["entries"][0], f=f, p=p)]
     fn = tmp_path / "fn.json"
-    fn.write_text(json.dumps(d))
+    fn.write_text(json.dumps(d, default=io._coerce))
     code, out = run(capsys, "fourier", "catalog:pg", str(fn))
     assert code == 2 and out == ""
+
+
+def pg_file(kind):
+    """A pg N=3 function file, or the table file of its transform, as json reads it."""
+    u = PeriodicFunction.random(quotient("pg", 3), (1, 2), np.random.default_rng(9))
+    data = io.function_to_dict(u) if kind == "function" else io.table_to_dict(transform(u))
+    return json.loads(io.canonical_json(data))
+
+
+def run_fourier(tmp_path, capsys, kind, data):
+    """Exit code, stdout and stderr of `fourier` (`--inverse` on a table) on data."""
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(data))
+    code = main(["fourier", "catalog:pg", str(path), *(["--inverse"] * (kind == "table"))])
+    return (code, *capsys.readouterr())
+
+
+ENTRY_KEYS = {"n", "f", "p", "irrep", "dim"}
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("function", "shape", [1, 2, 5]), ("function", "shape", [0, 2]), ("function", "N", 3.5),
+    ("function", "N", 3.0), ("function", "N", 0), ("function", "n", [0.7, 0]),
+    ("function", "f", 0.7), ("function", "p", 0.7), ("function", "p", True),
+    ("table", "shape", [1, 2, 5]), ("table", "shape", [0, 2]), ("table", "N", 3.5),
+    ("table", "seed", 0.7), ("table", "irrep", 0.7), ("table", "dim", 0.7),
+    ("table", "dim", 1.0)])
+def test_fourier_files_with_non_integers_or_bad_shapes(tmp_path, capsys, kind, key, value):
+    data = pg_file(kind)
+    (data["entries"][0] if key in ENTRY_KEYS else data)[key] = value
+    code, out, err = run_fourier(tmp_path, capsys, kind, data)
+    assert code == 2 and out == ""
+    assert "malformed function file" in err
+
+
+def test_a_repeated_irreducible_in_a_table_is_refused(tmp_path, capsys):
+    data = pg_file("table")
+    data["entries"].append(dict(data["entries"][0]))
+    code, out, err = run_fourier(tmp_path, capsys, "table", data)
+    assert code == 5 and out == ""
+    assert "irrep 0 has two entries" in err
+
+
+def test_a_repeated_element_in_a_function_file_is_refused(tmp_path, capsys):
+    # n and n + N e_1 reduce to the same element of pg mod T^3
+    data = pg_file("function")
+    first = data["entries"][0]
+    data["entries"].append(dict(first, n=[first["n"][0] + 3, first["n"][1]]))
+    code, out, err = run_fourier(tmp_path, capsys, "function", data)
+    assert code == 2 and out == ""
+    assert "two entries name element" in err
+
+
+@pytest.mark.parametrize("argv", [["dual", "catalog:pg"], ["verify", "catalog:pg"],
+                                  ["split", "catalog:pg", "--m", "1", "--n", "3"],
+                                  ["fourier", "catalog:pg", "fn.json"]])
+def test_a_negative_seed_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "argument --seed: must be non-negative, not -1" in capsys.readouterr().err
 
 
 ALLOCATION_BOUND = 8 * 2**20    # bytes; far below any order-sized array of these quotients
@@ -397,7 +458,7 @@ def test_verify_names_first_violation(tmp_path, capsys):
     raw = io.spec_to_dict(s)
     raw["f_elements"] = raw["f_elements"][:2]
     path = tmp_path / "broken.json"
-    path.write_text(json.dumps(raw))
+    path.write_text(json.dumps(raw, default=io._coerce))
     code, out = run(capsys, "verify", str(path))
     assert code == 1
     data = json.loads(out)

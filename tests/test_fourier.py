@@ -1,4 +1,6 @@
+import json
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
@@ -6,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from euciso import catalog, fourier
+from euciso import catalog, fourier, io
 from euciso.dual import enumerate_dual
 from euciso.errors import IncompatibleShapes, IncompleteTable
 from euciso.fourier import (FourierTable, PeriodicFunction, SummableFunction,
@@ -65,7 +67,7 @@ def test_inner_product_shape_guard(rng):
 def test_transform_of_constant_hits_only_the_trivial_class():
     q = quotient("pg", 3)
     t = transform(PeriodicFunction.constant(q, 1.0))
-    reps = t.irreps()
+    reps = t.atlas.irreps
     live = [i for i, m in t.entries.items() if np.abs(m).max() > 1e-10]
     assert len(live) == 1
     (i,) = live
@@ -76,7 +78,7 @@ def test_transform_of_constant_hits_only_the_trivial_class():
 def test_transform_of_delta_is_scaled_identity():
     q = quotient("pg", 3)
     t = transform(PeriodicFunction.delta(q))
-    for i, rho in enumerate(t.irreps()):
+    for i, rho in enumerate(t.atlas.irreps):
         assert np.abs(t.entries[i] - np.eye(rho.dim) / q.order).max() < 1e-12
 
 
@@ -98,7 +100,7 @@ def einsum_transform(u, seed=0):
 def einsum_inverse(table):
     m, n = table.shape
     dense = np.zeros((table.q.order, m, n), dtype=complex)
-    for ri, rho in enumerate(table.irreps()):
+    for ri, rho in enumerate(table.atlas.irreps):
         block = table.entries[ri].reshape(m, rho.dim, n, rho.dim)
         dense += rho.dim * np.einsum("aibj,gij->gab", block, rho.mats.conj())
     return dense
@@ -106,7 +108,7 @@ def einsum_inverse(table):
 
 def loop_plancherel(t1, t2):
     return sum(rho.dim * np.sum(t1.entries[ri] * t2.entries[ri].conj())
-               for ri, rho in enumerate(t1.irreps()))
+               for ri, rho in enumerate(t1.atlas.irreps))
 
 
 @pytest.mark.parametrize("name,N", [("pg", 3), ("helix-C3", 2), ("twistE8", 2), ("twistE8", 4)])
@@ -209,7 +211,8 @@ def test_atlas_basis_transform_matches_the_solver_basis(name, N, rng, monkeypatc
 
     atlas = basis_free()
     solved = irreps(q)
-    stand_in = SimpleNamespace(irreps=solved, stacks=dim_stacks(solved))
+    stand_in = SimpleNamespace(q=q, seed=0, irreps=solved, dims=[r.dim for r in solved],
+                               basis="solver", stacks=dim_stacks(solved))
     monkeypatch.setattr(fourier, "enumerate_dual", lambda spec, N, seed=0: stand_in)
     solver = basis_free()
     # the stand-in reaches the transform: some entry changes with the basis
@@ -219,6 +222,28 @@ def test_atlas_basis_transform_matches_the_solver_basis(name, N, rng, monkeypatc
         assert np.abs(norms - norms_s).max() <= 1e-12
         assert abs(pairing - pairing_s) <= 1e-12
         assert np.abs(back - back_s).max() <= 1e-12
+
+
+def test_a_table_carries_its_atlas_and_a_file_chain_looks_it_up_twice(rng, monkeypatch):
+    # transform -> write -> read -> inverse -> Plancherel, counted over every module's copy
+    q = quotient("twistE8", 2)
+    u = PeriodicFunction.random(q, (2, 2), rng)
+    calls = []
+
+    def counted(spec, N, seed=0):
+        calls.append(seed)
+        return enumerate_dual(spec, N, seed)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("euciso")]:
+        if getattr(module, "enumerate_dual", None) is enumerate_dual:
+            monkeypatch.setattr(module, "enumerate_dual", counted)
+    table = transform(u, seed=1)
+    back = io.table_from_dict(json.loads(io.canonical_json(io.table_to_dict(table))), q)
+    assert u.max_abs_diff(inverse_transform(back)) <= 1e-8
+    assert abs(plancherel_pairing(back, back) - inner_product(u, u)) <= 1e-8
+    assert calls == [1, 1]
+    assert table.atlas is back.atlas is enumerate_dual(q.spec, q.N, 1)
+    assert (table.q, table.atlas.seed) == (q, 1)
 
 
 def test_parseval_positivity(rng):
@@ -236,7 +261,7 @@ def test_transform_shapes():
     q = quotient("pg", 3)
     u = PeriodicFunction.random(q, (2, 3), np.random.default_rng(0))
     t = transform(u)
-    for i, rho in enumerate(t.irreps()):
+    for i, rho in enumerate(t.atlas.irreps):
         assert t.entries[i].shape == (2 * rho.dim, 3 * rho.dim)
 
 
@@ -250,7 +275,7 @@ def test_nesting_across_periods(rng):
     block = [i for i in q6.elements
              if all(x % 3 == 0 for x in q6.nf(i).n)
              and q6.nf(i).f == s.f_identity and q6.nf(i).p == s.p_identity]
-    for i, rho in enumerate(t6.irreps()):
+    for i, rho in enumerate(t6.atlas.irreps):
         if np.abs(t6.entries[i]).max() > 1e-8:
             assert trivial_on(rho, block)
 
@@ -266,7 +291,7 @@ def test_translation_identity_independent_sides(rng):
             assert np.abs(shifted[h] - u[q.mul(h, g)]).max() == 0
         lhs = transform(shifted)
         rhs = transform(u)
-        for ri, rho in enumerate(lhs.irreps()):
+        for ri, rho in enumerate(lhs.atlas.irreps):
             pred = rhs.entries[ri] @ np.kron(np.eye(2), rho.matrix(q.inv(g)))
             assert np.abs(lhs.entries[ri] - pred).max() <= 1e-8
 
@@ -308,7 +333,7 @@ def test_convolution_transform_identity(rng):
         conv = convolve(u, v)
         lhs = transform(conv)
         rhs = transform(v)
-        for ri, rho in enumerate(lhs.irreps()):
+        for ri, rho in enumerate(lhs.atlas.irreps):
             pred = u.transform_at(rho, q) @ rhs.entries[ri]
             assert np.abs(lhs.entries[ri] - pred).max() <= 1e-8
 
@@ -331,7 +356,7 @@ def test_classical_dft_limit(rng):
         grid[n[0], n[1]] = u[i][0, 0]
     dft = np.fft.fft2(grid) / 16
     t = transform(u)
-    for i, rho in enumerate(t.irreps()):
+    for i, rho in enumerate(t.atlas.irreps):
         # read the wave vector off the generator phases
         phases = [rho.matrix(q.reduce(NormalForm(tuple(int(r == j) for r in range(2)),
                                                  0, 0)))[0, 0]

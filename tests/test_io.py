@@ -1,11 +1,13 @@
+import hashlib
 import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from euciso import io
+from euciso import catalog, io
 from euciso.fourier import PeriodicFunction, transform
 
 from conftest import quotient, reference_json
@@ -63,3 +65,28 @@ def test_canonical_json_of_files_is_json_dumps():
     for payload in [io.function_to_dict(u), io.table_to_dict(transform(u)),
                     io.spec_to_dict(q.spec)]:
         assert io.canonical_json(payload) == reference_json(payload)
+
+
+# sha256 of canonical_json(spec_to_dict(s)) for each catalog group, recorded
+# while spec dicts still held their q blocks and kernels as nested lists
+PINNED_SPEC_DIGESTS = {
+    "p1": "ed3fab521dd6b351393947ff25fb9d5c0d7636b0dc53e55d614fa881d1315d4c",
+    "pm": "38494ea4d33c3df0523603bd10156d89b8e1355aa5d637fdf0b54ef86e44d16d",
+    "pg": "4384d6b4338a952755bae9faeee975189fe8b18cf5b5a58c69d16478b03509f3",
+    "screw-C4": "4895ec751a0e115291c33032cf9d3a4ef90a7d64bca8142577f83707fbd41649",
+    "helix-C3": "2bb0c3bc53518d09544fcd4345a2dd5655b5f8af0852d8f74c1cadc13ff5af3a",
+    "helix-C3-tf": "5632fc6456e1453d3b0724883b0503e84d16e7142a6ca430031c5dc0b317c2fb",
+    "twistE8": "974fb0f9d1fc7d09dcaea3aa430f0f5cc63df486859e1de028c731510e6b58c3",
+    "twistE8-m4": "9f4da87223f07c70bd36b532ead577d24acc2aa6de546738ff5e3c621764d4f3",
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_SPEC_DIGESTS))
+def test_pinned_spec_bytes(name, tmp_path):
+    text = io.canonical_json(io.spec_to_dict(catalog.CATALOG[name].build()))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SPEC_DIGESTS[name]
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    again = tmp_path / "again.json"
+    io.save_spec(io.load_spec(str(path)), str(again))
+    assert again.read_text() == text
