@@ -160,7 +160,7 @@ def plancherel_pairing(t1: FourierTable, t2: FourierTable) -> complex:
 
 def translate(u: PeriodicFunction, g: int) -> PeriodicFunction:
     """(tau_g u)(h) = u(h g)."""
-    return PeriodicFunction(u.q, u.shape, u.values[u.q.mult_table()[:, g]])
+    return PeriodicFunction(u.q, u.shape, u.values[u.q.products(u.q.local, g)])
 
 
 class SummableFunction:
@@ -216,5 +216,5 @@ def convolve(u: SummableFunction, v: PeriodicFunction) -> PeriodicFunction:
     q = v.q
     out = np.zeros((q.order, u.shape[0], v.shape[1]), dtype=complex)
     for nf, val in u.support.items():
-        out += val @ v.values[q.mult_table()[q.inv(q.reduce(nf))]]
+        out += val @ v.values[q.products(q.inv(q.reduce(nf)), q.local)]
     return PeriodicFunction(q, (u.shape[0], v.shape[1]), out)

@@ -10,12 +10,13 @@ matrix.  Everything else in the package is computed from this data.
 Members are factored in stacks (`normal_forms`), with translations as
 integers over one denominator per spec.  A finite quotient G mod T^N numbers
 its members by the mixed-radix id of their normal form, n first, then f,
-then p (`QuotientGroup`), and is its multiplication table, built on first
-use by collection (Holt, Eick and O'Brien, *Handbook of Computational Group
-Theory*, ch. 8): only generator-level products are factored as stacks, the
-products p*p', the conjugates p*t(m)*p^-1, p*f*p^-1 and t(v)^-1*f*t(v), and
-t(c)*g_i for the section cocycle, and every entry of the table is then
-integer lookups in F's multiplication table.
+then p (`QuotientGroup`), and multiplies them by collection (Holt, Eick and
+O'Brien, *Handbook of Computational Group Theory*, ch. 8): only
+generator-level products are factored as stacks, the products p*p', the
+conjugates p*t(m)*p^-1, p*f*p^-1 and t(v)^-1*f*t(v), and t(c)*g_i for the
+section cocycle (`Collection`), and every product is then integer lookups
+in F's multiplication table, either for the pairs asked for or for the
+whole multiplication table at once.
 
 The structure checks (`validate_spec`, `is_power_normal`) work on stacks
 of q blocks alone.  The (p, tau) part of every product they form is fixed
@@ -42,6 +43,11 @@ from .isometry import Isometry
 
 ORDER_BOUND = 48
 DEFAULT_CAP = 4096        # largest quotient order given a multiplication table or irreps
+# a product by the collection formula costs 43-76 ns and a table entry 5.4-7.5
+# ns to fill and check (pg N=45 and twistE8 N=6, one core, batches of 4k-1M
+# pairs), so a request for more than order^2 / TABLE_BREAK_EVEN products
+# builds the table and reads it
+TABLE_BREAK_EVEN = 10
 
 
 @dataclass(frozen=True)
@@ -589,8 +595,40 @@ def _shifted_codes(N: int, a: np.ndarray, scale: int = 1) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class Collection:
+    """The generator-level data of G mod T^N that every product is collected from.
+
+    Exponents are held by their grid code, and `grid[code]` is the exponent
+    vector.  p*p' = t(s) f2 p'' and p*t(m)*p^-1 = t(v) c with v = P m, phi_p(f)
+    = p f p^-1, psi_v(f) = t(v)^-1 f t(v), and z is the section cocycle
+    t(a) t(b) = t(a+b) z(a,b), or None when F is trivial.  See
+    `QuotientGroup.mult_table` for the formula that combines them.
+    """
+
+    fmul: np.ndarray        # (|F|, |F|) F's multiplication table
+    f_inv: np.ndarray       # (|F|,) index of each inverse in F
+    p_mul: np.ndarray       # (|P|, |P|) p''
+    p_inv: np.ndarray       # (|P|,) the p' with p'' the identity
+    grid: np.ndarray        # (N^d2, d2) exponents in code order
+    spread: np.ndarray      # (N^d2,) each code with its digits read in base 2N
+    wrap: np.ndarray        # ((2N)^d2,) the code of each base-2N number's digits mod N
+    s_code: np.ndarray      # (|P|, |P|) code(s)
+    f2: np.ndarray          # (|P|, |P|)
+    v_code: np.ndarray      # (|P|, N^d2) code(v), by p and code(m)
+    c: np.ndarray           # (|P|, N^d2)
+    phi: np.ndarray         # (|P|, |F|)
+    psi: np.ndarray         # (N^d2, |F|), by code(v) and f
+    z: np.ndarray | None    # (N^d2, N^d2), by code(a) and code(b)
+
+    def code_sum(self, a, b) -> np.ndarray:
+        """code(a + b) for two code arrays that broadcast together: in base 2N
+        no digit of the sum carries, and `wrap` reduces each digit mod N."""
+        return self.wrap.take(self.spread.take(a) + self.spread.take(b))
+
+
 class QuotientGroup:
-    """G modulo N-th section powers: a codec over its ids, and its multiplication table.
+    """G modulo N-th section powers: a codec over its ids, and its products.
 
     Every member has exactly one normal form t(n)*f*p with n in [0, N)^d2
     (paper result 1), and its id is the mixed-radix number
@@ -599,8 +637,11 @@ class QuotientGroup:
 
     so ids run over the normal forms in (n, f, p) order.  `ids` and `parts`
     encode and decode stacks, `reduce` and `nf` one normal form; they are
-    the only code that knows this layout.  Products and inverses are
-    lookups in the table that `mult_table` builds on first use.
+    the only code that knows this layout.  `products` and `inverses` take
+    id arrays and collect only the products asked for, from the
+    generator-level data in `collection`, unless the multiplication table
+    is built or a request is large enough to pay for it (TABLE_BREAK_EVEN);
+    `mul` and `inv` are their scalar forms, and `mult_table` the table.
     """
 
     def __init__(self, spec: GroupSpec, N: int):
@@ -638,12 +679,15 @@ class QuotientGroup:
 
     def parts(self, ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(n, f, p) of a stack of ids: n as an (..., d2) array, f and p in ids' shape."""
-        ids = np.asarray(ids, dtype=np.int64)
-        if _outside(ids, self.order):
-            raise ValueError(f"id outside [0, {self.order})")
-        rest, p = np.divmod(ids, self.spec.rot_order)
+        rest, p = np.divmod(self._checked_ids(ids), self.spec.rot_order)
         code, f = np.divmod(rest, self.spec.f_order)
         return code[..., None] // self._place % self.N, f, p
+
+    def _checked_ids(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=np.int64)
+        if _outside(x, self.order):
+            raise ValueError(f"id outside [0, {self.order})")
+        return x
 
     def nf(self, i: int) -> NormalForm:
         """The normal form of one id, by integer arithmetic."""
@@ -667,52 +711,91 @@ class QuotientGroup:
     # -- products ---------------------------------------------------------------
 
     def mul(self, i: int, j: int) -> int:
-        return int(self.mult_table()[i, j])
+        """i*j for two ids, read from the table once it is built; see `products`."""
+        if self._table is not None:
+            return int(self._table[i, j])
+        return int(self.products(i, j))
 
     def inv(self, i: int) -> int:
-        self.mult_table()
-        return int(self._inverse[i])
+        return int(self.inverses(i))
 
-    def mult_table(self) -> np.ndarray:
-        """Full multiplication table, built on first use by collection and checked.
+    def products(self, a, b) -> np.ndarray:
+        """The ids of a*b for two id arrays that broadcast together.
 
-        Only generator-level data is factored, one stack each: p*p' =
-        t(s) f'' p'' over P x P, p*t(m)*p^-1 = t(P m) c(p,m) over P x grid,
-        phi_p(f) = p f p^-1 over P x F, psi_v(f) = t(v)^-1 f t(v) over
-        grid x F, and y_i(c) = z(c, e_i), from t(c)*g_i, over the lattice
-        directions x grid.  `_cocycle` extends y to the whole section
-        cocycle t(a) t(b) = t(a+b) z(a,b).  Every product is then a lookup
-        in F's table: for x = f*p and j = t(m) f' p', with v = P m and
-        s = s(p, p') mod N,
-
-            x*j = t(v+s) z(v,s) psi_s(psi_v(f) c(p,m) phi_p(f')) f'' p'',
-
-        and if x*j = t(m') f''' p'', then t(a)*x*j = t(a+m') z(a,m') f''' p''.
-        This is sound because N is a multiple of m0: T^N and F are both
-        normal and meet only in 1, so T^N centralises F and exponents
-        reduce mod N.  Orders above DEFAULT_CAP are refused.
+        Once the table is built, it is indexed with them as they are, and a
+        request for more than order^2 / TABLE_BREAK_EVEN products builds it
+        first.  Any other request is collected pair by pair, by the formula
+        of `mult_table`, after ids outside [0, order) are refused.
         """
-        if self._table is None:
-            n = self.order
-            if n > DEFAULT_CAP:
-                raise CapExceeded(f"quotient order {n} exceeds the table cap {DEFAULT_CAP}")
-            table, step, cols = self._collect(), max(1, 2 ** 20 // n), []
-            for r in range(0, n, step):     # the identity scan, one row block at a time
-                rows, c = np.nonzero(table[r:r + step] == self.identity)
-                if not np.array_equal(rows, np.arange(min(step, n - r))):
-                    raise InternalInconsistency("a multiplication table row lacks the identity")
-                cols.append(c)
-            self._table, self._inverse = table, np.concatenate(cols)
-            try:
-                self.spot_check()
-            except InternalInconsistency:
-                self._table = self._inverse = None
-                raise
-        return self._table
+        if self._table is None and np.broadcast(a, b).size * TABLE_BREAK_EVEN > self.order ** 2:
+            self.mult_table()
+        if self._table is not None:
+            return self._table[a, b]
+        return self._collected(*np.broadcast_arrays(self._checked_ids(a), self._checked_ids(b)))
 
-    def _collect(self) -> np.ndarray:
-        """The multiplication table from generator-level data; see `mult_table`."""
-        spec, n, N = self.spec, self.order, self.N
+    def inverses(self, x) -> np.ndarray:
+        """The ids of x^-1 for an id array, read from the table once it is built."""
+        if self._table is not None:
+            return self._inverse[x]
+        return self._collected(*self._inverse_factors(self._checked_ids(x)))
+
+    def _collected(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a*b by the formula of `mult_table`, for id arrays of one shape, 8192
+        pairs at a time.  Most lookups g.x[i, j] are written g.x.take(i * width + j),
+        which numpy does faster."""
+        g, N, k, r = self.collection, self.N, self.spec.f_order, self.spec.rot_order
+        fmul, psi, z, cells = g.fmul, g.psi, g.z, N ** self.spec.d2
+        out = np.empty(a.shape, dtype=np.int64)
+        flat, step = out.reshape(-1), 2 ** 13
+        for lo in range(0, out.size, step):
+            rest, p = np.divmod(a.flat[lo:lo + step], r)
+            a_code, f = np.divmod(rest, k)
+            rest, p2 = np.divmod(b.flat[lo:lo + step], r)
+            m_code, f1 = np.divmod(rest, k)
+            pm, pp = p * cells + m_code, p * r + p2
+            v, s = g.v_code.take(pm), g.s_code.take(pp)
+            m2 = g.code_sum(v, s)                                       # code(v + s)
+            if z is None:                                               # F is trivial
+                f_out = 0
+            else:
+                w = fmul.take(fmul.take(psi.take(v * k + f) * k + g.c.take(pm)) * k
+                              + g.phi.take(p * k + f1))
+                f_out = fmul[z.take(v * cells + s), psi.take(s * k + w)]
+                f_out = fmul[z.take(a_code * cells + m2), fmul.take(f_out * k + g.f2.take(pp))]
+            flat[lo:lo + step] = (g.code_sum(a_code, m2) * k + f_out) * r + g.p_mul.take(pp)
+        return out
+
+    def _inverse_factors(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Two id arrays whose products are x^-1: for x = t(a) f p, the ids of
+        p^-1 and of f^-1 t(a)^-1."""
+        rest, p = np.divmod(x, self.spec.rot_order)
+        return self._p_inverses[p], self._kernel_inverses(*np.divmod(rest, self.spec.f_order))
+
+    def _kernel_inverses(self, a: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """The ids of f^-1 t(a)^-1 = t(-a) psi_-a(f^-1) z(a,-a)^-1 for grid
+        codes a and kernel indices f.  t(a)^-1 = t(-a) z(a,-a)^-1, and t(-a)
+        alone is wrong whenever the lattice lifts do not commute."""
+        g, k, r = self.collection, self.spec.f_order, self.spec.rot_order
+        neg = -g.grid[a] % self.N @ self._place
+        f = f if g.z is None else g.fmul[g.psi[neg, g.f_inv[f]], g.f_inv[g.z[a, neg]]]
+        return (neg * k + f) * r + self.spec.p_identity
+
+    @functools.cached_property
+    def _p_inverses(self) -> np.ndarray:
+        """The ids of p^-1 = p' * (f2^-1 t(s)^-1) for each p_rep p, where p p' = t(s) f2."""
+        g, p = self.collection, np.arange(self.spec.rot_order)
+        return self._collected(self.spec.f_identity * self.spec.rot_order + g.p_inv,
+                               self._kernel_inverses(g.s_code[p, g.p_inv], g.f2[p, g.p_inv]))
+
+    @functools.cached_property
+    def collection(self) -> Collection:
+        """The generator-level data of every product, factored on first use,
+        one stack each, and dropped once the table is built; see
+        `mult_table`.  Orders above DEFAULT_CAP are refused before anything
+        order-sized is built."""
+        spec, N = self.spec, self.N
+        if self.order > DEFAULT_CAP:
+            raise CapExceeded(f"quotient order {self.order} exceeds the table cap {DEFAULT_CAP}")
         k, r, d1, d2 = spec.f_order, spec.rot_order, spec.d1, spec.d2
         d, p_mat, _, p_q = spec.points
         fmul = np.array(spec.f_mul_table(), dtype=np.int64).reshape(k, k)
@@ -726,6 +809,7 @@ class QuotientGroup:
         g_q = spec.section_q(grid)
         t_q = np.array([t.q for t in spec.t_lifts]).reshape(d2, d1, d1)
         units = np.eye(d2, dtype=np.int64)
+        wide = (2 * N) ** np.arange(d2 - 1, -1, -1, dtype=np.int64)  # places of base-2N digits
         s, f2 = normal_forms(spec, *_rep_products(spec))
         v, c = normal_forms(spec, _conjugates(p_q, g_q), np.full(r * cells, one_p),
                             d * (grid @ p_mat.swapaxes(1, 2)).reshape(r * cells, d2))
@@ -737,18 +821,69 @@ class QuotientGroup:
                             d * (grid[None] + units[:, None]).reshape(d2 * cells, d2))
         z = None if k == 1 else _cocycle(N, grid, fmul, y.reshape(d2, cells),
                                          psi[code(units)], one_f)
+        return Collection(fmul=fmul, f_inv=np.argmax(fmul == one_f, axis=1), p_mul=pmul,
+                          p_inv=np.argmax(pmul == one_p, axis=1), grid=grid,
+                          spread=grid @ wide,
+                          wrap=code(np.arange((2 * N) ** d2)[:, None] // wide % (2 * N)),
+                          s_code=code(s).reshape(r, r), f2=f2.reshape(r, r),
+                          v_code=code(v).reshape(r, cells), c=c.reshape(r, cells),
+                          phi=phi, psi=psi, z=z)
+
+    def mult_table(self) -> np.ndarray:
+        """Full multiplication table, built on first use by collection and checked.
+
+        Only generator-level data is factored, one stack each (`collection`):
+        p*p' = t(s) f'' p'' over P x P, p*t(m)*p^-1 = t(P m) c(p,m) over
+        P x grid, phi_p(f) = p f p^-1 over P x F, psi_v(f) = t(v)^-1 f t(v)
+        over grid x F, and y_i(c) = z(c, e_i), from t(c)*g_i, over the
+        lattice directions x grid.  `_cocycle` extends y to the whole section
+        cocycle t(a) t(b) = t(a+b) z(a,b).  Every product is then a lookup
+        in F's table: for x = f*p and j = t(m) f' p', with v = P m and
+        s = s(p, p') mod N,
+
+            x*j = t(v+s) z(v,s) psi_s(psi_v(f) c(p,m) phi_p(f')) f'' p'',
+
+        and if x*j = t(m') f''' p'', then t(a)*x*j = t(a+m') z(a,m') f''' p''.
+        This is sound because N is a multiple of m0: T^N and F are both
+        normal and meet only in 1, so T^N centralises F and exponents
+        reduce mod N.  `products` evaluates the same formula for the pairs
+        it is asked for.  Orders above DEFAULT_CAP are refused.
+        """
+        if self._table is None:
+            n = self.order
+            table, step, cols = self._collect(), max(1, 2 ** 20 // n), []
+            for r in range(0, n, step):     # the identity scan, one row block at a time
+                rows, c = np.nonzero(table[r:r + step] == self.identity)
+                if not np.array_equal(rows, np.arange(min(step, n - r))):
+                    raise InternalInconsistency("a multiplication table row lacks the identity")
+                cols.append(c)
+            self._table, self._inverse = table, np.concatenate(cols)
+            try:
+                # each product path checks the other on the pairs read, a * a^-1 among them
+                left, right = self.spot_check()
+                if not np.array_equal(table[left, right], self._collected(left, right)):
+                    raise InternalInconsistency("the table and the collection formula disagree")
+            except InternalInconsistency:
+                self._table = self._inverse = None
+                raise
+            del self.collection         # every product reads the table from now on
+        return self._table
+
+    def _collect(self) -> np.ndarray:
+        """The multiplication table from generator-level data; see `mult_table`."""
+        spec, n, N, g = self.spec, self.order, self.N, self.collection
+        k, r, d2 = spec.f_order, spec.rot_order, spec.d2
+        fmul, psi, z, grid, cells = g.fmul, g.psi, g.z, g.grid, N ** d2
         table = np.empty((n, n), dtype=np.int32)
         blocks = table.reshape(cells, k * r, n)      # blocks[code(a), x] is the row of t(a)*x
         # x*j for x = f*p, one p at a time, on axes (f, m, f', p')
-        vc, c, v = code(v).reshape(r, cells), c.reshape(r, cells), v.reshape(r, cells, d2)
-        s, f2 = s.reshape(r, r, d2), f2.reshape(r, r)
-        sc = code(s)
         for p in range(r):
-            w = fmul[fmul[psi[vc[p]].T, c[p]][..., None], phi[p]]
-            zvs = one_f if z is None else z[vc[p][:, None], sc[p]][:, None]
-            f_out = fmul[fmul[zvs, psi[sc[p], w[..., None]]], f2[p]]
-            vs = code(v[p][:, None] + s[p])[:, None]
-            blocks[0].reshape(k, r, n)[:, p] = ((vs * k + f_out) * r + pmul[p]).reshape(k, n)
+            vc, sc = g.v_code[p], g.s_code[p]
+            w = fmul[fmul[psi[vc].T, g.c[p]][..., None], g.phi[p]]
+            zvs = spec.f_identity if z is None else z[vc[:, None], sc][:, None]
+            f_out = fmul[fmul[zvs, psi[sc, w[..., None]]], g.f2[p]]
+            vs = g.code_sum(vc[:, None, None], sc)
+            blocks[0].reshape(k, r, n)[:, p] = ((vs * k + f_out) * r + g.p_mul[p]).reshape(k, n)
         # t(a)*x*j = t(a)*t(m') f''' p'' for a != 0, a block of rows at a time
         step = max(1, 2 ** 16 // n)
         low = np.arange(k * r, dtype=np.int32)                 # f''' |P| + p'' where z = 1
@@ -801,16 +936,21 @@ class QuotientGroup:
             raise BadModulus("projection target must be a coarser quotient of the same spec")
         return coarse.ids(*self.parts(self.elements))
 
-    def spot_check(self, rng=None) -> None:
-        """Associativity and inverses on 16 drawn triples; rng defaults to default_rng(0)."""
+    def spot_check(self, rng=None) -> tuple[np.ndarray, np.ndarray]:
+        """Associativity and inverses on 16 drawn triples; rng defaults to
+        default_rng(0).  The first failing triple names the error.  Returns
+        the pairs (left[i], right[i]) whose products it read."""
         rng = rng or np.random.default_rng(0)
-        n = self.order
-        for _ in range(16):
-            a, b, c = (int(rng.integers(n)) for _ in range(3))
-            if self.mul(self.mul(a, b), c) != self.mul(a, self.mul(b, c)):
-                raise InternalInconsistency("associativity failed in quotient")
-            if self.mul(a, self.inv(a)) != self.identity:
-                raise InternalInconsistency("inverse failed in quotient")
+        a, b, c = np.array([[int(rng.integers(self.order)) for _ in range(3)]
+                            for _ in range(16)]).T
+        ab, bc, inv = self.products(a, b), self.products(b, c), self.inverses(a)
+        left, right = np.concatenate([a, b, ab, a, a]), np.concatenate([b, c, c, bc, inv])
+        abc, a_bc, one = self.products(left[32:], right[32:]).reshape(3, 16)
+        assoc, bad = abc != a_bc, (abc != a_bc) | (one != self.identity)
+        if bad.any():
+            raise InternalInconsistency("associativity failed in quotient" if assoc[bad.argmax()]
+                                        else "inverse failed in quotient")
+        return left, right
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,9 @@ section powers and the kernel, complements the central translation block
 inside G mod T^(nm).  Every member is handled as in `groups`: a stack of
 q blocks, with translations as integers over the denominator D of
 `spec.points`, factored by `normal_forms`, or a quotient id.  Certificates
-are verified by exhaustive enumeration.
+are verified by exhaustive enumeration over the parts they name: each check
+asks `QuotientGroup.products` for the products it reads, so the quotient's
+multiplication table is built only where a check reads a large share of it.
 """
 
 from __future__ import annotations
@@ -136,23 +138,35 @@ class SplitCertificate:
 
 
 def _closure(q: QuotientGroup, seeds) -> set[int]:
-    """The subgroup generated by seeds: add products of members until none is new."""
-    out = set(seeds) | {q.identity}
-    while True:
-        grown = out | set(_products(q, out, out).ravel().tolist())
-        if len(grown) == len(out):
-            return out
-        out = grown
+    """The subgroup generated by seeds: multiply the members found last by
+    the seeds until none is new.  In a finite group the words in the seeds
+    are the subgroup they generate."""
+    seeds = set(seeds)
+    out = seeds | {q.identity}
+    frontier = out
+    while frontier:
+        frontier = set(_products(q, frontier, seeds).ravel().tolist()) - out
+        out |= frontier
+    return out
 
 
 def _products(q: QuotientGroup, left, right) -> np.ndarray:
-    """The table block of products a*b, a in left, b in right."""
-    return q.mult_table()[np.ix_(list(left), list(right))]
+    """The block of products a*b, a in left (rows), b in right (columns)."""
+    return q.products(np.array(list(left), dtype=np.int64)[:, None],
+                      np.array(list(right), dtype=np.int64))
 
 
-def _conjugates(q: QuotientGroup, gens, ids) -> np.ndarray:
-    """g * a * g^-1 for every generator g (rows) and every a in ids (columns)."""
-    return q.mult_table()[_products(q, gens, ids), [[q.inv(g)] for g in gens]]
+def _generators(q: QuotientGroup) -> tuple[np.ndarray, np.ndarray]:
+    """The ids of the quotient's generators and of their inverses."""
+    gens = np.array(q.generators())
+    return gens, q.inverses(gens)
+
+
+def _conjugates(q: QuotientGroup, generators, ids) -> np.ndarray:
+    """g * a * g^-1 for every generator g (rows) and every a in ids (columns),
+    with generators as `_generators` gives them."""
+    gens, inverses = generators
+    return q.products(_products(q, gens, ids), inverses[:, None])
 
 
 def _inside(ids: np.ndarray, subset) -> bool:
@@ -167,7 +181,8 @@ def split_quotient(spec: GroupSpec, m: int, n: int) -> SplitCertificate:
     [0, n)^d2, with q blocks section_q(v)^m and translations D m v; the
     complement is generated by n-th section powers t(e_i)^n = t(n e_i), the
     kernel, and the corrected point lifts.  Every property is checked by
-    enumeration.
+    enumeration of the products it reads; orders above DEFAULT_CAP are
+    refused before anything order-sized is built.
     """
     if m < 1 or n < 1:
         raise BadModulus(f"m={m} and n={n} must be positive")
@@ -180,7 +195,7 @@ def split_quotient(spec: GroupSpec, m: int, n: int) -> SplitCertificate:
         raise NotCoprime(f"n={n} shares a factor with the point group order")
     N = n * m
     q = build_quotient(spec, N)
-    table = q.mult_table()
+    q.collection            # refuses orders above the cap
     checks: list[SplitCheck] = []
 
     # normal factor: the m-th section powers mod N
@@ -194,11 +209,11 @@ def split_quotient(spec: GroupSpec, m: int, n: int) -> SplitCertificate:
     block = _products(q, normal, normal)
     checks.append(SplitCheck("normal-closed", _inside(block, normal)))
     checks.append(SplitCheck("normal-abelian", bool((block == block.T).all())))
-    power = np.full(len(normal), q.identity)
-    for _ in range(n):
-        power = table[power, list(normal)]
+    power = members = np.array(list(normal))
+    for _ in range(n - 1):
+        power = q.products(power, members)
     checks.append(SplitCheck("normal-exponent", bool((power == q.identity).all()), f"x^{n} = id"))
-    gens = q.generators()
+    gens = _generators(q)
     checks.append(SplitCheck("normal-invariant",
                              _inside(_conjugates(q, gens, normal), normal)))
 
@@ -231,18 +246,27 @@ def split_quotient(spec: GroupSpec, m: int, n: int) -> SplitCertificate:
 
 
 def verify_certificate(spec: GroupSpec, cert: SplitCertificate) -> bool:
-    """Re-derive every certificate claim from scratch."""
+    """Re-derive every certificate claim from scratch.
+
+    N = m n, and the orders follow from (m, n) alone: n^d2 for the normal
+    part and m^d2 |F| |P| for the complement, whose product is the order
+    N^d2 |F| |P| of the quotient.  Both parts must be closed under products,
+    so that they are subgroups, the normal part under conjugation by the
+    generators too, and they must meet only in the identity.
+    """
+    if cert.N != cert.m * cert.n:
+        return False
     q = build_quotient(spec, cert.N)
     normal = {q.reduce(nf) for nf in cert.normal_part}
     complement = {q.reduce(nf) for nf in cert.complement_part}
-    if len(normal) != cert.normal_order or len(complement) != cert.complement_order:
+    orders = (cert.n ** spec.d2, cert.m ** spec.d2 * spec.f_order * spec.rot_order)
+    if ((len(normal), len(complement)) != orders
+            or (cert.normal_order, cert.complement_order, cert.group_order) != (*orders, q.order)):
         return False
-    gens = q.generators()
-    if not _inside(_conjugates(q, gens, normal), normal):
+    if not _inside(_products(q, normal, normal), normal):
+        return False
+    if not _inside(_conjugates(q, _generators(q), normal), normal):
         return False
     if not _inside(_products(q, complement, complement), complement):
         return False
-    if normal & complement != {q.identity}:
-        return False
-    return len(normal) * len(complement) == q.order
-
+    return normal & complement == {q.identity}

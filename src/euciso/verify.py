@@ -7,6 +7,7 @@ the violated invariant; the command exits nonzero if any check fails.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from .fourier import (PeriodicFunction, SummableFunction, convolve,
                       inner_product, inverse_transform, plancherel_pairing,
                       transform, translate)
 from .groups import (GroupSpec, build_quotient, find_m0, is_power_normal, normal_form,
-                     normal_forms, validate_spec)
+                     normal_forms, normal_forms_of, validate_spec)
 from .reps import IDENTITY_TOL, STRUCT_TOL, char_inner, irreps
 from .splitting import cocycle, split_quotient, verify_certificate
 
@@ -65,17 +66,17 @@ def _section_ids(q, blocks: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 
 def _table_products_agree(q, a: np.ndarray, b: np.ndarray) -> bool:
-    """True iff the table's t(a) t(b) is the member factored from the stack
+    """True iff the quotient's t(a) t(b) is the member factored from the stack
     section_q(a) @ section_q(b), for (k, d2) exponent stacks a and b."""
     qa, qb = q.spec.section_q(a), q.spec.section_q(b)
-    products = q.mult_table()[_section_ids(q, qa, a), _section_ids(q, qb, b)]
+    products = q.products(_section_ids(q, qa, a), _section_ids(q, qb, b))
     return bool((products == _section_ids(q, qa @ qb, a + b)).all())
 
 
 def _generated_order(q) -> int:
-    """How many ids the generators' table columns reach from the identity, or
-    0 unless each column permutes the ids; a round costs O(order * generators)."""
-    n, columns = q.order, q.mult_table()[:, q.generators()]
+    """How many ids the generators' columns of products reach from the identity,
+    or 0 unless each column permutes the ids; a round costs O(order * generators)."""
+    n, columns = q.order, q.products(q.local[:, None], q.generators())
     if columns.min() < 0 or any(not np.array_equal(np.bincount(c, minlength=n), np.ones(n))
                                 for c in columns.T):
         return 0
@@ -103,11 +104,19 @@ def run_suite(spec: GroupSpec, seed: int = 0) -> VerifyReport:
                               is_power_normal(spec, m0) and is_power_normal(spec, 2 * m0),
                               f"m0 = {m0}"))
 
-    # order formula: the generators' table columns reach N^d2 |F| |P| ids.
-    # Section bijectivity: for every a in [0, N)^d2 and every j, the table's
-    # t(a) t(e_j) is the member factored from their q blocks.  The spot check
+    # order formula: the generators' columns of products reach N^d2 |F| |P|
+    # ids.  Section bijectivity: for every a in [0, N)^d2 and every j, the
+    # product t(a) t(e_j) is the member factored from their q blocks.  The
+    # m0 table is built first, as the solver and the atlas read it, so these
+    # checks read it there and collect the products at 2 m0.  The spot check
     # draws its own triples, not the ones `mult_table` checked; a table it
-    # finds broken is reported after these two checks and ends the suite
+    # finds broken is reported after these two checks and ends the suite,
+    # and so is an m0 table that fails its own check as it is built
+    try:
+        build_quotient(spec, m0).mult_table()
+    except InternalInconsistency as exc:
+        checks.append(CheckResult("quotient-spot-check", False, str(exc)))
+        return VerifyReport(spec.name, checks)
     ok_orders, ok_section, spot_failure = True, True, None
     spot = np.random.default_rng([seed, 1])
     for N in (m0, 2 * m0):
@@ -141,24 +150,29 @@ def run_suite(spec: GroupSpec, seed: int = 0) -> VerifyReport:
     checks.append(CheckResult("mod-N-soundness", _table_products_agree(
         q, np.concatenate([n, a]), np.concatenate([steps, b]))))
 
-    # composition exactness and associativity; each drawn triple of generators
-    # is also multiplied in the table, whose ids list them in the same order
-    gens, gen_ids = spec.generators(), q.generators()
-    ok_assoc, drift = True, 0.0
+    # composition exactness and associativity; the chain of 30 generators and
+    # each drawn triple are also multiplied in the table, whose ids list the
+    # generators in the same order.  The composed triples are factored in one
+    # stack, and the id triples multiplied in one request per factor
+    gens, gen_ids = spec.generators(), np.array(q.generators())
+    drift, chain_ids = 0.0, []
     chain = iso.identity_isometry(spec.d1, spec.d2)
     for _ in range(30):
-        g = gens[int(rng.integers(len(gens)))]
-        chain = iso.compose(chain, g)
+        i = int(rng.integers(len(gens)))
+        chain = iso.compose(chain, gens[i])
+        chain_ids.append(int(gen_ids[i]))
         drift = max(drift, iso.orth_deviation(chain.q))
-    for _ in range(8):
-        a, b, c = (int(rng.integers(len(gens))) for _ in range(3))
-        lhs = iso.compose(iso.compose(gens[a], gens[b]), gens[c])
+    ok_chain = (q.reduce(normal_form(spec, chain))
+                == functools.reduce(q.mul, chain_ids, q.identity))
+    triples = np.array([[int(rng.integers(len(gens))) for _ in range(3)] for _ in range(8)])
+    lhs, close = [], []
+    for a, b, c in triples:
+        lhs.append(iso.compose(iso.compose(gens[a], gens[b]), gens[c]))
         rhs = iso.compose(gens[a], iso.compose(gens[b], gens[c]))
-        if (not iso.approx_equal(lhs, rhs, 10 * spec.tol)
-                or q.reduce(normal_form(spec, lhs))
-                != q.mul(q.mul(gen_ids[a], gen_ids[b]), gen_ids[c])):
-            ok_assoc = False
-    checks.append(CheckResult("composition-associativity", ok_assoc))
+        close.append(iso.approx_equal(lhs[-1], rhs, 10 * spec.tol))
+    a, b, c = gen_ids[triples.T]
+    checks.append(CheckResult("composition-associativity", ok_chain and all(close) and np.array_equal(
+        q.products(q.products(a, b), c), [q.reduce(nf) for nf in normal_forms_of(spec, lhs)])))
     checks.append(CheckResult("orthogonality-drift", drift <= ORTH_DRIFT_TOL,
                               _versus("max deviation", drift, ORTH_DRIFT_TOL)))
 
@@ -219,10 +233,10 @@ def run_suite(spec: GroupSpec, seed: int = 0) -> VerifyReport:
     checks.append(CheckResult("round-trip", err <= IDENTITY_TOL,
                               _versus("max err", err, IDENTITY_TOL)))
     g = int(rngf.integers(q.order))
-    tut = transform(translate(u, g), seed=seed)
+    tut, g_inv = transform(translate(u, g), seed=seed), q.inv(g)
     reps = ut.atlas.irreps
     worst = max(float(np.abs(tut.entries[ri] - ut.entries[ri]
-                             @ np.kron(np.eye(u.shape[1]), rho.matrix(q.inv(g)))).max())
+                             @ np.kron(np.eye(u.shape[1]), rho.matrix(g_inv))).max())
                 for ri, rho in enumerate(reps))
     checks.append(CheckResult("translation-identity", worst <= IDENTITY_TOL,
                               _versus("max err", worst, IDENTITY_TOL)))

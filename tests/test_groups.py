@@ -14,9 +14,9 @@ from euciso.groups import (GroupSpec, NormalForm, _divisors, automorphism_count,
                            normal_form, normal_forms_of, tf_slice, validate_spec)
 from euciso.isometry import Isometry, rotation2
 
-from conftest import (compose_all, cyclic, inverse, is_member, mult_table_oracle, power,
-                      q_equal, quotient, reconstruct, rod_spec, s3_plane_spec, section, spec,
-                      translation_isometry)
+from conftest import (c5_quarter_spec, compose_all, cyclic, inverse, is_member,
+                      mult_table_oracle, power, q_equal, quotient, reconstruct, rod_spec,
+                      s3_plane_spec, section, spec, translation_isometry)
 
 
 # -- oracle: independent membership and normality test -------------------------
@@ -688,3 +688,106 @@ def test_drawn_rod_mult_tables_match_the_oracle(k, flip, alpha):
     s = rod_spec(k, flip, alpha)
     q = build_quotient(s, find_m0(s).m0)
     assert np.array_equal(q.mult_table(), mult_table_oracle(q))
+
+
+# -- products without the table: the collection formula pair by pair ----------
+
+def fresh_quotient(s, N):
+    """A quotient of s that no earlier call has given a table."""
+    find_m0(s)
+    return groups.QuotientGroup(s, N)
+
+
+def collected_agrees_with_the_table(q):
+    """Every product and inverse by the collection formula equals the table's."""
+    ids = np.arange(q.order)
+    table = q.mult_table()
+    return (np.array_equal(q._collected(*np.broadcast_arrays(ids[:, None], ids)), table)
+            and np.array_equal(q._collected(*q._inverse_factors(ids)), q._inverse))
+
+
+@pytest.mark.parametrize("name,N", [(name, k * catalog.CATALOG[name].expected["m0"])
+                                    for name in catalog.names() for k in (1, 2, 3)])
+def test_collected_products_equal_the_table(name, N):
+    assert collected_agrees_with_the_table(fresh_quotient(spec(name), N))
+
+
+@pytest.mark.parametrize("build,N", [(s3_plane_spec, 6), (s3_plane_spec, 12),
+                                     (c5_quarter_spec, 1), (c5_quarter_spec, 2),
+                                     (s4_plane_spec, 12)])
+def test_collected_products_equal_the_table_on_non_abelian_kernels(build, N):
+    # s4_plane_spec at N=12 has order 3456; at 24 it is past the cap
+    assert collected_agrees_with_the_table(fresh_quotient(build(), N))
+
+
+@pytest.mark.parametrize("k", range(6, 11))
+@pytest.mark.parametrize("flip", [False, True])
+def test_collected_rod_products_equal_the_table(k, flip):
+    s = rod_spec(k, flip, 1.2345)
+    assert collected_agrees_with_the_table(fresh_quotient(s, find_m0(s).m0))
+
+
+def test_section_inverses_carry_the_cocycle():
+    # twistE8-m4's lifts do not commute, so t(a)^-1 = t(-a) z(a,-a)^-1: at
+    # N=12 an inverse written as t(-a) alone disagrees with the table
+    s = catalog.CATALOG["twistE8-m4"].build()
+    q = fresh_quotient(s, 12)
+    grid = q.parts(q.elements)[0][::s.f_order * s.rot_order]
+    sections = q.ids(grid, s.f_identity, s.p_identity)
+    inverses = q.inverses(sections)
+    assert q._table is None
+    assert not np.array_equal(inverses, q.ids(-grid, s.f_identity, s.p_identity))
+    assert (q.products(sections, inverses) == q.identity).all()
+    q.mult_table()
+    assert np.array_equal(inverses, q._inverse[sections])
+
+
+def test_products_build_the_table_only_past_the_break_even():
+    q = fresh_quotient(spec("twistE8"), 6)
+    a = np.arange(q.order)
+    few = q.order ** 2 // groups.TABLE_BREAK_EVEN // q.order       # rows below the break-even
+    below = q.products(a[:few, None], a)
+    assert q._table is None and "collection" in vars(q)
+    above = q.products(a[:few + 1, None], a)
+    assert q._table is not None
+    assert np.array_equal(below, above[:few]) and np.array_equal(above, q._table[:few + 1])
+
+
+def test_products_broadcast_and_refuse_what_is_no_id():
+    q = fresh_quotient(spec("twistE8"), 4)
+    g = np.array(q.generators())
+    assert q.products(g[:, None], g[None, :3]).shape == (len(g), 3)
+    assert q.products(g[0], g[1]).shape == () and q.mul(g[0], g[1]) == q.products(g[0], g[1])
+    assert q.inv(g[2]) == q.inverses(g)[2]
+    for bad in (-1, q.order):
+        with pytest.raises(ValueError):
+            q.products(bad, 0)
+        with pytest.raises(ValueError):
+            q.inverses([0, bad])
+    assert q._table is None
+
+
+def test_products_past_the_cap_are_refused_before_any_is_formed():
+    q = build_quotient(spec("twistE8"), 24)
+    with pytest.raises(CapExceeded):
+        q.products(0, 1)
+    assert "collection" not in vars(q)
+
+
+def test_build_quotient_collects_nothing():
+    # analyze builds quotients for their orders only; the generator-level
+    # data waits for the first product
+    s = catalog.CATALOG["twistE8"].build()
+    q = build_quotient(s, 6)
+    assert "collection" not in vars(q) and q._table is None
+
+
+def test_a_table_that_disagrees_with_the_formula_is_refused(monkeypatch):
+    # the opposite group's table passes associativity and inverses; only the
+    # comparison with the collection formula refuses it
+    collect = groups.QuotientGroup._collect
+    monkeypatch.setattr(groups.QuotientGroup, "_collect", lambda self: collect(self).T)
+    q = fresh_quotient(s3_plane_spec(), 6)
+    with pytest.raises(InternalInconsistency, match="the table and the collection formula"):
+        q.mult_table()
+    assert q._table is None

@@ -158,6 +158,35 @@ def test_certificate_tamper_detection():
     assert not verify_certificate(s, cert)
 
 
+def test_a_normal_part_that_is_no_subgroup_is_refused():
+    # t(0,1) and t(1,2) multiply to t(1,0), outside the claimed normal part,
+    # and |normal| = 3 is not n^d2 = 9; orders 3 * 3 still give |G| = 9
+    s = spec("p1")
+    cert = split_quotient(s, 1, 3)
+    cert.normal_part = [NormalForm(n, 0, 0) for n in [(0, 0), (0, 1), (1, 2)]]
+    cert.complement_part = [NormalForm((a, 0), 0, 0) for a in range(3)]
+    cert.normal_order, cert.complement_order = 3, 3
+    assert not verify_certificate(s, cert)
+
+
+@pytest.mark.parametrize("field,value", [("normal_order", 3), ("complement_order", 3),
+                                         ("group_order", 27), ("N", 4)])
+def test_certificate_orders_are_derived_from_m_and_n(field, value):
+    s = spec("pg")
+    cert = split_quotient(s, 1, 3)
+    assert verify_certificate(s, cert)
+    setattr(cert, field, value)
+    assert not verify_certificate(s, cert)
+
+
+def test_split_quotients_hold_no_table():
+    # twistE8 at m=2, n=3 is order 1152: its checks read about 20k products
+    s = catalog.CATALOG["twistE8"].build()
+    cert = split_quotient(s, 2, 3)
+    assert cert.passed and verify_certificate(s, cert)
+    assert s._quotients[6]._table is None
+
+
 def test_nonsymmorphic_witness():
     # the glide group is nonsymmorphic, yet its quotient at n = 3 splits
     assert split_quotient(spec("pg"), 1, 3).passed

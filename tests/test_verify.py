@@ -1,6 +1,7 @@
 import copy
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,6 +51,18 @@ def test_a_verify_pass_builds_the_m0_atlas_once(monkeypatch):
     assert len(calls) == len(labels)
 
 
+def opposite_group(monkeypatch):
+    """Make every quotient multiply as its opposite group, a*b -> b*a, on both
+    product paths: the table is transposed and the collection formula takes
+    its arguments swapped.  Inverses are the same in the opposite group, so
+    the formula's are read from the true table, as x^-1 * 1."""
+    collect, collected = QuotientGroup._collect, QuotientGroup._collected
+    monkeypatch.setattr(QuotientGroup, "_collect", lambda self: collect(self).T)
+    monkeypatch.setattr(QuotientGroup, "_collected", lambda self, a, b: collected(self, b, a))
+    monkeypatch.setattr(QuotientGroup, "_inverse_factors", lambda self, x: (
+        np.argmax(collect(self) == self.identity, axis=1)[x], np.full_like(x, self.identity)))
+
+
 FAILING_ON_A_TRANSPOSED_TABLE = {
     "helix-C3": ["composition-associativity"],
     "twistE8": ["composition-associativity"],
@@ -62,17 +75,17 @@ def test_associativity_check_catches_a_transposed_table(monkeypatch, name):
     # and inverses; only products of generators compared with isometry
     # composition tell it apart, and these groups have noncommuting generators.
     # twistE8-m4's sections do not commute either, so the section checks,
-    # which compare products of sections with the table, fail there too
-    collect = QuotientGroup._collect
-    monkeypatch.setattr(QuotientGroup, "_collect", lambda self: collect(self).T)
+    # which compare products of sections with the quotient's, fail there too
+    opposite_group(monkeypatch)
     report = run_suite(catalog.CATALOG[name].build(), seed=0)
     assert [c.name for c in report.checks if not c.passed] == FAILING_ON_A_TRANSPOSED_TABLE[name]
 
 
 def test_section_checks_read_every_section_product(monkeypatch):
-    # section-bijectivity compares the table's t(a) t(e_j) for every grid
-    # point a and direction j; the opposite group's table gets half of them
-    # wrong on twistE8-m4, and its own table none
+    # section-bijectivity compares the quotient's t(a) t(e_j) for every grid
+    # point a and direction j, from the table at m0 and by the collection
+    # formula at 2 m0; the opposite group gets half of them wrong on
+    # twistE8-m4, and the group itself none
     s = catalog.CATALOG["twistE8-m4"].build()
     m0 = find_m0(s).m0
 
@@ -80,13 +93,14 @@ def test_section_checks_read_every_section_product(monkeypatch):
         grid = np.array(list(itertools.product(range(q.N), repeat=2)))
         a, b = np.repeat(grid, 2, axis=0), np.tile(np.eye(2, dtype=np.int64), (len(grid), 1))
         qa, qb = s.section_q(a), s.section_q(b)
-        table = q.mult_table()[verify._section_ids(q, qa, a), verify._section_ids(q, qb, b)]
-        return len(a), int(np.count_nonzero(table != verify._section_ids(q, qa @ qb, a + b)))
+        got = q.products(verify._section_ids(q, qa, a), verify._section_ids(q, qb, b))
+        return len(a), int(np.count_nonzero(got != verify._section_ids(q, qa @ qb, a + b)))
 
+    build_quotient(s, m0).mult_table()
     assert [wrong_products(build_quotient(s, N)) for N in (m0, 2 * m0)] == [(32, 0), (128, 0)]
-    collect = QuotientGroup._collect
-    monkeypatch.setattr(QuotientGroup, "_collect", lambda self: collect(self).T)
+    opposite_group(monkeypatch)
     s = catalog.CATALOG["twistE8-m4"].build()
+    build_quotient(s, m0).mult_table()
     assert [wrong_products(build_quotient(s, N)) for N in (m0, 2 * m0)] == [(32, 16), (128, 64)]
     for seed in range(3):
         failed = {c.name for c in run_suite(s, seed=seed).checks if not c.passed}
@@ -123,14 +137,15 @@ def test_verify_reports_on_a_finite_group_of_order_below_four(k):
 
 def test_order_check_reads_the_generators_columns(monkeypatch):
     # collapse the glide's column to the identity id: right products by a
-    # generator stop permuting the ids.  The spot check is switched off so
-    # that the broken table reaches the suite
+    # generator stop permuting the ids.  The spot check is switched off, and
+    # reads no pair, so that the broken table reaches the suite
     s = catalog.CATALOG["pg"].build()
     q = build_quotient(s, find_m0(s).m0)
     table = q.mult_table()
     g = q.generators()[-1]
     table[:, g] = q.identity
-    monkeypatch.setattr(QuotientGroup, "spot_check", lambda self, rng=None: None)
+    monkeypatch.setattr(QuotientGroup, "spot_check",
+                        lambda self, rng=None: (np.zeros(0, dtype=np.int64),) * 2)
     report = run_suite(s, seed=0)
     assert "quotient-order-formula" in [c.name for c in report.checks if not c.passed]
 
@@ -156,3 +171,28 @@ def test_a_table_the_spot_check_breaks_is_a_failed_check(name, seed):
         assert failed["quotient-spot-check"] == "associativity failed in quotient"
     else:
         assert "quotient-spot-check" not in failed
+
+
+def test_verify_builds_the_table_only_at_m0():
+    # the checks at 2 m0 and the splitting certificate collect the products
+    # they read; building twistE8's N=4 and N=6 tables took 8.8 MB
+    s = catalog.CATALOG["twistE8"].build()
+    tracemalloc.start()
+    try:
+        assert run_suite(s, seed=0).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert {N: q._table is None for N, q in s._quotients.items()} == {2: False, 4: True, 6: True}
+    assert peak < 4.4 * 2 ** 20
+
+
+def test_a_table_the_formula_disagrees_with_ends_the_suite(monkeypatch):
+    # the opposite group's table alone: the m0 table's own check compares it
+    # with the collection formula, and the suite reports that and stops
+    collect = QuotientGroup._collect
+    monkeypatch.setattr(QuotientGroup, "_collect", lambda self: collect(self).T)
+    report = run_suite(catalog.CATALOG["twistE8-m4"].build(), seed=0)
+    assert [(c.name, c.detail) for c in report.checks if not c.passed] == [
+        ("quotient-spot-check", "the table and the collection formula disagree")]
+    assert report.checks[-1].name == "quotient-spot-check"
