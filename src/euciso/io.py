@@ -4,11 +4,14 @@ Rationals travel as "p/q" strings, complexes as [re, im] pairs, matrices
 as row-major nested lists.  Serialization is canonical, so equal inputs
 and seeds give byte-identical output: the bytes are those of `json.dumps`
 with `sort_keys` and `indent=1`.  `canonical_json` writes them itself,
-because json's indented encoder is pure Python.  It also takes numpy
-arrays, as json.dumps does through `_coerce` (their `tolist()`): every
-float block the writers produce (a spec's q blocks, a function value, a
-table entry as [re, im] pairs) reaches it as a float64 array and is written
-from the array in one piece, with no nested lists in between.  A function
+because nearly all of a file's time would go to formatting floats one at a
+time.  It also takes numpy arrays, as json.dumps does through `_coerce`
+(their `tolist()`): every float block the writers produce (a spec's q
+blocks, a function value, a table entry as [re, im] pairs) reaches it as a
+float64 array, and any non-empty float64 array is a block.  The floats of
+all of a document's blocks are formatted in one orjson (Ryu) pass, and only
+those whose text orjson writes otherwise than json (|x| below 1e-4 or from
+1e16 up, in exponent form, and NaN and infinities) are rewritten.  A function
 file is written with one entry per element, in id order; a reader takes
 any subset of the elements, each at most once, and sets the others to
 zero.  A Fourier table records the seed and the fingerprint of the atlas
@@ -24,6 +27,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import orjson
 
 from .dual import enumerate_dual
 from .errors import EucisoError, IncompatibleShapes
@@ -210,15 +214,34 @@ def _coerce(obj):
 def canonical_json(obj) -> str:
     """The bytes of json.dumps(obj, sort_keys=True, indent=1,
     separators=(",", ": "), default=_coerce) plus a newline, written by
-    json's own rules, except that a non-empty float64 array of finite floats
-    is written as one block."""
+    json's own rules, except that each non-empty float64 array is written as
+    one block.  The walk leaves a template in `out` for each block; the
+    floats of all blocks are then formatted in one orjson pass, whose
+    shortest-digit text is repr's except in the exponent style: orjson
+    writes 1e-5 and 1e16 where repr writes 1e-05 and 1e+16, and null for a
+    non-finite float where json writes NaN or Infinity.  So the floats with
+    0 < |x| < 1e-4, |x| >= 1e16 or no finite value are rewritten by json's
+    rules, and the rest keep orjson's text."""
     out: list[str] = []
-    _write(obj, 0, out)
+    blocks: list[tuple[int, np.ndarray]] = []
+    _write(obj, 0, out, blocks)
+    if blocks:
+        flat = np.concatenate([block.ravel() for _, block in blocks])
+        text = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+        magnitude = np.abs(flat)
+        keep = (flat == 0) | (magnitude >= 1e-4) & (magnitude < 1e16)   # False for NaN
+        rewrite = np.flatnonzero(~keep)
+        for k, x in zip(rewrite.tolist(), flat[rewrite].tolist()):
+            text[k] = _scalar(x)
+        start = 0
+        for i, block in blocks:
+            out[i] %= tuple(text[start:start + block.size])
+            start += block.size
     out.append("\n")
     return "".join(out)
 
 
-def _write(obj, level: int, out: list[str]) -> None:
+def _write(obj, level: int, out: list[str], blocks: list[tuple[int, np.ndarray]]) -> None:
     text = _encode_str(obj) if isinstance(obj, str) else _scalar(obj)
     if text is not None:
         out.append(text)
@@ -231,13 +254,14 @@ def _write(obj, level: int, out: list[str]) -> None:
             for i, value in enumerate(obj):
                 if i:
                     out.append("," + inner)
-                _write(value, level + 1, out)
+                _write(value, level + 1, out, blocks)
             out.append("\n" + " " * level + "]")
     elif isinstance(obj, np.ndarray):
-        if obj.dtype == np.float64 and obj.ndim and obj.size and np.isfinite(obj).all():
-            out.append(_block_template(obj.shape, level) % tuple(obj.ravel().tolist()))
+        if obj.dtype == np.float64 and obj.ndim and obj.size:
+            blocks.append((len(out), obj))
+            out.append(_block_template(obj.shape, level))
         else:
-            _write(obj.tolist(), level, out)
+            _write(obj.tolist(), level, out, blocks)
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -250,10 +274,10 @@ def _write(obj, level: int, out: list[str]) -> None:
                     raise TypeError(f"keys must be str, int, float, bool or None, "
                                     f"not {key.__class__.__name__}")
                 out.append(("," + inner if i else "") + _encode_str(key_text) + ": ")
-                _write(value, level + 1, out)
+                _write(value, level + 1, out, blocks)
             out.append("\n" + " " * level + "}")
     else:
-        _write(_coerce(obj), level, out)
+        _write(_coerce(obj), level, out, blocks)
 
 
 def _scalar(obj) -> str | None:
@@ -277,14 +301,14 @@ def _scalar(obj) -> str | None:
 
 @functools.lru_cache(maxsize=256)
 def _block_template(shape: tuple[int, ...], level: int) -> str:
-    """The text of a block of this shape at this indent level, with a %r
-    field per float: between two leaves, the j innermost lists that end are
-    closed and as many opened."""
+    """The text of a block of this shape at this indent level, with a %s
+    field for each float's text: between two leaves, the j innermost lists
+    that end are closed and as many opened."""
     k = len(shape)
     pad = ["\n" + " " * (level + t) for t in range(k + 1)]
     close = [pad[t] + "]" for t in range(k)]
     open_ = [pad[t] + "[" for t in range(k)]
-    parts = ["%r"] * math.prod(shape)
+    parts = ["%s"] * math.prod(shape)
     for j, width in enumerate(reversed(shape)):
         sep = "".join(close[k - 1:k - 1 - j:-1]) + "," + "".join(open_[k - j:k]) + pad[k]
         parts = list(map(sep.join, zip(*[iter(parts)] * width)))

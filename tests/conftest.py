@@ -170,6 +170,31 @@ def s3_plane_spec(alpha=0.7):
     return GroupSpec("s3-plane", 5, 2, kernel, [g1, g2], [iso.identity_isometry(5, 2), glide])
 
 
+def rotations_of_cube(tetrahedral):
+    """Signed permutation matrices of determinant 1: the rotations of a cube
+    (S4), or with even permutations only those of a tetrahedron (A4)."""
+    out = []
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product((1.0, -1.0), repeat=3):
+            m = np.diag(signs)[list(perm)]
+            even = np.linalg.det(np.eye(3)[list(perm)]) > 0
+            if np.linalg.det(m) > 0 and (even or not tetrahedral):
+                out.append(m)
+    return out
+
+
+def s4_plane_spec():
+    """A plane group over the rotations of a cube (S4) whose lifts are the
+    quarter turns about z and x.  They generate S4, so the section cocycle
+    takes values in A4, which is not abelian; m0 = 12."""
+    one = iso.identity_int_matrix(2)
+    rz = np.array([[0.0, -1, 0], [1, 0, 0], [0, 0, 1]])
+    rx = np.array([[1.0, 0, 0], [0, 0, -1], [0, 1, 0]])
+    return GroupSpec("s4-plane", 3, 2, rotations_of_cube(False),
+                     [iso.Isometry(rz, one, (1, 0)), iso.Isometry(rx, one, (0, 1))],
+                     [iso.identity_isometry(3, 2)])
+
+
 def p_rep_element(q, p):
     """The id of the p-th p_rep, t(0)*f_id*p."""
     return q.reduce(NormalForm((0,) * q.spec.d2, q.spec.f_identity, p))

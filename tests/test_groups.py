@@ -16,7 +16,8 @@ from euciso.isometry import Isometry, rotation2
 
 from conftest import (c5_quarter_spec, compose_all, cyclic, inverse, is_member,
                       mult_table_oracle, power, q_equal, quotient, reconstruct, rod_spec,
-                      s3_plane_spec, section, spec, translation_isometry)
+                      rotations_of_cube, s3_plane_spec, s4_plane_spec, section, spec,
+                      translation_isometry)
 
 
 # -- oracle: independent membership and normality test -------------------------
@@ -324,19 +325,6 @@ def dihedral(n):
     return cyclic(n) + [r @ np.diag([1.0, -1.0]) for r in cyclic(n)]
 
 
-def rotations_of_cube(tetrahedral):
-    """Signed permutation matrices of determinant 1: the rotations of a cube
-    (S4), or with even permutations only those of a tetrahedron (A4)."""
-    out = []
-    for perm in itertools.permutations(range(3)):
-        for signs in itertools.product((1.0, -1.0), repeat=3):
-            m = np.diag(signs)[list(perm)]
-            even = np.linalg.det(np.eye(3)[list(perm)]) > 0
-            if np.linalg.det(m) > 0 and (even or not tetrahedral):
-                out.append(m)
-    return out
-
-
 def affine_mod7():
     """x -> 2^l x + k on Z/7 as permutation matrices: C7 x| C3, order 21."""
     out = []
@@ -606,18 +594,6 @@ def test_rod_mult_table_matches_the_oracle(k, flip):
     s = rod_spec(k, flip, 1.2345)
     q = build_quotient(s, find_m0(s).m0)
     assert np.array_equal(q.mult_table(), mult_table_oracle(q))
-
-
-def s4_plane_spec():
-    """A plane group over the rotations of a cube (S4) whose lifts are the
-    quarter turns about z and x.  They generate S4, so the section cocycle
-    takes values in A4, which is not abelian; m0 = 12."""
-    one = iso.identity_int_matrix(2)
-    rz = np.array([[0.0, -1, 0], [1, 0, 0], [0, 0, 1]])
-    rx = np.array([[1.0, 0, 0], [0, 0, -1], [0, 1, 0]])
-    return GroupSpec("s4-plane", 3, 2, rotations_of_cube(False),
-                     [Isometry(rz, one, (1, 0)), Isometry(rx, one, (0, 1))],
-                     [iso.identity_isometry(3, 2)])
 
 
 @pytest.mark.parametrize("build,N", [(s3_plane_spec, 6), (s3_plane_spec, 12), (s4_plane_spec, 12)])

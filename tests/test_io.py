@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -65,6 +66,61 @@ def test_canonical_json_of_files_is_json_dumps():
     for payload in [io.function_to_dict(u), io.table_to_dict(transform(u)),
                     io.spec_to_dict(q.spec)]:
         assert io.canonical_json(payload) == reference_json(payload)
+
+
+# where orjson's text and repr's part ways, and the extremes of float64
+BOUNDARY_FLOATS = [0.0, -0.0, 5e-324, -5e-324, np.nextafter(1e-4, 0), 1e-4, -1e-4,
+                   np.nextafter(1e16, 0), 1e16, -1e16, 1.7976931348623157e308,
+                   -1.7976931348623157e308, 2.2250738585072014e-308, math.nan,
+                   math.inf, -math.inf]
+
+
+def test_float_text_at_scale():
+    # 200k random bit patterns (subnormals, NaNs with payloads and huge and
+    # tiny exponents among them) and 40k floats between 1e-4 and 1e16, where
+    # orjson's own text is kept, in three parts, each led by the boundaries.
+    # One part is a (k,) block and one an (a, b, 2) block at level 0; the
+    # third is cut into blocks of both shapes at level 3
+    rng = np.random.default_rng(20261019)
+    bits = rng.integers(0, 2 ** 64, 200_000, dtype=np.uint64).view(np.float64)
+    mid = np.copysign(10.0 ** rng.uniform(-4, 16, 40_000), rng.uniform(-1, 1, 40_000))
+    edges = np.array(BOUNDARY_FLOATS * 5)
+    flat, pairs, rest = (np.concatenate([edges, part])
+                         for part in np.split(np.concatenate([bits, mid]), 3))
+    assert np.isnan(bits).sum() > 50 and (np.abs(bits) < 2.2250738585072014e-308).sum() > 50
+    nested = [[[chunk.reshape(2, 5, 2) if i % 2 else chunk
+                for i, chunk in enumerate(np.split(rest, len(rest) // 20))]]]
+    for doc in [flat, pairs.reshape(-1, 5, 2), nested]:
+        assert io.canonical_json(doc) == reference_json(doc)
+
+
+@pytest.mark.parametrize("scale", [1e-7, 1e17])
+def test_files_whose_floats_are_all_rewritten(scale):
+    # a function file and a twistE8 N=4 table of 3x3 values, scaled so that
+    # the largest float reads 1e-7 or the smallest nonzero one 1e17: json
+    # writes every nonzero float in exponent form, so each is rewritten from
+    # orjson's text, and both files still read back bit for bit
+    q = quotient("twistE8", 4)
+    u = PeriodicFunction.random(q, (3, 3), np.random.default_rng(22))
+    table = transform(u)
+    floats = np.abs(np.concatenate([u.values.view(float).ravel()]
+                                   + [e.view(float).ravel() for e in table.entries.values()]))
+    scale /= floats.max() if scale < 1 else floats[floats > 0].min()
+    u.values *= scale
+    for entry in table.entries.values():
+        entry *= scale
+    floats *= scale
+    assert ((floats < 1e-4) | (floats >= 1e16) | (floats == 0)).all()
+    data = io.function_to_dict(u)
+    text = io.canonical_json(data)
+    assert text == reference_json(data)
+    assert io.function_from_dict(json.loads(text), q).values.tobytes() == u.values.tobytes()
+    data = io.table_to_dict(table)
+    text = io.canonical_json(data)
+    assert text == reference_json(data)
+    back = io.table_from_dict(json.loads(text), q)
+    assert sorted(back.entries) == sorted(table.entries)
+    assert all(back.entries[i].tobytes() == table.entries[i].tobytes() for i in table.entries)
 
 
 # sha256 of canonical_json(spec_to_dict(s)) for each catalog group, recorded

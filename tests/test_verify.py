@@ -1,18 +1,19 @@
 import copy
 import itertools
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from euciso import catalog, dual, verify
+from euciso import catalog, cli, dual, io, verify
 from euciso import isometry as iso
 from euciso.groups import GroupSpec, QuotientGroup, build_quotient, find_m0
 from euciso.splitting import split_quotient
 from euciso.verify import run_suite
 
-from conftest import cyclic
+from conftest import cyclic, s4_plane_spec
 
 
 def test_spot_check_draws_its_own_triples(monkeypatch):
@@ -196,3 +197,28 @@ def test_a_table_the_formula_disagrees_with_ends_the_suite(monkeypatch):
     assert [(c.name, c.detail) for c in report.checks if not c.passed] == [
         ("quotient-spot-check", "the table and the collection formula disagree")]
     assert report.checks[-1].name == "quotient-spot-check"
+
+
+CAP_MESSAGE = "quotient order 13824 exceeds the table cap 4096"
+
+
+def test_a_quotient_past_the_table_cap_fails_the_spot_check():
+    # s4_plane_spec has m0 = 12: its m0 quotient (order 3456) fits the table
+    # cap, and its 2 m0 quotient is refused before a product is collected
+    report = run_suite(s4_plane_spec(), seed=0)
+    assert [(c.name, c.passed) for c in report.checks[:2]] == [
+        ("spec-valid", True), ("m0-in-ladder", True)]
+    failure = report.first_failure()
+    assert (failure.name, failure.detail) == ("quotient-spot-check", CAP_MESSAGE)
+    assert report.checks[-1] is failure
+
+
+def test_cli_verify_reports_a_quotient_past_the_table_cap(tmp_path, capsys):
+    # the cap ends the suite with a report and exit 1, not with exit 4
+    path = tmp_path / "s4-plane.json"
+    io.save_spec(s4_plane_spec(), str(path))
+    assert cli.main(["verify", str(path)]) == cli.EXIT_VERIFY == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["passed"] is False and data["first_failure"] == "quotient-spot-check"
+    assert data["checks"][-1] == {"name": "quotient-spot-check", "passed": False,
+                                  "detail": CAP_MESSAGE}
