@@ -47,7 +47,7 @@ def resolve_spec(ref: str, tol: float | None) -> GroupSpec:
         try:
             spec = catalog.get(name)
         except KeyError as exc:
-            raise CliError(EXIT_IO, str(exc)) from exc
+            raise CliError(EXIT_IO, exc.args[0]) from exc
     else:
         try:
             spec = io.load_spec(ref)

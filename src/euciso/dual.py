@@ -128,6 +128,12 @@ def rep_set(spec: GroupSpec, seed: int = 0) -> RepSet:
 
 
 def _check_little_group(lg: LittleGroup) -> None:
+    """InternalInconsistency unless lg holds the identity coset, the dual
+    lattice and only shifts in L*/m0, and is closed under composition.
+
+    Closure is one integer-array test: each operation (p, b mod m0), with b
+    = m0 s, is one integer code, and the codes of all pairwise
+    compositions (p1 p2, b1 + D_p1 b2 mod m0) must lie among them."""
     spec, m0 = lg.spec, lg.m0
     if spec.p_identity not in lg.pairs:
         raise InternalInconsistency("little group misses the identity coset")
@@ -136,14 +142,19 @@ def _check_little_group(lg: LittleGroup) -> None:
         raise InternalInconsistency("dual lattice does not embed in the little group")
     if any((x * m0).denominator != 1 for s in trans for x in s):
         raise InternalInconsistency("little-group translations exceed L*/m0")
-    ops = lg.operations()
-    keyed = {(p, tuple(x % m0 for x in b)) for p, b in ops}
-    p_mul, dual = spec.p_mul_table(), spec.dual_points
-    for p1, b1 in ops:
-        for p2, b2 in ops:
-            comp = (int(p_mul[p1, p2]), tuple(((b1 + dual[p1] @ b2) % m0).tolist()))
-            if comp not in keyed:
-                raise InternalInconsistency("little group is not closed")
+    p, b = zip(*lg.operations())
+    p = np.array(p, dtype=np.int64)
+    b = np.array(b, dtype=np.int64).reshape(len(p), spec.d2) % m0
+    radix = m0 ** np.arange(spec.d2, dtype=np.int64)
+
+    def codes(p, b):    # (p, b mod m0) as one integer
+        return p * m0 ** spec.d2 + b @ radix
+
+    # (p1, b1)(p2, b2) = (p1 p2, b1 + D_p1 b2) for every pair at once
+    moved = np.einsum("aij,bj->abi", spec.dual_points[p], b)
+    comp = codes(spec.p_mul_table()[p[:, None], p[None, :]], (b[:, None] + moved) % m0)
+    if not np.isin(comp, codes(p, b)).all():
+        raise InternalInconsistency("little group is not closed")
 
 
 # -- the null set --------------------------------------------------------------

@@ -10,8 +10,8 @@ time.  It also takes numpy arrays, as json.dumps does through `_coerce`
 blocks, a function value, a table entry as [re, im] pairs) reaches it as a
 float64 array, and any non-empty float64 array is a block.  The floats of
 all of a document's blocks are formatted in one orjson (Ryu) pass, and only
-those whose text orjson writes otherwise than json (|x| below 1e-4 or from
-1e16 up, in exponent form, and NaN and infinities) are rewritten.  A function
+those whose text orjson writes otherwise than json (0 < |x| < 1e-4, |x| from
+1e16 up, NaN and infinities) are rewritten.  A function
 file is written with one entry per element, in id order; a reader takes
 any subset of the elements, each at most once, and sets the others to
 zero.  A Fourier table records the seed and the fingerprint of the atlas
@@ -217,11 +217,13 @@ def canonical_json(obj) -> str:
     json's own rules, except that each non-empty float64 array is written as
     one block.  The walk leaves a template in `out` for each block; the
     floats of all blocks are then formatted in one orjson pass, whose
-    shortest-digit text is repr's except in the exponent style: orjson
-    writes 1e-5 and 1e16 where repr writes 1e-05 and 1e+16, and null for a
-    non-finite float where json writes NaN or Infinity.  So the floats with
-    0 < |x| < 1e-4, |x| >= 1e16 or no finite value are rewritten by json's
-    rules, and the rest keep orjson's text."""
+    shortest digits are repr's but not always its notation.  repr writes
+    0 < |x| < 1e-4 in exponent form, where orjson writes 1e-5 <= |x| < 1e-4
+    positionally (0.000015 for 1.5e-05) and smaller ones as 9.99e-6 for
+    9.99e-06; it writes 1e16 for 1e+16, and null for a non-finite float
+    where json writes NaN or Infinity.  So the floats with 0 < |x| < 1e-4,
+    |x| >= 1e16 or no finite value are rewritten by json's rules, and the
+    rest keep orjson's text."""
     out: list[str] = []
     blocks: list[tuple[int, np.ndarray]] = []
     _write(obj, 0, out, blocks)

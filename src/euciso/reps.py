@@ -397,10 +397,17 @@ def _check_tf(q: QuotientGroup, r: Representation) -> None:
 
 def _check_homomorphism(q: QuotientGroup, mats: np.ndarray, what: str) -> None:
     """InternalInconsistency unless the (|G|, d, d) stack mats multiplies
-    as the table on all pairs of quotient generators."""
+    as the table on all pairs of quotient generators.
+
+    All G^2 products come from one (G d, d) @ (d, G d) GEMM of the
+    generators' images, row blocks against column blocks, read as
+    [a, i, b, j] and compared with the table's images in that layout."""
     gens = q.cosets.generators
-    a, b = gens[:, None], gens[None, :]
-    defect = float(np.abs(mats[a] @ mats[b] - mats[q.mult_table()[a, b]]).max())
+    g, d = len(gens), mats.shape[1]
+    at = mats[gens]
+    products = (at.reshape(g * d, d) @ at.swapaxes(0, 1).reshape(d, g * d)).reshape(g, d, g, d)
+    want = mats[q.mult_table()[gens[:, None], gens[None, :]]].swapaxes(1, 2)   # [a, i, b, j]
+    defect = float(np.abs(products - want).max())
     if defect > HOMOMORPHISM_TOL:
         raise InternalInconsistency(f"{what} fails homomorphism: {defect}")
 
@@ -446,12 +453,13 @@ def split_induced(q: QuotientGroup, conj: np.ndarray, tau: Representation,
     blockwise h_ij = sum_x S_i(x) Y_ij S_j(x)^H: |P|^2 times fewer flops
     than the sum over G.  An eigenspace basis B of h gives the constituent
     sigma(x h_p) = (B^H M(x)) (M(h_p) B) at the id of x h_p
-    (`Cosets.products`); one that still joins several irreducibles, after
-    an eigenvalue collision, is split by `_split_dense`.  The random draws
-    are those `_split_dense` makes on the induced stack, reseeded
-    (seed + attempt) on a bad one.  Each constituent is checked to be a
-    homomorphism on all pairs of quotient generators.  Ind tau must be
-    reducible, that is tau's stabilizer order must exceed 1
+    (`Cosets.products`), all (x, p) from one GEMM; one that still joins
+    several irreducibles, after an eigenvalue collision, is split by
+    `_split_dense`.  The random draws are those `_split_dense` makes on the
+    induced stack, reseeded (seed + attempt) on a bad one.  Each
+    constituent is checked to be a homomorphism on all pairs of quotient
+    generators, with one product per stack (`_check_homomorphism`).  Ind
+    tau must be reducible, that is tau's stabilizer order must exceed 1
     (`mackey_irreducible`); an irreducible one never splits and ends in
     ConvergenceFailure.
     """
@@ -476,7 +484,11 @@ def split_induced(q: QuotientGroup, conj: np.ndarray, tau: Representation,
 def _split_blocks(diag: np.ndarray, at_reps: np.ndarray, products: np.ndarray, n: int,
                   rng, depth: int = 0) -> list[np.ndarray]:
     """`split_induced` from the (|P|, |TF|, d, d) blocks S_i(x) and the
-    (|P|, D, D) coset images M(h_p), drawing as `_split_dense` does."""
+    (|P|, D, D) coset images M(h_p), drawing as `_split_dense` does.
+
+    A cluster's (|TF| m, |P| m) product block is copied once into (x, p)
+    order, so its (|TF| |P|, m, m) images go into the stack at
+    `products.ravel()` as one contiguous scatter; values are only moved."""
     k, t, d = diag.shape[:3]
     size = k * d
     if depth > 8:
@@ -506,7 +518,8 @@ def _split_blocks(diag: np.ndarray, at_reps: np.ndarray, products: np.ndarray, n
         lhs = left[:, block].reshape(k, m, t, d).transpose(2, 1, 0, 3).reshape(t * m, size)
         rhs = (at_reps @ basis).transpose(1, 0, 2).reshape(size, k * m)
         mats = np.empty((n, m, m), dtype=complex)
-        mats[products] = (lhs @ rhs).reshape(t, m, k, m).transpose(0, 2, 1, 3)
+        block = (lhs @ rhs).reshape(t, m, k, m).swapaxes(1, 2)     # [x, p, a, b]
+        mats[products.ravel()] = block.reshape(t * k, m, m)       # one contiguous copy
         out.extend(_split_dense(mats, rng, depth + 1))
     return out
 

@@ -87,6 +87,12 @@ def test_missing_file_is_io_error(capsys):
     assert code == 3
 
 
+def test_unknown_catalog_group_message_is_unquoted(capsys):
+    assert main(["analyze", "catalog:nope"]) == 3
+    assert capsys.readouterr().err == (
+        f"error: unknown catalog group 'nope'; have {', '.join(catalog.CATALOG)}\n")
+
+
 def test_spec_json_round_trip(tmp_path, capsys):
     for name in ("pg", "twistE8"):
         s = spec(name)

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -155,6 +156,32 @@ def test_little_group_translation_sandwich_twist():
         lg = rs.little_groups[idx]
         for shift in lg.translation_shifts():
             assert all((x * rs.m0).denominator == 1 for x in shift)
+
+
+def largest_little_group(name):
+    s = spec(name)
+    return max(rep_set(s).little_groups, key=lambda lg: len(lg.operations()))
+
+
+def test_little_group_check_refuses_a_dropped_operation():
+    # any 15 of a 16-element group are not closed: a b = g for the dropped g
+    # and some kept a, b
+    lg = largest_little_group("twistE8")
+    assert len(lg.operations()) == 16
+    dual._check_little_group(lg)
+    for p in lg.pairs:
+        if p == lg.spec.p_identity:
+            continue
+        pairs = {q: shifts[1:] if q == p else shifts for q, shifts in lg.pairs.items()}
+        with pytest.raises(InternalInconsistency, match="little group is not closed"):
+            dual._check_little_group(dual.LittleGroup(lg.spec, lg.rho_index, lg.m0, pairs))
+
+
+def test_little_group_check_refuses_a_missing_identity_coset():
+    lg = largest_little_group("twistE8")
+    pairs = {p: shifts for p, shifts in lg.pairs.items() if p != lg.spec.p_identity}
+    with pytest.raises(InternalInconsistency, match="misses the identity coset"):
+        dual._check_little_group(dual.LittleGroup(lg.spec, lg.rho_index, lg.m0, pairs))
 
 
 def test_null_set_examples():
@@ -362,6 +389,62 @@ def test_lazy_irreps_are_the_eager_stacks(name, N):
     atlas = enumerate_dual(catalog.CATALOG[name].build(), N)
     want = eager_irreps_oracle(spec(name), N)
     assert [r.mats.tobytes() for r in atlas.irreps] == [m.tobytes() for m in want]
+
+
+# sha256 of each reducible label's `split_induced` constituents, their
+# tobytes() concatenated, in label order at seed 0: every bit of a split
+# stack, where the atlas pins see generator images rounded or the oracle
+# calls `split_induced` itself
+SPLIT_DIGESTS = {
+    ("twistE8", 4): [
+        "2d314a63abf22321c1c8f00d21e7da306ee18b07beca3a54c79569c530b8661c",
+        "d4532914afc868d82fcdfe818b89e8807ae03f80dccefc75e3ca1c0a722e0676",
+        "2862735fdb10e10978d8195be124b8aaa3e36a675f62c73e4f05a6c275e4d8ee",
+        "023e19e875fa8b74631d2d6f795d3d5cacecd195aba8b38b28508f495a6a9aac",
+        "52d89b1c528330ae4ad7c02a48fbe780cef44adcdb2831afc8c36840e462d0f8",
+        "2cfcb9c2965c31e62b9b9662cbf332e3c7db01712c597bab51bd31a4bbac5c2a",
+        "ce9ba8da67719669f6962b53481b4eafc54a492ce6070971be1b289cfdecdf21",
+        "4ff72ac595c2a746c467bc6ddf27490a47eb81814f7eefdd33f4f5125521fd77",
+        "3a0a27582682a09ba7a5d5b35996d1ba326dc593dd7d5c2b874775998e1d64a9",
+        "64eff5c83d275fc76c3d9a6f55521570ee7a7f9688de8e819aa75069ace2dadb",
+        "3c2db1c61b661578681e021b351a45ea4fd03f198ab9808d23c8e73754e43a7f",
+        "e7330516750d16e82e14e3d31fa0fbdd773ce259b25fccb2f4262280ae00140a",
+        "fd41d85b9f36bec00375d4d7cdc4d61fbe87d7670ffe9777509c46f7a552777d",
+        "307895d61dd98e004768ec29923926b80fa0babfdc5b8dad20727df87aa7fd48",
+        "a1ce9ceccd3d70c7bc79ead08bcff24194deb166e01fe8f2395206dd6075681b",
+        "b01f6bcc776b0d8a26cea17b249f354841d1d7d70681314f6ce88513afe3112d",
+    ],
+    ("pg", 6): [
+        "6de75e3b3a52fdb584a8d9a3cd694bf50082e1ee72a10d77393a933bfab3f70a",
+        "5f7345cf19a79178b18266210bf46eb901c7c88d983d994da07d57e6584f6e9c",
+        "8852a77a1141a6414f28c0b3fe9c8c60405f97fc03b3baf6f4ea059e8c830b69",
+        "a1fc119f15f837cb6439dfbb2f35a6e9bc1eea528868ee24def3b6e7e1a111a5",
+        "19202e27661f239b729d2448c9711cde19e8932da529604aee7c2ff6cfcb8916",
+        "6eeb922a183414be6910432f14ccd725664df593c6f8207c7718323559cc51fb",
+        "74d33d43033247f4372f5f43cef5224eead4b5de7e2b8a3f3ac0467569168ef5",
+        "964bc2946a50343c6af101fdee81836cf081fcd5afde89e93780fe72a63a7678",
+        "d994cbfde3d112b1139ebebb65e3c0cc121e173fe49aa11f533eec19e3108edc",
+        "b0b022c8cb79edbc9dd48daadf18cabc10646adc891eb94b5848277f47a6e835",
+        "150bda710031446d4d0207eefdde231bfd26d405d840d89ea4a7dce1ed04d5cd",
+        "ca227c9ec759abe16fcc754844fd5d649ef28bdd91ef2b993bf0ebb99fe092ea",
+    ],
+}
+
+
+@pytest.mark.parametrize("name,N", SPLIT_DIGESTS)
+def test_split_constituents_are_pinned(name, N):
+    s, q = spec(name), quotient(name, N)
+    rs, conj = rep_set(s), coset_conjugation(q)
+    digests = []
+    for idx, rho in enumerate(rs.classes):
+        lifted = lift_representation(rho, q)
+        ops = len(rs.little_groups[idx].operations())
+        for label in wave_orbits(s, rs, idx, N):
+            if ops // label.orbit_size == 1:
+                continue
+            pieces = split_induced(q, conj, scale_by_character(chi(s, label.k), lifted))
+            digests.append(hashlib.sha256(b"".join(m.tobytes() for m in pieces)).hexdigest())
+    assert digests == SPLIT_DIGESTS[name, N]
 
 
 def stack_chars(stacks):

@@ -68,6 +68,13 @@ def test_canonical_json_of_files_is_json_dumps():
         assert io.canonical_json(payload) == reference_json(payload)
 
 
+def test_positional_and_exponent_bands_are_rewritten():
+    # orjson writes 1.5e-05 as 0.000015 and 9.99e-06 as 9.99e-6, and 1e+16 as 1e16
+    doc = np.array([1.5e-05, -1e-05, 3.827622265588717e-05, 9.99e-06, 1e16, -1.2345e16])
+    assert io.canonical_json(doc) == reference_json(doc)
+    assert io.canonical_json(doc.tolist()) == reference_json(doc.tolist())
+
+
 # where orjson's text and repr's part ways, and the extremes of float64
 BOUNDARY_FLOATS = [0.0, -0.0, 5e-324, -5e-324, np.nextafter(1e-4, 0), 1e-4, -1e-4,
                    np.nextafter(1e16, 0), 1e16, -1e16, 1.7976931348623157e308,

@@ -463,3 +463,26 @@ def test_induce_rejects_a_non_homomorphism(rng):
     unitaries, _ = np.linalg.qr(x)
     with pytest.raises(InternalInconsistency):
         induce(q, Representation(sub, unitaries))
+
+
+def negated_at_a_generator(q, mats):
+    bad = mats.copy()
+    bad[q.cosets.generators[0]] *= -1
+    return bad
+
+
+def test_homomorphism_check_refuses_a_negated_generator_image():
+    s, q = spec("twistE8"), quotient("twistE8", 2)
+    tau = scale_by_character(chi(s, (0, 0)), lift_representation(rep_set(s).classes[0], q))
+    mats = induce(q, tau).mats
+    reps._check_homomorphism(q, mats, "induced rep")
+    with pytest.raises(InternalInconsistency, match="induced rep fails homomorphism"):
+        reps._check_homomorphism(q, negated_at_a_generator(q, mats), "induced rep")
+
+
+def test_homomorphism_check_refuses_a_corrupted_split_constituent():
+    s, q = spec("twistE8"), quotient("twistE8", 4)
+    tau = scale_by_character(chi(s, (0, 0)), lift_representation(rep_set(s).classes[0], q))
+    for mats in split_induced(q, coset_conjugation(q), tau):
+        with pytest.raises(InternalInconsistency, match="split constituent fails homomorphism"):
+            reps._check_homomorphism(q, negated_at_a_generator(q, mats), "split constituent")
