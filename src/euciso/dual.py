@@ -5,7 +5,8 @@ integer lattice and the point group acts through the inverse-transpose of
 its lattice matrices (`GroupSpec.dual_points`).  Orbit and null-set
 arithmetic is exact: a wave vector k is held as an integer vector a over
 one denominator, k = a / den, and the dual action is integer arithmetic
-modulo den.
+modulo den.  So is a little group: two integer arrays, p_rep indices p and
+shifts b = m0 s on the grid [0, m0)^d2 (`groups.grid_points`).
 
 `enumerate_dual` turns the labels into the quotient's irreducibles.  Each
 label's fate is its stabilizer order, read exactly from its wave orbit, not
@@ -23,50 +24,37 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
 from .errors import InternalInconsistency
-from .groups import GroupSpec, QuotientGroup, build_quotient, find_m0
+from .groups import GroupSpec, QuotientGroup, build_quotient, find_m0, grid_place, grid_points
 from .reps import (FINGERPRINT_DECIMALS, STRUCT_TOL, Representation, check_irreducibles, chi,
                    coset_conjugation, distinct_constituents, induce, induced_character, integral,
                    irreducible_order, irreps, lift_representation, mackey_irreducible,
-                   scale_by_character, split_induced)
+                   roots_of_unity, scale_by_character, split_induced)
 
 FracVec = tuple[Fraction, ...]
-
-
-def k_shift_reps(spec: GroupSpec, m: int) -> list[FracVec]:
-    """Representatives of (dual lattice / m) modulo the dual lattice."""
-    return [tuple(Fraction(a, m) for a in vec)
-            for vec in product(range(m), repeat=spec.d2)]
 
 
 # -- the representative set of dual(TF) and its little groups ------------------
 
 @dataclass
 class LittleGroup:
-    """Point parts and dual shifts that stabilize one dual class.
+    """The operations (D_p, s) that stabilize one dual class, as two integer arrays.
 
-    `pairs` maps a p_rep index to all shift representatives s in
-    (L*/m0)/L* with g_p . rho ~ chi_s rho; the orbit action on a wave
-    vector k is k -> D_p k + s modulo the dual lattice, with D_p the
-    p-th entry of `GroupSpec.dual_points`.
+    Operation i is the p_rep index p[i] with the shift s = b[i] / m0 in
+    (L*/m0)/L*, b[i] in [0, m0)^d2, for every pair with g_p . rho ~ chi_s
+    rho: p ascending, then the shifts in grid order.  The orbit action on a
+    wave vector k is k -> D_p k + s modulo the dual lattice, with D_p the
+    p-th entry of `GroupSpec.dual_points`; the stabilizer order is len(p).
     """
 
     spec: GroupSpec
     rho_index: int
     m0: int
-    pairs: dict[int, list[FracVec]]
-
-    def operations(self) -> list[tuple[int, tuple[int, ...]]]:
-        """Every (p_rep index, m0 * s) pair; m0 * s is an integer vector."""
-        return [(p, tuple(int(x * self.m0) for x in s))
-                for p, shifts in self.pairs.items() for s in shifts]
-
-    def translation_shifts(self) -> list[FracVec]:
-        return self.pairs[self.spec.p_identity]
+    p: np.ndarray       # (ops,) p_rep indices
+    b: np.ndarray       # (ops, d2) m0 * s
 
 
 @dataclass
@@ -84,7 +72,14 @@ class RepSet:
 
 def _twist_hits(moved: np.ndarray, twists: np.ndarray) -> np.ndarray:
     """(|P|, |shifts|) mask: character moved[p] equals twists[s] within STRUCT_TOL."""
-    return np.array([np.abs(twists - m).max(axis=1) <= STRUCT_TOL for m in moved])
+    return np.abs(twists[None] - moved[:, None]).max(axis=2) <= STRUCT_TOL
+
+
+def _shift_phases(sub, shifts: np.ndarray, m0: int) -> np.ndarray:
+    """(|shifts|, |sub|) phases of chi_s on a subgroup view for the shifts
+    s = b / m0 of an integer (|shifts|, d2) stack b, read from one table of
+    the m0-th roots of unity as `WaveCharacter.phases` reads its own."""
+    return roots_of_unity(m0)[(shifts @ sub.exponents.T) % m0]
 
 
 def rep_set(spec: GroupSpec, seed: int = 0) -> RepSet:
@@ -94,15 +89,16 @@ def rep_set(spec: GroupSpec, seed: int = 0) -> RepSet:
     and shift s satisfy g_p . rho ~ chi_s rho'.  This is the one place that
     decides the relation, on characters: g_p . rho has the character
     rho.char[coset_conjugation(q)[p]] and chi_s rho the shift's phases
-    times rho.char.  A candidate that matches no kept class becomes one,
-    and matching it against its own twists gives its little group.
+    times rho.char, for the shifts s = b / m0 on the grid b in [0, m0)^d2.
+    A candidate that matches no kept class becomes one, and matching it
+    against its own twists gives its little group.
     """
     m0 = find_m0(spec).m0
     q = build_quotient(spec, m0)
     sub = q.tf_subgroup()
-    shifts = k_shift_reps(spec, m0)
+    shifts = grid_points(m0, spec.d2)
     conj = coset_conjugation(q)
-    phases = np.array([chi(spec, k).phases(sub) for k in shifts])
+    phases = _shift_phases(sub, shifts, m0)
 
     # twists[i] holds the characters chi_s * classes[i], one row per shift s
     classes, twists, little_groups, provenance = [], [], [], []
@@ -113,14 +109,12 @@ def rep_set(spec: GroupSpec, seed: int = 0) -> RepSet:
             if len(hits):
                 p, si = hits[0].tolist()
                 provenance.append({"candidate": ci, "matched_class": ki, "p_index": p,
-                                   "shift": shifts[si]})
+                                   "shift": tuple(Fraction(int(x), m0) for x in shifts[si])})
                 break
         else:
             twists.append(phases * rho.char)
-            hits = _twist_hits(moved, twists[-1])
-            lg = LittleGroup(spec, len(classes), m0,
-                             {p: [shifts[si] for si in np.flatnonzero(row)]
-                              for p, row in enumerate(hits) if row.any()})
+            p, si = np.nonzero(_twist_hits(moved, twists[-1]))
+            lg = LittleGroup(spec, len(classes), m0, p, shifts[si])
             _check_little_group(lg)
             classes.append(rho)
             little_groups.append(lg)
@@ -128,27 +122,21 @@ def rep_set(spec: GroupSpec, seed: int = 0) -> RepSet:
 
 
 def _check_little_group(lg: LittleGroup) -> None:
-    """InternalInconsistency unless lg holds the identity coset, the dual
-    lattice and only shifts in L*/m0, and is closed under composition.
+    """InternalInconsistency unless lg holds the identity coset and the dual
+    lattice and is closed under composition.
 
-    Closure is one integer-array test: each operation (p, b mod m0), with b
-    = m0 s, is one integer code, and the codes of all pairwise
-    compositions (p1 p2, b1 + D_p1 b2 mod m0) must lie among them."""
-    spec, m0 = lg.spec, lg.m0
-    if spec.p_identity not in lg.pairs:
+    Closure is one integer-array test: each operation (p, b) is one integer
+    code, and the codes of all pairwise compositions (p1 p2, b1 + D_p1 b2
+    mod m0) must lie among them."""
+    spec, m0, p, b = lg.spec, lg.m0, lg.p, lg.b
+    identity = p == spec.p_identity
+    if not identity.any():
         raise InternalInconsistency("little group misses the identity coset")
-    trans = lg.translation_shifts()
-    if not any(all(x % 1 == 0 for x in s) for s in trans):
+    if not (b[identity] == 0).all(axis=1).any():
         raise InternalInconsistency("dual lattice does not embed in the little group")
-    if any((x * m0).denominator != 1 for s in trans for x in s):
-        raise InternalInconsistency("little-group translations exceed L*/m0")
-    p, b = zip(*lg.operations())
-    p = np.array(p, dtype=np.int64)
-    b = np.array(b, dtype=np.int64).reshape(len(p), spec.d2) % m0
-    radix = m0 ** np.arange(spec.d2, dtype=np.int64)
 
-    def codes(p, b):    # (p, b mod m0) as one integer
-        return p * m0 ** spec.d2 + b @ radix
+    def codes(p, b):    # (p, b) as one integer
+        return p * m0 ** spec.d2 + b @ grid_place(m0, spec.d2)
 
     # (p1, b1)(p2, b2) = (p1 p2, b1 + D_p1 b2) for every pair at once
     moved = np.einsum("aij,bj->abi", spec.dual_points[p], b)
@@ -198,19 +186,17 @@ class WaveLabel:
 def wave_orbits(spec: GroupSpec, rs: RepSet, rho_index: int, N: int) -> list[WaveLabel]:
     """Partition of the N-grid of wave vectors under one little group.
 
-    Grid points are integer vectors a in [0, N)^d2, k = a / N, and the
-    operation (D_p, s) maps a to D_p a + N s mod N.  The little group is
+    Grid points are integer vectors a in [0, N)^d2, k = a / N, in code
+    order, and the operation (p, b) of the little group's arrays maps a to
+    D_p a + (N / m0) b mod N, all of them at once.  The little group is
     closed, so the orbit of a point is the set of its images; the
     canonical representative is the lexicographically least one.
     """
     if N % rs.m0 != 0:
         raise InternalInconsistency("orbit level must be a multiple of m0")
-    p, b = zip(*rs.little_groups[rho_index].operations())
-    grid = np.array(list(product(range(N), repeat=spec.d2)), dtype=np.int64)
-    radix = N ** np.arange(spec.d2 - 1, -1, -1)     # grid vector -> its row, in lex order
-    images = (np.einsum("oij,nj->noi", spec.dual_points[list(p)], grid)
-              + (N // rs.m0) * np.array(b, dtype=np.int64)) % N
-    codes = images @ radix                          # (grid point, operation) -> image row
+    lg, grid = rs.little_groups[rho_index], grid_points(N, spec.d2)
+    images = (np.einsum("oij,nj->noi", spec.dual_points[lg.p], grid) + (N // rs.m0) * lg.b) % N
+    codes = images @ grid_place(N, spec.d2)         # (grid point, operation) -> image row
     reps, orbit_of, counts = np.unique(codes.min(axis=1), return_inverse=True,
                                        return_counts=True)
     images_of_rep = np.sort(codes[reps], axis=1)
@@ -359,7 +345,7 @@ def enumerate_dual(spec: GroupSpec, N: int, seed: int = 0) -> DualAtlas:
     Groups*, sections 7-8), characters first.  A label's representation is
     induced from its twisted class tau = chi_k rho on the TF part, and
     `induced_character` gives its character without matrices.  The label's
-    stabilizer order, len(operations()) of its class's little group over
+    stabilizer order, len(p) of its class's little group over
     its orbit size (orbit-stabilizer), decides what is built, and
     `reps.mackey_irreducible` checks it against the induced norm.  An
     irreducible induced representation (order 1) gets no stack here, and
@@ -391,7 +377,7 @@ def enumerate_dual(spec: GroupSpec, N: int, seed: int = 0) -> DualAtlas:
     rs = rep_set(spec, seed=seed)
     sub, conj = q.tf_subgroup(), coset_conjugation(q)
     orbits = [wave_orbits(spec, rs, rho_index, N) for rho_index in range(len(rs.classes))]
-    little_orders = [len(lg.operations()) for lg in rs.little_groups]
+    little_orders = [len(lg.p) for lg in rs.little_groups]
     twisted = np.empty((sum(map(len, orbits)), sub.order), dtype=complex)
     induced = np.empty_like(twisted)
     rows: list[tuple[WaveLabel, int, bool, float]] = []

@@ -550,6 +550,17 @@ def tf_slice(spec: GroupSpec) -> GroupSpec:
 
 # -- finite quotients --------------------------------------------------------
 
+def grid_place(N: int, d2: int) -> np.ndarray:
+    """The place vector of the grid [0, N)^d2: code(n) = n @ grid_place(N, d2)."""
+    return N ** np.arange(d2 - 1, -1, -1, dtype=np.int64)
+
+
+def grid_points(N: int, d2: int) -> np.ndarray:
+    """The (N^d2, d2) int64 grid [0, N)^d2 in code order, which is the order
+    of itertools.product(range(N), repeat=d2): row r holds r's base-N digits."""
+    return np.arange(N ** d2, dtype=np.int64)[:, None] // grid_place(N, d2) % N
+
+
 def _outside(x: np.ndarray, bound: int) -> bool:
     """True iff some entry of x lies outside [0, bound)."""
     return x.size > 0 and bool(x.min() < 0 or x.max() >= bound)
@@ -650,7 +661,7 @@ class QuotientGroup:
         self.order = N ** spec.d2 * spec.f_order * spec.rot_order
         self.elements = range(self.order)
         self.identity = self.reduce(NormalForm((0,) * spec.d2, spec.f_identity, spec.p_identity))
-        self._place = N ** np.arange(spec.d2 - 1, -1, -1, dtype=np.int64)   # code(n) = n @ _place
+        self._place = grid_place(N, spec.d2)        # code(n) = n @ _place
         self._table: np.ndarray | None = None
         self._inverse: np.ndarray | None = None
         self._atlases: dict = {}    # seed -> DualAtlas, kept by dual.enumerate_dual
@@ -711,9 +722,7 @@ class QuotientGroup:
     # -- products ---------------------------------------------------------------
 
     def mul(self, i: int, j: int) -> int:
-        """i*j for two ids, read from the table once it is built; see `products`."""
-        if self._table is not None:
-            return int(self._table[i, j])
+        """i*j for two ids; see `products`."""
         return int(self.products(i, j))
 
     def inv(self, i: int) -> int:
@@ -722,22 +731,24 @@ class QuotientGroup:
     def products(self, a, b) -> np.ndarray:
         """The ids of a*b for two id arrays that broadcast together.
 
-        Once the table is built, it is indexed with them as they are, and a
-        request for more than order^2 / TABLE_BREAK_EVEN products builds it
-        first.  Any other request is collected pair by pair, by the formula
-        of `mult_table`, after ids outside [0, order) are refused.
+        Ids outside [0, order) are refused first, with ValueError.  Once the
+        table is built, it is indexed with them, and a request for more than
+        order^2 / TABLE_BREAK_EVEN products builds it first.  Any other
+        request is collected pair by pair, by the formula of `mult_table`.
         """
+        a, b = self._checked_ids(a), self._checked_ids(b)
         if self._table is None and np.broadcast(a, b).size * TABLE_BREAK_EVEN > self.order ** 2:
             self.mult_table()
         if self._table is not None:
             return self._table[a, b]
-        return self._collected(*np.broadcast_arrays(self._checked_ids(a), self._checked_ids(b)))
+        return self._collected(*np.broadcast_arrays(a, b))
 
     def inverses(self, x) -> np.ndarray:
-        """The ids of x^-1 for an id array, read from the table once it is built."""
+        """The ids of x^-1 for an id array, checked as `products` checks them."""
+        x = self._checked_ids(x)
         if self._table is not None:
             return self._inverse[x]
-        return self._collected(*self._inverse_factors(self._checked_ids(x)))
+        return self._collected(*self._inverse_factors(x))
 
     def _collected(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """a*b by the formula of `mult_table`, for id arrays of one shape, 8192
@@ -805,7 +816,7 @@ class QuotientGroup:
             return v % N @ self._place
 
         cells = N ** d2
-        grid = np.arange(cells)[:, None] // self._place % N        # exponents in code order
+        grid = grid_points(N, d2)
         g_q = spec.section_q(grid)
         t_q = np.array([t.q for t in spec.t_lifts]).reshape(d2, d1, d1)
         units = np.eye(d2, dtype=np.int64)

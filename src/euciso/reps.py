@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import (CapExceeded, ConvergenceFailure, InternalInconsistency,
                      NotAMember)
-from .groups import GroupSpec, QuotientGroup, SubgroupView
+from .groups import GroupSpec, QuotientGroup, SubgroupView, _outside
 
 STRUCT_TOL = 1e-6         # character comparisons, multiplicities, character norms
 IRREDUCIBLE_TOL = 1e-3    # |<chi, chi> - 1| below this marks a solver block irreducible
@@ -79,8 +79,9 @@ class Representation:
 
     def rows(self, ids) -> np.ndarray:
         """Stack rows of parent element ids; KeyError for an id outside the domain."""
-        rows = self.domain.local[ids]
-        if np.any(rows < 0):
+        ids, local = np.asarray(ids), self.domain.local
+        rows = None if _outside(ids, len(local)) else local[ids]
+        if rows is None or np.any(rows < 0):
             raise KeyError("element id outside the representation's domain")
         return rows
 
@@ -335,6 +336,12 @@ def quotient_irreps(q: QuotientGroup, seed: int = 0) -> list[Representation]:
 
 # -- wave characters ----------------------------------------------------------
 
+def roots_of_unity(den: int) -> np.ndarray:
+    """exp(2 pi i j / den) for j in [0, den), as `WaveCharacter.value` computes
+    each: the table every phase of a wave vector over den is read from."""
+    return np.array([cmath.exp(2j * cmath.pi * (j / den)) for j in range(den)])
+
+
 @dataclass(frozen=True)
 class WaveCharacter:
     """One-dimensional character of the translation-kernel subgroup.
@@ -359,8 +366,7 @@ class WaveCharacter:
         """
         den = math.lcm(*(x.denominator for x in self.k))
         a = np.array([int(x * den) for x in self.k], dtype=np.int64)
-        roots = np.array([cmath.exp(2j * cmath.pi * (j / den)) for j in range(den)])
-        return roots[(domain.exponents @ a) % den]
+        return roots_of_unity(den)[(domain.exponents @ a) % den]
 
     def on(self, q: QuotientGroup) -> Representation:
         """The character as a 1-dim representation of the TF part of q."""

@@ -14,7 +14,6 @@ multiplication table is built only where a check reads a large share of it.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,7 +23,7 @@ from .errors import (BadModulus, IntegralityViolation, InternalInconsistency,
                      NotAMember, NotCoprime)
 # normal_form is unused here; perfbench's tests check that its tracer wraps this copy
 from .groups import (GroupSpec, NormalForm, QuotientGroup, build_quotient,  # noqa: F401
-                     find_m0, normal_form, normal_forms)
+                     find_m0, grid_points, normal_form, normal_forms)
 
 
 def _coboundary(spec: GroupSpec, tau: np.ndarray) -> np.ndarray:
@@ -200,8 +199,7 @@ def split_quotient(spec: GroupSpec, m: int, n: int) -> SplitCertificate:
 
     # normal factor: the m-th section powers mod N
     d, d2, one_p = spec.points[0], spec.d2, spec.p_identity
-    vecs = np.array(list(itertools.product(range(n), repeat=d2)),
-                    dtype=np.int64).reshape(n ** d2, d2)
+    vecs = grid_points(n, d2)
     normal = set(q.ids(*normal_forms(spec, np.linalg.matrix_power(spec.section_q(vecs), m),
                                      [one_p] * len(vecs), d * m * vecs), one_p).tolist())
     checks.append(SplitCheck("normal-order", len(normal) == n ** spec.d2,

@@ -8,7 +8,6 @@ the violated invariant; the command exits nonzero if any check fails.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,8 +19,8 @@ from .errors import CapExceeded, EucisoError, InternalInconsistency
 from .fourier import (PeriodicFunction, SummableFunction, convolve,
                       inner_product, inverse_transform, plancherel_pairing,
                       transform, translate)
-from .groups import (GroupSpec, build_quotient, find_m0, is_power_normal, normal_form,
-                     normal_forms, normal_forms_of, validate_spec)
+from .groups import (GroupSpec, build_quotient, find_m0, grid_points, is_power_normal,
+                     normal_form, normal_forms, normal_forms_of, validate_spec)
 from .reps import IDENTITY_TOL, STRUCT_TOL, char_inner, irreps
 from .splitting import cocycle, split_quotient, verify_certificate
 
@@ -124,8 +123,7 @@ def run_suite(spec: GroupSpec, seed: int = 0) -> VerifyReport:
             except InternalInconsistency as exc:
                 spot_failure = spot_failure or str(exc)
             ok_orders &= _generated_order(q) == N ** spec.d2 * spec.f_order * spec.rot_order
-            grid = np.array(list(itertools.product(range(N), repeat=spec.d2)),
-                            dtype=np.int64).reshape(N ** spec.d2, spec.d2)
+            grid = grid_points(N, spec.d2)
             units = np.tile(np.eye(spec.d2, dtype=np.int64), (len(grid), 1))
             ok_section &= _table_products_agree(q, np.repeat(grid, spec.d2, axis=0), units)
     except (InternalInconsistency, CapExceeded) as exc:

@@ -9,7 +9,7 @@ from hypothesis import settings
 
 from euciso import catalog, io
 from euciso import isometry as iso
-from euciso.dual import enumerate_dual, k_shift_reps, rep_set, wave_orbits
+from euciso.dual import enumerate_dual, rep_set, wave_orbits
 from euciso.errors import ConvergenceFailure, InternalInconsistency, NotAMember
 from euciso.fourier import FourierTable, PeriodicFunction
 from euciso.groups import (GroupSpec, NormalForm, build_quotient, find_m0, normal_form,
@@ -208,6 +208,21 @@ def dual_action(q, g, r):
     if (rows < 0).any():
         raise InternalInconsistency("conjugation left the subgroup")
     return Representation(sub, r.mats[rows])
+
+
+def k_shift_reps(s, m):
+    """Oracle input: representatives of (dual lattice / m) modulo the dual
+    lattice as Fraction vectors, in grid order."""
+    return [tuple(Fraction(a, m) for a in vec) for vec in itertools.product(range(m), repeat=s.d2)]
+
+
+def little_group_pairs(lg):
+    """A little group's (p, b) arrays in `rep_set_oracle`'s form: each p_rep
+    index mapped to its shifts s = b / m0 as Fraction vectors, in order."""
+    pairs = {}
+    for p, b in zip(lg.p.tolist(), lg.b.tolist()):
+        pairs.setdefault(p, []).append(tuple(Fraction(x, lg.m0) for x in b))
+    return pairs
 
 
 def rep_set_oracle(s, seed=0):

@@ -7,16 +7,17 @@ from hypothesis import given, settings, strategies as st
 
 from euciso import catalog, dual
 from euciso import isometry as iso
-from euciso.dual import enumerate_dual, k_shift_reps, null_set_member, rep_set, wave_orbits
+from euciso.dual import enumerate_dual, null_set_member, rep_set, wave_orbits
 from euciso.errors import InternalInconsistency
-from euciso.groups import GroupSpec, build_quotient, find_m0, tf_slice, validate_spec
+from euciso.groups import (GroupSpec, build_quotient, find_m0, grid_points, tf_slice,
+                           validate_spec)
 from euciso.reps import (STRUCT_TOL, char_norm_sq, chi, coset_conjugation, equivalent, induce,
                          induced_character, irreps, lift_representation, mackey_irreducible,
                          multiplicities, scale_by_character, split_induced)
 
 from conftest import (c5_quarter_spec, constituents, dual_action, eager_irreps_oracle,
-                      p_rep_element, quotient, rep_set_oracle, s3_plane_spec, spec,
-                      stabilizer_oracle)
+                      k_shift_reps, little_group_pairs, p_rep_element, quotient,
+                      rep_set_oracle, s3_plane_spec, spec, stabilizer_oracle)
 
 
 def dual_point_matrix(p):
@@ -27,7 +28,7 @@ def dual_point_matrix(p):
 def oracle_operations(s, lg):
     """The little group's operations mapped back to (D_p, s) with s in Fractions."""
     return [(dual_point_matrix(s.p_reps[p].p), tuple(Fraction(x, lg.m0) for x in b))
-            for p, b in lg.operations()]
+            for p, b in zip(lg.p.tolist(), lg.b.tolist())]
 
 
 def null_oracle(s, k):
@@ -108,8 +109,23 @@ def test_rep_set_matches_the_stack_oracle(build):
     assert len(rs.classes) == len(classes)
     assert all(np.array_equal(a.char, b.char) for a, b in zip(rs.classes, classes))
     assert rs.provenance == provenance
-    assert [lg.pairs for lg in rs.little_groups] == pairs
+    assert [little_group_pairs(lg) for lg in rs.little_groups] == pairs
     assert [lg.rho_index for lg in rs.little_groups] == list(range(len(classes)))
+
+
+@pytest.mark.parametrize("build", TWIST_SPECS)
+def test_shift_phases_are_the_wave_characters(build):
+    # rep_set reads every shift's phases from one roots-of-unity table over
+    # m0; each row must be chi(spec, b / m0).phases bit for bit
+    s = build()
+    m0 = find_m0(s).m0
+    sub = build_quotient(s, m0).tf_subgroup()
+    shifts = grid_points(m0, s.d2)
+    phases = dual._shift_phases(sub, shifts, m0)
+    assert phases.shape == (m0 ** s.d2, sub.order)
+    for b, row in zip(shifts.tolist(), phases):
+        wave = chi(s, tuple(Fraction(x, m0) for x in b)).phases(sub)
+        assert row.tobytes() == wave.tobytes(), b
 
 
 @pytest.mark.parametrize("build", TWIST_SPECS)
@@ -122,7 +138,7 @@ def test_mackey_verdict_matches_the_stack_oracle(build):
         q = build_quotient(s, N)
         for idx, rho in enumerate(rs.classes):
             lifted = lift_representation(rho, q)
-            ops = len(rs.little_groups[idx].operations())
+            ops = len(rs.little_groups[idx].p)
             for label in wave_orbits(s, rs, idx, N):
                 twisted = scale_by_character(chi(s, label.k), lifted)
                 norm = char_norm_sq(induce(q, twisted))
@@ -134,17 +150,16 @@ def test_little_group_p1():
     s = spec("p1")
     rs = rep_set(s)
     lg = rs.little_groups[0]
-    assert set(lg.pairs) == {0}
-    assert lg.pairs[0] == [(Fraction(0), Fraction(0))]
+    assert lg.p.tolist() == [0]
+    assert lg.b.tolist() == [[0, 0]]
 
 
 def test_little_group_pg_trivial_class():
     s = spec("pg")
     rs = rep_set(s)
     lg = rs.little_groups[0]
-    assert set(lg.pairs) == {0, 1}
-    assert all(shifts == [(Fraction(0), Fraction(0))]
-               for shifts in lg.pairs.values())
+    assert lg.p.tolist() == [0, 1]
+    assert lg.b.tolist() == [[0, 0], [0, 0]]
     assert s.dual_points[1].tolist() == [[1, 0], [0, -1]]
 
 
@@ -154,34 +169,58 @@ def test_little_group_translation_sandwich_twist():
     assert rs.m0 == 2
     for idx in range(len(rs.classes)):
         lg = rs.little_groups[idx]
-        for shift in lg.translation_shifts():
-            assert all((x * rs.m0).denominator == 1 for x in shift)
+        # every shift s = b / m0 lies in L*/m0: b is an integer vector in [0, m0)^d2
+        assert lg.b.dtype.kind == "i" and lg.b.shape == (len(lg.p), s.d2)
+        assert ((0 <= lg.b) & (lg.b < rs.m0)).all()
 
 
 def largest_little_group(name):
     s = spec(name)
-    return max(rep_set(s).little_groups, key=lambda lg: len(lg.operations()))
+    return max(rep_set(s).little_groups, key=lambda lg: len(lg.p))
+
+
+def kept_operations(lg, keep):
+    """The little group lg with only the operations where the mask keep holds."""
+    return dual.LittleGroup(lg.spec, lg.rho_index, lg.m0, lg.p[keep], lg.b[keep])
 
 
 def test_little_group_check_refuses_a_dropped_operation():
     # any 15 of a 16-element group are not closed: a b = g for the dropped g
     # and some kept a, b
     lg = largest_little_group("twistE8")
-    assert len(lg.operations()) == 16
+    assert len(lg.p) == 16
     dual._check_little_group(lg)
-    for p in lg.pairs:
+    for p in np.unique(lg.p):
         if p == lg.spec.p_identity:
             continue
-        pairs = {q: shifts[1:] if q == p else shifts for q, shifts in lg.pairs.items()}
+        keep = np.ones(len(lg.p), dtype=bool)
+        keep[np.flatnonzero(lg.p == p)[0]] = False      # p's first shift
         with pytest.raises(InternalInconsistency, match="little group is not closed"):
-            dual._check_little_group(dual.LittleGroup(lg.spec, lg.rho_index, lg.m0, pairs))
+            dual._check_little_group(kept_operations(lg, keep))
 
 
 def test_little_group_check_refuses_a_missing_identity_coset():
     lg = largest_little_group("twistE8")
-    pairs = {p: shifts for p, shifts in lg.pairs.items() if p != lg.spec.p_identity}
     with pytest.raises(InternalInconsistency, match="misses the identity coset"):
-        dual._check_little_group(dual.LittleGroup(lg.spec, lg.rho_index, lg.m0, pairs))
+        dual._check_little_group(kept_operations(lg, lg.p != lg.spec.p_identity))
+
+
+def test_little_group_check_refuses_a_missing_dual_lattice():
+    # drop (p_identity, 0) from a little group whose identity coset holds
+    # another shift: the identity coset is still there, the lattice is not
+    checked = 0
+    for name in catalog.names():
+        for lg in rep_set(spec(name)).little_groups:
+            identity = lg.p == lg.spec.p_identity
+            zero = identity & (lg.b == 0).all(axis=1)
+            if identity.sum() < 2:
+                continue
+            assert zero.sum() == 1
+            with pytest.raises(InternalInconsistency,
+                               match="dual lattice does not embed in the little group"):
+                dual._check_little_group(kept_operations(lg, ~zero))
+            checked += 1
+    assert checked
 
 
 def test_null_set_examples():
@@ -327,7 +366,7 @@ def test_character_norms_are_the_stabilizer_orders(name, N):
     # tau's stabilizer, read from the wave orbit by orbit-stabilizer
     s = spec(name)
     atlas = enumerate_dual(s, N)
-    ops = [len(lg.operations()) for lg in atlas.rep_set.little_groups]
+    ops = [len(lg.p) for lg in atlas.rep_set.little_groups]
     for r in atlas.labels:
         stabilizer = ops[r.label.rho_index] // r.label.orbit_size
         assert abs(r.char_norm - stabilizer) <= STRUCT_TOL, (r.label, r.char_norm)
@@ -342,9 +381,7 @@ def test_a_little_group_missing_an_operation_fails_loudly(monkeypatch):
 
     def short(spec, seed=0):
         rs = original(spec, seed=seed)
-        lg = rs.little_groups[0]
-        pairs = {p: shifts for p, shifts in lg.pairs.items() if p != 1}
-        rs.little_groups[0] = dual.LittleGroup(lg.spec, lg.rho_index, lg.m0, pairs)
+        rs.little_groups[0] = kept_operations(rs.little_groups[0], rs.little_groups[0].p != 1)
         return rs
 
     monkeypatch.setattr(dual, "rep_set", short)
@@ -438,7 +475,7 @@ def test_split_constituents_are_pinned(name, N):
     digests = []
     for idx, rho in enumerate(rs.classes):
         lifted = lift_representation(rho, q)
-        ops = len(rs.little_groups[idx].operations())
+        ops = len(rs.little_groups[idx].p)
         for label in wave_orbits(s, rs, idx, N):
             if ops // label.orbit_size == 1:
                 continue

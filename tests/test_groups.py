@@ -10,7 +10,7 @@ from euciso import catalog, groups
 from euciso import isometry as iso
 from euciso.errors import BadModulus, CapExceeded, InternalInconsistency, NotAMember
 from euciso.groups import (GroupSpec, NormalForm, _divisors, automorphism_count,
-                           build_quotient, find_m0, is_power_normal,
+                           build_quotient, find_m0, grid_place, grid_points, is_power_normal,
                            normal_form, normal_forms_of, tf_slice, validate_spec)
 from euciso.isometry import Isometry, rotation2
 
@@ -741,6 +741,34 @@ def test_products_broadcast_and_refuse_what_is_no_id():
         with pytest.raises(ValueError):
             q.inverses([0, bad])
     assert q._table is None
+
+
+def test_ids_outside_the_quotient_are_refused_with_and_without_the_table():
+    # the table is indexed only after the check, so -1 cannot wrap to the last id
+    q = fresh_quotient(spec("twistE8"), 2)
+    for _ in range(2):
+        for bad in (-1, q.order):
+            for a, b in [(bad, 0), (0, bad), ([0, bad], 0), (0, [[bad], [0]])]:
+                with pytest.raises(ValueError):
+                    q.products(a, b)
+            for i, j in [(bad, 0), (0, bad)]:
+                with pytest.raises(ValueError):
+                    q.mul(i, j)
+            with pytest.raises(ValueError):
+                q.inverses([0, bad])
+            with pytest.raises(ValueError):
+                q.inv(bad)
+        q.mult_table()
+    assert q._table is not None
+
+
+@pytest.mark.parametrize("N", [1, 2, 5])
+@pytest.mark.parametrize("d2", [0, 1, 2, 3])
+def test_grid_points_are_in_product_order(d2, N):
+    grid = grid_points(N, d2)
+    assert grid.dtype == np.int64 and grid.shape == (N ** d2, d2)
+    assert grid.tolist() == [list(v) for v in itertools.product(range(N), repeat=d2)]
+    assert np.array_equal(grid @ grid_place(N, d2), np.arange(N ** d2))
 
 
 def test_products_past_the_cap_are_refused_before_any_is_formed():

@@ -273,6 +273,18 @@ def test_matrix_lookup_outside_the_domain_raises():
         wave.matrix(p_rep_element(q, 1))
 
 
+def test_matrix_lookup_outside_the_parent_ids_raises():
+    # -1 must not wrap to the last id, on a quotient or on its TF part
+    q = quotient("pg", 3)
+    wave = chi(q.spec, (Fraction(1, 3), 0)).on(q)
+    for rho in (irreps(q)[-1], wave):
+        for bad in (-1, -q.order, q.order):
+            with pytest.raises(KeyError):
+                rho.matrix(bad)
+            with pytest.raises(KeyError):
+                rho.rows([0, bad])
+
+
 def test_wave_character_equivalences():
     s = spec("pg")
     q = quotient("pg", 3)
