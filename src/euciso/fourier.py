@@ -11,7 +11,10 @@ transform is a product with the group's Fourier matrix (Clausen and Baum,
 Fast Fourier Transforms, 1993): the atlas holds the k irreducibles of each
 dimension d as one (n, k, d, d) array (`DualAtlas.stacks`), built once per
 quotient and seed, so the transform and the inverse make one matrix
-product per irreducible dimension on it as it is, and copy no stack.
+product per irreducible dimension on it as it is, and copy no stack.  A
+finitely supported function's series, which the convolution identity
+checks, reads the same stacks: one Kronecker accumulation per dimension
+and support term.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import numpy as np
 from .dual import DualAtlas, enumerate_dual
 from .errors import IncompatibleShapes, IncompleteTable
 from .groups import GroupSpec, NormalForm, QuotientGroup, build_quotient, normal_form
-from .reps import Representation
 
 
 class PeriodicFunction:
@@ -200,13 +202,26 @@ class SummableFunction:
             u[nf] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         return u
 
-    def transform_at(self, rho: Representation, q: QuotientGroup) -> np.ndarray:
-        """Unnormalized series sum_g u(g) (x) rho(g) over the finite support."""
-        m, n = self.shape
-        acc = np.zeros((m * rho.dim, n * rho.dim), dtype=complex)
-        for nf, val in self.support.items():
-            acc += np.kron(val, rho.matrix(q.reduce(nf)))
-        return acc
+    def transform_at(self, atlas: DualAtlas) -> dict[int, np.ndarray]:
+        """Unnormalized series sum_g u(g) (x) rho(g) over the finite support,
+        keyed by each irreducible's index in the atlas's basis.  Each
+        dimension's stack takes the terms in support order, from zeros."""
+        q, (m, n) = atlas.q, self.shape
+        ids = [q.reduce(nf) for nf in self.support]
+        out = {}
+        for d, (idx, stack) in atlas.stacks.items():
+            acc = np.zeros((len(idx), m * d, n * d), dtype=complex)
+            for g, val in zip(ids, self.support.values()):
+                acc += kron_stack(val, stack[g])
+            out.update(zip(idx, acc))
+        return dict(sorted(out.items()))
+
+
+def kron_stack(a: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """a (x) mats[j] for each matrix of the (k, d, d) stack, as one (k, m d, n d)
+    array whose every entry is the one product a_il mats[j]_bc, as np.kron forms it."""
+    (m, n), (k, d, _) = a.shape, mats.shape
+    return (a[None, :, None, :, None] * mats[:, None, :, None, :]).reshape(k, m * d, n * d)
 
 
 def convolve(u: SummableFunction, v: PeriodicFunction) -> PeriodicFunction:

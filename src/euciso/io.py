@@ -15,8 +15,9 @@ those whose text orjson writes otherwise than json (0 < |x| < 1e-4, |x| from
 file is written with one entry per element, in id order; a reader takes
 any subset of the elements, each at most once, and sets the others to
 zero.  A Fourier table records the seed and the fingerprint of the atlas
-basis it was computed in and is read back only in that basis.  Both
-readers refuse a count, index or size that is not an integer.
+basis it was computed in and is read back only in that basis.  The
+readers refuse a count, index, size, dimension or point part entry that is
+not an integer.
 """
 
 from __future__ import annotations
@@ -47,6 +48,16 @@ def parse_fraction(s) -> Fraction:
     if isinstance(s, int):
         return Fraction(s)
     return Fraction(str(s))
+
+
+def json_int(value, what: str, least: int | None = None) -> int:
+    """An integer field of a spec, function or table file; ValueError for a float,
+    a bool, a string or anything else, or for a value below `least`."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or (least is not None and value < least)):
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{what} must be an integer{bound}, not {value!r}")
+    return int(value)
 
 
 def complex_pairs(m: np.ndarray) -> np.ndarray:
@@ -83,7 +94,7 @@ def spec_to_dict(spec: GroupSpec) -> dict:
 
 def spec_from_dict(data: dict) -> GroupSpec:
     try:
-        d1, d2 = int(data["d1"]), int(data["d2"])
+        d1, d2 = json_int(data["d1"], "d1", 0), json_int(data["d2"], "d2", 0)
         tol = float(data.get("tol", DEFAULT_TOL))
         f_elements = [np.array(f, dtype=float).reshape(d1, d1)
                       for f in data["f_elements"]]
@@ -97,7 +108,7 @@ def spec_from_dict(data: dict) -> GroupSpec:
         for entry in data["p_reps"]:
             p_reps.append(Isometry(
                 np.array(entry["q"], dtype=float).reshape(d1, d1),
-                entry["p"],
+                [[json_int(x, "a point part entry") for x in row] for row in entry["p"]],
                 [parse_fraction(t) for t in entry["tau"]]))
         return GroupSpec(str(data["name"]), d1, d2, f_elements, t_lifts, p_reps,
                          tol=tol)
@@ -116,16 +127,6 @@ def save_spec(spec: GroupSpec, path: str) -> None:
 
 
 # -- periodic functions ---------------------------------------------------------
-
-def json_int(value, what: str, least: int | None = None) -> int:
-    """An integer field of a function or table file; ValueError for a float,
-    a bool, a string or anything else, or for a value below `least`."""
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or (least is not None and value < least)):
-        bound = "" if least is None else f" >= {least}"
-        raise ValueError(f"{what} must be an integer{bound}, not {value!r}")
-    return int(value)
-
 
 def _header(data: dict, q: QuotientGroup, kind: str) -> tuple[int, int]:
     """The (m, n) shape of a function or table file, once its group and

@@ -7,11 +7,15 @@ An element of O(d1) + E(d2) is stored as three blocks:
   tau  length-d2 tuple of Fractions, the translation in lattice coordinates.
 
 The (p, tau) blocks are exact; all lattice and dual-lattice membership
-tests downstream rely on that.
+tests downstream rely on that.  `Isometry(...)` validates and copies what
+it is given; `compose` forms its product's blocks itself, the translation
+as integer numerators over one denominator, and hands them over without
+that pass.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -28,8 +32,16 @@ def frac_vector(values) -> FracVector:
     return tuple(Fraction(v) for v in values)
 
 
+def _integer(x) -> int:
+    value = int(x)
+    if value != x:
+        raise ValueError(f"point part entry {x!r} is not an integer")
+    return value
+
+
 def int_matrix(rows) -> IntMatrix:
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    """Rows of integers; ValueError for an entry that is not integral (1.9, not 1)."""
+    return tuple(tuple(_integer(x) for x in row) for row in rows)
 
 
 def identity_int_matrix(d: int) -> IntMatrix:
@@ -42,11 +54,6 @@ def pmat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
         tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
         for i in range(n)
     )
-
-
-def pmat_vec(a: IntMatrix, v) -> FracVector:
-    n = len(a)
-    return tuple(sum(a[i][k] * v[k] for k in range(n)) for i in range(n))
 
 
 def pmat_det(a: IntMatrix) -> int:
@@ -107,22 +114,26 @@ def orth_deviation(q: np.ndarray) -> float:
 
 
 class Isometry:
-    """One group element; immutable after construction."""
+    """One group element; immutable after construction.  The q block is a
+    read-only copy, so the caller's array stays as it was."""
 
     __slots__ = ("q", "p", "tau")
 
     def __init__(self, q, p, tau):
-        q = np.asarray(q, dtype=float)
+        q = np.array(q, dtype=float)
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise DimensionMismatch(f"q block must be square, got {q.shape}")
-        q.setflags(write=False)
-        self.q = q
-        self.p = int_matrix(p)
-        if any(len(row) != len(self.p) for row in self.p):
-            raise DimensionMismatch(f"p block must be square, got rows {self.p}")
-        self.tau = frac_vector(tau)
-        if len(self.p) != len(self.tau):
+        p = int_matrix(p)
+        if any(len(row) != len(p) for row in p):
+            raise DimensionMismatch(f"p block must be square, got rows {p}")
+        tau = frac_vector(tau)
+        if len(p) != len(tau):
             raise DimensionMismatch("p block and tau disagree on d2")
+        self._set(q, p, tau)
+
+    def _set(self, q: np.ndarray, p: IntMatrix, tau: FracVector) -> None:
+        q.setflags(write=False)
+        self.q, self.p, self.tau = q, p, tau
 
     @property
     def d1(self) -> int:
@@ -142,13 +153,23 @@ def identity_isometry(d1: int, d2: int) -> Isometry:
 
 
 def compose(g: Isometry, h: Isometry) -> Isometry:
-    """Product g*h:  (A1,b1)(A2,b2) = (A1 A2, b1 + A1 b2), blockwise."""
+    """Product g*h:  (A1,b1)(A2,b2) = (A1 A2, b1 + A1 b2), blockwise.
+
+    b1 + A1 b2 is summed in integers, as numerators over the lcm of the
+    operands' denominators and over the nonzero entries of A1 only, so it
+    equals the Fraction sum exactly.  The product's q block is a fresh
+    array, so the result takes its blocks without the constructor's copy
+    and checks."""
     if g.d1 != h.d1 or g.d2 != h.d2:
         raise DimensionMismatch("cannot compose isometries of different block dims")
-    q = g.q @ h.q
-    p = pmat_mul(g.p, h.p)
-    tau = tuple(a + b for a, b in zip(g.tau, pmat_vec(g.p, h.tau)))
-    return Isometry(q, p, tau)
+    den = math.lcm(*[t.denominator for t in g.tau + h.tau])
+    b2 = [t.numerator * (den // t.denominator) for t in h.tau]
+    tau = tuple(Fraction(t.numerator * (den // t.denominator)
+                         + sum(a * b for a, b in zip(row, b2) if a), den)
+                for t, row in zip(g.tau, g.p))
+    out = Isometry.__new__(Isometry)
+    out._set(g.q @ h.q, pmat_mul(g.p, h.p), tau)
+    return out
 
 
 def approx_equal(g: Isometry, h: Isometry, tol: float = DEFAULT_TOL) -> bool:

@@ -17,7 +17,7 @@ from . import isometry as iso
 from .dual import enumerate_dual, fixed_by_a_point_part
 from .errors import CapExceeded, EucisoError, InternalInconsistency
 from .fourier import (PeriodicFunction, SummableFunction, convolve,
-                      inner_product, inverse_transform, plancherel_pairing,
+                      inner_product, inverse_transform, kron_stack, plancherel_pairing,
                       transform, translate)
 from .groups import (GroupSpec, build_quotient, find_m0, grid_points, is_power_normal,
                      normal_form, normal_forms, normal_forms_of, validate_spec)
@@ -231,21 +231,23 @@ def run_suite(spec: GroupSpec, seed: int = 0) -> VerifyReport:
     err = u.max_abs_diff(inverse_transform(ut))
     checks.append(CheckResult("round-trip", err <= IDENTITY_TOL,
                               _versus("max err", err, IDENTITY_TOL)))
+    # translation: u_hat(rho) (I (x) rho(g^-1)), the Kronecker factors of one
+    # dimension built at once from its stack's row g^-1
     g = int(rngf.integers(q.order))
     tut, g_inv = transform(translate(u, g), seed=seed), q.inv(g)
-    reps = ut.atlas.irreps
-    worst = max(float(np.abs(tut.entries[ri] - ut.entries[ri]
-                             @ np.kron(np.eye(u.shape[1]), rho.matrix(g_inv))).max())
-                for ri, rho in enumerate(reps))
+    shifted = {}
+    for idx, stack in ut.atlas.stacks.values():
+        shifted.update(zip(idx, kron_stack(np.eye(u.shape[1]), stack[g_inv])))
+    worst = max(float(np.abs(tut.entries[ri] - ut.entries[ri] @ shifted[ri]).max())
+                for ri in range(len(ut.atlas.dims)))
     checks.append(CheckResult("translation-identity", worst <= IDENTITY_TOL,
                               _versus("max err", worst, IDENTITY_TOL)))
     s = SummableFunction.random(spec, (2, 2), terms=min(4, SummableFunction.available(spec, 3)),
                                 span=3, rng=rngf)
     conv = convolve(s, v)
-    convt = transform(conv, seed=seed)
-    worst = max(float(np.abs(convt.entries[ri]
-                             - s.transform_at(rho, q) @ vt.entries[ri]).max())
-                for ri, rho in enumerate(reps))
+    convt, series = transform(conv, seed=seed), s.transform_at(vt.atlas)
+    worst = max(float(np.abs(convt.entries[ri] - series[ri] @ vt.entries[ri]).max())
+                for ri in range(len(vt.atlas.dims)))
     checks.append(CheckResult("convolution-identity", worst <= IDENTITY_TOL,
                               _versus("max err", worst, IDENTITY_TOL)))
 

@@ -64,10 +64,23 @@ def compose_all(factors):
     return acc
 
 
+def pmat_vec(a, v):
+    """The integer matrix a times the vector v, entry by entry in v's number type."""
+    n = len(a)
+    return tuple(sum(a[i][k] * v[k] for k in range(n)) for i in range(n))
+
+
+def compose_oracle(g, h):
+    """Oracle for `iso.compose`: the product's translation in Fraction arithmetic,
+    its blocks through the validating constructor."""
+    tau = tuple(a + b for a, b in zip(g.tau, pmat_vec(g.p, h.tau)))
+    return iso.Isometry(g.q @ h.q, iso.pmat_mul(g.p, h.p), tau)
+
+
 def inverse(g):
     """Inverse (A^-1, -A^-1 b); the q block inverts as a transpose."""
     p_inv = iso.pmat_inv(g.p)
-    tau = tuple(-t for t in iso.pmat_vec(p_inv, g.tau))
+    tau = tuple(-t for t in pmat_vec(p_inv, g.tau))
     return iso.Isometry(g.q.T.copy(), p_inv, tau)
 
 
@@ -349,3 +362,13 @@ def inverse_oracle(table):
         stack = stack.reshape(len(stack), -1)
         dense += d * (np.conj(stack, out=stack) @ blocks)
     return PeriodicFunction(table.q, table.shape, dense.reshape(-1, m, n))
+
+
+def transform_at_oracle(u, rho, q):
+    """`SummableFunction.transform_at` as it summed one irreducible at a time:
+    sum_g u(g) (x) rho(g) over the support, unnormalized."""
+    m, n = u.shape
+    acc = np.zeros((m * rho.dim, n * rho.dim), dtype=complex)
+    for nf, val in u.support.items():
+        acc += np.kron(val, rho.matrix(q.reduce(nf)))
+    return acc

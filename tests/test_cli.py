@@ -8,6 +8,7 @@ import pytest
 
 from euciso import catalog, cli, io, reps
 from euciso.cli import main
+from euciso.errors import EucisoError
 from euciso.fourier import PeriodicFunction, transform
 from euciso.groups import build_quotient, find_m0
 
@@ -69,6 +70,25 @@ def test_non_square_point_block_is_a_spec_error(tmp_path, capsys, command, p):
     path.write_text(json.dumps(raw, default=io._coerce))
     assert main([command, str(path)]) == 2
     assert "cannot parse spec" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("group, key, value", [
+    ("pg", "p", [[1.7, 0], [0, -1.2]]),    # was read as the glide's [[1, 0], [0, -1]]
+    ("pg", "d2", 2.7),
+    ("helix-C3", "d2", True),
+])
+def test_non_integer_integer_fields_are_spec_errors(tmp_path, capsys, group, key, value):
+    raw = io.spec_to_dict(spec(group))
+    if key == "p":
+        raw["p_reps"][1]["p"] = value
+    else:
+        raw[key] = value
+    with pytest.raises(EucisoError, match="malformed group spec"):
+        io.spec_from_dict(raw)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(raw, default=io._coerce))
+    assert main(["verify", str(path)]) == 2
+    assert "malformed group spec" in capsys.readouterr().err
 
 
 def test_analyze_c12_rod_bound(tmp_path, capsys):
@@ -176,6 +196,72 @@ PINNED_DIGESTS = {
     # 2025^2 products are a quarter of the table, so it still builds it
     ("split", "catalog:pg", "--m", "1", "--n", "45"):
         "2c1d84eec3c1edeb9598a8aabc29326ec54b792ab020cbf871f3e1641d697831",
+    # recorded before `compose` left Fraction arithmetic and the Fourier
+    # identities read the atlas stacks; seeds 1-3 pin the other draws
+    ("verify", "catalog:p1"):
+        "a9d55d7019d0129722e39bf8f8d34ce942c0d0324d7ad14992f77f0778ff97e7",
+    ("verify", "catalog:pm"):
+        "7be42542a788f244da400a91d322a374f74115f1b21850e954bac3e280beb960",
+    ("verify", "catalog:pg"):
+        "37600d95edd7b90d4c0159a701ea6096bd00f007eed3c9c659461128024e944e",
+    ("verify", "catalog:screw-C4"):
+        "df6a12a225b05f70ede1561ea1feb08e22b22e8982af7417c3312025db151a0e",
+    ("verify", "catalog:helix-C3"):
+        "c3bf499d36aae663798bad96c6f9ef0cafe7cbefad689c689021e949c00bd533",
+    ("verify", "catalog:helix-C3-tf"):
+        "0e8439c5d2a359e0cba94b1150e51a0bdaf7dc60e2c1ec8863d3c77595334ebe",
+    ("verify", "catalog:twistE8"):
+        "3eeaaf033125e820a61440346bcd1705d48a506b9346d23072f7a2d01e733850",
+    ("verify", "catalog:twistE8-m4"):
+        "d68636dde39f0bd88aac2bb98b9adabf6391d597dc6542bd1a99cb7269d1eb7c",
+    ("verify", "catalog:p1", "--seed", "1"):
+        "8b8e01cecc5faf49af5ded27f7c5f2c89ad3fdb885a9b861dc2c4316763809ce",
+    ("verify", "catalog:pm", "--seed", "1"):
+        "e5fa5718f2f5e6a82ec8c9f32cdfd7868c9742b9883124239ab952a9ab77126a",
+    ("verify", "catalog:pg", "--seed", "1"):
+        "402be3cf37fa58553f0ca8dd723a03dda65e812ceb8d2c2bf73f529fe66c7600",
+    ("verify", "catalog:screw-C4", "--seed", "1"):
+        "b1f36c73e12d21095c15ffd4777ada7964e6711f54c4dfddaea34cf949d24cbf",
+    ("verify", "catalog:helix-C3", "--seed", "1"):
+        "03c45f4804379ed23f5c52700ff974dc1642e13d2cd8fc147693cf672d6570eb",
+    ("verify", "catalog:helix-C3-tf", "--seed", "1"):
+        "d18ebe231efcfa5906f8d9d676eedb73127bf67b6b9c34c1df486e668ab015e0",
+    ("verify", "catalog:twistE8", "--seed", "1"):
+        "ccad2796f83b1e54b16ba72f773f1ecd3c08a70fc072e8e573c9ac63b0ab7bd4",
+    ("verify", "catalog:twistE8-m4", "--seed", "1"):
+        "2735e1eedb3a6ce1893565b0a7c52555264108889474dedc6c8dcf7876af0358",
+    ("verify", "catalog:p1", "--seed", "2"):
+        "9ab15c31241fab7010ae33f9f031e94567360b507effe1eae96417d1b39db19a",
+    ("verify", "catalog:pm", "--seed", "2"):
+        "e50878fcd5d80c9eca4bedc8ba349dde104e097d4f9a3b5b0dbf292b72442cda",
+    ("verify", "catalog:pg", "--seed", "2"):
+        "bd36686cfc2dad6ec83d40b4aaf4ae64d652497e549d237dbc661bf518f1618d",
+    ("verify", "catalog:screw-C4", "--seed", "2"):
+        "6a267e149fd8066df71bb4e0fe72b89fef9f4070f210bbaed894e2df3389178c",
+    ("verify", "catalog:helix-C3", "--seed", "2"):
+        "c43ce9883087e6ea0b4170be136023370abef63f934bd178417092a126e4e0d7",
+    ("verify", "catalog:helix-C3-tf", "--seed", "2"):
+        "ae44a172fd14a69415b1033a54072949523cfdf867d7f2bb4f6e81bee0501662",
+    ("verify", "catalog:twistE8", "--seed", "2"):
+        "82d4cfda2e22be9fd9d9adedde256e526a9fb98793fa9eee56119c330b659f7a",
+    ("verify", "catalog:twistE8-m4", "--seed", "2"):
+        "3056cb4a94750fba329136cd86a8f169df67eb9e529394776310280ee8d468f9",
+    ("verify", "catalog:p1", "--seed", "3"):
+        "a973f65c04af3e995b49f5b2d4f02217983e3abf4d4d44266f48ddadca2e3a9c",
+    ("verify", "catalog:pm", "--seed", "3"):
+        "06646162aaf6c1fbdd222b4041634fd111832ebad3c44e709972813033e23383",
+    ("verify", "catalog:pg", "--seed", "3"):
+        "d988cc9d189f955cedecb5681350e7642dd5147f26291546f88fb310bdb171f3",
+    ("verify", "catalog:screw-C4", "--seed", "3"):
+        "1b73f22687d7d98da7973050736a6c4e692f6b0a97055bd583124d119679edfb",
+    ("verify", "catalog:helix-C3", "--seed", "3"):
+        "936e894924cff06d403f3c817b09fa8a92d7ba8b85b22747bb6bb0f4d2409504",
+    ("verify", "catalog:helix-C3-tf", "--seed", "3"):
+        "9cd0b5ed1fd739cd1c7333a33e7ff039ddb0bed40122eaa75446e3d480b1d96d",
+    ("verify", "catalog:twistE8", "--seed", "3"):
+        "104a1fde19678a57df3acf3a48a60cb0f75d035ecc1d2eed71c68f1b37a59fac",
+    ("verify", "catalog:twistE8-m4", "--seed", "3"):
+        "5510f8d25ee191b8e39199ac31fb5a60c071986cf0fc3029c78f3410c72448d4",
 }
 
 

@@ -16,7 +16,7 @@ from euciso.reps import (STRUCT_TOL, char_norm_sq, chi, coset_conjugation, equiv
                          multiplicities, scale_by_character, split_induced)
 
 from conftest import (c5_quarter_spec, constituents, dual_action, eager_irreps_oracle,
-                      k_shift_reps, little_group_pairs, p_rep_element, quotient,
+                      k_shift_reps, little_group_pairs, p_rep_element, pmat_vec, quotient,
                       rep_set_oracle, s3_plane_spec, spec, stabilizer_oracle)
 
 
@@ -39,7 +39,7 @@ def null_oracle(s, k):
         d = dual_point_matrix(p.p)
         if d == ident:
             continue
-        moved = iso.pmat_vec(d, k)
+        moved = pmat_vec(d, k)
         if all(((a - b) * m0).denominator == 1 for a, b in zip(moved, k)):
             return True
     return False
@@ -57,7 +57,7 @@ def brute_orbits(points, ops):
             cur = frontier.pop()
             for d, s in ops:
                 nxt = tuple((a + b) % 1 for a, b in
-                            zip(iso.pmat_vec(d, cur), s))
+                            zip(pmat_vec(d, cur), s))
                 if nxt not in orbit:
                     orbit.add(nxt)
                     frontier.append(nxt)
@@ -251,7 +251,7 @@ def test_null_set_shift_relation(rng):
             d = duals[int(rng.integers(len(duals)))]
             shift = tuple(Fraction(int(rng.integers(-4, 5)), m0)
                           for _ in range(s.d2))
-            k2 = tuple(a - b for a, b in zip(iso.pmat_vec(d, k), shift))
+            k2 = tuple(a - b for a, b in zip(pmat_vec(d, k), shift))
             assert null_set_member(s, k) == null_set_member(s, k2)
             assert null_set_member(s, k) == null_oracle(s, k)
 
@@ -598,7 +598,7 @@ def rebased(s, U):
     U_inv, one = iso.pmat_inv(U), iso.identity_int_matrix(s.d2)
     lifts = [iso.Isometry(q, one, e) for q, e in zip(s.section_q(np.array(U).T), one)]
     p_reps = [iso.Isometry(p.q, iso.pmat_mul(iso.pmat_mul(U_inv, p.p), U),
-                           iso.pmat_vec(U_inv, p.tau)) for p in s.p_reps]
+                           pmat_vec(U_inv, p.tau)) for p in s.p_reps]
     return GroupSpec(s.name, s.d1, s.d2, s.f_elements, lifts, p_reps, tol=s.tol)
 
 

@@ -17,8 +17,8 @@ from euciso.fourier import (FourierTable, PeriodicFunction, SummableFunction,
 from euciso.groups import NormalForm, build_quotient
 from euciso.reps import irreps, quotient_irreps
 
-from conftest import (dim_stacks, inverse_oracle, quotient, spec, transform_oracle,
-                      trivial_on)
+from conftest import (dim_stacks, inverse_oracle, quotient, spec, transform_at_oracle,
+                      transform_oracle, trivial_on)
 
 
 def test_random_draws_each_element_in_id_order():
@@ -333,8 +333,9 @@ def test_convolution_transform_identity(rng):
         conv = convolve(u, v)
         lhs = transform(conv)
         rhs = transform(v)
-        for ri, rho in enumerate(lhs.atlas.irreps):
-            pred = u.transform_at(rho, q) @ rhs.entries[ri]
+        series = u.transform_at(lhs.atlas)
+        for ri in range(len(lhs.atlas.dims)):
+            pred = series[ri] @ rhs.entries[ri]
             assert np.abs(lhs.entries[ri] - pred).max() <= 1e-8
 
 
@@ -370,3 +371,16 @@ def test_random_summable_rejects_more_terms_than_normal_forms():
     assert len(SummableFunction.random(spec("p1"), terms=1, span=0).support) == 1
     with pytest.raises(ValueError):
         SummableFunction.random(spec("p1"), terms=2, span=0)
+
+
+@pytest.mark.parametrize("name, N", [("twistE8", 2), ("twistE8", 4), ("pg", 6), ("helix-C3", 2)])
+@pytest.mark.parametrize("shape", [(1, 1), (2, 3)])
+def test_series_per_dimension_stack_is_the_per_irreducible_sum(name, N, shape):
+    q = quotient(name, N)
+    u = SummableFunction.random(q.spec, shape, terms=5, span=5, rng=np.random.default_rng(N))
+    atlas = enumerate_dual(q.spec, N)
+    series = u.transform_at(atlas)
+    assert list(series) == list(range(len(atlas.dims)))
+    for ri, rho in enumerate(atlas.irreps):
+        # bit for bit, signed zeros included
+        assert series[ri].tobytes() == transform_at_oracle(u, rho, q).tobytes()

@@ -4,11 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from euciso import catalog
 from euciso import isometry as iso
 from euciso.errors import DimensionMismatch
 from euciso.isometry import Isometry, rotation2
 
-from conftest import inverse, power, spec, translation_isometry
+from conftest import (c5_quarter_spec, compose_oracle, inverse, pmat_vec, power,
+                      s3_plane_spec, spec, translation_isometry)
 
 
 def translation(v):
@@ -89,7 +91,7 @@ def test_exactness_of_lattice_blocks(rng):
         g = gens[int(rng.integers(len(gens)))]
         chain = iso.compose(chain, g)
         expected_tau = tuple(a + b for a, b in
-                             zip(expected_tau, iso.pmat_vec(expected_p, g.tau)))
+                             zip(expected_tau, pmat_vec(expected_p, g.tau)))
         expected_p = iso.pmat_mul(expected_p, g.p)
     assert chain.p == expected_p
     assert chain.tau == expected_tau
@@ -110,3 +112,44 @@ def test_pmat_inverse_exact():
     assert iso.pmat_det(m) == 1
     assert iso.pmat_order(m) == 4
     assert iso.pmat_order(((1, 1), (0, 1))) is None  # shear has infinite order
+
+
+def test_isometry_copies_the_callers_q_block():
+    m = np.eye(2)
+    g = Isometry(m, [[1]], [0])
+    m[0, 0] = 5                     # the caller's array stays writable
+    assert g.q[0, 0] == 1
+    with pytest.raises(ValueError):
+        g.q[0, 0] = 5
+
+
+def test_point_part_must_be_integral():
+    with pytest.raises(ValueError, match="not an integer"):
+        Isometry(np.eye(2), [[1.9]], [0])
+    assert Isometry(np.eye(2), [[1.0]], [0]).p == ((1,),)
+
+
+def test_compose_returns_a_fresh_read_only_q_block():
+    g = glide()
+    h = Isometry(rotation2(0.3), ((1,),), (Fraction(1, 3),))
+    for a, b in [(g, g), (h, h)]:
+        c = iso.compose(a, b)
+        assert not np.shares_memory(c.q, a.q) and not c.q.flags.writeable
+
+
+@pytest.mark.parametrize("name", [*catalog.CATALOG, "s3-plane", "c5-quarter"])
+def test_compose_is_the_fraction_formula(name, rng):
+    s = {"s3-plane": s3_plane_spec, "c5-quarter": c5_quarter_spec}.get(
+        name, lambda: spec(name))()
+    gens = s.generators()
+    gens += [inverse(g) for g in gens]
+    for _ in range(10):
+        acc = expected = iso.identity_isometry(s.d1, s.d2)
+        for _ in range(12):
+            g = gens[int(rng.integers(len(gens)))]
+            acc, expected = ((iso.compose(acc, g), compose_oracle(expected, g))
+                             if rng.integers(2) else
+                             (iso.compose(g, acc), compose_oracle(g, expected)))
+            assert (acc.p, acc.tau) == (expected.p, expected.tau)
+            assert all(type(t) is Fraction for t in acc.tau)
+            assert acc.q.tobytes() == expected.q.tobytes()

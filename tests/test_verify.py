@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from euciso import catalog, cli, dual, io, verify
+from euciso import catalog, cli, dual, fourier, io, verify
 from euciso import isometry as iso
 from euciso.groups import GroupSpec, QuotientGroup, build_quotient, find_m0
 from euciso.splitting import split_quotient
@@ -222,3 +222,31 @@ def test_cli_verify_reports_a_quotient_past_the_table_cap(tmp_path, capsys):
     assert data["passed"] is False and data["first_failure"] == "quotient-spot-check"
     assert data["checks"][-1] == {"name": "quotient-spot-check", "passed": False,
                                   "detail": CAP_MESSAGE}
+
+
+def rolled(f):
+    """f with its values moved one element id along: a wrong permutation of them."""
+    def wrong(*args):
+        out = f(*args)
+        return fourier.PeriodicFunction(out.q, out.shape, np.roll(out.values, 1, axis=0))
+    return wrong
+
+
+def dropping_a_term(transform_at):
+    """transform_at with the series' last support term left out."""
+    def series(self, atlas):
+        terms = dict(list(self.support.items())[:-1])
+        return transform_at(fourier.SummableFunction(self.spec, self.shape, terms), atlas)
+    return series
+
+
+@pytest.mark.parametrize("check, target, name, broken", [
+    ("translation-identity", verify, "translate", rolled(fourier.translate)),
+    ("convolution-identity", verify, "convolve", rolled(fourier.convolve)),
+    ("convolution-identity", fourier.SummableFunction, "transform_at",
+     dropping_a_term(fourier.SummableFunction.transform_at)),
+])
+def test_a_broken_fourier_identity_side_fails_its_check(monkeypatch, check, target, name, broken):
+    monkeypatch.setattr(target, name, broken)
+    report = run_suite(catalog.CATALOG["twistE8"].build(), seed=0)
+    assert [c.name for c in report.checks if not c.passed] == [check]
