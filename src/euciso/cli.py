@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import catalog, io
@@ -259,6 +260,13 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def positive_tolerance(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, not {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="euciso",
@@ -269,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("spec", help="spec JSON path or catalog:<name>")
         p.add_argument("--seed", type=non_negative_int, default=0)
-        p.add_argument("--tol", type=float, default=None)
+        p.add_argument("--tol", type=positive_tolerance, default=None)
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("analyze", help="validation, m0, orders")

@@ -256,7 +256,10 @@ class DualAtlas:
         """Per irreducible dimension d, in order of first appearance in the
         basis: the basis indices of its k irreducibles and their images as
         one (|G|, k, d, d) array.  A split stack is copied in and `sources`
-        then holds its view, so no irreducible is held twice."""
+        then holds its view, so no irreducible is held twice.  The basis is
+        sorted by dimension first (`reps.irreducible_order`), so the
+        dimensions ascend and each index list is a contiguous ascending
+        range: taken in order, the lists are the basis order."""
         q = self.q
         by_dim: dict[int, list[int]] = {}
         for i, d in enumerate(self.dims):

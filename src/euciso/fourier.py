@@ -12,20 +12,25 @@ Fast Fourier Transforms, 1993): the atlas holds the k irreducibles of each
 dimension d as one (n, k, d, d) array (`DualAtlas.stacks`), built once per
 quotient and seed, so the transform and the inverse make one matrix
 product per irreducible dimension on it as it is, and copy no stack.  A
-finitely supported function's series, which the convolution identity
-checks, reads the same stacks: one Kronecker accumulation per dimension
-and support term.
+table is laid out the same way: one (k, m d, n d) array of values per
+dimension, which the transform stores as its product leaves it and the
+inverse reads back with one copy of one dimension at a time.  A finitely
+supported function's series, which the convolution identity checks, reads
+the same stacks: one Kronecker accumulation per dimension and support term.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
 from .dual import DualAtlas, enumerate_dual
-from .errors import IncompatibleShapes, IncompleteTable
+from .errors import IncompatibleShapes
 from .groups import GroupSpec, NormalForm, QuotientGroup, build_quotient, normal_form
 
 
@@ -111,15 +116,30 @@ def inner_product(u: PeriodicFunction, v: PeriodicFunction) -> complex:
 
 @dataclass
 class FourierTable:
-    """Transform values per irreducible of G mod T^N, keyed by its index in the atlas."""
+    """The transform of one function of shape (m, n) in its atlas's basis.
+
+    `stacks[d]` is one (k, m d, n d) complex array per irreducible dimension
+    d: the values at the k irreducibles of `atlas.stacks[d]`'s index list, in
+    that order.  `entries` maps each basis index to its (m d, n d) value, a
+    view into its dimension's stack; the mapping is read-only, so a table
+    always covers every irreducible.
+    """
 
     atlas: DualAtlas
     shape: tuple[int, int]
-    entries: dict[int, np.ndarray] = field(default_factory=dict)
+    stacks: dict[int, np.ndarray]
 
     @property
     def q(self) -> QuotientGroup:
         return self.atlas.q
+
+    @functools.cached_property
+    def entries(self) -> Mapping[int, np.ndarray]:
+        views = [None] * len(self.atlas.dims)
+        for d, (idx, _) in self.atlas.stacks.items():
+            for i, value in zip(idx, self.stacks[d]):
+                views[i] = value
+        return MappingProxyType(dict(enumerate(views)))
 
 
 def transform(u: PeriodicFunction, seed: int = 0) -> FourierTable:
@@ -128,36 +148,41 @@ def transform(u: PeriodicFunction, seed: int = 0) -> FourierTable:
     n = u.q.order
     m, mm = u.shape
     flat = u.values.reshape(n, m * mm)
-    entries = {}
+    stacks = {}
     for d, (idx, stack) in atlas.stacks.items():
         acc = (flat.T @ stack.reshape(n, -1) / n).reshape(m, mm, len(idx), d, d)
-        acc = acc.transpose(2, 0, 3, 1, 4)
-        entries.update(zip(idx, np.ascontiguousarray(acc).reshape(len(idx), m * d, mm * d)))
-    return FourierTable(atlas, u.shape, dict(sorted(entries.items())))
+        acc = np.ascontiguousarray(acc.transpose(2, 0, 3, 1, 4))
+        stacks[d] = acc.reshape(len(idx), m * d, mm * d)
+    return FourierTable(atlas, u.shape, stacks)
 
 
 def inverse_transform(table: FourierTable) -> PeriodicFunction:
     """Blockwise finite-group inversion: u(g) = sum_rho d_rho tr(u_hat_ab rho(g)^H)."""
-    if set(table.entries) != set(range(len(table.atlas.dims))):
-        raise IncompleteTable("table does not cover every irreducible")
     m, n = table.shape
     order = table.q.order
     dense = np.zeros((order, m * n), dtype=complex)
+    term = np.empty_like(dense)
     for d, (idx, stack) in table.atlas.stacks.items():
-        blocks = np.stack([table.entries[ri].reshape(m, d, n, d) for ri in idx])
-        blocks = blocks.transpose(0, 2, 4, 1, 3).reshape(len(idx) * d * d, m * n)
-        # conj(rho) @ b as conj(rho @ conj(b)): the shared stack stays as it is
-        dense += d * np.conj(stack.reshape(order, -1) @ np.conj(blocks))
+        # the one copy of a dimension's values, conjugated in place; then
+        # conj(rho) @ b as conj(rho @ conj(b)), so the shared stack stays as it is
+        blocks = table.stacks[d].reshape(len(idx), m, d, n, d).transpose(0, 2, 4, 1, 3).copy()
+        np.conj(blocks, out=blocks)
+        np.matmul(stack.reshape(order, -1), blocks.reshape(-1, m * n), out=term)
+        del blocks      # before the next dimension's copy is made
+        np.conj(term, out=term)
+        term *= d
+        dense += term
     return PeriodicFunction(table.q, table.shape, dense.reshape(-1, m, n))
 
 
 def plancherel_pairing(t1: FourierTable, t2: FourierTable) -> complex:
-    """sum_rho d_rho <u_hat(rho), v_hat(rho)> with the Frobenius pairing;
-    IncompatibleShapes unless both tables share quotient, shape and basis."""
+    """sum_rho d_rho <u_hat(rho), v_hat(rho)> with the Frobenius pairing, in
+    basis order; IncompatibleShapes unless both tables share quotient, shape
+    and basis."""
     if t1.q is not t2.q or t1.shape != t2.shape or t1.atlas.basis != t2.atlas.basis:
         raise IncompatibleShapes("tables differ in quotient, shape or irreducible basis")
-    return sum(d * np.vdot(t2.entries[ri], t1.entries[ri])
-               for ri, d in enumerate(t1.atlas.dims))
+    e1, e2 = t1.entries, t2.entries
+    return sum(d * np.vdot(e2[ri], e1[ri]) for ri, d in enumerate(t1.atlas.dims))
 
 
 def translate(u: PeriodicFunction, g: int) -> PeriodicFunction:

@@ -11,13 +11,19 @@ blocks, a function value, a table entry as [re, im] pairs) reaches it as a
 float64 array, and any non-empty float64 array is a block.  The floats of
 all of a document's blocks are formatted in one orjson (Ryu) pass, and only
 those whose text orjson writes otherwise than json (0 < |x| < 1e-4, |x| from
-1e16 up, NaN and infinities) are rewritten.  A function
-file is written with one entry per element, in id order; a reader takes
-any subset of the elements, each at most once, and sets the others to
-zero.  A Fourier table records the seed and the fingerprint of the atlas
-basis it was computed in and is read back only in that basis.  The
-readers refuse a count, index, size, dimension or point part entry that is
-not an integer.
+1e16 up, NaN and infinities) are rewritten.  The mask that picks those is
+computed before the orjson pass, which otherwise runs several times slower
+right after a transform (see `canonical_json`).  A function file is
+written with one entry per element, in id order; a reader takes any subset
+of the elements, each at most once, and sets the others to zero.  A Fourier table records the seed and the fingerprint of the atlas
+basis it was computed in and is read back only in that basis.  Its file
+holds one entry per irreducible, in basis order, and a reader takes them in
+any order; each dimension's values are read into one stack, so a table file
+that misses an irreducible is refused (IncompleteTable).  The readers
+refuse a count, index, size, dimension or point part entry that is not an
+integer, a tolerance, q block or F entry that is not a finite number (a
+bool is not one), a translation part that is neither an integer nor a
+"p/q" string, and a tolerance that is not positive.
 """
 
 from __future__ import annotations
@@ -26,12 +32,13 @@ import functools
 import json
 import math
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 import orjson
 
 from .dual import enumerate_dual
-from .errors import EucisoError, IncompatibleShapes
+from .errors import EucisoError, IncompatibleShapes, IncompleteTable
 from .groups import GroupSpec, NormalForm, QuotientGroup
 from .isometry import DEFAULT_TOL, Isometry
 from .fourier import FourierTable, PeriodicFunction
@@ -44,12 +51,6 @@ def format_fraction(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def parse_fraction(s) -> Fraction:
-    if isinstance(s, int):
-        return Fraction(s)
-    return Fraction(str(s))
-
-
 def json_int(value, what: str, least: int | None = None) -> int:
     """An integer field of a spec, function or table file; ValueError for a float,
     a bool, a string or anything else, or for a value below `least`."""
@@ -58,6 +59,35 @@ def json_int(value, what: str, least: int | None = None) -> int:
         bound = "" if least is None else f" >= {least}"
         raise ValueError(f"{what} must be an integer{bound}, not {value!r}")
     return int(value)
+
+
+def json_float(value, what: str) -> float:
+    """A float field of a spec file: a finite int or float; ValueError for a
+    bool, a string, NaN, an infinity or anything else."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:   # an int past float's range
+            pass
+    raise ValueError(f"{what} must be a finite number, not {value!r}")
+
+
+def json_fraction(value, what: str) -> Fraction:
+    """A rational field of a spec file: an int or a "p/q" string; ValueError
+    for a bool, a float or anything else."""
+    if isinstance(value, str):
+        return Fraction(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    raise ValueError(f'{what} must be an integer or a "p/q" string, not {value!r}')
+
+
+def json_float_block(value, what: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Nested lists of finite numbers (each checked by `json_float`) as a
+    float array of this shape."""
+    leaves = np.array(value, dtype=object).ravel()
+    return np.array([json_float(x, what) for x in leaves], dtype=float).reshape(shape)
 
 
 def complex_pairs(m: np.ndarray) -> np.ndarray:
@@ -95,21 +125,22 @@ def spec_to_dict(spec: GroupSpec) -> dict:
 def spec_from_dict(data: dict) -> GroupSpec:
     try:
         d1, d2 = json_int(data["d1"], "d1", 0), json_int(data["d2"], "d2", 0)
-        tol = float(data.get("tol", DEFAULT_TOL))
-        f_elements = [np.array(f, dtype=float).reshape(d1, d1)
-                      for f in data["f_elements"]]
+        tol = json_float(data.get("tol", DEFAULT_TOL), "tol")
+        if tol <= 0:
+            raise ValueError(f"tol must be positive, not {tol!r}")
+        f_elements = [json_float_block(f, "an F entry", (d1, d1)) for f in data["f_elements"]]
         ident_p = tuple(tuple(int(i == j) for j in range(d2)) for i in range(d2))
         t_lifts = []
         for i, entry in enumerate(data["t_lifts"]):
             tau = tuple(Fraction(int(i == j)) for j in range(d2))
-            t_lifts.append(Isometry(np.array(entry["q"], dtype=float).reshape(d1, d1),
+            t_lifts.append(Isometry(json_float_block(entry["q"], "a q block entry", (d1, d1)),
                                     ident_p, tau))
         p_reps = []
         for entry in data["p_reps"]:
             p_reps.append(Isometry(
-                np.array(entry["q"], dtype=float).reshape(d1, d1),
+                json_float_block(entry["q"], "a q block entry", (d1, d1)),
                 [[json_int(x, "a point part entry") for x in row] for row in entry["p"]],
-                [parse_fraction(t) for t in entry["tau"]]))
+                [json_fraction(t, "a translation part entry") for t in entry["tau"]]))
         return GroupSpec(str(data["name"]), d1, d2, f_elements, t_lifts, p_reps,
                          tol=tol)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
@@ -170,32 +201,55 @@ def table_to_dict(t: FourierTable) -> dict:
         "shape": [t.shape[0], t.shape[1]],
         "seed": t.atlas.seed,
         "basis": t.atlas.basis,
-        "entries": [{"irrep": i, "dim": t.atlas.dims[i],
-                     "value": complex_pairs(t.entries[i])}
-                    for i in sorted(t.entries)],
+        "entries": [{"irrep": i, "dim": t.atlas.dims[i], "value": complex_pairs(value)}
+                    for i, value in t.entries.items()],
     }
 
 
 def table_from_dict(data: dict, q: QuotientGroup) -> FourierTable:
+    """The table a file holds.  Each entry's irrep and dim, and its value's
+    shape, are checked first; each dimension's stack is then filled with one
+    pass over the values' numbers."""
     shape = _header(data, q, "table")
     atlas = enumerate_dual(q.spec, q.N, json_int(data.get("seed", 0), "seed", 0))
     if data.get("basis") != atlas.basis:
         raise IncompatibleShapes("table was computed in another irreducible basis "
                                  "(missing or different \"basis\" fingerprint)")
-    t = FourierTable(atlas, shape)
     m, n = shape
+    dims = atlas.dims
+    values: list = [None] * len(dims)
     for entry in data["entries"]:
         i = json_int(entry["irrep"], "irrep")
-        if not 0 <= i < len(atlas.dims):
-            raise IncompatibleShapes(f"irrep {i} out of range: the quotient has {len(atlas.dims)}")
-        if i in t.entries:
+        if not 0 <= i < len(dims):
+            raise IncompatibleShapes(f"irrep {i} out of range: the quotient has {len(dims)}")
+        if values[i] is not None:
             raise IncompatibleShapes(f"irrep {i} has two entries")
-        d, value = atlas.dims[i], complex_matrix_from_lists(entry["value"])
-        if json_int(entry["dim"], "dim") != d or value.shape != (m * d, n * d):
+        d, value = dims[i], entry["value"]
+        got = _pairs_shape(value)
+        if json_int(entry["dim"], "dim") != d or got != (m * d, n * d):
             raise IncompatibleShapes(f"irrep {i} has dim {d}, but its entry gives dim "
-                                     f"{entry['dim']} and a {value.shape} value")
-        t.entries[i] = value
-    return t
+                                     f"{entry['dim']} and a {got} value")
+        values[i] = value
+    missing = [i for i, value in enumerate(values) if value is None]
+    if missing:
+        raise IncompleteTable(f"table does not cover every irreducible: irrep "
+                              f"{missing[0]} has no entry")
+    stacks = {}
+    for d, (idx, _) in atlas.stacks.items():
+        rows = chain.from_iterable(values[i] for i in idx)
+        numbers = chain.from_iterable(chain.from_iterable(rows))
+        flat = np.fromiter(numbers, float, len(idx) * m * d * n * d * 2)
+        stacks[d] = flat.view(complex).reshape(len(idx), m * d, n * d)
+    return FourierTable(atlas, shape, stacks)
+
+
+def _pairs_shape(rows) -> tuple[int, int]:
+    """The (rows, columns) of a non-empty rectangular matrix of pairs;
+    ValueError (TypeError for a leaf that has no length) for anything else."""
+    widths = set(map(len, rows))
+    if len(widths) != 1 or 0 in widths or set(map(len, chain.from_iterable(rows))) != {2}:
+        raise ValueError("a table value must be a rectangular matrix of [re, im] pairs")
+    return len(rows), widths.pop()
 
 
 def _coerce(obj):
@@ -224,16 +278,23 @@ def canonical_json(obj) -> str:
     9.99e-06; it writes 1e16 for 1e+16, and null for a non-finite float
     where json writes NaN or Infinity.  So the floats with 0 < |x| < 1e-4,
     |x| >= 1e16 or no finite value are rewritten by json's rules, and the
-    rest keep orjson's text."""
+    rest keep orjson's text.
+
+    The rewrite mask is computed before orjson formats the floats, not
+    after.  A complex matrix product (an OpenBLAS zgemm, as in `transform`)
+    can leave the CPU's upper vector registers dirty, and orjson's float
+    formatter, which is legacy SSE code, then runs about 6x slower; the
+    mask's comparisons clear that state, where `np.abs` and
+    `np.concatenate` alone do not."""
     out: list[str] = []
     blocks: list[tuple[int, np.ndarray]] = []
     _write(obj, 0, out, blocks)
     if blocks:
         flat = np.concatenate([block.ravel() for _, block in blocks])
-        text = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
         magnitude = np.abs(flat)
         keep = (flat == 0) | (magnitude >= 1e-4) & (magnitude < 1e16)   # False for NaN
         rewrite = np.flatnonzero(~keep)
+        text = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
         for k, x in zip(rewrite.tolist(), flat[rewrite].tolist()):
             text[k] = _scalar(x)
         start = 0
@@ -245,42 +306,80 @@ def canonical_json(obj) -> str:
 
 
 def _write(obj, level: int, out: list[str], blocks: list[tuple[int, np.ndarray]]) -> None:
-    text = _encode_str(obj) if isinstance(obj, str) else _scalar(obj)
-    if text is not None:
+    """Append obj's text at this indent level to `out`; a float block leaves
+    a template in `out` and itself in `blocks`.  Exact dicts, lists, tuples,
+    arrays and strings are dispatched on their type; anything else,
+    subclasses included, goes by isinstance."""
+    kind = type(obj)
+    if kind is dict:
+        _write_dict(obj, level, out, blocks)
+    elif kind is list or kind is tuple:
+        _write_list(obj, level, out, blocks)
+    elif kind is np.ndarray:
+        _write_array(obj, level, out, blocks)
+    elif kind is str:
+        out.append(_encode_str(obj))
+    elif (text := _encode_str(obj) if isinstance(obj, str) else _scalar(obj)) is not None:
         out.append(text)
     elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-        else:
-            inner = "\n" + " " * (level + 1)
-            out.append("[" + inner)
-            for i, value in enumerate(obj):
-                if i:
-                    out.append("," + inner)
-                _write(value, level + 1, out, blocks)
-            out.append("\n" + " " * level + "]")
+        _write_list(obj, level, out, blocks)
     elif isinstance(obj, np.ndarray):
-        if obj.dtype == np.float64 and obj.ndim and obj.size:
-            blocks.append((len(out), obj))
-            out.append(_block_template(obj.shape, level))
-        else:
-            _write(obj.tolist(), level, out, blocks)
+        _write_array(obj, level, out, blocks)
     elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-        else:
-            inner = "\n" + " " * (level + 1)
-            out.append("{" + inner)
-            for i, (key, value) in enumerate(sorted(obj.items())):
-                key_text = key if isinstance(key, str) else _scalar(key)
-                if key_text is None:
-                    raise TypeError(f"keys must be str, int, float, bool or None, "
-                                    f"not {key.__class__.__name__}")
-                out.append(("," + inner if i else "") + _encode_str(key_text) + ": ")
-                _write(value, level + 1, out, blocks)
-            out.append("\n" + " " * level + "}")
+        _write_dict(obj, level, out, blocks)
     else:
         _write(_coerce(obj), level, out, blocks)
+
+
+def _write_list(obj, level: int, out: list[str], blocks: list[tuple[int, np.ndarray]]) -> None:
+    if not obj:
+        out.append("[]")
+        return
+    inner = "\n" + " " * (level + 1)
+    out.append("[" + inner)
+    for i, value in enumerate(obj):
+        if i:
+            out.append("," + inner)
+        _write(value, level + 1, out, blocks)
+    out.append("\n" + " " * level + "]")
+
+
+def _write_array(obj: np.ndarray, level: int, out: list[str],
+                 blocks: list[tuple[int, np.ndarray]]) -> None:
+    if obj.dtype == np.float64 and obj.ndim and obj.size:
+        blocks.append((len(out), obj))
+        out.append(_block_template(obj.shape, level))
+    else:
+        _write(obj.tolist(), level, out, blocks)
+
+
+def _write_dict(obj, level: int, out: list[str], blocks: list[tuple[int, np.ndarray]]) -> None:
+    """A dict's exact int and str values are written with their key and its
+    arrays go straight to `_write_array`: a table writes hundreds of such
+    entry dicts."""
+    if not obj:
+        out.append("{}")
+        return
+    inner = "\n" + " " * (level + 1)
+    out.append("{" + inner)
+    for i, (key, value) in enumerate(sorted(obj.items())):
+        key_text = key if isinstance(key, str) else _scalar(key)
+        if key_text is None:
+            raise TypeError(f"keys must be str, int, float, bool or None, "
+                            f"not {key.__class__.__name__}")
+        head = ("," + inner if i else "") + _encode_str(key_text) + ": "
+        kind = type(value)
+        if kind is int:
+            out.append(head + int.__repr__(value))
+        elif kind is str:
+            out.append(head + _encode_str(value))
+        elif kind is np.ndarray:
+            out.append(head)
+            _write_array(value, level + 1, out, blocks)
+        else:
+            out.append(head)
+            _write(value, level + 1, out, blocks)
+    out.append("\n" + " " * level + "}")
 
 
 def _scalar(obj) -> str | None:

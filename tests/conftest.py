@@ -343,13 +343,13 @@ def transform_oracle(u, seed=0):
     n = u.q.order
     m, mm = u.shape
     flat = u.values.reshape(n, m * mm)
-    entries = {}
+    stacks = {}
     atlas = enumerate_dual(u.q.spec, u.q.N, seed)
     for d, (idx, stack) in dim_stacks(atlas.irreps).items():
         acc = (flat.T @ stack.reshape(n, -1) / n).reshape(m, mm, len(idx), d, d)
         acc = acc.transpose(2, 0, 3, 1, 4)
-        entries.update(zip(idx, np.ascontiguousarray(acc).reshape(len(idx), m * d, mm * d)))
-    return FourierTable(atlas, u.shape, dict(sorted(entries.items())))
+        stacks[d] = np.ascontiguousarray(acc).reshape(len(idx), m * d, mm * d)
+    return FourierTable(atlas, u.shape, stacks)
 
 
 def inverse_oracle(table):

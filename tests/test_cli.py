@@ -2,6 +2,7 @@ import hashlib
 import json
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -89,6 +90,64 @@ def test_non_integer_integer_fields_are_spec_errors(tmp_path, capsys, group, key
     path.write_text(json.dumps(raw, default=io._coerce))
     assert main(["verify", str(path)]) == 2
     assert "malformed group spec" in capsys.readouterr().err
+
+
+def set_field(raw, path, value):
+    """raw with the field at `path` (keys and list indices) set to value."""
+    *head, last = path
+    for key in head:
+        raw = raw[key]
+    raw[last] = value
+
+
+# each of these loaded at one time: tau [true, 0] as (1, 0), which makes pg
+# another group; a bool tol as 1.0, a string one as its number, a negative or
+# NaN one until validate_spec blamed F; bools in q blocks and F as 1.0 and 0.0
+@pytest.mark.parametrize("group, path, value", [
+    ("pg", ["p_reps", 1, "tau"], [True, 0]),
+    ("pg", ["p_reps", 1, "tau"], [0.5, 0]),
+    ("pg", ["tol"], True),
+    ("pg", ["tol"], "1e-9"),
+    ("pg", ["tol"], -1),
+    ("pg", ["tol"], 0),
+    ("pg", ["tol"], float("nan")),
+    ("pg", ["tol"], float("inf")),
+    ("pg", ["tol"], 10 ** 400),
+    ("helix-C3", ["p_reps", 1, "q"], [[True, 0.0], [0.0, -1.0]]),
+    ("helix-C3", ["t_lifts", 0, "q", 1], [False, "1.0"]),
+    ("helix-C3", ["f_elements", 0], [[1.0, False], [0.0, 1.0]]),
+    ("helix-C3", ["f_elements", 0], [[1.0, 0.0], [0.0, float("nan")]]),
+], ids=["tau-bool", "tau-float", "tol-bool", "tol-string", "tol-negative", "tol-zero",
+        "tol-nan", "tol-inf", "tol-huge-int", "q-bool", "q-string", "f-bool", "f-nan"])
+def test_bools_strings_and_bad_tolerances_are_spec_errors(tmp_path, capsys, group, path, value):
+    raw = json.loads(io.canonical_json(io.spec_to_dict(spec(group))))
+    set_field(raw, path, value)
+    with pytest.raises(EucisoError, match="malformed group spec"):
+        io.spec_from_dict(raw)
+    file = tmp_path / "spec.json"
+    file.write_text(json.dumps(raw))
+    assert main(["analyze", str(file)]) == 2
+    err = capsys.readouterr().err
+    assert "malformed group spec" in err
+    if path == ["tol"]:
+        assert "tol must be" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "-0.0", "one"])
+def test_tol_option_must_be_positive_and_finite(capsys, tol):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "catalog:pg", "--tol", tol])
+    assert exc.value.code == 2
+    assert "argument --tol" in capsys.readouterr().err
+
+
+def test_rational_strings_and_integers_still_load():
+    raw = json.loads(io.canonical_json(io.spec_to_dict(spec("pg"))))
+    raw["p_reps"][1]["tau"] = ["1/2", 0]
+    raw["tol"] = 1
+    loaded = io.spec_from_dict(raw)
+    assert loaded.p_reps[1].tau == (Fraction(1, 2), Fraction(0))
+    assert loaded.tol == 1.0 and type(loaded.tol) is float
 
 
 def test_analyze_c12_rod_bound(tmp_path, capsys):
@@ -440,6 +499,39 @@ def test_a_repeated_irreducible_in_a_table_is_refused(tmp_path, capsys):
     code, out, err = run_fourier(tmp_path, capsys, "table", data)
     assert code == 5 and out == ""
     assert "irrep 0 has two entries" in err
+
+
+def drop_last_column(value):
+    return [row[:-1] for row in value]
+
+
+# (what is done to the value of the first dim-2 entry, or to the entries, the
+# exit code, a piece of the message): a value that is not a rectangular
+# matrix of [re, im] numbers is a format error; a rectangular one of the
+# wrong shape, a missing entry and a repeated one are incompatible files
+TABLE_DAMAGE = {
+    "ragged-row": (lambda e, i: e[i]["value"][0].pop(), 2, "rectangular matrix"),
+    "three-element-pair": (lambda e, i: e[i]["value"][0][0].append(0.0), 2, "rectangular matrix"),
+    "empty-value": (lambda e, i: e[i].update(value=[]), 2, "rectangular matrix"),
+    "number-value": (lambda e, i: e[i].update(value=1.5), 2, "malformed function file"),
+    "string-number": (lambda e, i: e[i]["value"][1][0].__setitem__(0, "x"), 2,
+                      "could not convert"),
+    "wrong-width": (lambda e, i: e[i].update(value=drop_last_column(e[i]["value"])), 5,
+                    "a (2, 3) value"),
+    "missing-entry": (lambda e, i: e.pop(i), 5, "irrep 6 has no entry"),
+    "repeated-entry": (lambda e, i: e.append(dict(e[i])), 5, "has two entries"),
+}
+
+
+@pytest.mark.parametrize("damage", list(TABLE_DAMAGE))
+def test_damaged_table_values_and_entries_are_refused(tmp_path, capsys, damage):
+    change, want_code, message = TABLE_DAMAGE[damage]
+    data = pg_file("table")
+    entries = data["entries"]
+    change(entries, next(k for k, e in enumerate(entries) if e["dim"] == 2))
+    code, out, err = run_fourier(tmp_path, capsys, "table", data)
+    assert code == want_code and out == ""
+    assert message in err
 
 
 def test_a_repeated_element_in_a_function_file_is_refused(tmp_path, capsys):

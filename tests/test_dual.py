@@ -428,6 +428,16 @@ def test_lazy_irreps_are_the_eager_stacks(name, N):
     assert [r.mats.tobytes() for r in atlas.irreps] == [m.tobytes() for m in want]
 
 
+@pytest.mark.parametrize("name,N", CATALOG_LEVELS)
+def test_dimension_stacks_are_contiguous_ranges_of_the_basis(name, N):
+    # `irreducible_order` sorts by dim first, so the index lists of the
+    # dimension stacks, taken in order, are the basis order itself; a
+    # Fourier table's stacks rely on it
+    atlas = enumerate_dual(spec(name), N)
+    assert list(atlas.stacks) == sorted(atlas.stacks)
+    assert [i for idx, _ in atlas.stacks.values() for i in idx] == list(range(len(atlas.dims)))
+
+
 # sha256 of each reducible label's `split_induced` constituents, their
 # tobytes() concatenated, in label order at seed 0: every bit of a split
 # stack, where the atlas pins see generator images rounded or the oracle

@@ -161,12 +161,47 @@ def test_transform_reads_the_atlas_stacks_in_place(rng):
     assert peak < max(stack.nbytes for _, stack in atlas.stacks.values()) < q.order ** 2 * 16
 
 
+@pytest.mark.parametrize("name,N", [("twistE8", 4), ("pg", 6), ("helix-C3", 6)])
+def test_table_entries_are_views_and_the_inverse_copies_one_dimension_at_a_time(name, N, rng):
+    # a table holds one (k, m d, n d) stack per dimension and each entry is
+    # its slot; the inverse holds its result, one term of the result's size
+    # and one dimension's conjugated values at a time (plus a few kB of
+    # Python objects), never a second copy of the whole table
+    q = quotient(name, N)
+    for shape in [(1, 1), (2, 3)]:
+        table = transform(PeriodicFunction.random(q, shape, rng))
+        (m, n), size = shape, 0
+        for d, (idx, _) in table.atlas.stacks.items():
+            stack = table.stacks[d]
+            assert stack.shape == (len(idx), m * d, n * d)
+            for j, i in enumerate(idx):
+                view = table.entries[i]
+                assert np.shares_memory(view, stack)
+                assert view.ctypes.data == stack[j].ctypes.data and view.shape == stack[j].shape
+            size += stack.nbytes
+        assert list(table.entries) == list(range(len(table.atlas.dims)))
+        inverse_transform(table)
+        tracemalloc.start()
+        try:
+            back = inverse_transform(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size == back.values.nbytes
+        largest = max(stack.nbytes for stack in table.stacks.values())
+        assert peak < 2 * back.values.nbytes + largest + 4096
+
+
 def test_incomplete_table_rejected():
+    # a table's entries cannot be deleted; a file that misses one is refused when read
     q = quotient("pg", 3)
     t = transform(PeriodicFunction.delta(q))
-    del t.entries[0]
-    with pytest.raises(IncompleteTable):
-        inverse_transform(t)
+    with pytest.raises(TypeError):
+        del t.entries[0]
+    data = json.loads(io.canonical_json(io.table_to_dict(t)))
+    del data["entries"][0]
+    with pytest.raises(IncompleteTable, match="irrep 0 has no entry"):
+        io.table_from_dict(data, q)
 
 
 def test_plancherel_random_pairs(rng):
