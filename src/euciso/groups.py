@@ -42,6 +42,7 @@ from .errors import BadModulus, CapExceeded, InternalInconsistency, NotAMember
 from .isometry import Isometry
 
 ORDER_BOUND = 48
+INT64_MAX = 2 ** 63 - 1     # `GroupSpec.points` holds point parts and translations as int64
 DEFAULT_CAP = 4096        # largest quotient order given a multiplication table or irreps
 # a product by the collection formula costs 43-76 ns and a table entry 5.4-7.5
 # ns to fill and check (pg N=45 and twistE8 N=6, one core, batches of 4k-1M
@@ -122,9 +123,22 @@ class GroupSpec:
         return stack
 
     @functools.cached_property
+    def f_matches(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """F's index of the identity, of every product F[i] F[j] as a (|F|, |F|)
+        array and of every inverse F[i]^T, each -1 where no element of F
+        matches; one `_match_f` pass, read by `validate_spec`, `f_identity`
+        and `f_mul_table`."""
+        k, d1 = self.f_order, self.d1
+        f = self.f_stack.reshape(k, d1, d1)
+        idx = _match_f(self, np.concatenate([np.eye(d1)[None],
+                                             (f[:, None] @ f[None]).reshape(k * k, d1, d1),
+                                             f.swapaxes(1, 2)]))
+        return int(idx[0]), idx[1:k * k + 1].reshape(k, k), idx[k * k + 1:]
+
+    @functools.cached_property
     def f_identity(self) -> int:
-        idx = self.f_index(np.eye(self.d1))
-        if idx is None:
+        idx = self.f_matches[0]
+        if idx < 0:
             raise InternalInconsistency("F does not contain the identity")
         return idx
 
@@ -148,12 +162,45 @@ class GroupSpec:
 
     def f_mul_table(self) -> list[list[int]]:
         if self._f_mul is None:
-            f, k = self.f_stack, self.f_order
-            idx = _match_f(self, (f[:, None] @ f[None]).reshape(k * k, self.d1, self.d1))
-            if (idx < 0).any():
+            table = self.f_matches[1]
+            if (table < 0).any():
                 raise InternalInconsistency("F is not closed under products")
-            self._f_mul = idx.reshape(k, k).tolist()
+            self._f_mul = table.tolist()
         return self._f_mul
+
+    @functools.cached_property
+    def word_tree(self) -> tuple[list[int], list[int], list[list[tuple[int, int, int]]]]:
+        """Element orders of F, a greedy generating set and its word tree.
+
+        Generators are chosen greedily, highest element order first, each one
+        outside the subgroup the earlier ones generate, so H_i = <g_0..g_i>
+        climbs to F.  The word tree writes every element as parent * generator:
+        levels[i] lists (x, parent, j), x = parent * gens[j], for the elements
+        of H_i outside H_{i-1}, in BFS order.
+        """
+        mul, ident = self.f_mul_table(), self.f_identity
+        n = self.f_order
+        order = []
+        for g in range(n):
+            k, x = 1, g
+            while x != ident:
+                x, k = mul[x][g], k + 1
+            order.append(k)
+        gens, levels, members, inside = [], [], [ident], {ident}
+        for g in sorted(range(n), key=lambda x: -order[x]):
+            if g in inside:
+                continue
+            gens.append(g)
+            level = []
+            for x in members:           # members grows while it is walked: a BFS
+                for j, h in enumerate(gens):
+                    y = mul[x][h]
+                    if y not in inside:
+                        inside.add(y)
+                        level.append((y, x, j))
+                        members.append(y)
+            levels.append(level)
+        return order, gens, levels
 
     def p_mul_table(self) -> np.ndarray:
         """p_reps index of every product P_a P_b of point parts, as a (|P|, |P|) array."""
@@ -219,13 +266,24 @@ class GroupSpec:
         return q
 
 
+def _deviation(q: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The largest entry of |q[i] - f[j]| for two stacks of d1 x d1 blocks,
+    as a (len(q), len(f)) array.  The d1^2 entries are the leading axis of
+    the difference, so the max is d1^2 - 1 elementwise passes over whole
+    (len(q), len(f)) planes, not a reduction over d1^2 entries per pair."""
+    n = q.shape[-1] ** 2
+    diff = (np.ascontiguousarray(q.reshape(len(q), n).T)[:, :, None]
+            - np.ascontiguousarray(f.reshape(len(f), n).T)[:, None])
+    return np.abs(diff, out=diff).max(axis=0, initial=0.0)
+
+
 def _match_f(spec: GroupSpec, q: np.ndarray) -> np.ndarray:
     """Index of the nearest element of F for each block of a (k, d1, d1) stack,
     or -1 where even the nearest lies farther than spec.tol."""
     f = spec.f_stack
     if not len(f):
         return np.full(len(q), -1)
-    dev = np.abs(q[:, None] - f[None]).max(axis=(2, 3), initial=0.0)
+    dev = _deviation(q, f)
     idx = dev.argmin(axis=1)
     return np.where(dev[np.arange(len(q)), idx] <= spec.tol, idx, -1)
 
@@ -300,112 +358,146 @@ def _rep_products(spec: GroupSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # -- validation -------------------------------------------------------------
 
 def validate_spec(spec: GroupSpec) -> list[Violation]:
-    """Check every GroupSpec invariant; violations are data, not errors."""
-    out: list[Violation] = []
-    tol = spec.tol
+    """Check every GroupSpec invariant; violations are data, not errors.
 
-    if spec.d1 < 0 or spec.d2 < 0:
+    The violations come in a fixed order, and each is listed once:
+
+    1. `dims` (d1 or d2 negative) or `t-lifts` (not d2 of them) alone.
+    2. `f-orthogonal` per element of F, up to the first one of the wrong
+       shape, which gives `f-shape` and ends the list.
+    3. `f-identity`; then per row i of F's table, `f-closed` for each
+       missing F[i]*F[j] and `f-inverse` if F[i]^-1 is missing; then
+       `f-distinct` for each coinciding pair i < j.
+    4. Per t_lift: `t-point`, `t-tau`, `t-orthogonal`, up to the first one
+       of the wrong block dims, which gives `t-dims` and ends the list.
+    5. `p-identity`, `p-distinct`; per p_rep: `p-orthogonal`, `p-det`
+       (which ends the list) and `p-order`, up to the first one of the
+       wrong block dims, which gives `p-dims` and ends the list.
+    6. Per point part, `p-group` if a product with another one or its
+       inverse is missing; then `p-range` per p_rep with an integer past
+       int64 (see `GroupSpec.points`).  If anything was found so far, the
+       list ends here.
+    7. Per t_lift, then per p_rep, `f-normal` for each F[i] it conjugates
+       out of F; `t-commutator` per pair of t_lifts; per p_rep,
+       `p-closure` and `p-conjugation`.
+
+    Orthogonality is one pass over the stack of F, the t_lifts' and the
+    p_reps' q blocks; F's identity, products and inverses are the
+    spec's `f_matches`; the conjugates and commutators of step 7 are one
+    `_match_f` pass and the presentation closure one `_factor` pass.
+    """
+    d1, d2, tol = spec.d1, spec.d2, spec.tol
+    if d1 < 0 or d2 < 0:
         return [Violation("dims", "d1 and d2 must be nonnegative")]
-    if len(spec.t_lifts) != spec.d2:
-        out.append(Violation("t-lifts", f"expected {spec.d2} t_lifts, got {len(spec.t_lifts)}"))
+    if len(spec.t_lifts) != d2:
+        return [Violation("t-lifts", f"expected {d2} t_lifts, got {len(spec.t_lifts)}")]
+
+    # each list is checked up to its first block of the wrong shape or dims
+    k = next((i for i, f in enumerate(spec.f_elements) if f.shape != (d1, d1)), spec.f_order)
+    t = next((i for i, g in enumerate(spec.t_lifts) if g.d1 != d1 or g.d2 != d2), d2)
+    r = next((i for i, g in enumerate(spec.p_reps) if g.d1 != d1 or g.d2 != d2), spec.rot_order)
+    blocks = spec.f_elements[:k] + [g.q for g in spec.t_lifts[:t] + spec.p_reps[:r]]
+    q = np.array(blocks).reshape(len(blocks), d1, d1)
+    bent = (np.abs(q.swapaxes(1, 2) @ q - np.eye(d1)).max(axis=(1, 2), initial=0.0)
+            > tol).tolist()
+    out = [Violation("f-orthogonal", f"F[{i}] is not orthogonal within tol")
+           for i in range(k) if bent[i]]
+    if k < spec.f_order:
+        out.append(Violation("f-shape", f"F[{k}] has shape {spec.f_elements[k].shape}"))
         return out
 
-    for i, f in enumerate(spec.f_elements):
-        if f.shape != (spec.d1, spec.d1):
-            out.append(Violation("f-shape", f"F[{i}] has shape {f.shape}"))
-            return out
-        if iso.orth_deviation(f) > tol:
-            out.append(Violation("f-orthogonal", f"F[{i}] is not orthogonal within tol"))
-
-    if spec.f_index(np.eye(spec.d1)) is None:
+    ident, table, inverse = spec.f_matches
+    if ident < 0:
         out.append(Violation("f-identity", "F does not contain the identity"))
-    k, d1, d2 = spec.f_order, spec.d1, spec.d2
-    f = spec.f_stack.reshape(k, d1, d1)
-    closed = _match_f(spec, (f[:, None] @ f[None]).reshape(k * k, d1, d1)).reshape(k, k) >= 0
-    inverse = _match_f(spec, f.swapaxes(1, 2)) >= 0
-    for i in range(k):
+    for i in np.flatnonzero((table < 0).any(axis=1) | (inverse < 0)).tolist():
         out += [Violation("f-closed", f"F not closed: F[{i}]*F[{j}] missing")
-                for j in np.flatnonzero(~closed[i])]
-        if not inverse[i]:
+                for j in np.flatnonzero(table[i] < 0).tolist()]
+        if inverse[i] < 0:
             out.append(Violation("f-inverse", f"F not closed under inverse at F[{i}]"))
-    coincide = np.abs(f[:, None] - f[None]).max(axis=(2, 3), initial=0.0) <= tol
+    f = q[:k]
+    coincide = _deviation(f, f) <= tol
     out += [Violation("f-distinct", f"F[{i}] and F[{j}] coincide")
             for i, j in zip(*np.nonzero(np.triu(coincide, 1)))]
 
     # section lifts: identity point part, tau = e_i, orthogonal q
-    for i, g in enumerate(spec.t_lifts):
-        if g.d1 != spec.d1 or g.d2 != spec.d2:
-            out.append(Violation("t-dims", f"t_lifts[{i}] has wrong block dims"))
-            return out
-        if g.p != iso.identity_int_matrix(spec.d2):
+    ident_p = iso.identity_int_matrix(d2)
+    for i, g in enumerate(spec.t_lifts[:t]):
+        if g.p != ident_p:
             out.append(Violation("t-point", f"t_lifts[{i}] point part is not the identity"))
-        want = tuple(Fraction(int(i == j)) for j in range(spec.d2))
-        if g.tau != want:
+        if g.tau != ident_p[i]:
             out.append(Violation("t-tau", f"t_lifts[{i}] tau is {g.tau}, expected e_{i+1}"))
-        if iso.orth_deviation(g.q) > tol:
+        if bent[k + i]:
             out.append(Violation("t-orthogonal", f"t_lifts[{i}] q block not orthogonal"))
+    if t < d2:
+        out.append(Violation("t-dims", f"t_lifts[{t}] has wrong block dims"))
+        return out
 
     # point representatives: distinct lattice ops forming a finite group
-    if spec.p_index(iso.identity_int_matrix(spec.d2)) is None:
-        out.append(Violation("p-identity", "p_reps does not contain the identity"))
-    pmats = [p.p for p in spec.p_reps]
-    if len(set(pmats)) != len(pmats):
-        out.append(Violation("p-distinct", "p_reps point parts are not pairwise distinct"))
+    pmats = [g.p for g in spec.p_reps]
     pset = set(pmats)
-    for i, g in enumerate(spec.p_reps):
-        if g.d1 != spec.d1 or g.d2 != spec.d2:
-            out.append(Violation("p-dims", f"p_reps[{i}] has wrong block dims"))
-            return out
-        if iso.orth_deviation(g.q) > tol:
+    if ident_p not in pset:
+        out.append(Violation("p-identity", "p_reps does not contain the identity"))
+    if len(pset) != len(pmats):
+        out.append(Violation("p-distinct", "p_reps point parts are not pairwise distinct"))
+    for i, p in enumerate(pmats[:r]):
+        if bent[k + d2 + i]:
             out.append(Violation("p-orthogonal", f"p_reps[{i}] q block not orthogonal"))
-        det = iso.pmat_det(g.p)
+        det = iso.pmat_det(p)
         if det not in (1, -1):
             out.append(Violation("p-det", f"p_reps[{i}] determinant {det}"))
             return out
-        if iso.pmat_order(g.p, ORDER_BOUND) is None:
+        if iso.pmat_order(p, ORDER_BOUND) is None:
             out.append(Violation("p-order", f"p_reps[{i}] order exceeds bound {ORDER_BOUND}"))
+    if r < spec.rot_order:
+        out.append(Violation("p-dims", f"p_reps[{r}] has wrong block dims"))
+        return out
     for a in pmats:
-        for b in pmats:
-            if iso.pmat_mul(a, b) not in pset:
-                out.append(Violation("p-group", "point parts not closed under products"))
-                break
+        if any(iso.pmat_mul(a, b) not in pset for b in pmats):
+            out.append(Violation("p-group", "point parts not closed under products"))
         if iso.pmat_inv(a) not in pset:
             out.append(Violation("p-group", "point parts not closed under inverse"))
+    den = math.lcm(*(x.denominator for g in spec.p_reps for x in g.tau))
+    for i, g in enumerate(spec.p_reps):
+        ints = [den, *itertools.chain(*g.p), *(x.numerator * (den // x.denominator) for x in g.tau)]
+        if max(map(abs, ints)) > INT64_MAX:
+            out.append(Violation("p-range", f"p_reps[{i}] has a point part entry, or a "
+                                 f"translation over the denominator {den}, past int64"))
     if out:
         # skip conjugation checks when the raw data is already broken
         return list(dict.fromkeys(out))
 
-    # F normal under all generators: g*f*g^-1 has point part 1 and tau = 0
-    gens = [("t", t.q) for t in spec.t_lifts] + [("p", p.q) for p in spec.p_reps]
-    g_q = np.array([q for _, q in gens]).reshape(len(gens), d1, d1)
-    outside = _match_f(spec, _conjugates(g_q, f)).reshape(len(gens), k) < 0
-    out += [Violation("f-normal", f"conjugate of F[{i}] by a {tag}-generator left F")
-            for (tag, _), row in zip(gens, outside) for i in np.flatnonzero(row)]
-
-    # commutators of section generators land in F; by t-point and t-tau
+    # F normal under all generators: g*f*g^-1 has point part 1 and tau = 0.
+    # Commutators of section generators land in F; by t-point and t-tau
     # their (p, tau) block is trivial
+    g_q, t_q = q[k:], q[k:k + d2]
     pairs = list(itertools.combinations(range(d2), 2))
-    t_q = g_q[:d2]
     qi, qj = t_q[[i for i, _ in pairs]], t_q[[j for _, j in pairs]]
     comm = (qi @ qj @ qi.swapaxes(1, 2) @ qj.swapaxes(1, 2)).reshape(len(pairs), d1, d1)
+    hits = _match_f(spec, np.concatenate([_conjugates(g_q, f), comm]))
+    outside = hits[:len(g_q) * k].reshape(len(g_q), k) < 0
+    for row in np.flatnonzero(outside.any(axis=1)).tolist():
+        tag = "t" if row < d2 else "p"
+        out += [Violation("f-normal", f"conjugate of F[{i}] by a {tag}-generator left F")
+                for i in np.flatnonzero(outside[row]).tolist()]
     out += [Violation("t-commutator", f"[g{i+1}, g{j+1}] q block lies outside F")
-            for (i, j), fi in zip(pairs, _match_f(spec, comm)) if fi < 0]
+            for (i, j), fi in zip(pairs, hits[len(g_q) * k:].tolist()) if fi < 0]
 
-    # presentation closure: p*p' and p*t*p^-1 must normal-form.  The point
-    # parts come from p_mul_table, which p-group makes safe; p*t_j*p^-1 has
-    # point part 1 and tau = P e_j
+    # presentation closure: p*p' and p*t*p^-1 must normal-form, in one
+    # stack.  The point parts come from p_mul_table, which p-group makes
+    # safe; p*t_j*p^-1 has point part 1 and tau = P e_j
     d, p_mat, _, p_q = spec.points
-    r = spec.rot_order
-    _, prod_f, _ = _factor(spec, *_rep_products(spec))
-    _, conj_f, _ = _factor(spec, _conjugates(p_q, t_q), [spec.p_identity] * (r * d2),
-                           d * p_mat.swapaxes(1, 2).reshape(r * d2, d2))
-    for prod_row, conj_row in zip(prod_f.reshape(r, r), conj_f.reshape(r, d2)):
-        if (prod_row < 0).any():
+    prod_q, prod_p, prod_tau = _rep_products(spec)
+    _, hit, _ = _factor(spec, np.concatenate([prod_q, _conjugates(p_q, t_q)]),
+                        np.concatenate([prod_p, np.full(r * d2, spec.p_identity)]),
+                        np.concatenate([prod_tau, d * p_mat.swapaxes(1, 2).reshape(r * d2, d2)]))
+    closure = (hit[:r * r] < 0).reshape(r, r).any(axis=1)
+    conjugation = (hit[r * r:] < 0).reshape(r, d2).any(axis=1)
+    for a in np.flatnonzero(closure | conjugation).tolist():
+        if closure[a]:
             out.append(Violation("p-closure", "product of p_reps has no normal form"))
-        if (conj_row < 0).any():
+        if conjugation[a]:
             out.append(Violation("p-conjugation",
                                  "conjugate of a t_lift by a p_rep has no normal form"))
-
     return list(dict.fromkeys(out))
 
 
@@ -427,7 +519,7 @@ def is_power_normal(spec: GroupSpec, m: int) -> bool:
     d1, d2 = spec.d1, spec.d2
     basis = np.concatenate([np.eye(d2, dtype=np.int64), -np.eye(d2, dtype=np.int64)])
     powers = spec.section_q(m * basis)                  # t(b)^m = t(m b)
-    _, f_gens, _ = _word_tree(spec)
+    _, f_gens, _ = spec.word_tree
     _, p_mat, _, p_q = spec.points
     gens = ([(t.q, t.p) for t in spec.t_lifts]
             + [(spec.f_elements[i], np.eye(d2)) for i in f_gens] + list(zip(p_q, p_mat)))
@@ -443,55 +535,21 @@ def is_power_normal(spec: GroupSpec, m: int) -> bool:
     return bool(np.abs(x - y).max(initial=0.0) <= spec.tol)
 
 
-def _word_tree(spec: GroupSpec) -> tuple[list[int], list[int], list[list[tuple[int, int, int]]]]:
-    """Element orders of F, a greedy generating set and its word tree.
-
-    Generators are chosen greedily, highest element order first, each one
-    outside the subgroup the earlier ones generate, so H_i = <g_0..g_i>
-    climbs to F.  The word tree writes every element as parent * generator:
-    levels[i] lists (x, parent, j), x = parent * gens[j], for the elements
-    of H_i outside H_{i-1}, in BFS order.
-    """
-    mul, ident = spec.f_mul_table(), spec.f_identity
-    n = spec.f_order
-    order = []
-    for g in range(n):
-        k, x = 1, g
-        while x != ident:
-            x, k = mul[x][g], k + 1
-        order.append(k)
-    gens, levels, members, inside = [], [], [ident], {ident}
-    for g in sorted(range(n), key=lambda x: -order[x]):
-        if g in inside:
-            continue
-        gens.append(g)
-        level = []
-        for x in members:           # members grows while it is walked: a BFS
-            for j, h in enumerate(gens):
-                y = mul[x][h]
-                if y not in inside:
-                    inside.add(y)
-                    level.append((y, x, j))
-                    members.append(y)
-        levels.append(level)
-    return order, gens, levels
-
-
 def automorphism_count(spec: GroupSpec) -> int:
     """|Aut(F)| by backtracking over the images of a generating set.
 
     This is the standard search for automorphisms of a finite group (Holt,
     Eick and O'Brien, *Handbook of Computational Group Theory*, §4.6), over
-    the generators and word tree of `_word_tree`.  The images of g_0, g_1,
-    ... are assigned in turn, each among the elements of its order; the map
-    is extended along level i of the tree, and a branch is dropped once it
-    is not injective on H_i or breaks phi(x g_j) = phi(x) phi(g_j) there.
-    Every complete branch is an injective homomorphism of F into itself, so
-    it is counted.
+    the generators and word tree of `GroupSpec.word_tree`.  The images of
+    g_0, g_1, ... are assigned in turn, each among the elements of its
+    order; the map is extended along level i of the tree, and a branch is
+    dropped once it is not injective on H_i or breaks
+    phi(x g_j) = phi(x) phi(g_j) there.  Every complete branch is an
+    injective homomorphism of F into itself, so it is counted.
     """
     mul, ident = spec.f_mul_table(), spec.f_identity
     n = spec.f_order
-    order, gens, levels = _word_tree(spec)
+    order, gens, levels = spec.word_tree
 
     def extend(i: int, phi: list[int], img: tuple[int, ...]) -> int:
         if i == len(gens):

@@ -23,7 +23,9 @@ that misses an irreducible is refused (IncompleteTable).  The readers
 refuse a count, index, size, dimension or point part entry that is not an
 integer, a tolerance, q block or F entry that is not a finite number (a
 bool is not one), a translation part that is neither an integer nor a
-"p/q" string, and a tolerance that is not positive.
+"p/q" string, a tolerance that is not positive, and a spec whose d2 is not
+the number of its t_lifts and the size of every point part (or that has no
+p_reps).
 """
 
 from __future__ import annotations
@@ -129,14 +131,22 @@ def spec_from_dict(data: dict) -> GroupSpec:
         if tol <= 0:
             raise ValueError(f"tol must be positive, not {tol!r}")
         f_elements = [json_float_block(f, "an F entry", (d1, d1)) for f in data["f_elements"]]
+        # d2 is checked against the file's lists before the lifts' d2 x d2
+        # identity is built, so its size is bounded by a point part's
+        lifts, reps = data["t_lifts"], data["p_reps"]
+        if len(lifts) != d2:
+            raise ValueError(f"d2 is {d2}, but the file has {len(lifts)} t_lifts")
+        if not reps or any(len(e["p"]) != d2 or any(len(row) != d2 for row in e["p"])
+                           for e in reps):
+            raise ValueError(f"p_reps must be a non-empty list of {d2} x {d2} point parts")
         ident_p = tuple(tuple(int(i == j) for j in range(d2)) for i in range(d2))
         t_lifts = []
-        for i, entry in enumerate(data["t_lifts"]):
+        for i, entry in enumerate(lifts):
             tau = tuple(Fraction(int(i == j)) for j in range(d2))
             t_lifts.append(Isometry(json_float_block(entry["q"], "a q block entry", (d1, d1)),
                                     ident_p, tau))
         p_reps = []
-        for entry in data["p_reps"]:
+        for entry in reps:
             p_reps.append(Isometry(
                 json_float_block(entry["q"], "a q block entry", (d1, d1)),
                 [[json_int(x, "a point part entry") for x in row] for row in entry["p"]],

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -49,11 +50,13 @@ def identity_int_matrix(d: int) -> IntMatrix:
 
 
 def pmat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
+    cols = [*zip(*b)]
+    return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
+
+
+def _minor(a: IntMatrix, i: int, j: int) -> IntMatrix:
+    """a without row i and column j."""
+    return tuple([row[:j] + row[j + 1:] for k, row in enumerate(a) if k != i])
 
 
 def pmat_det(a: IntMatrix) -> int:
@@ -65,35 +68,21 @@ def pmat_det(a: IntMatrix) -> int:
     if n == 2:
         return a[0][0] * a[1][1] - a[0][1] * a[1][0]
     det = 0
-    for j in range(n):
-        minor = tuple(row[:j] + row[j + 1:] for row in a[1:])
-        det += (-1) ** j * a[0][j] * pmat_det(minor)
+    for j, x in enumerate(a[0]):
+        if x:
+            det += (x if j % 2 == 0 else -x) * pmat_det(_minor(a, 0, j))
     return det
 
 
 def pmat_inv(a: IntMatrix) -> IntMatrix:
-    """Exact inverse of a lattice point operation (determinant +-1)."""
-    n = len(a)
+    """Exact inverse of a lattice point operation (determinant +-1): the
+    adjugate, whose entries are integer cofactors, divided by det = +-1."""
     det = pmat_det(a)
     if det not in (1, -1):
         raise EucisoError(f"point part has determinant {det}, not a lattice map")
-    if n == 0:
-        return a
-    # Gaussian elimination over the rationals; entries of the result are
-    # integers because |det| = 1.
-    work = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-            for i in range(n)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if work[r][col] != 0)
-        work[col], work[pivot] = work[pivot], work[col]
-        pv = work[col][col]
-        work[col] = [x / pv for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    inv = tuple(tuple(int(work[i][n + j]) for j in range(n)) for i in range(n))
-    return inv
+    n = len(a)
+    return tuple([tuple([(det if (i + j) % 2 == 0 else -det) * pmat_det(_minor(a, j, i))
+                         for j in range(n)]) for i in range(n)])
 
 
 def pmat_order(a: IntMatrix, bound: int = 48) -> int | None:

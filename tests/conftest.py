@@ -1,6 +1,8 @@
+import contextlib
 import itertools
 import json
 import math
+import signal
 from fractions import Fraction
 
 import numpy as np
@@ -10,9 +12,10 @@ from hypothesis import settings
 from euciso import catalog, io
 from euciso import isometry as iso
 from euciso.dual import enumerate_dual, rep_set, wave_orbits
-from euciso.errors import ConvergenceFailure, InternalInconsistency, NotAMember
+from euciso.errors import ConvergenceFailure, EucisoError, InternalInconsistency, NotAMember
 from euciso.fourier import FourierTable, PeriodicFunction
-from euciso.groups import (GroupSpec, NormalForm, build_quotient, find_m0, normal_form,
+from euciso.groups import (ORDER_BOUND, GroupSpec, NormalForm, Violation, _conjugates, _factor,
+                           _match_f, _rep_products, build_quotient, find_m0, normal_form,
                            normal_forms)
 from euciso.reps import (MAX_RESEEDS, STRUCT_TOL, Representation, _split_dense, char_norm_sq,
                          chi, coset_conjugation, equivalent, induce, irreps, lift_representation,
@@ -27,6 +30,25 @@ settings.load_profile("euciso")
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+class Hung(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise Hung in the block once it has run this long (SIGALRM, main thread)."""
+    def hung(signum, frame):
+        raise Hung(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def spec(name):
@@ -372,3 +394,175 @@ def transform_at_oracle(u, rho, q):
     for nf, val in u.support.items():
         acc += np.kron(val, rho.matrix(q.reduce(nf)))
     return acc
+
+
+def validate_spec_oracle(spec: GroupSpec) -> list[Violation]:
+    """`validate_spec` one element or pair at a time, with a `_match_f` or
+    `_factor` call per check: the same violations in the same order."""
+    out: list[Violation] = []
+    tol = spec.tol
+
+    if spec.d1 < 0 or spec.d2 < 0:
+        return [Violation("dims", "d1 and d2 must be nonnegative")]
+    if len(spec.t_lifts) != spec.d2:
+        out.append(Violation("t-lifts", f"expected {spec.d2} t_lifts, got {len(spec.t_lifts)}"))
+        return out
+
+    for i, f in enumerate(spec.f_elements):
+        if f.shape != (spec.d1, spec.d1):
+            out.append(Violation("f-shape", f"F[{i}] has shape {f.shape}"))
+            return out
+        if iso.orth_deviation(f) > tol:
+            out.append(Violation("f-orthogonal", f"F[{i}] is not orthogonal within tol"))
+
+    if spec.f_index(np.eye(spec.d1)) is None:
+        out.append(Violation("f-identity", "F does not contain the identity"))
+    k, d1, d2 = spec.f_order, spec.d1, spec.d2
+    f = spec.f_stack.reshape(k, d1, d1)
+    closed = _match_f(spec, (f[:, None] @ f[None]).reshape(k * k, d1, d1)).reshape(k, k) >= 0
+    inverse = _match_f(spec, f.swapaxes(1, 2)) >= 0
+    for i in range(k):
+        out += [Violation("f-closed", f"F not closed: F[{i}]*F[{j}] missing")
+                for j in np.flatnonzero(~closed[i])]
+        if not inverse[i]:
+            out.append(Violation("f-inverse", f"F not closed under inverse at F[{i}]"))
+    coincide = np.abs(f[:, None] - f[None]).max(axis=(2, 3), initial=0.0) <= tol
+    out += [Violation("f-distinct", f"F[{i}] and F[{j}] coincide")
+            for i, j in zip(*np.nonzero(np.triu(coincide, 1)))]
+
+    # section lifts: identity point part, tau = e_i, orthogonal q
+    for i, g in enumerate(spec.t_lifts):
+        if g.d1 != spec.d1 or g.d2 != spec.d2:
+            out.append(Violation("t-dims", f"t_lifts[{i}] has wrong block dims"))
+            return out
+        if g.p != iso.identity_int_matrix(spec.d2):
+            out.append(Violation("t-point", f"t_lifts[{i}] point part is not the identity"))
+        want = tuple(Fraction(int(i == j)) for j in range(spec.d2))
+        if g.tau != want:
+            out.append(Violation("t-tau", f"t_lifts[{i}] tau is {g.tau}, expected e_{i+1}"))
+        if iso.orth_deviation(g.q) > tol:
+            out.append(Violation("t-orthogonal", f"t_lifts[{i}] q block not orthogonal"))
+
+    # point representatives: distinct lattice ops forming a finite group
+    if spec.p_index(iso.identity_int_matrix(spec.d2)) is None:
+        out.append(Violation("p-identity", "p_reps does not contain the identity"))
+    pmats = [p.p for p in spec.p_reps]
+    if len(set(pmats)) != len(pmats):
+        out.append(Violation("p-distinct", "p_reps point parts are not pairwise distinct"))
+    pset = set(pmats)
+    for i, g in enumerate(spec.p_reps):
+        if g.d1 != spec.d1 or g.d2 != spec.d2:
+            out.append(Violation("p-dims", f"p_reps[{i}] has wrong block dims"))
+            return out
+        if iso.orth_deviation(g.q) > tol:
+            out.append(Violation("p-orthogonal", f"p_reps[{i}] q block not orthogonal"))
+        det = iso.pmat_det(g.p)
+        if det not in (1, -1):
+            out.append(Violation("p-det", f"p_reps[{i}] determinant {det}"))
+            return out
+        if iso.pmat_order(g.p, ORDER_BOUND) is None:
+            out.append(Violation("p-order", f"p_reps[{i}] order exceeds bound {ORDER_BOUND}"))
+    for a in pmats:
+        for b in pmats:
+            if iso.pmat_mul(a, b) not in pset:
+                out.append(Violation("p-group", "point parts not closed under products"))
+                break
+        if iso.pmat_inv(a) not in pset:
+            out.append(Violation("p-group", "point parts not closed under inverse"))
+    if out:
+        # skip conjugation checks when the raw data is already broken
+        return list(dict.fromkeys(out))
+
+    # F normal under all generators: g*f*g^-1 has point part 1 and tau = 0
+    gens = [("t", t.q) for t in spec.t_lifts] + [("p", p.q) for p in spec.p_reps]
+    g_q = np.array([q for _, q in gens]).reshape(len(gens), d1, d1)
+    outside = _match_f(spec, _conjugates(g_q, f)).reshape(len(gens), k) < 0
+    out += [Violation("f-normal", f"conjugate of F[{i}] by a {tag}-generator left F")
+            for (tag, _), row in zip(gens, outside) for i in np.flatnonzero(row)]
+
+    # commutators of section generators land in F; by t-point and t-tau
+    # their (p, tau) block is trivial
+    pairs = list(itertools.combinations(range(d2), 2))
+    t_q = g_q[:d2]
+    qi, qj = t_q[[i for i, _ in pairs]], t_q[[j for _, j in pairs]]
+    comm = (qi @ qj @ qi.swapaxes(1, 2) @ qj.swapaxes(1, 2)).reshape(len(pairs), d1, d1)
+    out += [Violation("t-commutator", f"[g{i+1}, g{j+1}] q block lies outside F")
+            for (i, j), fi in zip(pairs, _match_f(spec, comm)) if fi < 0]
+
+    # presentation closure: p*p' and p*t*p^-1 must normal-form.  The point
+    # parts come from p_mul_table, which p-group makes safe; p*t_j*p^-1 has
+    # point part 1 and tau = P e_j
+    d, p_mat, _, p_q = spec.points
+    r = spec.rot_order
+    _, prod_f, _ = _factor(spec, *_rep_products(spec))
+    _, conj_f, _ = _factor(spec, _conjugates(p_q, t_q), [spec.p_identity] * (r * d2),
+                           d * p_mat.swapaxes(1, 2).reshape(r * d2, d2))
+    for prod_row, conj_row in zip(prod_f.reshape(r, r), conj_f.reshape(r, d2)):
+        if (prod_row < 0).any():
+            out.append(Violation("p-closure", "product of p_reps has no normal form"))
+        if (conj_row < 0).any():
+            out.append(Violation("p-conjugation",
+                                 "conjugate of a t_lift by a p_rep has no normal form"))
+
+    return list(dict.fromkeys(out))
+
+
+def pmat_mul_oracle(a: iso.IntMatrix, b: iso.IntMatrix) -> iso.IntMatrix:
+    """`iso.pmat_mul` entry by entry, each a generator sum."""
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
+
+
+def pmat_det_oracle(a: iso.IntMatrix) -> int:
+    """`iso.pmat_det` by cofactor expansion along the first row."""
+    n = len(a)
+    if n == 0:
+        return 1
+    if n == 1:
+        return a[0][0]
+    if n == 2:
+        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    det = 0
+    for j in range(n):
+        minor = tuple(row[:j] + row[j + 1:] for row in a[1:])
+        det += (-1) ** j * a[0][j] * pmat_det_oracle(minor)
+    return det
+
+
+def pmat_inv_oracle(a: iso.IntMatrix) -> iso.IntMatrix:
+    """`iso.pmat_inv` by Gaussian elimination over the rationals."""
+    n = len(a)
+    det = pmat_det_oracle(a)
+    if det not in (1, -1):
+        raise EucisoError(f"point part has determinant {det}, not a lattice map")
+    if n == 0:
+        return a
+    # Gaussian elimination over the rationals; entries of the result are
+    # integers because |det| = 1.
+    work = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
+            for i in range(n)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if work[r][col] != 0)
+        work[col], work[pivot] = work[pivot], work[col]
+        pv = work[col][col]
+        work[col] = [x / pv for x in work[col]]
+        for r in range(n):
+            if r != col and work[r][col] != 0:
+                factor = work[r][col]
+                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
+    inv = tuple(tuple(int(work[i][n + j]) for j in range(n)) for i in range(n))
+    return inv
+
+
+def pmat_order_oracle(a: iso.IntMatrix, bound: int = 48) -> int | None:
+    """`iso.pmat_order` over `pmat_mul_oracle`."""
+    ident = iso.identity_int_matrix(len(a))
+    power = a
+    for k in range(1, bound + 1):
+        if power == ident:
+            return k
+        power = pmat_mul_oracle(power, a)
+    return None

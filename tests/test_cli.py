@@ -13,7 +13,7 @@ from euciso.errors import EucisoError
 from euciso.fourier import PeriodicFunction, transform
 from euciso.groups import build_quotient, find_m0
 
-from conftest import quotient, reference_json, rod_spec, spec
+from conftest import quotient, reference_json, rod_spec, spec, time_limit
 
 
 @pytest.fixture(autouse=True)
@@ -131,6 +131,37 @@ def test_bools_strings_and_bad_tolerances_are_spec_errors(tmp_path, capsys, grou
     assert "malformed group spec" in err
     if path == ["tol"]:
         assert "tol must be" in err
+
+
+@pytest.mark.parametrize("path, value", [
+    (["d2"], 1000000),      # built a d2 x d2 identity first: still running after 15 s
+    (["d2"], 3),
+    (["p_reps"], []),
+    (["p_reps", 1, "p"], [[1, 0, 0], [0, -1, 0], [0, 0, 1]]),
+    (["p_reps", 1, "p", 1], [0]),
+])
+def test_d2_is_checked_against_the_lists_first(tmp_path, capsys, path, value):
+    raw = json.loads(io.canonical_json(io.spec_to_dict(spec("pg"))))
+    set_field(raw, path, value)
+    file = tmp_path / "spec.json"
+    file.write_text(json.dumps(raw))
+    with time_limit(1.0):
+        assert main(["analyze", str(file)]) == 2
+    assert "malformed group spec" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("group, path", [
+    ("p1", ["p_reps", 0, "tau", 0]),
+    ("pg", ["p_reps", 1, "p", 0, 1]),   # [[1, 2**70], [0, -1]] has det -1 and order 2
+])
+def test_integers_past_int64_are_violations(tmp_path, capsys, group, path):
+    raw = json.loads(io.canonical_json(io.spec_to_dict(spec(group))))
+    set_field(raw, path, 2 ** 70)
+    file = tmp_path / "spec.json"
+    file.write_text(json.dumps(raw))
+    code, out = run(capsys, "analyze", str(file))
+    assert code == 2
+    assert [v["code"] for v in json.loads(out)["violations"]] == ["p-range"]
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "-0.0", "one"])

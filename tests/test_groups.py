@@ -17,7 +17,7 @@ from euciso.isometry import Isometry, rotation2
 from conftest import (c5_quarter_spec, compose_all, cyclic, inverse, is_member,
                       mult_table_oracle, power, q_equal, quotient, reconstruct, rod_spec,
                       rotations_of_cube, s3_plane_spec, s4_plane_spec, section, spec,
-                      translation_isometry)
+                      translation_isometry, validate_spec_oracle)
 
 
 # -- oracle: independent membership and normality test -------------------------
@@ -93,6 +93,7 @@ def test_kernel_checks_match_pairwise_oracle():
             got = [(v.code, v.message) for v in validate_spec(broken)
                    if v.code in ("f-closed", "f-inverse", "f-distinct")]
             assert got == oracle_kernel_violations(broken), (name, len(kernel))
+            assert validate_spec(broken) == validate_spec_oracle(broken), (name, len(kernel))
 
 
 def oracle_conjugation_violations(s):
@@ -138,8 +139,110 @@ def test_conjugation_checks_match_scalar_oracle():
             s = GroupSpec("tilted", h.d1, h.d2, h.f_elements, t_lifts, p_reps, tol=h.tol)
             got = [(v.code, v.message) for v in validate_spec(s)]
             assert got == oracle_conjugation_violations(s), name
+            assert validate_spec(s) == validate_spec_oracle(s), name
             codes |= {code for code, _ in got}
     assert codes == {"f-normal", "t-commutator", "p-closure", "p-conjugation"}
+
+
+def violations(s):
+    """validate_spec's (code, message) list, checked equal to the per-element oracle's."""
+    got = [(v.code, v.message) for v in validate_spec(s)]
+    assert got == [(v.code, v.message) for v in validate_spec_oracle(s)]
+    return got
+
+
+def test_validate_spec_matches_the_oracle_on_valid_specs():
+    for name in catalog.names():
+        assert violations(spec(name)) == [], name
+    for k in range(1, 17):
+        for flip in (False, True):
+            assert violations(rod_spec(k, flip, 1.3)) == [], (k, flip)
+
+
+def test_f_matches_are_the_per_element_matches():
+    h = spec("helix-C3")
+    specs = ([spec(name) for name in catalog.names()]
+             + [rod_spec(k, flip, 0.9) for k in (1, 6, 10) for flip in (False, True)]
+             + [GroupSpec("broken", h.d1, h.d2, kernel, h.t_lifts, h.p_reps)
+                for kernel in (h.f_elements[:2], h.f_elements[1:], [])])
+    for s in specs:
+        def index(q):
+            i = s.f_index(q)
+            return -1 if i is None else i
+        ident, table, inverse = s.f_matches
+        assert ident == index(np.eye(s.d1)), s.name
+        assert table.tolist() == [[index(a @ b) for b in s.f_elements] for a in s.f_elements]
+        assert inverse.tolist() == [index(a.T) for a in s.f_elements]
+        if ident >= 0 and (table >= 0).all():
+            assert s.f_mul_table() == table.tolist() and s.f_identity == ident
+
+
+def replaced(s, **parts):
+    """s with some of its f_elements, t_lifts and p_reps lists replaced."""
+    lists = {"f_elements": s.f_elements, "t_lifts": s.t_lifts, "p_reps": s.p_reps, **parts}
+    return GroupSpec("broken", s.d1, s.d2, lists["f_elements"], lists["t_lifts"],
+                     lists["p_reps"], tol=s.tol)
+
+
+def test_validate_spec_keeps_the_order_of_raw_data_violations():
+    h, t, pm = spec("helix-C3"), spec("twistE8"), spec("pm")
+    one, e1 = iso.identity_int_matrix(2), (Fraction(1), Fraction(0))
+    stretched = 2 * np.eye(h.d1)
+    cases = [
+        # a non-orthogonal F element, then one of the wrong shape
+        (replaced(h, f_elements=h.f_elements[:1] + [stretched, np.eye(3)] + h.f_elements[1:]),
+         [("f-orthogonal", "F[1] is not orthogonal within tol"),
+          ("f-shape", "F[2] has shape (3, 3)")]),
+        # a non-orthogonal t_lift 0, then a t_lift 1 of the wrong dims
+        (replaced(t, t_lifts=[Isometry(2 * t.t_lifts[0].q, one, e1),
+                              Isometry(np.eye(t.d1 + 1), one, (0, 1))]),
+         [("t-orthogonal", "t_lifts[0] q block not orthogonal"),
+          ("t-dims", "t_lifts[1] has wrong block dims")]),
+        # a wrong point part on t_lift 0 and a wrong tau on t_lift 1
+        (replaced(t, t_lifts=[Isometry(t.t_lifts[0].q, ((1, 1), (0, 1)), e1),
+                              Isometry(t.t_lifts[1].q, one, (0, 2))]),
+         [("t-point", "t_lifts[0] point part is not the identity"),
+          ("t-tau", "t_lifts[1] tau is (Fraction(0, 1), Fraction(2, 1)), expected e_2")]),
+        # a p_rep of determinant 2 ends the list before the shear's p-order
+        (replaced(pm, p_reps=[pm.p_reps[0], Isometry(pm.p_reps[1].q, ((-1, 0), (0, 1)), (0, 0)),
+                              Isometry(np.zeros((0, 0)), ((2, 0), (0, 1)), (0, 0)),
+                              Isometry(np.zeros((0, 0)), ((1, 1), (0, 1)), (0, 0))]),
+         [("p-det", "p_reps[2] determinant 2")]),
+        # a non-orthogonal p_rep, then one of determinant 2
+        (replaced(h, p_reps=[h.p_reps[0], Isometry(2 * h.p_reps[1].q, h.p_reps[1].p, (0,)),
+                             Isometry(np.eye(h.d1), ((2,),), (0,))]),
+         [("p-orthogonal", "p_reps[1] q block not orthogonal"),
+          ("p-det", "p_reps[2] determinant 2")]),
+        # duplicate point parts
+        (replaced(pm, p_reps=pm.p_reps + [pm.p_reps[1]]),
+         [("p-distinct", "p_reps point parts are not pairwise distinct")]),
+        # a quarter turn alone: its square and its inverse are missing
+        (replaced(pm, p_reps=[pm.p_reps[0], Isometry(np.zeros((0, 0)), ((0, -1), (1, 0)),
+                                                     (0, 0))]),
+         [("p-group", "point parts not closed under products"),
+          ("p-group", "point parts not closed under inverse")]),
+        # two reflections without their product
+        (replaced(pm, p_reps=[pm.p_reps[0], Isometry(np.zeros((0, 0)), ((-1, 0), (0, 1)), (0, 0)),
+                              Isometry(np.zeros((0, 0)), ((1, 0), (0, -1)), (0, 0))]),
+         [("p-group", "point parts not closed under products")]),
+    ]
+    for s, want in cases:
+        assert violations(s) == want
+
+
+def test_point_parts_and_translations_past_int64_are_violations():
+    # each loaded and passed every raw check, then crashed in GroupSpec.points
+    p1, pg = spec("p1"), spec("pg")
+    big = 2 ** 70
+    shifted = replaced(p1, p_reps=[Isometry(np.zeros((0, 0)), p1.p_reps[0].p, (big, 0))])
+    sheared = replaced(pg, p_reps=[pg.p_reps[0], Isometry(pg.p_reps[1].q, ((1, big), (0, -1)),
+                                                          pg.p_reps[1].tau)])
+    assert validate_spec(shifted) == [groups.Violation(
+        "p-range", "p_reps[0] has a point part entry, or a translation over the denominator "
+        "1, past int64")]
+    assert [v.code for v in validate_spec(sheared)] == ["p-range"]
+    edge = replaced(p1, p_reps=[Isometry(np.zeros((0, 0)), p1.p_reps[0].p, (0, 2 ** 63))])
+    assert [v.code for v in validate_spec(edge)] == ["p-range"]
 
 
 def test_validation_catches_bad_point_part():

@@ -1,7 +1,9 @@
+import contextlib
 import hashlib
 import json
 import math
 from fractions import Fraction
+from io import StringIO
 
 import numpy as np
 import pytest
@@ -9,9 +11,10 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from euciso import catalog, io
+from euciso.cli import main
 from euciso.fourier import PeriodicFunction, transform
 
-from conftest import quotient, reference_json
+from conftest import quotient, reference_json, time_limit
 
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e300, -1e300, 1.7976931348623157e308,
                math.nan, math.inf, -math.inf]
@@ -165,3 +168,68 @@ def test_pinned_spec_bytes(name, tmp_path):
     again = tmp_path / "again.json"
     io.save_spec(io.load_spec(str(path)), str(again))
     assert again.read_text() == text
+
+
+SPEC_DOCUMENTS = {name: io.canonical_json(io.spec_to_dict(catalog.get(name)))
+                  for name in catalog.names()}
+LEAF_VALUES = [True, False, None, "x", 1.5, -1, "1/0", 2 ** 70]
+
+
+def mutation_paths(doc, path=()):
+    """("set", path) for every leaf of a JSON document and ("del", path) for
+    every key of its objects."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield "del", path + (key,)
+            yield from mutation_paths(value, path + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from mutation_paths(value, path + (i,))
+    else:
+        yield "set", path
+
+
+def mutation_kinds():
+    """Every catalog document's mutations by kind: (name, action, path with
+    its list indices as "*") mapped to the concrete paths.  Drawing the kind
+    first gives the few integer fields as much weight as the many floats."""
+    kinds = {}
+    for name, text in SPEC_DOCUMENTS.items():
+        for action, path in mutation_paths(json.loads(text)):
+            pattern = tuple("*" if isinstance(key, int) else key for key in path)
+            kinds.setdefault((name, action, pattern), []).append(path)
+    return kinds
+
+
+MUTATION_KINDS = mutation_kinds()
+
+
+# the examples once hung (a d2 past the file's lists) or crashed with an
+# OverflowError (entries past int64)
+@settings(max_examples=120)
+@example(kind=("pg", "set", ("d2",)), at=0, value=2 ** 70)
+@example(kind=("p1", "set", ("p_reps", "*", "tau", "*")), at=0, value=2 ** 70)
+@example(kind=("pg", "set", ("p_reps", "*", "p", "*", "*")), at=5, value=2 ** 70)
+@given(kind=st.sampled_from(sorted(MUTATION_KINDS)), at=st.integers(0, 999),
+       value=st.sampled_from(LEAF_VALUES))
+def test_a_mutated_spec_document_loads_as_itself_or_exits_2(tmp_path_factory, kind, at, value):
+    name, action, _ = kind
+    paths = MUTATION_KINDS[kind]
+    path = paths[at % len(paths)]
+    doc = json.loads(SPEC_DOCUMENTS[name])
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if action == "del":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    file = tmp_path_factory.getbasetemp() / "mutated-spec.json"
+    file.write_text(json.dumps(doc))
+    with time_limit(5.0), contextlib.redirect_stdout(StringIO()), \
+            contextlib.redirect_stderr(StringIO()):
+        code = main(["analyze", str(file)])
+    assert code in (0, 2), (name, path)
+    if code == 0:
+        text = io.canonical_json(io.spec_to_dict(io.spec_from_dict(doc)))
+        assert io.canonical_json(io.spec_to_dict(io.spec_from_dict(json.loads(text)))) == text

@@ -6,11 +6,12 @@ import pytest
 
 from euciso import catalog
 from euciso import isometry as iso
-from euciso.errors import DimensionMismatch
+from euciso.errors import DimensionMismatch, EucisoError
 from euciso.isometry import Isometry, rotation2
 
-from conftest import (c5_quarter_spec, compose_oracle, inverse, pmat_vec, power,
-                      s3_plane_spec, spec, translation_isometry)
+from conftest import (c5_quarter_spec, compose_oracle, inverse, pmat_det_oracle, pmat_inv_oracle,
+                      pmat_mul_oracle, pmat_order_oracle, pmat_vec, power, s3_plane_spec, spec,
+                      translation_isometry)
 
 
 def translation(v):
@@ -112,6 +113,41 @@ def test_pmat_inverse_exact():
     assert iso.pmat_det(m) == 1
     assert iso.pmat_order(m) == 4
     assert iso.pmat_order(((1, 1), (0, 1))) is None  # shear has infinite order
+
+
+def random_unimodular(rng, n):
+    """A product of random elementary integer matrices and sign flips: det +-1."""
+    m = iso.identity_int_matrix(n)
+    for _ in range(int(rng.integers(1, 9)) if n else 0):
+        e = np.eye(n, dtype=int)
+        i, j = rng.integers(n, size=2)
+        if i != j:
+            e[i, j] = rng.choice([-2, -1, 1, 2])
+        elif rng.random() < 0.5:
+            e[i, i] = -1
+        m = pmat_mul_oracle(m, iso.int_matrix(e.tolist()))
+    return m
+
+
+def test_point_part_arithmetic_matches_the_generator_sum_oracles(rng):
+    pairs = [(random_unimodular(rng, n), random_unimodular(rng, n))
+             for n in range(4) for _ in range(60)]
+    for name in catalog.names():
+        parts = [g.p for g in spec(name).p_reps]
+        pairs += [(a, b) for a in parts for b in parts]
+    pairs += [(((1, 2 ** 70), (0, -1)), ((0, 1), (1, 0)))]
+    for a, b in pairs:
+        assert iso.pmat_mul(a, b) == pmat_mul_oracle(a, b)
+        assert iso.pmat_det(a) == pmat_det_oracle(a)
+        assert iso.pmat_inv(a) == pmat_inv_oracle(a)
+        assert iso.pmat_order(a) == pmat_order_oracle(a)
+        assert iso.pmat_order(a, 3) == pmat_order_oracle(a, 3)
+    assert {len(a) for a, _ in pairs} == {0, 1, 2, 3}
+    assert {iso.pmat_order(a) for a, _ in pairs} >= {None, 1, 2, 4}
+    for m in (((2, 0), (0, 1)), ((1, 2, 3), (4, 5, 6), (7, 8, 10))):
+        assert iso.pmat_det(m) == pmat_det_oracle(m)
+        with pytest.raises(EucisoError, match="determinant"):
+            iso.pmat_inv(m)
 
 
 def test_isometry_copies_the_callers_q_block():
