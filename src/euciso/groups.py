@@ -44,6 +44,9 @@ from .isometry import Isometry
 ORDER_BOUND = 48
 INT64_MAX = 2 ** 63 - 1     # `GroupSpec.points` holds point parts and translations as int64
 DEFAULT_CAP = 4096        # largest quotient order given a multiplication table or irreps
+# powers of a section lift kept per lattice direction: every quotient grid
+# under DEFAULT_CAP has N <= 4096, and larger exponents are reached by squaring
+POWER_BOUND = 4096
 # a product by the collection formula costs 43-76 ns and a table entry 5.4-7.5
 # ns to fill and check (pg N=45 and twistE8 N=6, one core, batches of 4k-1M
 # pairs), so a request for more than order^2 / TABLE_BREAK_EVEN products
@@ -245,7 +248,7 @@ class GroupSpec:
         """q^k of lift i for k = -m..m, m >= top, as a (2m + 1, d1, d1) stack
         whose middle block is k = 0.  Each power is one product of the next
         lower one with q, or with q^T = q^-1; the stack is kept per lift and
-        built again when a larger power is asked for."""
+        built again when a larger power is asked for, up to POWER_BOUND."""
         have = self._t_gen_pow.get(i)
         if have is None or len(have) < 2 * top + 1:
             q, up, down = self.t_lifts[i].q, [np.eye(self.d1)], [np.eye(self.d1)]
@@ -255,14 +258,33 @@ class GroupSpec:
             have = self._t_gen_pow[i] = np.array(down[:0:-1] + up)
         return have
 
+    def _lift_powers(self, i: int, k: np.ndarray) -> np.ndarray:
+        """q^k of lift i for each entry of an int64 array k, as a (len(k), d1, d1)
+        stack: read from `_gen_q_powers` while every |k| <= POWER_BOUND, else
+        all by squaring, one product per bit of the largest |k|."""
+        bits = np.abs(k).view(np.uint64)                # |INT64_MIN| reads as 2^63
+        top = int(bits.max(initial=0))
+        if top <= POWER_BOUND:
+            powers = self._gen_q_powers(i, top)
+            return powers[k + len(powers) // 2]
+        q = self.t_lifts[i].q
+        base = np.where((k < 0)[:, None, None], q.T, q)
+        out = np.broadcast_to(np.eye(self.d1), base.shape).copy()
+        for bit in range(top.bit_length()):
+            odd = (bits >> bit & 1).astype(bool)
+            out[odd] = out[odd] @ base[odd]
+            base = base @ base
+        return out
+
     def section_q(self, n) -> np.ndarray:
         """The (k, d1, d1) q blocks of the sections t(n) = g1^n1 ... g_d2^n_d2
         for a (k, d2) integer stack n; the (p, tau) block of t(n) is (1, n)."""
         n = np.asarray(n, dtype=np.int64)
-        q = np.broadcast_to(np.eye(self.d1), (len(n), self.d1, self.d1))
-        for i in range(self.d2):
-            powers = self._gen_q_powers(i, int(np.abs(n[:, i]).max(initial=0)))
-            q = q @ powers[n[:, i] + len(powers) // 2]
+        if not self.d2:
+            return np.broadcast_to(np.eye(self.d1), (len(n), self.d1, self.d1))
+        q = self._lift_powers(0, n[:, 0])
+        for i in range(1, self.d2):
+            q = q @ self._lift_powers(i, n[:, i])
         return q
 
 
@@ -620,8 +642,9 @@ def grid_points(N: int, d2: int) -> np.ndarray:
 
 
 def _outside(x: np.ndarray, bound: int) -> bool:
-    """True iff some entry of x lies outside [0, bound)."""
-    return x.size > 0 and bool(x.min() < 0 or x.max() >= bound)
+    """True iff some entry of the integer array x lies outside [0, bound).  Read
+    as uint64, a negative entry is past every bound, so one max decides."""
+    return x.size > 0 and int(np.asarray(x, dtype=np.int64).view(np.uint64).max()) >= bound
 
 
 def _conjugates(g: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -858,10 +881,10 @@ class QuotientGroup:
 
     @functools.cached_property
     def collection(self) -> Collection:
-        """The generator-level data of every product, factored on first use,
-        one stack each, and dropped once the table is built; see
-        `mult_table`.  Orders above DEFAULT_CAP are refused before anything
-        order-sized is built."""
+        """The generator-level data of every product, factored on first use in
+        one `normal_forms` and one `_match_f` call, and dropped once the table
+        is built; see `mult_table`.  Orders above DEFAULT_CAP are refused
+        before anything order-sized is built."""
         spec, N = self.spec, self.N
         if self.order > DEFAULT_CAP:
             raise CapExceeded(f"quotient order {self.order} exceeds the table cap {DEFAULT_CAP}")
@@ -879,15 +902,20 @@ class QuotientGroup:
         t_q = np.array([t.q for t in spec.t_lifts]).reshape(d2, d1, d1)
         units = np.eye(d2, dtype=np.int64)
         wide = (2 * N) ** np.arange(d2 - 1, -1, -1, dtype=np.int64)  # places of base-2N digits
-        s, f2 = normal_forms(spec, *_rep_products(spec))
-        v, c = normal_forms(spec, _conjugates(p_q, g_q), np.full(r * cells, one_p),
-                            d * (grid @ p_mat.swapaxes(1, 2)).reshape(r * cells, d2))
-        phi = _kernel(spec, _match_f(spec, _conjugates(p_q, spec.f_stack))).reshape(r, k)
-        psi = _kernel(spec, _match_f(spec, _conjugates(g_q.swapaxes(1, 2), spec.f_stack)))
-        psi = psi.reshape(cells, k)
-        _, y = normal_forms(spec, (g_q[None] @ t_q[:, None]).reshape(d2 * cells, d1, d1),
-                            np.full(d2 * cells, one_p),
-                            d * (grid[None] + units[:, None]).reshape(d2 * cells, d2))
+        # p*p', p*t(m)*p^-1 and t(c)*g_i factored as one stack, sliced back out
+        prod_q, prod_p, prod_tau = _rep_products(spec)
+        n, f = normal_forms(
+            spec, np.concatenate([prod_q, _conjugates(p_q, g_q),
+                                  (g_q[None] @ t_q[:, None]).reshape(d2 * cells, d1, d1)]),
+            np.concatenate([prod_p, np.full((r + d2) * cells, one_p)]),
+            np.concatenate([prod_tau, d * (grid @ p_mat.swapaxes(1, 2)).reshape(r * cells, d2),
+                            d * (grid[None] + units[:, None]).reshape(d2 * cells, d2)]))
+        cuts = [r * r, r * r + r * cells]
+        (s, v, _), (f2, c, y) = np.split(n, cuts), np.split(f, cuts)
+        # phi_p(f) and psi_v(f) matched against F in one pass
+        kernel = _kernel(spec, _match_f(spec, np.concatenate(
+            [_conjugates(p_q, spec.f_stack), _conjugates(g_q.swapaxes(1, 2), spec.f_stack)])))
+        phi, psi = kernel[:r * k].reshape(r, k), kernel[r * k:].reshape(cells, k)
         z = None if k == 1 else _cocycle(N, grid, fmul, y.reshape(d2, cells),
                                          psi[code(units)], one_f)
         return Collection(fmul=fmul, f_inv=np.argmax(fmul == one_f, axis=1), p_mul=pmul,
@@ -901,7 +929,7 @@ class QuotientGroup:
     def mult_table(self) -> np.ndarray:
         """Full multiplication table, built on first use by collection and checked.
 
-        Only generator-level data is factored, one stack each (`collection`):
+        Only generator-level data is factored, in one stack (`collection`):
         p*p' = t(s) f'' p'' over P x P, p*t(m)*p^-1 = t(P m) c(p,m) over
         P x grid, phi_p(f) = p f p^-1 over P x F, psi_v(f) = t(v)^-1 f t(v)
         over grid x F, and y_i(c) = z(c, e_i), from t(c)*g_i, over the
@@ -1010,8 +1038,7 @@ class QuotientGroup:
         default_rng(0).  The first failing triple names the error.  Returns
         the pairs (left[i], right[i]) whose products it read."""
         rng = rng or np.random.default_rng(0)
-        a, b, c = np.array([[int(rng.integers(self.order)) for _ in range(3)]
-                            for _ in range(16)]).T
+        a, b, c = rng.integers(self.order, size=(3, 16))
         ab, bc, inv = self.products(a, b), self.products(b, c), self.inverses(a)
         left, right = np.concatenate([a, b, ab, a, a]), np.concatenate([b, c, c, bc, inv])
         abc, a_bc, one = self.products(left[32:], right[32:]).reshape(3, 16)

@@ -21,8 +21,9 @@ holds one entry per irreducible, in basis order, and a reader takes them in
 any order; each dimension's values are read into one stack, so a table file
 that misses an irreducible is refused (IncompleteTable).  The readers
 refuse a count, index, size, dimension or point part entry that is not an
-integer, a tolerance, q block or F entry that is not a finite number (a
-bool is not one), a translation part that is neither an integer nor a
+integer, a tolerance, q block, F entry or number of a function value that
+is not a finite number (a bool or a string is not one; a table's values are
+not checked so), a translation part that is neither an integer nor a
 "p/q" string, a tolerance that is not positive, and a spec whose d2 is not
 the number of its t_lifts and the size of every point part (or that has no
 p_reps).
@@ -96,14 +97,6 @@ def complex_pairs(m: np.ndarray) -> np.ndarray:
     """A complex matrix, or a stack of them, as a float array of [re, im] pairs."""
     m = np.ascontiguousarray(m, dtype=complex)
     return m.view(float).reshape(*m.shape, 2)
-
-
-def complex_matrix_from_lists(rows) -> np.ndarray:
-    """Rows of [re, im] pairs as a complex matrix, bit for bit (signed zeros too)."""
-    pairs = np.array(rows, dtype=float)
-    if pairs.ndim != 3 or pairs.shape[-1] != 2:
-        raise ValueError(f"expected a matrix of [re, im] pairs, got shape {pairs.shape}")
-    return pairs.view(complex)[..., 0]
 
 
 # -- group specs ---------------------------------------------------------------
@@ -192,7 +185,11 @@ def function_to_dict(u: PeriodicFunction) -> dict:
 
 
 def function_from_dict(data: dict, q: QuotientGroup) -> PeriodicFunction:
-    u = PeriodicFunction(q, _header(data, q, "function"))
+    """The function a file holds.  Each value must be a rectangular matrix of
+    [re, im] pairs of the file's shape, each number finite and neither a bool
+    nor a string (`json_float_block`); signed zeros are kept."""
+    shape = _header(data, q, "function")
+    u = PeriodicFunction(q, shape)
     seen = set()
     for entry in data["entries"]:
         i = q.reduce(NormalForm(tuple(json_int(x, "n") for x in entry["n"]),
@@ -200,7 +197,11 @@ def function_from_dict(data: dict, q: QuotientGroup) -> PeriodicFunction:
         if i in seen:
             raise ValueError(f"two entries name element {i} (n, f, p = {q.nf(i)})")
         seen.add(i)
-        u[i] = complex_matrix_from_lists(entry["value"])
+        got = _pairs_shape(entry["value"])
+        if got != shape:
+            raise IncompatibleShapes(f"value shape {got} != {shape}")
+        pairs = json_float_block(entry["value"], "a function value", (*shape, 2))
+        u[i] = pairs.view(complex)[..., 0]
     return u
 
 
@@ -258,7 +259,7 @@ def _pairs_shape(rows) -> tuple[int, int]:
     ValueError (TypeError for a leaf that has no length) for anything else."""
     widths = set(map(len, rows))
     if len(widths) != 1 or 0 in widths or set(map(len, chain.from_iterable(rows))) != {2}:
-        raise ValueError("a table value must be a rectangular matrix of [re, im] pairs")
+        raise ValueError("a value must be a rectangular matrix of [re, im] pairs")
     return len(rows), widths.pop()
 
 

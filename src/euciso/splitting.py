@@ -168,9 +168,29 @@ def _conjugates(q: QuotientGroup, generators, ids) -> np.ndarray:
     return q.products(_products(q, gens, ids), inverses[:, None])
 
 
-def _inside(ids: np.ndarray, subset) -> bool:
-    """True iff every id in the array lies in subset."""
-    return bool(np.isin(ids, list(subset)).all())
+def _mask(q: QuotientGroup, subset) -> np.ndarray:
+    """The boolean mask over the quotient's ids of a set of ids."""
+    mask = np.zeros(q.order, dtype=bool)
+    mask[np.fromiter(subset, np.int64, len(subset))] = True
+    return mask
+
+
+def _inside(ids: np.ndarray, mask: np.ndarray) -> bool:
+    """True iff every id in the array lies in the subset that `_mask` gives as mask."""
+    return bool(mask[ids].all())
+
+
+def _forms(q: QuotientGroup, subset) -> list[NormalForm]:
+    """The normal forms of a set of ids, in id order, which is (n, f, p) order."""
+    n, f, p = q.parts(np.sort(np.fromiter(subset, np.int64, len(subset))))
+    return [NormalForm(tuple(row), fi, pi)
+            for row, fi, pi in zip(n.tolist(), f.tolist(), p.tolist())]
+
+
+def _ids(q: QuotientGroup, forms: list[NormalForm]) -> set[int]:
+    """The ids of a list of normal forms, by one `QuotientGroup.ids` call."""
+    n = np.array([nf.n for nf in forms], dtype=np.int64).reshape(len(forms), q.spec.d2)
+    return set(q.ids(n, [nf.f for nf in forms], [nf.p for nf in forms]).tolist())
 
 
 def split_quotient(spec: GroupSpec, m: int, n: int) -> SplitCertificate:
@@ -204,8 +224,8 @@ def split_quotient(spec: GroupSpec, m: int, n: int) -> SplitCertificate:
                                      [one_p] * len(vecs), d * m * vecs), one_p).tolist())
     checks.append(SplitCheck("normal-order", len(normal) == n ** spec.d2,
                              f"{len(normal)} vs n^d2 = {n ** spec.d2}"))
-    block = _products(q, normal, normal)
-    checks.append(SplitCheck("normal-closed", _inside(block, normal)))
+    block, in_normal = _products(q, normal, normal), _mask(q, normal)
+    checks.append(SplitCheck("normal-closed", _inside(block, in_normal)))
     checks.append(SplitCheck("normal-abelian", bool((block == block.T).all())))
     power = members = np.array(list(normal))
     for _ in range(n - 1):
@@ -213,10 +233,10 @@ def split_quotient(spec: GroupSpec, m: int, n: int) -> SplitCertificate:
     checks.append(SplitCheck("normal-exponent", bool((power == q.identity).all()), f"x^{n} = id"))
     gens = _generators(q)
     checks.append(SplitCheck("normal-invariant",
-                             _inside(_conjugates(q, gens, normal), normal)))
+                             _inside(_conjugates(q, gens, normal), in_normal)))
 
     comp = complement_set(spec, n)
-    seeds = [q.reduce(nf) for nf in comp.elements]
+    seeds = list(_ids(q, comp.elements))
     seeds += q.ids(n * np.eye(d2, dtype=np.int64), spec.f_identity, one_p).tolist()
     seeds += q.ids(np.zeros(d2, dtype=np.int64), range(spec.f_order), one_p).tolist()
     complement = _closure(q, seeds)
@@ -231,7 +251,7 @@ def split_quotient(spec: GroupSpec, m: int, n: int) -> SplitCertificate:
                              len(normal) * len(complement) == q.order,
                              f"{len(normal)} * {len(complement)} = {q.order}"))
 
-    comp_normal = _inside(_conjugates(q, gens, complement), complement)
+    comp_normal = _inside(_conjugates(q, gens, complement), _mask(q, complement))
     direct = bool(comp_normal and inter == {q.identity}
                   and len(normal) * len(complement) == q.order)
 
@@ -239,8 +259,7 @@ def split_quotient(spec: GroupSpec, m: int, n: int) -> SplitCertificate:
         spec_name=spec.name, m=m, n=n, N=N, a=comp.a,
         normal_order=len(normal), complement_order=len(complement),
         group_order=q.order, direct_product=direct, checks=checks,
-        normal_part=[q.nf(i) for i in sorted(normal)],          # ids sort as (n, f, p)
-        complement_part=[q.nf(i) for i in sorted(complement)])
+        normal_part=_forms(q, normal), complement_part=_forms(q, complement))
 
 
 def verify_certificate(spec: GroupSpec, cert: SplitCertificate) -> bool:
@@ -255,16 +274,16 @@ def verify_certificate(spec: GroupSpec, cert: SplitCertificate) -> bool:
     if cert.N != cert.m * cert.n:
         return False
     q = build_quotient(spec, cert.N)
-    normal = {q.reduce(nf) for nf in cert.normal_part}
-    complement = {q.reduce(nf) for nf in cert.complement_part}
+    normal, complement = _ids(q, cert.normal_part), _ids(q, cert.complement_part)
     orders = (cert.n ** spec.d2, cert.m ** spec.d2 * spec.f_order * spec.rot_order)
     if ((len(normal), len(complement)) != orders
             or (cert.normal_order, cert.complement_order, cert.group_order) != (*orders, q.order)):
         return False
-    if not _inside(_products(q, normal, normal), normal):
+    in_normal = _mask(q, normal)
+    if not _inside(_products(q, normal, normal), in_normal):
         return False
-    if not _inside(_conjugates(q, _generators(q), normal), normal):
+    if not _inside(_conjugates(q, _generators(q), normal), in_normal):
         return False
-    if not _inside(_products(q, complement, complement), complement):
+    if not _inside(_products(q, complement, complement), _mask(q, complement)):
         return False
     return normal & complement == {q.identity}

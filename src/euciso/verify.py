@@ -68,16 +68,16 @@ def _table_products_agree(q, a: np.ndarray, b: np.ndarray) -> bool:
     """True iff the quotient's t(a) t(b) is the member factored from the stack
     section_q(a) @ section_q(b), for (k, d2) exponent stacks a and b."""
     qa, qb = q.spec.section_q(a), q.spec.section_q(b)
-    products = q.products(_section_ids(q, qa, a), _section_ids(q, qb, b))
-    return bool((products == _section_ids(q, qa @ qb, a + b)).all())
+    ia, ib, iab = _section_ids(q, np.concatenate([qa, qb, qa @ qb]),
+                               np.concatenate([a, b, a + b])).reshape(3, len(a))
+    return bool((q.products(ia, ib) == iab).all())
 
 
 def _generated_order(q) -> int:
     """How many ids the generators' columns of products reach from the identity,
     or 0 unless each column permutes the ids; a round costs O(order * generators)."""
     n, columns = q.order, q.products(q.local[:, None], q.generators())
-    if columns.min() < 0 or any(not np.array_equal(np.bincount(c, minlength=n), np.ones(n))
-                                for c in columns.T):
+    if not (np.sort(columns, axis=0) == q.local[:, None]).all():
         return 0
     reached = np.zeros(n, dtype=bool)
     reached[q.identity] = True

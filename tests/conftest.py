@@ -14,9 +14,9 @@ from euciso import isometry as iso
 from euciso.dual import enumerate_dual, rep_set, wave_orbits
 from euciso.errors import ConvergenceFailure, EucisoError, InternalInconsistency, NotAMember
 from euciso.fourier import FourierTable, PeriodicFunction
-from euciso.groups import (ORDER_BOUND, GroupSpec, NormalForm, Violation, _conjugates, _factor,
-                           _match_f, _rep_products, build_quotient, find_m0, normal_form,
-                           normal_forms)
+from euciso.groups import (DEFAULT_CAP, ORDER_BOUND, Collection, GroupSpec, NormalForm, Violation,
+                           _cocycle, _conjugates, _factor, _kernel, _match_f, _rep_products,
+                           build_quotient, find_m0, grid_points, normal_form, normal_forms)
 from euciso.reps import (MAX_RESEEDS, STRUCT_TOL, Representation, _split_dense, char_norm_sq,
                          chi, coset_conjugation, equivalent, induce, irreps, lift_representation,
                          multiplicities, scale_by_character,
@@ -167,6 +167,54 @@ def mult_table_oracle(q):
         _, zeta[t_ids] = normal_forms(s, a_q @ t_q, [s.p_identity] * len(grid), (a + grid) * d)
         table[ax] = q.ids(a + el_n, fmul[zeta[t_of], el_f], el_p)[xj]
     return table
+
+
+def section_q_oracle(s, n):
+    """`GroupSpec.section_q` as a chain of products from a broadcast identity,
+    each power read from the spec's `_gen_q_powers` stack."""
+    n = np.asarray(n, dtype=np.int64)
+    q = np.broadcast_to(np.eye(s.d1), (len(n), s.d1, s.d1))
+    for i in range(s.d2):
+        powers = s._gen_q_powers(i, int(np.abs(n[:, i]).max(initial=0)))
+        q = q @ powers[n[:, i] + len(powers) // 2]
+    return q
+
+
+def collection_oracle(q):
+    """`QuotientGroup.collection` with one `normal_forms` call per stack (p*p',
+    p*t(m)*p^-1 and t(c)*g_i) and one `_match_f` call each for phi and psi."""
+    spec, N = q.spec, q.N
+    assert q.order <= DEFAULT_CAP
+    k, r, d1, d2 = spec.f_order, spec.rot_order, spec.d1, spec.d2
+    d, p_mat, _, p_q = spec.points
+    fmul = np.array(spec.f_mul_table(), dtype=np.int64).reshape(k, k)
+    pmul, one_f, one_p = spec.p_mul_table(), spec.f_identity, spec.p_identity
+
+    def code(v):
+        return v % N @ q._place
+
+    cells = N ** d2
+    grid = grid_points(N, d2)
+    g_q = spec.section_q(grid)
+    t_q = np.array([t.q for t in spec.t_lifts]).reshape(d2, d1, d1)
+    units = np.eye(d2, dtype=np.int64)
+    wide = (2 * N) ** np.arange(d2 - 1, -1, -1, dtype=np.int64)
+    s, f2 = normal_forms(spec, *_rep_products(spec))
+    v, c = normal_forms(spec, _conjugates(p_q, g_q), np.full(r * cells, one_p),
+                        d * (grid @ p_mat.swapaxes(1, 2)).reshape(r * cells, d2))
+    phi = _kernel(spec, _match_f(spec, _conjugates(p_q, spec.f_stack))).reshape(r, k)
+    psi = _kernel(spec, _match_f(spec, _conjugates(g_q.swapaxes(1, 2), spec.f_stack)))
+    psi = psi.reshape(cells, k)
+    _, y = normal_forms(spec, (g_q[None] @ t_q[:, None]).reshape(d2 * cells, d1, d1),
+                        np.full(d2 * cells, one_p),
+                        d * (grid[None] + units[:, None]).reshape(d2 * cells, d2))
+    z = None if k == 1 else _cocycle(N, grid, fmul, y.reshape(d2, cells), psi[code(units)], one_f)
+    return Collection(fmul=fmul, f_inv=np.argmax(fmul == one_f, axis=1), p_mul=pmul,
+                      p_inv=np.argmax(pmul == one_p, axis=1), grid=grid, spread=grid @ wide,
+                      wrap=code(np.arange((2 * N) ** d2)[:, None] // wide % (2 * N)),
+                      s_code=code(s).reshape(r, r), f2=f2.reshape(r, r),
+                      v_code=code(v).reshape(r, cells), c=c.reshape(r, cells),
+                      phi=phi, psi=psi, z=z)
 
 
 def c5_quarter_spec():

@@ -565,6 +565,37 @@ def test_damaged_table_values_and_entries_are_refused(tmp_path, capsys, damage):
     assert message in err
 
 
+# (the value of the first entry of a pg N=3 function file of shape (1, 2), the
+# exit code, a piece of the message): each number is read as `json_float`
+# reads a spec's, so bools, nulls, strings and non-finite numbers are format
+# errors, as is a value that is not a rectangular matrix of pairs; a
+# rectangular one of the wrong shape is an incompatible file
+FUNCTION_VALUE_DAMAGE = {
+    "bool-null-string": ([[[True, None], ["1.5", 0.0]]], 2, "a function value must be"),
+    "string-number": ([[[0.5, 0.0], ["1.5", 0.0]]], 2, "not '1.5'"),
+    "nan": ([[[0.5, float("nan")], [1.0, 0.0]]], 2, "must be a finite number"),
+    "ragged-row": ([[[0.5, 0.0], [1.0]]], 2, "rectangular matrix"),
+    "transposed": ([[[0.5, 0.0]], [[1.0, 0.0]]], 5, "value shape (2, 1) != (1, 2)"),
+}
+
+
+@pytest.mark.parametrize("damage", list(FUNCTION_VALUE_DAMAGE))
+def test_damaged_function_values_are_refused(tmp_path, capsys, damage):
+    value, want_code, message = FUNCTION_VALUE_DAMAGE[damage]
+    data = pg_file("function")
+    data["entries"][0]["value"] = value
+    code, out, err = run_fourier(tmp_path, capsys, "function", data)
+    assert code == want_code and out == ""
+    assert message in err
+
+
+def test_function_values_keep_signed_zeros():
+    data = pg_file("function")
+    data["entries"][0]["value"] = [[[-0.0, 0.0], [0.0, -0.0]]]
+    u = io.function_from_dict(data, quotient("pg", 3))     # entries are in id order
+    assert np.signbit(u.values[0].view(float)).tolist() == [[True, False, False, True]]
+
+
 def test_a_repeated_element_in_a_function_file_is_refused(tmp_path, capsys):
     # n and n + N e_1 reduce to the same element of pg mod T^3
     data = pg_file("function")

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -14,10 +15,11 @@ from euciso.groups import (GroupSpec, NormalForm, _divisors, automorphism_count,
                            normal_form, normal_forms_of, tf_slice, validate_spec)
 from euciso.isometry import Isometry, rotation2
 
-from conftest import (c5_quarter_spec, compose_all, cyclic, inverse, is_member,
-                      mult_table_oracle, power, q_equal, quotient, reconstruct, rod_spec,
-                      rotations_of_cube, s3_plane_spec, s4_plane_spec, section, spec,
-                      translation_isometry, validate_spec_oracle)
+from conftest import (c5_quarter_spec, collection_oracle, compose_all, cyclic, inverse,
+                      is_member, mult_table_oracle, power, q_equal, quotient, reconstruct,
+                      rod_spec, rotations_of_cube, s3_plane_spec, s4_plane_spec, section,
+                      section_q_oracle, spec, time_limit, translation_isometry,
+                      validate_spec_oracle)
 
 
 # -- oracle: independent membership and normality test -------------------------
@@ -481,6 +483,58 @@ def test_rod_specs_validate_and_bound_m0(alpha):
             assert report.m0_bound % report.m0 == 0
 
 
+QUARTER_TURN = np.array([[0.0, -1.0], [1.0, 0.0]])     # its powers are exact in floats
+FAR = 2 ** 40
+
+
+def far_identity_coset(s, shift):
+    """s with its identity p_rep moved to t(shift e_1), whose q block is section_q's."""
+    one = s.p_reps[s.p_identity]
+    q = s.section_q(shift * np.eye(1, s.d2, dtype=np.int64))[0]
+    far = Isometry(q, one.p, (shift,) + (0,) * (s.d2 - 1))
+    return GroupSpec(s.name, s.d1, s.d2, s.f_elements, s.t_lifts,
+                     [far if i == s.p_identity else p for i, p in enumerate(s.p_reps)], s.tol)
+
+
+def quarter_screw_rod(flip):
+    """A C6 screw rod whose lift turns by a quarter, with an exact q block."""
+    p_reps = [iso.identity_isometry(2, 1)]
+    if flip:
+        p_reps.append(Isometry(np.diag([1.0, -1.0]), ((-1,),), (0,)))
+    return GroupSpec("rod-C6-quarter", 2, 1, cyclic(6),
+                     [Isometry(QUARTER_TURN, ((1,),), (1,))], p_reps)
+
+
+@pytest.mark.parametrize("build", [lambda: spec("p1"), lambda: quarter_screw_rod(False),
+                                   lambda: quarter_screw_rod(True)],
+                         ids=["p1", "rod-C6", "rod-C6-flip"])
+def test_a_far_identity_coset_translation_validates_quickly(build):
+    # a section power past POWER_BOUND is formed by squaring: 2^40 took
+    # longer than any timeout when every power up to it was built
+    s = build()
+    with time_limit(2):
+        far = far_identity_coset(s, FAR)
+        assert validate_spec(far) == []
+        assert find_m0(far).m0 == find_m0(s).m0
+        for N in (1, 2):    # t(2^40) lies in T^N, so the tables are s's
+            assert np.array_equal(build_quotient(far, N).mult_table(),
+                                  build_quotient(s, N).mult_table())
+
+
+def test_section_q_is_the_power_chain_inside_the_bound(rng):
+    # inside POWER_BOUND, section_q reads the power stacks bit for bit as a
+    # chain from the identity does; a column past it is formed by squaring,
+    # which is exact for a quarter turn, |INT64_MIN| included
+    for s in [spec(name) for name in catalog.names()] + [rod_spec(7, True, 0.7)]:
+        for n in (grid_points(7, s.d2) - 3,
+                  rng.integers(-groups.POWER_BOUND, groups.POWER_BOUND + 1, size=(40, s.d2))):
+            assert s.section_q(n).tobytes() == section_q_oracle(s, n).tobytes()
+    s = quarter_screw_rod(True)
+    n = np.array([[groups.POWER_BOUND + 1], [-FAR - 3], [FAR + 2], [-2 ** 63], [5]])
+    want = np.array([np.linalg.matrix_power(QUARTER_TURN, int(k) % 4) for k in n[:, 0]])
+    assert np.array_equal(s.section_q(n), want)
+
+
 def test_quotient_orders_match_formula():
     for name in catalog.names():
         s = spec(name)
@@ -804,6 +858,38 @@ def test_collected_products_equal_the_table_on_non_abelian_kernels(build, N):
 def test_collected_rod_products_equal_the_table(k, flip):
     s = rod_spec(k, flip, 1.2345)
     assert collected_agrees_with_the_table(fresh_quotient(s, find_m0(s).m0))
+
+
+def collections_equal(a, b):
+    """True iff two Collections hold equal values of equal dtypes in every field."""
+    for field in dataclasses.fields(groups.Collection):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if (x is None) != (y is None) or (x is not None and not (
+                x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y))):
+            return False
+    return True
+
+
+CATALOG_COLLECTIONS = [(name, k * catalog.CATALOG[name].expected["m0"])
+                       for name in catalog.names() for k in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("name,N", [(name, N) for name, N in CATALOG_COLLECTIONS
+                                    if groups.QuotientGroup(spec(name), N).order
+                                    <= groups.DEFAULT_CAP])
+def test_collection_equals_the_three_call_build(name, N):
+    q = fresh_quotient(spec(name), N)
+    assert collections_equal(q.collection, collection_oracle(q))
+
+
+@pytest.mark.parametrize("k", range(6, 11))
+@pytest.mark.parametrize("flip", [False, True])
+def test_rod_collection_equals_the_three_call_build(k, flip):
+    s = rod_spec(k, flip, 1.2345)
+    m0 = find_m0(s).m0
+    for N in (m0, 2 * m0):
+        q = fresh_quotient(s, N)
+        assert collections_equal(q.collection, collection_oracle(q))
 
 
 def test_section_inverses_carry_the_cocycle():

@@ -1,12 +1,13 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from euciso import catalog
 from euciso import isometry as iso
 from euciso.errors import BadModulus, InternalInconsistency, NotCoprime
-from euciso.groups import NormalForm
-from euciso.splitting import (a_coeff, cocycle, complement_set,
+from euciso.groups import NormalForm, build_quotient
+from euciso.splitting import (_inside, _mask, a_coeff, cocycle, complement_set,
                               split_quotient, verify_certificate)
 
 from conftest import reconstruct, spec
@@ -185,6 +186,18 @@ def test_split_quotients_hold_no_table():
     cert = split_quotient(s, 2, 3)
     assert cert.passed and verify_certificate(s, cert)
     assert s._quotients[6]._table is None
+
+
+def test_membership_by_mask_agrees_with_isin():
+    # the mask is over all of the quotient's ids, so an id outside the subset
+    # and one above every member read False as np.isin reads them
+    q = build_quotient(spec("pg"), 3)
+    for subset in ({q.identity, 5, 7, 12}, {9}, set()):
+        top = max(subset, default=0)
+        for ids in (np.array(sorted(subset), dtype=np.int64), np.array([[5, 7], [12, q.identity]]),
+                    np.array([5, 6]), np.array([top, top + 1]), np.array([q.order - 1])):
+            want = bool(np.isin(ids, list(subset)).all())
+            assert _inside(ids, _mask(q, subset)) == want, (subset, ids)
 
 
 def test_nonsymmorphic_witness():

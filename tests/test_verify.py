@@ -151,12 +151,45 @@ def test_order_check_reads_the_generators_columns(monkeypatch):
     assert "quotient-order-formula" in [c.name for c in report.checks if not c.passed]
 
 
+def generated_order_oracle(q):
+    """`verify._generated_order` with one bincount per generator column."""
+    n, columns = q.order, q.products(q.local[:, None], q.generators())
+    if columns.min() < 0 or any(not np.array_equal(np.bincount(c, minlength=n), np.ones(n))
+                                for c in columns.T):
+        return 0
+    reached = np.zeros(n, dtype=bool)
+    reached[q.identity] = True
+    while not reached[columns[reached]].all():
+        reached[columns[reached]] = True
+    return int(reached.sum())
+
+
+@pytest.mark.parametrize("damage", ["none", "negative", "past-order", "repeated", "swapped"])
+def test_generated_order_agrees_with_bincounts(damage):
+    # a column with an id outside [0, order) or a repeated id is not a
+    # permutation; two swapped entries keep every column one
+    s = catalog.CATALOG["pg"].build()
+    q = build_quotient(s, 2 * find_m0(s).m0)
+    table, g = q.mult_table(), q.generators()[-1]
+    if damage == "negative":
+        table[3, g] = -1
+    elif damage == "past-order":
+        table[3, g] = q.order
+    elif damage == "repeated":
+        table[3, g] = table[4, g]
+    elif damage == "swapped":
+        table[[3, 4], g] = table[[4, 3], g]
+    want = generated_order_oracle(q)
+    assert verify._generated_order(q) == want
+    assert (want == q.order) == (damage in ("none", "swapped"))
+
+
 # (group, seed) pairs whose verify spot check draws a triple through the
-# collapsed column below
-SPOT_CHECK_HITS = {("pg", 0), ("pg", 1), ("pg", 2), ("twistE8", 2)}
+# collapsed column below; twistE8 reaches both branches within these seeds
+SPOT_CHECK_HITS = {*(("pg", seed) for seed in range(6)), ("twistE8", 4), ("twistE8", 5)}
 
 
-@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("name", ["pg", "twistE8"])
 def test_a_table_the_spot_check_breaks_is_a_failed_check(name, seed):
     # the same collapsed column with the spot check on: its error is reported
