@@ -293,7 +293,7 @@ class DualAtlas:
     def basis(self) -> str:
         """sha256 of the irreducibles' dims and generator images, rounded to
         FINGERPRINT_DECIMALS: the basis a Fourier table is computed in."""
-        gens = self.q.generators()
+        gens = self.q.generators
         digest = hashlib.sha256(np.array(self.dims, dtype=np.int64).tobytes())
         for r in self.irreps:  # adding 0.0 turns -0.0 into 0.0
             digest.update((np.round(r.mats[gens], FINGERPRINT_DECIMALS) + 0.0).tobytes())
@@ -314,7 +314,7 @@ class _Irreducibles:
     def __init__(self, sub, induced: np.ndarray, off: list[int], split: np.ndarray):
         self.sub, self.induced, self.split = sub, induced, split
         self.off = np.array(off, dtype=np.int64)
-        self.split_tf = split[:, list(sub.elements)]
+        self.split_tf = split[:, sub.elements]
 
     def pair(self, chars: np.ndarray) -> np.ndarray:
         """sum_t chars[r, t] conj(sigma_u(t)) over the TF part, for an (r, |TF|)

@@ -994,14 +994,18 @@ class QuotientGroup:
             np.take(left, blocks[0], axis=1, out=blocks[a0:a0 + step], mode="clip")
         return table
 
-    def generators(self) -> list[int]:
+    @functools.cached_property
+    def generators(self) -> np.ndarray:
         """Ids of t(e_i) for every lattice direction i, of every element of F
-        and of every p_rep: a generating set of the quotient."""
+        and of every p_rep: a generating set of the quotient, built once as a
+        read-only int64 array."""
         spec, zero = self.spec, np.zeros(self.spec.d2, dtype=np.int64)
         units = self.ids(np.eye(spec.d2, dtype=np.int64), spec.f_identity, spec.p_identity)
         kernel = self.ids(zero, range(spec.f_order), spec.p_identity)
         points = self.ids(zero, spec.f_identity, range(spec.rot_order))
-        return np.concatenate([units, kernel, points]).tolist()
+        gens = np.concatenate([units, kernel, points])
+        gens.flags.writeable = False
+        return gens
 
     def tf_indices(self) -> range:
         """Ids with point index p_identity: p is the last digit of an id."""
@@ -1017,15 +1021,15 @@ class QuotientGroup:
 
     @functools.cached_property
     def cosets(self) -> "Cosets":
-        """The p_rep cosets of the TF part and the generator ids, computed once
-        per quotient from its table; induction and the dual atlas read them."""
+        """The p_rep cosets of the TF part, computed once per quotient from
+        its table; induction and the dual atlas read them."""
         spec, table = self.spec, self.mult_table()
         tf = self.tf_subgroup()
         reps = self.ids(np.zeros(spec.d2, dtype=np.int64), spec.f_identity,
                         np.arange(spec.rot_order))
         rows = tf.local[table[table[self._inverse[reps]].T[..., None], reps]]
         products = table[np.ix_(tf.elements, reps)]
-        return Cosets(reps, rows, products, np.array(self.generators()))
+        return Cosets(reps, rows, products)
 
     def projection(self, coarse: "QuotientGroup") -> np.ndarray:
         """Image ids of all elements under the quotient map onto G mod T^M, M | N."""
@@ -1058,31 +1062,54 @@ class Cosets:
     one i has it inside, as g permutes the cosets; for t in TF, rows[t, p, p]
     is the TF row of h_p^-1 t h_p.  `products[x, p]` is the id of x h_p
     for x at row x of the TF view; every element is one of them.
-    `generators` holds `QuotientGroup.generators()`.
     """
 
     reps: np.ndarray
     rows: np.ndarray
     products: np.ndarray
-    generators: np.ndarray
 
 
 class SubgroupView:
     """A subgroup of a quotient addressed by the parent's element ids.
 
-    `local[i]` is the position of parent id i in `elements`, or -1 when i
-    lies outside the subgroup.
+    `elements` holds each member's id once, in ascending order (int64); the
+    ids given are checked as the parent checks ids, a repeat counts once, and
+    the identity must be among them.  `local[i]` is the position of parent id
+    i in `elements`, or -1 outside the subgroup.  `holds` tests membership,
+    and `generated` builds the subgroup that a set of ids generates.
     """
 
     def __init__(self, parent: QuotientGroup, ids):
         self.parent = parent
-        self.elements = tuple(ids)
         self.local = np.full(parent.order, -1, dtype=np.int32)
-        self.local[list(self.elements)] = np.arange(len(self.elements))
+        self.local[parent._checked_ids(ids)] = 0
+        self.elements = np.flatnonzero(self.local == 0)
+        self.local[self.elements] = np.arange(len(self.elements))
         self.order = len(self.elements)
         self.identity = parent.identity
         if self.local[self.identity] < 0:
             raise InternalInconsistency("subgroup view lacks the identity")
+
+    @classmethod
+    def generated(cls, parent: QuotientGroup, seeds) -> "SubgroupView":
+        """The subgroup generated by the ids seeds: the members found last are
+        multiplied by the seeds, through `parent.products`, until no product
+        is new.  In a finite group the words in the seeds are the subgroup
+        they generate."""
+        inside = np.zeros(parent.order, dtype=bool)
+        inside[parent._checked_ids(seeds)] = True
+        seeds = np.flatnonzero(inside)
+        inside[parent.identity] = True
+        frontier = np.flatnonzero(inside)
+        while len(frontier):
+            reached = inside.copy()
+            reached[parent.products(frontier[:, None], seeds)] = True
+            frontier, inside = np.flatnonzero(reached ^ inside), reached
+        return cls(parent, np.flatnonzero(inside))
+
+    def holds(self, ids) -> bool:
+        """True iff every id in the array of parent ids is a member."""
+        return bool((self.local[ids] >= 0).all())
 
     @functools.cached_property
     def exponents(self) -> np.ndarray:

@@ -41,8 +41,8 @@ import numpy as np
 import orjson
 
 from .dual import enumerate_dual
-from .errors import EucisoError, IncompatibleShapes, IncompleteTable
-from .groups import GroupSpec, NormalForm, QuotientGroup
+from .errors import CapExceeded, EucisoError, IncompatibleShapes, IncompleteTable
+from .groups import DEFAULT_CAP, GroupSpec, NormalForm, QuotientGroup
 from .isometry import DEFAULT_TOL, Isometry
 from .fourier import FourierTable, PeriodicFunction
 
@@ -164,7 +164,8 @@ def save_spec(spec: GroupSpec, path: str) -> None:
 
 def _header(data: dict, q: QuotientGroup, kind: str) -> tuple[int, int]:
     """The (m, n) shape of a function or table file, once its group and
-    period are checked against q."""
+    period are checked against q.  CapExceeded, before anything is allocated,
+    for more values |G| m n than the largest table's DEFAULT_CAP^2 entries."""
     if data.get("group") not in (None, q.spec.name):
         raise IncompatibleShapes(
             f"{kind} file is for group {data.get('group')!r}, not {q.spec.name!r}")
@@ -173,7 +174,10 @@ def _header(data: dict, q: QuotientGroup, kind: str) -> tuple[int, int]:
     shape = data["shape"]
     if not isinstance(shape, (list, tuple)) or len(shape) != 2:
         raise ValueError(f"shape must be two positive integers, not {shape!r}")
-    return json_int(shape[0], "shape", 1), json_int(shape[1], "shape", 1)
+    m, n = json_int(shape[0], "shape", 1), json_int(shape[1], "shape", 1)
+    if q.order * m * n > DEFAULT_CAP ** 2:
+        raise CapExceeded(f"{kind} shape ({m}, {n}) on {q.order} elements > DEFAULT_CAP^2 values")
+    return m, n
 
 
 def function_to_dict(u: PeriodicFunction) -> dict:

@@ -134,7 +134,7 @@ def _perm_arrays(domain) -> tuple[np.ndarray, np.ndarray]:
     """Left-regular permutation table and inverse map in local indices; a quotient's are cached."""
     if isinstance(domain, QuotientGroup):
         return domain.mult_table(), domain._inverse
-    ids = list(domain.elements)
+    ids = domain.elements
     table = domain.local[domain.parent.mult_table()[np.ix_(ids, ids)]]
     if (table < 0).any():
         raise InternalInconsistency("subgroup view is not closed under products")
@@ -409,7 +409,7 @@ def _check_homomorphism(q: QuotientGroup, mats: np.ndarray, what: str) -> None:
     All G^2 products come from one (G d, d) @ (d, G d) GEMM of the
     generators' images, row blocks against column blocks, read as
     [a, i, b, j] and compared with the table's images in that layout."""
-    gens = q.cosets.generators
+    gens = q.generators
     g, d = len(gens), mats.shape[1]
     at = mats[gens]
     products = (at.reshape(g * d, d) @ at.swapaxes(0, 1).reshape(d, g * d)).reshape(g, d, g, d)
@@ -561,7 +561,7 @@ def lift_representation(r: Representation, fine: QuotientGroup) -> Representatio
     """Pull a representation of a coarse quotient back to a finer one."""
     on_tf = isinstance(r.domain, SubgroupView)
     coarse, domain = (r.domain.parent, fine.tf_subgroup()) if on_tf else (r.domain, fine)
-    coarse_ids = fine.projection(coarse)[list(domain.elements)]
+    coarse_ids = fine.projection(coarse)[domain.elements]
     return Representation(domain, r.mats[r.rows(coarse_ids)])
 
 

@@ -6,10 +6,12 @@ coprime to the point-group order the lifted set, together with n-th
 section powers and the kernel, complements the central translation block
 inside G mod T^(nm).  Every member is handled as in `groups`: a stack of
 q blocks, with translations as integers over the denominator D of
-`spec.points`, factored by `normal_forms`, or a quotient id.  Certificates
-are verified by exhaustive enumeration over the parts they name: each check
-asks `QuotientGroup.products` for the products it reads, so the quotient's
-multiplication table is built only where a check reads a large share of it.
+`spec.points`, factored by `normal_forms`, or a quotient id.  The normal
+part and the complement are `SubgroupView`s of the quotient, whose members
+are ids.  Certificates are verified by exhaustive enumeration over the parts
+they name: each check asks `QuotientGroup.products` for the products it
+reads, so the quotient's multiplication table is built only where a check
+reads a large share of it.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ import numpy as np
 from .errors import (BadModulus, IntegralityViolation, InternalInconsistency,
                      NotAMember, NotCoprime)
 # normal_form is unused here; perfbench's tests check that its tracer wraps this copy
-from .groups import (GroupSpec, NormalForm, QuotientGroup, build_quotient,  # noqa: F401
-                     find_m0, grid_points, normal_form, normal_forms)
+from .groups import (GroupSpec, NormalForm, QuotientGroup, SubgroupView,  # noqa: F401
+                     build_quotient, find_m0, grid_points, normal_form, normal_forms)
 
 
 def _coboundary(spec: GroupSpec, tau: np.ndarray) -> np.ndarray:
@@ -136,61 +138,32 @@ class SplitCertificate:
         return all(c.passed for c in self.checks)
 
 
-def _closure(q: QuotientGroup, seeds) -> set[int]:
-    """The subgroup generated by seeds: multiply the members found last by
-    the seeds until none is new.  In a finite group the words in the seeds
-    are the subgroup they generate."""
-    seeds = set(seeds)
-    out = seeds | {q.identity}
-    frontier = out
-    while frontier:
-        frontier = set(_products(q, frontier, seeds).ravel().tolist()) - out
-        out |= frontier
-    return out
+def _block(view: SubgroupView) -> np.ndarray:
+    """The products a*b of the members, a (rows) and b (columns)."""
+    return view.parent.products(view.elements[:, None], view.elements)
 
 
-def _products(q: QuotientGroup, left, right) -> np.ndarray:
-    """The block of products a*b, a in left (rows), b in right (columns)."""
-    return q.products(np.array(list(left), dtype=np.int64)[:, None],
-                      np.array(list(right), dtype=np.int64))
+def _conjugates(view: SubgroupView) -> np.ndarray:
+    """g * a * g^-1 for every quotient generator g (rows) and member a (columns)."""
+    q, gens = view.parent, view.parent.generators
+    return q.products(q.products(gens[:, None], view.elements), q.inverses(gens)[:, None])
 
 
-def _generators(q: QuotientGroup) -> tuple[np.ndarray, np.ndarray]:
-    """The ids of the quotient's generators and of their inverses."""
-    gens = np.array(q.generators())
-    return gens, q.inverses(gens)
+def _meet(a: SubgroupView, b: SubgroupView) -> int:
+    """The order of the intersection of two views of one quotient."""
+    return int(np.count_nonzero((a.local >= 0) & (b.local >= 0)))
 
 
-def _conjugates(q: QuotientGroup, generators, ids) -> np.ndarray:
-    """g * a * g^-1 for every generator g (rows) and every a in ids (columns),
-    with generators as `_generators` gives them."""
-    gens, inverses = generators
-    return q.products(_products(q, gens, ids), inverses[:, None])
+def _forms(view: SubgroupView) -> list[NormalForm]:
+    """The normal forms of a view's members, in id order, which is (n, f, p) order."""
+    n, f, p = view.parent.parts(view.elements)
+    return list(map(NormalForm, map(tuple, n.tolist()), f.tolist(), p.tolist()))
 
 
-def _mask(q: QuotientGroup, subset) -> np.ndarray:
-    """The boolean mask over the quotient's ids of a set of ids."""
-    mask = np.zeros(q.order, dtype=bool)
-    mask[np.fromiter(subset, np.int64, len(subset))] = True
-    return mask
-
-
-def _inside(ids: np.ndarray, mask: np.ndarray) -> bool:
-    """True iff every id in the array lies in the subset that `_mask` gives as mask."""
-    return bool(mask[ids].all())
-
-
-def _forms(q: QuotientGroup, subset) -> list[NormalForm]:
-    """The normal forms of a set of ids, in id order, which is (n, f, p) order."""
-    n, f, p = q.parts(np.sort(np.fromiter(subset, np.int64, len(subset))))
-    return [NormalForm(tuple(row), fi, pi)
-            for row, fi, pi in zip(n.tolist(), f.tolist(), p.tolist())]
-
-
-def _ids(q: QuotientGroup, forms: list[NormalForm]) -> set[int]:
+def _ids(q: QuotientGroup, forms: list[NormalForm]) -> np.ndarray:
     """The ids of a list of normal forms, by one `QuotientGroup.ids` call."""
     n = np.array([nf.n for nf in forms], dtype=np.int64).reshape(len(forms), q.spec.d2)
-    return set(q.ids(n, [nf.f for nf in forms], [nf.p for nf in forms]).tolist())
+    return q.ids(n, [nf.f for nf in forms], [nf.p for nf in forms])
 
 
 def split_quotient(spec: GroupSpec, m: int, n: int) -> SplitCertificate:
@@ -220,46 +193,42 @@ def split_quotient(spec: GroupSpec, m: int, n: int) -> SplitCertificate:
     # normal factor: the m-th section powers mod N
     d, d2, one_p = spec.points[0], spec.d2, spec.p_identity
     vecs = grid_points(n, d2)
-    normal = set(q.ids(*normal_forms(spec, np.linalg.matrix_power(spec.section_q(vecs), m),
-                                     [one_p] * len(vecs), d * m * vecs), one_p).tolist())
-    checks.append(SplitCheck("normal-order", len(normal) == n ** spec.d2,
-                             f"{len(normal)} vs n^d2 = {n ** spec.d2}"))
-    block, in_normal = _products(q, normal, normal), _mask(q, normal)
-    checks.append(SplitCheck("normal-closed", _inside(block, in_normal)))
+    powers = normal_forms(spec, np.linalg.matrix_power(spec.section_q(vecs), m),
+                          [one_p] * len(vecs), d * m * vecs)
+    normal = SubgroupView(q, q.ids(*powers, one_p))
+    checks.append(SplitCheck("normal-order", normal.order == n ** spec.d2,
+                             f"{normal.order} vs n^d2 = {n ** spec.d2}"))
+    block = _block(normal)
+    checks.append(SplitCheck("normal-closed", normal.holds(block)))
     checks.append(SplitCheck("normal-abelian", bool((block == block.T).all())))
-    power = members = np.array(list(normal))
+    power = members = normal.elements
     for _ in range(n - 1):
         power = q.products(power, members)
     checks.append(SplitCheck("normal-exponent", bool((power == q.identity).all()), f"x^{n} = id"))
-    gens = _generators(q)
-    checks.append(SplitCheck("normal-invariant",
-                             _inside(_conjugates(q, gens, normal), in_normal)))
+    checks.append(SplitCheck("normal-invariant", normal.holds(_conjugates(normal))))
 
     comp = complement_set(spec, n)
-    seeds = list(_ids(q, comp.elements))
-    seeds += q.ids(n * np.eye(d2, dtype=np.int64), spec.f_identity, one_p).tolist()
-    seeds += q.ids(np.zeros(d2, dtype=np.int64), range(spec.f_order), one_p).tolist()
-    complement = _closure(q, seeds)
+    complement = SubgroupView.generated(q, np.concatenate([
+        _ids(q, comp.elements), q.ids(n * np.eye(d2, dtype=np.int64), spec.f_identity, one_p),
+        q.ids(np.zeros(d2, dtype=np.int64), range(spec.f_order), one_p)]))
     want = (m ** spec.d2) * spec.f_order * spec.rot_order
-    checks.append(SplitCheck("complement-order", len(complement) == want,
-                             f"{len(complement)} vs |F||rot| m^d2 = {want}"))
+    checks.append(SplitCheck("complement-order", complement.order == want,
+                             f"{complement.order} vs |F||rot| m^d2 = {want}"))
 
-    inter = normal & complement
-    checks.append(SplitCheck("trivial-intersection", inter == {q.identity},
-                             f"|intersection| = {len(inter)}"))
+    meet = _meet(normal, complement)
+    checks.append(SplitCheck("trivial-intersection", meet == 1, f"|intersection| = {meet}"))
     checks.append(SplitCheck("order-product",
-                             len(normal) * len(complement) == q.order,
-                             f"{len(normal)} * {len(complement)} = {q.order}"))
+                             normal.order * complement.order == q.order,
+                             f"{normal.order} * {complement.order} = {q.order}"))
 
-    comp_normal = _inside(_conjugates(q, gens, complement), _mask(q, complement))
-    direct = bool(comp_normal and inter == {q.identity}
-                  and len(normal) * len(complement) == q.order)
+    direct = (complement.holds(_conjugates(complement)) and meet == 1
+              and normal.order * complement.order == q.order)
 
     return SplitCertificate(
         spec_name=spec.name, m=m, n=n, N=N, a=comp.a,
-        normal_order=len(normal), complement_order=len(complement),
+        normal_order=normal.order, complement_order=complement.order,
         group_order=q.order, direct_product=direct, checks=checks,
-        normal_part=_forms(q, normal), complement_part=_forms(q, complement))
+        normal_part=_forms(normal), complement_part=_forms(complement))
 
 
 def verify_certificate(spec: GroupSpec, cert: SplitCertificate) -> bool:
@@ -267,23 +236,22 @@ def verify_certificate(spec: GroupSpec, cert: SplitCertificate) -> bool:
 
     N = m n, and the orders follow from (m, n) alone: n^d2 for the normal
     part and m^d2 |F| |P| for the complement, whose product is the order
-    N^d2 |F| |P| of the quotient.  Both parts must be closed under products,
-    so that they are subgroups, the normal part under conjugation by the
-    generators too, and they must meet only in the identity.
+    N^d2 |F| |P| of the quotient.  Each part is read as a view, so a normal
+    form named twice counts once and a part without the identity is no
+    subgroup.  Both parts must be closed under products, so that they are
+    subgroups, the normal part under conjugation by the generators too, and
+    they must meet only in the identity.
     """
     if cert.N != cert.m * cert.n:
         return False
     q = build_quotient(spec, cert.N)
-    normal, complement = _ids(q, cert.normal_part), _ids(q, cert.complement_part)
+    parts = [_ids(q, part) for part in (cert.normal_part, cert.complement_part)]
+    if any(q.identity not in ids for ids in parts):
+        return False
+    normal, complement = (SubgroupView(q, ids) for ids in parts)
     orders = (cert.n ** spec.d2, cert.m ** spec.d2 * spec.f_order * spec.rot_order)
-    if ((len(normal), len(complement)) != orders
+    if ((normal.order, complement.order) != orders
             or (cert.normal_order, cert.complement_order, cert.group_order) != (*orders, q.order)):
         return False
-    in_normal = _mask(q, normal)
-    if not _inside(_products(q, normal, normal), in_normal):
-        return False
-    if not _inside(_conjugates(q, _generators(q), normal), in_normal):
-        return False
-    if not _inside(_products(q, complement, complement), _mask(q, complement)):
-        return False
-    return normal & complement == {q.identity}
+    return (normal.holds(_block(normal)) and normal.holds(_conjugates(normal))
+            and complement.holds(_block(complement)) and _meet(normal, complement) == 1)

@@ -76,7 +76,7 @@ def _table_products_agree(q, a: np.ndarray, b: np.ndarray) -> bool:
 def _generated_order(q) -> int:
     """How many ids the generators' columns of products reach from the identity,
     or 0 unless each column permutes the ids; a round costs O(order * generators)."""
-    n, columns = q.order, q.products(q.local[:, None], q.generators())
+    n, columns = q.order, q.products(q.local[:, None], q.generators)
     if not (np.sort(columns, axis=0) == q.local[:, None]).all():
         return 0
     reached = np.zeros(n, dtype=bool)
@@ -153,7 +153,7 @@ def run_suite(spec: GroupSpec, seed: int = 0) -> VerifyReport:
     # each drawn triple are also multiplied in the table, whose ids list the
     # generators in the same order.  The composed triples are factored in one
     # stack, and the id triples multiplied in one request per factor
-    gens, gen_ids = spec.generators(), np.array(q.generators())
+    gens, gen_ids = spec.generators(), q.generators
     drift, chain_ids = 0.0, []
     chain = iso.identity_isometry(spec.d1, spec.d2)
     for _ in range(30):

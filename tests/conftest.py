@@ -217,6 +217,20 @@ def collection_oracle(q):
                       phi=phi, psi=psi, z=z)
 
 
+def closure_oracle(q, seeds) -> set[int]:
+    """The subgroup generated by seeds, as a set of ids: multiply the members
+    found last by the seeds until none is new."""
+    seeds = set(seeds)
+    out = seeds | {q.identity}
+    frontier = out
+    while frontier:
+        block = q.products(np.array(list(frontier), dtype=np.int64)[:, None],
+                           np.array(list(seeds), dtype=np.int64))
+        frontier = set(block.ravel().tolist()) - out
+        out |= frontier
+    return out
+
+
 def c5_quarter_spec():
     """A plane group over the kernel C5 < O(4), R(th) + R(2 th) with th = 2 pi / 5,
     whose quarter turn of the lattice conjugates F by the automorphism f -> f^2

@@ -1,8 +1,12 @@
 import hashlib
 import json
+import os
+import resource
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,8 @@ from euciso.fourier import PeriodicFunction, transform
 from euciso.groups import build_quotient, find_m0
 
 from conftest import quotient, reference_json, rod_spec, spec, time_limit
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(autouse=True)
@@ -286,6 +292,21 @@ PINNED_DIGESTS = {
     # 2025^2 products are a quarter of the table, so it still builds it
     ("split", "catalog:pg", "--m", "1", "--n", "45"):
         "2c1d84eec3c1edeb9598a8aabc29326ec54b792ab020cbf871f3e1641d697831",
+    # recorded while the split parts were sets of ids
+    ("split", "catalog:p1", "--m", "1", "--n", "5"):
+        "e46d13b16b0356a204b337128e116e86e33d6a7f63d6cff35d26b26e6f4608f3",
+    ("split", "catalog:pm", "--m", "1", "--n", "3"):
+        "191172467ef1a3830caf598f2cae2d3334f41dcb1eacb32ff8899176b193ad33",
+    ("split", "catalog:pg", "--m", "1", "--n", "3"):
+        "b8ee00ee157721da71ceb13335fbf513393887e697e86bace298f29a0554943c",
+    ("split", "catalog:screw-C4", "--m", "1", "--n", "3"):
+        "8fb88cb704d031f78ca91619b68c9ed7848f5fad512503c5d29eef506e0fd88e",
+    ("split", "catalog:helix-C3", "--m", "1", "--n", "5"):
+        "aa0e90ed7befa5533db97f70ac0b1ed727349492a4cc1c5d2a37db5419de70e4",
+    ("split", "catalog:helix-C3-tf", "--m", "1", "--n", "2"):
+        "8ab81bec0faf34f4ffec900230e47b947a97c9a10e2475315f04f67a1379150e",
+    ("split", "catalog:twistE8-m4", "--m", "4", "--n", "3"):
+        "6b5022e546f48eb848fe87bbc659f89531a2fa9be8bee109180122fd9b6888cd",
     # recorded before `compose` left Fraction arithmetic and the Fourier
     # identities read the atlas stacks; seeds 1-3 pin the other draws
     ("verify", "catalog:p1"):
@@ -504,6 +525,44 @@ def run_fourier(tmp_path, capsys, kind, data):
     path.write_text(json.dumps(data))
     code = main(["fourier", "catalog:pg", str(path), *(["--inverse"] * (kind == "table"))])
     return (code, *capsys.readouterr())
+
+
+def limited_address_space():
+    """Cap the child's address space at 2 GiB, so that a file asking for
+    more fails where it allocates instead of taking the machine's memory."""
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("shape", [[1, 10 ** 12], [1, 10 ** 8]])
+def test_a_function_shape_past_the_cap_exits_4(tmp_path, shape):
+    # [1, 10^8] on pg's 18 elements would be 26.8 GiB of values
+    path = tmp_path / "function.json"
+    path.write_text(json.dumps({"group": "pg", "N": 3, "shape": shape, "entries": []}))
+    done = subprocess.run([sys.executable, "-m", "euciso.cli", "fourier", "catalog:pg", str(path)],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                          preexec_fn=limited_address_space)
+    assert (done.returncode, done.stdout) == (4, "")
+    assert "Traceback" not in done.stderr and "DEFAULT_CAP^2" in done.stderr
+
+
+def test_a_table_shape_past_the_cap_exits_4(tmp_path, capsys):
+    data = pg_file("table")
+    data["shape"] = [1, 10 ** 12]
+    code, out, err = run_fourier(tmp_path, capsys, "table", data)
+    assert (code, out) == (4, "") and "DEFAULT_CAP^2" in err
+
+
+@pytest.mark.parametrize("kind", ["function", "table"])
+def test_the_shape_cap_counts_every_value(tmp_path, capsys, monkeypatch, kind):
+    # with the cap at 6, pg N=3 holds 36 values: shape (1, 2) fits exactly
+    monkeypatch.setattr(io, "DEFAULT_CAP", 6)
+    code, out, _ = run_fourier(tmp_path, capsys, kind, pg_file(kind))
+    assert code == 0 and out
+    data = pg_file(kind)
+    data["shape"] = [1, 3]
+    code, out, err = run_fourier(tmp_path, capsys, kind, data)
+    assert (code, out) == (4, "") and "shape (1, 3) on 18 elements" in err
 
 
 ENTRY_KEYS = {"n", "f", "p", "irrep", "dim"}

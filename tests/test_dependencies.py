@@ -1,5 +1,8 @@
 import ast
+import json
+import os
 import re
+import subprocess
 import sys
 import tomllib
 from pathlib import Path
@@ -24,3 +27,33 @@ def test_imports_are_the_declared_dependencies():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in project["dependencies"]}
     assert imported_packages() == declared == {"numpy", "orjson"}
+
+
+# verify, dual, split and a Fourier round trip through a table file, run in
+# a fresh interpreter; numpy.ma is not among the modules they import
+MA_FREE_RUN = """
+import contextlib, io as text_io, json, sys
+import numpy as np
+from euciso import io
+from euciso.cli import main
+from euciso.fourier import PeriodicFunction, inverse_transform, transform
+from euciso.groups import build_quotient
+from euciso.catalog import CATALOG
+
+with contextlib.redirect_stdout(text_io.StringIO()):
+    codes = [main(["verify", "catalog:pg"]), main(["dual", "catalog:twistE8", "--N", "4"]),
+             main(["split", "catalog:twistE8", "--m", "2", "--n", "3"])]
+q = build_quotient(CATALOG["twistE8"].build(), 2)
+u = PeriodicFunction.random(q, (2, 2), np.random.default_rng(0))
+text = io.canonical_json(io.table_to_dict(transform(u)))
+back = inverse_transform(io.table_from_dict(json.loads(text), q))
+print(json.dumps([codes, u.max_abs_diff(back) < 1e-9, "numpy.ma" in sys.modules]))
+"""
+
+
+def test_the_commands_do_not_import_numpy_ma():
+    # numpy.ma costs about 1.6 MB of memory on import; np.unique is one way in
+    done = subprocess.run([sys.executable, "-c", MA_FREE_RUN], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[0, 0, 0], True, False]

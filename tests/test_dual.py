@@ -510,7 +510,7 @@ def test_block_split_matches_the_dense_split(build, N):
     s = build()
     q, rs = build_quotient(s, N), rep_set(s)
     conj, table = coset_conjugation(q), q.mult_table()
-    gens = np.array(q.generators())
+    gens = q.generators
     a, b = gens[:, None], gens[None, :]
     for idx, rho in enumerate(rs.classes):
         lifted = lift_representation(rho, q)

@@ -592,7 +592,7 @@ def test_codec_matches_listed_normal_forms(name, k, reversed_lists):
         coarse_index[NormalForm(tuple(x % m0 for x in nf.n), nf.f, nf.p)] for nf in listed]
     unit = [tuple(int(i == j) % N for j in range(s.d2)) for i in range(s.d2)]
     zero = (0,) * s.d2
-    assert q.generators() == (
+    assert q.generators.tolist() == (
         [index[NormalForm(e, s.f_identity, s.p_identity)] for e in unit]
         + [index[NormalForm(zero, k, s.p_identity)] for k in range(s.f_order)]
         + [index[NormalForm(zero, s.f_identity, k)] for k in range(s.rot_order)])
@@ -920,7 +920,7 @@ def test_products_build_the_table_only_past_the_break_even():
 
 def test_products_broadcast_and_refuse_what_is_no_id():
     q = fresh_quotient(spec("twistE8"), 4)
-    g = np.array(q.generators())
+    g = q.generators
     assert q.products(g[:, None], g[None, :3]).shape == (len(g), 3)
     assert q.products(g[0], g[1]).shape == () and q.mul(g[0], g[1]) == q.products(g[0], g[1])
     assert q.inv(g[2]) == q.inverses(g)[2]

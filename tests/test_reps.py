@@ -479,7 +479,7 @@ def test_induce_rejects_a_non_homomorphism(rng):
 
 def negated_at_a_generator(q, mats):
     bad = mats.copy()
-    bad[q.cosets.generators[0]] *= -1
+    bad[q.generators[0]] *= -1
     return bad
 
 

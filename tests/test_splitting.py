@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -6,11 +7,11 @@ import pytest
 from euciso import catalog
 from euciso import isometry as iso
 from euciso.errors import BadModulus, InternalInconsistency, NotCoprime
-from euciso.groups import NormalForm, build_quotient
-from euciso.splitting import (_inside, _mask, a_coeff, cocycle, complement_set,
-                              split_quotient, verify_certificate)
+from euciso.groups import NormalForm, SubgroupView, build_quotient, find_m0
+from euciso.splitting import (a_coeff, cocycle, complement_set, split_quotient,
+                              verify_certificate)
 
-from conftest import reconstruct, spec
+from conftest import closure_oracle, reconstruct, spec
 
 
 def a_coeff_scan_oracle(n, r):
@@ -189,15 +190,76 @@ def test_split_quotients_hold_no_table():
 
 
 def test_membership_by_mask_agrees_with_isin():
-    # the mask is over all of the quotient's ids, so an id outside the subset
-    # and one above every member read False as np.isin reads them
+    # the view's local map is over all of the quotient's ids, so an id outside
+    # the subset and one above every member read False as np.isin reads them
     q = build_quotient(spec("pg"), 3)
-    for subset in ({q.identity, 5, 7, 12}, {9}, set()):
-        top = max(subset, default=0)
+    for subset in ({q.identity, 5, 7, 12}, {q.identity, 9}, {q.identity}):
+        top = max(subset)
         for ids in (np.array(sorted(subset), dtype=np.int64), np.array([[5, 7], [12, q.identity]]),
                     np.array([5, 6]), np.array([top, top + 1]), np.array([q.order - 1])):
             want = bool(np.isin(ids, list(subset)).all())
-            assert _inside(ids, _mask(q, subset)) == want, (subset, ids)
+            assert SubgroupView(q, list(subset)).holds(ids) == want, (subset, ids)
+
+
+def test_a_view_holds_each_id_once_in_ascending_order():
+    q = build_quotient(spec("pg"), 3)
+    view = SubgroupView(q, [q.identity, 5, 5])
+    assert view.order == 2
+    assert view.elements.tolist() == sorted({q.identity, 5})
+    assert view.local[view.elements].tolist() == [0, 1]
+    assert (view.local >= 0).sum() == 2
+    with pytest.raises(InternalInconsistency, match="lacks the identity"):
+        SubgroupView(q, [5, 7])
+    with pytest.raises(ValueError):
+        SubgroupView(q, [q.identity, q.order])
+
+
+def split_cases():
+    """Every catalog group at m0 with the smallest n > 1 that splits there,
+    and twistE8 at m = 2, n = 3."""
+    for name in catalog.names():
+        s = spec(name)
+        m0, n = find_m0(s).m0, 2
+        while math.gcd(n, m0 * s.rot_order) != 1:
+            n += 1
+        yield name, m0, n
+    yield "twistE8", 2, 3
+
+
+@pytest.mark.parametrize("name, m, n", list(split_cases()))
+def test_generated_matches_the_closure_oracle(monkeypatch, name, m, n):
+    # record the seeds split_quotient hands to generated, then close them by sets
+    calls, generated = [], SubgroupView.generated
+
+    def recording(parent, seeds):
+        view = generated(parent, seeds)
+        calls.append((parent, np.asarray(seeds), view))
+        return view
+
+    monkeypatch.setattr(SubgroupView, "generated", recording)
+    cert = split_quotient(spec(name), m, n)
+    (q, seeds, view), = calls
+    assert view.elements.tolist() == sorted(closure_oracle(q, seeds.tolist()))
+    assert cert.passed and view.order == cert.complement_order
+
+
+def test_a_part_without_the_identity_or_with_a_repeat_is_refused():
+    s = spec("pg")
+    cert = split_quotient(s, 1, 3)
+    one = NormalForm((0, 0), s.f_identity, s.p_identity)
+    assert one in cert.normal_part and one in cert.complement_part
+    # the glide for the identity: nine normal forms, but no subgroup
+    glide = NormalForm((0, 0), s.f_identity, 1 - s.p_identity)
+    cert.normal_part = [glide if nf == one else nf for nf in cert.normal_part]
+    assert len(set(cert.normal_part)) == 9 and not verify_certificate(s, cert)
+    # a repeated normal form counts once, so nine entries name eight members
+    cert = split_quotient(s, 1, 3)
+    cert.normal_part[-1] = cert.normal_part[-2]
+    assert not verify_certificate(s, cert)
+    # a repeat on top of the nine members changes nothing
+    cert = split_quotient(s, 1, 3)
+    cert.normal_part.append(cert.normal_part[-1])
+    assert verify_certificate(s, cert)
 
 
 def test_nonsymmorphic_witness():

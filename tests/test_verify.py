@@ -143,7 +143,7 @@ def test_order_check_reads_the_generators_columns(monkeypatch):
     s = catalog.CATALOG["pg"].build()
     q = build_quotient(s, find_m0(s).m0)
     table = q.mult_table()
-    g = q.generators()[-1]
+    g = q.generators[-1]
     table[:, g] = q.identity
     monkeypatch.setattr(QuotientGroup, "spot_check",
                         lambda self, rng=None: (np.zeros(0, dtype=np.int64),) * 2)
@@ -153,7 +153,7 @@ def test_order_check_reads_the_generators_columns(monkeypatch):
 
 def generated_order_oracle(q):
     """`verify._generated_order` with one bincount per generator column."""
-    n, columns = q.order, q.products(q.local[:, None], q.generators())
+    n, columns = q.order, q.products(q.local[:, None], q.generators)
     if columns.min() < 0 or any(not np.array_equal(np.bincount(c, minlength=n), np.ones(n))
                                 for c in columns.T):
         return 0
@@ -170,7 +170,7 @@ def test_generated_order_agrees_with_bincounts(damage):
     # permutation; two swapped entries keep every column one
     s = catalog.CATALOG["pg"].build()
     q = build_quotient(s, 2 * find_m0(s).m0)
-    table, g = q.mult_table(), q.generators()[-1]
+    table, g = q.mult_table(), q.generators[-1]
     if damage == "negative":
         table[3, g] = -1
     elif damage == "past-order":
@@ -196,7 +196,7 @@ def test_a_table_the_spot_check_breaks_is_a_failed_check(name, seed):
     # as a failed check, with the error's text, and ends the suite
     s = catalog.CATALOG[name].build()
     q = build_quotient(s, find_m0(s).m0)
-    q.mult_table()[:, q.generators()[-1]] = q.identity
+    q.mult_table()[:, q.generators[-1]] = q.identity
     report = run_suite(s, seed=seed)
     failed = {c.name: c.detail for c in report.checks if not c.passed}
     assert "quotient-order-formula" in failed
