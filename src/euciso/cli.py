@@ -274,14 +274,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "discrete Euclidean isometry groups")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seeded=True):
         p.add_argument("spec", help="spec JSON path or catalog:<name>")
-        p.add_argument("--seed", type=non_negative_int, default=0)
+        if seeded:      # analyze and split draw nothing at random
+            p.add_argument("--seed", type=non_negative_int, default=0)
         p.add_argument("--tol", type=positive_tolerance, default=None)
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("analyze", help="validation, m0, orders")
-    common(p)
+    common(p, seeded=False)
     p.add_argument("--N", default=None, help="comma-separated quotient levels")
     p.set_defaults(fn=cmd_analyze)
 
@@ -299,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_fourier)
 
     p = sub.add_parser("split", help="semidirect decomposition certificate")
-    common(p)
+    common(p, seeded=False)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(fn=cmd_split)

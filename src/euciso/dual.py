@@ -30,7 +30,7 @@ import numpy as np
 from .errors import InternalInconsistency
 from .groups import GroupSpec, QuotientGroup, build_quotient, find_m0, grid_place, grid_points
 from .reps import (FINGERPRINT_DECIMALS, STRUCT_TOL, Representation, check_irreducibles, chi,
-                   coset_conjugation, distinct_constituents, induce, induced_character, integral,
+                   distinct_constituents, induce, induced_character, integral,
                    irreducible_order, irreps, lift_representation, mackey_irreducible,
                    roots_of_unity, scale_by_character, split_induced)
 
@@ -88,7 +88,7 @@ def rep_set(spec: GroupSpec, seed: int = 0) -> RepSet:
     Candidates rho, rho' are identified when some coset representative g_p
     and shift s satisfy g_p . rho ~ chi_s rho'.  This is the one place that
     decides the relation, on characters: g_p . rho has the character
-    rho.char[coset_conjugation(q)[p]] and chi_s rho the shift's phases
+    rho.char[q.coset_conjugation[p]] and chi_s rho the shift's phases
     times rho.char, for the shifts s = b / m0 on the grid b in [0, m0)^d2.
     A candidate that matches no kept class becomes one, and matching it
     against its own twists gives its little group.
@@ -97,7 +97,7 @@ def rep_set(spec: GroupSpec, seed: int = 0) -> RepSet:
     q = build_quotient(spec, m0)
     sub = q.tf_subgroup()
     shifts = grid_points(m0, spec.d2)
-    conj = coset_conjugation(q)
+    conj = q.coset_conjugation
     phases = _shift_phases(sub, shifts, m0)
 
     # twists[i] holds the characters chi_s * classes[i], one row per shift s
@@ -378,7 +378,7 @@ def enumerate_dual(spec: GroupSpec, N: int, seed: int = 0) -> DualAtlas:
         return q._atlases[seed]
     q.mult_table()      # the split needs it; past the table cap nothing order-sized is built
     rs = rep_set(spec, seed=seed)
-    sub, conj = q.tf_subgroup(), coset_conjugation(q)
+    sub, conj = q.tf_subgroup(), q.coset_conjugation
     orbits = [wave_orbits(spec, rs, rho_index, N) for rho_index in range(len(rs.classes))]
     little_orders = [len(lg.p) for lg in rs.little_groups]
     twisted = np.empty((sum(map(len, orbits)), sub.order), dtype=complex)
@@ -398,7 +398,7 @@ def enumerate_dual(spec: GroupSpec, N: int, seed: int = 0) -> DualAtlas:
                 lazy.append(i)
             else:
                 stacks, chars = distinct_constituents(
-                    split_induced(q, conj, scale_by_character(wave, lifted), seed))
+                    split_induced(q, scale_by_character(wave, lifted), seed))
                 split_stacks += stacks
                 split_chars.append(chars)
     irr = _Irreducibles(sub, induced, lazy,

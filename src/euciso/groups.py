@@ -39,14 +39,13 @@ import numpy as np
 
 from . import isometry as iso
 from .errors import BadModulus, CapExceeded, InternalInconsistency, NotAMember
-from .isometry import Isometry
+from .isometry import ORDER_BOUND, Isometry
 
-ORDER_BOUND = 48
 INT64_MAX = 2 ** 63 - 1     # `GroupSpec.points` holds point parts and translations as int64
 DEFAULT_CAP = 4096        # largest quotient order given a multiplication table or irreps
 # powers of a section lift kept per lattice direction: every quotient grid
-# under DEFAULT_CAP has N <= 4096, and larger exponents are reached by squaring
-POWER_BOUND = 4096
+# under the cap has N <= DEFAULT_CAP, and larger exponents are reached by squaring
+POWER_BOUND = DEFAULT_CAP
 # a product by the collection formula costs 43-76 ns and a table entry 5.4-7.5
 # ns to fill and check (pg N=45 and twistE8 N=6, one core, batches of 4k-1M
 # pairs), so a request for more than order^2 / TABLE_BREAK_EVEN products
@@ -85,8 +84,8 @@ class GroupSpec:
                  (identity included).
     t_lifts    : d2 isometries with identity point part and tau = e_i.
     p_reps     : coset representatives of G modulo the translation
-                 preimage, identity included, point parts pairwise
-                 distinct.
+                 preimage, point parts pairwise distinct; the one with
+                 identity point part is the identity.
     """
 
     def __init__(self, name, d1, d2, f_elements, t_lifts, p_reps, tol=iso.DEFAULT_TOL):
@@ -392,7 +391,9 @@ def validate_spec(spec: GroupSpec) -> list[Violation]:
        `f-distinct` for each coinciding pair i < j.
     4. Per t_lift: `t-point`, `t-tau`, `t-orthogonal`, up to the first one
        of the wrong block dims, which gives `t-dims` and ends the list.
-    5. `p-identity`, `p-distinct`; per p_rep: `p-orthogonal`, `p-det`
+    5. `p-identity` when no p_rep has the identity point part, or when
+       that one has a nonzero tau or a q block farther than tol from I;
+       `p-distinct`; per p_rep: `p-orthogonal`, `p-det`
        (which ends the list) and `p-order`, up to the first one of the
        wrong block dims, which gives `p-dims` and ends the list.
     6. Per point part, `p-group` if a product with another one or its
@@ -457,8 +458,13 @@ def validate_spec(spec: GroupSpec) -> list[Violation]:
     # point representatives: distinct lattice ops forming a finite group
     pmats = [g.p for g in spec.p_reps]
     pset = set(pmats)
-    if ident_p not in pset:
+    one = spec._p_index.get(ident_p)
+    h = None if one is None else spec.p_reps[one]
+    if h is None:
         out.append(Violation("p-identity", "p_reps does not contain the identity"))
+    elif any(h.tau) or np.abs(h.q - np.eye(h.d1)).max(initial=0) > tol:
+        out.append(Violation("p-identity", f"p_reps[{one}] has the identity point part "
+                             f"but is not the identity"))
     if len(pset) != len(pmats):
         out.append(Violation("p-distinct", "p_reps point parts are not pairwise distinct"))
     for i, p in enumerate(pmats[:r]):
@@ -728,9 +734,11 @@ class QuotientGroup:
         id = (code(n) * |F| + f) * |P| + p,   code(n) = sum_i n_i N^(d2-1-i),
 
     so ids run over the normal forms in (n, f, p) order.  `ids` and `parts`
-    encode and decode stacks, `reduce` and `nf` one normal form; they are
-    the only code that knows this layout.  `products` and `inverses` take
-    id arrays and collect only the products asked for, from the
+    encode and decode stacks, `reduce` and `nf` one normal form, and
+    `coset_reps` gives the p_reps' ids; they and the split
+    (`reps.split_induced`), which takes x*h_p's id to be x's TF row * |P| + p,
+    are the only code that knows this layout.  `products` and `inverses`
+    take id arrays and collect only the products asked for, from the
     generator-level data in `collection`, unless the multiplication table
     is built or a request is large enough to pay for it (TABLE_BREAK_EVEN);
     `mul` and `inv` are their scalar forms, and `mult_table` the table.
@@ -1019,17 +1027,31 @@ class QuotientGroup:
     def _tf(self) -> "SubgroupView":
         return SubgroupView(self, self.tf_indices())
 
+    @property
+    def coset_reps(self) -> np.ndarray:
+        """Ids of the p_reps h_p = t(0)*f_id*p, in p order.  h_p with p =
+        p_identity is the identity, so for x in TF the id of x*h_p is
+        (TF row of x) * |P| + p: the products x*h_p, in (x, p) order, are
+        the ids in order."""
+        return self.identity - self.spec.p_identity + np.arange(self.spec.rot_order)
+
     @functools.cached_property
-    def cosets(self) -> "Cosets":
-        """The p_rep cosets of the TF part, computed once per quotient from
-        its table; induction and the dual atlas read them."""
-        spec, table = self.spec, self.mult_table()
-        tf = self.tf_subgroup()
-        reps = self.ids(np.zeros(spec.d2, dtype=np.int64), spec.f_identity,
-                        np.arange(spec.rot_order))
-        rows = tf.local[table[table[self._inverse[reps]].T[..., None], reps]]
-        products = table[np.ix_(tf.elements, reps)]
-        return Cosets(reps, rows, products)
+    def coset_rows(self) -> np.ndarray:
+        """rows[g, i, j] is the TF row of h_i^-1 g h_j for the p_reps h_i, h_j,
+        or -1 when that lies outside TF: for each j exactly one i has it
+        inside, as g permutes the cosets h_i TF.  Built once from the table."""
+        table, reps = self.mult_table(), self.coset_reps
+        return self._tf.local[table[table[self._inverse[reps]].T[..., None], reps]]
+
+    @functools.cached_property
+    def coset_conjugation(self) -> np.ndarray:
+        """The (|P|, |TF|) TF rows of h_p^-1 t h_p for the p_reps h_p and t in
+        TF, the diagonal of `coset_rows`: g_p . rho has the character
+        rho.char[coset_conjugation[p]]."""
+        rows = np.diagonal(self.coset_rows[self.tf_indices()], axis1=1, axis2=2).T
+        if (rows < 0).any():
+            raise InternalInconsistency("conjugation left the subgroup")
+        return rows
 
     def projection(self, coarse: "QuotientGroup") -> np.ndarray:
         """Image ids of all elements under the quotient map onto G mod T^M, M | N."""
@@ -1051,22 +1073,6 @@ class QuotientGroup:
             raise InternalInconsistency("associativity failed in quotient" if assoc[bad.argmax()]
                                         else "inverse failed in quotient")
         return left, right
-
-
-@dataclass(frozen=True)
-class Cosets:
-    """The cosets h_p TF of the TF part of a quotient, one per p_rep, in p order.
-
-    `reps[p]` is the id of h_p = t(0)*f_id*p.  `rows[g, i, j]` is the TF
-    row of h_i^-1 g h_j, or -1 when that lies outside TF: for each j exactly
-    one i has it inside, as g permutes the cosets; for t in TF, rows[t, p, p]
-    is the TF row of h_p^-1 t h_p.  `products[x, p]` is the id of x h_p
-    for x at row x of the TF view; every element is one of them.
-    """
-
-    reps: np.ndarray
-    rows: np.ndarray
-    products: np.ndarray
 
 
 class SubgroupView:

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import DimensionMismatch, EucisoError
 
 DEFAULT_TOL = 1e-9
+ORDER_BOUND = 48            # largest order of a point part that validation accepts
 
 IntMatrix = tuple[tuple[int, ...], ...]
 FracVector = tuple[Fraction, ...]
@@ -85,7 +86,7 @@ def pmat_inv(a: IntMatrix) -> IntMatrix:
                          for j in range(n)]) for i in range(n)])
 
 
-def pmat_order(a: IntMatrix, bound: int = 48) -> int | None:
+def pmat_order(a: IntMatrix, bound: int = ORDER_BOUND) -> int | None:
     """Multiplicative order of an integer matrix, or None past the bound."""
     ident = identity_int_matrix(len(a))
     power = a

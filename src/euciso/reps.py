@@ -5,8 +5,10 @@ matrices of its domain's elements in `domain.elements` order, plus its
 character vector.  Pairings of characters, equivalence and multiplicities are
 vector operations on those arrays; lifting and inducing each build the new
 array with one gather.  The twisted action on the translation-kernel part's
-dual is decided on characters (`coset_conjugation`, `dual.rep_set`).
-Induction reads the per-quotient coset data `QuotientGroup.cosets`.
+dual is decided on characters (`QuotientGroup.coset_conjugation`,
+`dual.rep_set`).  Induction reads the per-quotient coset data
+`QuotientGroup.coset_rows`, and the split reads x*h_p's id from the id
+layout (`QuotientGroup.coset_reps`).
 
 The dual of a quotient comes from its wave labels (`dual.enumerate_dual`),
 characters first: `induced_character` gives each label's induced character
@@ -388,15 +390,6 @@ def scale_by_character(wave: WaveCharacter, r: Representation) -> Representation
 
 # -- the action of G on duals of TF -------------------------------------------
 
-def coset_conjugation(q: QuotientGroup) -> np.ndarray:
-    """The (|P|, |TF|) TF rows of h_p^-1 t h_p for the p_rep cosets h_p and t in
-    `q.tf_subgroup()`: g_p . rho has the character rho.char[rows[p]]."""
-    rows = np.diagonal(q.cosets.rows[q.tf_indices()], axis1=1, axis2=2).T
-    if (rows < 0).any():
-        raise InternalInconsistency("conjugation left the subgroup")
-    return rows
-
-
 def _check_tf(q: QuotientGroup, r: Representation) -> None:
     if r.domain is not q.tf_subgroup():
         raise InternalInconsistency("induction expects a representation on the TF view of q")
@@ -428,39 +421,39 @@ def induce(q: QuotientGroup, r: Representation) -> Representation:
     pairs of quotient generators.
     """
     _check_tf(q, r)
-    k, d = len(q.cosets.reps), r.dim
-    mats = _blocks(r, q.cosets.rows).reshape(q.order, k * d, k * d)
+    k, d = q.spec.rot_order, r.dim
+    mats = _blocks(r, q.coset_rows).reshape(q.order, k * d, k * d)
     _check_homomorphism(q, mats, "induced rep")
     return Representation(q, mats)
 
 
 def _blocks(r: Representation, rows: np.ndarray) -> np.ndarray:
     """The (..., k, d, k, d) blocks r(rows[..., i, j]) of an induced matrix,
-    zero where a row is -1 (`Cosets.rows`)."""
+    zero where a row is -1 (`QuotientGroup.coset_rows`)."""
     padded = np.concatenate([r.mats, np.zeros((1, r.dim, r.dim), dtype=complex)])
     return padded[rows].swapaxes(-3, -2)
 
 
-def split_induced(q: QuotientGroup, conj: np.ndarray, tau: Representation,
-                  seed: int = 0) -> list[np.ndarray]:
+def split_induced(q: QuotientGroup, tau: Representation, seed: int = 0) -> list[np.ndarray]:
     """The irreducible constituents of the representation induced from tau
-    on the TF part, with multiplicity, as (|G|, m, m) stacks, for
-    conj = coset_conjugation(q).  No stack of the induced representation is built.
+    on the TF part, with multiplicity, as (|G|, m, m) stacks.  No stack of
+    the induced representation is built.
 
     With the p_reps h_i as coset representatives, Ind tau = M is
     block-monomial (Serre, *Linear Representations of Finite Groups*, 7.1):
     at x in TF it is block-diagonal with blocks S_i(x) = tau(h_i^-1 x h_i),
-    the stack tau.mats[conj[i]], and at h_p it is a block permutation whose
-    block (i, j) is tau(h_i^-1 h_p h_j) where that lies in TF
-    (`Cosets.rows`).  Every element is x h_p, so `_split_dense`'s average
-    of a random Hermitian X over the quotient is
+    the stack tau.mats[q.coset_conjugation[i]], and at h_p it is a block
+    permutation whose block (i, j) is tau(h_i^-1 h_p h_j) where that lies
+    in TF (`QuotientGroup.coset_rows`).  Every element is x h_p, so
+    `_split_dense`'s average of a random Hermitian X over the quotient is
 
         sum_g M(g) X M(g)^H = sum_x M(x) Y M(x)^H,  Y = sum_p M(h_p) X M(h_p)^H,
 
     blockwise h_ij = sum_x S_i(x) Y_ij S_j(x)^H: |P|^2 times fewer flops
     than the sum over G.  An eigenspace basis B of h gives the constituent
-    sigma(x h_p) = (B^H M(x)) (M(h_p) B) at the id of x h_p
-    (`Cosets.products`), all (x, p) from one GEMM; one that still joins
+    sigma(x h_p) = (B^H M(x)) (M(h_p) B) at the id of x h_p, which is x's
+    TF row times |P| plus p (`QuotientGroup.coset_reps`): all (x, p) come
+    from one GEMM, already in id order.  A constituent that still joins
     several irreducibles, after an eigenvalue collision, is split by
     `_split_dense`.  The random draws are those `_split_dense` makes on the
     induced stack, reseeded (seed + attempt) on a bad one.  Each
@@ -471,14 +464,13 @@ def split_induced(q: QuotientGroup, conj: np.ndarray, tau: Representation,
     ConvergenceFailure.
     """
     _check_tf(q, tau)
-    cosets, k, d = q.cosets, len(q.cosets.reps), tau.dim
-    diag = tau.mats[conj]                                                       # S_i(x)
-    at_reps = _blocks(tau, cosets.rows[cosets.reps]).reshape(k, k * d, k * d)   # M(h_p)
+    k, d = q.spec.rot_order, tau.dim
+    diag = tau.mats[q.coset_conjugation]                                        # S_i(x)
+    at_reps = _blocks(tau, q.coset_rows[q.coset_reps]).reshape(k, k * d, k * d)  # M(h_p)
     last_error = None
     for attempt in range(MAX_RESEEDS):
         try:
-            out = _split_blocks(diag, at_reps, cosets.products, q.order,
-                                np.random.default_rng(seed + attempt))
+            out = _split_blocks(diag, at_reps, np.random.default_rng(seed + attempt))
         except ConvergenceFailure as exc:
             last_error = exc
             continue
@@ -488,16 +480,14 @@ def split_induced(q: QuotientGroup, conj: np.ndarray, tau: Representation,
     raise ConvergenceFailure(f"split failed after {MAX_RESEEDS} reseeds: {last_error}")
 
 
-def _split_blocks(diag: np.ndarray, at_reps: np.ndarray, products: np.ndarray, n: int,
-                  rng, depth: int = 0) -> list[np.ndarray]:
+def _split_blocks(diag: np.ndarray, at_reps: np.ndarray, rng, depth: int = 0) -> list[np.ndarray]:
     """`split_induced` from the (|P|, |TF|, d, d) blocks S_i(x) and the
     (|P|, D, D) coset images M(h_p), drawing as `_split_dense` does.
 
     A cluster's (|TF| m, |P| m) product block is copied once into (x, p)
-    order, so its (|TF| |P|, m, m) images go into the stack at
-    `products.ravel()` as one contiguous scatter; values are only moved."""
+    order, which is id order, so it is the (|G|, m, m) stack as it stands."""
     k, t, d = diag.shape[:3]
-    size = k * d
+    size, n = k * d, k * t
     if depth > 8:
         raise ConvergenceFailure("irreducible split did not terminate")
     x = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
@@ -520,13 +510,12 @@ def _split_blocks(diag: np.ndarray, at_reps: np.ndarray, products: np.ndarray, n
         m = basis.shape[1]
         if m == size:
             # eigenspace did not split; try a fresh random direction
-            return _split_blocks(diag, at_reps, products, n, rng, depth + 1)
+            return _split_blocks(diag, at_reps, rng, depth + 1)
         # sigma(x h_p): rows (x, a) of B^H M(x) times columns (p, b) of M(h_p) B
         lhs = left[:, block].reshape(k, m, t, d).transpose(2, 1, 0, 3).reshape(t * m, size)
         rhs = (at_reps @ basis).transpose(1, 0, 2).reshape(size, k * m)
-        mats = np.empty((n, m, m), dtype=complex)
         block = (lhs @ rhs).reshape(t, m, k, m).swapaxes(1, 2)     # [x, p, a, b]
-        mats[products.ravel()] = block.reshape(t * k, m, m)       # one contiguous copy
+        mats = block.reshape(n, m, m)                               # one copy, in id order
         out.extend(_split_dense(mats, rng, depth + 1))
     return out
 
@@ -535,7 +524,7 @@ def induced_character(conj: np.ndarray, char: np.ndarray) -> np.ndarray:
     """The character of the representation induced from the TF part, on the
     TF part's elements (it vanishes off them), by the Frobenius formula: the
     sum over cosets p of char[conj[p]], for char a character on
-    `q.tf_subgroup()` and conj = coset_conjugation(q)."""
+    `q.tf_subgroup()` and conj = `q.coset_conjugation`."""
     return char[conj].sum(axis=0)
 
 

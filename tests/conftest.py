@@ -18,7 +18,7 @@ from euciso.groups import (DEFAULT_CAP, ORDER_BOUND, Collection, GroupSpec, Norm
                            _cocycle, _conjugates, _factor, _kernel, _match_f, _rep_products,
                            build_quotient, find_m0, grid_points, normal_form, normal_forms)
 from euciso.reps import (MAX_RESEEDS, STRUCT_TOL, Representation, _split_dense, char_norm_sq,
-                         chi, coset_conjugation, equivalent, induce, irreps, lift_representation,
+                         chi, equivalent, induce, irreps, lift_representation,
                          multiplicities, scale_by_character,
                          split_induced)
 
@@ -380,7 +380,6 @@ def eager_irreps_oracle(s, N, seed=0):
     over the dim and the full rounded characters."""
     q = build_quotient(s, N)
     rs = rep_set(s, seed=seed)
-    conj = coset_conjugation(q)
     stacks, chars = [], []
     for rho_index, rho in enumerate(rs.classes):
         lifted = lift_representation(rho, q)
@@ -388,7 +387,7 @@ def eager_irreps_oracle(s, N, seed=0):
             tau = scale_by_character(chi(s, label.k), lifted)
             ind = induce(q, tau)
             pieces = ([ind.mats] if abs(char_norm_sq(ind) - 1) < STRUCT_TOL
-                      else split_induced(q, conj, tau, seed))
+                      else split_induced(q, tau, seed))
             ch = np.array([np.einsum("gii->g", m) for m in pieces])
             first = multiplicities(ch, ch).argmax(axis=1)
             for k in np.flatnonzero(first == np.arange(len(pieces))):
@@ -506,8 +505,13 @@ def validate_spec_oracle(spec: GroupSpec) -> list[Violation]:
             out.append(Violation("t-orthogonal", f"t_lifts[{i}] q block not orthogonal"))
 
     # point representatives: distinct lattice ops forming a finite group
-    if spec.p_index(iso.identity_int_matrix(spec.d2)) is None:
+    one = spec.p_index(iso.identity_int_matrix(spec.d2))
+    if one is None:
         out.append(Violation("p-identity", "p_reps does not contain the identity"))
+    elif (any(spec.p_reps[one].tau)
+          or np.abs(spec.p_reps[one].q - np.eye(len(spec.p_reps[one].q))).max(initial=0.0) > tol):
+        out.append(Violation("p-identity", f"p_reps[{one}] has the identity point part "
+                             f"but is not the identity"))
     pmats = [p.p for p in spec.p_reps]
     if len(set(pmats)) != len(pmats):
         out.append(Violation("p-distinct", "p_reps point parts are not pairwise distinct"))

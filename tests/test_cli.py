@@ -167,7 +167,25 @@ def test_integers_past_int64_are_violations(tmp_path, capsys, group, path):
     file.write_text(json.dumps(raw))
     code, out = run(capsys, "analyze", str(file))
     assert code == 2
-    assert [v["code"] for v in json.loads(out)["violations"]] == ["p-range"]
+    # p1's one p_rep is its identity coset, so a translation there is refused too
+    want = ["p-identity", "p-range"] if group == "p1" else ["p-range"]
+    assert [v["code"] for v in json.loads(out)["violations"]] == want
+
+
+@pytest.mark.parametrize("group, tau", [("p1", [1, 0]), ("pg", [0, 1])])
+def test_an_identity_coset_off_the_identity_is_a_violation(tmp_path, capsys, group, tau):
+    # the p_rep with identity point part is taken as the identity element
+    # throughout the quotient; translated, it loaded as another group, which
+    # verify failed and split crashed on
+    raw = json.loads(io.canonical_json(io.spec_to_dict(spec(group))))
+    set_field(raw, ["p_reps", 0, "tau"], tau)
+    file = tmp_path / "spec.json"
+    file.write_text(json.dumps(raw))
+    code, out = run(capsys, "analyze", str(file))
+    assert code == 2
+    assert [v["code"] for v in json.loads(out)["violations"]] == ["p-identity"]
+    assert main(["split", str(file), "--m", "1", "--n", "3"]) == 2
+    assert "p-identity: p_reps[0] has the identity point part" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "-0.0", "one"])
@@ -666,13 +684,21 @@ def test_a_repeated_element_in_a_function_file_is_refused(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [["dual", "catalog:pg"], ["verify", "catalog:pg"],
-                                  ["split", "catalog:pg", "--m", "1", "--n", "3"],
                                   ["fourier", "catalog:pg", "fn.json"]])
 def test_a_negative_seed_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--seed", "-1"])
     assert exc.value.code == 2
     assert "argument --seed: must be non-negative, not -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["analyze", "catalog:pg"],
+                                  ["split", "catalog:pg", "--m", "1", "--n", "3"]])
+def test_seed_is_not_an_option_where_nothing_is_drawn(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
 
 
 ALLOCATION_BOUND = 8 * 2**20    # bytes; far below any order-sized array of these quotients

@@ -11,7 +11,7 @@ from euciso.dual import enumerate_dual, null_set_member, rep_set, wave_orbits
 from euciso.errors import InternalInconsistency
 from euciso.groups import (GroupSpec, build_quotient, find_m0, grid_points, tf_slice,
                            validate_spec)
-from euciso.reps import (STRUCT_TOL, char_norm_sq, chi, coset_conjugation, equivalent, induce,
+from euciso.reps import (STRUCT_TOL, char_norm_sq, chi, equivalent, induce,
                          induced_character, irreps, lift_representation, mackey_irreducible,
                          multiplicities, scale_by_character, split_induced)
 
@@ -481,7 +481,7 @@ SPLIT_DIGESTS = {
 @pytest.mark.parametrize("name,N", SPLIT_DIGESTS)
 def test_split_constituents_are_pinned(name, N):
     s, q = spec(name), quotient(name, N)
-    rs, conj = rep_set(s), coset_conjugation(q)
+    rs = rep_set(s)
     digests = []
     for idx, rho in enumerate(rs.classes):
         lifted = lift_representation(rho, q)
@@ -489,7 +489,7 @@ def test_split_constituents_are_pinned(name, N):
         for label in wave_orbits(s, rs, idx, N):
             if ops // label.orbit_size == 1:
                 continue
-            pieces = split_induced(q, conj, scale_by_character(chi(s, label.k), lifted))
+            pieces = split_induced(q, scale_by_character(chi(s, label.k), lifted))
             digests.append(hashlib.sha256(b"".join(m.tobytes() for m in pieces)).hexdigest())
     assert digests == SPLIT_DIGESTS[name, N]
 
@@ -509,7 +509,7 @@ def test_block_split_matches_the_dense_split(build, N):
     # split_induced works on TF blocks; the oracle splits the whole induced stack
     s = build()
     q, rs = build_quotient(s, N), rep_set(s)
-    conj, table = coset_conjugation(q), q.mult_table()
+    table = q.mult_table()
     gens = q.generators
     a, b = gens[:, None], gens[None, :]
     for idx, rho in enumerate(rs.classes):
@@ -519,7 +519,7 @@ def test_block_split_matches_the_dense_split(build, N):
             ind = induce(q, tau)
             if abs(char_norm_sq(ind) - 1) < STRUCT_TOL:
                 continue
-            new, old = split_induced(q, conj, tau), constituents(ind)
+            new, old = split_induced(q, tau), constituents(ind)
             new_chars, old_chars = stack_chars(new), stack_chars(old)
             cross = multiplicities(new_chars, old_chars)   # 1 iff equivalent
             assert (cross.sum(axis=1) == multiplicities(new_chars, new_chars).sum(axis=1)).all()
@@ -536,7 +536,7 @@ def test_block_split_matches_the_dense_split(build, N):
                                     ("twistE8-m4", 8)])
 def test_frobenius_characters_are_the_induced_stacks_characters(name, N):
     s, q = spec(name), quotient(name, N)
-    rs, conj, tf = rep_set(s), coset_conjugation(q), list(q.tf_indices())
+    rs, conj, tf = rep_set(s), q.coset_conjugation, list(q.tf_indices())
     for idx, rho in enumerate(rs.classes):
         lifted = lift_representation(rho, q)
         for label in wave_orbits(s, rs, idx, N):

@@ -11,7 +11,7 @@ from euciso.dual import rep_set, wave_orbits
 from euciso.errors import CapExceeded, ConvergenceFailure, InternalInconsistency
 from euciso.groups import DEFAULT_CAP, NormalForm, SubgroupView, build_quotient, tf_slice
 from euciso.reps import (STRUCT_TOL, Representation, _Characters, _split_dense, char_inner,
-                         char_norm_sq, check_irreducibles, chi, coset_conjugation,
+                         char_norm_sq, check_irreducibles, chi,
                          distinct_constituents, equivalent, induce, intertwiner, irreps,
                          lift_representation, mackey_irreducible, multiplicities, multiplicity,
                          quotient_irreps, scale_by_character, split_induced)
@@ -465,7 +465,7 @@ def test_split_induced_refuses_an_irreducible_induced_rep():
     # pg at N = 3: k = (1/3, 1/3) lies off the null set, so Ind chi_k is irreducible
     s, q = spec("pg"), quotient("pg", 3)
     with pytest.raises(ConvergenceFailure, match="did not terminate"):
-        split_induced(q, coset_conjugation(q), chi(s, (Fraction(1, 3), Fraction(1, 3))).on(q))
+        split_induced(q, chi(s, (Fraction(1, 3), Fraction(1, 3))).on(q))
 
 
 def test_induce_rejects_a_non_homomorphism(rng):
@@ -495,6 +495,6 @@ def test_homomorphism_check_refuses_a_negated_generator_image():
 def test_homomorphism_check_refuses_a_corrupted_split_constituent():
     s, q = spec("twistE8"), quotient("twistE8", 4)
     tau = scale_by_character(chi(s, (0, 0)), lift_representation(rep_set(s).classes[0], q))
-    for mats in split_induced(q, coset_conjugation(q), tau):
+    for mats in split_induced(q, tau):
         with pytest.raises(InternalInconsistency, match="split constituent fails homomorphism"):
             reps._check_homomorphism(q, negated_at_a_generator(q, mats), "split constituent")

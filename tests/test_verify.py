@@ -64,9 +64,12 @@ def opposite_group(monkeypatch):
         np.argmax(collect(self) == self.identity, axis=1)[x], np.full_like(x, self.identity)))
 
 
+# twistE8's labels split at m0, and the split takes x*h_p's id from the
+# normal-form layout, which the transposed table contradicts, so the atlas's
+# homomorphism probe fails there too
 FAILING_ON_A_TRANSPOSED_TABLE = {
     "helix-C3": ["composition-associativity"],
-    "twistE8": ["composition-associativity"],
+    "twistE8": ["composition-associativity", "atlas"],
     "twistE8-m4": ["section-bijectivity", "mod-N-soundness", "composition-associativity"]}
 
 
