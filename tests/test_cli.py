@@ -684,6 +684,7 @@ def test_a_repeated_element_in_a_function_file_is_refused(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [["dual", "catalog:pg"], ["verify", "catalog:pg"],
+                                  ["fourier", "catalog:pg", "table.json", "--inverse"],
                                   ["fourier", "catalog:pg", "fn.json"]])
 def test_a_negative_seed_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
