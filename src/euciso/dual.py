@@ -8,13 +8,16 @@ one denominator, k = a / den, and the dual action is integer arithmetic
 modulo den.  So is a little group: two integer arrays, p_rep indices p and
 shifts b = m0 s on the grid [0, m0)^d2 (`groups.grid_points`).
 
-`enumerate_dual` turns the labels into the quotient's irreducibles.  Each
-label's fate is its stabilizer order, read exactly from its wave orbit, not
-its null-set flag: an irreducible induced representation (order 1) is
-induced only when `DualAtlas.stacks` is read, and a reducible one is split
-at once on the TF blocks of its twisted class (`reps.split_induced`),
-averaging over TF and the coset representatives rather than over the whole
-quotient.
+`enumerate_dual` turns the labels into the quotient's irreducibles, one
+class rho at a time and one array pass over the class's labels: their
+integer numerators a = N k give every phase in one gather from the N-th
+roots of unity, and from those come their twisted and induced characters,
+norms and Mackey verdicts.  Each label's fate is its stabilizer order, read
+exactly from its wave orbit, not its null-set flag: an irreducible induced
+representation (order 1) is induced only when `DualAtlas.stacks` is read,
+and the class's reducible labels are split together at once on the TF
+blocks of their twisted classes (`reps.split_induced`), averaging over TF
+and the coset representatives rather than over the whole quotient.
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ import numpy as np
 
 from .errors import InternalInconsistency
 from .groups import GroupSpec, QuotientGroup, build_quotient, find_m0, grid_place, grid_points
-from .reps import (FINGERPRINT_DECIMALS, STRUCT_TOL, Representation, check_irreducibles, chi,
-                   distinct_constituents, induce, induced_character, integral,
-                   irreducible_order, irreps, lift_representation, mackey_irreducible,
+from .reps import (FINGERPRINT_DECIMALS, GATHER_BYTES, STRUCT_TOL, Representation,
+                   check_irreducibles, chi, distinct_constituents, induce, induced_character,
+                   integral, irreducible_order, irreps, lift_representation, mackey_irreducible,
                    roots_of_unity, scale_by_character, split_induced)
 
 FracVec = tuple[Fraction, ...]
@@ -207,9 +210,9 @@ def wave_orbits(spec: GroupSpec, rs: RepSet, rho_index: int, N: int) -> list[Wav
     hits = np.bincount(orbit_of, weights=null, minlength=len(reps))
     if ((hits != 0) & (hits != counts)).any():
         raise InternalInconsistency("null-set flag varies along an orbit")
-    return [WaveLabel(rho_index, tuple(Fraction(int(x), N) for x in grid[r]), int(size),
-                      bool(hit))
-            for r, size, hit in zip(reps, counts, hits)]
+    over_n = [Fraction(j, N) for j in range(N)]
+    return [WaveLabel(rho_index, tuple(over_n[x] for x in point), size, bool(hit))
+            for point, size, hit in zip(grid[reps].tolist(), counts.tolist(), hits.tolist())]
 
 
 # -- the labeled dual of a finite quotient --------------------------------------
@@ -346,18 +349,23 @@ def enumerate_dual(spec: GroupSpec, N: int, seed: int = 0) -> DualAtlas:
     The quotient's irreducibles come from the labels themselves
     (Clifford-Mackey theory; Serre, *Linear Representations of Finite
     Groups*, sections 7-8), characters first.  A label's representation is
-    induced from its twisted class tau = chi_k rho on the TF part, and
-    `induced_character` gives its character without matrices.  The label's
-    stabilizer order, len(p) of its class's little group over
-    its orbit size (orbit-stabilizer), decides what is built, and
-    `reps.mackey_irreducible` checks it against the induced norm.  An
-    irreducible induced representation (order 1) gets no stack here, and
-    `DualAtlas.stacks` induces it on first use.  A reducible one is split now by
-    `reps.split_induced` straight from tau's (|TF|, d, d) stack, averaging
-    over TF and the coset representatives by a block identity, so no
-    (|G|, |P| d, |P| d) stack is built.  Its constituents have dimension at
-    most |P| d_rho, and
-    `reps.distinct_constituents` keeps one per character; labels share no
+    induced from its twisted class tau = chi_k rho on the TF part.  The
+    labels are taken a class rho at a time, as arrays: with k = a / N, the
+    phases chi_k(t) = exp(2 pi i a.n(t) / N) of all the class's labels are
+    one gather from `reps.roots_of_unity(N)`, the twisted characters are
+    formed in place in one (L, |TF|) block, and `induced_character` adds
+    the cosets to it one at a time, without matrices; labels go in chunks
+    of GATHER_BYTES.  The label's stabilizer order, len(p) of its class's
+    little group over its orbit size (orbit-stabilizer), decides what is
+    built, and `reps.mackey_irreducible` checks the whole class's orders
+    against the induced norms.  An irreducible induced representation
+    (order 1) gets no stack here, and `DualAtlas.stacks` induces it on
+    first use.  The class's reducible labels are split now, in one call to
+    `reps.split_induced`, straight from their phases and rho's (|TF|, d, d)
+    stack, averaging over TF and the coset representatives by a block
+    identity, so no (|G|, |P| d, |P| d) stack is built.  Their constituents
+    have dimension at most |P| d_rho, and `reps.distinct_constituents`
+    keeps one per character within each label; labels share no
     constituent.  The irreducibles are put in `reps.irreducible_order`, the
     basis Fourier tables use, and the atlas is kept on the quotient per seed.
 
@@ -380,39 +388,56 @@ def enumerate_dual(spec: GroupSpec, N: int, seed: int = 0) -> DualAtlas:
     rs = rep_set(spec, seed=seed)
     sub, conj = q.tf_subgroup(), q.coset_conjugation
     orbits = [wave_orbits(spec, rs, rho_index, N) for rho_index in range(len(rs.classes))]
-    little_orders = [len(lg.p) for lg in rs.little_groups]
-    twisted = np.empty((sum(map(len, orbits)), sub.order), dtype=complex)
-    induced = np.empty_like(twisted)
-    rows: list[tuple[WaveLabel, int, bool, float]] = []
-    lazy, split_stacks, split_chars = [], [], []
-    for rho, labels, little_order in zip(rs.classes, orbits, little_orders):
+    labels = [label for class_labels in orbits for label in class_labels]
+    # k = a / N: each label's integer numerators, and its phases at the TF exponents
+    a = np.array([[x.numerator * (N // x.denominator) for x in label.k] for label in labels],
+                 dtype=np.int64).reshape(len(labels), spec.d2)
+
+    def phase_rows(rows) -> np.ndarray:
+        return (a[rows] @ sub.exponents.T) % N
+
+    twisted = np.empty((len(labels), sub.order), dtype=complex)
+    induced, norms = np.empty_like(twisted), np.empty(len(labels))
+    irreducible = np.empty(len(labels), dtype=bool)
+    chunk = max(1, GATHER_BYTES // (twisted.itemsize * sub.order))
+    split_stacks, split_chars, start = [], [], 0
+    for rho, class_labels, lg in zip(rs.classes, orbits, rs.little_groups):
         lifted = lift_representation(rho, q)
-        for label in labels:
-            i, wave = len(rows), chi(spec, label.k)
-            twisted[i] = wave.phases(sub) * lifted.char
-            induced[i] = induced_character(conj, twisted[i])
-            norm = float(np.vdot(induced[i], induced[i]).real) / q.order
-            irreducible = mackey_irreducible(norm, little_order // label.orbit_size)
-            rows.append((label, spec.rot_order * rho.dim, irreducible, norm))
-            if irreducible:
-                lazy.append(i)
-            else:
-                stacks, chars = distinct_constituents(
-                    split_induced(q, scale_by_character(wave, lifted), seed))
-                split_stacks += stacks
-                split_chars.append(chars)
+        stop = start + len(class_labels)
+        # twisted characters chi_k rho in place, then the induced ones coset by coset
+        for lo in range(start, stop, chunk):
+            part = slice(lo, min(lo + chunk, stop))
+            np.take(roots_of_unity(N), phase_rows(part), out=twisted[part])
+            twisted[part] *= lifted.char
+            flat = induced_character(conj, twisted[part], out=induced[part]).view(float)
+            norms[part] = np.einsum("lt,lt->l", flat, flat) / q.order
+        stabilizers = len(lg.p) // np.array([label.orbit_size for label in class_labels])
+        irreducible[start:stop] = mackey_irreducible(norms[start:stop], stabilizers)
+        # the class's reducible labels, split together
+        reducible = start + np.flatnonzero(~irreducible[start:stop])
+        for pieces in split_induced(q, lifted, roots_of_unity(N)[phase_rows(reducible)], seed):
+            stacks, chars = distinct_constituents(pieces)
+            split_stacks += stacks
+            split_chars.append(chars)
+        start = stop
+    lazy = np.flatnonzero(irreducible).tolist()
+    induced_dims = [spec.rot_order * rs.classes[label.rho_index].dim for label in labels]
     irr = _Irreducibles(sub, induced, lazy,
                         np.concatenate([np.empty((0, q.order), dtype=complex), *split_chars]))
     pairing = irr.pair(induced) / q.order
     check_irreducibles(irr.gram(pairing), split_stacks, q.mult_table(),
                        np.random.default_rng(seed))
-    dims = np.array([rows[i][1] for i in lazy] + [m.shape[1] for m in split_stacks])
+    dims = np.array([induced_dims[i] for i in lazy] + [m.shape[1] for m in split_stacks])
     order = irreducible_order(dims, irr.columns, q.order)
     decomposition = integral(pairing[:, order])
+    del pairing                         # before the reciprocity Gram, the pass's peak
     reciprocity = integral(irr.pair(twisted)[:, order] / sub.order)
-    reports = [LabelReport(label, dim, irreducible, norm,
-                           {int(j): int(row[j]) for j in np.flatnonzero(row)})
-               for (label, dim, irreducible, norm), row in zip(rows, decomposition)]
+    parts: list[dict[int, int]] = [{} for _ in labels]
+    at = np.nonzero(decomposition)
+    for i, j, count in zip(*(x.tolist() for x in at), decomposition[at].tolist()):
+        parts[i][j] = count
+    reports = [LabelReport(*row) for row in zip(labels, induced_dims, irreducible.tolist(),
+                                                 norms.tolist(), parts)]
 
     dims = dims[order]
     checks = {}

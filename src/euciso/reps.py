@@ -11,13 +11,14 @@ dual is decided on characters (`QuotientGroup.coset_conjugation`,
 layout (`QuotientGroup.coset_reps`).
 
 The dual of a quotient comes from its wave labels (`dual.enumerate_dual`),
-characters first: `induced_character` gives each label's induced character
-by the Frobenius formula, without matrices.  The label's stabilizer order,
-exact from its wave orbit, decides what happens next; `mackey_irreducible`
-cross-checks it with that character's norm.  An irreducible induced
-representation is induced only when the irreducibles are read.  A reducible
-one is split by `split_induced` straight from its twisted class tau on the
-TF part, through the block identity
+characters first and a class at a time: `induced_character` gives a block
+of labels' induced characters by the Frobenius formula, without matrices.
+A label's stabilizer order, exact from its wave orbit, decides what happens
+next; `mackey_irreducible` cross-checks a class's orders with those
+characters' norms.  An irreducible induced representation is induced only
+when the irreducibles are read.  The reducible labels of a class are split
+together by `split_induced`, in batches of stacked products, straight from
+their twisted classes tau on the TF part, through the block identity
 
     sum_g M(g) X M(g)^H = sum_{x in TF} M(x) Y M(x)^H,  Y = sum_p M(h_p) X M(h_p)^H,
 
@@ -40,7 +41,9 @@ irreducibles by (dim, character).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -60,7 +63,8 @@ IDENTITY_TOL = 1e-8       # largest error of the Fourier identities verify and f
 FINGERPRINT_DECIMALS = 8  # generator images are rounded to this before the basis is hashed
 
 MAX_RESEEDS = 8
-GATHER_BYTES = 32 * 2**20  # the solver's (rows, n, d) basis gathers are built this much at a time
+GATHER_BYTES = 32 * 2**20  # the solver's basis gathers and the atlas's label phases, per step
+SPLIT_BYTES = 8 * 2**20    # one batch of a class split, its constituents included
 SOLVER_CAP = 1024          # largest order `irreps` solves; one solve at 1024 peaks near 120 MB
 KEY_BLOCK = 64             # character entries `irreducible_order` reads per refinement step
 
@@ -316,18 +320,35 @@ def _solve(domain, table, inv_local, rng) -> list[Representation]:
 def check_irreducibles(gram: np.ndarray, stacks, table: np.ndarray, rng) -> None:
     """Raise InternalInconsistency unless `gram`, the character Gram of a set
     of irreducibles, is the identity, and each (n, d, d) stack in `stacks`
-    is unitary and a homomorphism at 8 pairs drawn from rng."""
+    is unitary at every element and a homomorphism at 8 pairs drawn from
+    rng.  The unitarity rule reads the stack's dimension
+    (`_unitary_defect`): a stack with d <= 2 is checked elementwise, a
+    larger one by one batched matmul."""
     n = table.shape[0]
     if np.abs(gram - np.eye(len(gram))).max() > STRUCT_TOL:
         raise InternalInconsistency("character orthogonality failed")
     for mats in stacks:
-        d = mats.shape[1]
-        defect = np.abs(mats.conj().swapaxes(1, 2) @ mats - np.eye(d)).max()
-        if defect > IRREP_RESIDUAL_TOL:
+        if _unitary_defect(mats) > IRREP_RESIDUAL_TOL:
             raise InternalInconsistency("a returned block is not unitary")
         a, b = rng.integers(n, size=(2, 8))
         if np.abs(mats[a] @ mats[b] - mats[table[a, b]]).max() > IRREP_RESIDUAL_TOL:
             raise InternalInconsistency("a returned block is not a homomorphism")
+
+
+def _unitary_defect(mats: np.ndarray) -> float:
+    """max |M^H M - I| over every element of an (n, d, d) stack.
+
+    For d <= 2 the Gram entries are formed elementwise on the (d, d, n)
+    transpose, element axis innermost: a few length-n vector operations
+    instead of one small matrix product per element.  Larger stacks keep
+    the batched matmul: the elementwise (d, d, d, n) product grows as d^3 n,
+    and by d = 8 it is slower than the matmul."""
+    d = mats.shape[1]
+    if d > 2:
+        return float(np.abs(mats.conj().swapaxes(1, 2) @ mats - np.eye(d)).max())
+    e = np.ascontiguousarray(mats.transpose(1, 2, 0))                  # [row, col, element]
+    gram = (e.conj()[:, :, None] * e[:, None]).sum(axis=0)            # [col, col', element]
+    return float(np.abs(gram - np.eye(d)[:, :, None]).max())
 
 
 def quotient_irreps(q: QuotientGroup, seed: int = 0) -> list[Representation]:
@@ -339,10 +360,14 @@ def quotient_irreps(q: QuotientGroup, seed: int = 0) -> list[Representation]:
 
 # -- wave characters ----------------------------------------------------------
 
+@functools.lru_cache(maxsize=64)
 def roots_of_unity(den: int) -> np.ndarray:
     """exp(2 pi i j / den) for j in [0, den), as `WaveCharacter.value` computes
-    each: the table every phase of a wave vector over den is read from."""
-    return np.array([cmath.exp(2j * cmath.pi * (j / den)) for j in range(den)])
+    each: the table every phase of a wave vector over den is read from.
+    Built once per den and read-only; callers gather from it."""
+    table = np.array([cmath.exp(2j * cmath.pi * (j / den)) for j in range(den)])
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)
@@ -422,22 +447,25 @@ def induce(q: QuotientGroup, r: Representation) -> Representation:
     """
     _check_tf(q, r)
     k, d = q.spec.rot_order, r.dim
-    mats = _blocks(r, q.coset_rows).reshape(q.order, k * d, k * d)
+    mats = _blocks(r.mats, q.coset_rows).reshape(q.order, k * d, k * d)
     _check_homomorphism(q, mats, "induced rep")
     return Representation(q, mats)
 
 
-def _blocks(r: Representation, rows: np.ndarray) -> np.ndarray:
-    """The (..., k, d, k, d) blocks r(rows[..., i, j]) of an induced matrix,
-    zero where a row is -1 (`QuotientGroup.coset_rows`)."""
-    padded = np.concatenate([r.mats, np.zeros((1, r.dim, r.dim), dtype=complex)])
-    return padded[rows].swapaxes(-3, -2)
+def _blocks(mats: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The (..., k, d, k, d) blocks mats[..., rows[..., i, j], :, :] of
+    induced matrices, for one (|TF|, d, d) stack or a stack of them, zero
+    where a row is -1 (`QuotientGroup.coset_rows`)."""
+    padded = np.concatenate([mats, np.zeros_like(mats[..., :1, :, :])], axis=-3)
+    return np.take(padded, rows, axis=-3).swapaxes(-3, -2)
 
 
-def split_induced(q: QuotientGroup, tau: Representation, seed: int = 0) -> list[np.ndarray]:
-    """The irreducible constituents of the representation induced from tau
-    on the TF part, with multiplicity, as (|G|, m, m) stacks.  No stack of
-    the induced representation is built.
+def split_induced(q: QuotientGroup, rho: Representation, phases: np.ndarray,
+                  seed: int = 0) -> Iterator[list[np.ndarray]]:
+    """The irreducible constituents of Ind tau_l from the TF part, for the
+    twisted classes tau_l = chi_l rho of the rows of an (L, |TF|) stack of
+    wave phases, with multiplicity, as one list of (|G|, m, m) stacks per
+    row.  No stack of an induced representation is built.
 
     With the p_reps h_i as coset representatives, Ind tau = M is
     block-monomial (Serre, *Linear Representations of Finite Groups*, 7.1):
@@ -455,81 +483,123 @@ def split_induced(q: QuotientGroup, tau: Representation, seed: int = 0) -> list[
     TF row times |P| plus p (`QuotientGroup.coset_reps`): all (x, p) come
     from one GEMM, already in id order.  A constituent that still joins
     several irreducibles, after an eigenvalue collision, is split by
-    `_split_dense`.  The random draws are those `_split_dense` makes on the
-    induced stack, reseeded (seed + attempt) on a bad one.  Each
-    constituent is checked to be a homomorphism on all pairs of quotient
-    generators, with one product per stack (`_check_homomorphism`).  Ind
-    tau must be reducible, that is tau's stabilizer order must exceed 1
+    `_split_dense`.
+
+    The rows are split in batches, each held under SPLIT_BYTES with its
+    constituents: Y, h, the eigendecompositions and the left factors
+    B^H M(x) are each one stacked product over a batch, and only the
+    clusters are cut per row.  Each row draws from its own
+    default_rng(seed + attempt) exactly what `_split_dense` draws on its
+    induced stack, so a row splits as it would alone; a batch's rows whose
+    attempt fails are retried together at the next one.  Each constituent
+    is checked to be a homomorphism on all pairs of quotient generators,
+    with one product per stack (`_check_homomorphism`).  Every Ind tau_l
+    must be reducible, that is tau_l's stabilizer order must exceed 1
     (`mackey_irreducible`); an irreducible one never splits and ends in
-    ConvergenceFailure.
+    ConvergenceFailure.  The rows' lists are yielded in row order, a batch
+    at a time, so a caller that keeps fewer stacks holds at most one batch
+    more.
     """
-    _check_tf(q, tau)
-    k, d = q.spec.rot_order, tau.dim
-    diag = tau.mats[q.coset_conjugation]                                        # S_i(x)
-    at_reps = _blocks(tau, q.coset_rows[q.coset_reps]).reshape(k, k * d, k * d)  # M(h_p)
-    last_error = None
-    for attempt in range(MAX_RESEEDS):
-        try:
-            out = _split_blocks(diag, at_reps, np.random.default_rng(seed + attempt))
-        except ConvergenceFailure as exc:
-            last_error = exc
-            continue
-        for mats in out:
-            _check_homomorphism(q, mats, "split constituent")
-        return out
-    raise ConvergenceFailure(f"split failed after {MAX_RESEEDS} reseeds: {last_error}")
+    _check_tf(q, rho)
+    k, d = q.spec.rot_order, rho.dim
+    # per row: its constituents, at most (|P| d)^2 |G| entries, as many again
+    # while one is copied into id order, and under 4 |P| d^2 |G| entries of
+    # (|P|, |TF| d, |P| d) products, their transposed copy and left factors
+    per_batch = max(1, SPLIT_BYTES // (2 * (k + 2) * k * d * d * q.order * 16))
+    for start in range(0, len(phases), per_batch):
+        taus = phases[start:start + per_batch, :, None, None] * rho.mats      # tau_l stacks
+        diag = taus[:, q.coset_conjugation]                                  # S_i(x)
+        at_reps = _blocks(taus, q.coset_rows[q.coset_reps]).reshape(-1, k, k * d, k * d)
+        out, pending = [None] * len(taus), list(range(len(taus)))
+        for attempt in range(MAX_RESEEDS):
+            rngs = [np.random.default_rng(seed + attempt) for _ in pending]
+            at = slice(None) if attempt == 0 else pending
+            for row, result in zip(pending, _split_blocks(diag[at], at_reps[at], rngs)):
+                out[row] = result
+            pending = [row for row in pending if isinstance(out[row], ConvergenceFailure)]
+            if not pending:
+                break
+        else:
+            raise ConvergenceFailure(f"split failed after {MAX_RESEEDS} reseeds: {out[pending[0]]}")
+        for pieces in out:
+            for mats in pieces:
+                _check_homomorphism(q, mats, "split constituent")
+        yield from out
 
 
-def _split_blocks(diag: np.ndarray, at_reps: np.ndarray, rng, depth: int = 0) -> list[np.ndarray]:
-    """`split_induced` from the (|P|, |TF|, d, d) blocks S_i(x) and the
-    (|P|, D, D) coset images M(h_p), drawing as `_split_dense` does.
+def _split_blocks(diag: np.ndarray, at_reps: np.ndarray, rngs) -> list:
+    """`split_induced` on one batch, from the (B, |P|, |TF|, d, d) blocks
+    S_i(x) and the (B, |P|, D, D) coset images M(h_p), row b drawing from
+    rngs[b] as `_split_dense` does: per row, the list of its constituents,
+    or the ConvergenceFailure that ended its attempt.
 
-    A cluster's (|TF| m, |P| m) product block is copied once into (x, p)
-    order, which is id order, so it is the (|G|, m, m) stack as it stands."""
-    k, t, d = diag.shape[:3]
+    A row whose eigenvalues form one cluster draws again, up to depth 8,
+    with the other such rows.  A cluster's (|TF| m, |P| m) product block is
+    copied once into (x, p) order, which is id order, so it is the
+    (|G|, m, m) stack as it stands."""
+    k, t, d = diag.shape[1:4]
     size, n = k * d, k * t
-    if depth > 8:
-        raise ConvergenceFailure("irreducible split did not terminate")
-    x = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-    x = x + x.conj().T
-    y = (at_reps @ x @ at_reps.conj().swapaxes(1, 2)).sum(0)
-    # h_ij = sum_x S_i(x) Y_ij S_j(x)^H: first S_i(x) Y_ij for every i, then
-    # one product over the (x, b) pairs for every j
-    stacked = diag.reshape(k, t * d, d)                                  # S_i(x) over x
-    adjoints = diag.conj().transpose(0, 1, 3, 2).reshape(k, t * d, d)    # S_j(x)^H over x
-    u = (stacked @ y.reshape(k, d, size)).reshape(k, t, d, k, d)        # [i, x, a, j, b]
-    h = u.transpose(3, 0, 2, 1, 4).reshape(k, size, t * d) @ adjoints    # [j, (i, a), c]
-    w, v = np.linalg.eigh(h.transpose(1, 0, 2).reshape(size, size) / n)
-    # V^H M(x) for every x: V_i^H S_i(x) for every i, as one (k, size, t d) block
-    rows = diag.transpose(0, 2, 1, 3).reshape(k, d, t * d)               # [i, b, (x, e)]
-    left = v.conj().T.reshape(size, k, d).swapaxes(0, 1) @ rows
-    spread = max(w[-1] - w[0], 1.0)
-    out = []
-    for block in _cluster(w, CLUSTER_GAP * spread):
-        basis = v[:, block]
-        m = basis.shape[1]
-        if m == size:
-            # eigenspace did not split; try a fresh random direction
-            return _split_blocks(diag, at_reps, rng, depth + 1)
-        # sigma(x h_p): rows (x, a) of B^H M(x) times columns (p, b) of M(h_p) B
-        lhs = left[:, block].reshape(k, m, t, d).transpose(2, 1, 0, 3).reshape(t * m, size)
-        rhs = (at_reps @ basis).transpose(1, 0, 2).reshape(size, k * m)
-        block = (lhs @ rhs).reshape(t, m, k, m).swapaxes(1, 2)     # [x, p, a, b]
-        mats = block.reshape(n, m, m)                               # one copy, in id order
-        out.extend(_split_dense(mats, rng, depth + 1))
+    out: list = [ConvergenceFailure("irreducible split did not terminate")] * len(rngs)
+    todo = list(range(len(rngs)))
+    for depth in range(9):
+        x = np.array([rngs[b].standard_normal((size, size))
+                      + 1j * rngs[b].standard_normal((size, size)) for b in todo])
+        x = x + x.conj().swapaxes(1, 2)
+        y = (at_reps @ x[:, None] @ at_reps.conj().swapaxes(2, 3)).sum(1)
+        # h_ij = sum_x S_i(x) Y_ij S_j(x)^H: first S_i(x) Y_ij for every i, then
+        # one product over the (x, b) pairs for every j
+        stacked = diag.reshape(-1, k, t * d, d)                                   # S_i(x) over x
+        adjoints = diag.conj().transpose(0, 1, 2, 4, 3).reshape(-1, k, t * d, d)  # S_j(x)^H
+        u = (stacked @ y.reshape(-1, k, d, size)).reshape(-1, k, t, d, k, d)      # [i, x, a, j, b]
+        h = u.transpose(0, 4, 1, 3, 2, 5).reshape(-1, k, size, t * d) @ adjoints  # [j, (i, a), c]
+        del u, adjoints                     # before the left factors, as large as u
+        w, v = np.linalg.eigh(h.transpose(0, 2, 1, 3).reshape(-1, size, size) / n)
+        # V^H M(x) for every x: V_i^H S_i(x) for every i, as one (k, size, t d) block
+        rows = diag.transpose(0, 1, 3, 2, 4).reshape(-1, k, d, t * d)             # [i, b, (x, e)]
+        left = v.conj().swapaxes(1, 2).reshape(-1, size, k, d).swapaxes(1, 2) @ rows
+        retry = []
+        for j, b in enumerate(todo):
+            blocks = _cluster(w[j], CLUSTER_GAP * max(w[j, -1] - w[j, 0], 1.0))
+            if len(blocks) == 1:
+                # eigenspace did not split; try a fresh random direction
+                retry.append(j)
+                continue
+            out[b] = []
+            try:
+                for block in blocks:
+                    # sigma(x h_p): rows (x, a) of B^H M(x) times columns (p, b) of M(h_p) B
+                    basis = v[j][:, block]
+                    m = basis.shape[1]
+                    lhs = left[j][:, block].reshape(k, m, t, d).transpose(2, 1, 0, 3)
+                    rhs = (at_reps[j] @ basis).transpose(1, 0, 2).reshape(size, k * m)
+                    xp = (lhs.reshape(t * m, size) @ rhs).reshape(t, m, k, m).swapaxes(1, 2)
+                    mats = xp.reshape(n, m, m)                          # one copy, in id order
+                    out[b] += _split_dense(mats, rngs[b], depth + 1)
+            except ConvergenceFailure as exc:
+                out[b] = exc
+        if not retry:
+            break
+        diag, at_reps, todo = diag[retry], at_reps[retry], [todo[j] for j in retry]
     return out
 
 
-def induced_character(conj: np.ndarray, char: np.ndarray) -> np.ndarray:
+def induced_character(conj: np.ndarray, chars: np.ndarray, out=None) -> np.ndarray:
     """The character of the representation induced from the TF part, on the
     TF part's elements (it vanishes off them), by the Frobenius formula: the
     sum over cosets p of char[conj[p]], for char a character on
-    `q.tf_subgroup()` and conj = `q.coset_conjugation`."""
-    return char[conj].sum(axis=0)
+    `q.tf_subgroup()` and conj = `q.coset_conjugation`.  chars may be one
+    character or an (r, |TF|) stack of them; the cosets are added one at a
+    time in p order, so no (r, |P|, |TF|) gather is built, into `out` if
+    given."""
+    out = np.take(chars, conj[0], axis=-1, out=out)
+    for rows in conj[1:]:
+        out += np.take(chars, rows, axis=-1)
+    return out
 
 
-def mackey_irreducible(norm: float, stabilizer: int) -> bool:
-    """Irreducibility of a representation induced from tau on the TF part.
+def mackey_irreducible(norm, stabilizer):
+    """Irreducibility of a representation induced from tau on the TF part,
+    elementwise for arrays of norms and stabilizer orders.
 
     stabilizer is the number of cosets g_p with g_p . tau ~ tau, read exactly
     from tau's wave orbit (`dual.enumerate_dual`), and norm is <Ind tau,
@@ -538,10 +608,13 @@ def mackey_irreducible(norm: float, stabilizer: int) -> bool:
     InternalInconsistency unless they agree within STRUCT_TOL.  The verdict
     is stabilizer == 1.
     """
-    if abs(norm - stabilizer) > STRUCT_TOL:
+    bad = np.flatnonzero(np.abs(np.subtract(norm, stabilizer)) > STRUCT_TOL)
+    if len(bad):
+        i = bad[0]
         raise InternalInconsistency(
-            f"induced character norm {norm} differs from the stabilizer order {stabilizer}")
-    return stabilizer == 1
+            f"induced character norm {np.ravel(norm)[i]} differs from the stabilizer order "
+            f"{np.ravel(stabilizer)[i]}")
+    return np.equal(stabilizer, 1)
 
 
 # -- lifting along quotient maps ----------------------------------------------

@@ -384,10 +384,10 @@ def eager_irreps_oracle(s, N, seed=0):
     for rho_index, rho in enumerate(rs.classes):
         lifted = lift_representation(rho, q)
         for label in wave_orbits(s, rs, rho_index, N):
-            tau = scale_by_character(chi(s, label.k), lifted)
-            ind = induce(q, tau)
+            wave = chi(s, label.k)
+            ind = induce(q, scale_by_character(wave, lifted))
             pieces = ([ind.mats] if abs(char_norm_sq(ind) - 1) < STRUCT_TOL
-                      else split_induced(q, tau, seed))
+                      else next(split_induced(q, lifted, wave.phases(q.tf_subgroup())[None], seed)))
             ch = np.array([np.einsum("gii->g", m) for m in pieces])
             first = multiplicities(ch, ch).argmax(axis=1)
             for k in np.flatnonzero(first == np.arange(len(pieces))):

@@ -15,7 +15,7 @@ from euciso import catalog, cli, io, reps
 from euciso.cli import main
 from euciso.errors import EucisoError
 from euciso.fourier import PeriodicFunction, transform
-from euciso.groups import build_quotient, find_m0
+from euciso.groups import find_m0
 
 from conftest import quotient, reference_json, rod_spec, spec, time_limit
 

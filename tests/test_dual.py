@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from euciso import catalog, dual
+from euciso import catalog, dual, reps
 from euciso import isometry as iso
 from euciso.dual import enumerate_dual, null_set_member, rep_set, wave_orbits
 from euciso.errors import InternalInconsistency
@@ -484,14 +484,55 @@ def test_split_constituents_are_pinned(name, N):
     rs = rep_set(s)
     digests = []
     for idx, rho in enumerate(rs.classes):
-        lifted = lift_representation(rho, q)
         ops = len(rs.little_groups[idx].p)
-        for label in wave_orbits(s, rs, idx, N):
-            if ops // label.orbit_size == 1:
-                continue
-            pieces = split_induced(q, scale_by_character(chi(s, label.k), lifted))
+        phases = [chi(s, label.k).phases(q.tf_subgroup()) for label in wave_orbits(s, rs, idx, N)
+                  if ops // label.orbit_size > 1]
+        if not phases:
+            continue
+        # one call splits every reducible label of the class
+        for pieces in split_induced(q, lift_representation(rho, q), np.array(phases)):
             digests.append(hashlib.sha256(b"".join(m.tobytes() for m in pieces)).hexdigest())
     assert digests == SPLIT_DIGESTS[name, N]
+
+
+@pytest.mark.parametrize("name,N", [("twistE8", 4), ("pg", 12)])
+def test_a_class_split_in_batches_is_the_split_in_one(monkeypatch, name, N):
+    # a byte cap of 1 puts every label of a class in its own batch, and an
+    # unbounded one all of them in one; the draws are per label, so every
+    # stack keeps every bit
+    s, q = spec(name), quotient(name, N)
+    rs, calls, split_blocks = rep_set(s), [], reps._split_blocks
+    monkeypatch.setattr(reps, "_split_blocks", lambda *args: calls.append(len(args[2]))
+                        or split_blocks(*args))
+
+    def split(rho, phases, cap):
+        calls.clear()
+        monkeypatch.setattr(reps, "SPLIT_BYTES", cap)
+        return [[m.tobytes() for m in pieces] for pieces in split_induced(q, rho, phases)]
+
+    for idx, rho in enumerate(rs.classes):
+        ops = len(rs.little_groups[idx].p)
+        phases = np.array([chi(s, label.k).phases(q.tf_subgroup())
+                           for label in wave_orbits(s, rs, idx, N) if ops // label.orbit_size > 1])
+        if len(phases) < 2:
+            continue
+        lifted = lift_representation(rho, q)
+        whole = split(lifted, phases, 2**62)
+        assert calls == [len(phases)]
+        assert split(lifted, phases, 1) == whole
+        assert calls == [1] * len(phases)
+
+
+@pytest.mark.parametrize("name,N", [("twistE8", 4), ("twistE8-m4", 8), ("pg", 12)])
+def test_the_label_pass_in_chunks_is_the_pass_in_one(monkeypatch, name, N):
+    # a byte cap of 1 takes the labels' phases and characters one label at a time
+    def summary(atlas):
+        return ([(r.label, r.induced_dim, r.irreducible, r.char_norm, r.decomposition)
+                 for r in atlas.labels], atlas.dims, atlas.checks, atlas.basis)
+
+    whole = summary(enumerate_dual(catalog.CATALOG[name].build(), N))
+    monkeypatch.setattr(dual, "GATHER_BYTES", 1)
+    assert summary(enumerate_dual(catalog.CATALOG[name].build(), N)) == whole
 
 
 def stack_chars(stacks):
@@ -515,11 +556,12 @@ def test_block_split_matches_the_dense_split(build, N):
     for idx, rho in enumerate(rs.classes):
         lifted = lift_representation(rho, q)
         for label in wave_orbits(s, rs, idx, N):
-            tau = scale_by_character(chi(s, label.k), lifted)
-            ind = induce(q, tau)
+            wave = chi(s, label.k)
+            ind = induce(q, scale_by_character(wave, lifted))
             if abs(char_norm_sq(ind) - 1) < STRUCT_TOL:
                 continue
-            new, old = split_induced(q, tau), constituents(ind)
+            new = next(split_induced(q, lifted, wave.phases(q.tf_subgroup())[None]))
+            old = constituents(ind)
             new_chars, old_chars = stack_chars(new), stack_chars(old)
             cross = multiplicities(new_chars, old_chars)   # 1 iff equivalent
             assert (cross.sum(axis=1) == multiplicities(new_chars, new_chars).sum(axis=1)).all()
@@ -554,7 +596,9 @@ def test_only_null_set_labels_are_induced_before_irreps_are_read(monkeypatch):
     # N = 6 induce irreducibly, so they are induced, not split
     induced, split, induce_, split_ = [], [], dual.induce, dual.split_induced
     monkeypatch.setattr(dual, "induce", lambda q, r: induced.append(q) or induce_(q, r))
-    monkeypatch.setattr(dual, "split_induced", lambda *args: split.append(args) or split_(*args))
+    # one call splits a whole class: count the labels split, its phase rows
+    monkeypatch.setattr(dual, "split_induced", lambda q, rho, phases, seed:
+                        split.extend(phases) or split_(q, rho, phases, seed))
     for name, N, reducible in [("twistE8-m4", 8, 0), ("pg", 12, 24), ("twistE8", 4, 16),
                                ("helix-C3", 6, 2)]:
         induced.clear()

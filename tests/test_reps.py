@@ -14,7 +14,8 @@ from euciso.reps import (STRUCT_TOL, Representation, _Characters, _split_dense, 
                          char_norm_sq, check_irreducibles, chi,
                          distinct_constituents, equivalent, induce, intertwiner, irreps,
                          lift_representation, mackey_irreducible, multiplicities, multiplicity,
-                         quotient_irreps, scale_by_character, split_induced)
+                         quotient_irreps, roots_of_unity, scale_by_character,
+                         split_induced)
 
 from conftest import (constituents, dual_action, p_rep_element, quotient, spec,
                       stabilizer_oracle, trivial_on)
@@ -213,6 +214,44 @@ def test_check_irreducibles_probes_unitarity_and_products(rng):
     # unitary matrices placed at the wrong ids
     with pytest.raises(InternalInconsistency, match="not a homomorphism"):
         check_irreducibles(gram, [stacks[-1][rng.permutation(q.order)]], table, rng)
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_check_irreducibles_refuses_a_bad_stack_of_each_dimension(rng, d):
+    # d <= 2 stacks take the elementwise unitarity check and d = 4 the batched
+    # matmul; each must see a single bad element in any stack, and the probe
+    # must see misplaced images
+    q = quotient("twistE8", 2)
+    irr, table = quotient_irreps(q), q.mult_table()
+    chars = np.array([r.char for r in irr])
+    gram, stacks = chars @ chars.conj().T / q.order, [r.mats for r in irr]
+    at = [i for i, r in enumerate(irr) if r.dim == d][0]
+    check_irreducibles(gram, stacks, table, rng)
+    for element in (0, q.order // 2 + 1, q.order - 1):
+        scaled = stacks[at].copy()
+        scaled[element, -1] *= 1 + 1e-4
+        with pytest.raises(InternalInconsistency, match="not unitary"):
+            check_irreducibles(gram, stacks[:at] + [scaled] + stacks[at + 1:], table, rng)
+    moved = stacks[at][rng.permutation(q.order)]
+    with pytest.raises(InternalInconsistency, match="not a homomorphism"):
+        check_irreducibles(gram, stacks[:at] + [moved] + stacks[at + 1:], table, rng)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_unitary_defect_is_the_matmul_defect(rng, d):
+    x = rng.standard_normal((300, d, d)) + 1j * rng.standard_normal((300, d, d))
+    unitary = np.linalg.qr(x)[0]
+    for mats in (unitary, x, unitary * (1 + 1e-7)):
+        want = np.abs(mats.conj().swapaxes(1, 2) @ mats - np.eye(d)).max()
+        assert reps._unitary_defect(mats) == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+def test_roots_of_unity_are_one_read_only_table_per_denominator():
+    table = roots_of_unity(12)
+    assert roots_of_unity(12) is table and not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = 0
+    assert table.tolist() == [reps.WaveCharacter((Fraction(j, 12),)).value((1,)) for j in range(12)]
 
 
 def test_cap_guard():
@@ -464,8 +503,9 @@ def test_induced_character_matches_brute_force():
 def test_split_induced_refuses_an_irreducible_induced_rep():
     # pg at N = 3: k = (1/3, 1/3) lies off the null set, so Ind chi_k is irreducible
     s, q = spec("pg"), quotient("pg", 3)
+    wave = chi(s, (Fraction(1, 3), Fraction(1, 3)))
     with pytest.raises(ConvergenceFailure, match="did not terminate"):
-        split_induced(q, chi(s, (Fraction(1, 3), Fraction(1, 3))).on(q))
+        next(split_induced(q, chi(s, (0, 0)).on(q), wave.phases(q.tf_subgroup())[None]))
 
 
 def test_induce_rejects_a_non_homomorphism(rng):
@@ -494,7 +534,7 @@ def test_homomorphism_check_refuses_a_negated_generator_image():
 
 def test_homomorphism_check_refuses_a_corrupted_split_constituent():
     s, q = spec("twistE8"), quotient("twistE8", 4)
-    tau = scale_by_character(chi(s, (0, 0)), lift_representation(rep_set(s).classes[0], q))
-    for mats in split_induced(q, tau):
+    rho = lift_representation(rep_set(s).classes[0], q)
+    for mats in next(split_induced(q, rho, np.ones((1, rho.mats.shape[0])))):
         with pytest.raises(InternalInconsistency, match="split constituent fails homomorphism"):
             reps._check_homomorphism(q, negated_at_a_generator(q, mats), "split constituent")

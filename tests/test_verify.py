@@ -45,8 +45,10 @@ def test_a_verify_pass_builds_the_m0_atlas_once(monkeypatch):
     s, calls = catalog.CATALOG["twistE8"].build(), []
     induce, split = dual.induce, dual.split_induced
     monkeypatch.setattr(dual, "induce", lambda q, r: calls.append(q.N) or induce(q, r))
+    # one split call takes a whole class: count its labels, the phase rows
     monkeypatch.setattr(dual, "split_induced",
-                        lambda q, *args: calls.append(q.N) or split(q, *args))
+                        lambda q, rho, phases, seed: calls.extend([q.N] * len(phases))
+                        or split(q, rho, phases, seed))
     assert run_suite(s, seed=0).passed
     labels = dual.enumerate_dual(s, find_m0(s).m0, seed=0).labels
     assert len(calls) == len(labels)
