@@ -8,15 +8,17 @@ G modulo its translation-kernel preimage, one element per point-group
 matrix.  Everything else in the package is computed from this data.
 
 Members are factored in stacks (`normal_forms`), with translations as
-integers over one denominator per spec.  A finite quotient G mod T^N numbers
-its members by the mixed-radix id of their normal form, n first, then f,
-then p (`QuotientGroup`), and multiplies them by collection (Holt, Eick and
-O'Brien, *Handbook of Computational Group Theory*, ch. 8): only
-generator-level products are factored as stacks, the products p*p', the
-conjugates p*t(m)*p^-1, p*f*p^-1 and t(v)^-1*f*t(v), and t(c)*g_i for the
-section cocycle (`Collection`), and every product is then integer lookups
-in F's multiplication table, either for the pairs asked for or for the
-whole multiplication table at once.
+integers over one denominator per spec.  G multiplies normal forms by
+collection (Holt, Eick and O'Brien, *Handbook of Computational Group
+Theory*, ch. 8) at level m0: T^m0 is normal and meets F only in 1, so the
+generator-level products p*p', p*t(m)*p^-1, p*f*p^-1, t(v)^-1*f*t(v) and
+the section cocycle depend on exponents only mod m0.  They are factored
+once per spec (`Presentation`), and every product is then integer lookups
+in F's multiplication table, exact for int64 exponents.  A finite quotient
+G mod T^N numbers its members by the mixed-radix id of their normal form,
+n first, then f, then p (`QuotientGroup`), and multiplies them by the same
+formula with n reduced mod N, for the pairs asked for or for the whole
+multiplication table at once.
 
 The structure checks (`validate_spec`, `is_power_normal`) work on stacks
 of q blocks alone.  The (p, tau) part of every product they form is fixed
@@ -46,7 +48,7 @@ DEFAULT_CAP = 4096        # largest quotient order given a multiplication table 
 # powers of a section lift kept per lattice direction: every quotient grid
 # under the cap has N <= DEFAULT_CAP, and larger exponents are reached by squaring
 POWER_BOUND = DEFAULT_CAP
-# a product by the collection formula costs 43-76 ns and a table entry 5.4-7.5
+# a product by the presentation's formula costs 80-96 ns and a table entry 4.9
 # ns to fill and check (pg N=45 and twistE8 N=6, one core, batches of 4k-1M
 # pairs), so a request for more than order^2 / TABLE_BREAK_EVEN products
 # builds the table and reads it
@@ -116,6 +118,11 @@ class GroupSpec:
     @property
     def rot_order(self) -> int:
         return len(self.p_reps)
+
+    @functools.cached_property
+    def presentation(self) -> "Presentation":
+        """G's product formula at level m0, built on first use; see `Presentation`."""
+        return Presentation(self)
 
     @functools.cached_property
     def f_stack(self) -> np.ndarray:
@@ -666,63 +673,126 @@ def _cocycle(N: int, grid: np.ndarray, fmul: np.ndarray, y: np.ndarray,
     With i the last nonzero coordinate of b and b' = b - e_i, t(b) = t(b') g_i,
     so z(a,b) = y_i(a+b') sigma_i(z(a,b')), where y_i(c) = z(c, e_i) and
     sigma_i(f) = g_i^-1 f g_i.  One step per coordinate i and value b_i fills
-    the columns of every b with b_i > 0 = b_(>i), for all a at once.  z is
-    stored in the smallest integer dtype that holds an index of F.
+    the columns of every b with b_i > 0 = b_(>i), for all a at once.
     """
     grid_n, d2 = grid.shape
-    z = np.empty((grid_n, grid_n), dtype=np.min_scalar_type(len(fmul) - 1))
+    code = grid_place(N, d2)
+    z = np.empty((grid_n, grid_n), dtype=np.int64)
     z[:, 0] = ident
     for i in range(d2):
-        place = N ** (d2 - 1 - i)
         for b_i in range(1, N):
-            cols = place * (N * np.arange(N ** i) + b_i)
-            prev = cols - place
-            z[:, cols] = fmul[y[i, _shifted_codes(N, grid[prev]).T], sigma[i][z[:, prev]]]
+            cols = code[i] * (N * np.arange(N ** i) + b_i)
+            prev = cols - code[i]
+            z[:, cols] = fmul[y[i, (grid[:, None] + grid[prev]) % N @ code], sigma[i][z[:, prev]]]
     return z
 
 
-def _shifted_codes(N: int, a: np.ndarray, scale: int = 1) -> np.ndarray:
-    """scale * code(a + m) for each row a of an (A, d2) exponent stack and each
-    grid point m in code order, as an (A, N^d2) int32 array, built one
-    coordinate at a time."""
-    d2 = a.shape[1]
-    out = np.zeros((len(a), 1), dtype=np.int32)
-    for i in range(d2):
-        digit = (a[:, i, None] + np.arange(N)) % N * (scale * N ** (d2 - 1 - i))
-        out = (out[:, :, None] + digit[:, None].astype(np.int32)).reshape(len(a), -1)
-    return out
+def _mod(x: np.ndarray, m: int) -> np.ndarray:
+    """x % m for an integer array and m > 0, as x - x // m * m: numpy divides
+    int64 by a scalar several times faster than it takes the remainder."""
+    return x - x // m * m
 
 
-@dataclass(frozen=True)
-class Collection:
-    """The generator-level data of G mod T^N that every product is collected from.
+def _code(rows: np.ndarray, N: int, place: np.ndarray) -> np.ndarray:
+    """code(n mod N) = sum_i (n_i mod N) place_i for a (d2, ...) array of rows n_i."""
+    return (_mod(rows, N) * place.reshape(place.shape + (1,) * (rows.ndim - 1))).sum(axis=0)
 
-    Exponents are held by their grid code, and `grid[code]` is the exponent
-    vector.  p*p' = t(s) f2 p'' and p*t(m)*p^-1 = t(v) c with v = P m, phi_p(f)
-    = p f p^-1, psi_v(f) = t(v)^-1 f t(v), and z is the section cocycle
-    t(a) t(b) = t(a+b) z(a,b), or None when F is trivial.  See
-    `QuotientGroup.mult_table` for the formula that combines them.
+
+class Presentation:
+    """G's generator-level data at level m0, and the product of normal forms.
+
+    T^m0 is normal and meets F only in 1, so it centralises F, and the
+    tables depend on section exponents only through their residues mod m0;
+    r(n) is the code of n mod m0.  With p*p' = t(s) f2 p'' (s unreduced),
+    p*t(m)*p^-1 = t(P_p m) c(p,m), phi_p(f) = p f p^-1, psi_v(f) =
+    t(v)^-1 f t(v) and t(a) t(b) = t(a+b) z(a,b), the product of x =
+    t(a) f p and y = t(m) f' p' is, with v = P_p m,
+
+        x*y = t(a+v+s) z(a, v+s) z(v, s) psi_s(psi_v(f) c(p,m) phi_p(f')) f2 p'',
+
+    with c, psi and z read at the residues: integer lookups, exact while the
+    exponent sums stay within int64.  All
+    of it is factored once, at N = m0, by one `normal_forms` call (p*p',
+    p*t(m)*p^-1 and t(m)*g_i) and one `_match_f` call (phi and psi), and
+    `_cocycle` extends z(m, e_i) to z.  By p_reps index p, F index f and
+    residue r: fmul (f, f), p_mul (p, p), p_mat (p, d2, d2), s (p, p, d2),
+    f2 (p, p), phi (p, f), c (p, r), psi (r, f) and z (r, r).
     """
 
-    fmul: np.ndarray        # (|F|, |F|) F's multiplication table
-    f_inv: np.ndarray       # (|F|,) index of each inverse in F
-    p_mul: np.ndarray       # (|P|, |P|) p''
-    p_inv: np.ndarray       # (|P|,) the p' with p'' the identity
-    grid: np.ndarray        # (N^d2, d2) exponents in code order
-    spread: np.ndarray      # (N^d2,) each code with its digits read in base 2N
-    wrap: np.ndarray        # ((2N)^d2,) the code of each base-2N number's digits mod N
-    s_code: np.ndarray      # (|P|, |P|) code(s)
-    f2: np.ndarray          # (|P|, |P|)
-    v_code: np.ndarray      # (|P|, N^d2) code(v), by p and code(m)
-    c: np.ndarray           # (|P|, N^d2)
-    phi: np.ndarray         # (|P|, |F|)
-    psi: np.ndarray         # (N^d2, |F|), by code(v) and f
-    z: np.ndarray | None    # (N^d2, N^d2), by code(a) and code(b)
+    def __init__(self, spec: GroupSpec):
+        m0 = self.m0 = find_m0(spec).m0
+        k, r, d1, d2 = spec.f_order, spec.rot_order, spec.d1, spec.d2
+        d, self.p_mat, _, p_q = spec.points
+        self.fmul = np.array(spec.f_mul_table(), dtype=np.int64).reshape(k, k)
+        self.p_mul, one_f, self.p_identity = spec.p_mul_table(), spec.f_identity, spec.p_identity
+        self.f_inv = np.argmax(self.fmul == one_f, axis=1)
+        self.place = grid_place(m0, d2)                 # r(n) = n % m0 @ place
+        cells, grid = m0 ** d2, grid_points(m0, d2)
+        g_q = spec.section_q(grid)
+        t_q = np.array([t.q for t in spec.t_lifts]).reshape(d2, d1, d1)
+        units = np.eye(d2, dtype=np.int64)
+        # p*p', p*t(m)*p^-1 and t(m)*g_i factored as one stack, sliced back out
+        prod_q, prod_p, prod_tau = _rep_products(spec)
+        n, f = normal_forms(
+            spec, np.concatenate([prod_q, _conjugates(p_q, g_q),
+                                  (g_q[None] @ t_q[:, None]).reshape(d2 * cells, d1, d1)]),
+            np.concatenate([prod_p, np.full((r + d2) * cells, self.p_identity)]),
+            np.concatenate([prod_tau, d * (grid @ self.p_mat.swapaxes(1, 2)).reshape(r * cells, d2),
+                            d * (grid[None] + units[:, None]).reshape(d2 * cells, d2)]))
+        f2, c, y = np.split(f, [r * r, r * r + r * cells])
+        self.s, self.f2, self.c = n[:r * r].reshape(r, r, d2), f2.reshape(r, r), c.reshape(r, cells)
+        # phi_p(f) and psi_v(f) matched against F in one pass
+        kernel = _kernel(spec, _match_f(spec, np.concatenate(
+            [_conjugates(p_q, spec.f_stack), _conjugates(g_q.swapaxes(1, 2), spec.f_stack)])))
+        self.phi, self.psi = kernel[:r * k].reshape(r, k), kernel[r * k:].reshape(cells, k)
+        self.z = _cocycle(m0, grid, self.fmul, y.reshape(d2, cells),
+                          self.psi[self.residue(units)], one_f)
+        # by lattice direction, for one take per array: P_p's entries and s
+        self._p_rows = self.p_mat.reshape(r, d2 * d2).T.copy()
+        self._s_rows = self.s.reshape(r * r, d2).T.copy()
+        self._v_residue = self.residue(grid @ self.p_mat.swapaxes(1, 2))    # r(P_p m), by p, r(m)
+        self._s_residue = self.residue(self.s).reshape(r * r)
+        # p^-1 = p' f2^-1 t(s)^-1 for the p' with p*p' = t(s) f2
+        p, p_inv = np.arange(r), np.argmax(self.p_mul == self.p_identity, axis=1)
+        self.p_inverse = self.multiply((np.zeros((r, d2), dtype=np.int64), np.full(r, one_f), p_inv),
+                                       self._kernel_inverse(self.s[p, p_inv], self.f2[p, p_inv]))
 
-    def code_sum(self, a, b) -> np.ndarray:
-        """code(a + b) for two code arrays that broadcast together: in base 2N
-        no digit of the sum carries, and `wrap` reduces each digit mod N."""
-        return self.wrap.take(self.spread.take(a) + self.spread.take(b))
+    def residue(self, n: np.ndarray) -> np.ndarray:
+        """r(n) for an (..., d2) exponent stack n."""
+        return _code(np.moveaxis(n, -1, 0), self.m0, self.place)
+
+    def multiply(self, x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The normal forms of x*y for two (n, f, p) triples of stacks, n of
+        shape (k, d2) and f and p of shape (k,), by the formula above; the
+        exponents are handled as (d2, k) rows and every table read by `take`."""
+        (a, f, p), (m, f1, p1) = x, y
+        a, m = a.T, m.T
+        k, r, cells, m0, place = len(self.fmul), len(self.p_mul), len(self.psi), self.m0, self.place
+        fmul, psi, z = self.fmul, self.psi, self.z
+        pp = p * r + p1
+        m2 = ((self._p_rows.take(p, axis=1).reshape(len(a), len(a), len(p)) * m).sum(axis=1)
+              + self._s_rows.take(pp, axis=1))                  # v + s, v = P_p m
+        pm = p * cells + _code(m, m0, place)
+        rv, rs = self._v_residue.take(pm), self._s_residue.take(pp)
+        w = fmul.take(fmul.take(psi.take(rv * k + f) * k + self.c.take(pm)) * k
+                      + self.phi.take(p * k + f1))
+        f_out = fmul.take(psi.take(rs * k + w) * k + self.f2.take(pp))
+        f_out = fmul.take(z.take(rv * cells + rs) * k + f_out)
+        f_out = fmul.take(z.take(_code(a, m0, place) * cells + _code(m2, m0, place)) * k + f_out)
+        return (a + m2).T, f_out, self.p_mul.take(pp)
+
+    def invert(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The normal forms of x^-1 for an (n, f, p) triple: for x = t(a) f p,
+        the product of p^-1 and f^-1 t(a)^-1."""
+        a, f, p = x
+        return self.multiply(tuple(part[p] for part in self.p_inverse), self._kernel_inverse(a, f))
+
+    def _kernel_inverse(self, a, f) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """f^-1 t(a)^-1 = t(-a) psi_-a(f^-1) z(a,-a)^-1: t(a)^-1 = t(-a)
+        z(a,-a)^-1, and t(-a) alone is wrong whenever the lifts do not commute."""
+        neg = self.residue(-a)
+        f = self.fmul[self.psi[neg, self.f_inv[f]], self.f_inv[self.z[self.residue(a), neg]]]
+        return -a, f, np.full_like(f, self.p_identity)
 
 
 class QuotientGroup:
@@ -737,11 +807,12 @@ class QuotientGroup:
     encode and decode stacks, `reduce` and `nf` one normal form, and
     `coset_reps` gives the p_reps' ids; they and the split
     (`reps.split_induced`), which takes x*h_p's id to be x's TF row * |P| + p,
-    are the only code that knows this layout.  `products` and `inverses`
-    take id arrays and collect only the products asked for, from the
-    generator-level data in `collection`, unless the multiplication table
-    is built or a request is large enough to pay for it (TABLE_BREAK_EVEN);
-    `mul` and `inv` are their scalar forms, and `mult_table` the table.
+    are the only code that knows this layout.  The quotient holds no
+    product data: `products` and `inverses` take id arrays, decode them,
+    evaluate the spec's `Presentation` on the normal forms and encode the
+    results with n reduced mod N, unless the multiplication table is built
+    or a request is large enough to pay for it (TABLE_BREAK_EVEN); `mul`
+    and `inv` are their scalar forms, and `mult_table` the table.
     """
 
     def __init__(self, spec: GroupSpec, N: int):
@@ -820,12 +891,14 @@ class QuotientGroup:
     def products(self, a, b) -> np.ndarray:
         """The ids of a*b for two id arrays that broadcast together.
 
-        Ids outside [0, order) are refused first, with ValueError.  Once the
-        table is built, it is indexed with them, and a request for more than
-        order^2 / TABLE_BREAK_EVEN products builds it first.  Any other
-        request is collected pair by pair, by the formula of `mult_table`.
+        Ids outside [0, order) are refused first, with ValueError, then
+        orders above DEFAULT_CAP (`check_cap`).  Once the table is built, it
+        is indexed with them, and a request for more than order^2 /
+        TABLE_BREAK_EVEN products builds it first.  Any other request is
+        evaluated pair by pair, by the spec's `Presentation`.
         """
         a, b = self._checked_ids(a), self._checked_ids(b)
+        self.check_cap()
         if self._table is None and np.broadcast(a, b).size * TABLE_BREAK_EVEN > self.order ** 2:
             self.mult_table()
         if self._table is not None:
@@ -835,126 +908,55 @@ class QuotientGroup:
     def inverses(self, x) -> np.ndarray:
         """The ids of x^-1 for an id array, checked as `products` checks them."""
         x = self._checked_ids(x)
+        self.check_cap()
         if self._table is not None:
             return self._inverse[x]
-        return self._collected(*self._inverse_factors(x))
+        return self._inverted(x)
 
-    def _collected(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """a*b by the formula of `mult_table`, for id arrays of one shape, 8192
-        pairs at a time.  Most lookups g.x[i, j] are written g.x.take(i * width + j),
-        which numpy does faster."""
-        g, N, k, r = self.collection, self.N, self.spec.f_order, self.spec.rot_order
-        fmul, psi, z, cells = g.fmul, g.psi, g.z, N ** self.spec.d2
-        out = np.empty(a.shape, dtype=np.int64)
-        flat, step = out.reshape(-1), 2 ** 13
-        for lo in range(0, out.size, step):
-            rest, p = np.divmod(a.flat[lo:lo + step], r)
-            a_code, f = np.divmod(rest, k)
-            rest, p2 = np.divmod(b.flat[lo:lo + step], r)
-            m_code, f1 = np.divmod(rest, k)
-            pm, pp = p * cells + m_code, p * r + p2
-            v, s = g.v_code.take(pm), g.s_code.take(pp)
-            m2 = g.code_sum(v, s)                                       # code(v + s)
-            if z is None:                                               # F is trivial
-                f_out = 0
-            else:
-                w = fmul.take(fmul.take(psi.take(v * k + f) * k + g.c.take(pm)) * k
-                              + g.phi.take(p * k + f1))
-                f_out = fmul[z.take(v * cells + s), psi.take(s * k + w)]
-                f_out = fmul[z.take(a_code * cells + m2), fmul.take(f_out * k + g.f2.take(pp))]
-            flat[lo:lo + step] = (g.code_sum(a_code, m2) * k + f_out) * r + g.p_mul.take(pp)
-        return out
-
-    def _inverse_factors(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Two id arrays whose products are x^-1: for x = t(a) f p, the ids of
-        p^-1 and of f^-1 t(a)^-1."""
-        rest, p = np.divmod(x, self.spec.rot_order)
-        return self._p_inverses[p], self._kernel_inverses(*np.divmod(rest, self.spec.f_order))
-
-    def _kernel_inverses(self, a: np.ndarray, f: np.ndarray) -> np.ndarray:
-        """The ids of f^-1 t(a)^-1 = t(-a) psi_-a(f^-1) z(a,-a)^-1 for grid
-        codes a and kernel indices f.  t(a)^-1 = t(-a) z(a,-a)^-1, and t(-a)
-        alone is wrong whenever the lattice lifts do not commute."""
-        g, k, r = self.collection, self.spec.f_order, self.spec.rot_order
-        neg = -g.grid[a] % self.N @ self._place
-        f = f if g.z is None else g.fmul[g.psi[neg, g.f_inv[f]], g.f_inv[g.z[a, neg]]]
-        return (neg * k + f) * r + self.spec.p_identity
-
-    @functools.cached_property
-    def _p_inverses(self) -> np.ndarray:
-        """The ids of p^-1 = p' * (f2^-1 t(s)^-1) for each p_rep p, where p p' = t(s) f2."""
-        g, p = self.collection, np.arange(self.spec.rot_order)
-        return self._collected(self.spec.f_identity * self.spec.rot_order + g.p_inv,
-                               self._kernel_inverses(g.s_code[p, g.p_inv], g.f2[p, g.p_inv]))
-
-    @functools.cached_property
-    def collection(self) -> Collection:
-        """The generator-level data of every product, factored on first use in
-        one `normal_forms` and one `_match_f` call, and dropped once the table
-        is built; see `mult_table`.  Orders above DEFAULT_CAP are refused
-        before anything order-sized is built."""
-        spec, N = self.spec, self.N
+    def check_cap(self) -> None:
+        """CapExceeded for orders above DEFAULT_CAP, which get no products."""
         if self.order > DEFAULT_CAP:
             raise CapExceeded(f"quotient order {self.order} exceeds the table cap {DEFAULT_CAP}")
-        k, r, d1, d2 = spec.f_order, spec.rot_order, spec.d1, spec.d2
-        d, p_mat, _, p_q = spec.points
-        fmul = np.array(spec.f_mul_table(), dtype=np.int64).reshape(k, k)
-        pmul, one_f, one_p = spec.p_mul_table(), spec.f_identity, spec.p_identity
 
-        def code(v):
-            return v % N @ self._place
+    def _collected(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a*b by the presentation's formula, for id arrays of one shape."""
+        return self._evaluate(self.spec.presentation.multiply, a, b)
 
-        cells = N ** d2
-        grid = grid_points(N, d2)
-        g_q = spec.section_q(grid)
-        t_q = np.array([t.q for t in spec.t_lifts]).reshape(d2, d1, d1)
-        units = np.eye(d2, dtype=np.int64)
-        wide = (2 * N) ** np.arange(d2 - 1, -1, -1, dtype=np.int64)  # places of base-2N digits
-        # p*p', p*t(m)*p^-1 and t(c)*g_i factored as one stack, sliced back out
-        prod_q, prod_p, prod_tau = _rep_products(spec)
-        n, f = normal_forms(
-            spec, np.concatenate([prod_q, _conjugates(p_q, g_q),
-                                  (g_q[None] @ t_q[:, None]).reshape(d2 * cells, d1, d1)]),
-            np.concatenate([prod_p, np.full((r + d2) * cells, one_p)]),
-            np.concatenate([prod_tau, d * (grid @ p_mat.swapaxes(1, 2)).reshape(r * cells, d2),
-                            d * (grid[None] + units[:, None]).reshape(d2 * cells, d2)]))
-        cuts = [r * r, r * r + r * cells]
-        (s, v, _), (f2, c, y) = np.split(n, cuts), np.split(f, cuts)
-        # phi_p(f) and psi_v(f) matched against F in one pass
-        kernel = _kernel(spec, _match_f(spec, np.concatenate(
-            [_conjugates(p_q, spec.f_stack), _conjugates(g_q.swapaxes(1, 2), spec.f_stack)])))
-        phi, psi = kernel[:r * k].reshape(r, k), kernel[r * k:].reshape(cells, k)
-        z = None if k == 1 else _cocycle(N, grid, fmul, y.reshape(d2, cells),
-                                         psi[code(units)], one_f)
-        return Collection(fmul=fmul, f_inv=np.argmax(fmul == one_f, axis=1), p_mul=pmul,
-                          p_inv=np.argmax(pmul == one_p, axis=1), grid=grid,
-                          spread=grid @ wide,
-                          wrap=code(np.arange((2 * N) ** d2)[:, None] // wide % (2 * N)),
-                          s_code=code(s).reshape(r, r), f2=f2.reshape(r, r),
-                          v_code=code(v).reshape(r, cells), c=c.reshape(r, cells),
-                          phi=phi, psi=psi, z=z)
+    def _inverted(self, x: np.ndarray) -> np.ndarray:
+        """x^-1 by the presentation's formula, for an id array."""
+        return self._evaluate(self.spec.presentation.invert, x)
+
+    def _evaluate(self, op, *ids: np.ndarray) -> np.ndarray:
+        """op on the normal forms of id arrays of one shape, 8192 ids at a
+        time: decode, apply op, reduce n mod N and encode."""
+        k, r = self.spec.f_order, self.spec.rot_order
+        out = np.empty(ids[0].shape, dtype=np.int64)
+        flat, step = out.reshape(-1), 2 ** 13
+        for lo in range(0, out.size, step):
+            n, f, p = op(*(self._decode(x.flat[lo:lo + step]) for x in ids))
+            flat[lo:lo + step] = (_code(n.T, self.N, self._place) * k + f) * r + p
+        return out
+
+    def _decode(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`parts` of a 1-D array of checked ids, n as the transpose of (d2, k) rows."""
+        k, r = self.spec.f_order, self.spec.rot_order
+        rest, code = ids // r, ids // (k * r)
+        return _mod(code // self._place[:, None], self.N).T, rest - code * k, ids - rest * r
 
     def mult_table(self) -> np.ndarray:
-        """Full multiplication table, built on first use by collection and checked.
+        """Full multiplication table, built on first use and checked.
 
-        Only generator-level data is factored, in one stack (`collection`):
-        p*p' = t(s) f'' p'' over P x P, p*t(m)*p^-1 = t(P m) c(p,m) over
-        P x grid, phi_p(f) = p f p^-1 over P x F, psi_v(f) = t(v)^-1 f t(v)
-        over grid x F, and y_i(c) = z(c, e_i), from t(c)*g_i, over the
-        lattice directions x grid.  `_cocycle` extends y to the whole section
-        cocycle t(a) t(b) = t(a+b) z(a,b).  Every product is then a lookup
-        in F's table: for x = f*p and j = t(m) f' p', with v = P m and
-        s = s(p, p') mod N,
-
-            x*j = t(v+s) z(v,s) psi_s(psi_v(f) c(p,m) phi_p(f')) f'' p'',
-
-        and if x*j = t(m') f''' p'', then t(a)*x*j = t(a+m') z(a,m') f''' p''.
-        This is sound because N is a multiple of m0: T^N and F are both
-        normal and meet only in 1, so T^N centralises F and exponents
-        reduce mod N.  `products` evaluates the same formula for the pairs
-        it is asked for.  Orders above DEFAULT_CAP are refused.
+        Only the rows of the generators t(e_i), f and p are evaluated by the
+        spec's `Presentation`, which holds at every multiple N of m0: T^N and
+        F are normal and meet only in 1, so exponents reduce mod N.  As
+        (x*y)*j = x*(y*j), row x*y is row y read through row x, which gives
+        row f*p from rows f and p, row t(a) from rows t(a - e_i) and t(e_i),
+        and row t(a)*f*p from rows t(a) and f*p.  Each row's identity gives
+        the inverses, and the spot check compares the table with the
+        formula.  Orders above DEFAULT_CAP are refused.
         """
         if self._table is None:
+            self.check_cap()
             n = self.order
             table, step, cols = self._collect(), max(1, 2 ** 20 // n), []
             for r in range(0, n, step):     # the identity scan, one row block at a time
@@ -971,35 +973,30 @@ class QuotientGroup:
             except InternalInconsistency:
                 self._table = self._inverse = None
                 raise
-            del self.collection         # every product reads the table from now on
         return self._table
 
     def _collect(self) -> np.ndarray:
-        """The multiplication table from generator-level data; see `mult_table`."""
-        spec, n, N, g = self.spec, self.order, self.N, self.collection
-        k, r, d2 = spec.f_order, spec.rot_order, spec.d2
-        fmul, psi, z, grid, cells = g.fmul, g.psi, g.z, g.grid, N ** d2
+        """The multiplication table from the generators' rows; see `mult_table`."""
+        n, N, spec, ids = self.order, self.N, self.spec, np.arange(self.order)
+        d2, k, r = spec.d2, spec.f_order, spec.rot_order
+        gens = self._evaluate(spec.presentation.multiply,
+                              *np.broadcast_arrays(self.generators[:, None], ids))
         table = np.empty((n, n), dtype=np.int32)
-        blocks = table.reshape(cells, k * r, n)      # blocks[code(a), x] is the row of t(a)*x
-        # x*j for x = f*p, one p at a time, on axes (f, m, f', p')
-        for p in range(r):
-            vc, sc = g.v_code[p], g.s_code[p]
-            w = fmul[fmul[psi[vc].T, g.c[p]][..., None], g.phi[p]]
-            zvs = spec.f_identity if z is None else z[vc[:, None], sc][:, None]
-            f_out = fmul[fmul[zvs, psi[sc, w[..., None]]], g.f2[p]]
-            vs = g.code_sum(vc[:, None, None], sc)
-            blocks[0].reshape(k, r, n)[:, p] = ((vs * k + f_out) * r + g.p_mul[p]).reshape(k, n)
-        # t(a)*x*j = t(a)*t(m') f''' p'' for a != 0, a block of rows at a time
+        blocks = table.reshape(n // (k * r), k, r, n)   # blocks[code(a), f, p]: row of t(a) f p
+        np.take(gens[d2:d2 + k], gens[d2 + k:], axis=1, out=blocks[0])
+        # t(a) = t(a - e_i) t(e_i) for the last nonzero coordinate i of a: one
+        # step per i and value a_i fills the rows of every a with a_(>i) = 0
+        sections = blocks[:, spec.f_identity, spec.p_identity]
+        for i in range(d2):
+            place = N ** (d2 - 1 - i)
+            for a_i in range(1, N):
+                rows = place * (N * np.arange(N ** i) + a_i)
+                sections[rows] = sections[rows - place].take(gens[i], axis=1)
         step = max(1, 2 ** 16 // n)
-        low = np.arange(k * r, dtype=np.int32)                 # f''' |P| + p'' where z = 1
-        f_low = (fmul * r).astype(np.int32)[..., None] + np.arange(r, dtype=np.int32)
-        for a0 in range(1, cells, step):
-            a = grid[a0:a0 + step]
-            if z is not None:
-                low = f_low[z[a0:a0 + step]].reshape(len(a), cells, k * r)
-            left = (_shifted_codes(N, a, k * r)[..., None] + low).reshape(len(a), n)
+        for a0 in range(1, len(sections), step):
             # every index is an id; "clip" lets take write into out without a buffer
-            np.take(left, blocks[0], axis=1, out=blocks[a0:a0 + step], mode="clip")
+            np.take(sections[a0:a0 + step].copy(), blocks[0], axis=1,
+                    out=blocks[a0:a0 + step], mode="clip")
         return table
 
     @functools.cached_property

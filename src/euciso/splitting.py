@@ -187,7 +187,7 @@ def split_quotient(spec: GroupSpec, m: int, n: int) -> SplitCertificate:
         raise NotCoprime(f"n={n} shares a factor with the point group order")
     N = n * m
     q = build_quotient(spec, N)
-    q.collection            # refuses orders above the cap
+    q.check_cap()
     checks: list[SplitCheck] = []
 
     # normal factor: the m-th section powers mod N

@@ -105,13 +105,14 @@ def run_suite(spec: GroupSpec, seed: int = 0) -> VerifyReport:
 
     # order formula: the generators' columns of products reach N^d2 |F| |P|
     # ids.  Section bijectivity: for every a in [0, N)^d2 and every j, the
-    # product t(a) t(e_j) is the member factored from their q blocks.  The
+    # product t(a) t(e_j) is the member factored from their q blocks, so the
+    # spec's presentation is checked against float factoring at both N.  The
     # m0 table is built first, as the solver and the atlas read it, so these
-    # checks read it there and collect the products at 2 m0.  The spot check
-    # draws its own triples, not the ones `mult_table` checked; a table it
-    # finds broken is reported after these two checks and ends the suite.
-    # So does an m0 table that fails its own check as it is built, and a
-    # quotient past the table cap, whose products are not collected at all
+    # checks read it there and evaluate the formula pair by pair at 2 m0.
+    # The spot check draws its own triples, not the ones `mult_table`
+    # checked; a table it finds broken is reported after these two checks
+    # and ends the suite.  So does an m0 table that fails its own check as
+    # it is built, and a quotient past the table cap, which gets no products
     ok_orders, ok_section, spot_failure = True, True, None
     spot = np.random.default_rng([seed, 1])
     try:

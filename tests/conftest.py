@@ -14,7 +14,7 @@ from euciso import isometry as iso
 from euciso.dual import enumerate_dual, rep_set, wave_orbits
 from euciso.errors import ConvergenceFailure, EucisoError, InternalInconsistency, NotAMember
 from euciso.fourier import FourierTable, PeriodicFunction
-from euciso.groups import (DEFAULT_CAP, ORDER_BOUND, Collection, GroupSpec, NormalForm, Violation,
+from euciso.groups import (DEFAULT_CAP, ORDER_BOUND, GroupSpec, NormalForm, Violation,
                            _cocycle, _conjugates, _factor, _kernel, _match_f, _rep_products,
                            build_quotient, find_m0, grid_points, normal_form, normal_forms)
 from euciso.reps import (MAX_RESEEDS, STRUCT_TOL, Representation, _split_dense, char_norm_sq,
@@ -181,14 +181,16 @@ def section_q_oracle(s, n):
 
 
 def collection_oracle(q):
-    """`QuotientGroup.collection` with one `normal_forms` call per stack (p*p',
-    p*t(m)*p^-1 and t(c)*g_i) and one `_match_f` call each for phi and psi."""
+    """The generator-level data of q built at level N, with one `normal_forms`
+    call per stack (p*p', p*t(m)*p^-1 and t(c)*g_i) and one `_match_f` call
+    each for phi and psi: the plain tuple (grid, code(s), f2, code(v), c,
+    phi, psi, z), indexed by grid codes mod N, z None when F is trivial."""
     spec, N = q.spec, q.N
     assert q.order <= DEFAULT_CAP
     k, r, d1, d2 = spec.f_order, spec.rot_order, spec.d1, spec.d2
     d, p_mat, _, p_q = spec.points
     fmul = np.array(spec.f_mul_table(), dtype=np.int64).reshape(k, k)
-    pmul, one_f, one_p = spec.p_mul_table(), spec.f_identity, spec.p_identity
+    one_f, one_p = spec.f_identity, spec.p_identity
 
     def code(v):
         return v % N @ q._place
@@ -198,7 +200,6 @@ def collection_oracle(q):
     g_q = spec.section_q(grid)
     t_q = np.array([t.q for t in spec.t_lifts]).reshape(d2, d1, d1)
     units = np.eye(d2, dtype=np.int64)
-    wide = (2 * N) ** np.arange(d2 - 1, -1, -1, dtype=np.int64)
     s, f2 = normal_forms(spec, *_rep_products(spec))
     v, c = normal_forms(spec, _conjugates(p_q, g_q), np.full(r * cells, one_p),
                         d * (grid @ p_mat.swapaxes(1, 2)).reshape(r * cells, d2))
@@ -209,12 +210,8 @@ def collection_oracle(q):
                         np.full(d2 * cells, one_p),
                         d * (grid[None] + units[:, None]).reshape(d2 * cells, d2))
     z = None if k == 1 else _cocycle(N, grid, fmul, y.reshape(d2, cells), psi[code(units)], one_f)
-    return Collection(fmul=fmul, f_inv=np.argmax(fmul == one_f, axis=1), p_mul=pmul,
-                      p_inv=np.argmax(pmul == one_p, axis=1), grid=grid, spread=grid @ wide,
-                      wrap=code(np.arange((2 * N) ** d2)[:, None] // wide % (2 * N)),
-                      s_code=code(s).reshape(r, r), f2=f2.reshape(r, r),
-                      v_code=code(v).reshape(r, cells), c=c.reshape(r, cells),
-                      phi=phi, psi=psi, z=z)
+    return (grid, code(s).reshape(r, r), f2.reshape(r, r), code(v).reshape(r, cells),
+            c.reshape(r, cells), phi, psi, z)
 
 
 def closure_oracle(q, seeds) -> set[int]:

@@ -23,6 +23,29 @@ def imported_packages() -> set[str]:
     return names - set(sys.stdlib_module_names) - {"euciso"}
 
 
+def unused_imports(path: Path) -> list[str]:
+    """The names a module imports and never reads, as "file:line name".  An
+    import from __future__ is exempt, and so is an import statement one of
+    whose lines is marked `# noqa: F401`."""
+    text = path.read_text()
+    tree, lines = ast.parse(text), text.splitlines()
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    out = []
+    for node in ast.walk(tree):
+        if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                or getattr(node, "module", None) == "__future__"
+                or any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno])):
+            continue
+        names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        out += [f"{path.relative_to(ROOT)}:{node.lineno} {name}" for name in names if name not in read]
+    return out
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    paths = sorted([*(ROOT / "src" / "euciso").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+    assert [line for path in paths for line in unused_imports(path)] == []
+
+
 def test_imports_are_the_declared_dependencies():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in project["dependencies"]}

@@ -1,20 +1,17 @@
 import json
-import math
 import sys
 import tracemalloc
-from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from euciso import catalog, fourier, io
+from euciso import fourier, io
 from euciso.dual import enumerate_dual
 from euciso.errors import IncompatibleShapes, IncompleteTable
-from euciso.fourier import (FourierTable, PeriodicFunction, SummableFunction,
-                            convolve, inner_product, inverse_transform,
-                            plancherel_pairing, transform, translate)
-from euciso.groups import NormalForm, build_quotient
+from euciso.fourier import (PeriodicFunction, SummableFunction, convolve, inner_product,
+                            inverse_transform, plancherel_pairing, transform, translate)
+from euciso.groups import NormalForm
 from euciso.reps import irreps, quotient_irreps
 
 from conftest import (dim_stacks, inverse_oracle, quotient, spec, transform_at_oracle,

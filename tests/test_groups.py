@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -12,7 +11,7 @@ from euciso import isometry as iso
 from euciso.errors import BadModulus, CapExceeded, InternalInconsistency, NotAMember
 from euciso.groups import (GroupSpec, NormalForm, _divisors, automorphism_count,
                            build_quotient, find_m0, grid_place, grid_points, is_power_normal,
-                           normal_form, normal_forms_of, tf_slice, validate_spec)
+                           normal_form, normal_forms, normal_forms_of, tf_slice, validate_spec)
 from euciso.isometry import Isometry, rotation2
 
 from conftest import (c5_quarter_spec, collection_oracle, compose_all, cyclic, inverse,
@@ -858,7 +857,7 @@ def test_drawn_rod_mult_tables_match_the_oracle(k, flip, alpha):
     assert np.array_equal(q.mult_table(), mult_table_oracle(q))
 
 
-# -- products without the table: the collection formula pair by pair ----------
+# -- products without the table: the presentation's formula pair by pair ------
 
 def fresh_quotient(s, N):
     """A quotient of s that no earlier call has given a table."""
@@ -867,11 +866,11 @@ def fresh_quotient(s, N):
 
 
 def collected_agrees_with_the_table(q):
-    """Every product and inverse by the collection formula equals the table's."""
+    """Every product and inverse by the presentation's formula equals the table's."""
     ids = np.arange(q.order)
     table = q.mult_table()
     return (np.array_equal(q._collected(*np.broadcast_arrays(ids[:, None], ids)), table)
-            and np.array_equal(q._collected(*q._inverse_factors(ids)), q._inverse))
+            and np.array_equal(q._inverted(ids), q._inverse))
 
 
 @pytest.mark.parametrize("name,N", [(name, k * catalog.CATALOG[name].expected["m0"])
@@ -895,14 +894,21 @@ def test_collected_rod_products_equal_the_table(k, flip):
     assert collected_agrees_with_the_table(fresh_quotient(s, find_m0(s).m0))
 
 
-def collections_equal(a, b):
-    """True iff two Collections hold equal values of equal dtypes in every field."""
-    for field in dataclasses.fields(groups.Collection):
-        x, y = getattr(a, field.name), getattr(b, field.name)
-        if (x is None) != (y is None) or (x is not None and not (
-                x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y))):
-            return False
-    return True
+def presentation_reads_the_level_n_build(q):
+    """True iff the generator-level data built at q's N equals the spec's
+    presentation read at residues mod m0: psi, c and z at the residues of
+    their grid points, f2 and phi as they are, code(s) as s mod N, and the
+    codes of v as P m mod N."""
+    pres = q.spec.presentation
+    grid, s_code, f2, v_code, c, phi, psi, z = collection_oracle(q)
+    res = pres.residue(grid)
+    z_read = pres.z[res[:, None], res]
+    return (np.array_equal(psi, pres.psi[res]) and np.array_equal(c, pres.c[:, res])
+            and (np.array_equal(z, z_read) if z is not None
+                 else (z_read == q.spec.f_identity).all())
+            and np.array_equal(f2, pres.f2) and np.array_equal(phi, pres.phi)
+            and np.array_equal(s_code, pres.s % q.N @ q._place)
+            and np.array_equal(v_code, grid @ pres.p_mat.swapaxes(1, 2) % q.N @ q._place))
 
 
 CATALOG_COLLECTIONS = [(name, k * catalog.CATALOG[name].expected["m0"])
@@ -913,8 +919,7 @@ CATALOG_COLLECTIONS = [(name, k * catalog.CATALOG[name].expected["m0"])
                                     if groups.QuotientGroup(spec(name), N).order
                                     <= groups.DEFAULT_CAP])
 def test_collection_equals_the_three_call_build(name, N):
-    q = fresh_quotient(spec(name), N)
-    assert collections_equal(q.collection, collection_oracle(q))
+    assert presentation_reads_the_level_n_build(fresh_quotient(spec(name), N))
 
 
 @pytest.mark.parametrize("k", range(6, 11))
@@ -923,8 +928,87 @@ def test_rod_collection_equals_the_three_call_build(k, flip):
     s = rod_spec(k, flip, 1.2345)
     m0 = find_m0(s).m0
     for N in (m0, 2 * m0):
-        q = fresh_quotient(s, N)
-        assert collections_equal(q.collection, collection_oracle(q))
+        assert presentation_reads_the_level_n_build(fresh_quotient(s, N))
+
+
+SPEC_BUILDS = {**{name: catalog.CATALOG[name].build for name in catalog.names()},
+               "s3-plane": s3_plane_spec, "s4-plane": s4_plane_spec, "c5-quarter": c5_quarter_spec,
+               "rod-C6": lambda: rod_spec(6, False, 1.2345),
+               "rod-C7-flip": lambda: rod_spec(7, True, 1.2345)}
+
+
+@pytest.mark.parametrize("name", SPEC_BUILDS)
+def test_the_one_call_presentation_equals_the_three_call_build_at_m0(name):
+    # at N = m0 the residues are the grid codes, so every array is read as it is
+    s = SPEC_BUILDS[name]()
+    pres = s.presentation
+    grid, s_code, f2, v_code, c, phi, psi, z = collection_oracle(fresh_quotient(s, pres.m0))
+    assert np.array_equal(pres.residue(grid), np.arange(len(grid)))
+    assert np.array_equal(pres.s % pres.m0 @ pres.place, s_code)
+    for built, want in [(pres.f2, f2), (pres.c, c), (pres.phi, phi), (pres.psi, psi)]:
+        assert built.dtype == want.dtype and np.array_equal(built, want)
+    if z is None:           # the level-N build keeps no cocycle over a trivial F
+        assert (pres.z == s.f_identity).all()
+    else:
+        assert pres.z.dtype == z.dtype and np.array_equal(pres.z, z)
+
+
+# -- G itself: the presentation's formula at unbounded exponents --------------
+
+def drawn_forms(s, rng, size, bound):
+    """size normal forms (n, f, p) of s with exponents drawn from [-bound, bound]."""
+    return (rng.integers(-bound, bound + 1, size=(size, s.d2)),
+            rng.integers(s.f_order, size=size), rng.integers(s.rot_order, size=size))
+
+
+def members_of(s, n, f, p):
+    """The (q, p, tau) stacks of the members t(n) f p, tau over the D of `s.points`."""
+    d, _, p_tau, p_q = s.points
+    return s.section_q(n) @ (s.f_stack[f] @ p_q[p]), p, n * d + p_tau[p]
+
+
+@pytest.mark.parametrize("bound", [2 ** 12, 2 ** 20])
+@pytest.mark.parametrize("name", SPEC_BUILDS)
+def test_g_level_products_and_inverses_match_float_factoring(name, bound):
+    # x*y and x^-1 composed as q blocks and factored by `normal_forms`; from
+    # about 2^23 the float section drifts out of tol on the specs whose lifts
+    # rotate by irrational angles, so the exact checks below take larger ones
+    s = SPEC_BUILDS[name]()
+    pres, (_, p_mat, _, _), rng = s.presentation, s.points, np.random.default_rng(bound)
+    x, y = drawn_forms(s, rng, 2000, bound), drawn_forms(s, rng, 2000, bound)
+    (qx, px, tx), (qy, py, ty) = members_of(s, *x), members_of(s, *y)
+    p_xy = s.p_mul_table()[px, py]
+    n, f = normal_forms(s, qx @ qy, p_xy, tx + (p_mat[px] @ ty[..., None])[..., 0])
+    got = pres.multiply(x, y)
+    assert np.array_equal(got[0], n) and np.array_equal(got[1], f) and np.array_equal(got[2], p_xy)
+    p_inv = np.argmax(s.p_mul_table() == s.p_identity, axis=1)[px]
+    n, f = normal_forms(s, qx.swapaxes(1, 2), p_inv, -(p_mat[p_inv] @ tx[..., None])[..., 0])
+    got = pres.invert(x)
+    assert np.array_equal(got[0], n) and np.array_equal(got[1], f) and np.array_equal(got[2], p_inv)
+
+
+@pytest.mark.parametrize("name", SPEC_BUILDS)
+def test_g_level_products_reduce_invert_and_associate_exactly(name):
+    # 10^4 draws with exponents up to 2^40: the translation of x*y is
+    # tau(x) + P_x tau(y) in integers, x*y reduced mod N is the quotient's
+    # product at m0 and 2 m0 under the cap, x x^-1 = x^-1 x = 1 and
+    # (x y) w = x (y w)
+    s = SPEC_BUILDS[name]()
+    pres, (d, p_mat, p_tau, _), rng = s.presentation, s.points, np.random.default_rng(40)
+    x, y, w = (drawn_forms(s, rng, 10 ** 4, 2 ** 40) for _ in range(3))
+    xy = pres.multiply(x, y)
+    tau = x[0] * d + p_tau[x[2]] + (p_mat[x[2]] @ (y[0] * d + p_tau[y[2]])[..., None])[..., 0]
+    assert np.array_equal(xy[2], s.p_mul_table()[x[2], y[2]])
+    assert np.array_equal(xy[0] * d, tau - p_tau[xy[2]])
+    for N in (pres.m0, 2 * pres.m0):
+        q = build_quotient(s, N)
+        if q.order <= groups.DEFAULT_CAP:
+            assert np.array_equal(q.products(q.ids(*x), q.ids(*y)), q.ids(*xy)), N
+    inverse = pres.invert(x)
+    for one in (pres.multiply(x, inverse), pres.multiply(inverse, x)):
+        assert not one[0].any() and (one[1] == s.f_identity).all() and (one[2] == s.p_identity).all()
+    left, right = pres.multiply(xy, w), pres.multiply(x, pres.multiply(y, w))
+    assert all(np.array_equal(u, v) for u, v in zip(left, right))
 
 
 def test_section_inverses_carry_the_cocycle():
@@ -947,7 +1031,7 @@ def test_products_build_the_table_only_past_the_break_even():
     a = np.arange(q.order)
     few = q.order ** 2 // groups.TABLE_BREAK_EVEN // q.order       # rows below the break-even
     below = q.products(a[:few, None], a)
-    assert q._table is None and "collection" in vars(q)
+    assert q._table is None and "presentation" in vars(q.spec)
     above = q.products(a[:few + 1, None], a)
     assert q._table is not None
     assert np.array_equal(below, above[:few]) and np.array_equal(above, q._table[:few + 1])
@@ -996,18 +1080,21 @@ def test_grid_points_are_in_product_order(d2, N):
 
 
 def test_products_past_the_cap_are_refused_before_any_is_formed():
-    q = build_quotient(spec("twistE8"), 24)
+    q = build_quotient(catalog.CATALOG["twistE8"].build(), 24)
     with pytest.raises(CapExceeded):
         q.products(0, 1)
-    assert "collection" not in vars(q)
+    with pytest.raises(CapExceeded):
+        q.inverses(0)
+    assert "presentation" not in vars(q.spec)
 
 
 def test_build_quotient_collects_nothing():
-    # analyze builds quotients for their orders only; the generator-level
-    # data waits for the first product
+    # analyze builds quotients for their orders only; the presentation waits
+    # for the first product
     s = catalog.CATALOG["twistE8"].build()
+    assert validate_spec(s) == [] and find_m0(s).m0 == 2
     q = build_quotient(s, 6)
-    assert "collection" not in vars(q) and q._table is None
+    assert "presentation" not in vars(s) and q._table is None
 
 
 def test_a_table_that_disagrees_with_the_formula_is_refused(monkeypatch):

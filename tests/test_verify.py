@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from euciso import catalog, cli, dual, fourier, io, verify
+from euciso import catalog, cli, dual, fourier, groups, io, verify
 from euciso import isometry as iso
 from euciso.groups import GroupSpec, QuotientGroup, build_quotient, find_m0
 from euciso.splitting import split_quotient
@@ -56,14 +56,14 @@ def test_a_verify_pass_builds_the_m0_atlas_once(monkeypatch):
 
 def opposite_group(monkeypatch):
     """Make every quotient multiply as its opposite group, a*b -> b*a, on both
-    product paths: the table is transposed and the collection formula takes
-    its arguments swapped.  Inverses are the same in the opposite group, so
-    the formula's are read from the true table, as x^-1 * 1."""
+    product paths: the table is transposed and the presentation's formula
+    takes its arguments swapped.  Inverses are the same in the opposite
+    group, so the formula path's are read from the true table."""
     collect, collected = QuotientGroup._collect, QuotientGroup._collected
     monkeypatch.setattr(QuotientGroup, "_collect", lambda self: collect(self).T)
     monkeypatch.setattr(QuotientGroup, "_collected", lambda self, a, b: collected(self, b, a))
-    monkeypatch.setattr(QuotientGroup, "_inverse_factors", lambda self, x: (
-        np.argmax(collect(self) == self.identity, axis=1)[x], np.full_like(x, self.identity)))
+    monkeypatch.setattr(QuotientGroup, "_inverted", lambda self, x: (
+        np.argmax(collect(self) == self.identity, axis=1)[x]))
 
 
 # twistE8's labels split at m0, and the split takes x*h_p's id from the
@@ -89,7 +89,7 @@ def test_associativity_check_catches_a_transposed_table(monkeypatch, name):
 
 def test_section_checks_read_every_section_product(monkeypatch):
     # section-bijectivity compares the quotient's t(a) t(e_j) for every grid
-    # point a and direction j, from the table at m0 and by the collection
+    # point a and direction j, from the table at m0 and by the presentation's
     # formula at 2 m0; the opposite group gets half of them wrong on
     # twistE8-m4, and the group itself none
     s = catalog.CATALOG["twistE8-m4"].build()
@@ -226,9 +226,20 @@ def test_verify_builds_the_table_only_at_m0():
     assert peak < 4.4 * 2 ** 20
 
 
+def test_one_suite_builds_one_presentation_per_spec(monkeypatch):
+    # every quotient the suite multiplies in, the split's among them, reads
+    # the spec's one presentation
+    built, init = [], groups.Presentation.__init__
+    monkeypatch.setattr(groups.Presentation, "__init__",
+                        lambda self, spec: built.append(spec.name) or init(self, spec))
+    for name in catalog.names():
+        assert run_suite(catalog.CATALOG[name].build(), seed=0).passed
+    assert built == catalog.names()
+
+
 def test_a_table_the_formula_disagrees_with_ends_the_suite(monkeypatch):
     # the opposite group's table alone: the m0 table's own check compares it
-    # with the collection formula, and the suite reports that and stops
+    # with the presentation's formula, and the suite reports that and stops
     collect = QuotientGroup._collect
     monkeypatch.setattr(QuotientGroup, "_collect", lambda self: collect(self).T)
     report = run_suite(catalog.CATALOG["twistE8-m4"].build(), seed=0)
