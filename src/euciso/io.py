@@ -13,19 +13,29 @@ all of a document's blocks are formatted in one orjson (Ryu) pass, and only
 those whose text orjson writes otherwise than json (0 < |x| < 1e-4, |x| from
 1e16 up, NaN and infinities) are rewritten.  The mask that picks those is
 computed before the orjson pass, which otherwise runs several times slower
-right after a transform (see `canonical_json`).  A function file is
-written with one entry per element, in id order; a reader takes any subset
-of the elements, each at most once, and sets the others to zero.  A Fourier table records the seed and the fingerprint of the atlas
-basis it was computed in and is read back only in that basis.  Its file
-holds one entry per irreducible, in basis order, and a reader takes them in
-any order; each dimension's values are read into one stack, so a table file
-that misses an irreducible is refused (IncompleteTable).  The readers
-refuse a count, index, size, dimension or point part entry that is not an
-integer, a tolerance, q block, F entry or number of a function value that
-is not a finite number (a bool or a string is not one; a table's values are
-not checked so), a translation part that is neither an integer nor a
-"p/q" string, a tolerance that is not positive, and a spec whose d2 is not
-the number of its t_lifts and the size of every point part (or that has no
+right after a transform (see `canonical_json`).  The document is then
+formatted in one step, its floats' text filling the fields its walk left.
+
+A function file is written with one entry per element, in id order; a
+reader takes any subset of the elements, each at most once, and sets the
+others to zero.
+
+A Fourier table records the seed and the fingerprint of the atlas basis it
+was computed in and is read back only in that basis.  Its file holds one
+entry per irreducible, in basis order, and a reader takes them in any
+order.  Both sides handle a table as its dimension stacks: the writer's
+entry values are rows of one [re, im] view per stack, and the reader fills
+each dimension's stack with one pass over its values' numbers, so a table
+file that misses an irreducible is refused (IncompleteTable).
+
+The readers refuse a count, index, size, dimension or point part entry
+that is not an integer; a tolerance, q block, F entry or number of a
+function value that is not a finite number (a bool or a string is not
+one); a number of a table value that is not finite (NaN, an infinity or an
+int past float's range; bools and numeric strings are still read there as
+numbers); a translation part that is neither an integer nor a "p/q"
+string; a tolerance that is not positive; and a spec whose d2 is not the
+number of its t_lifts and the size of every point part (or that has no
 p_reps).
 """
 
@@ -57,6 +67,8 @@ def format_fraction(x: Fraction) -> str:
 def json_int(value, what: str, least: int | None = None) -> int:
     """An integer field of a spec, function or table file; ValueError for a float,
     a bool, a string or anything else, or for a value below `least`."""
+    if type(value) is int and (least is None or value >= least):     # the common case
+        return value
     if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
             or (least is not None and value < least)):
         bound = "" if least is None else f" >= {least}"
@@ -210,21 +222,31 @@ def function_from_dict(data: dict, q: QuotientGroup) -> PeriodicFunction:
 
 
 def table_to_dict(t: FourierTable) -> dict:
+    """A table's file as a dict: its entries in basis order, each value a row
+    of its dimension stack's one [re, im] pair view (`complex_pairs`), so the
+    writer reads the stacks' own memory."""
+    entries = [{"irrep": i, "dim": d, "value": value}
+               for d, (idx, _) in t.atlas.stacks.items()
+               for i, value in zip(idx, complex_pairs(t.stacks[d]))]
     return {
         "group": t.q.spec.name,
         "N": t.q.N,
         "shape": [t.shape[0], t.shape[1]],
         "seed": t.atlas.seed,
         "basis": t.atlas.basis,
-        "entries": [{"irrep": i, "dim": t.atlas.dims[i], "value": complex_pairs(value)}
-                    for i, value in t.entries.items()],
+        "entries": entries,
     }
 
 
 def table_from_dict(data: dict, q: QuotientGroup) -> FourierTable:
-    """The table a file holds.  Each entry's irrep and dim, and its value's
-    shape, are checked first; each dimension's stack is then filled with one
-    pass over the values' numbers."""
+    """The table a file holds.  One pass over the entries checks each irrep
+    and dim.  Each dimension's values are then checked with one `len` pass
+    per nesting level over the whole stack, filled into it with one
+    `fromiter`, and refused (ValueError) unless every number is finite.
+    Only when a check fails are entries walked one at a time (`_check_entry`),
+    a stack's in basis order, to name the first bad one.  So a file with one
+    fault gets the exception and message of a reader that checks each entry
+    in turn; of several faults, another may be the one reported."""
     shape = _header(data, q, "table")
     atlas = enumerate_dual(q.spec, q.N, json_int(data.get("seed", 0), "seed", 0))
     if data.get("basis") != atlas.basis:
@@ -232,30 +254,63 @@ def table_from_dict(data: dict, q: QuotientGroup) -> FourierTable:
                                  "(missing or different \"basis\" fingerprint)")
     m, n = shape
     dims = atlas.dims
-    values: list = [None] * len(dims)
+    entries: list = [None] * len(dims)
     for entry in data["entries"]:
         i = json_int(entry["irrep"], "irrep")
         if not 0 <= i < len(dims):
             raise IncompatibleShapes(f"irrep {i} out of range: the quotient has {len(dims)}")
-        if values[i] is not None:
+        if entries[i] is not None:
             raise IncompatibleShapes(f"irrep {i} has two entries")
-        d, value = dims[i], entry["value"]
-        got = _pairs_shape(value)
-        if json_int(entry["dim"], "dim") != d or got != (m * d, n * d):
-            raise IncompatibleShapes(f"irrep {i} has dim {d}, but its entry gives dim "
-                                     f"{entry['dim']} and a {got} value")
-        values[i] = value
-    missing = [i for i, value in enumerate(values) if value is None]
+        entries[i] = entry
+        if type(dim := entry["dim"]) is not int or dim != dims[i]:
+            _check_entry(i, entry, dims[i], shape)
+    missing = [i for i, entry in enumerate(entries) if entry is None]
     if missing:
         raise IncompleteTable(f"table does not cover every irreducible: irrep "
                               f"{missing[0]} has no entry")
     stacks = {}
     for d, (idx, _) in atlas.stacks.items():
-        rows = chain.from_iterable(values[i] for i in idx)
-        numbers = chain.from_iterable(chain.from_iterable(rows))
-        flat = np.fromiter(numbers, float, len(idx) * m * d * n * d * 2)
+        pairs = _nested_pairs([entries[i]["value"] for i in idx], (m * d, n * d))
+        if pairs is None:
+            for i in idx:       # raises at the first bad entry
+                _check_entry(i, entries[i], d, shape)
+        try:
+            flat = np.fromiter(chain.from_iterable(pairs), float, len(idx) * m * d * n * d * 2)
+        except OverflowError as exc:    # an int past float's range
+            raise ValueError(f"a table value must hold finite numbers: {exc}") from exc
+        finite = np.isfinite(flat)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise ValueError(f"a table value must hold finite numbers: irrep "
+                             f"{idx[k // (m * d * n * d * 2)]} holds {float(flat[k])!r}")
         stacks[d] = flat.view(complex).reshape(len(idx), m * d, n * d)
     return FourierTable(atlas, shape, stacks)
+
+
+def _nested_pairs(values: list, widths: tuple[int, int]) -> list | None:
+    """The [re, im] pairs of these values, which must be matrices of pairs
+    with these many rows and columns, in order: one `len` pass per nesting
+    level over all of them.  None if a length is wrong or a leaf has none."""
+    level = values
+    try:
+        for width in widths:
+            if set(map(len, level)) != {width}:
+                return None
+            level = list(chain.from_iterable(level))
+        return level if set(map(len, level)) == {2} else None
+    except TypeError:
+        return None
+
+
+def _check_entry(i: int, entry: dict, d: int, shape: tuple[int, int]) -> None:
+    """Refuse a table entry whose value is not a (m d, n d) matrix of pairs
+    or whose dim is not d: ValueError (TypeError for a leaf that has no
+    length) for a value that is not a rectangular matrix of pairs, and
+    IncompatibleShapes for a matrix of another shape or another dim."""
+    got = _pairs_shape(entry["value"])
+    if json_int(entry["dim"], "dim") != d or got != (shape[0] * d, shape[1] * d):
+        raise IncompatibleShapes(f"irrep {i} has dim {d}, but its entry gives dim "
+                                 f"{entry['dim']} and a {got} value")
 
 
 def _pairs_shape(rows) -> tuple[int, int]:
@@ -285,15 +340,17 @@ def canonical_json(obj) -> str:
     """The bytes of json.dumps(obj, sort_keys=True, indent=1,
     separators=(",", ": "), default=_coerce) plus a newline, written by
     json's own rules, except that each non-empty float64 array is written as
-    one block.  The walk leaves a template in `out` for each block; the
-    floats of all blocks are then formatted in one orjson pass, whose
-    shortest digits are repr's but not always its notation.  repr writes
-    0 < |x| < 1e-4 in exponent form, where orjson writes 1e-5 <= |x| < 1e-4
-    positionally (0.000015 for 1.5e-05) and smaller ones as 9.99e-6 for
-    9.99e-06; it writes 1e16 for 1e+16, and null for a non-finite float
-    where json writes NaN or Infinity.  So the floats with 0 < |x| < 1e-4,
-    |x| >= 1e16 or no finite value are rewritten by json's rules, and the
-    rest keep orjson's text.
+    one block.  The walk writes the document as one %-format string: each
+    block is a template with a %s field for each of its floats, and every
+    literal % of a string or key is written as %%.  The floats of all blocks
+    are formatted in one orjson pass, whose shortest digits are repr's but
+    not always its notation, and the document is then formatted with them in
+    one step.  repr writes 0 < |x| < 1e-4 in exponent form, where orjson
+    writes 1e-5 <= |x| < 1e-4 positionally (0.000015 for 1.5e-05) and
+    smaller ones as 9.99e-6 for 9.99e-06; it writes 1e16 for 1e+16, and null
+    for a non-finite float where json writes NaN or Infinity.  So the floats
+    with 0 < |x| < 1e-4, |x| >= 1e16 or no finite value are rewritten by
+    json's rules, and the rest keep orjson's text.
 
     The rewrite mask is computed before orjson formats the floats, not
     after.  A complex matrix product (an OpenBLAS zgemm, as in `transform`)
@@ -302,25 +359,27 @@ def canonical_json(obj) -> str:
     mask's comparisons clear that state, where `np.abs` and
     `np.concatenate` alone do not."""
     out: list[str] = []
-    blocks: list[tuple[int, np.ndarray]] = []
+    blocks: list[np.ndarray] = []
     _write(obj, 0, out, blocks)
-    if blocks:
-        flat = np.concatenate([block.ravel() for _, block in blocks])
-        magnitude = np.abs(flat)
-        keep = (flat == 0) | (magnitude >= 1e-4) & (magnitude < 1e16)   # False for NaN
-        rewrite = np.flatnonzero(~keep)
-        text = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
-        for k, x in zip(rewrite.tolist(), flat[rewrite].tolist()):
-            text[k] = _scalar(x)
-        start = 0
-        for i, block in blocks:
-            out[i] %= tuple(text[start:start + block.size])
-            start += block.size
     out.append("\n")
-    return "".join(out)
+    if not blocks:
+        return "".join(out) % ()
+    flat = np.concatenate(blocks, axis=None)
+    magnitude = np.abs(flat)
+    keep = (flat == 0) | (magnitude >= 1e-4) & (magnitude < 1e16)   # False for NaN
+    rewrite = np.flatnonzero(~keep)
+    text = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    for k, x in zip(rewrite.tolist(), flat[rewrite].tolist()):
+        text[k] = _scalar(x)
+    return "".join(out) % tuple(text)
 
 
-def _write(obj, level: int, out: list[str], blocks: list[tuple[int, np.ndarray]]) -> None:
+def _string(text: str) -> str:
+    """json's text for a string, each % doubled for the document's one format step."""
+    return _encode_str(text).replace("%", "%%")
+
+
+def _write(obj, level: int, out: list[str], blocks: list[np.ndarray]) -> None:
     """Append obj's text at this indent level to `out`; a float block leaves
     a template in `out` and itself in `blocks`.  Exact dicts, lists, tuples,
     arrays and strings are dispatched on their type; anything else,
@@ -333,8 +392,8 @@ def _write(obj, level: int, out: list[str], blocks: list[tuple[int, np.ndarray]]
     elif kind is np.ndarray:
         _write_array(obj, level, out, blocks)
     elif kind is str:
-        out.append(_encode_str(obj))
-    elif (text := _encode_str(obj) if isinstance(obj, str) else _scalar(obj)) is not None:
+        out.append(_string(obj))
+    elif (text := _string(obj) if isinstance(obj, str) else _scalar(obj)) is not None:
         out.append(text)
     elif isinstance(obj, (list, tuple)):
         _write_list(obj, level, out, blocks)
@@ -346,55 +405,65 @@ def _write(obj, level: int, out: list[str], blocks: list[tuple[int, np.ndarray]]
         _write(_coerce(obj), level, out, blocks)
 
 
-def _write_list(obj, level: int, out: list[str], blocks: list[tuple[int, np.ndarray]]) -> None:
+def _write_list(obj, level: int, out: list[str], blocks: list[np.ndarray]) -> None:
     if not obj:
         out.append("[]")
         return
-    inner = "\n" + " " * (level + 1)
+    inner = _pad(level + 1)
     out.append("[" + inner)
     for i, value in enumerate(obj):
         if i:
             out.append("," + inner)
         _write(value, level + 1, out, blocks)
-    out.append("\n" + " " * level + "]")
+    out.append(_pad(level) + "]")
 
 
-def _write_array(obj: np.ndarray, level: int, out: list[str],
-                 blocks: list[tuple[int, np.ndarray]]) -> None:
+def _write_array(obj: np.ndarray, level: int, out: list[str], blocks: list[np.ndarray]) -> None:
     if obj.dtype == np.float64 and obj.ndim and obj.size:
-        blocks.append((len(out), obj))
+        blocks.append(obj)
         out.append(_block_template(obj.shape, level))
     else:
         _write(obj.tolist(), level, out, blocks)
 
 
-def _write_dict(obj, level: int, out: list[str], blocks: list[tuple[int, np.ndarray]]) -> None:
+def _write_dict(obj, level: int, out: list[str], blocks: list[np.ndarray]) -> None:
     """A dict's exact int and str values are written with their key and its
     arrays go straight to `_write_array`: a table writes hundreds of such
-    entry dicts."""
+    entry dicts.  The text from the previous item to a key's value is cached
+    per key and level (`_key_head`)."""
     if not obj:
         out.append("{}")
         return
-    inner = "\n" + " " * (level + 1)
-    out.append("{" + inner)
     for i, (key, value) in enumerate(sorted(obj.items())):
         key_text = key if isinstance(key, str) else _scalar(key)
         if key_text is None:
             raise TypeError(f"keys must be str, int, float, bool or None, "
                             f"not {key.__class__.__name__}")
-        head = ("," + inner if i else "") + _encode_str(key_text) + ": "
+        head = _key_head(key_text, level, i == 0)
         kind = type(value)
         if kind is int:
             out.append(head + int.__repr__(value))
         elif kind is str:
-            out.append(head + _encode_str(value))
+            out.append(head + _string(value))
         elif kind is np.ndarray:
             out.append(head)
             _write_array(value, level + 1, out, blocks)
         else:
             out.append(head)
             _write(value, level + 1, out, blocks)
-    out.append("\n" + " " * level + "}")
+    out.append(_pad(level) + "}")
+
+
+@functools.lru_cache(maxsize=64)
+def _pad(level: int) -> str:
+    return "\n" + " " * level
+
+
+@functools.lru_cache(maxsize=1024)
+def _key_head(key: str, level: int, first: bool) -> str:
+    """The text of a dict at this level from the end of the previous item (or
+    the dict's opening) to this key's value."""
+    return ("{" if first else ",") + _pad(level + 1) + _string(key) + ": "
 
 
 def _scalar(obj) -> str | None:

@@ -12,7 +12,8 @@ from hypothesis import settings
 from euciso import catalog, io
 from euciso import isometry as iso
 from euciso.dual import enumerate_dual, rep_set, wave_orbits
-from euciso.errors import ConvergenceFailure, EucisoError, InternalInconsistency, NotAMember
+from euciso.errors import (ConvergenceFailure, EucisoError, IncompatibleShapes, IncompleteTable,
+                           InternalInconsistency, NotAMember)
 from euciso.fourier import FourierTable, PeriodicFunction
 from euciso.groups import (DEFAULT_CAP, ORDER_BOUND, GroupSpec, NormalForm, Violation,
                            _cocycle, _conjugates, _factor, _kernel, _match_f, _rep_products,
@@ -442,6 +443,43 @@ def inverse_oracle(table):
         stack = stack.reshape(len(stack), -1)
         dense += d * (np.conj(stack, out=stack) @ blocks)
     return PeriodicFunction(table.q, table.shape, dense.reshape(-1, m, n))
+
+
+def table_from_dict_oracle(data, q):
+    """`io.table_from_dict` as it checked each entry in file order: its
+    irrep, its value's shape and its dim, then every irreducible's presence,
+    then one `fromiter` per dimension.  It reads non-finite numbers."""
+    shape = io._header(data, q, "table")
+    atlas = enumerate_dual(q.spec, q.N, io.json_int(data.get("seed", 0), "seed", 0))
+    if data.get("basis") != atlas.basis:
+        raise IncompatibleShapes("table was computed in another irreducible basis "
+                                 "(missing or different \"basis\" fingerprint)")
+    m, n = shape
+    dims = atlas.dims
+    values: list = [None] * len(dims)
+    for entry in data["entries"]:
+        i = io.json_int(entry["irrep"], "irrep")
+        if not 0 <= i < len(dims):
+            raise IncompatibleShapes(f"irrep {i} out of range: the quotient has {len(dims)}")
+        if values[i] is not None:
+            raise IncompatibleShapes(f"irrep {i} has two entries")
+        d, value = dims[i], entry["value"]
+        got = io._pairs_shape(value)
+        if io.json_int(entry["dim"], "dim") != d or got != (m * d, n * d):
+            raise IncompatibleShapes(f"irrep {i} has dim {d}, but its entry gives dim "
+                                     f"{entry['dim']} and a {got} value")
+        values[i] = value
+    missing = [i for i, value in enumerate(values) if value is None]
+    if missing:
+        raise IncompleteTable(f"table does not cover every irreducible: irrep "
+                              f"{missing[0]} has no entry")
+    stacks = {}
+    for d, (idx, _) in atlas.stacks.items():
+        rows = itertools.chain.from_iterable(values[i] for i in idx)
+        numbers = itertools.chain.from_iterable(itertools.chain.from_iterable(rows))
+        flat = np.fromiter(numbers, float, len(idx) * m * d * n * d * 2)
+        stacks[d] = flat.view(complex).reshape(len(idx), m * d, n * d)
+    return FourierTable(atlas, shape, stacks)
 
 
 def transform_at_oracle(u, rho, q):

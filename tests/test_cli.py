@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import resource
 import subprocess
@@ -584,15 +585,17 @@ def test_the_shape_cap_counts_every_value(tmp_path, capsys, monkeypatch, kind):
 
 
 ENTRY_KEYS = {"n", "f", "p", "irrep", "dim"}
-
-
-@pytest.mark.parametrize("kind, key, value", [
+# (file kind, key of the file or of its first entry, the value it is given)
+NON_INTEGERS_OR_BAD_SHAPES = [
     ("function", "shape", [1, 2, 5]), ("function", "shape", [0, 2]), ("function", "N", 3.5),
     ("function", "N", 3.0), ("function", "N", 0), ("function", "n", [0.7, 0]),
     ("function", "f", 0.7), ("function", "p", 0.7), ("function", "p", True),
     ("table", "shape", [1, 2, 5]), ("table", "shape", [0, 2]), ("table", "N", 3.5),
     ("table", "seed", 0.7), ("table", "irrep", 0.7), ("table", "dim", 0.7),
-    ("table", "dim", 1.0)])
+    ("table", "dim", 1.0)]
+
+
+@pytest.mark.parametrize("kind, key, value", NON_INTEGERS_OR_BAD_SHAPES)
 def test_fourier_files_with_non_integers_or_bad_shapes(tmp_path, capsys, kind, key, value):
     data = pg_file(kind)
     (data["entries"][0] if key in ENTRY_KEYS else data)[key] = value
@@ -615,8 +618,9 @@ def drop_last_column(value):
 
 # (what is done to the value of the first dim-2 entry, or to the entries, the
 # exit code, a piece of the message): a value that is not a rectangular
-# matrix of [re, im] numbers is a format error; a rectangular one of the
-# wrong shape, a missing entry and a repeated one are incompatible files
+# matrix of [re, im] numbers, or that holds a NaN, an infinity or an int
+# past float's range, is a format error; a rectangular one of the wrong
+# shape, a missing entry and a repeated one are incompatible files
 TABLE_DAMAGE = {
     "ragged-row": (lambda e, i: e[i]["value"][0].pop(), 2, "rectangular matrix"),
     "three-element-pair": (lambda e, i: e[i]["value"][0][0].append(0.0), 2, "rectangular matrix"),
@@ -628,6 +632,12 @@ TABLE_DAMAGE = {
                     "a (2, 3) value"),
     "missing-entry": (lambda e, i: e.pop(i), 5, "irrep 6 has no entry"),
     "repeated-entry": (lambda e, i: e.append(dict(e[i])), 5, "has two entries"),
+    "nan-number": (lambda e, i: e[i]["value"][1][0].__setitem__(1, math.nan), 2,
+                   "must hold finite numbers"),
+    "infinite-number": (lambda e, i: e[i]["value"][0][1].__setitem__(0, -math.inf), 2,
+                        "must hold finite numbers"),
+    "int-past-float-range": (lambda e, i: e[i]["value"][1][1].__setitem__(1, 10 ** 400), 2,
+                             "must hold finite numbers"),
 }
 
 

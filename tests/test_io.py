@@ -12,9 +12,12 @@ from hypothesis.extra import numpy as hnp
 
 from euciso import catalog, io
 from euciso.cli import main
+from euciso.dual import enumerate_dual
+from euciso.errors import EucisoError
 from euciso.fourier import PeriodicFunction, transform
 
-from conftest import quotient, reference_json, time_limit
+from conftest import quotient, reference_json, table_from_dict_oracle, time_limit
+from test_cli import ENTRY_KEYS, NON_INTEGERS_OR_BAD_SHAPES, TABLE_DAMAGE, pg_file
 
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e300, -1e300, 1.7976931348623157e308,
                math.nan, math.inf, -math.inf]
@@ -59,8 +62,20 @@ def outcome(write, obj):
           "bad": [np.array([[math.nan, 1.0]]), np.array([math.inf, -math.inf]), np.array(-0.0)]})
 @example([np.zeros((0, 3)), np.zeros((2, 0)), np.zeros(0), {"a": np.ones((1, 1, 1))}])
 @example([np.arange(6).reshape(2, 3), np.array([1 + 2j]), np.array([], dtype=complex)])
+# the document is formatted once, so every literal % must come out as itself
+@example({"%": "%s", "%%": [np.array([[0.5, -0.0], [1e-05, 2.5]]), "%(x)s"],
+          "%(x)s": np.array([1e16, math.nan]), "a%sb": ["100%", "%%s", 3]})
+@example({"%s": "%%", "%(x)s": ["%", "%(x)s", 1.5, None], "%%": {"%": "%d%s%%"}})
+@example([np.ones(2), "%s%s", {"%": np.zeros(1)}])
+@example("%(x)s%%s%")
 def test_canonical_json_is_json_dumps(obj):
     assert outcome(io.canonical_json, obj) == outcome(reference_json, obj)
+
+
+# every catalog group at m0 and 2 m0, of orders up to 512: between them,
+# irreducibles of dims 1, 2, 4 and 8
+CATALOG_LEVELS = [(name, k * catalog.CATALOG[name].expected["m0"])
+                  for name in catalog.names() for k in (1, 2)]
 
 
 def test_canonical_json_of_files_is_json_dumps():
@@ -69,6 +84,14 @@ def test_canonical_json_of_files_is_json_dumps():
     for payload in [io.function_to_dict(u), io.table_to_dict(transform(u)),
                     io.spec_to_dict(q.spec)]:
         assert io.canonical_json(payload) == reference_json(payload)
+    rng = np.random.default_rng(5)
+    for name, N in CATALOG_LEVELS:
+        table = transform(PeriodicFunction.random(quotient(name, N), (2, 3), rng))
+        payload = io.table_to_dict(table)
+        # each value is a row of its stack's one pair view, not a copy
+        assert all(np.shares_memory(e["value"], table.stacks[e["dim"]])
+                   for e in payload["entries"]), (name, N)
+        assert io.canonical_json(payload) == reference_json(payload), (name, N)
 
 
 def test_positional_and_exponent_bands_are_rewritten():
@@ -143,6 +166,97 @@ def test_table_entries_in_any_file_order_read_back_bit_for_bit():
     assert list(back.stacks) == list(table.stacks)
     assert all(back.stacks[d].tobytes() == table.stacks[d].tobytes() for d in table.stacks)
     assert io.canonical_json(io.table_to_dict(back)) == io.canonical_json(io.table_to_dict(table))
+
+
+def test_the_catalog_levels_hold_dims_1_2_and_4():
+    dims = {d for name, N in CATALOG_LEVELS
+            for d in enumerate_dual(catalog.get(name), N).dims}
+    assert {1, 2, 4} <= dims
+
+
+def read_alike(data, q):
+    """The table the stack reader and the per-entry oracle read from data,
+    once its stacks are checked bit for bit against each other's."""
+    got, want = io.table_from_dict(data, q), table_from_dict_oracle(data, q)
+    assert list(got.stacks) == list(want.stacks)
+    for d, stack in got.stacks.items():
+        assert stack.dtype == want.stacks[d].dtype and stack.shape == want.stacks[d].shape
+        assert stack.tobytes() == want.stacks[d].tobytes()
+    return got
+
+
+@pytest.mark.parametrize("name, N", CATALOG_LEVELS)
+@pytest.mark.parametrize("shape", [(1, 1), (2, 3)])
+def test_the_table_reader_equals_the_per_entry_oracle(name, N, shape):
+    # the file as json reads it, its entries shuffled, table_to_dict's own
+    # dict (values are arrays) and that dict with np.int64 dims
+    q = quotient(name, N)
+    table = transform(PeriodicFunction.random(q, shape, np.random.default_rng(N)))
+    own = io.table_to_dict(table)
+    data = json.loads(io.canonical_json(own))
+    order = np.random.default_rng(1).permutation(len(data["entries"]))
+    shuffled = dict(data, entries=[data["entries"][k] for k in order])
+    wide = dict(own, entries=[dict(e, dim=np.int64(e["dim"])) for e in own["entries"]])
+    for doc in [data, shuffled, own, wide]:
+        back = read_alike(doc, q)
+        assert list(back.stacks) == list(table.stacks)
+        assert all(back.stacks[d].tobytes() == table.stacks[d].tobytes() for d in table.stacks)
+
+
+def first_dim_2(entries):
+    return next(k for k, e in enumerate(entries) if e["dim"] == 2)
+
+
+def set_field(key, value):
+    """Set key of a table file, or of its first entry, to value."""
+    return lambda data: (data["entries"][0] if key in ENTRY_KEYS else data).__setitem__(key, value)
+
+
+# the damage the CLI tests refuse a pg N=3 table file for, a bool or float
+# irrep, and each table row of its non-integer and bad-shape cases
+NON_FINITE_DAMAGE = ["nan-number", "infinite-number", "int-past-float-range"]
+FINITE_DAMAGE = [name for name in TABLE_DAMAGE if name not in NON_FINITE_DAMAGE]
+TABLE_REFUSALS = {
+    **{name: lambda data, change=TABLE_DAMAGE[name][0]: change(data["entries"],
+                                                               first_dim_2(data["entries"]))
+       for name in FINITE_DAMAGE},
+    **{f"irrep-{value!r}": set_field("irrep", value) for value in (True, False, 0.7, 1.0)},
+    **{f"{key}-{value!r}": set_field(key, value)
+       for kind, key, value in NON_INTEGERS_OR_BAD_SHAPES if kind == "table"},
+}
+
+
+def refusal(read, data, q):
+    """The type and message of the exception read(data, q) raises, or None."""
+    try:
+        read(data, q)
+    except (KeyError, TypeError, ValueError, EucisoError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("case", list(TABLE_REFUSALS))
+def test_both_table_readers_refuse_a_damaged_file_alike(case):
+    q, data = quotient("pg", 3), pg_file("table")
+    TABLE_REFUSALS[case](data)
+    want = refusal(table_from_dict_oracle, data, q)
+    assert want is not None
+    assert refusal(io.table_from_dict, data, q) == want
+
+
+@pytest.mark.parametrize("damage", NON_FINITE_DAMAGE)
+def test_only_the_stack_reader_refuses_non_finite_numbers(damage):
+    # the oracle reads a NaN or an infinity, and overflows on an int past
+    # float's range
+    q, data = quotient("pg", 3), pg_file("table")
+    TABLE_DAMAGE[damage][0](data["entries"], first_dim_2(data["entries"]))
+    try:
+        read = table_from_dict_oracle(data, q)
+        assert not all(np.isfinite(stack).all() for stack in read.stacks.values())
+    except OverflowError:
+        assert damage == "int-past-float-range"
+    got = refusal(io.table_from_dict, data, q)
+    assert got[0] is ValueError and "must hold finite numbers" in got[1]
 
 
 # sha256 of canonical_json(spec_to_dict(s)) for each catalog group, recorded
