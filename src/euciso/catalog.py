@@ -111,9 +111,6 @@ def _twist_e8(alpha: float = 1.0) -> GroupSpec:
             if b:
                 elt = iso.compose(elt, p_s)
             p_reps.append(elt)
-    # coset representatives must have q blocks inside the group; strip the
-    # kernel residue so each listed element is the plain product
-    p_reps[0] = iso.identity_isometry(6, 2)
     return GroupSpec("twistE8", 6, 2, f, [g1, g2], p_reps)
 
 

@@ -228,12 +228,21 @@ class SummableFunction:
             u[nf] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         return u
 
+    def ids(self, q: QuotientGroup) -> np.ndarray:
+        """The ids in q of the support's normal forms, in support order, by one
+        `QuotientGroup.ids` call; each exponent, of any size, is reduced mod
+        q.N as a Python int first."""
+        forms = self.support
+        n = [[x % q.N for x in nf.n] for nf in forms]
+        return q.ids(np.array(n, dtype=np.int64).reshape(len(forms), self.spec.d2),
+                     [nf.f for nf in forms], [nf.p for nf in forms])
+
     def transform_at(self, atlas: DualAtlas) -> dict[int, np.ndarray]:
         """Unnormalized series sum_g u(g) (x) rho(g) over the finite support,
         keyed by each irreducible's index in the atlas's basis.  Each
         dimension's stack takes the terms in support order, from zeros."""
         q, (m, n) = atlas.q, self.shape
-        ids = [q.reduce(nf) for nf in self.support]
+        ids = self.ids(q)
         out = {}
         for d, (idx, stack) in atlas.stacks.items():
             acc = np.zeros((len(idx), m * d, n * d), dtype=complex)
@@ -256,6 +265,6 @@ def convolve(u: SummableFunction, v: PeriodicFunction) -> PeriodicFunction:
         raise IncompatibleShapes(f"inner shapes {u.shape} / {v.shape} do not match")
     q = v.q
     out = np.zeros((q.order, u.shape[0], v.shape[1]), dtype=complex)
-    for nf, val in u.support.items():
-        out += val @ v.values[q.products(q.inv(q.reduce(nf)), q.local)]
+    for h, val in zip(q.inverses(u.ids(q)), u.support.values()):
+        out += val @ v.values[q.products(h, q.local)]
     return PeriodicFunction(q, (u.shape[0], v.shape[1]), out)

@@ -353,13 +353,14 @@ def _kernel(spec: GroupSpec, f: np.ndarray) -> np.ndarray:
 
 def normal_form(spec: GroupSpec, g: Isometry) -> NormalForm:
     """Factor one group member as t(n)*f*p; see `normal_forms`."""
-    return normal_forms_of(spec, [g])[0]
+    (n,), (f,), (p,) = normal_forms_of(spec, [g])
+    return NormalForm(tuple(n.tolist()), int(f), int(p))
 
 
-def normal_forms_of(spec: GroupSpec, gs: list[Isometry]) -> list[NormalForm]:
-    """Factor a list of group members as t(n)*f*p in one `normal_forms` call."""
-    if not gs:
-        return []
+def normal_forms_of(spec: GroupSpec,
+                    gs: list[Isometry]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Factor a list of group members as t(n)*f*p in one `normal_forms` call:
+    n as a (k, d2) int64 array, unreduced, and f and p as (k,) arrays."""
     p_idx, tau = [], []
     for g in gs:
         p = spec.p_index(g.p)
@@ -370,9 +371,10 @@ def normal_forms_of(spec: GroupSpec, gs: list[Isometry]) -> list[NormalForm]:
             raise NotAMember(f"translation {g.tau} is not a lattice vector over the p_reps")
         p_idx.append(p)
         tau.append([int(x) for x in t])
+    p_idx = np.array(p_idx, dtype=np.int64)
     n, f = normal_forms(spec, np.array([g.q for g in gs]).reshape(len(gs), spec.d1, spec.d1),
                         p_idx, np.array(tau, dtype=np.int64).reshape(len(gs), spec.d2))
-    return [NormalForm(tuple(row), fi, p) for row, fi, p in zip(n.tolist(), f.tolist(), p_idx)]
+    return n, f, p_idx
 
 
 def _rep_products(spec: GroupSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -803,16 +805,17 @@ class QuotientGroup:
 
         id = (code(n) * |F| + f) * |P| + p,   code(n) = sum_i n_i N^(d2-1-i),
 
-    so ids run over the normal forms in (n, f, p) order.  `ids` and `parts`
-    encode and decode stacks, `reduce` and `nf` one normal form, and
-    `coset_reps` gives the p_reps' ids; they and the split
+    so ids run over the normal forms in (n, f, p) order.  `_encode` and
+    `_decode` are the layout arithmetic, the one conversion each way between
+    exponents and ids; `ids` and `parts` are them with their range checks.
+    `coset_reps`, `tf_indices`, `_collect`'s block view and the split
     (`reps.split_induced`), which takes x*h_p's id to be x's TF row * |P| + p,
-    are the only code that knows this layout.  The quotient holds no
-    product data: `products` and `inverses` take id arrays, decode them,
-    evaluate the spec's `Presentation` on the normal forms and encode the
-    results with n reduced mod N, unless the multiplication table is built
-    or a request is large enough to pay for it (TABLE_BREAK_EVEN); `mul`
-    and `inv` are their scalar forms, and `mult_table` the table.
+    read the layout too.  The quotient holds no product data: `products`
+    and `inverses` take id arrays, decode them, evaluate the spec's
+    `Presentation` on the normal forms and encode the results with n
+    reduced mod N, unless the multiplication table is built or a request
+    is large enough to pay for it (TABLE_BREAK_EVEN); `mul` and `inv` are
+    their scalar forms, and `mult_table` the table.
     """
 
     def __init__(self, spec: GroupSpec, N: int):
@@ -820,8 +823,7 @@ class QuotientGroup:
         self.N = N
         self.order = N ** spec.d2 * spec.f_order * spec.rot_order
         self.elements = range(self.order)
-        self.identity = self.reduce(NormalForm((0,) * spec.d2, spec.f_identity, spec.p_identity))
-        self._place = grid_place(N, spec.d2)        # code(n) = n @ _place
+        self.identity = spec.f_identity * spec.rot_order + spec.p_identity     # n = 0
         self._table: np.ndarray | None = None
         self._inverse: np.ndarray | None = None
         self._atlases: dict = {}    # seed -> DualAtlas, kept by dual.enumerate_dual
@@ -838,21 +840,33 @@ class QuotientGroup:
 
     # -- the codec ------------------------------------------------------------
 
+    @functools.cached_property
+    def _place(self) -> np.ndarray:
+        """code(n) = n @ _place, built on first use: a quotient whose code
+        range passes int64 is constructed but never encodes."""
+        return grid_place(self.N, self.spec.d2)
+
     def ids(self, n, f, p) -> np.ndarray:
-        """Ids of the normal forms t(n)*f*p: n is an (..., d2) exponent stack,
-        reduced mod N, and f and p broadcast against its leading axes."""
+        """Ids of the normal forms t(n)*f*p: n is an (..., d2) int64 exponent
+        stack, reduced mod N, and f and p broadcast against its leading axes.
+        Exponents past int64 are the caller's to reduce mod N first."""
         spec = self.spec
-        n, f, p = (np.asarray(x, dtype=np.int64) for x in (n, f, p))
+        try:
+            n, f, p = (np.asarray(x, dtype=np.int64) for x in (n, f, p))
+        except OverflowError as exc:
+            raise ValueError(f"not normal forms of {spec.name}: an entry past int64") from exc
         if n.shape[-1:] != (spec.d2,) or _outside(f, spec.f_order) or _outside(p, spec.rot_order):
             raise ValueError(f"not normal forms of {spec.name}: exponents of shape {n.shape}, "
                              f"or f or p out of range")
-        return ((n % self.N @ self._place) * spec.f_order + f) * spec.rot_order + p
+        # the (d2, ...) rows of n, as np.moveaxis(n, -1, 0) but without its 3 us a call
+        return self._encode(n.transpose(n.ndim - 1, *range(n.ndim - 1)), f, p)
 
     def parts(self, ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(n, f, p) of a stack of ids: n as an (..., d2) array, f and p in ids' shape."""
-        rest, p = np.divmod(self._checked_ids(ids), self.spec.rot_order)
-        code, f = np.divmod(rest, self.spec.f_order)
-        return code[..., None] // self._place % self.N, f, p
+        """(n, f, p) of an array of ids: n as an (..., d2) array, f and p in
+        ids' shape; ValueError for an id outside [0, order)."""
+        x = self._checked_ids(ids)
+        n, f, p = self._decode(x.reshape(-1))
+        return n.reshape(x.shape + (self.spec.d2,)), f.reshape(x.shape), p.reshape(x.shape)
 
     def _checked_ids(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.int64)
@@ -860,24 +874,17 @@ class QuotientGroup:
             raise ValueError(f"id outside [0, {self.order})")
         return x
 
-    def nf(self, i: int) -> NormalForm:
-        """The normal form of one id, by integer arithmetic."""
-        if not 0 <= i < self.order:
-            raise IndexError(f"id {i} outside [0, {self.order})")
-        code, p = divmod(int(i), self.spec.rot_order)
-        code, f = divmod(code, self.spec.f_order)
-        return NormalForm(tuple(code // self.N ** k % self.N
-                                for k in range(self.spec.d2 - 1, -1, -1)), f, p)
+    def _encode(self, rows: np.ndarray, f, p) -> np.ndarray:
+        """(code(n mod N) * |F| + f) * |P| + p for (d2, ...) exponent rows n_i and
+        f and p that broadcast against the rows' trailing axes: the one encoder."""
+        return (_code(rows, self.N, self._place) * self.spec.f_order + f) * self.spec.rot_order + p
 
-    def reduce(self, nf: NormalForm) -> int:
-        """Id of one normal form after mod-N exponent reduction."""
-        spec = self.spec
-        if not (len(nf.n) == spec.d2 and 0 <= nf.f < spec.f_order and 0 <= nf.p < spec.rot_order):
-            raise ValueError(f"{nf} is not a normal form of {spec.name}")
-        code = 0
-        for x in nf.n:
-            code = code * self.N + x % self.N
-        return (code * spec.f_order + nf.f) * spec.rot_order + nf.p
+    def _decode(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(n, f, p) of a 1-D array of checked ids, n as the transpose of
+        (d2, k) rows: the one decoder."""
+        k, r = self.spec.f_order, self.spec.rot_order
+        rest, code = ids // r, ids // (k * r)
+        return _mod(code // self._place[:, None], self.N).T, rest - code * k, ids - rest * r
 
     # -- products ---------------------------------------------------------------
 
@@ -929,19 +936,12 @@ class QuotientGroup:
     def _evaluate(self, op, *ids: np.ndarray) -> np.ndarray:
         """op on the normal forms of id arrays of one shape, 8192 ids at a
         time: decode, apply op, reduce n mod N and encode."""
-        k, r = self.spec.f_order, self.spec.rot_order
         out = np.empty(ids[0].shape, dtype=np.int64)
         flat, step = out.reshape(-1), 2 ** 13
         for lo in range(0, out.size, step):
             n, f, p = op(*(self._decode(x.flat[lo:lo + step]) for x in ids))
-            flat[lo:lo + step] = (_code(n.T, self.N, self._place) * k + f) * r + p
+            flat[lo:lo + step] = self._encode(n.T, f, p)
         return out
-
-    def _decode(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """`parts` of a 1-D array of checked ids, n as the transpose of (d2, k) rows."""
-        k, r = self.spec.f_order, self.spec.rot_order
-        rest, code = ids // r, ids // (k * r)
-        return _mod(code // self._place[:, None], self.N).T, rest - code * k, ids - rest * r
 
     def mult_table(self) -> np.ndarray:
         """Full multiplication table, built on first use and checked.

@@ -18,7 +18,8 @@ formatted in one step, its floats' text filling the fields its walk left.
 
 A function file is written with one entry per element, in id order; a
 reader takes any subset of the elements, each at most once, and sets the
-others to zero.
+others to zero.  An entry's exponents may be integers of any size: each is
+reduced mod N as a Python int before the quotient encodes it.
 
 A Fourier table records the seed and the fingerprint of the atlas basis it
 was computed in and is read back only in that basis.  Its file holds one
@@ -52,7 +53,7 @@ import orjson
 
 from .dual import enumerate_dual
 from .errors import CapExceeded, EucisoError, IncompatibleShapes, IncompleteTable
-from .groups import DEFAULT_CAP, GroupSpec, NormalForm, QuotientGroup
+from .groups import DEFAULT_CAP, GroupSpec, QuotientGroup
 from .isometry import DEFAULT_TOL, Isometry
 from .fourier import FourierTable, PeriodicFunction
 
@@ -203,16 +204,22 @@ def function_to_dict(u: PeriodicFunction) -> dict:
 def function_from_dict(data: dict, q: QuotientGroup) -> PeriodicFunction:
     """The function a file holds.  Each value must be a rectangular matrix of
     [re, im] pairs of the file's shape, each number finite and neither a bool
-    nor a string (`json_float_block`); signed zeros are kept."""
+    nor a string (`json_float_block`); signed zeros are kept.  Every entry's
+    element is checked before any value is read, by one `QuotientGroup.ids`
+    call, so a file with several faults may report a later one first."""
     shape = _header(data, q, "function")
     u = PeriodicFunction(q, shape)
-    seen = set()
-    for entry in data["entries"]:
-        i = q.reduce(NormalForm(tuple(json_int(x, "n") for x in entry["n"]),
-                                json_int(entry["f"], "f"), json_int(entry["p"], "p")))
-        if i in seen:
-            raise ValueError(f"two entries name element {i} (n, f, p = {q.nf(i)})")
-        seen.add(i)
+    entries = data["entries"]
+    exponents = [[json_int(x, "n") % q.N for x in entry["n"]] for entry in entries]
+    ids = q.ids(np.array(exponents, dtype=np.int64).reshape(len(entries), q.spec.d2),
+                [json_int(entry["f"], "f") for entry in entries],
+                [json_int(entry["p"], "p") for entry in entries])
+    seen = np.zeros(q.order, dtype=bool)
+    for i, entry in zip(ids.tolist(), entries):
+        if seen[i]:
+            n, f, p = q.parts(i)
+            raise ValueError(f"two entries name element {i} (n, f, p = {n.tolist()}, {f}, {p})")
+        seen[i] = True
         got = _pairs_shape(entry["value"])
         if got != shape:
             raise IncompatibleShapes(f"value shape {got} != {shape}")

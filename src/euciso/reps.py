@@ -67,6 +67,7 @@ GATHER_BYTES = 32 * 2**20  # the solver's basis gathers and the atlas's label ph
 SPLIT_BYTES = 8 * 2**20    # one batch of a class split, its constituents included
 SOLVER_CAP = 1024          # largest order `irreps` solves; one solve at 1024 peaks near 120 MB
 KEY_BLOCK = 64             # character entries `irreducible_order` reads per refinement step
+SPLIT_DEPTH = 8            # deepest random redraw of a dense or batched irreducible split
 
 
 class Representation:
@@ -160,7 +161,7 @@ def _split_dense(mats: np.ndarray, rng, depth: int = 0) -> list[np.ndarray]:
     norm_sq = float(np.mean(np.abs(np.einsum("gii->g", mats)) ** 2))
     if abs(norm_sq - 1.0) < IRREDUCIBLE_TOL:
         return [mats]
-    if depth > 8:
+    if depth > SPLIT_DEPTH:
         raise ConvergenceFailure("irreducible split did not terminate")
     x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     x = x + x.conj().T
@@ -533,15 +534,15 @@ def _split_blocks(diag: np.ndarray, at_reps: np.ndarray, rngs) -> list:
     rngs[b] as `_split_dense` does: per row, the list of its constituents,
     or the ConvergenceFailure that ended its attempt.
 
-    A row whose eigenvalues form one cluster draws again, up to depth 8,
-    with the other such rows.  A cluster's (|TF| m, |P| m) product block is
-    copied once into (x, p) order, which is id order, so it is the
-    (|G|, m, m) stack as it stands."""
+    A row whose eigenvalues form one cluster draws again, up to depth
+    SPLIT_DEPTH, with the other such rows.  A cluster's (|TF| m, |P| m)
+    product block is copied once into (x, p) order, which is id order, so
+    it is the (|G|, m, m) stack as it stands."""
     k, t, d = diag.shape[1:4]
     size, n = k * d, k * t
     out: list = [ConvergenceFailure("irreducible split did not terminate")] * len(rngs)
     todo = list(range(len(rngs)))
-    for depth in range(9):
+    for depth in range(SPLIT_DEPTH + 1):
         x = np.array([rngs[b].standard_normal((size, size))
                       + 1j * rngs[b].standard_normal((size, size)) for b in todo])
         x = x + x.conj().swapaxes(1, 2)

@@ -4,14 +4,14 @@ The corrected point-group lift moves each coset representative p by an
 integer combination c_p of cocycle values, to t(c_p)*p; for exponents
 coprime to the point-group order the lifted set, together with n-th
 section powers and the kernel, complements the central translation block
-inside G mod T^(nm).  Every member is handled as in `groups`: a stack of
-q blocks, with translations as integers over the denominator D of
-`spec.points`, factored by `normal_forms`, or a quotient id.  The normal
-part and the complement are `SubgroupView`s of the quotient, whose members
-are ids.  Certificates are verified by exhaustive enumeration over the parts
-they name: each check asks `QuotientGroup.products` for the products it
-reads, so the quotient's multiplication table is built only where a check
-reads a large share of it.
+inside G mod T^(nm).  Every member is a normal form t(n)*f*p or a quotient
+id, and nothing here is a float: a lift t(c_p)*p is a normal form as it
+stands, and the normal part's powers t(v)^m are products of ids.  The
+normal part and the complement are `SubgroupView`s of the quotient, whose
+members are ids.  Certificates are verified by exhaustive enumeration over
+the parts they name: each check asks `QuotientGroup.products` for the
+products it reads, so the quotient's multiplication table is built only
+where a check reads a large share of it.
 """
 
 from __future__ import annotations
@@ -21,11 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BadModulus, IntegralityViolation, InternalInconsistency,
-                     NotAMember, NotCoprime)
+from .errors import BadModulus, IntegralityViolation, InternalInconsistency, NotCoprime
 # normal_form is unused here; perfbench's tests check that its tracer wraps this copy
 from .groups import (GroupSpec, NormalForm, QuotientGroup, SubgroupView,  # noqa: F401
-                     build_quotient, find_m0, grid_points, normal_form, normal_forms)
+                     build_quotient, find_m0, grid_points, normal_form)
 
 
 def _coboundary(spec: GroupSpec, tau: np.ndarray) -> np.ndarray:
@@ -81,22 +80,16 @@ def complement_set(spec: GroupSpec, n: int) -> ComplementSet:
 
     Each p_rep p is premultiplied by the section value t(c_p) of the integer
     correction c_p = -a(n) * sum_Q cocycle(P, Q), so its projection carries
-    the corrected translation part.  The lifts t(c_p)*p, with q blocks
-    section_q(c_p) q(p) and translations D c_p + tau_p, are factored as one
-    `normal_forms` stack.
+    the corrected translation part.  The lift t(c_p)*p is the normal form
+    (c_p, f_identity, p), with c_p unreduced.
     """
     r = spec.rot_order
     if math.gcd(n, r) != 1:
         raise NotCoprime(f"n={n} shares a factor with the point group order {r}")
     a = a_coeff(n, r)
     corr = -a * cocycle(spec).sum(axis=1)
-    d, _, p_tau, p_q = spec.points
-    try:
-        c, f = normal_forms(spec, spec.section_q(corr) @ p_q, range(r), d * corr + p_tau)
-    except NotAMember as exc:
-        raise InternalInconsistency("corrected lift left the group") from exc
-    comp = ComplementSet(spec, n, a, [NormalForm(tuple(row), fi, p)
-                                      for p, (row, fi) in enumerate(zip(c.tolist(), f.tolist()))])
+    comp = ComplementSet(spec, n, a, [NormalForm(tuple(c), spec.f_identity, p)
+                                      for p, c in enumerate(corr.tolist())])
     _check_projection_closure(spec, comp)
     return comp
 
@@ -166,13 +159,24 @@ def _ids(q: QuotientGroup, forms: list[NormalForm]) -> np.ndarray:
     return q.ids(n, [nf.f for nf in forms], [nf.p for nf in forms])
 
 
+def _power(q: QuotientGroup, x: np.ndarray, m: int) -> np.ndarray:
+    """x^m for an id array x and m >= 1, by squaring: one `q.products`
+    request per bit of m after the first and one per further set bit."""
+    power = x
+    for bit in bin(m)[3:]:
+        power = q.products(power, power)
+        if bit == "1":
+            power = q.products(power, x)
+    return power
+
+
 def split_quotient(spec: GroupSpec, m: int, n: int) -> SplitCertificate:
     """Certificate for G mod T^(nm) = (T^m part) x| (complement part).
 
     The normal factor is the image of m-th section powers t(v)^m, v in
-    [0, n)^d2, with q blocks section_q(v)^m and translations D m v; the
-    complement is generated by n-th section powers t(e_i)^n = t(n e_i), the
-    kernel, and the corrected point lifts.  Every property is checked by
+    [0, n)^d2, raised from the ids of t(v) by `_power`; the complement is
+    generated by n-th section powers t(e_i)^n = t(n e_i), the kernel, and
+    the corrected point lifts.  Every property is checked by
     enumeration of the products it reads; orders above DEFAULT_CAP are
     refused before anything order-sized is built.
     """
@@ -191,11 +195,9 @@ def split_quotient(spec: GroupSpec, m: int, n: int) -> SplitCertificate:
     checks: list[SplitCheck] = []
 
     # normal factor: the m-th section powers mod N
-    d, d2, one_p = spec.points[0], spec.d2, spec.p_identity
-    vecs = grid_points(n, d2)
-    powers = normal_forms(spec, np.linalg.matrix_power(spec.section_q(vecs), m),
-                          [one_p] * len(vecs), d * m * vecs)
-    normal = SubgroupView(q, q.ids(*powers, one_p))
+    d2, one_p = spec.d2, spec.p_identity
+    sections = q.ids(grid_points(n, d2), spec.f_identity, one_p)
+    normal = SubgroupView(q, _power(q, sections, m))
     checks.append(SplitCheck("normal-order", normal.order == n ** spec.d2,
                              f"{normal.order} vs n^d2 = {n ** spec.d2}"))
     block = _block(normal)

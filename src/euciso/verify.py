@@ -162,8 +162,8 @@ def run_suite(spec: GroupSpec, seed: int = 0) -> VerifyReport:
         chain = iso.compose(chain, gens[i])
         chain_ids.append(int(gen_ids[i]))
         drift = max(drift, iso.orth_deviation(chain.q))
-    ok_chain = (q.reduce(normal_form(spec, chain))
-                == functools.reduce(q.mul, chain_ids, q.identity))
+    nf = normal_form(spec, chain)
+    ok_chain = int(q.ids(nf.n, nf.f, nf.p)) == functools.reduce(q.mul, chain_ids, q.identity)
     triples = np.array([[int(rng.integers(len(gens))) for _ in range(3)] for _ in range(8)])
     lhs, close = [], []
     for a, b, c in triples:
@@ -172,7 +172,7 @@ def run_suite(spec: GroupSpec, seed: int = 0) -> VerifyReport:
         close.append(iso.approx_equal(lhs[-1], rhs, 10 * spec.tol))
     a, b, c = gen_ids[triples.T]
     checks.append(CheckResult("composition-associativity", ok_chain and all(close) and np.array_equal(
-        q.products(q.products(a, b), c), [q.reduce(nf) for nf in normal_forms_of(spec, lhs)])))
+        q.products(q.products(a, b), c), q.ids(*normal_forms_of(spec, lhs)))))
     checks.append(CheckResult("orthogonality-drift", drift <= ORTH_DRIFT_TOL,
                               _versus("max deviation", drift, ORTH_DRIFT_TOL)))
 

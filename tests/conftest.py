@@ -15,7 +15,7 @@ from euciso.dual import enumerate_dual, rep_set, wave_orbits
 from euciso.errors import (ConvergenceFailure, EucisoError, IncompatibleShapes, IncompleteTable,
                            InternalInconsistency, NotAMember)
 from euciso.fourier import FourierTable, PeriodicFunction
-from euciso.groups import (DEFAULT_CAP, ORDER_BOUND, GroupSpec, NormalForm, Violation,
+from euciso.groups import (DEFAULT_CAP, ORDER_BOUND, GroupSpec, Violation,
                            _cocycle, _conjugates, _factor, _kernel, _match_f, _rep_products,
                            build_quotient, find_m0, grid_points, normal_form, normal_forms)
 from euciso.reps import (MAX_RESEEDS, STRUCT_TOL, Representation, _split_dense, char_norm_sq,
@@ -292,7 +292,7 @@ def s4_plane_spec():
 
 def p_rep_element(q, p):
     """The id of the p-th p_rep, t(0)*f_id*p."""
-    return q.reduce(NormalForm((0,) * q.spec.d2, q.spec.f_identity, p))
+    return int(q.ids([0] * q.spec.d2, q.spec.f_identity, p))
 
 
 def dual_action(q, g, r):
@@ -488,7 +488,7 @@ def transform_at_oracle(u, rho, q):
     m, n = u.shape
     acc = np.zeros((m * rho.dim, n * rho.dim), dtype=complex)
     for nf, val in u.support.items():
-        acc += np.kron(val, rho.matrix(q.reduce(nf)))
+        acc += np.kron(val, rho.matrix(int(q.ids(nf.n, nf.f, nf.p))))
     return acc
 
 

@@ -459,6 +459,22 @@ def test_fourier_group_mismatch(tmp_path, capsys):
     assert code == 5
 
 
+@pytest.mark.parametrize("big", [2 ** 63, 2 ** 64 - 1, 2 ** 70, -2 ** 63 - 1])
+def test_function_file_exponents_of_any_size_reduce_mod_n(tmp_path, capsys, big):
+    # exponents past int64 are reduced as integers, never through a float
+    u = PeriodicFunction.random(quotient("pg", 3), (1, 2), np.random.default_rng(9))
+    d = json.loads(io.canonical_json(io.function_to_dict(u)))
+    entries, outputs = d["entries"], []
+    for n in ([big, 1 - big], [big % 3, (1 - big) % 3]):
+        d["entries"] = [dict(entries[4], n=n), entries[1]]
+        fn = tmp_path / "fn.json"
+        fn.write_text(json.dumps(d))
+        code, out = run(capsys, "fourier", "catalog:pg", str(fn))
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
 def test_fourier_entry_shape_mismatch(tmp_path, capsys):
     q = quotient("pg", 3)
     u = PeriodicFunction.random(q, (1, 2), np.random.default_rng(9))
@@ -520,7 +536,7 @@ def test_function_and_table_files_round_trip_bit_exactly():
     assert io.canonical_json(io.table_to_dict(back)) == text
 
 
-@pytest.mark.parametrize("f,p", [(2, 0), (0, -1), (0, 2)])
+@pytest.mark.parametrize("f,p", [(2, 0), (0, -1), (0, 2), (2 ** 70, 0), (0, -2 ** 64)])
 def test_fourier_entry_outside_the_normal_forms(tmp_path, capsys, f, p):
     # pg has |F| = 1 and |P| = 2; such an entry names no element and must not alias one
     d = io.function_to_dict(PeriodicFunction.delta(quotient("pg", 3)))
@@ -749,6 +765,28 @@ def test_fourier_reaches_the_solver_cap_before_reading_values(tmp_path, capsys):
     assert code == 4
     assert "table cap" in capsys.readouterr().err
     assert peak < ALLOCATION_BOUND
+
+
+PAST_INT64 = "99999999999999999999"
+
+
+@pytest.mark.parametrize("argv, want, text", [
+    (["analyze", "catalog:pg", "--N", PAST_INT64], 0, str(2 * int(PAST_INT64) ** 2)),
+    (["dual", "catalog:p1", "--N", PAST_INT64], 4, "table cap"),
+    (["split", "catalog:p1", "--m", PAST_INT64, "--n", "1"], 4, "table cap"),
+    (["split", "catalog:p1", "--m", "1", "--n", PAST_INT64], 4, "table cap"),
+    (["fourier", "catalog:p1", "FILE"], 4, "table cap"),
+], ids=["analyze", "dual", "split-m", "split-n", "fourier"])
+def test_a_period_past_int64_keeps_the_documented_exit_codes(tmp_path, capsys, argv, want, text):
+    # a quotient encodes nothing when it is built: analyze prints its order,
+    # and the table cap refuses it everywhere else
+    fn = tmp_path / "fn.json"
+    fn.write_text(json.dumps({"group": "p1", "N": int(PAST_INT64), "shape": [1, 1],
+                              "entries": []}))
+    code = main([str(fn) if x == "FILE" else x for x in argv])
+    out, err = capsys.readouterr()
+    assert code == want
+    assert text in (out if want == 0 else err)
 
 
 def test_fourier_solves_nothing_larger_than_the_tf_view_at_m0(tmp_path, capsys, monkeypatch):

@@ -46,6 +46,28 @@ def test_no_module_imports_a_name_it_never_reads():
     assert [line for path in paths for line in unused_imports(path)] == []
 
 
+FLOAT_FACTORING = {"normal_forms", "normal_forms_of", "normal_form", "_factor", "_match_f",
+                   "section_q"}
+
+
+def test_float_factoring_stays_at_the_boundary():
+    # the spec reader's checks, the m0 search and the presentation (groups)
+    # and verify's oracles factor float q blocks; every other module works
+    # on integer normal forms and ids.  An import is not a call, so an
+    # import kept for perfbench's tracer does not count
+    calls = []
+    for path in sorted((ROOT / "src" / "euciso").glob("*.py")):
+        if path.name in ("groups.py", "verify.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in FLOAT_FACTORING:
+                    calls.append(f"{path.name}:{node.lineno} {name}")
+    assert calls == []
+
+
 def test_imports_are_the_declared_dependencies():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in project["dependencies"]}

@@ -304,9 +304,9 @@ def test_nesting_across_periods(rng):
     u = PeriodicFunction.random(q3, (1, 1), rng)
     lifted = u.lift(6)
     t6 = transform(lifted)
-    block = [i for i in q6.elements
-             if all(x % 3 == 0 for x in q6.nf(i).n)
-             and q6.nf(i).f == s.f_identity and q6.nf(i).p == s.p_identity]
+    n, f, p = q6.parts(q6.elements)
+    block = np.flatnonzero((n % 3 == 0).all(axis=1) & (f == s.f_identity)
+                           & (p == s.p_identity)).tolist()
     for i, rho in enumerate(t6.atlas.irreps):
         if np.abs(t6.entries[i]).max() > 1e-8:
             assert trivial_on(rho, block)
@@ -352,9 +352,28 @@ def test_convolution_unit_and_shift():
     shift = SummableFunction(q.spec, (2, 2))
     shift[NormalForm((4, -3), 0, 1)] = np.eye(2)   # unbounded exponents allowed
     conv = convolve(shift, v)
-    h = q.reduce(NormalForm((4, -3), 0, 1))
+    h = int(q.ids((4, -3), 0, 1))
     for g in q.elements:
         assert np.abs(conv[g] - v[q.mul(q.inv(h), g)]).max() < 1e-14
+
+
+@pytest.mark.parametrize("big", [2 ** 63, 2 ** 64 - 1, 2 ** 70, -2 ** 63 - 1])
+def test_summable_exponents_of_any_size_reduce_mod_n(big):
+    q = quotient("pg", 3)
+    rng = np.random.default_rng(4)
+    v = PeriodicFunction.random(q, (2, 3), rng)
+    vals = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+    forms = [((big, 1), 0, 1), ((2, -big), 0, 0)]
+    results = []
+    for reduce in (False, True):
+        u = SummableFunction(q.spec, (2, 2))
+        for (n, f, p), val in zip(forms, vals):
+            u[NormalForm(tuple(x % q.N if reduce else x for x in n), f, p)] = val
+        results.append((u.transform_at(transform(v).atlas), convolve(u, v).values))
+    (series, conv), (want_series, want_conv) = results
+    assert series.keys() == want_series.keys()
+    assert all(np.array_equal(series[i], want_series[i]) for i in series)
+    assert np.array_equal(conv, want_conv)
 
 
 def test_convolution_transform_identity(rng):
@@ -384,16 +403,13 @@ def test_classical_dft_limit(rng):
     q = quotient("p1", 4)
     u = PeriodicFunction.random(q, (1, 1), rng)
     grid = np.zeros((4, 4), dtype=complex)
-    for i in q.elements:
-        n = q.nf(i).n
+    for i, n in zip(q.elements, q.parts(q.elements)[0].tolist()):
         grid[n[0], n[1]] = u[i][0, 0]
     dft = np.fft.fft2(grid) / 16
     t = transform(u)
     for i, rho in enumerate(t.atlas.irreps):
         # read the wave vector off the generator phases
-        phases = [rho.matrix(q.reduce(NormalForm(tuple(int(r == j) for r in range(2)),
-                                                 0, 0)))[0, 0]
-                  for j in range(2)]
+        phases = [rho.matrix(i)[0, 0] for i in q.ids(np.eye(2, dtype=np.int64), 0, 0).tolist()]
         ks = [round(np.angle(ph) / (2 * np.pi) * 4) % 4 for ph in phases]
         assert abs(t.entries[i][0, 0] - dft[(-ks[0]) % 4, (-ks[1]) % 4]) <= 1e-10
 

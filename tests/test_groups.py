@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,12 @@ from conftest import (c5_quarter_spec, collection_oracle, compose_all, cyclic, i
                       rod_spec, rotations_of_cube, s3_plane_spec, s4_plane_spec, section,
                       section_q_oracle, spec, time_limit, translation_isometry,
                       validate_spec_oracle)
+
+
+def form(q, i):
+    """The normal form of one id, read from `QuotientGroup.parts`."""
+    n, f, p = q.parts(i)
+    return NormalForm(tuple(n.tolist()), int(f), int(p))
 
 
 # -- oracle: independent membership and normality test -------------------------
@@ -584,16 +591,12 @@ def test_codec_matches_listed_normal_forms(name, k, reversed_lists):
     listed = oracle_normal_forms(s, N)
     index = {nf: i for i, nf in enumerate(listed)}
     assert q.order == len(listed)
-    assert [q.nf(i) for i in q.elements] == listed
     n, f, p = q.parts(q.elements)
     assert list(map(NormalForm, map(tuple, n.tolist()), f.tolist(), p.tolist())) == listed
     assert q.identity == index[NormalForm((0,) * s.d2, s.f_identity, s.p_identity)]
     # exponents below 0 and at or above N reduce mod N
     shifts = np.random.default_rng(N).integers(-3, 4, n.shape) * N
     assert (q.ids(n + shifts, f, p) == np.arange(q.order)).all()
-    for nf, shift in list(zip(listed, shifts.tolist()))[::7]:
-        moved = NormalForm(tuple(x + y - 2 * N for x, y in zip(nf.n, shift)), nf.f, nf.p)
-        assert q.reduce(moved) == index[nf]
     assert list(q.tf_indices()) == [i for i, nf in enumerate(listed) if nf.p == s.p_identity]
     coarse = build_quotient(s, m0)
     coarse_index = {nf: i for i, nf in enumerate(oracle_normal_forms(s, m0))}
@@ -637,16 +640,10 @@ def test_codec_rejects_what_is_not_a_normal_form():
     q = build_quotient(s, 2)
     for f, p in [(s.f_order, 0), (0, -1), (0, s.rot_order), (-1, 0)]:
         with pytest.raises(ValueError):
-            q.reduce(NormalForm((0, 0), f, p))
-        with pytest.raises(ValueError):
             q.ids([[0, 0]], [f], [p])
-    with pytest.raises(ValueError):
-        q.reduce(NormalForm((0,), 0, 0))
     with pytest.raises(ValueError):
         q.ids([[0, 0, 0]], [0], [0])
     for i in (-1, q.order):
-        with pytest.raises(IndexError):
-            q.nf(i)
         with pytest.raises(ValueError):
             q.parts([0, i])
 
@@ -663,7 +660,7 @@ def test_section_bijectivity():
     for name, N in [("pg", 3), ("twistE8", 2), ("helix-C3", 4)]:
         s = spec(name)
         q = build_quotient(s, N)
-        images = {q.reduce(normal_form(s, section(s, v)))
+        images = {int(q.ids(*astuple(normal_form(s, section(s, v)))))
                   for v in itertools.product(range(N), repeat=s.d2)}
         assert len(images) == N ** s.d2
 
@@ -678,10 +675,10 @@ def test_mod_reduction_soundness(rng):
             j = int(rng.integers(s.d2))
             shifted = list(n)
             shifted[j] += N
-            lhs = q.reduce(normal_form(s, section(s, shifted)))
+            lhs = int(q.ids(*astuple(normal_form(s, section(s, shifted)))))
             ej = [int(i == j) for i in range(s.d2)]
-            rhs = q.mul(q.reduce(normal_form(s, section(s, n))),
-                        q.reduce(normal_form(s, power(section(s, ej), N))))
+            rhs = q.mul(int(q.ids(*astuple(normal_form(s, section(s, n))))),
+                        int(q.ids(*astuple(normal_form(s, power(section(s, ej), N))))))
             assert lhs == rhs
 
 
@@ -700,8 +697,8 @@ def test_quotient_multiplication_matches_isometries(rng):
             pairs = [(int(rng.integers(q.order)), int(rng.integers(q.order)))
                      for _ in range(samples)]
         for i, j in pairs:
-            direct = q.reduce(normal_form(s, iso.compose(reconstruct(s, q.nf(i)),
-                                                         reconstruct(s, q.nf(j)))))
+            direct = int(q.ids(*astuple(normal_form(
+                s, iso.compose(reconstruct(s, form(q, i)), reconstruct(s, form(q, j)))))))
             assert table[i, j] == direct, (s.name, N, i, j)
         # identity and inverses
         assert (table[q.identity] == np.arange(q.order)).all()
@@ -736,7 +733,7 @@ def test_reconstruct_round_trip(rng):
     q = build_quotient(s, 2)
     for _ in range(25):
         i = int(rng.integers(q.order))
-        assert normal_form(s, reconstruct(s, q.nf(i))) == q.nf(i)
+        assert normal_form(s, reconstruct(s, form(q, i))) == form(q, i)
 
 
 @settings(max_examples=40)
@@ -746,7 +743,10 @@ def test_normal_forms_of_reconstruct_round_trip(name, data):
     nf = st.builds(NormalForm, st.tuples(*[st.integers(-20, 20)] * s.d2),
                    st.integers(0, s.f_order - 1), st.integers(0, s.rot_order - 1))
     nfs = data.draw(st.lists(nf, min_size=1, max_size=8))
-    assert normal_forms_of(s, [reconstruct(s, x) for x in nfs]) == nfs
+    n, f, p = normal_forms_of(s, [reconstruct(s, x) for x in nfs])
+    assert n.shape == (len(nfs), s.d2)
+    assert (n.tolist(), f.tolist(), p.tolist()) == (
+        [list(x.n) for x in nfs], [x.f for x in nfs], [x.p for x in nfs])
 
 
 @settings(max_examples=40)

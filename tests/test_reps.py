@@ -9,7 +9,7 @@ import pytest
 from euciso import catalog, reps
 from euciso.dual import rep_set, wave_orbits
 from euciso.errors import CapExceeded, ConvergenceFailure, InternalInconsistency
-from euciso.groups import DEFAULT_CAP, NormalForm, SubgroupView, build_quotient, tf_slice
+from euciso.groups import DEFAULT_CAP, SubgroupView, build_quotient, tf_slice
 from euciso.reps import (STRUCT_TOL, Representation, _Characters, _split_dense, char_inner,
                          char_norm_sq, check_irreducibles, chi,
                          distinct_constituents, equivalent, induce, intertwiner, irreps,
@@ -301,7 +301,7 @@ def test_wave_characters_exact():
     qh = build_quotient(helix, 3)
     wave = chi(helix, (Fraction(1, 3),)).on(qh)
     for f in range(helix.f_order):
-        i = qh.reduce(NormalForm((0,), f, helix.p_identity))
+        i = int(qh.ids((0,), f, helix.p_identity))
         assert abs(wave.matrix(i)[0, 0] - 1) < 1e-12
 
 
@@ -430,10 +430,9 @@ def test_lifted_irreps_are_the_periodic_ones():
     fine = quotient("p1", 4)
     lifted = [lift_representation(r, fine) for r in quotient_irreps(coarse)]
     # elements of the N=2 translation block inside the N=4 quotient
-    block = [i for i in fine.elements
-             if all(x % 2 == 0 for x in fine.nf(i).n)
-             and fine.nf(i).f == fine.spec.f_identity
-             and fine.nf(i).p == fine.spec.p_identity]
+    n, f, p = fine.parts(fine.elements)
+    block = np.flatnonzero((n % 2 == 0).all(axis=1) & (f == fine.spec.f_identity)
+                           & (p == fine.spec.p_identity)).tolist()
     periodic = [r for r in quotient_irreps(fine) if trivial_on(r, block)]
     assert len(periodic) == len(lifted) == 4
     for lift in lifted:
@@ -453,7 +452,7 @@ def test_scale_by_character_matches_pointwise():
     wave = chi(s, (Fraction(1, 3), 0))
     scaled = scale_by_character(wave, rho)
     for i in list(rho.domain.elements)[:6]:
-        want = wave.value(q.nf(i).n) * rho.matrix(i)
+        want = wave.value(q.parts(i)[0].tolist()) * rho.matrix(i)
         assert np.abs(scaled.matrix(i) - want).max() < 1e-12
 
 
@@ -467,7 +466,7 @@ def test_wave_phases_equal_value():
         ks += [(Fraction(-7, 5),) * s.d2, (Fraction(13, 3),) + (Fraction(1, 7),) * (s.d2 - 1)]
         for k in ks:
             wave = chi(s, k)
-            want = [wave.value(q.nf(i).n) for i in q.elements]
+            want = [wave.value(n) for n in q.parts(q.elements)[0].tolist()]
             assert wave.phases(q).tolist() == want
             assert wave.phases(q.tf_subgroup()).tolist() == want[s.p_identity::s.rot_order]
 
