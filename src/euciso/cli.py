@@ -199,8 +199,7 @@ def cmd_split(args) -> int:
                    "group": cert.group_order},
         "direct_product": cert.direct_product,
         "passed": cert.passed,
-        "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
-                   for c in cert.checks],
+        "checks": _checks(cert.checks),
         "normal_part": [_nf_dict(nf) for nf in cert.normal_part],
         "complement_part": [_nf_dict(nf) for nf in cert.complement_part],
     }
@@ -214,8 +213,7 @@ def cmd_verify(args) -> int:
     payload = {
         "name": spec.name,
         "passed": report.passed,
-        "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
-                   for c in report.checks],
+        "checks": _checks(report.checks),
     }
     failure = report.first_failure()
     if failure:
@@ -229,6 +227,10 @@ def cmd_catalog(args) -> int:
                for name, entry in catalog.CATALOG.items()}
     emit(payload, args.out)
     return 0
+
+
+def _checks(checks) -> list[dict]:
+    return [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks]
 
 
 def _nf_dict(nf) -> dict:

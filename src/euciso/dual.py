@@ -10,14 +10,17 @@ shifts b = m0 s on the grid [0, m0)^d2 (`groups.grid_points`).
 
 `enumerate_dual` turns the labels into the quotient's irreducibles, one
 class rho at a time and one array pass over the class's labels: their
-integer numerators a = N k give every phase in one gather from the N-th
-roots of unity, and from those come their twisted and induced characters,
-norms and Mackey verdicts.  Each label's fate is its stabilizer order, read
-exactly from its wave orbit, not its null-set flag: an irreducible induced
-representation (order 1) is induced only when `DualAtlas.stacks` is read,
-and the class's reducible labels are split together at once on the TF
-blocks of their twisted classes (`reps.split_induced`), averaging over TF
-and the coset representatives rather than over the whole quotient.
+integer numerators a = N k give every phase in one gather
+(`reps.wave_phases`), and from those come their twisted and induced
+characters, norms and Mackey verdicts.  Each label's fate is its
+stabilizer order, read exactly from its wave orbit, not its null-set flag:
+an irreducible induced representation (order 1) is induced only when
+`DualAtlas.stacks` is read, from the class lifted once and the label's
+numerators, which the atlas keeps; the class's reducible labels are split
+together at once on the TF blocks of their twisted classes
+(`reps.split_induced`), averaging over TF and the coset representatives
+rather than over the whole quotient.  The basis is sorted by dimension
+first, so the atlas holds it as one stack per dimension, in order.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -33,9 +37,9 @@ import numpy as np
 from .errors import InternalInconsistency
 from .groups import GroupSpec, QuotientGroup, build_quotient, find_m0, grid_place, grid_points
 from .reps import (FINGERPRINT_DECIMALS, GATHER_BYTES, STRUCT_TOL, Representation,
-                   check_irreducibles, chi, distinct_constituents, induce, induced_character,
+                   check_irreducibles, distinct_constituents, induce, induced_character,
                    integral, irreducible_order, irreps, lift_representation, mackey_irreducible,
-                   roots_of_unity, scale_by_character, split_induced)
+                   split_induced, wave_phases)
 
 FracVec = tuple[Fraction, ...]
 
@@ -78,13 +82,6 @@ def _twist_hits(moved: np.ndarray, twists: np.ndarray) -> np.ndarray:
     return np.abs(twists[None] - moved[:, None]).max(axis=2) <= STRUCT_TOL
 
 
-def _shift_phases(sub, shifts: np.ndarray, m0: int) -> np.ndarray:
-    """(|shifts|, |sub|) phases of chi_s on a subgroup view for the shifts
-    s = b / m0 of an integer (|shifts|, d2) stack b, read from one table of
-    the m0-th roots of unity as `WaveCharacter.phases` reads its own."""
-    return roots_of_unity(m0)[(shifts @ sub.exponents.T) % m0]
-
-
 def rep_set(spec: GroupSpec, seed: int = 0) -> RepSet:
     """Greedy classification of the dual of (TF)_m0 under the twisted action.
 
@@ -101,7 +98,7 @@ def rep_set(spec: GroupSpec, seed: int = 0) -> RepSet:
     sub = q.tf_subgroup()
     shifts = grid_points(m0, spec.d2)
     conj = q.coset_conjugation
-    phases = _shift_phases(sub, shifts, m0)
+    phases = wave_phases(shifts, m0, sub.exponents)
 
     # twists[i] holds the characters chi_s * classes[i], one row per shift s
     classes, twists, little_groups, provenance = [], [], [], []
@@ -236,10 +233,14 @@ class DualAtlas:
     representation is reducible, or else the index in `labels` of the label
     whose induced representation it is.  The Mackey verdict
     (`LabelReport.irreducible`) decides which, not the null-set flag.
-    `stacks` builds, on first use, one (|G|, k, d, d) array per dimension d,
-    holding its k irreducibles in basis order and inducing each lazy one
-    once; the Fourier transform reads them whole.  Each of `irreps` is a
-    (|G|, d, d) view into its dimension's array, and `basis` fingerprints them.
+    `lifted` holds each class rho of the rep set on q's TF part, and
+    `numerators` each label's integer numerators a, k = a / N: the
+    irreducible of a lazy label is Ind(chi_k rho), built from those two
+    alone.  The basis is sorted by dimension first
+    (`reps.irreducible_order`), so `stacks` is one (|G|, k, d, d) array per
+    dimension d, ascending, whose k slots are the next k irreducibles of
+    the basis; the Fourier transform reads them whole.  Each of `irreps` is
+    a (|G|, d, d) view into its slot, and `basis` fingerprints them.
     """
 
     q: QuotientGroup
@@ -249,48 +250,38 @@ class DualAtlas:
     dims: list[int]
     checks: dict[str, bool]
     sources: list[np.ndarray | int] = field(repr=False)
+    lifted: list[Representation] = field(repr=False)
+    numerators: np.ndarray = field(repr=False)
 
     @property
     def census_dims(self) -> list[int]:
         return sorted(self.dims)
 
     @functools.cached_property
-    def stacks(self) -> dict[int, tuple[list[int], np.ndarray]]:
-        """Per irreducible dimension d, in order of first appearance in the
-        basis: the basis indices of its k irreducibles and their images as
-        one (|G|, k, d, d) array.  A split stack is copied in and `sources`
-        then holds its view, so no irreducible is held twice.  The basis is
-        sorted by dimension first (`reps.irreducible_order`), so the
-        dimensions ascend and each index list is a contiguous ascending
-        range: taken in order, the lists are the basis order."""
-        q = self.q
-        by_dim: dict[int, list[int]] = {}
-        for i, d in enumerate(self.dims):
-            by_dim.setdefault(d, []).append(i)
-        stacks = {d: (idx, np.empty((q.order, len(idx), d, d), dtype=complex))
-                  for d, idx in by_dim.items()}
-        lifted: dict[int, Representation] = {}
-        for d, (idx, stack) in stacks.items():
-            for j, i in enumerate(idx):
-                src = self.sources[i]
-                if isinstance(src, int):
-                    label = self.labels[src].label
-                    if label.rho_index not in lifted:
-                        lifted[label.rho_index] = lift_representation(
-                            self.rep_set.classes[label.rho_index], q)
-                    src = induce(q, scale_by_character(chi(q.spec, label.k),
-                                                       lifted[label.rho_index])).mats
-                else:
-                    self.sources[i] = stack[:, j]
-                stack[:, j] = src
+    def stacks(self) -> dict[int, np.ndarray]:
+        """Per irreducible dimension d, ascending: the images of its k
+        irreducibles, the next k of the basis, as one (|G|, k, d, d) array.
+        A split stack is copied in and `sources` then holds its view, so no
+        irreducible is held twice; a lazy label is induced into its slot."""
+        q, sub = self.q, self.q.tf_subgroup()
+        stacks = {d: np.empty((q.order, k, d, d), dtype=complex)
+                  for d, k in Counter(self.dims).items()}
+        slots = [stack[:, j] for stack in stacks.values() for j in range(stack.shape[1])]
+        for i, (slot, src) in enumerate(zip(slots, self.sources)):
+            if isinstance(src, int):
+                phases = wave_phases(self.numerators[src], q.N, sub.exponents)
+                rho = self.lifted[self.labels[src].label.rho_index]
+                src = induce(q, Representation(sub, phases[:, None, None] * rho.mats)).mats
+            else:
+                self.sources[i] = slot
+            slot[...] = src
         return stacks
 
     @functools.cached_property
     def irreps(self) -> list[Representation]:
         """The quotient's irreducibles in basis order, views into `stacks`."""
-        views = {i: stack[:, j] for idx, stack in self.stacks.values()
-                 for j, i in enumerate(idx)}
-        return [Representation(self.q, views[i]) for i in range(len(self.dims))]
+        return [Representation(self.q, stack[:, j])
+                for stack in self.stacks.values() for j in range(stack.shape[1])]
 
     @functools.cached_property
     def basis(self) -> str:
@@ -352,22 +343,24 @@ def enumerate_dual(spec: GroupSpec, N: int, seed: int = 0) -> DualAtlas:
     induced from its twisted class tau = chi_k rho on the TF part.  The
     labels are taken a class rho at a time, as arrays: with k = a / N, the
     phases chi_k(t) = exp(2 pi i a.n(t) / N) of all the class's labels are
-    one gather from `reps.roots_of_unity(N)`, the twisted characters are
+    one gather (`reps.wave_phases`), the twisted characters are
     formed in place in one (L, |TF|) block, and `induced_character` adds
     the cosets to it one at a time, without matrices; labels go in chunks
     of GATHER_BYTES.  The label's stabilizer order, len(p) of its class's
     little group over its orbit size (orbit-stabilizer), decides what is
     built, and `reps.mackey_irreducible` checks the whole class's orders
     against the induced norms.  An irreducible induced representation
-    (order 1) gets no stack here, and `DualAtlas.stacks` induces it on
-    first use.  The class's reducible labels are split now, in one call to
-    `reps.split_induced`, straight from their phases and rho's (|TF|, d, d)
-    stack, averaging over TF and the coset representatives by a block
-    identity, so no (|G|, |P| d, |P| d) stack is built.  Their constituents
-    have dimension at most |P| d_rho, and `reps.distinct_constituents`
-    keeps one per character within each label; labels share no
-    constituent.  The irreducibles are put in `reps.irreducible_order`, the
-    basis Fourier tables use, and the atlas is kept on the quotient per seed.
+    (order 1) gets no stack here: the atlas keeps each class lifted to q
+    and each label's numerators, and `DualAtlas.stacks` induces it from
+    those on first use.  The class's reducible labels are split now, in
+    one call to `reps.split_induced`, straight from their phases and rho's
+    (|TF|, d, d) stack, averaging over TF and the coset representatives by
+    a block identity, so no (|G|, |P| d, |P| d) stack is built.  Their
+    constituents have dimension at most |P| d_rho, and
+    `reps.distinct_constituents` keeps one per character within each
+    label; labels share no constituent.  The irreducibles are put in
+    `reps.irreducible_order`, the basis Fourier tables use, and the atlas
+    is kept on the quotient per seed.
 
     Each label's report holds its induced dimension, irreducibility (the
     stabilizer order is 1), character norm and decomposition into the
@@ -389,33 +382,29 @@ def enumerate_dual(spec: GroupSpec, N: int, seed: int = 0) -> DualAtlas:
     sub, conj = q.tf_subgroup(), q.coset_conjugation
     orbits = [wave_orbits(spec, rs, rho_index, N) for rho_index in range(len(rs.classes))]
     labels = [label for class_labels in orbits for label in class_labels]
-    # k = a / N: each label's integer numerators, and its phases at the TF exponents
+    # k = a / N: each label's integer numerators
     a = np.array([[x.numerator * (N // x.denominator) for x in label.k] for label in labels],
                  dtype=np.int64).reshape(len(labels), spec.d2)
-
-    def phase_rows(rows) -> np.ndarray:
-        return (a[rows] @ sub.exponents.T) % N
-
+    lifted = [lift_representation(rho, q) for rho in rs.classes]
     twisted = np.empty((len(labels), sub.order), dtype=complex)
     induced, norms = np.empty_like(twisted), np.empty(len(labels))
     irreducible = np.empty(len(labels), dtype=bool)
     chunk = max(1, GATHER_BYTES // (twisted.itemsize * sub.order))
     split_stacks, split_chars, start = [], [], 0
-    for rho, class_labels, lg in zip(rs.classes, orbits, rs.little_groups):
-        lifted = lift_representation(rho, q)
+    for rho, class_labels, lg in zip(lifted, orbits, rs.little_groups):
         stop = start + len(class_labels)
         # twisted characters chi_k rho in place, then the induced ones coset by coset
         for lo in range(start, stop, chunk):
             part = slice(lo, min(lo + chunk, stop))
-            np.take(roots_of_unity(N), phase_rows(part), out=twisted[part])
-            twisted[part] *= lifted.char
+            wave_phases(a[part], N, sub.exponents, out=twisted[part])
+            twisted[part] *= rho.char
             flat = induced_character(conj, twisted[part], out=induced[part]).view(float)
             norms[part] = np.einsum("lt,lt->l", flat, flat) / q.order
         stabilizers = len(lg.p) // np.array([label.orbit_size for label in class_labels])
         irreducible[start:stop] = mackey_irreducible(norms[start:stop], stabilizers)
         # the class's reducible labels, split together
         reducible = start + np.flatnonzero(~irreducible[start:stop])
-        for pieces in split_induced(q, lifted, roots_of_unity(N)[phase_rows(reducible)], seed):
+        for pieces in split_induced(q, rho, wave_phases(a[reducible], N, sub.exponents), seed):
             stacks, chars = distinct_constituents(pieces)
             split_stacks += stacks
             split_chars.append(chars)
@@ -454,5 +443,6 @@ def enumerate_dual(spec: GroupSpec, N: int, seed: int = 0) -> DualAtlas:
         (decomposition @ dims == [r.induced_dim for r in reports]).all())
     sources = [lazy[u] if u < len(lazy) else split_stacks[u - len(lazy)]
                for u in order.tolist()]
-    q._atlases[seed] = DualAtlas(q, seed, rs, reports, dims.tolist(), checks, sources)
+    q._atlases[seed] = DualAtlas(q, seed, rs, reports, dims.tolist(), checks, sources,
+                                 lifted, a)
     return q._atlases[seed]

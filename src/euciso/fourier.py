@@ -10,13 +10,15 @@ inversion applied blockwise and is validated by round trips.  The dense
 transform is a product with the group's Fourier matrix (Clausen and Baum,
 Fast Fourier Transforms, 1993): the atlas holds the k irreducibles of each
 dimension d as one (n, k, d, d) array (`DualAtlas.stacks`), built once per
-quotient and seed, so the transform and the inverse make one matrix
-product per irreducible dimension on it as it is, and copy no stack.  A
-table is laid out the same way: one (k, m d, n d) array of values per
-dimension, which the transform stores as its product leaves it and the
-inverse reads back with one copy of one dimension at a time.  A finitely
-supported function's series, which the convolution identity checks, reads
-the same stacks: one Kronecker accumulation per dimension and support term.
+quotient and seed; the basis is sorted by dimension first, so those
+arrays, in ascending d, are the basis in order.  The transform and the
+inverse make one matrix product per irreducible dimension on it as it is,
+and copy no stack.  A table is laid out the same way: one (k, m d, n d)
+array of values per dimension, which the transform stores as its product
+leaves it and the inverse reads back with one copy of one dimension at a
+time.  A finitely supported function's series, which the convolution
+identity checks, reads the same stacks: one Kronecker accumulation per
+dimension and support term.
 """
 
 from __future__ import annotations
@@ -120,8 +122,9 @@ class FourierTable:
     """The transform of one function of shape (m, n) in its atlas's basis.
 
     `stacks[d]` is one (k, m d, n d) complex array per irreducible dimension
-    d: the values at the k irreducibles of `atlas.stacks[d]`'s index list, in
-    that order.  `entries` maps each basis index to its (m d, n d) value, a
+    d, in the order of `atlas.stacks`: the values at the k irreducibles of
+    `atlas.stacks[d]`, in their order, so the stacks taken in turn are the
+    basis order.  `entries` maps each basis index to its (m d, n d) value, a
     view into its dimension's stack; the mapping is read-only, so a table
     always covers every irreducible.
     """
@@ -136,11 +139,8 @@ class FourierTable:
 
     @functools.cached_property
     def entries(self) -> Mapping[int, np.ndarray]:
-        views = [None] * len(self.atlas.dims)
-        for d, (idx, _) in self.atlas.stacks.items():
-            for i, value in zip(idx, self.stacks[d]):
-                views[i] = value
-        return MappingProxyType(dict(enumerate(views)))
+        return MappingProxyType(dict(enumerate(
+            value for d in self.atlas.stacks for value in self.stacks[d])))
 
 
 def transform(u: PeriodicFunction, seed: int = 0) -> FourierTable:
@@ -150,10 +150,11 @@ def transform(u: PeriodicFunction, seed: int = 0) -> FourierTable:
     m, mm = u.shape
     flat = u.values.reshape(n, m * mm)
     stacks = {}
-    for d, (idx, stack) in atlas.stacks.items():
-        acc = (flat.T @ stack.reshape(n, -1) / n).reshape(m, mm, len(idx), d, d)
+    for d, stack in atlas.stacks.items():
+        k = stack.shape[1]
+        acc = (flat.T @ stack.reshape(n, -1) / n).reshape(m, mm, k, d, d)
         acc = np.ascontiguousarray(acc.transpose(2, 0, 3, 1, 4))
-        stacks[d] = acc.reshape(len(idx), m * d, mm * d)
+        stacks[d] = acc.reshape(k, m * d, mm * d)
     return FourierTable(atlas, u.shape, stacks)
 
 
@@ -163,10 +164,10 @@ def inverse_transform(table: FourierTable) -> PeriodicFunction:
     order = table.q.order
     dense = np.zeros((order, m * n), dtype=complex)
     term = np.empty_like(dense)
-    for d, (idx, stack) in table.atlas.stacks.items():
+    for d, stack in table.atlas.stacks.items():
         # the one copy of a dimension's values, conjugated in place; then
         # conj(rho) @ b as conj(rho @ conj(b)), so the shared stack stays as it is
-        blocks = table.stacks[d].reshape(len(idx), m, d, n, d).transpose(0, 2, 4, 1, 3).copy()
+        blocks = table.stacks[d].reshape(-1, m, d, n, d).transpose(0, 2, 4, 1, 3).copy()
         np.conj(blocks, out=blocks)
         np.matmul(stack.reshape(order, -1), blocks.reshape(-1, m * n), out=term)
         del blocks      # before the next dimension's copy is made
@@ -228,28 +229,19 @@ class SummableFunction:
             u[nf] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         return u
 
-    def ids(self, q: QuotientGroup) -> np.ndarray:
-        """The ids in q of the support's normal forms, in support order, by one
-        `QuotientGroup.ids` call; each exponent, of any size, is reduced mod
-        q.N as a Python int first."""
-        forms = self.support
-        n = [[x % q.N for x in nf.n] for nf in forms]
-        return q.ids(np.array(n, dtype=np.int64).reshape(len(forms), self.spec.d2),
-                     [nf.f for nf in forms], [nf.p for nf in forms])
-
     def transform_at(self, atlas: DualAtlas) -> dict[int, np.ndarray]:
         """Unnormalized series sum_g u(g) (x) rho(g) over the finite support,
         keyed by each irreducible's index in the atlas's basis.  Each
         dimension's stack takes the terms in support order, from zeros."""
         q, (m, n) = atlas.q, self.shape
-        ids = self.ids(q)
-        out = {}
-        for d, (idx, stack) in atlas.stacks.items():
-            acc = np.zeros((len(idx), m * d, n * d), dtype=complex)
+        ids = q.ids_of(self.support)
+        out = []
+        for d, stack in atlas.stacks.items():
+            acc = np.zeros((stack.shape[1], m * d, n * d), dtype=complex)
             for g, val in zip(ids, self.support.values()):
                 acc += kron_stack(val, stack[g])
-            out.update(zip(idx, acc))
-        return dict(sorted(out.items()))
+            out.extend(acc)
+        return dict(enumerate(out))
 
 
 def kron_stack(a: np.ndarray, mats: np.ndarray) -> np.ndarray:
@@ -265,6 +257,6 @@ def convolve(u: SummableFunction, v: PeriodicFunction) -> PeriodicFunction:
         raise IncompatibleShapes(f"inner shapes {u.shape} / {v.shape} do not match")
     q = v.q
     out = np.zeros((q.order, u.shape[0], v.shape[1]), dtype=complex)
-    for h, val in zip(q.inverses(u.ids(q)), u.support.values()):
+    for h, val in zip(q.inverses(q.ids_of(u.support)), u.support.values()):
         out += val @ v.values[q.products(h, q.local)]
     return PeriodicFunction(q, (u.shape[0], v.shape[1]), out)

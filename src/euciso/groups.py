@@ -45,8 +45,9 @@ from .isometry import ORDER_BOUND, Isometry
 
 INT64_MAX = 2 ** 63 - 1     # `GroupSpec.points` holds point parts and translations as int64
 DEFAULT_CAP = 4096        # largest quotient order given a multiplication table or irreps
-# powers of a section lift kept per lattice direction: every quotient grid
-# under the cap has N <= DEFAULT_CAP, and larger exponents are reached by squaring
+# powers of a section lift kept per lattice direction: the callers (the
+# presentation's one build, the m0 search and the factoring at the boundary)
+# ask for exponents of order m0, and larger ones are reached by squaring
 POWER_BOUND = DEFAULT_CAP
 # a product by the presentation's formula costs 80-96 ns and a table entry 4.9
 # ns to fill and check (pg N=45 and twistE8 N=6, one core, batches of 4k-1M
@@ -807,7 +808,8 @@ class QuotientGroup:
 
     so ids run over the normal forms in (n, f, p) order.  `_encode` and
     `_decode` are the layout arithmetic, the one conversion each way between
-    exponents and ids; `ids` and `parts` are them with their range checks.
+    exponents and ids; `ids` and `parts` are them with their range checks,
+    and `ids_of` reads a list of `NormalForm`s through `ids`.
     `coset_reps`, `tf_indices`, `_collect`'s block view and the split
     (`reps.split_induced`), which takes x*h_p's id to be x's TF row * |P| + p,
     read the layout too.  The quotient holds no product data: `products`
@@ -860,6 +862,13 @@ class QuotientGroup:
                              f"or f or p out of range")
         # the (d2, ...) rows of n, as np.moveaxis(n, -1, 0) but without its 3 us a call
         return self._encode(n.transpose(n.ndim - 1, *range(n.ndim - 1)), f, p)
+
+    def ids_of(self, forms) -> np.ndarray:
+        """The ids of a sequence of `NormalForm`s, in order, by one `ids` call;
+        each exponent, of any size, is reduced mod N as a Python int first."""
+        n = [[x % self.N for x in nf.n] for nf in forms]
+        return self.ids(np.array(n, dtype=np.int64).reshape(len(n), self.spec.d2),
+                        [nf.f for nf in forms], [nf.p for nf in forms])
 
     def parts(self, ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(n, f, p) of an array of ids: n as an (..., d2) array, f and p in

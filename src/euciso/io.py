@@ -232,9 +232,9 @@ def table_to_dict(t: FourierTable) -> dict:
     """A table's file as a dict: its entries in basis order, each value a row
     of its dimension stack's one [re, im] pair view (`complex_pairs`), so the
     writer reads the stacks' own memory."""
+    values = [value for d in t.atlas.stacks for value in complex_pairs(t.stacks[d])]
     entries = [{"irrep": i, "dim": d, "value": value}
-               for d, (idx, _) in t.atlas.stacks.items()
-               for i, value in zip(idx, complex_pairs(t.stacks[d]))]
+               for i, (d, value) in enumerate(zip(t.atlas.dims, values))]
     return {
         "group": t.q.spec.name,
         "N": t.q.N,
@@ -275,8 +275,10 @@ def table_from_dict(data: dict, q: QuotientGroup) -> FourierTable:
     if missing:
         raise IncompleteTable(f"table does not cover every irreducible: irrep "
                               f"{missing[0]} has no entry")
-    stacks = {}
-    for d, (idx, _) in atlas.stacks.items():
+    stacks, start = {}, 0
+    for d, stack in atlas.stacks.items():
+        idx = range(start, start + stack.shape[1])
+        start = idx.stop
         pairs = _nested_pairs([entries[i]["value"] for i in idx], (m * d, n * d))
         if pairs is None:
             for i in idx:       # raises at the first bad entry

@@ -11,8 +11,11 @@ dual is decided on characters (`QuotientGroup.coset_conjugation`,
 layout (`QuotientGroup.coset_reps`).
 
 The dual of a quotient comes from its wave labels (`dual.enumerate_dual`),
-characters first and a class at a time: `induced_character` gives a block
-of labels' induced characters by the Frobenius formula, without matrices.
+characters first and a class at a time.  A label (rho, k = a / N) twists
+rho by the phases of k, and every such phase, for a block of labels, the
+rep set's shifts or one `WaveCharacter`, is one gather from the roots of
+unity (`wave_phases`).  `induced_character` gives a block of labels'
+induced characters by the Frobenius formula, without matrices.
 A label's stabilizer order, exact from its wave orbit, decides what happens
 next; `mackey_irreducible` cross-checks a class's orders with those
 characters' norms.  An irreducible induced representation is induced only
@@ -371,6 +374,16 @@ def roots_of_unity(den: int) -> np.ndarray:
     return table
 
 
+def wave_phases(a, den: int, exponents: np.ndarray, out=None) -> np.ndarray:
+    """The phases exp(2 pi i a.n / den) of the wave vector k = a / den at the
+    exponent rows n of `exponents`, read from `roots_of_unity(den)`: one row
+    for one integer numerator vector a, or an (L, |rows|) block for an
+    (L, d2) stack of them, into `out` if given.  The one phase gather: j / den
+    and (j c) / (den c) are the same correctly rounded double, so a wave
+    vector's phases do not depend on the denominator it is written over."""
+    return np.take(roots_of_unity(den), (a @ exponents.T) % den, out=out)
+
+
 @dataclass(frozen=True)
 class WaveCharacter:
     """One-dimensional character of the translation-kernel subgroup.
@@ -390,12 +403,12 @@ class WaveCharacter:
         element order, as `value` computes it.
 
         With k = a / den, the phase at exponent vector n is j / den for
-        j = n.a mod den, read from one table of the den-th roots of unity.
-        The exponents are decoded once per domain (`exponents`).
+        j = n.a mod den (`wave_phases`).  The exponents are decoded once per
+        domain (`exponents`).
         """
         den = math.lcm(*(x.denominator for x in self.k))
         a = np.array([int(x * den) for x in self.k], dtype=np.int64)
-        return roots_of_unity(den)[(domain.exponents @ a) % den]
+        return wave_phases(a, den, domain.exponents)
 
     def on(self, q: QuotientGroup) -> Representation:
         """The character as a 1-dim representation of the TF part of q."""

@@ -105,14 +105,26 @@ def _check_projection_closure(spec: GroupSpec, comp: ComplementSet) -> None:
 
 
 @dataclass
-class SplitCheck:
+class CheckResult:
+    """One named check of a split certificate or of the `verify` suite."""
+
     name: str
     passed: bool
     detail: str = ""
 
 
+class Checked:
+    """A record of checks, which passes when every one of them does."""
+
+    checks: list[CheckResult]
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
+
+
 @dataclass
-class SplitCertificate:
+class SplitCertificate(Checked):
     spec_name: str
     m: int
     n: int
@@ -122,13 +134,9 @@ class SplitCertificate:
     complement_order: int
     group_order: int
     direct_product: bool
-    checks: list[SplitCheck]
+    checks: list[CheckResult]
     normal_part: list[NormalForm]
     complement_part: list[NormalForm]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
 
 
 def _block(view: SubgroupView) -> np.ndarray:
@@ -151,12 +159,6 @@ def _forms(view: SubgroupView) -> list[NormalForm]:
     """The normal forms of a view's members, in id order, which is (n, f, p) order."""
     n, f, p = view.parent.parts(view.elements)
     return list(map(NormalForm, map(tuple, n.tolist()), f.tolist(), p.tolist()))
-
-
-def _ids(q: QuotientGroup, forms: list[NormalForm]) -> np.ndarray:
-    """The ids of a list of normal forms, by one `QuotientGroup.ids` call."""
-    n = np.array([nf.n for nf in forms], dtype=np.int64).reshape(len(forms), q.spec.d2)
-    return q.ids(n, [nf.f for nf in forms], [nf.p for nf in forms])
 
 
 def _power(q: QuotientGroup, x: np.ndarray, m: int) -> np.ndarray:
@@ -192,36 +194,34 @@ def split_quotient(spec: GroupSpec, m: int, n: int) -> SplitCertificate:
     N = n * m
     q = build_quotient(spec, N)
     q.check_cap()
-    checks: list[SplitCheck] = []
+    checks: list[CheckResult] = []
 
     # normal factor: the m-th section powers mod N
     d2, one_p = spec.d2, spec.p_identity
     sections = q.ids(grid_points(n, d2), spec.f_identity, one_p)
     normal = SubgroupView(q, _power(q, sections, m))
-    checks.append(SplitCheck("normal-order", normal.order == n ** spec.d2,
-                             f"{normal.order} vs n^d2 = {n ** spec.d2}"))
+    checks.append(CheckResult("normal-order", normal.order == n ** spec.d2,
+                              f"{normal.order} vs n^d2 = {n ** spec.d2}"))
     block = _block(normal)
-    checks.append(SplitCheck("normal-closed", normal.holds(block)))
-    checks.append(SplitCheck("normal-abelian", bool((block == block.T).all())))
-    power = members = normal.elements
-    for _ in range(n - 1):
-        power = q.products(power, members)
-    checks.append(SplitCheck("normal-exponent", bool((power == q.identity).all()), f"x^{n} = id"))
-    checks.append(SplitCheck("normal-invariant", normal.holds(_conjugates(normal))))
+    checks.append(CheckResult("normal-closed", normal.holds(block)))
+    checks.append(CheckResult("normal-abelian", bool((block == block.T).all())))
+    power = _power(q, normal.elements, n)
+    checks.append(CheckResult("normal-exponent", bool((power == q.identity).all()), f"x^{n} = id"))
+    checks.append(CheckResult("normal-invariant", normal.holds(_conjugates(normal))))
 
     comp = complement_set(spec, n)
     complement = SubgroupView.generated(q, np.concatenate([
-        _ids(q, comp.elements), q.ids(n * np.eye(d2, dtype=np.int64), spec.f_identity, one_p),
+        q.ids_of(comp.elements), q.ids(n * np.eye(d2, dtype=np.int64), spec.f_identity, one_p),
         q.ids(np.zeros(d2, dtype=np.int64), range(spec.f_order), one_p)]))
     want = (m ** spec.d2) * spec.f_order * spec.rot_order
-    checks.append(SplitCheck("complement-order", complement.order == want,
-                             f"{complement.order} vs |F||rot| m^d2 = {want}"))
+    checks.append(CheckResult("complement-order", complement.order == want,
+                              f"{complement.order} vs |F||rot| m^d2 = {want}"))
 
     meet = _meet(normal, complement)
-    checks.append(SplitCheck("trivial-intersection", meet == 1, f"|intersection| = {meet}"))
-    checks.append(SplitCheck("order-product",
-                             normal.order * complement.order == q.order,
-                             f"{normal.order} * {complement.order} = {q.order}"))
+    checks.append(CheckResult("trivial-intersection", meet == 1, f"|intersection| = {meet}"))
+    checks.append(CheckResult("order-product",
+                              normal.order * complement.order == q.order,
+                              f"{normal.order} * {complement.order} = {q.order}"))
 
     direct = (complement.holds(_conjugates(complement)) and meet == 1
               and normal.order * complement.order == q.order)
@@ -247,7 +247,7 @@ def verify_certificate(spec: GroupSpec, cert: SplitCertificate) -> bool:
     if cert.N != cert.m * cert.n:
         return False
     q = build_quotient(spec, cert.N)
-    parts = [_ids(q, part) for part in (cert.normal_part, cert.complement_part)]
+    parts = [q.ids_of(part) for part in (cert.normal_part, cert.complement_part)]
     if any(q.identity not in ids for ids in parts):
         return False
     normal, complement = (SubgroupView(q, ids) for ids in parts)

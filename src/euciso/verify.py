@@ -22,7 +22,7 @@ from .fourier import (PeriodicFunction, SummableFunction, convolve,
 from .groups import (GroupSpec, build_quotient, find_m0, grid_points, is_power_normal,
                      normal_form, normal_forms, normal_forms_of, validate_spec)
 from .reps import IDENTITY_TOL, STRUCT_TOL, char_inner, irreps
-from .splitting import cocycle, split_quotient, verify_certificate
+from .splitting import CheckResult, Checked, cocycle, split_quotient, verify_certificate
 
 
 # largest orthogonality defect of the q block along a chain of 30 compositions
@@ -30,20 +30,9 @@ ORTH_DRIFT_TOL = 100 * np.finfo(float).eps * 60
 
 
 @dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-@dataclass
-class VerifyReport:
+class VerifyReport(Checked):
     spec_name: str
     checks: list[CheckResult]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
 
     def first_failure(self) -> CheckResult | None:
         for c in self.checks:
@@ -236,9 +225,8 @@ def run_suite(spec: GroupSpec, seed: int = 0) -> VerifyReport:
     # dimension built at once from its stack's row g^-1
     g = int(rngf.integers(q.order))
     tut, g_inv = transform(translate(u, g), seed=seed), q.inv(g)
-    shifted = {}
-    for idx, stack in ut.atlas.stacks.values():
-        shifted.update(zip(idx, kron_stack(np.eye(u.shape[1]), stack[g_inv])))
+    shifted = [factor for stack in ut.atlas.stacks.values()
+               for factor in kron_stack(np.eye(u.shape[1]), stack[g_inv])]
     worst = max(float(np.abs(tut.entries[ri] - ut.entries[ri] @ shifted[ri]).max())
                 for ri in range(len(ut.atlas.dims)))
     checks.append(CheckResult("translation-identity", worst <= IDENTITY_TOL,

@@ -410,13 +410,12 @@ def reference_json(obj) -> str:
 
 def dim_stacks(reps):
     """`DualAtlas.stacks` built anew from a list of irreducibles: per dimension
-    d, in order of first appearance, the indices of its k irreducibles and
-    their images as one (n, k, d, d) array."""
+    d, in order of first appearance, the images of its k irreducibles as one
+    (n, k, d, d) array."""
     by_dim = {}
-    for ri, rho in enumerate(reps):
-        by_dim.setdefault(rho.dim, []).append(ri)
-    return {d: (idx, np.stack([reps[ri].mats for ri in idx], axis=1))
-            for d, idx in by_dim.items()}
+    for rho in reps:
+        by_dim.setdefault(rho.dim, []).append(rho.mats)
+    return {d: np.stack(mats, axis=1) for d, mats in by_dim.items()}
 
 
 def transform_oracle(u, seed=0):
@@ -426,10 +425,11 @@ def transform_oracle(u, seed=0):
     flat = u.values.reshape(n, m * mm)
     stacks = {}
     atlas = enumerate_dual(u.q.spec, u.q.N, seed)
-    for d, (idx, stack) in dim_stacks(atlas.irreps).items():
-        acc = (flat.T @ stack.reshape(n, -1) / n).reshape(m, mm, len(idx), d, d)
+    for d, stack in dim_stacks(atlas.irreps).items():
+        k = stack.shape[1]
+        acc = (flat.T @ stack.reshape(n, -1) / n).reshape(m, mm, k, d, d)
         acc = acc.transpose(2, 0, 3, 1, 4)
-        stacks[d] = np.ascontiguousarray(acc).reshape(len(idx), m * d, mm * d)
+        stacks[d] = np.ascontiguousarray(acc).reshape(k, m * d, mm * d)
     return FourierTable(atlas, u.shape, stacks)
 
 
@@ -437,9 +437,10 @@ def inverse_oracle(table):
     """`fourier.inverse_transform` as it stacked and conjugated in place on every call."""
     m, n = table.shape
     dense = np.zeros((table.q.order, m * n), dtype=complex)
-    for d, (idx, stack) in dim_stacks(table.atlas.irreps).items():
-        blocks = np.stack([table.entries[ri].reshape(m, d, n, d) for ri in idx])
-        blocks = blocks.transpose(0, 2, 4, 1, 3).reshape(len(idx) * d * d, m * n)
+    for d, stack in dim_stacks(table.atlas.irreps).items():
+        blocks = np.stack([table.entries[ri].reshape(m, d, n, d)
+                           for ri, dim in enumerate(table.atlas.dims) if dim == d])
+        blocks = blocks.transpose(0, 2, 4, 1, 3).reshape(-1, m * n)
         stack = stack.reshape(len(stack), -1)
         dense += d * (np.conj(stack, out=stack) @ blocks)
     return PeriodicFunction(table.q, table.shape, dense.reshape(-1, m, n))
@@ -474,11 +475,12 @@ def table_from_dict_oracle(data, q):
         raise IncompleteTable(f"table does not cover every irreducible: irrep "
                               f"{missing[0]} has no entry")
     stacks = {}
-    for d, (idx, _) in atlas.stacks.items():
-        rows = itertools.chain.from_iterable(values[i] for i in idx)
+    for d in atlas.stacks:
+        of_dim = [value for value, dim in zip(values, dims) if dim == d]
+        rows = itertools.chain.from_iterable(of_dim)
         numbers = itertools.chain.from_iterable(itertools.chain.from_iterable(rows))
-        flat = np.fromiter(numbers, float, len(idx) * m * d * n * d * 2)
-        stacks[d] = flat.view(complex).reshape(len(idx), m * d, n * d)
+        flat = np.fromiter(numbers, float, len(of_dim) * m * d * n * d * 2)
+        stacks[d] = flat.view(complex).reshape(len(of_dim), m * d, n * d)
     return FourierTable(atlas, shape, stacks)
 
 

@@ -16,7 +16,7 @@ from euciso import catalog, cli, io, reps
 from euciso.cli import main
 from euciso.errors import EucisoError
 from euciso.fourier import PeriodicFunction, transform
-from euciso.groups import find_m0
+from euciso.groups import QuotientGroup, find_m0
 
 from conftest import quotient, reference_json, rod_spec, spec, time_limit
 
@@ -824,6 +824,20 @@ def test_split_command(capsys):
     assert data["passed"] is True
     assert data["orders"] == {"normal": 9, "complement": 2, "group": 18}
     assert data["a_coefficient"] == -1
+
+
+def test_split_normal_exponent_squares(capsys, monkeypatch):
+    # the normal-exponent check raises the normal part to the n-th power by
+    # squaring, so n = 2047 costs about 2 log2 n product requests, not n - 1,
+    # and the run prints the pinned bytes of the n - 1 products
+    calls, products = [], QuotientGroup.products
+    monkeypatch.setattr(QuotientGroup, "products",
+                        lambda self, a, b: calls.append(1) or products(self, a, b))
+    code, out = run(capsys, "split", "catalog:screw-C4", "--m", "1", "--n", "2047")
+    assert code == 0
+    assert len(calls) <= 2 * math.log2(2047) + 8
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "ea8fd53ffbf60ebb52fbdf6059fe1777f9e93ea8b0da2b938573745d090a9bfc")
 
 
 def test_split_coprimality_exit(capsys):

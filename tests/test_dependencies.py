@@ -50,22 +50,35 @@ FLOAT_FACTORING = {"normal_forms", "normal_forms_of", "normal_form", "_factor", 
                    "section_q"}
 
 
-def test_float_factoring_stays_at_the_boundary():
-    # the spec reader's checks, the m0 search and the presentation (groups)
-    # and verify's oracles factor float q blocks; every other module works
-    # on integer normal forms and ids.  An import is not a call, so an
-    # import kept for perfbench's tracer does not count
+def calls_outside(names: set[str], allowed: set[str]) -> list[str]:
+    """The calls to any of these names, by bare name or attribute, in the
+    package's modules but the allowed ones, as "file:line name"."""
     calls = []
     for path in sorted((ROOT / "src" / "euciso").glob("*.py")):
-        if path.name in ("groups.py", "verify.py"):
+        if path.name in allowed:
             continue
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name in FLOAT_FACTORING:
+                if name in names:
                     calls.append(f"{path.name}:{node.lineno} {name}")
-    assert calls == []
+    return calls
+
+
+def test_float_factoring_stays_at_the_boundary():
+    # the spec reader's checks, the m0 search and the presentation (groups)
+    # and verify's oracles factor float q blocks; every other module works
+    # on integer normal forms and ids.  An import is not a call, so an
+    # import kept for perfbench's tracer does not count
+    assert calls_outside(FLOAT_FACTORING, {"groups.py", "verify.py"}) == []
+
+
+def test_only_reps_gathers_from_the_roots_of_unity():
+    # every phase of a wave vector is one `reps.wave_phases` gather, so the
+    # rep set's shifts, the labels' twisted classes and a lazy label's
+    # induced stack read the same table the same way
+    assert calls_outside({"roots_of_unity"}, {"reps.py"}) == []
 
 
 def test_imports_are_the_declared_dependencies():

@@ -115,13 +115,13 @@ def test_rep_set_matches_the_stack_oracle(build):
 
 @pytest.mark.parametrize("build", TWIST_SPECS)
 def test_shift_phases_are_the_wave_characters(build):
-    # rep_set reads every shift's phases from one roots-of-unity table over
-    # m0; each row must be chi(spec, b / m0).phases bit for bit
+    # rep_set reads every shift's phases in one `wave_phases` gather over m0;
+    # each row must be chi(spec, b / m0).phases bit for bit
     s = build()
     m0 = find_m0(s).m0
     sub = build_quotient(s, m0).tf_subgroup()
     shifts = grid_points(m0, s.d2)
-    phases = dual._shift_phases(sub, shifts, m0)
+    phases = reps.wave_phases(shifts, m0, sub.exponents)
     assert phases.shape == (m0 ** s.d2, sub.order)
     for b, row in zip(shifts.tolist(), phases):
         wave = chi(s, tuple(Fraction(x, m0) for x in b)).phases(sub)
@@ -430,12 +430,18 @@ def test_lazy_irreps_are_the_eager_stacks(name, N):
 
 @pytest.mark.parametrize("name,N", CATALOG_LEVELS)
 def test_dimension_stacks_are_contiguous_ranges_of_the_basis(name, N):
-    # `irreducible_order` sorts by dim first, so the index lists of the
-    # dimension stacks, taken in order, are the basis order itself; a
-    # Fourier table's stacks rely on it
+    # `irreducible_order` sorts by dim first, so the dimension stacks, taken
+    # in ascending d, are the basis order itself: their dims, concatenated,
+    # are the atlas's, and each irreducible is a view of its slot; a Fourier
+    # table's stacks rely on it
     atlas = enumerate_dual(spec(name), N)
     assert list(atlas.stacks) == sorted(atlas.stacks)
-    assert [i for idx, _ in atlas.stacks.values() for i in idx] == list(range(len(atlas.dims)))
+    assert [d for d, stack in atlas.stacks.items() for _ in range(stack.shape[1])] == atlas.dims
+    slots = [stack[:, j] for stack in atlas.stacks.values() for j in range(stack.shape[1])]
+    assert len(atlas.irreps) == len(slots)
+    for r, slot in zip(atlas.irreps, slots):
+        assert np.shares_memory(r.mats, slot)
+        assert r.mats.ctypes.data == slot.ctypes.data and r.mats.shape == slot.shape
 
 
 # sha256 of each reducible label's `split_induced` constituents, their

@@ -127,14 +127,14 @@ def test_atlas_stacks_transform_matches_the_restacking_oracle_bit_for_bit(name, 
     # the inverse conjugates no shared stack: the atlas's bytes do not move
     q = quotient(name, N)
     stacks = enumerate_dual(q.spec, N).stacks
-    before = [stack.tobytes() for _, stack in stacks.values()]
+    before = [stack.tobytes() for stack in stacks.values()]
     for shape in [(1, 1), (2, 3)]:
         u = PeriodicFunction.random(q, shape, rng)
         got, want = transform(u), transform_oracle(u)
         assert list(got.entries) == list(want.entries)
         assert all(got.entries[i].tobytes() == want.entries[i].tobytes() for i in want.entries)
         assert inverse_transform(got).values.tobytes() == inverse_oracle(want).values.tobytes()
-    assert [stack.tobytes() for _, stack in stacks.values()] == before
+    assert [stack.tobytes() for stack in stacks.values()] == before
 
 
 def test_transform_reads_the_atlas_stacks_in_place(rng):
@@ -143,9 +143,12 @@ def test_transform_reads_the_atlas_stacks_in_place(rng):
     # less than one (n, sum d^2) = (n, n) complex array: no stack is copied
     q = quotient("pg", 12)
     atlas = enumerate_dual(q.spec, q.N)
-    for d, (idx, stack) in atlas.stacks.items():
-        assert stack.shape == (q.order, len(idx), d, d)
-        assert all(np.shares_memory(atlas.irreps[i].mats, stack) for i in idx)
+    at = 0
+    for d, stack in atlas.stacks.items():
+        k = stack.shape[1]
+        assert stack.shape == (q.order, k, d, d)
+        assert all(np.shares_memory(r.mats, stack) for r in atlas.irreps[at:at + k])
+        at += k
     u = PeriodicFunction.random(q, (2, 3), rng)
     transform(u)
     tracemalloc.start()
@@ -155,7 +158,7 @@ def test_transform_reads_the_atlas_stacks_in_place(rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < max(stack.nbytes for _, stack in atlas.stacks.values()) < q.order ** 2 * 16
+    assert peak < max(stack.nbytes for stack in atlas.stacks.values()) < q.order ** 2 * 16
 
 
 @pytest.mark.parametrize("name,N", [("twistE8", 4), ("pg", 6), ("helix-C3", 6)])
@@ -167,15 +170,15 @@ def test_table_entries_are_views_and_the_inverse_copies_one_dimension_at_a_time(
     q = quotient(name, N)
     for shape in [(1, 1), (2, 3)]:
         table = transform(PeriodicFunction.random(q, shape, rng))
-        (m, n), size = shape, 0
-        for d, (idx, _) in table.atlas.stacks.items():
-            stack = table.stacks[d]
-            assert stack.shape == (len(idx), m * d, n * d)
-            for j, i in enumerate(idx):
-                view = table.entries[i]
+        (m, n), size, at = shape, 0, 0
+        for d, irreducibles in table.atlas.stacks.items():
+            stack, k = table.stacks[d], irreducibles.shape[1]
+            assert stack.shape == (k, m * d, n * d)
+            for j in range(k):
+                view = table.entries[at + j]
                 assert np.shares_memory(view, stack)
                 assert view.ctypes.data == stack[j].ctypes.data and view.shape == stack[j].shape
-            size += stack.nbytes
+            size, at = size + stack.nbytes, at + k
         assert list(table.entries) == list(range(len(table.atlas.dims)))
         inverse_transform(table)
         tracemalloc.start()

@@ -254,6 +254,16 @@ def test_roots_of_unity_are_one_read_only_table_per_denominator():
     assert table.tolist() == [reps.WaveCharacter((Fraction(j, 12),)).value((1,)) for j in range(12)]
 
 
+def test_roots_of_unity_agree_across_denominators():
+    # j / den and (j c) / (den c) round to the same double, so the two tables
+    # hold the same root: a wave vector's phases do not depend on the
+    # denominator it is written over, which the atlas's lazy labels rely on
+    for den in range(1, 65):
+        table = roots_of_unity(den)
+        for c in range(1, 9):
+            assert roots_of_unity(den * c)[::c].tobytes() == table.tobytes(), (den, c)
+
+
 def test_cap_guard():
     # order 18432 is above both caps; refused before any table is built
     with pytest.raises(CapExceeded):
