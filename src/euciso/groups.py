@@ -34,6 +34,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -158,10 +159,6 @@ class GroupSpec:
         if idx is None:
             raise InternalInconsistency("p_reps does not contain the identity")
         return idx
-
-    def f_index(self, q: np.ndarray) -> int | None:
-        idx = int(_match_f(self, np.asarray(q, dtype=float)[None])[0])
-        return idx if idx >= 0 else None
 
     def p_index(self, p) -> int | None:
         return self._p_index.get(iso.int_matrix(p))
@@ -657,6 +654,19 @@ def grid_points(N: int, d2: int) -> np.ndarray:
     return np.arange(N ** d2, dtype=np.int64)[:, None] // grid_place(N, d2) % N
 
 
+def _grid_steps(N: int, d2: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The nonzero points n of the grid [0, N)^d2 by their last nonzero
+    coordinate i and its value v, in code order: one (i, rows, rows -
+    N^(d2-1-i)) per (i, v), with rows the codes of every n with n_i = v and
+    n_(>i) = 0, and rows - N^(d2-1-i) those of n - e_i, which code 0 or an
+    earlier step holds."""
+    for i in range(d2):
+        place = N ** (d2 - 1 - i)
+        for v in range(1, N):
+            rows = place * (N * np.arange(N ** i) + v)
+            yield i, rows, rows - place
+
+
 def _outside(x: np.ndarray, bound: int) -> bool:
     """True iff some entry of the integer array x lies outside [0, bound).  Read
     as uint64, a negative entry is past every bound, so one max decides."""
@@ -676,17 +686,15 @@ def _cocycle(N: int, grid: np.ndarray, fmul: np.ndarray, y: np.ndarray,
     With i the last nonzero coordinate of b and b' = b - e_i, t(b) = t(b') g_i,
     so z(a,b) = y_i(a+b') sigma_i(z(a,b')), where y_i(c) = z(c, e_i) and
     sigma_i(f) = g_i^-1 f g_i.  One step per coordinate i and value b_i fills
-    the columns of every b with b_i > 0 = b_(>i), for all a at once.
+    the columns of every b with b_i > 0 = b_(>i), for all a at once
+    (`_grid_steps`).
     """
     grid_n, d2 = grid.shape
     code = grid_place(N, d2)
     z = np.empty((grid_n, grid_n), dtype=np.int64)
     z[:, 0] = ident
-    for i in range(d2):
-        for b_i in range(1, N):
-            cols = code[i] * (N * np.arange(N ** i) + b_i)
-            prev = cols - code[i]
-            z[:, cols] = fmul[y[i, (grid[:, None] + grid[prev]) % N @ code], sigma[i][z[:, prev]]]
+    for i, cols, prev in _grid_steps(N, d2):
+        z[:, cols] = fmul[y[i, (grid[:, None] + grid[prev]) % N @ code], sigma[i][z[:, prev]]]
     return z
 
 
@@ -993,14 +1001,10 @@ class QuotientGroup:
         table = np.empty((n, n), dtype=np.int32)
         blocks = table.reshape(n // (k * r), k, r, n)   # blocks[code(a), f, p]: row of t(a) f p
         np.take(gens[d2:d2 + k], gens[d2 + k:], axis=1, out=blocks[0])
-        # t(a) = t(a - e_i) t(e_i) for the last nonzero coordinate i of a: one
-        # step per i and value a_i fills the rows of every a with a_(>i) = 0
+        # t(a) = t(a - e_i) t(e_i) for the last nonzero coordinate i of a
         sections = blocks[:, spec.f_identity, spec.p_identity]
-        for i in range(d2):
-            place = N ** (d2 - 1 - i)
-            for a_i in range(1, N):
-                rows = place * (N * np.arange(N ** i) + a_i)
-                sections[rows] = sections[rows - place].take(gens[i], axis=1)
+        for i, rows, prev in _grid_steps(N, d2):
+            sections[rows] = sections[prev].take(gens[i], axis=1)
         step = max(1, 2 ** 16 // n)
         for a0 in range(1, len(sections), step):
             # every index is an id; "clip" lets take write into out without a buffer

@@ -114,22 +114,6 @@ def complex_pairs(m: np.ndarray) -> np.ndarray:
 
 # -- group specs ---------------------------------------------------------------
 
-def spec_to_dict(spec: GroupSpec) -> dict:
-    return {
-        "name": spec.name,
-        "d1": spec.d1,
-        "d2": spec.d2,
-        "tol": spec.tol,
-        "f_elements": list(spec.f_elements),
-        "t_lifts": [{"q": g.q} for g in spec.t_lifts],
-        "p_reps": [{
-            "q": g.q,
-            "p": [list(row) for row in g.p],
-            "tau": [format_fraction(t) for t in g.tau],
-        } for g in spec.p_reps],
-    }
-
-
 def spec_from_dict(data: dict) -> GroupSpec:
     try:
         d1, d2 = json_int(data["d1"], "d1", 0), json_int(data["d2"], "d2", 0)
@@ -166,11 +150,6 @@ def spec_from_dict(data: dict) -> GroupSpec:
 def load_spec(path: str) -> GroupSpec:
     with open(path) as fh:
         return spec_from_dict(json.load(fh))
-
-
-def save_spec(spec: GroupSpec, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(canonical_json(spec_to_dict(spec)))
 
 
 # -- periodic functions ---------------------------------------------------------

@@ -29,16 +29,22 @@ for M = Ind tau, block-diagonal on TF and a block permutation at each coset
 representative h_p, so no stack of Ind tau is built; `distinct_constituents`
 keeps one stack per character within each label.  Those are the quotient's
 irreducibles, in `irreducible_order`: the one basis `fourier` uses, held by
-the atlas (`dual.DualAtlas`) that each Fourier table carries.  `irreps`, a
-random-commutant solver on the regular representation (Dixon, Math. Comp.
-24, 1970), has two uses: the rep-set candidates on the translation-kernel
-part at m0, and the independent oracle that `verify` and the tests compare
-the atlas with; it refuses orders above SOLVER_CAP.  A random Hermitian commutant element h[a, b] = c(a^-1 b) has
-invariant eigenspaces, and for a generic draw each carries one irreducible.
-A cluster's character is a class sum, so a known one costs O(n d); only new
-characters are gathered into an (n, d, d) stack.  Both paths split an
-eigenvalue collision with one stack splitter (`_split_dense`) and order the
-irreducibles by (dim, character).
+the atlas (`dual.DualAtlas`) that each Fourier table carries.
+
+`irreps`, a random-commutant solver on the regular representation (Dixon,
+Math. Comp. 24, 1970), has two uses: the rep-set candidates on the
+translation-kernel part at m0, and the independent oracle that `verify` and
+the tests compare the atlas with.  It refuses orders above SOLVER_CAP.  A
+random Hermitian commutant element h[a, b] = c(a^-1 b) has invariant
+eigenspaces, and for a generic draw each carries one irreducible.  A
+cluster's character is a class sum, so a known one costs O(n d); only new
+characters are gathered into an (n, d, d) stack.
+
+Both paths make one random draw per attempt.  An eigenvalue collision joins
+several irreducibles in one cluster, which then fails the IRREDUCIBLE_TOL
+norm test (`_irreducible`); that attempt fails, and the next one reseeds
+with seed + attempt, up to MAX_RESEEDS.  The irreducibles are ordered by
+(dim, character).
 """
 
 from __future__ import annotations
@@ -61,7 +67,6 @@ IRREDUCIBLE_TOL = 1e-3    # |<chi, chi> - 1| below this marks a solver block irr
 HOMOMORPHISM_TOL = 1e-8   # largest generator-pair residual of an induced rep or split constituent
 IRREP_RESIDUAL_TOL = 1e-6  # largest unitary or homomorphism residual of a solved irrep
 CLUSTER_GAP = 1e-8        # eigenvalues closer than this times their spread share a cluster
-INTERTWINER_TOL = 1e-8    # averaged intertwiners and singular values below this count as 0
 IDENTITY_TOL = 1e-8       # largest error of the Fourier identities verify and fourier check
 FINGERPRINT_DECIMALS = 8  # generator images are rounded to this before the basis is hashed
 
@@ -70,7 +75,6 @@ GATHER_BYTES = 32 * 2**20  # the solver's basis gathers and the atlas's label ph
 SPLIT_BYTES = 8 * 2**20    # one batch of a class split, its constituents included
 SOLVER_CAP = 1024          # largest order `irreps` solves; one solve at 1024 peaks near 120 MB
 KEY_BLOCK = 64             # character entries `irreducible_order` reads per refinement step
-SPLIT_DEPTH = 8            # deepest random redraw of a dense or batched irreducible split
 
 
 class Representation:
@@ -152,33 +156,18 @@ def _perm_arrays(domain) -> tuple[np.ndarray, np.ndarray]:
     return table, inv_local
 
 
-def _cluster(eigenvalues: np.ndarray, tol: float) -> list[slice]:
-    breaks = [0, *(np.flatnonzero(np.diff(eigenvalues) > tol) + 1).tolist(), len(eigenvalues)]
+def _cluster(w: np.ndarray) -> list[slice]:
+    """The runs of ascending eigenvalues w whose gaps are at most CLUSTER_GAP
+    times their spread max(w[-1] - w[0], 1)."""
+    tol = CLUSTER_GAP * max(w[-1] - w[0], 1.0)
+    breaks = [0, *(np.flatnonzero(np.diff(w) > tol) + 1).tolist(), len(w)]
     return [slice(a, b) for a, b in zip(breaks, breaks[1:])]
 
 
-def _split_dense(mats: np.ndarray, rng, depth: int = 0) -> list[np.ndarray]:
-    """Split a unitary (n, d, d) stack into irreducible stacks; an
-    irreducible one comes back unchanged."""
-    n, d = mats.shape[:2]
-    norm_sq = float(np.mean(np.abs(np.einsum("gii->g", mats)) ** 2))
-    if abs(norm_sq - 1.0) < IRREDUCIBLE_TOL:
-        return [mats]
-    if depth > SPLIT_DEPTH:
-        raise ConvergenceFailure("irreducible split did not terminate")
-    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    x = x + x.conj().T
-    h = (mats @ x @ mats.conj().swapaxes(1, 2)).sum(0) / n
-    w, v = np.linalg.eigh(h)
-    spread = max(w[-1] - w[0], 1.0)
-    out = []
-    for block in _cluster(w, CLUSTER_GAP * spread):
-        basis = v[:, block]
-        if basis.shape[1] == d:
-            # eigenspace did not split; try a fresh random direction
-            return _split_dense(mats, rng, depth + 1)
-        out.extend(_split_dense(basis.conj().T @ mats @ basis, rng, depth + 1))
-    return out
+def _irreducible(mats: np.ndarray) -> bool:
+    """True iff the trace of the unitary (n, d, d) stack mats has <chi, chi>
+    within IRREDUCIBLE_TOL of 1."""
+    return abs(float(np.mean(np.abs(np.einsum("gii->g", mats)) ** 2)) - 1.0) < IRREDUCIBLE_TOL
 
 
 def distinct_constituents(stacks) -> tuple[list[np.ndarray], np.ndarray]:
@@ -260,8 +249,10 @@ def irreps(domain, seed: int = 0) -> list[Representation]:
     Decomposes the regular representation through the eigenspaces of a
     random Hermitian element of its commutant; verifies sum d^2 = |H|,
     pairwise character orthogonality and the homomorphism property before
-    returning.  Reseeds on bad random draws.  An order above SOLVER_CAP is
-    refused with CapExceeded before anything is allocated.
+    returning.  Attempt a draws once, from default_rng(seed + a); an
+    eigenvalue cluster that fails the IRREDUCIBLE_TOL norm test, or a failed
+    check, ends the attempt, up to MAX_RESEEDS.  An order above SOLVER_CAP
+    is refused with CapExceeded before anything is allocated.
     """
     n = len(domain.elements)
     if n > SOLVER_CAP:
@@ -287,7 +278,6 @@ def _solve(domain, table, inv_local, rng) -> list[Representation]:
     # with the left-regular action, so its eigenspaces are invariant
     c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     w, v = np.linalg.eigh((c + c[inv_local].conj()).take(inv_perms))
-    spread = max(w[-1] - w[0], 1.0)
 
     # the projection P onto an invariant subspace has P[a, b] = e(a^-1 b) for
     # its identity row e, so chi(g) = sum_a e(a^-1 g a) = n * (mean of e over
@@ -297,7 +287,7 @@ def _solve(domain, table, inv_local, rng) -> list[Representation]:
 
     kept_mats: list[np.ndarray] = []        # (n, d, d) stacks
     kept_chars = _Characters(np.count_nonzero(cls == np.arange(n)), n)   # one per class
-    for sl in _cluster(w, CLUSTER_GAP * spread):
+    for sl in _cluster(w):
         basis = v[:, sl]
         e = basis[identity] @ basis.conj().T
         class_sum = (np.bincount(cls, e.real, minlength=n)
@@ -309,12 +299,11 @@ def _solve(domain, table, inv_local, rng) -> list[Representation]:
         rows, adjoint = max(1, GATHER_BYTES // basis.nbytes), basis.conj().T
         stack = np.concatenate([adjoint @ basis.take(inv_perms[r:r + rows], axis=0)
                                 for r in range(0, n, rows)])
-        # an eigenvalue collision joins several irreducibles; the split separates them
-        for mats in _split_dense(stack, rng):
-            ch = np.einsum("gii->g", mats)
-            if not kept_chars.known(ch):
-                kept_mats.append(mats)
-                kept_chars.add(ch)
+        # an eigenvalue collision joins several irreducibles: the draw was bad
+        if not _irreducible(stack):
+            raise ConvergenceFailure("an eigenvalue cluster is reducible")
+        kept_mats.append(stack)
+        kept_chars.add(np.einsum("gii->g", stack))
 
     if sum(m.shape[1] ** 2 for m in kept_mats) != n:
         raise InternalInconsistency("sum of squared dimensions misses the group order")
@@ -486,8 +475,8 @@ def split_induced(q: QuotientGroup, rho: Representation, phases: np.ndarray,
     at x in TF it is block-diagonal with blocks S_i(x) = tau(h_i^-1 x h_i),
     the stack tau.mats[q.coset_conjugation[i]], and at h_p it is a block
     permutation whose block (i, j) is tau(h_i^-1 h_p h_j) where that lies
-    in TF (`QuotientGroup.coset_rows`).  Every element is x h_p, so
-    `_split_dense`'s average of a random Hermitian X over the quotient is
+    in TF (`QuotientGroup.coset_rows`).  Every element is x h_p, so |G|
+    times the average h of a random Hermitian X over the quotient is
 
         sum_g M(g) X M(g)^H = sum_x M(x) Y M(x)^H,  Y = sum_p M(h_p) X M(h_p)^H,
 
@@ -495,17 +484,17 @@ def split_induced(q: QuotientGroup, rho: Representation, phases: np.ndarray,
     than the sum over G.  An eigenspace basis B of h gives the constituent
     sigma(x h_p) = (B^H M(x)) (M(h_p) B) at the id of x h_p, which is x's
     TF row times |P| plus p (`QuotientGroup.coset_reps`): all (x, p) come
-    from one GEMM, already in id order.  A constituent that still joins
-    several irreducibles, after an eigenvalue collision, is split by
-    `_split_dense`.
+    from one GEMM, already in id order.
 
     The rows are split in batches, each held under SPLIT_BYTES with its
     constituents: Y, h, the eigendecompositions and the left factors
     B^H M(x) are each one stacked product over a batch, and only the
-    clusters are cut per row.  Each row draws from its own
-    default_rng(seed + attempt) exactly what `_split_dense` draws on its
-    induced stack, so a row splits as it would alone; a batch's rows whose
-    attempt fails are retried together at the next one.  Each constituent
+    clusters are cut per row.  Attempt a draws one X from
+    default_rng(seed + a) for all of a batch's rows, so a row splits as it
+    would alone.  A row whose eigenvalues form one cluster, or that has a
+    cluster failing the IRREDUCIBLE_TOL norm test after an eigenvalue
+    collision, fails its attempt; a batch's failed rows are retried
+    together at the next one, up to MAX_RESEEDS.  Each constituent
     is checked to be a homomorphism on all pairs of quotient generators,
     with one product per stack (`_check_homomorphism`).  Every Ind tau_l
     must be reducible, that is tau_l's stabilizer order must exceed 1
@@ -526,9 +515,9 @@ def split_induced(q: QuotientGroup, rho: Representation, phases: np.ndarray,
         at_reps = _blocks(taus, q.coset_rows[q.coset_reps]).reshape(-1, k, k * d, k * d)
         out, pending = [None] * len(taus), list(range(len(taus)))
         for attempt in range(MAX_RESEEDS):
-            rngs = [np.random.default_rng(seed + attempt) for _ in pending]
             at = slice(None) if attempt == 0 else pending
-            for row, result in zip(pending, _split_blocks(diag[at], at_reps[at], rngs)):
+            rng = np.random.default_rng(seed + attempt)
+            for row, result in zip(pending, _split_blocks(diag[at], at_reps[at], rng)):
                 out[row] = result
             pending = [row for row in pending if isinstance(out[row], ConvergenceFailure)]
             if not pending:
@@ -541,59 +530,46 @@ def split_induced(q: QuotientGroup, rho: Representation, phases: np.ndarray,
         yield from out
 
 
-def _split_blocks(diag: np.ndarray, at_reps: np.ndarray, rngs) -> list:
+def _split_blocks(diag: np.ndarray, at_reps: np.ndarray, rng) -> list:
     """`split_induced` on one batch, from the (B, |P|, |TF|, d, d) blocks
-    S_i(x) and the (B, |P|, D, D) coset images M(h_p), row b drawing from
-    rngs[b] as `_split_dense` does: per row, the list of its constituents,
-    or the ConvergenceFailure that ended its attempt.
-
-    A row whose eigenvalues form one cluster draws again, up to depth
-    SPLIT_DEPTH, with the other such rows.  A cluster's (|TF| m, |P| m)
-    product block is copied once into (x, p) order, which is id order, so
-    it is the (|G|, m, m) stack as it stands."""
+    S_i(x) and the (B, |P|, D, D) coset images M(h_p), with one Hermitian X
+    drawn from rng for every row: per row, the list of its constituents, or
+    the ConvergenceFailure that ends its attempt, when its eigenvalues form
+    one cluster or a cluster fails the IRREDUCIBLE_TOL norm test
+    (`_irreducible`).  A cluster's (|TF| m, |P| m) product block is copied
+    once into (x, p) order, which is id order, so it is the (|G|, m, m)
+    stack as it stands."""
     k, t, d = diag.shape[1:4]
     size, n = k * d, k * t
-    out: list = [ConvergenceFailure("irreducible split did not terminate")] * len(rngs)
-    todo = list(range(len(rngs)))
-    for depth in range(SPLIT_DEPTH + 1):
-        x = np.array([rngs[b].standard_normal((size, size))
-                      + 1j * rngs[b].standard_normal((size, size)) for b in todo])
-        x = x + x.conj().swapaxes(1, 2)
-        y = (at_reps @ x[:, None] @ at_reps.conj().swapaxes(2, 3)).sum(1)
-        # h_ij = sum_x S_i(x) Y_ij S_j(x)^H: first S_i(x) Y_ij for every i, then
-        # one product over the (x, b) pairs for every j
-        stacked = diag.reshape(-1, k, t * d, d)                                   # S_i(x) over x
-        adjoints = diag.conj().transpose(0, 1, 2, 4, 3).reshape(-1, k, t * d, d)  # S_j(x)^H
-        u = (stacked @ y.reshape(-1, k, d, size)).reshape(-1, k, t, d, k, d)      # [i, x, a, j, b]
-        h = u.transpose(0, 4, 1, 3, 2, 5).reshape(-1, k, size, t * d) @ adjoints  # [j, (i, a), c]
-        del u, adjoints                     # before the left factors, as large as u
-        w, v = np.linalg.eigh(h.transpose(0, 2, 1, 3).reshape(-1, size, size) / n)
-        # V^H M(x) for every x: V_i^H S_i(x) for every i, as one (k, size, t d) block
-        rows = diag.transpose(0, 1, 3, 2, 4).reshape(-1, k, d, t * d)             # [i, b, (x, e)]
-        left = v.conj().swapaxes(1, 2).reshape(-1, size, k, d).swapaxes(1, 2) @ rows
-        retry = []
-        for j, b in enumerate(todo):
-            blocks = _cluster(w[j], CLUSTER_GAP * max(w[j, -1] - w[j, 0], 1.0))
-            if len(blocks) == 1:
-                # eigenspace did not split; try a fresh random direction
-                retry.append(j)
-                continue
-            out[b] = []
-            try:
-                for block in blocks:
-                    # sigma(x h_p): rows (x, a) of B^H M(x) times columns (p, b) of M(h_p) B
-                    basis = v[j][:, block]
-                    m = basis.shape[1]
-                    lhs = left[j][:, block].reshape(k, m, t, d).transpose(2, 1, 0, 3)
-                    rhs = (at_reps[j] @ basis).transpose(1, 0, 2).reshape(size, k * m)
-                    xp = (lhs.reshape(t * m, size) @ rhs).reshape(t, m, k, m).swapaxes(1, 2)
-                    mats = xp.reshape(n, m, m)                          # one copy, in id order
-                    out[b] += _split_dense(mats, rngs[b], depth + 1)
-            except ConvergenceFailure as exc:
-                out[b] = exc
-        if not retry:
-            break
-        diag, at_reps, todo = diag[retry], at_reps[retry], [todo[j] for j in retry]
+    x = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    x = x + x.conj().T
+    y = (at_reps @ x @ at_reps.conj().swapaxes(2, 3)).sum(1)
+    # h_ij = sum_x S_i(x) Y_ij S_j(x)^H: first S_i(x) Y_ij for every i, then
+    # one product over the (x, b) pairs for every j
+    stacked = diag.reshape(-1, k, t * d, d)                                   # S_i(x) over x
+    adjoints = diag.conj().transpose(0, 1, 2, 4, 3).reshape(-1, k, t * d, d)  # S_j(x)^H
+    u = (stacked @ y.reshape(-1, k, d, size)).reshape(-1, k, t, d, k, d)      # [i, x, a, j, b]
+    h = u.transpose(0, 4, 1, 3, 2, 5).reshape(-1, k, size, t * d) @ adjoints  # [j, (i, a), c]
+    del u, adjoints                     # before the left factors, as large as u
+    w, v = np.linalg.eigh(h.transpose(0, 2, 1, 3).reshape(-1, size, size) / n)
+    # V^H M(x) for every x: V_i^H S_i(x) for every i, as one (k, size, t d) block
+    rows = diag.transpose(0, 1, 3, 2, 4).reshape(-1, k, d, t * d)             # [i, b, (x, e)]
+    left = v.conj().swapaxes(1, 2).reshape(-1, size, k, d).swapaxes(1, 2) @ rows
+    fail, out = ConvergenceFailure("irreducible split did not terminate"), []
+    for j, eigenvalues in enumerate(w):
+        blocks, pieces = _cluster(eigenvalues), []
+        if len(blocks) == 1:            # X split nothing
+            out.append(fail)
+            continue
+        for block in blocks:
+            # sigma(x h_p): rows (x, a) of B^H M(x) times columns (p, b) of M(h_p) B
+            basis = v[j][:, block]
+            m = basis.shape[1]
+            lhs = left[j][:, block].reshape(k, m, t, d).transpose(2, 1, 0, 3)
+            rhs = (at_reps[j] @ basis).transpose(1, 0, 2).reshape(size, k * m)
+            xp = (lhs.reshape(t * m, size) @ rhs).reshape(t, m, k, m).swapaxes(1, 2)
+            pieces.append(xp.reshape(n, m, m))                      # one copy, in id order
+        out.append(pieces if all(map(_irreducible, pieces)) else fail)
     return out
 
 
@@ -640,18 +616,3 @@ def lift_representation(r: Representation, fine: QuotientGroup) -> Representatio
     coarse_ids = fine.projection(coarse)[domain.elements]
     return Representation(domain, r.mats[r.rows(coarse_ids)])
 
-
-def intertwiner(r1: Representation, r2: Representation, seed: int = 0):
-    """Explicit intertwiner by group averaging, or None when inequivalent."""
-    if r1.dim != r2.dim:
-        return None
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((r1.dim, r2.dim)) + 1j * rng.standard_normal((r1.dim, r2.dim))
-    t = np.einsum("gij,jk,glk->il", r1.mats, x, r2.mats.conj()) / len(r1.mats)
-    if np.abs(t).max() < INTERTWINER_TOL:
-        return None
-    # scale to unitary via polar part
-    u, s, vh = np.linalg.svd(t)
-    if s.min() < INTERTWINER_TOL:
-        return None
-    return u @ vh

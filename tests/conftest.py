@@ -18,8 +18,8 @@ from euciso.fourier import FourierTable, PeriodicFunction
 from euciso.groups import (DEFAULT_CAP, ORDER_BOUND, GroupSpec, Violation,
                            _cocycle, _conjugates, _factor, _kernel, _match_f, _rep_products,
                            build_quotient, find_m0, grid_points, normal_form, normal_forms)
-from euciso.reps import (MAX_RESEEDS, STRUCT_TOL, Representation, _split_dense, char_norm_sq,
-                         chi, equivalent, induce, irreps, lift_representation,
+from euciso.reps import (MAX_RESEEDS, STRUCT_TOL, Representation, _cluster, _irreducible,
+                         char_norm_sq, chi, equivalent, induce, irreps, lift_representation,
                          multiplicities, scale_by_character,
                          split_induced)
 
@@ -58,6 +58,35 @@ def spec(name):
 
 def quotient(name, N):
     return build_quotient(catalog.get(name), N)
+
+
+def spec_to_dict(s):
+    """A group spec as the document `io.spec_from_dict` reads."""
+    return {
+        "name": s.name,
+        "d1": s.d1,
+        "d2": s.d2,
+        "tol": s.tol,
+        "f_elements": list(s.f_elements),
+        "t_lifts": [{"q": g.q} for g in s.t_lifts],
+        "p_reps": [{
+            "q": g.q,
+            "p": [list(row) for row in g.p],
+            "tau": [io.format_fraction(t) for t in g.tau],
+        } for g in s.p_reps],
+    }
+
+
+def save_spec(s, path):
+    """Write a group spec file that `io.load_spec` reads back."""
+    with open(path, "w") as fh:
+        fh.write(io.canonical_json(spec_to_dict(s)))
+
+
+def f_index(s, q):
+    """The index of the q block in F, or None."""
+    idx = int(_match_f(s, np.asarray(q, dtype=float)[None])[0])
+    return idx if idx >= 0 else None
 
 
 def cyclic(k):
@@ -357,18 +386,61 @@ def stabilizer_oracle(q, r):
                    for p in range(q.spec.rot_order) if p != q.spec.p_identity)
 
 
+SPLIT_DEPTH = 8     # deepest random redraw of the reference splitter
+
+
+def split_dense(mats, rng, depth=0):
+    """Reference splitter: a unitary (n, d, d) stack as irreducible stacks,
+    with multiplicity, by the eigenspaces of the average of a random
+    Hermitian X over the stack, recursing on each cluster and redrawing when
+    the eigenvalues form one; an irreducible stack comes back unchanged.
+    ConvergenceFailure past depth SPLIT_DEPTH."""
+    n, d = mats.shape[:2]
+    if _irreducible(mats):
+        return [mats]
+    if depth > SPLIT_DEPTH:
+        raise ConvergenceFailure("irreducible split did not terminate")
+    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    x = x + x.conj().T
+    w, v = np.linalg.eigh((mats @ x @ mats.conj().swapaxes(1, 2)).sum(0) / n)
+    blocks = _cluster(w)
+    if len(blocks) == 1:
+        return split_dense(mats, rng, depth + 1)
+    return [piece for block in blocks
+            for piece in split_dense(v[:, block].conj().T @ mats @ v[:, block], rng, depth + 1)]
+
+
 def constituents(r, seed=0):
     """The irreducible constituents of a unitary representation, with
     multiplicity, as (n, d, d) stacks, split on its full stack by
-    `_split_dense`; an irreducible r comes back as is.  Reseeded
+    `split_dense`; an irreducible r comes back as is.  Reseeded
     (seed + attempt) on a bad random draw."""
     last_error = None
     for attempt in range(MAX_RESEEDS):
         try:
-            return _split_dense(r.mats, np.random.default_rng(seed + attempt))
+            return split_dense(r.mats, np.random.default_rng(seed + attempt))
         except ConvergenceFailure as exc:
             last_error = exc
     raise ConvergenceFailure(f"split failed after {MAX_RESEEDS} reseeds: {last_error}")
+
+
+INTERTWINER_TOL = 1e-8    # averaged intertwiners and singular values below this count as 0
+
+
+def intertwiner(r1, r2, seed=0):
+    """Explicit unitary intertwiner by group averaging, or None when inequivalent."""
+    if r1.dim != r2.dim:
+        return None
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((r1.dim, r2.dim)) + 1j * rng.standard_normal((r1.dim, r2.dim))
+    t = np.einsum("gij,jk,glk->il", r1.mats, x, r2.mats.conj()) / len(r1.mats)
+    if np.abs(t).max() < INTERTWINER_TOL:
+        return None
+    # scale to unitary via polar part
+    u, s, vh = np.linalg.svd(t)
+    if s.min() < INTERTWINER_TOL:
+        return None
+    return u @ vh
 
 
 def eager_irreps_oracle(s, N, seed=0):
@@ -513,7 +585,7 @@ def validate_spec_oracle(spec: GroupSpec) -> list[Violation]:
         if iso.orth_deviation(f) > tol:
             out.append(Violation("f-orthogonal", f"F[{i}] is not orthogonal within tol"))
 
-    if spec.f_index(np.eye(spec.d1)) is None:
+    if f_index(spec, np.eye(spec.d1)) is None:
         out.append(Violation("f-identity", "F does not contain the identity"))
     k, d1, d2 = spec.f_order, spec.d1, spec.d2
     f = spec.f_stack.reshape(k, d1, d1)

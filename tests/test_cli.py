@@ -18,7 +18,8 @@ from euciso.errors import EucisoError
 from euciso.fourier import PeriodicFunction, transform
 from euciso.groups import QuotientGroup, find_m0
 
-from conftest import quotient, reference_json, rod_spec, spec, time_limit
+from conftest import (quotient, reference_json, rod_spec, save_spec, spec, spec_to_dict,
+                      time_limit)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -58,7 +59,7 @@ def test_analyze_twist(capsys):
 
 def test_analyze_rejects_invalid_spec(tmp_path, capsys):
     s = spec("helix-C3")
-    raw = io.spec_to_dict(s)
+    raw = spec_to_dict(s)
     raw["f_elements"] = raw["f_elements"][:2]      # break kernel closure
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(raw, default=io._coerce))
@@ -72,7 +73,7 @@ def test_analyze_rejects_invalid_spec(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["analyze", "verify"])
 @pytest.mark.parametrize("p", [[[1, 0], [0]], [[1, 0, 0], [0, -1, 0]]])
 def test_non_square_point_block_is_a_spec_error(tmp_path, capsys, command, p):
-    raw = io.spec_to_dict(spec("pm"))
+    raw = spec_to_dict(spec("pm"))
     raw["p_reps"][1]["p"] = p
     path = tmp_path / "pm.json"
     path.write_text(json.dumps(raw, default=io._coerce))
@@ -86,7 +87,7 @@ def test_non_square_point_block_is_a_spec_error(tmp_path, capsys, command, p):
     ("helix-C3", "d2", True),
 ])
 def test_non_integer_integer_fields_are_spec_errors(tmp_path, capsys, group, key, value):
-    raw = io.spec_to_dict(spec(group))
+    raw = spec_to_dict(spec(group))
     if key == "p":
         raw["p_reps"][1]["p"] = value
     else:
@@ -127,7 +128,7 @@ def set_field(raw, path, value):
 ], ids=["tau-bool", "tau-float", "tol-bool", "tol-string", "tol-negative", "tol-zero",
         "tol-nan", "tol-inf", "tol-huge-int", "q-bool", "q-string", "f-bool", "f-nan"])
 def test_bools_strings_and_bad_tolerances_are_spec_errors(tmp_path, capsys, group, path, value):
-    raw = json.loads(io.canonical_json(io.spec_to_dict(spec(group))))
+    raw = json.loads(io.canonical_json(spec_to_dict(spec(group))))
     set_field(raw, path, value)
     with pytest.raises(EucisoError, match="malformed group spec"):
         io.spec_from_dict(raw)
@@ -148,7 +149,7 @@ def test_bools_strings_and_bad_tolerances_are_spec_errors(tmp_path, capsys, grou
     (["p_reps", 1, "p", 1], [0]),
 ])
 def test_d2_is_checked_against_the_lists_first(tmp_path, capsys, path, value):
-    raw = json.loads(io.canonical_json(io.spec_to_dict(spec("pg"))))
+    raw = json.loads(io.canonical_json(spec_to_dict(spec("pg"))))
     set_field(raw, path, value)
     file = tmp_path / "spec.json"
     file.write_text(json.dumps(raw))
@@ -162,7 +163,7 @@ def test_d2_is_checked_against_the_lists_first(tmp_path, capsys, path, value):
     ("pg", ["p_reps", 1, "p", 0, 1]),   # [[1, 2**70], [0, -1]] has det -1 and order 2
 ])
 def test_integers_past_int64_are_violations(tmp_path, capsys, group, path):
-    raw = json.loads(io.canonical_json(io.spec_to_dict(spec(group))))
+    raw = json.loads(io.canonical_json(spec_to_dict(spec(group))))
     set_field(raw, path, 2 ** 70)
     file = tmp_path / "spec.json"
     file.write_text(json.dumps(raw))
@@ -178,7 +179,7 @@ def test_an_identity_coset_off_the_identity_is_a_violation(tmp_path, capsys, gro
     # the p_rep with identity point part is taken as the identity element
     # throughout the quotient; translated, it loaded as another group, which
     # verify failed and split crashed on
-    raw = json.loads(io.canonical_json(io.spec_to_dict(spec(group))))
+    raw = json.loads(io.canonical_json(spec_to_dict(spec(group))))
     set_field(raw, ["p_reps", 0, "tau"], tau)
     file = tmp_path / "spec.json"
     file.write_text(json.dumps(raw))
@@ -198,7 +199,7 @@ def test_tol_option_must_be_positive_and_finite(capsys, tol):
 
 
 def test_rational_strings_and_integers_still_load():
-    raw = json.loads(io.canonical_json(io.spec_to_dict(spec("pg"))))
+    raw = json.loads(io.canonical_json(spec_to_dict(spec("pg"))))
     raw["p_reps"][1]["tau"] = ["1/2", 0]
     raw["tol"] = 1
     loaded = io.spec_from_dict(raw)
@@ -209,7 +210,7 @@ def test_rational_strings_and_integers_still_load():
 def test_analyze_c12_rod_bound(tmp_path, capsys):
     # |F|^2 |Aut(C12)| = 144 * 4; a search over all 12! permutations of F never ends
     path = tmp_path / "rod-C12.json"
-    path.write_text(io.canonical_json(io.spec_to_dict(rod_spec(12, False, 1.0))))
+    path.write_text(io.canonical_json(spec_to_dict(rod_spec(12, False, 1.0))))
     code, out = run(capsys, "analyze", str(path))
     assert code == 0
     assert json.loads(out)["m0_bound"] == 576
@@ -232,7 +233,7 @@ def test_spec_json_round_trip(tmp_path, capsys):
     for name in ("pg", "twistE8"):
         s = spec(name)
         path = tmp_path / f"{name}.json"
-        io.save_spec(s, str(path))
+        save_spec(s, str(path))
         loaded = io.load_spec(str(path))
         assert loaded.name == s.name
         code, out = run(capsys, "analyze", str(path))
@@ -802,7 +803,7 @@ def test_fourier_solves_nothing_larger_than_the_tf_view_at_m0(tmp_path, capsys, 
         if getattr(module, "irreps", None) is solve:
             monkeypatch.setattr(module, "irreps", guarded)
     spec_file, fn = tmp_path / "pg.json", tmp_path / "fn.json"
-    io.save_spec(s, str(spec_file))         # a fresh spec holds no cached atlas
+    save_spec(s, str(spec_file))         # a fresh spec holds no cached atlas
     u = PeriodicFunction.random(quotient("pg", 24), (2, 2), np.random.default_rng(9))
     fn.write_text(io.canonical_json(io.function_to_dict(u)))
     code, out = run(capsys, "fourier", str(spec_file), str(fn), "--check")
@@ -853,7 +854,7 @@ def test_verify_command(capsys):
 
 def test_verify_names_first_violation(tmp_path, capsys):
     s = spec("helix-C3")
-    raw = io.spec_to_dict(s)
+    raw = spec_to_dict(s)
     raw["f_elements"] = raw["f_elements"][:2]
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(raw, default=io._coerce))

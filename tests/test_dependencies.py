@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tomllib
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -79,6 +80,47 @@ def test_only_reps_gathers_from_the_roots_of_unity():
     # rep set's shifts, the labels' twisted classes and a lazy label's
     # induced stack read the same table the same way
     assert calls_outside({"roots_of_unity"}, {"reps.py"}) == []
+
+
+# defined in the package and read only by the tests
+TEST_ONLY = {"PeriodicFunction.constant", "PeriodicFunction.delta", "Representation.matrix",
+             "reps.chi", "WaveCharacter.on"}
+
+
+def names_read(tree: ast.AST) -> Counter:
+    """How often each name is read in a syntax tree, as a bare name or an attribute."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def unreached_definitions() -> set[str]:
+    """The functions, methods and classes the package defines, dunders
+    aside, whose name is read nowhere else: not in the package's modules
+    outside the definition itself, not in perfbench's modules and not in
+    BENCHMARK.json's per-layer metrics.  A method is written Class.name and
+    anything else module.name."""
+    named, defs = Counter(), []
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        named.update(names_read(ast.parse(path.read_text())))
+    for layer in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]:
+        named.update(layer["name"].split("."))
+    for path in sorted((ROOT / "src" / "euciso").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        named.update(names_read(tree))
+        for parent in ast.walk(tree):
+            owner = parent.name if isinstance(parent, ast.ClassDef) else path.stem
+            defs += [(f"{owner}.{node.name}", node.name, names_read(node)[node.name])
+                     for node in ast.iter_child_nodes(parent)
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                     and not re.fullmatch(r"__\w+__", node.name)]
+    return {qual for qual, name, own in defs if named[name] == own}
+
+
+def test_every_definition_is_reached_outside_the_tests():
+    # code that only the tests read lives in the tests; the names still
+    # defined in the package for the tests alone are listed, and one that
+    # the package or the benchmark starts to read leaves the list
+    assert unreached_definitions() == TEST_ONLY
 
 
 def test_imports_are_the_declared_dependencies():

@@ -504,11 +504,11 @@ def test_split_constituents_are_pinned(name, N):
 @pytest.mark.parametrize("name,N", [("twistE8", 4), ("pg", 12)])
 def test_a_class_split_in_batches_is_the_split_in_one(monkeypatch, name, N):
     # a byte cap of 1 puts every label of a class in its own batch, and an
-    # unbounded one all of them in one; the draws are per label, so every
-    # stack keeps every bit
+    # unbounded one all of them in one; every batch of an attempt reads the
+    # same draw, so every stack keeps every bit
     s, q = spec(name), quotient(name, N)
     rs, calls, split_blocks = rep_set(s), [], reps._split_blocks
-    monkeypatch.setattr(reps, "_split_blocks", lambda *args: calls.append(len(args[2]))
+    monkeypatch.setattr(reps, "_split_blocks", lambda *args: calls.append(len(args[0]))
                         or split_blocks(*args))
 
     def split(rho, phases, cap):

@@ -15,7 +15,7 @@ from euciso.groups import (GroupSpec, NormalForm, _divisors, automorphism_count,
                            normal_form, normal_forms, normal_forms_of, tf_slice, validate_spec)
 from euciso.isometry import Isometry, rotation2
 
-from conftest import (c5_quarter_spec, collection_oracle, compose_all, cyclic, inverse,
+from conftest import (c5_quarter_spec, collection_oracle, compose_all, cyclic, f_index, inverse,
                       is_member, mult_table_oracle, power, q_equal, quotient, reconstruct,
                       rod_spec, rotations_of_cube, s3_plane_spec, s4_plane_spec, section,
                       section_q_oracle, spec, time_limit, translation_isometry,
@@ -78,9 +78,9 @@ def oracle_kernel_violations(s):
     out = []
     for i, a in enumerate(s.f_elements):
         for j, b in enumerate(s.f_elements):
-            if s.f_index(a @ b) is None:
+            if f_index(s, a @ b) is None:
                 out.append(("f-closed", f"F not closed: F[{i}]*F[{j}] missing"))
-        if s.f_index(a.T) is None:
+        if f_index(s, a.T) is None:
             out.append(("f-inverse", f"F not closed under inverse at F[{i}]"))
     for i, a in enumerate(s.f_elements):
         for j, b in enumerate(s.f_elements):
@@ -110,14 +110,14 @@ def oracle_conjugation_violations(s):
     for tag, g in [("t", t) for t in s.t_lifts] + [("p", p) for p in s.p_reps]:
         for i in range(s.f_order):
             conj = compose_all([g, s.f_iso(i), inverse(g)])
-            if s.f_index(conj.q) is None or conj.p != ident or any(conj.tau):
+            if f_index(s, conj.q) is None or conj.p != ident or any(conj.tau):
                 out.append(("f-normal", f"conjugate of F[{i}] by a {tag}-generator left F"))
     for i, j in itertools.combinations(range(s.d2), 2):
         gi, gj = s.t_lifts[i], s.t_lifts[j]
         comm = compose_all([gi, gj, inverse(gi), inverse(gj)])
         if comm.p != ident or any(comm.tau):
             out.append(("t-commutator", f"[g{i+1}, g{j+1}] has a nontrivial (p, tau) block"))
-        elif s.f_index(comm.q) is None:
+        elif f_index(s, comm.q) is None:
             out.append(("t-commutator", f"[g{i+1}, g{j+1}] q block lies outside F"))
     for a in s.p_reps:
         for b in s.p_reps:
@@ -180,7 +180,7 @@ def test_f_matches_are_the_per_element_matches():
                 for kernel in (h.f_elements[:2], h.f_elements[1:], [])])
     for s in specs:
         def index(q):
-            i = s.f_index(q)
+            i = f_index(s, q)
             return -1 if i is None else i
         ident, table, inverse = s.f_matches
         assert ident == index(np.eye(s.d1)), s.name

@@ -16,7 +16,8 @@ from euciso.dual import enumerate_dual
 from euciso.errors import EucisoError
 from euciso.fourier import PeriodicFunction, transform
 
-from conftest import quotient, reference_json, table_from_dict_oracle, time_limit
+from conftest import (quotient, reference_json, save_spec, spec_to_dict, table_from_dict_oracle,
+                      time_limit)
 from test_cli import ENTRY_KEYS, NON_INTEGERS_OR_BAD_SHAPES, TABLE_DAMAGE, pg_file
 
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e300, -1e300, 1.7976931348623157e308,
@@ -82,7 +83,7 @@ def test_canonical_json_of_files_is_json_dumps():
     q = quotient("twistE8", 2)
     u = PeriodicFunction.random(q, (2, 3), np.random.default_rng(4))
     for payload in [io.function_to_dict(u), io.table_to_dict(transform(u)),
-                    io.spec_to_dict(q.spec)]:
+                    spec_to_dict(q.spec)]:
         assert io.canonical_json(payload) == reference_json(payload)
     rng = np.random.default_rng(5)
     for name, N in CATALOG_LEVELS:
@@ -275,16 +276,16 @@ PINNED_SPEC_DIGESTS = {
 
 @pytest.mark.parametrize("name", list(PINNED_SPEC_DIGESTS))
 def test_pinned_spec_bytes(name, tmp_path):
-    text = io.canonical_json(io.spec_to_dict(catalog.CATALOG[name].build()))
+    text = io.canonical_json(spec_to_dict(catalog.CATALOG[name].build()))
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SPEC_DIGESTS[name]
     path = tmp_path / "spec.json"
     path.write_text(text)
     again = tmp_path / "again.json"
-    io.save_spec(io.load_spec(str(path)), str(again))
+    save_spec(io.load_spec(str(path)), str(again))
     assert again.read_text() == text
 
 
-SPEC_DOCUMENTS = {name: io.canonical_json(io.spec_to_dict(catalog.get(name)))
+SPEC_DOCUMENTS = {name: io.canonical_json(spec_to_dict(catalog.get(name)))
                   for name in catalog.names()}
 LEAF_VALUES = [True, False, None, "x", 1.5, -1, "1/0", 2 ** 70]
 
@@ -345,5 +346,5 @@ def test_a_mutated_spec_document_loads_as_itself_or_exits_2(tmp_path_factory, ki
         code = main(["analyze", str(file)])
     assert code in (0, 2), (name, path)
     if code == 0:
-        text = io.canonical_json(io.spec_to_dict(io.spec_from_dict(doc)))
-        assert io.canonical_json(io.spec_to_dict(io.spec_from_dict(json.loads(text)))) == text
+        text = io.canonical_json(spec_to_dict(io.spec_from_dict(doc)))
+        assert io.canonical_json(spec_to_dict(io.spec_from_dict(json.loads(text)))) == text

@@ -10,15 +10,15 @@ from euciso import catalog, reps
 from euciso.dual import rep_set, wave_orbits
 from euciso.errors import CapExceeded, ConvergenceFailure, InternalInconsistency
 from euciso.groups import DEFAULT_CAP, SubgroupView, build_quotient, tf_slice
-from euciso.reps import (STRUCT_TOL, Representation, _Characters, _split_dense, char_inner,
+from euciso.reps import (STRUCT_TOL, Representation, _Characters, char_inner,
                          char_norm_sq, check_irreducibles, chi,
-                         distinct_constituents, equivalent, induce, intertwiner, irreps,
+                         distinct_constituents, equivalent, induce, irreps,
                          lift_representation, mackey_irreducible, multiplicities, multiplicity,
                          quotient_irreps, roots_of_unity, scale_by_character,
                          split_induced)
 
-from conftest import (constituents, dual_action, p_rep_element, quotient, spec,
-                      stabilizer_oracle, trivial_on)
+from conftest import (constituents, dual_action, intertwiner, p_rep_element, quotient,
+                      spec, split_dense, stabilizer_oracle, trivial_on)
 
 
 def conjugacy_class_count(q):
@@ -134,7 +134,7 @@ def test_split_dense_separates_a_direct_sum(rng):
         total[:, at:at + r.dim, at:at + r.dim] = r.mats
         at += r.dim
     u, _ = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
-    blocks = _split_dense(u.conj().T @ total @ u, rng)
+    blocks = split_dense(u.conj().T @ total @ u, rng)
     assert sorted(b.shape[1] for b in blocks) == [1, 2, 2]
     for r in parts:
         assert sum(np.abs(np.einsum("gii->g", b) - r.char).max() < 1e-9
@@ -149,7 +149,7 @@ def test_split_dense_separates_a_repeated_constituent(rng):
     for at, r in [(0, rho), (2, rho), (4, sigma)]:
         total[:, at:at + 2, at:at + 2] = r.mats
     u, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
-    blocks = _split_dense(u.conj().T @ total @ u, rng)
+    blocks = split_dense(u.conj().T @ total @ u, rng)
     chars = [np.einsum("gii->g", b) for b in blocks]
     assert sorted(sum(np.abs(ch - r.char).max() < 1e-9 for ch in chars)
                   for r in (rho, sigma)) == [1, 2]
@@ -507,6 +507,54 @@ def test_induced_character_matches_brute_force():
                 tau = scale_by_character(chi(s, label.k), lifted)
                 want = brute_induced_character(q, tau)
                 assert np.abs(induce(q, tau).char - want).max() < 1e-9
+
+
+def test_a_collision_on_the_first_attempt_reseeds_the_solver(monkeypatch):
+    # the first attempt's two lowest eigenvalue clusters are joined into one
+    # reducible cluster: that attempt fails, and the solve is the one at
+    # seed + 1, bit for bit
+    q, cluster, calls = quotient("pg", 3), reps._cluster, []
+
+    def joined(w, *rest):
+        blocks = cluster(w, *rest)
+        calls.append(len(blocks))
+        return [slice(0, blocks[1].stop), *blocks[2:]] if len(calls) == 1 else blocks
+
+    monkeypatch.setattr(reps, "_cluster", joined)
+    got = irreps(q, seed=5)
+    monkeypatch.undo()
+    assert len(calls) == 2
+    assert [r.mats.tobytes() for r in got] == [r.mats.tobytes() for r in irreps(q, seed=6)]
+
+
+def test_a_one_cluster_row_of_a_class_split_reseeds_alone(monkeypatch):
+    # row 1's eigenvalues are read as one cluster on the first attempt: that
+    # row gets the constituents of seed + 1, and the other rows keep theirs
+    s, q = spec("twistE8"), quotient("twistE8", 4)
+    rs = rep_set(s)
+    for idx, rho in enumerate(rs.classes):
+        ops = len(rs.little_groups[idx].p)
+        phases = np.array([chi(s, label.k).phases(q.tf_subgroup())
+                           for label in wave_orbits(s, rs, idx, 4) if ops // label.orbit_size > 1])
+        if len(phases) > 2:
+            break
+    rho = lift_representation(rho, q)
+
+    def split(rows, seed):
+        return [[m.tobytes() for m in pieces] for pieces in split_induced(q, rho, rows, seed)]
+
+    whole, cluster, calls = split(phases, 3), reps._cluster, []
+
+    def one_at_row_1(w, *rest):
+        calls.append(len(w))
+        return [slice(0, len(w))] if len(calls) == 2 else cluster(w, *rest)
+
+    monkeypatch.setattr(reps, "_cluster", one_at_row_1)
+    forced = split(phases, 3)
+    monkeypatch.undo()
+    assert len(calls) == len(phases) + 1
+    assert forced[1] == split(phases[1:2], 4)[0] != whole[1]
+    assert forced[:1] + forced[2:] == whole[:1] + whole[2:]
 
 
 def test_split_induced_refuses_an_irreducible_induced_rep():

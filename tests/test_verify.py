@@ -7,13 +7,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from euciso import catalog, cli, dual, fourier, groups, io, verify
+from euciso import catalog, cli, dual, fourier, groups, verify
 from euciso import isometry as iso
 from euciso.groups import GroupSpec, QuotientGroup, build_quotient, find_m0
 from euciso.splitting import split_quotient
 from euciso.verify import run_suite
 
-from conftest import cyclic, s4_plane_spec
+from conftest import cyclic, s4_plane_spec, save_spec
 
 
 def test_spot_check_draws_its_own_triples(monkeypatch):
@@ -265,7 +265,7 @@ def test_a_quotient_past_the_table_cap_fails_the_spot_check():
 def test_cli_verify_reports_a_quotient_past_the_table_cap(tmp_path, capsys):
     # the cap ends the suite with a report and exit 1, not with exit 4
     path = tmp_path / "s4-plane.json"
-    io.save_spec(s4_plane_spec(), str(path))
+    save_spec(s4_plane_spec(), str(path))
     assert cli.main(["verify", str(path)]) == cli.EXIT_VERIFY == 1
     data = json.loads(capsys.readouterr().out)
     assert data["passed"] is False and data["first_failure"] == "quotient-spot-check"
